@@ -192,7 +192,6 @@ def classify(designs, store_members: bool = False) -> list[EquivalenceClass]:
     if len(index_of) != len(designs):
         raise ValueError("designs must be pairwise distinct")
 
-    group = generate_group(ambient)
     uf = _UnionFind(len(designs))
     processed = [False] * len(designs)
     orbit_info: dict[int, tuple[tuple[int, ...], int, tuple | None]] = {}
@@ -200,8 +199,7 @@ def classify(designs, store_members: bool = False) -> list[EquivalenceClass]:
     for idx in range(len(designs)):
         if processed[idx]:
             continue
-        runs = designs[idx].runs
-        orbit = {_mask(g.run_perm[i] for i in runs) for g in group}
+        orbit = _orbit_masks(designs[idx])
         for mask in orbit:
             j = index_of.get(mask)
             if j is not None:

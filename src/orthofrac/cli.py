@@ -2,7 +2,8 @@
 
 Subcommands: enumerate, classify, indicator, verify.  Exit codes:
 0 success / verification pass, 1 verification fail, 2 usage or parse
-error, 3 brute-force ceiling exceeded.
+error, 3 brute-force ceiling exceeded, 4 the ambient is too large for
+the int64 fast path.
 """
 
 from __future__ import annotations
@@ -216,6 +217,9 @@ def main(argv=None) -> int:
     except ProblemTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,10 @@
 Runs of the full factorial are indexed lexicographically in the index
 vector with the last factor varying fastest; every file format and
 canonical ordering in the package relies on that convention.
+
+`margin_cells` is the one integer encoding of factor-subset margins that
+the strength checks, the search, the oracle and the class invariants
+count with; `margins` is the Fraction-labelled view of the same counts.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class ShapeMismatchError(ValueError):
@@ -183,6 +189,61 @@ def margins(design: Design, factor_subset: Sequence[int]) -> MarginTable:
     return MarginTable(subset, counts)
 
 
+@dataclass(frozen=True, eq=False)
+class MarginCells:
+    """The margin cells of every size-k factor subset of one ambient, numbered globally.
+
+    Subsets come in itertools.combinations order, and the cells of one
+    subset in lexicographic level order (last factor fastest), so subset s
+    owns the cell ids starts[s] .. starts[s] + its volume - 1.
+    """
+
+    subsets: tuple[tuple[int, ...], ...]
+    cells: np.ndarray  # cells[i, s]: the cell of subsets[s] that run i hits
+    volumes: np.ndarray  # volumes[c]: the number of cells of c's subset
+    starts: np.ndarray  # starts[s]: the first cell id of subsets[s]
+    incidence: np.ndarray  # incidence[i, c] == 1 iff run i hits cell c
+
+    def count(self, y: np.ndarray) -> np.ndarray:
+        """counts[b, c]: how many runs of the 0/1 membership row y[b] hit cell c."""
+        return y @ self.incidence
+
+    def balanced(self, counts: np.ndarray, size) -> np.ndarray:
+        """balanced[b, s]: every cell of subsets[s] holds size/volume runs of row b."""
+        return np.logical_and.reduceat(counts * self.volumes == size, self.starts, axis=1)
+
+
+@lru_cache(maxsize=None)
+def margin_cells(ambient: FullFactorial, k: int) -> MarginCells:
+    """The cached margin-cell table of the size-k factor subsets (read-only arrays)."""
+    m = ambient.run_count
+    radices = ambient.radices
+    ivs = np.array([ambient.decode(i) for i in range(m)], dtype=np.int64)
+    subsets = tuple(itertools.combinations(range(ambient.n_factors), k))
+    columns, volumes, starts = [], [], []
+    for subset in subsets:
+        offset = np.zeros(m, dtype=np.int64)
+        for j in subset:
+            offset = offset * radices[j] + ivs[:, j]
+        starts.append(len(volumes))
+        columns.append(starts[-1] + offset)
+        volume = prod(radices[j] for j in subset)
+        volumes.extend([volume] * volume)
+    cells = np.array(columns, dtype=np.int64).reshape(len(subsets), m).T
+    incidence = np.zeros((m, len(volumes)), dtype=np.int64)
+    incidence[np.arange(m)[:, None], cells] = 1
+    table = MarginCells(
+        subsets, cells, np.array(volumes, dtype=np.int64), np.array(starts, dtype=np.int64), incidence
+    )
+    for array in (table.cells, table.volumes, table.starts, table.incidence):
+        array.flags.writeable = False
+    return table
+
+
+def _membership_row(design: Design) -> np.ndarray:
+    return np.array([design.membership()], dtype=np.int64)
+
+
 def has_strength(design: Design, t: int) -> bool:
     """True iff every t-subset of factors shows all level combinations equally often.
 
@@ -192,10 +253,8 @@ def has_strength(design: Design, t: int) -> bool:
     n = design.ambient.n_factors
     if not 1 <= t <= n:
         raise ValueError(f"strength must be in 1..{n}")
-    for subset in itertools.combinations(range(n), t):
-        if not margins(design, subset).is_uniform():
-            return False
-    return True
+    table = margin_cells(design.ambient, t)
+    return bool(table.balanced(table.count(_membership_row(design)), design.size).all())
 
 
 def j_statistic(design: Design, factor_subset: Sequence[int]) -> int:
@@ -224,6 +283,39 @@ def supports_triple_invariant(ambient: FullFactorial) -> bool:
     return ambient.factors[4].arity == 3
 
 
+@lru_cache(maxsize=None)
+def _cell_signs(ambient: FullFactorial) -> np.ndarray:
+    """The J-characteristic of every size-3 margin cell: the product over its
+    factors of +1 for a positive level value and -1 otherwise."""
+    table = margin_cells(ambient, 3)
+    signs = np.zeros(len(table.volumes), dtype=np.int64)
+    for i, point in enumerate(all_points(ambient)):
+        for s, subset in enumerate(table.subsets):
+            signs[table.cells[i, s]] = prod(1 if point[j] > 0 else -1 for j in subset)
+    signs.flags.writeable = False
+    return signs
+
+
+def invariant_triples(
+    ambient: FullFactorial, y: np.ndarray
+) -> list[tuple[int, tuple[int, int, int, int], int]]:
+    """invariant_triple of every 0/1 membership row of y, from the size-3 margin counts."""
+    if not supports_triple_invariant(ambient):
+        raise ShapeMismatchError("ambient is not 2x2x2x2x3 shaped")
+    if np.any(y.sum(axis=1) != 24):
+        raise ShapeMismatchError("invariants are defined for 24-run fractions")
+    table = margin_cells(ambient, 3)
+    counts = table.count(y)
+    unbalanced = ~table.balanced(counts, 24)
+    j_stats = np.abs(np.add.reduceat(counts * _cell_signs(ambient), table.starts, axis=1))
+    triples = [s for s, subset in enumerate(table.subsets) if 4 not in subset]
+    mixed = [s for s, subset in enumerate(table.subsets) if 4 in subset]
+    t1 = unbalanced[:, triples].sum(axis=1).tolist()
+    t2 = unbalanced[:, mixed].sum(axis=1).tolist()
+    jsets = (-np.sort(-j_stats[:, triples], axis=1)).tolist()
+    return [(a, tuple(j), b) for a, j, b in zip(t1, jsets, t2)]
+
+
 def invariant_triple(design: Design) -> tuple[int, tuple[int, int, int, int], int]:
     """Symmetry invariants of a 24-run fraction of the 2x2x2x2x3 ambient.
 
@@ -232,22 +324,7 @@ def invariant_triple(design: Design) -> tuple[int, tuple[int, int, int, int], in
     triples, and T2 the number of pairs (x_i, x_j) whose margins together
     with the three-level factor are not all equal.
     """
-    if not supports_triple_invariant(design.ambient):
-        raise ShapeMismatchError("ambient is not 2x2x2x2x3 shaped")
-    if design.size != 24:
-        raise ShapeMismatchError("invariants are defined for 24-run fractions")
-    t1 = 0
-    j_values = []
-    for triple in itertools.combinations(range(4), 3):
-        if not margins(design, triple).is_uniform():
-            t1 += 1
-        j_values.append(abs(j_statistic(design, triple)))
-    t2 = 0
-    for pair in itertools.combinations(range(4), 2):
-        if not margins(design, pair + (4,)).is_uniform():
-            t2 += 1
-    jset = tuple(sorted(j_values, reverse=True))
-    return t1, jset, t2
+    return invariant_triples(design.ambient, _membership_row(design))[0]
 
 
 def save_design_csv(design: Design, path) -> None:

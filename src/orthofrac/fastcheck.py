@@ -10,10 +10,9 @@ cross-checks where the per-design Fraction route would be too slow.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .algebra import (
     lattice_index,
     model_matrix_inverse,
 )
-from .designs import Design, FullFactorial, supports_triple_invariant
+from .designs import Design, FullFactorial
 from .linalg import Matrix
 
 _INT64_SAFE = 2**62
@@ -53,7 +52,10 @@ def _scaled_int_matrix(matrix: Matrix) -> tuple[np.ndarray, int]:
 
 
 class BatchChecker:
-    """Exact integer checks on batches of fractions of a fixed ambient."""
+    """Exact integer algebraic checks on batches of fractions of a fixed ambient.
+
+    Margin counts (strength, invariants) live in designs.margin_cells.
+    """
 
     def __init__(self, ambient: FullFactorial):
         self.ambient = ambient
@@ -102,7 +104,6 @@ class BatchChecker:
             self.cx_blocks.append(c_int @ self.x_int)
 
         self._assert_bounds()
-        self._cells: dict[int, tuple[np.ndarray, list[int]]] = {}
 
     def _assert_bounds(self) -> None:
         b = self.theta_bound
@@ -165,74 +166,6 @@ class BatchChecker:
         theta0 = self.theta_scaled(y)[:, 0]
         sizes = y.sum(axis=1)
         return theta0 * self.m == self.w_scale * sizes
-
-    # -- combinatorial checks --------------------------------------------------
-
-    def _cell_matrix(self, strength: int) -> tuple[np.ndarray, list[int]]:
-        """0/1 matrix of run-in-cell indicators over all size-`strength` subsets,
-        plus the cells-per-combination divisor for each column."""
-        cached = self._cells.get(strength)
-        if cached is not None:
-            return cached
-        radices = self.ambient.radices
-        ivs = [self.ambient.decode(i) for i in range(self.m)]
-        cols: list[list[int]] = []
-        divisors: list[int] = []
-        for subset in itertools.combinations(range(self.ambient.n_factors), strength):
-            volume = prod(radices[j] for j in subset)
-            for combo in itertools.product(*(range(radices[j]) for j in subset)):
-                cols.append(
-                    [1 if all(iv[j] == c for j, c in zip(subset, combo)) else 0 for iv in ivs]
-                )
-                divisors.append(volume)
-        cells = np.array(cols, dtype=np.int64).T
-        self._cells[strength] = (cells, divisors)
-        return cells, divisors
-
-    def strength_ok(self, y: np.ndarray, size: int, strength: int) -> np.ndarray:
-        """Direct margin counting: every strength-subset cell hits size/volume."""
-        cells, divisors = self._cell_matrix(strength)
-        targets = []
-        for v in divisors:
-            if size % v:
-                return np.zeros(len(y), dtype=bool)
-            targets.append(size // v)
-        counts = y @ cells
-        return np.all(counts == np.array(targets, dtype=np.int64), axis=1)
-
-    def invariant_triples(self, y: np.ndarray) -> list[tuple[int, tuple[int, ...], int]]:
-        """Batched (T1, J, T2) for 24-run fractions of the 2x2x2x2x3 ambient."""
-        if not supports_triple_invariant(self.ambient):
-            raise ValueError("ambient does not support the triple invariant")
-        ivs = [self.ambient.decode(i) for i in range(self.m)]
-        levels = [f.levels for f in self.ambient.factors]
-        signs = np.array(
-            [[prod(1 if levels[j][iv[j]] > 0 else -1 for j in triple) for iv in ivs]
-             for triple in itertools.combinations(range(4), 3)],
-            dtype=np.int64,
-        )
-        j_stats = np.abs(y @ signs.T)
-
-        def cell_counts(subsets):
-            cols = []
-            for subset in subsets:
-                for combo in itertools.product(*(range(self.ambient.radices[j]) for j in subset)):
-                    cols.append(
-                        [1 if all(iv[j] == c for j, c in zip(subset, combo)) else 0 for iv in ivs]
-                    )
-            return y @ np.array(cols, dtype=np.int64).T
-
-        triples = list(itertools.combinations(range(4), 3))
-        t3 = cell_counts(triples).reshape(len(y), len(triples), 8)
-        t1 = (t3.max(axis=2) != t3.min(axis=2)).sum(axis=1)
-        mixed = [pair + (4,) for pair in itertools.combinations(range(4), 2)]
-        tm = cell_counts(mixed).reshape(len(y), len(mixed), 12)
-        t2 = (tm.max(axis=2) != tm.min(axis=2)).sum(axis=1)
-        out = []
-        for b in range(len(y)):
-            jset = tuple(sorted((int(v) for v in j_stats[b]), reverse=True))
-            out.append((int(t1[b]), jset, int(t2[b])))
-        return out
 
 
 @lru_cache(maxsize=None)

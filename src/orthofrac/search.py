@@ -26,13 +26,17 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 from multiprocessing import get_context
 
 import numpy as np
 
-from .designs import Design, FullFactorial
+from .designs import Design, FullFactorial, margin_cells
 from .fastcheck import get_checker, runs_matrix
+
+# The first _SPLIT_DEPTH include/exclude decisions of the backtracking
+# search are fixed per task when it runs on several workers.
+_SPLIT_DEPTH = 6
 
 
 class ProblemTooLargeError(ValueError):
@@ -48,7 +52,6 @@ class SearchProblem:
     strength: int
     slicing_factor: int | None = None  # default: last factor of maximal arity
     workers: int = 1
-    split_depth: int = 6
     oracle_ceiling: int = 10**8
 
     def __post_init__(self):
@@ -62,32 +65,6 @@ class SearchProblem:
 
 # ---------------------------------------------------------------------------
 # Backtracking subset search with margin-count pruning
-
-
-def _strength_cells(ambient: FullFactorial, strength: int):
-    """Margin cells over every size-`strength` factor subset.
-
-    Returns (run_cells, volumes): run_cells[i] lists the one cell per
-    subset that run i occupies; volumes[c] is the number of cells of that
-    subset (the divisor of the size target).
-    """
-    n = ambient.n_factors
-    radices = ambient.radices
-    ivs = [ambient.decode(i) for i in range(ambient.run_count)]
-    run_cells = [[] for _ in ivs]
-    volumes: list[int] = []
-    base = 0
-    for subset in itertools.combinations(range(n), strength):
-        vols = [radices[j] for j in subset]
-        volume = prod(vols)
-        for i, iv in enumerate(ivs):
-            offset = 0
-            for j, v in zip(subset, vols):
-                offset = offset * v + iv[j]
-            run_cells[i].append(base + offset)
-        volumes.extend([volume] * volume)
-        base += volume
-    return [tuple(c) for c in run_cells], volumes
 
 
 def _backtrack_subsets(
@@ -107,16 +84,11 @@ def _backtrack_subsets(
     m = ambient.run_count
     if size < 0 or size > m:
         return []
-    if strength == 0:
-        run_cells: list[tuple[int, ...]] = [()] * m
-        targets: list[int] = []
-    else:
-        run_cells, volumes = _strength_cells(ambient, strength)
-        targets = []
-        for v in volumes:
-            if size % v:
-                return []
-            targets.append(size // v)
+    table = margin_cells(ambient, strength)
+    if np.any(size % table.volumes):
+        return []
+    run_cells = [tuple(row) for row in table.cells.tolist()]
+    targets = (size // table.volumes).tolist()
     n_cells = len(targets)
     counts = [0] * n_cells
     # caps[i][c]: how many runs with index >= i hit cell c.
@@ -186,11 +158,11 @@ def _backtrack_task(args):
 
 
 def _parallel_backtrack(
-    ambient: FullFactorial, size: int, strength: int, workers: int, split_depth: int
+    ambient: FullFactorial, size: int, strength: int, workers: int
 ) -> list[tuple[int, ...]]:
     if workers <= 1:
         return _backtrack_subsets(ambient, size, strength)
-    depth = min(split_depth, ambient.run_count)
+    depth = min(_SPLIT_DEPTH, ambient.run_count)
     level_sets = tuple(tuple(f.levels) for f in ambient.factors)
     # Include-first prefix order matches the DFS output order, so the
     # concatenation below is exactly the single-worker order.
@@ -229,24 +201,6 @@ def _embedding_tables(ambient: FullFactorial, p: int) -> list[list[int]]:
             table.append(ambient.encode(iv))
         tables.append(table)
     return tables
-
-
-def _join_cells(sub: FullFactorial, strength: int):
-    """Margin cells of the sub-ambient used as the join key (size-t subsets)."""
-    if strength > sub.n_factors:
-        return [()] * sub.run_count, []
-    return _strength_cells(sub, strength)
-
-
-def _candidate_vectors(candidates, run_cells, n_cells):
-    vectors = []
-    for cand in candidates:
-        vec = [0] * n_cells
-        for s in cand:
-            for c in run_cells[s]:
-                vec[c] += 1
-        vectors.append(tuple(vec))
-    return vectors
 
 
 def _join_assignments(keys, buckets, target, n_levels):
@@ -295,47 +249,25 @@ def _sliced_enumeration(problem: SearchProblem) -> list[tuple[int, ...]]:
         return []
     q = problem.size // r
     sub = _sub_ambient(ambient, p)
-    candidates = _parallel_backtrack(
-        sub, q, problem.strength - 1, problem.workers, problem.split_depth
-    )
+    candidates = _parallel_backtrack(sub, q, problem.strength - 1, problem.workers)
     if not candidates:
         return []
 
-    run_cells, volumes = _join_cells(sub, problem.strength)
-    target = []
-    for v in volumes:
-        if problem.size % v:
-            return []
-        target.append(problem.size // v)
-    target = tuple(target)
-    vectors = _candidate_vectors(candidates, run_cells, len(target))
+    # Join keys: the candidates' margin counts over the size-t subsets of
+    # the sub-ambient (none when t exceeds its factor count).
+    table = margin_cells(sub, problem.strength)
+    if np.any(problem.size % table.volumes):
+        return []
+    target = tuple((problem.size // table.volumes).tolist())
+    vectors = map(tuple, table.count(runs_matrix(candidates, sub.run_count)).tolist())
     buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for cand, vec in zip(candidates, vectors):
         buckets.setdefault(vec, []).append(cand)
     keys = sorted(buckets)
     assignments = _join_assignments(keys, buckets, target, r)
     embed = _embedding_tables(ambient, p)
-
-    if problem.workers > 1 and len(assignments) > 1:
-        n_tasks = min(len(assignments), 4 * problem.workers)
-        step = -(-len(assignments) // n_tasks)
-        payload = [
-            (assignments[lo : lo + step], buckets, embed)
-            for lo in range(0, len(assignments), step)
-        ]
-        with get_context("fork").Pool(problem.workers) as pool:
-            chunks = pool.map(_materialize_task, payload)
-        return [runs for chunk in chunks for runs in chunk]
     out: list[tuple[int, ...]] = []
     for assignment in assignments:
-        out.extend(_materialize(assignment, buckets, embed))
-    return out
-
-
-def _materialize_task(args):
-    chunk, buckets, embed = args
-    out = []
-    for assignment in chunk:
         out.extend(_materialize(assignment, buckets, embed))
     return out
 
@@ -369,9 +301,7 @@ def enumerate_orthogonal(problem: SearchProblem) -> list[Design]:
     if ambient.n_factors >= 2:
         raw = _sliced_enumeration(problem)
     else:
-        raw = _parallel_backtrack(
-            ambient, problem.size, problem.strength, problem.workers, problem.split_depth
-        )
+        raw = _parallel_backtrack(ambient, problem.size, problem.strength, problem.workers)
     raw.sort()
     designs = [Design(ambient, runs) for runs in raw]
     _cross_check(designs, problem)
@@ -391,12 +321,9 @@ def brute_force_oracle(problem: SearchProblem) -> list[Design]:
         raise ProblemTooLargeError(
             f"C({m},{problem.size}) = {total} exceeds the ceiling {problem.oracle_ceiling}"
         )
-    checker = get_checker(ambient)
-    cells, divisors = checker._cell_matrix(problem.strength)
-    for v in divisors:
-        if problem.size % v:
-            return []
-    targets = np.array([problem.size // v for v in divisors], dtype=np.int64)
+    table = margin_cells(ambient, problem.strength)
+    if np.any(problem.size % table.volumes):
+        return []
 
     out: list[Design] = []
     chunk_size = 65536
@@ -409,8 +336,8 @@ def brute_force_oracle(problem: SearchProblem) -> list[Design]:
         if problem.size:
             rows = np.repeat(np.arange(len(chunk)), problem.size)
             y[rows, np.array(chunk, dtype=np.int64).ravel()] = 1
-        counts = y @ cells
-        good = np.flatnonzero(np.all(counts == targets, axis=1))
+        balanced = table.balanced(table.count(y), problem.size)
+        good = np.flatnonzero(balanced.all(axis=1))
         out.extend(Design(ambient, chunk[i]) for i in good)
     return out
 
@@ -436,7 +363,13 @@ def read_designs(fh, ambient: FullFactorial) -> list[Design]:
             runs = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if not isinstance(runs, list) or not all(isinstance(r, int) for r in runs):
+        # bool is a subclass of int, but true/false are not run indices.
+        if not isinstance(runs, list) or not all(
+            isinstance(r, int) and not isinstance(r, bool) for r in runs
+        ):
             raise ValueError(f"line {lineno}: expected a list of run indices")
-        designs.append(Design.from_runs(ambient, runs))
+        try:
+            designs.append(Design.from_runs(ambient, runs))
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return designs

@@ -22,7 +22,14 @@ from orthofrac.algebra import (
 )
 from orthofrac.catalog import CATALOG
 from orthofrac.classify import act, act_theta, generate_group, stabilizer_size, table_report
-from orthofrac.designs import Design, full_factorial, has_strength, invariant_triple
+from orthofrac.designs import (
+    Design,
+    full_factorial,
+    has_strength,
+    invariant_triple,
+    invariant_triples,
+    margin_cells,
+)
 from orthofrac.fastcheck import get_checker, runs_matrix
 from orthofrac.polynomials import parse_polynomial, reduce_to_standard_form
 from orthofrac.search import SearchProblem, brute_force_oracle, enumerate_orthogonal
@@ -252,10 +259,10 @@ def test_criterion_10_group_action_coherence(flagship, flagship_designs, flagshi
 def test_flagship_outputs_are_sound(flagship, flagship_designs):
     """Soundness sweep: every enumerated design passes the combinatorial and
     the algebraic checks (100%, not sampled)."""
-    checker = get_checker(flagship)
     y = runs_matrix(flagship_designs, 48)
-    assert bool(np.all(checker.strength_ok(y, 24, 2)))
-    assert bool(np.all(checker.verify(y, 24, 2)))
+    table = margin_cells(flagship, 2)
+    assert bool(np.all(table.balanced(table.count(y), 24)))
+    assert bool(np.all(get_checker(flagship).verify(y, 24, 2)))
 
 
 def test_invariants_constant_on_every_orbit(flagship, flagship_designs, flagship_classes):
@@ -263,9 +270,7 @@ def test_invariants_constant_on_every_orbit(flagship, flagship_designs, flagship
     J = 0 <=> balanced-triple equivalence holds design by design."""
     from orthofrac.classify import orbit_of
 
-    checker = get_checker(flagship)
-    y = runs_matrix(flagship_designs, 48)
-    triples = checker.invariant_triples(y)
+    triples = invariant_triples(flagship, runs_matrix(flagship_designs, 48))
     by_runs = {d.runs: inv for d, inv in zip(flagship_designs, triples)}
     for t1, jset, _ in triples:
         # T1 equals the number of nonzero triple J-statistics.

@@ -93,6 +93,18 @@ def test_classify_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("[0, 1\n")
     assert main(["classify", "--levels", "2,2,2", "--designs", str(bad)]) == 2
+    # An out-of-range run index and JSON booleans are parse errors of their line.
+    for text in ("[0, 1]\n[0, 99]\n", "[0, 1]\n[true, false]\n"):
+        bad.write_text(text)
+        assert main(["classify", "--levels", "2,2", "--designs", str(bad)]) == 2
+        assert "error: line 2:" in capsys.readouterr().err
+
+
+def test_enumerate_int64_overflow_exit_4(capsys):
+    code = main(["enumerate", "--levels", "6,6", "--size", "6", "--strength", "1"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "int64" in err
 
 
 def test_indicator_command(tmp_path, capsys):

@@ -1,22 +1,60 @@
 """The integer fast path must agree with the Fraction-level reference
 implementations, exhaustively on small ambients."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from orthofrac.algebra import (
     indicator_from_design,
     theta_vector,
     verify_theta,
 )
-from orthofrac.designs import Design, full_factorial, has_strength, invariant_triple
+from orthofrac.designs import (
+    Design,
+    ShapeMismatchError,
+    from_level_sets,
+    full_factorial,
+    has_strength,
+    invariant_triple,
+    invariant_triples,
+    j_statistic,
+    margin_cells,
+    margins,
+)
 from orthofrac.fastcheck import BatchChecker, get_checker, runs_matrix
+
+# Two-level factors listed as (1, -1) put the value +1 at level index 0.
+FLIPPED = from_level_sets([(1, -1), (-1, 1), (1, -1), (1, -1), (-1, 0, 1)])
 
 
 def _all_subsets(amb):
     m = amb.run_count
     return [tuple(i for i in range(m) if bits >> i & 1) for bits in range(2**m)]
+
+
+def _reference_strength(design, t):
+    """Strength t by the Fraction-labelled margins of every t-subset."""
+    subsets = itertools.combinations(range(design.ambient.n_factors), t)
+    return all(margins(design, s).is_uniform() for s in subsets)
+
+
+def _batch_strength(amb, y, size, t):
+    table = margin_cells(amb, t)
+    return table.balanced(table.count(y), size).all(axis=1)
+
+
+def _reference_invariants(design):
+    """(T1, J, T2) from margins and j_statistic, subset by subset."""
+    triples = list(itertools.combinations(range(4), 3))
+    t1 = sum(not margins(design, t).is_uniform() for t in triples)
+    jset = tuple(sorted((abs(j_statistic(design, t)) for t in triples), reverse=True))
+    pairs = itertools.combinations(range(4), 2)
+    t2 = sum(not margins(design, p + (4,)).is_uniform() for p in pairs)
+    return t1, jset, t2
 
 
 def test_theta_scaled_matches_exact_theta():
@@ -43,16 +81,48 @@ def test_batch_verify_agrees_with_verify_theta_exhaustively():
                 assert bool(got) == verify_theta(poly, amb, s, t)
 
 
+def _parity_fractions(amb):
+    """{runs: the level indices of the factors in S sum to c mod 2}, for every S and c."""
+    n, m = amb.n_factors, amb.run_count
+    out = []
+    for k in range(1, n + 1):
+        for subset in itertools.combinations(range(n), k):
+            for c in (0, 1):
+                out.append(tuple(
+                    i for i in range(m) if sum(amb.decode(i)[j] for j in subset) % 2 == c
+                ))
+    return out
+
+
 def test_batch_strength_agrees_with_has_strength():
     amb = full_factorial([2, 3])
-    checker = get_checker(amb)
     subsets = _all_subsets(amb)
     y = runs_matrix(subsets, amb.run_count)
     for t in (1, 2):
-        batch = checker.strength_ok(y, 3, t)
+        batch = _batch_strength(amb, y, 3, t)
         for runs, got in zip(subsets, batch):
-            expected = len(runs) == 3 and has_strength(Design(amb, runs), t)
-            assert bool(got) == expected
+            design = Design(amb, runs)
+            expected = _reference_strength(design, t)
+            assert has_strength(design, t) == expected
+            assert bool(got) == (len(runs) == 3 and expected)
+
+    # Two-level factors listed as (1, -1), and a four-level factor (k = 1..3).
+    rng = random.Random(31)
+    for amb in (FLIPPED, full_factorial([2, 3, 4])):
+        m = amb.run_count
+        subsets = [tuple(range(m)), ()] + _parity_fractions(amb)
+        subsets += [tuple(sorted(rng.sample(range(m), rng.randrange(m + 1)))) for _ in range(40)]
+        y = runs_matrix(subsets, m)
+        sizes = y.sum(axis=1, keepdims=True)
+        for t in (1, 2, 3):
+            batch = _batch_strength(amb, y, sizes, t)
+            for runs, got in zip(subsets, batch):
+                design = Design(amb, runs)
+                expected = _reference_strength(design, t)
+                assert has_strength(design, t) == expected
+                assert bool(got) == expected
+            if t == 1:
+                assert batch[2:].any()  # some parity fraction is balanced
 
 
 def test_indicator_identity_checks():
@@ -68,8 +138,6 @@ def test_indicator_identity_checks():
 def test_scaling_paths_on_rational_level_ambient():
     # Levels with nontrivial denominators force x_scale > 1 and a rational
     # reduction tensor; the fast path must still agree with the exact route.
-    from orthofrac.designs import from_level_sets
-
     amb = from_level_sets([(0, Fraction(1, 2)), (-1, Fraction(1, 3), 2)])
     checker = BatchChecker(amb)
     assert checker.x_scale > 1
@@ -82,12 +150,12 @@ def test_scaling_paths_on_rational_level_ambient():
     for t in (1, 2):
         for s in (2, 3):
             batch = checker.verify(y, s, t)
-            strength = checker.strength_ok(y, s, t)
+            strength = _batch_strength(amb, y, s, t)
             for runs, got, got_s in zip(subsets, batch, strength):
                 design = Design(amb, runs)
                 poly = indicator_from_design(design)
                 assert bool(got) == verify_theta(poly, amb, s, t)
-                assert bool(got_s) == (len(runs) == s and has_strength(design, t))
+                assert bool(got_s) == (len(runs) == s and _reference_strength(design, t))
     assert bool(np.all(checker.idempotent_ok(y)))
     assert bool(np.all(checker.interpolation_ok(y)))
     # theta_0 == |F|/m is a property of symmetric level codings, not a
@@ -100,15 +168,18 @@ def test_scaling_paths_on_rational_level_ambient():
 
 
 def test_batch_invariant_triples_match_reference():
-    amb = full_factorial([2, 2, 2, 2, 3])
-    checker = get_checker(amb)
-    import random
-
     rng = random.Random(29)
-    designs = []
-    for _ in range(20):
-        designs.append(tuple(sorted(rng.sample(range(48), 24))))
-    y = runs_matrix(designs, 48)
-    batch = checker.invariant_triples(y)
-    for runs, got in zip(designs, batch):
-        assert got == invariant_triple(Design(amb, runs))
+    random_designs = [tuple(sorted(rng.sample(range(48), 24))) for _ in range(20)]
+    # Two-level factors listed as (1, -1): J signs follow the level values.
+    for amb in (full_factorial([2, 2, 2, 2, 3]), FLIPPED):
+        # The 24-run parity fractions include the regular x_i x_j x_k = +-1 (|J| = 24).
+        parity = [runs for runs in _parity_fractions(amb) if len(runs) == 24]
+        designs = random_designs + parity
+        batch = invariant_triples(amb, runs_matrix(designs, 48))
+        for runs, got in zip(designs, batch):
+            design = Design(amb, runs)
+            assert got == _reference_invariants(design)
+            assert invariant_triple(design) == got
+        assert any(24 in jset for _, jset, _ in batch)
+    with pytest.raises(ShapeMismatchError):
+        invariant_triples(full_factorial([2, 3, 4]), runs_matrix([tuple(range(12))], 24))

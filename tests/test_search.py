@@ -103,7 +103,7 @@ def test_enumeration_closed_under_group():
 def test_worker_count_does_not_change_output():
     amb = full_factorial([2, 2, 3])
     single = enumerate_orthogonal(SearchProblem(amb, 6, 1, workers=1))
-    multi = enumerate_orthogonal(SearchProblem(amb, 6, 1, workers=3, split_depth=4))
+    multi = enumerate_orthogonal(SearchProblem(amb, 6, 1, workers=3))
     assert single == multi
 
     buf1, buf2 = io.StringIO(), io.StringIO()
