@@ -46,11 +46,6 @@ def exponent_lattice(ambient: FullFactorial) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def lattice_index(ambient: FullFactorial) -> dict[tuple[int, ...], int]:
-    return {a: i for i, a in enumerate(exponent_lattice(ambient))}
-
-
-@lru_cache(maxsize=None)
 def build_model_matrix(ambient: FullFactorial) -> Matrix:
     """X[i, a] = product_j level_{ij}^{a_j}; rows in run order, columns in lattice order."""
     lattice = exponent_lattice(ambient)

@@ -15,7 +15,7 @@ import csv
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from typing import Iterable, Sequence
 
@@ -72,11 +72,13 @@ class FullFactorial:
     def n_factors(self) -> int:
         return len(self.factors)
 
-    @property
+    # Computed once per instance: the dataclass is frozen but not slotted, so
+    # cached_property can store into __dict__; hash and == stay field-based.
+    @cached_property
     def radices(self) -> tuple[int, ...]:
         return tuple(f.arity for f in self.factors)
 
-    @property
+    @cached_property
     def run_count(self) -> int:
         return prod(self.radices)
 

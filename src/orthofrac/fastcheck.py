@@ -6,12 +6,18 @@ arithmetic.  Magnitude bounds are computed exactly (in Python ints) when
 a checker is built and asserted to fit comfortably in int64, so the numpy
 fast paths can never overflow silently.  Used for whole-enumeration
 cross-checks where the per-design Fraction route would be too slow.
+
+Idempotency is checked as X theta in {0, 1}^m: the reduced square of the
+indicator has coefficients mu(theta) = X^-1 ((X theta) o (X theta)), and X
+is invertible, so theta == mu(theta) exactly when every entry of X theta is
+0 or 1.  The quadratic system of algebra.idempotency_system stays the
+Fraction route and the tests' reference.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -19,8 +25,6 @@ import numpy as np
 from .algebra import (
     build_contrast_matrix,
     build_model_matrix,
-    idempotency_system,
-    lattice_index,
     model_matrix_inverse,
 )
 from .designs import Design, FullFactorial
@@ -31,10 +35,11 @@ _INT64_SAFE = 2**62
 
 def runs_matrix(designs, run_count: int) -> np.ndarray:
     """Stack 0/1 membership rows for a sequence of designs or run tuples."""
-    y = np.zeros((len(designs), run_count), dtype=np.int64)
-    for b, d in enumerate(designs):
-        runs = d.runs if isinstance(d, Design) else d
-        y[b, list(runs)] = 1
+    rows = [d.runs if isinstance(d, Design) else d for d in designs]
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+    y = np.zeros((len(rows), run_count), dtype=np.int64)
+    y[np.repeat(np.arange(len(rows)), lengths), flat] = 1
     return y
 
 
@@ -67,26 +72,6 @@ class BatchChecker:
         # Row-sum bound on |scaled theta|; membership vectors are 0/1.
         self.theta_bound = int(np.abs(self.w_int).sum(axis=1).max())
 
-        # Quadratic reduction tensor with ordered-pair coefficients:
-        # mu[t] = sum_{i,j} R[t,i,j] * theta_i * theta_j.
-        index = lattice_index(ambient)
-        r_frac: dict[tuple[int, int, int], Fraction] = {}
-        r_scale = 1
-        for eq in idempotency_system(ambient):
-            t = index[eq.target]
-            for (a1, a2), coeff in eq.form:
-                i, j = index[a1], index[a2]
-                c = coeff if i == j else coeff / 2
-                r_scale = lcm(r_scale, c.denominator)
-                r_frac[(t, i, j)] = c
-                if i != j:
-                    r_frac[(t, j, i)] = c
-        self.r_scale = r_scale
-        r = np.zeros((m, m, m), dtype=np.int64)
-        for (t, i, j), c in r_frac.items():
-            r[t, i, j] = int(c * r_scale)
-        self.r_int = r.reshape(m, m * m)
-
         contrast = build_contrast_matrix(ambient)
         # Column sums of the scaled model matrix = x_scale * (1' X).
         self.ones_x = self.x_int.sum(axis=0)
@@ -107,16 +92,12 @@ class BatchChecker:
 
     def _assert_bounds(self) -> None:
         b = self.theta_bound
-        if b * b >= _INT64_SAFE:
-            raise OverflowError("ambient too large for the int64 fast path")
-        worst_quad = int(np.abs(self.r_int).sum(axis=1).max()) * b * b
-        worst_lhs = b * self.r_scale * self.w_scale
         worst_lin = int(np.abs(self.ones_x).sum()) * b
         for cx in self.cx_blocks:
             if cx.size:
                 worst_lin = max(worst_lin, int(np.abs(cx).sum(axis=1).max()) * b)
         worst_interp = int(np.abs(self.x_int).sum(axis=1).max()) * b
-        for value in (worst_quad, worst_lhs, worst_lin, worst_interp):
+        for value in (worst_lin, worst_interp):
             if value >= _INT64_SAFE:
                 raise OverflowError("ambient too large for the int64 fast path")
 
@@ -128,31 +109,30 @@ class BatchChecker:
 
     # -- algebraic checks ----------------------------------------------------
 
-    def idempotent_ok(self, y: np.ndarray, chunk: int = 1024) -> np.ndarray:
-        """theta_a == mu_a(theta) for every lattice exponent, exactly."""
-        theta = self.theta_scaled(y)
-        lhs_scale = self.r_scale * self.w_scale
-        out = np.empty(len(y), dtype=bool)
-        for lo in range(0, len(y), chunk):
-            t = theta[lo : lo + chunk]
-            pairs = (t[:, :, None] * t[:, None, :]).reshape(len(t), -1)
-            mu = pairs @ self.r_int.T
-            out[lo : lo + chunk] = np.all(mu == t * lhs_scale, axis=1)
-        return out
+    def idempotent_ok(self, y: np.ndarray) -> np.ndarray:
+        """theta == mu(theta), i.e. X theta takes only the values 0 and 1, exactly."""
+        return self._idempotent(self.theta_scaled(y))
 
     def orthogonal_ok(self, y: np.ndarray, size: int, strength: int) -> np.ndarray:
         """Size row and contrast blocks 1..strength, exactly."""
+        return self._orthogonal(self.theta_scaled(y), size, strength)
+
+    def verify(self, y: np.ndarray, size: int, strength: int) -> np.ndarray:
+        """Batch analogue of algebra.verify_theta."""
         theta = self.theta_scaled(y)
+        return self._idempotent(theta) & self._orthogonal(theta, size, strength)
+
+    def _idempotent(self, theta: np.ndarray) -> np.ndarray:
+        values = theta @ self.x_int.T
+        return np.all((values == 0) | (values == self.x_scale * self.w_scale), axis=1)
+
+    def _orthogonal(self, theta: np.ndarray, size: int, strength: int) -> np.ndarray:
         ok = (theta @ self.ones_x) == size * self.x_scale * self.w_scale
         for k in range(1, strength + 1):
             cx = self.cx_blocks[k - 1]
             if cx.size:
                 ok &= np.all(theta @ cx.T == 0, axis=1)
         return ok
-
-    def verify(self, y: np.ndarray, size: int, strength: int) -> np.ndarray:
-        """Batch analogue of algebra.verify_theta."""
-        return self.idempotent_ok(y) & self.orthogonal_ok(y, size, strength)
 
     # -- indicator identities -------------------------------------------------
 

@@ -101,7 +101,7 @@ def test_classify_parse_error_exit_2(tmp_path, capsys):
 
 
 def test_enumerate_int64_overflow_exit_4(capsys):
-    code = main(["enumerate", "--levels", "6,6", "--size", "6", "--strength", "1"])
+    code = main(["enumerate", "--levels", "8,8", "--size", "8", "--strength", "1"])
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error:") and "int64" in err

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,6 +20,14 @@ from orthofrac.designs import (
     run_point,
     save_design_csv,
 )
+
+
+def test_ambient_equality_ignores_cached_shape():
+    amb, fresh = full_factorial([2, 3]), full_factorial([2, 3])
+    assert (amb.radices, amb.run_count) == ((2, 3), 6)
+    assert amb == fresh and hash(amb) == hash(fresh)
+    assert pickle.loads(pickle.dumps(amb)) == fresh
+    assert amb != full_factorial([3, 2])
 
 
 def test_run_point_lexicographic_origin():

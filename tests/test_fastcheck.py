@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from orthofrac.algebra import (
+    build_model_matrix,
+    exponent_lattice,
+    idempotency_system,
     indicator_from_design,
+    model_matrix_inverse,
+    polynomial_from_theta,
+    satisfies_idempotency,
     theta_vector,
     verify_theta,
 )
@@ -29,6 +35,8 @@ from orthofrac.fastcheck import BatchChecker, get_checker, runs_matrix
 
 # Two-level factors listed as (1, -1) put the value +1 at level index 0.
 FLIPPED = from_level_sets([(1, -1), (-1, 1), (1, -1), (1, -1), (-1, 0, 1)])
+# Levels with nontrivial denominators force x_scale > 1.
+RATIONAL = from_level_sets([(0, Fraction(1, 2)), (-1, Fraction(1, 3), 2)])
 
 
 def _all_subsets(amb):
@@ -135,10 +143,50 @@ def test_indicator_identity_checks():
     assert bool(np.all(checker.idempotent_ok(y)))
 
 
+def test_idempotent_ok_agrees_with_quadratic_system():
+    # The quadratic system is the reference for the X theta in {0, 1}^m check,
+    # on 0/1 rows and on integer rows whose theta is not an indicator.
+    rng = random.Random(37)
+    for amb in (full_factorial([2, 2, 2]), full_factorial([2, 3]), RATIONAL):
+        m = amb.run_count
+        rows = runs_matrix(_all_subsets(amb), m).tolist()
+        # The doubled and negated full factorials are balanced but not 0/1.
+        rows += [[2] * m, [-1] * m]
+        rows += [[rng.choice((-1, 0, 1, 2)) for _ in range(m)] for _ in range(40)]
+        checker, y = get_checker(amb), np.array(rows, dtype=np.int64)
+        inverse = model_matrix_inverse(amb)
+        polys = [polynomial_from_theta(inverse.mul_vec(row), amb) for row in rows]
+        expected = [satisfies_idempotency(poly, amb) for poly in polys]
+        assert checker.idempotent_ok(y).tolist() == expected
+        assert not all(expected)
+        # verify needs both halves: some non-indicators pass the linear half.
+        sizes = y.sum(axis=1)
+        linear = checker.orthogonal_ok(y, sizes, 1)
+        assert (linear & ~np.array(expected)).any()
+        assert checker.verify(y, sizes, 1).tolist() == [
+            verify_theta(poly, amb, int(size), 1) for poly, size in zip(polys, sizes)
+        ]
+
+
+def test_idempotency_system_is_the_reduced_square():
+    # mu(theta) from the quadratic forms equals X^-1 ((X theta) o (X theta)).
+    rng = random.Random(41)
+    for amb in (full_factorial([2, 2, 2]), full_factorial([2, 3]), RATIONAL):
+        lattice = exponent_lattice(amb)
+        x, inverse = build_model_matrix(amb), model_matrix_inverse(amb)
+        system = idempotency_system(amb)
+        for _ in range(10):
+            theta = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in lattice]
+            coeffs = dict(zip(lattice, theta))
+            mu = {eq.target: coeffs[eq.target] - eq.residual(coeffs) for eq in system}
+            values = x.mul_vec(theta)
+            square = inverse.mul_vec([v * v for v in values])
+            assert [mu[a] for a in lattice] == list(square)
+
+
 def test_scaling_paths_on_rational_level_ambient():
-    # Levels with nontrivial denominators force x_scale > 1 and a rational
-    # reduction tensor; the fast path must still agree with the exact route.
-    amb = from_level_sets([(0, Fraction(1, 2)), (-1, Fraction(1, 3), 2)])
+    # The fast path must still agree with the exact route when x_scale > 1.
+    amb = RATIONAL
     checker = BatchChecker(amb)
     assert checker.x_scale > 1
     subsets = _all_subsets(amb)

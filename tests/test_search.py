@@ -82,6 +82,15 @@ def test_oracle_equivalence_2_to_the_4():
     assert len(engine) == 10
 
 
+def test_oracle_equivalence_square_grids():
+    # One run per row and column: the permutations of 6 and 7 symbols.
+    amb = full_factorial([6, 6])
+    engine = enumerate_orthogonal(SearchProblem(amb, 6, 1))
+    assert engine == brute_force_oracle(SearchProblem(amb, 6, 1))
+    assert len(engine) == 720
+    assert len(enumerate_orthogonal(SearchProblem(full_factorial([7, 7]), 7, 1))) == 5040
+
+
 def test_every_output_is_sound():
     amb = full_factorial([2, 2, 3])
     result = enumerate_orthogonal(SearchProblem(amb, 6, 1))
