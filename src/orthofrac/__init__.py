@@ -50,6 +50,7 @@ from .classify import (
     GroupElement,
     act,
     act_theta,
+    canonical_form,
     classification_report,
     classify,
     generate_group,

@@ -3,7 +3,9 @@
 Central objects, all exact:
 
 * the exponent lattice L (one exponent per factor, below the arity) and
-  the m x m model matrix X of monomial evaluations at the runs;
+  the m x m model matrix X of monomial evaluations at the runs, which is
+  the Kronecker product of one small Vandermonde matrix V_j per factor,
+  so X v and X^{-1} v are n exact mode products;
 * the indicator polynomial of a fraction, with coefficient vector
   theta = X^{-1} y for the 0/1 membership vector y;
 * the quadratic idempotency system theta_a = mu_a(theta) obtained by
@@ -23,10 +25,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
-from .designs import Design, FullFactorial, all_points
+import numpy as np
+
+from .designs import Design, FactorSpec, FullFactorial, all_points
 from .linalg import Matrix
 from .polynomials import Polynomial, reduce_to_standard_form, _power_table
 
@@ -78,24 +82,55 @@ def polynomial_from_theta(theta: Sequence[Fraction], ambient: FullFactorial) -> 
     return Polynomial(ambient.n_factors, dict(zip(lattice, map(Fraction, theta))))
 
 
+@lru_cache(maxsize=None)
+def _factor_matrix(factor: FactorSpec, inverse: bool) -> tuple[np.ndarray, int]:
+    """(A, d) with A / d = V or V^{-1}, where V[l, e] = level_l^e and A holds Python ints."""
+    matrix = Matrix([[v**e for e in range(factor.arity)] for v in factor.levels])
+    if inverse:
+        matrix = matrix.inverse()
+    scale = lcm(*(x.denominator for row in matrix for x in row))
+    return np.array([[int(x * scale) for x in row] for row in matrix], dtype=object), scale
+
+
+def _mode_products(ambient: FullFactorial, v: Sequence, inverse: bool) -> tuple[Fraction, ...]:
+    """prod_j V_j (or V_j^{-1}) applied along mode j of v, exactly: the per-factor
+    integer matrices act on Python ints and the scales divide once at the end."""
+    radices = ambient.radices
+    if len(v) != prod(radices):
+        raise ValueError("vector length mismatch")
+    v = [Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in v))
+    t = np.array([x.numerator * (den // x.denominator) for x in v], dtype=object).reshape(radices)
+    for j, factor in enumerate(ambient.factors):
+        a, scale = _factor_matrix(factor, inverse)
+        t = np.moveaxis(np.tensordot(a, t, axes=([1], [j])), 0, j)
+        den *= scale
+    return tuple(Fraction(int(x), den) for x in t.ravel())
+
+
+def mul_model_matrix(ambient: FullFactorial, theta: Sequence) -> tuple[Fraction, ...]:
+    """X theta, the values at the runs of the lattice polynomial with coefficients theta."""
+    return _mode_products(ambient, theta, inverse=False)
+
+
+def mul_model_inverse(ambient: FullFactorial, values: Sequence) -> tuple[Fraction, ...]:
+    """X^{-1} values, the coefficients of the lattice polynomial taking these values at the runs."""
+    return _mode_products(ambient, values, inverse=True)
+
+
 def indicator_from_design(design: Design) -> Polynomial:
     """The unique lattice polynomial equal to 1 on the fraction and 0 elsewhere."""
-    theta = model_matrix_inverse(design.ambient).mul_vec(design.membership())
+    theta = mul_model_inverse(design.ambient, design.membership())
     return polynomial_from_theta(theta, design.ambient)
 
 
 def design_from_indicator(poly: Polynomial, ambient: FullFactorial) -> Design:
     """Total inverse of indicator_from_design for standard-form polynomials."""
-    if not poly.in_lattice(ambient):
-        raise ValueError("polynomial is not in standard form for this ambient")
-    runs = []
-    for i, pt in enumerate(all_points(ambient)):
-        value = poly.evaluate(pt)
-        if value == 1:
-            runs.append(i)
-        elif value != 0:
+    values = mul_model_matrix(ambient, theta_vector(poly, ambient))
+    for i, value in enumerate(values):
+        if value != 0 and value != 1:
             raise NotAnIndicatorError(f"value {value} at run {i} is not 0 or 1")
-    return Design(ambient, tuple(runs))
+    return Design(ambient, tuple(i for i, value in enumerate(values) if value == 1))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import design_from_indicator
+from .classify import canonical_form
 from .designs import FullFactorial, from_level_sets
 from .polynomials import parse_polynomial
 
@@ -417,31 +418,19 @@ def cross_check_classes(classes) -> list[str]:
 
     Every catalog representative must land in exactly one computed class
     whose invariants and orbit size match its entry, and every class must
-    be hit exactly once.  Returns a list of discrepancies (empty = pass).
+    be hit exactly once.  Catalog designs and class representatives are
+    both matched by their canonical form, so any orbit member may
+    represent a class.  Returns a list of discrepancies (empty = pass).
     """
     problems: list[str] = []
     classes = list(classes)
     if len(classes) != len(CATALOG):
         problems.append(f"expected {len(CATALOG)} classes, got {len(classes)}")
-    rep_index: dict[tuple[int, ...], int] = {}
-    for k, c in enumerate(classes):
-        if c.members is not None:
-            for d in c.members:
-                rep_index[d.runs] = k
-    use_members = bool(rep_index)
-
-    from .classify import orbit_of
+    class_of = {canonical_form(c.representative): k for k, c in enumerate(classes)}
 
     hits: dict[int, int] = {}
     for entry, design in catalog_designs():
-        if use_members:
-            k = rep_index.get(design.runs)
-        else:
-            orbit = orbit_of(design)
-            k = next(
-                (i for i, c in enumerate(classes) if c.representative.runs in orbit),
-                None,
-            )
+        k = class_of.get(canonical_form(design))
         if k is None:
             problems.append(f"catalog type {entry.type_label} not found in any class")
             continue

@@ -2,11 +2,13 @@
 
 The symmetry group combines a level permutation per factor with a
 permutation of factors among factors of equal arity.  Each element induces
-a permutation of the run indices; acting on a design permutes its run set,
-and acting on an indicator coefficient vector is conjugation of the run
-permutation by the model matrix.  Orbits are computed by explicit closure:
-the whole group is applied to a seed design and the images are collected,
-with a union-find over the input tying members of one orbit together.
+a permutation of the run indices; the group is one cached G x m table of
+them.  Acting on a design is a gather from it, and acting on an indicator
+coefficient vector conjugates the run permutation by the model matrix.
+
+An orbit is packed into one bitset per image (ceil(m/64) big-endian 64-bit
+words, run r at bit 63 - r % 64 of word r // 64), so the largest bitset of
+an orbit is its lexicographically least design: the canonical form.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
+
+import numpy as np
 
 from .algebra import (
     indicator_from_design,
-    model_matrix_inverse,
-    build_model_matrix,
+    mul_model_inverse,
+    mul_model_matrix,
     polynomial_from_theta,
     theta_vector,
 )
@@ -27,9 +32,10 @@ from .designs import (
     FullFactorial,
     ShapeMismatchError,
     has_strength,
-    invariant_triple,
+    invariant_triples,
     supports_triple_invariant,
 )
+from .fastcheck import runs_matrix
 from .polynomials import Polynomial
 
 
@@ -51,37 +57,52 @@ class GroupElement:
         return all(p == i for i, p in enumerate(self.run_perm))
 
 
-def _arity_blocks(ambient: FullFactorial) -> list[list[int]]:
-    blocks: dict[int, list[int]] = {}
-    for j, r in enumerate(ambient.radices):
-        blocks.setdefault(r, []).append(j)
-    return [blocks[r] for r in sorted(blocks)]
+def _factor_perms(ambient: FullFactorial):
+    """Every factor permutation that maps each factor to one of equal arity."""
+    radices = ambient.radices
+    blocks = [[j for j, r in enumerate(radices) if r == a] for a in sorted(set(radices))]
+    for choice in itertools.product(*map(itertools.permutations, blocks)):
+        source = dict(zip(itertools.chain(*blocks), itertools.chain(*choice)))
+        yield tuple(source[j] for j in range(len(radices)))
+
+
+def _level_perms(ambient: FullFactorial) -> list[list[tuple[int, ...]]]:
+    return [list(itertools.permutations(range(r))) for r in ambient.radices]
+
+
+@lru_cache(maxsize=None)
+def run_perm_table(ambient: FullFactorial) -> np.ndarray:
+    """perm[g, i]: the image of run i under the g-th element of generate_group (read-only).
+
+    Rows run over factor permutations, then over level-permutation choices
+    with the last factor fastest; the image of run i is the mixed-radix
+    sum of stride_j * level_perms[j][iv_i[factor_perm[j]]].
+    """
+    radices, n, m = ambient.radices, ambient.n_factors, ambient.run_count
+    ivs = np.stack(np.unravel_index(np.arange(m), radices), axis=1)
+    # int32 keeps the table, the largest cached object of an ambient, at half size.
+    level_perms = [np.array(choices, dtype=np.int32) for choices in _level_perms(ambient)]
+    blocks = []
+    for factor_perm in _factor_perms(ambient):
+        images = 0
+        for j, perms in enumerate(level_perms):
+            shape = (1,) * j + (-1,) + (1,) * (n - j - 1) + (m,)
+            stride = prod(radices[j + 1 :])
+            images = images + stride * perms[:, ivs[:, factor_perm[j]]].reshape(shape)
+        blocks.append(images.reshape(-1, m))
+    table = np.concatenate(blocks)
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
 def generate_group(ambient: FullFactorial) -> tuple[GroupElement, ...]:
     """Every combination of same-arity factor permutations and level permutations."""
-    n = ambient.n_factors
-    radices = ambient.radices
-    blocks = _arity_blocks(ambient)
-    block_perm_choices = [list(itertools.permutations(b)) for b in blocks]
-    level_perm_choices = [list(itertools.permutations(range(r))) for r in radices]
-    decoded = [ambient.decode(i) for i in range(ambient.run_count)]
-
-    elements = []
-    for block_choice in itertools.product(*block_perm_choices):
-        factor_perm = [0] * n
-        for block, perm in zip(blocks, block_choice):
-            for pos, src in zip(block, perm):
-                factor_perm[pos] = src
-        fp = tuple(factor_perm)
-        for level_choice in itertools.product(*level_perm_choices):
-            run_perm = tuple(
-                ambient.encode([level_choice[j][iv[fp[j]]] for j in range(n)])
-                for iv in decoded
-            )
-            elements.append(GroupElement(ambient, fp, tuple(level_choice), run_perm))
-    return tuple(elements)
+    labels = itertools.product(_factor_perms(ambient), itertools.product(*_level_perms(ambient)))
+    return tuple(
+        GroupElement(ambient, fp, lp, tuple(run_perm))
+        for (fp, lp), run_perm in zip(labels, map(np.ndarray.tolist, run_perm_table(ambient)))
+    )
 
 
 def act(g: GroupElement, design: Design) -> Design:
@@ -93,70 +114,62 @@ def act(g: GroupElement, design: Design) -> Design:
 
 
 def act_theta(g: GroupElement, poly: Polynomial) -> Polynomial:
-    """Coefficient-level action: conjugate the run permutation by the model matrix."""
+    """Coefficient-level action: X^{-1} P X theta for the run permutation P of g."""
     ambient = g.ambient
-    theta = theta_vector(poly, ambient)
-    values = build_model_matrix(ambient).mul_vec(theta)
-    permuted = [values[0]] * len(values)
-    for i, v in enumerate(values):
-        permuted[g.run_perm[i]] = v
-    image = model_matrix_inverse(ambient).mul_vec(permuted)
-    return polynomial_from_theta(image, ambient)
+    values = mul_model_matrix(ambient, theta_vector(poly, ambient))
+    permuted = list(values)
+    for i, v in zip(g.run_perm, values):
+        permuted[i] = v
+    return polynomial_from_theta(mul_model_inverse(ambient, permuted), ambient)
 
 
-def _mask(runs) -> int:
-    m = 0
-    for i in runs:
-        m |= 1 << i
-    return m
+def _bitsets(bits: np.ndarray) -> np.ndarray:
+    """The key of every 0/1 membership row: padded to whole 64-bit words and packed."""
+    padded = np.zeros((len(bits), -(-bits.shape[1] // 64) * 64), dtype=bool)
+    padded[:, : bits.shape[1]] = bits
+    return np.packbits(padded, axis=1).view(f"V{padded.shape[1] // 8}").ravel()
 
 
-def _unmask(mask: int) -> tuple[int, ...]:
-    runs = []
-    i = 0
-    while mask:
-        if mask & 1:
-            runs.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(runs)
+def _run_tuples(keys: np.ndarray) -> list[tuple[int, ...]]:
+    """The run set of every bitset key."""
+    bits = np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1)
+    return [tuple(np.flatnonzero(row).tolist()) for row in bits]
 
 
-def _orbit_masks(design: Design) -> set[int]:
-    """The full group orbit as run bitmasks (O(1) hashing per image)."""
-    group = generate_group(design.ambient)
-    runs = design.runs
-    return {_mask(g.run_perm[i] for i in runs) for g in group}
+def _image_keys(design: Design) -> np.ndarray:
+    """The bitset of the design's image under every group element, in table order."""
+    table = run_perm_table(design.ambient)
+    bits = np.zeros(table.shape, dtype=bool)
+    bits[np.arange(len(table))[:, None], table[:, list(design.runs)]] = True
+    return _bitsets(bits)
+
+
+def _key_order(keys: np.ndarray) -> np.ndarray:
+    """The argsort of bitset keys (lexsort on their words: faster than sorting the bytes)."""
+    return np.lexsort(keys.view(">u8").reshape(len(keys), -1).T[::-1])
+
+
+def _orbit_keys(design: Design) -> np.ndarray:
+    """The sorted distinct bitsets of the orbit; the last one is the canonical form."""
+    keys = _image_keys(design)
+    keys = keys[_key_order(keys)]
+    return keys[np.r_[True, keys[1:] != keys[:-1]]]
+
+
+def canonical_form(design: Design) -> tuple[int, ...]:
+    """The runs of the lexicographically least design in the orbit."""
+    return _run_tuples(_orbit_keys(design)[-1:])[0]
 
 
 def orbit_of(design: Design) -> set[tuple[int, ...]]:
     """Run tuples of the full group orbit of one design."""
-    return {_unmask(m) for m in _orbit_masks(design)}
+    return set(_run_tuples(_orbit_keys(design)))
 
 
 def stabilizer_size(design: Design) -> int:
-    group = generate_group(design.ambient)
-    runs = design.runs
-    target = _mask(runs)
-    return sum(1 for g in group if _mask(g.run_perm[i] for i in runs) == target)
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    """The number of group elements that map the design onto itself."""
+    own = _bitsets(runs_matrix([design], design.ambient.run_count))
+    return int(np.count_nonzero(_image_keys(design) == own))
 
 
 @dataclass(frozen=True)
@@ -177,7 +190,9 @@ class EquivalenceClass:
 def classify(designs, store_members: bool = False) -> list[EquivalenceClass]:
     """Partition pairwise-distinct designs of one ambient into group orbits.
 
-    The representative is the lexicographically least design of the full
+    Each orbit is closed once, from the first input design not yet seen,
+    and binary search marks the input designs it contains.  The
+    representative is the lexicographically least design of the full
     orbit and orbit_size counts the full orbit, whether or not every orbit
     member is present in the input.  Classes are sorted by (invariants,
     representative).
@@ -188,46 +203,32 @@ def classify(designs, store_members: bool = False) -> list[EquivalenceClass]:
     ambient = designs[0].ambient
     if any(d.ambient != ambient for d in designs):
         raise ShapeMismatchError("designs come from different ambients")
-    index_of = {_mask(d.runs): i for i, d in enumerate(designs)}
-    if len(index_of) != len(designs):
+    keys = _bitsets(runs_matrix(designs, ambient.run_count))
+    order = _key_order(keys)
+    sorted_keys = keys[order]
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
         raise ValueError("designs must be pairwise distinct")
 
-    uf = _UnionFind(len(designs))
-    processed = [False] * len(designs)
-    orbit_info: dict[int, tuple[tuple[int, ...], int, tuple | None]] = {}
-
-    for idx in range(len(designs)):
-        if processed[idx]:
+    seen = np.zeros(len(designs), dtype=bool)
+    orbits = []
+    for idx, design in enumerate(designs):
+        if seen[idx]:
             continue
-        orbit = _orbit_masks(designs[idx])
-        for mask in orbit:
-            j = index_of.get(mask)
-            if j is not None:
-                processed[j] = True
-                uf.union(idx, j)
-        if store_members:
-            run_tuples = sorted(_unmask(mask) for mask in orbit)
-            rep_runs, members = run_tuples[0], tuple(run_tuples)
-        else:
-            rep_runs, members = min(map(_unmask, orbit)), None
-        orbit_info[uf.find(idx)] = (rep_runs, len(orbit), members)
+        orbit = _orbit_keys(design)
+        pos = np.minimum(np.searchsorted(sorted_keys, orbit), len(designs) - 1)
+        seen[order[pos[sorted_keys[pos] == orbit]]] = True
+        orbits.append(orbit)
 
-    roots: dict[int, list[int]] = {}
-    for i in range(len(designs)):
-        roots.setdefault(uf.find(i), []).append(i)
-
-    compute_invariants = supports_triple_invariant(ambient) and all(
-        d.size == 24 for d in designs
-    )
+    reps = _run_tuples(np.concatenate([orbit[-1:] for orbit in orbits]))
+    invariants = [None] * len(orbits)
+    if supports_triple_invariant(ambient) and all(d.size == 24 for d in designs):
+        invariants = invariant_triples(ambient, runs_matrix(reps, ambient.run_count))
     classes = []
-    for root in roots:
-        rep_runs, orbit_size, member_runs = orbit_info[root]
-        rep = Design(ambient, rep_runs)
-        invariants = invariant_triple(rep) if compute_invariants else None
-        members = (
-            tuple(Design(ambient, t) for t in member_runs) if member_runs is not None else None
-        )
-        classes.append(EquivalenceClass(rep, orbit_size, invariants, members))
+    for orbit, rep, inv in zip(orbits, reps, invariants):
+        members = None
+        if store_members:
+            members = tuple(Design(ambient, runs) for runs in reversed(_run_tuples(orbit)))
+        classes.append(EquivalenceClass(Design(ambient, rep), len(orbit), inv, members))
     classes.sort(key=lambda c: c.sort_key)
     return classes
 
@@ -308,15 +309,12 @@ def table_report(classes) -> TableReport:
             cell[2] += 1
 
     row_keys = sorted(by_row, key=lambda k: (k[0], tuple(-v for v in k[1])))
-    counts, s3_rows, reg_rows = [], [], []
-    for key in row_keys:
-        cells = by_row[key]
-        counts.append(tuple(cells.get(t2, [0, 0, 0])[0] for t2 in t2_values))
-        s3_rows.append(tuple(cells.get(t2, [0, 0, 0])[1] for t2 in t2_values))
-        reg_rows.append(tuple(cells.get(t2, [0, 0, 0])[2] for t2 in t2_values))
-    return TableReport(
-        tuple(row_keys), t2_values, tuple(counts), tuple(s3_rows), tuple(reg_rows)
+    # counts, strength-3 counts, regular counts: one (rows x T2) matrix each
+    matrices = (
+        tuple(tuple(by_row[key].get(t2, [0, 0, 0])[i] for t2 in t2_values) for key in row_keys)
+        for i in range(3)
     )
+    return TableReport(tuple(row_keys), t2_values, *matrices)
 
 
 def classification_report(classes, include_members: bool = False) -> dict:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -130,8 +131,12 @@ class Design:
 
     def __post_init__(self):
         m = self.ambient.run_count
+        runs = self.runs
+        # Valid run tuples pass in one C-level sweep; the loop names the first bad run.
+        if runs and 0 <= runs[0] and runs[-1] < m and all(map(operator.lt, runs, runs[1:])):
+            return
         prev = -1
-        for r in self.runs:
+        for r in runs:
             if not 0 <= r < m:
                 raise IndexError(f"run {r} out of range")
             if r <= prev:

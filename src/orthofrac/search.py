@@ -353,6 +353,9 @@ def write_designs(designs: list[Design], fh) -> None:
     fh.write(f"# count: {len(designs)}\n")
 
 
+_INT_TYPE = frozenset((int,))
+
+
 def read_designs(fh, ambient: FullFactorial) -> list[Design]:
     designs = []
     for lineno, line in enumerate(fh, start=1):
@@ -363,10 +366,8 @@ def read_designs(fh, ambient: FullFactorial) -> list[Design]:
             runs = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        # bool is a subclass of int, but true/false are not run indices.
-        if not isinstance(runs, list) or not all(
-            isinstance(r, int) and not isinstance(r, bool) for r in runs
-        ):
+        # An exact type test: bool is a subclass of int, but true/false are not run indices.
+        if type(runs) is not list or not _INT_TYPE.issuperset(map(type, runs)):
             raise ValueError(f"line {lineno}: expected a list of run indices")
         try:
             designs.append(Design.from_runs(ambient, runs))

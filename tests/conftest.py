@@ -5,14 +5,19 @@ across the whole session; everything downstream (acceptance criteria,
 orbit properties) reuses them.
 """
 
+from fractions import Fraction
 from math import prod
 
 import pytest
 
 from orthofrac.catalog import flagship_ambient
 from orthofrac.classify import classify
-from orthofrac.designs import Design, run_point
+from orthofrac.designs import Design, from_level_sets, run_point
 from orthofrac.search import SearchProblem, enumerate_orthogonal
+
+
+# Levels with nontrivial denominators force x_scale > 1.
+RATIONAL = from_level_sets([(0, Fraction(1, 2)), (-1, Fraction(1, 3), 2)])
 
 
 def sign_fraction(ambient, factors, sign):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sign_fraction
+from conftest import RATIONAL, sign_fraction
 from orthofrac.algebra import (
     InconsistentSystemError,
     NotAnIndicatorError,
@@ -16,6 +16,8 @@ from orthofrac.algebra import (
     indicator_from_design,
     linear_preprocess,
     model_matrix_inverse,
+    mul_model_inverse,
+    mul_model_matrix,
     orthogonality_system,
     polynomial_from_theta,
     satisfies_idempotency,
@@ -63,6 +65,20 @@ def test_flagship_model_matrix_inverse_roundtrip():
     inv = model_matrix_inverse(FLAGSHIP)
     assert x @ inv == Matrix.identity(48)
     assert inv @ x == Matrix.identity(48)
+
+
+@pytest.mark.parametrize("amb", [FLAGSHIP, RATIONAL, full_factorial([2, 3, 4])])
+def test_kronecker_transforms_match_model_matrix(amb):
+    # The per-factor mode products equal the dense m x m route exactly.
+    x, inverse = build_model_matrix(amb), model_matrix_inverse(amb)
+    rng = random.Random(53)
+    for _ in range(10):
+        v = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(amb.run_count)]
+        assert mul_model_matrix(amb, v) == x.mul_vec(v)
+        assert mul_model_inverse(amb, v) == inverse.mul_vec(v)
+        assert mul_model_matrix(amb, mul_model_inverse(amb, v)) == tuple(v)
+    with pytest.raises(ValueError):
+        mul_model_matrix(amb, [1] * (amb.run_count + 1))
 
 
 def test_solve_model_matrix_for_membership_vector():

@@ -1,12 +1,16 @@
+import dataclasses
 import random
+from functools import lru_cache
 
 import pytest
 
 from conftest import sign_fraction
 from orthofrac.algebra import indicator_from_design
+from orthofrac.catalog import cross_check_classes
 from orthofrac.classify import (
     act,
     act_theta,
+    canonical_form,
     classify,
     generate_group,
     orbit_of,
@@ -172,3 +176,90 @@ def test_table_report_smoke():
     assert "1a" in text and "1b" in text  # strength-3 flag and regular flag
     with pytest.raises(ShapeMismatchError):
         table_report(classify([Design(full_factorial([2, 2]), (0, 3))]))
+
+
+def _reference_classes(designs):
+    """(representative, orbit size, sorted members) per orbit, closed with act."""
+    group = generate_group(designs[0].ambient)
+    found, classes = set(), []
+    for d in designs:
+        if d.runs not in found:
+            orbit = sorted({act(g, d).runs for g in group})
+            found.update(orbit)
+            classes.append((orbit[0], len(orbit), tuple(orbit)))
+    return sorted(classes)
+
+
+def _summary(classes):
+    return [
+        (c.representative.runs, c.orbit_size, tuple(d.runs for d in c.members)) for c in classes
+    ]
+
+
+def _not_group_closed():
+    """Some 12-run designs of the flagship ambient, a few relabelled copies among them."""
+    rng = random.Random(59)
+    group = generate_group(FLAGSHIP)
+    designs = {tuple(sorted(rng.sample(range(48), 12))) for _ in range(25)}
+    for runs in list(designs)[:8]:
+        designs.add(act(rng.choice(group), Design(FLAGSHIP, runs)).runs)
+    designs |= {d.runs for d in enumerate_orthogonal(SearchProblem(FLAGSHIP, 12, 2))[:5]}
+    return [Design(FLAGSHIP, runs) for runs in sorted(designs)]
+
+
+@lru_cache(maxsize=None)
+def _three_four():
+    # 81 runs: the orbit bitsets take two 64-bit words.
+    return enumerate_orthogonal(SearchProblem(full_factorial([3, 3, 3, 3]), 9, 2))
+
+
+@pytest.mark.parametrize(
+    "designs",
+    [lambda: enumerate_orthogonal(SearchProblem(FLAGSHIP, 12, 2)), _three_four, _not_group_closed],
+    ids=["2^4*3-s12", "3^4-s9", "not-group-closed"],
+)
+def test_classify_matches_reference_closure(designs):
+    designs = designs()
+    classes = classify(designs, store_members=True)
+    reference = _reference_classes(designs)
+    assert _summary(classes) == reference
+    order = len(generate_group(designs[0].ambient))
+    for c in classes[:3]:
+        d = c.members[-1]
+        assert canonical_form(d) == c.representative.runs
+        assert orbit_of(d) == {m.runs for m in c.members}
+        assert c.orbit_size * stabilizer_size(d) == order
+
+
+def test_enumerated_3_4_is_one_class_of_72():
+    designs = _three_four()
+    classes = classify(designs)
+    assert len(designs) == 72
+    assert [c.orbit_size for c in classes] == [72]
+    assert classes[0].representative.runs == min(d.runs for d in designs)
+
+
+def test_classify_invariant_under_relabelling_and_shuffle(flagship_designs):
+    rng = random.Random(61)
+    designs = rng.sample(flagship_designs, 600)
+    expected = classify(designs, store_members=True)
+    g = rng.choice(generate_group(FLAGSHIP))
+    relabelled = [act(g, d) for d in designs]
+    rng.shuffle(relabelled)
+    assert {d.runs for d in relabelled} != {d.runs for d in designs}
+    assert classify(relabelled, store_members=True) == expected
+
+
+def test_cross_check_accepts_any_orbit_member_as_representative(flagship_classes):
+    assert cross_check_classes(flagship_classes) == []
+    rng = random.Random(67)
+    group = generate_group(FLAGSHIP)
+    classes = list(flagship_classes)
+    for k in rng.sample(range(len(classes)), 5):
+        rep = classes[k].representative
+        other = next(a for a in (act(g, rep) for g in group) if a.runs > rep.runs)
+        classes[k] = dataclasses.replace(classes[k], representative=other)
+    assert cross_check_classes(classes) == []
+    # A representative taken from another class is caught.
+    classes[0] = dataclasses.replace(classes[0], representative=classes[1].representative)
+    assert cross_check_classes(classes) != []

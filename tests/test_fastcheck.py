@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import RATIONAL
 from orthofrac.algebra import (
     build_model_matrix,
     exponent_lattice,
@@ -35,8 +36,6 @@ from orthofrac.fastcheck import BatchChecker, get_checker, runs_matrix
 
 # Two-level factors listed as (1, -1) put the value +1 at level index 0.
 FLIPPED = from_level_sets([(1, -1), (-1, 1), (1, -1), (1, -1), (-1, 0, 1)])
-# Levels with nontrivial denominators force x_scale > 1.
-RATIONAL = from_level_sets([(0, Fraction(1, 2)), (-1, Fraction(1, 3), 2)])
 
 
 def _all_subsets(amb):
