@@ -38,6 +38,7 @@ from .algebra import (
     verify_theta_report,
 )
 from .search import (
+    CrossCheckError,
     ProblemTooLargeError,
     SearchProblem,
     brute_force_oracle,

@@ -5,7 +5,8 @@ Central objects, all exact:
 * the exponent lattice L (one exponent per factor, below the arity) and
   the m x m model matrix X of monomial evaluations at the runs, which is
   the Kronecker product of one small Vandermonde matrix V_j per factor,
-  so X v and X^{-1} v are n exact mode products;
+  so X v and X^{-1} v are n exact mode products, and X and X^{-1} scale
+  to integer matrices factor by factor (scaled_model_matrix);
 * the indicator polynomial of a fraction, with coefficient vector
   theta = X^{-1} y for the 0/1 membership vector y;
 * the quadratic idempotency system theta_a = mu_a(theta) obtained by
@@ -51,7 +52,11 @@ def exponent_lattice(ambient: FullFactorial) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def build_model_matrix(ambient: FullFactorial) -> Matrix:
-    """X[i, a] = product_j level_{ij}^{a_j}; rows in run order, columns in lattice order."""
+    """X[i, a] = product_j level_{ij}^{a_j}; rows in run order, columns in lattice order.
+
+    Evaluated directly at the points, independently of the Kronecker
+    factors: the tests' reference for scaled_model_matrix and the mode products.
+    """
     lattice = exponent_lattice(ambient)
     rows = []
     for pt in all_points(ambient):
@@ -65,6 +70,7 @@ def build_model_matrix(ambient: FullFactorial) -> Matrix:
 
 @lru_cache(maxsize=None)
 def model_matrix_inverse(ambient: FullFactorial) -> Matrix:
+    """X^{-1} by rational Gauss-Jordan elimination: the tests' reference."""
     return build_model_matrix(ambient).inverse()
 
 
@@ -90,6 +96,18 @@ def _factor_matrix(factor: FactorSpec, inverse: bool) -> tuple[np.ndarray, int]:
         matrix = matrix.inverse()
     scale = lcm(*(x.denominator for row in matrix for x in row))
     return np.array([[int(x * scale) for x in row] for row in matrix], dtype=object), scale
+
+
+@lru_cache(maxsize=None)
+def scaled_model_matrix(ambient: FullFactorial, inverse: bool) -> tuple[np.ndarray, int]:
+    """(A, d) with A / d = X or X^{-1} exactly: A is the Kronecker product of the
+    per-factor integer matrices, a read-only object array of Python ints."""
+    a, d = np.ones((1, 1), dtype=object), 1
+    for factor in ambient.factors:
+        f, scale = _factor_matrix(factor, inverse)
+        a, d = np.kron(a, f), d * scale
+    a.flags.writeable = False
+    return a, d
 
 
 def _mode_products(ambient: FullFactorial, v: Sequence, inverse: bool) -> tuple[Fraction, ...]:
@@ -231,6 +249,20 @@ class LinearSystem:
 
 
 @lru_cache(maxsize=None)
+def scaled_contrast_rows(ambient: FullFactorial) -> np.ndarray:
+    """[1'; C_1; ...; C_n] A as a read-only object array of Python ints, where
+    A / d = X (scaled_model_matrix); rows follow build_contrast_matrix's row_labels."""
+    m = ambient.run_count
+    # Contrast entries are -1, 0 or 1, so they convert without scaling.
+    stacked = [[1] * m] + [
+        [int(v) for v in row] for block in build_contrast_matrix(ambient).blocks for row in block
+    ]
+    rows = np.array(stacked, dtype=object) @ scaled_model_matrix(ambient, inverse=False)[0]
+    rows.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=None)
 def orthogonality_system(ambient: FullFactorial, size: int, strength: int) -> LinearSystem:
     """1'X theta = size plus C_l X theta = 0 for l = 1..strength.
 
@@ -239,22 +271,13 @@ def orthogonality_system(ambient: FullFactorial, size: int, strength: int) -> Li
     """
     if not 1 <= strength <= ambient.n_factors:
         raise ValueError("strength out of range")
-    x = build_model_matrix(ambient)
     contrast = build_contrast_matrix(ambient)
-    m = ambient.run_count
-    ones = Matrix([[Fraction(1)] * m])
-    rows = ones @ x
-    constants = [Fraction(size)]
-    tags: list[tuple] = [("size",)]
-    for k in range(1, strength + 1):
-        block = contrast.block(k)
-        if block.rows:
-            rows = rows.vstack(block @ x)
-        constants.extend([Fraction(0)] * block.rows)
-    for label in contrast.row_labels[1:]:
-        if label[1] <= strength:
-            tags.append(label)
-    return LinearSystem(rows, tuple(constants), tuple(tags))
+    n_rows = 1 + sum(contrast.block_sizes()[:strength])
+    d = scaled_model_matrix(ambient, inverse=False)[1]
+    rows = scaled_contrast_rows(ambient)[:n_rows]
+    coeffs = Matrix([[Fraction(v, d) for v in row] for row in rows])
+    constants = (Fraction(size),) + (Fraction(0),) * (n_rows - 1)
+    return LinearSystem(coeffs, constants, contrast.row_labels[:n_rows])
 
 
 @dataclass(frozen=True)
@@ -403,8 +426,3 @@ def verify_theta(poly: Polynomial, ambient: FullFactorial, size: int, strength: 
     size/strength linear system, i.e. the polynomial is the indicator of an
     orthogonal fraction of that size and strength."""
     return all(verify_theta_report(poly, ambient, size, strength).values())
-
-
-def indicator_square_reduces_to_self(poly: Polynomial, ambient: FullFactorial) -> bool:
-    """reduce(f^2) == f, the polynomial-level idempotency identity."""
-    return reduce_to_standard_form(poly * poly, ambient) == poly

@@ -3,7 +3,8 @@
 Subcommands: enumerate, classify, indicator, verify.  Exit codes:
 0 success / verification pass, 1 verification fail, 2 usage or parse
 error, 3 brute-force ceiling exceeded, 4 the ambient is too large for
-the int64 fast path.
+the int64 fast path, 5 an enumerated design failed the algebraic
+cross-check (an internal fault).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .classify import classification_report, classify, table_report
 from .designs import FullFactorial, full_factorial, load_design_csv
 from .polynomials import parse_polynomial
 from .search import (
+    CrossCheckError,
     ProblemTooLargeError,
     SearchProblem,
     brute_force_oracle,
@@ -220,6 +222,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except CrossCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

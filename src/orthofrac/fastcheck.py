@@ -1,11 +1,11 @@
 """Vectorized exact verification of many fractions of one ambient.
 
-The rational matrices of the algebra module are scaled by the least
-common multiple of their denominators so that every check runs in integer
-arithmetic.  Magnitude bounds are computed exactly (in Python ints) when
-a checker is built and asserted to fit comfortably in int64, so the numpy
-fast paths can never overflow silently.  Used for whole-enumeration
-cross-checks where the per-design Fraction route would be too slow.
+Every check runs in int64 arithmetic on the integer matrices of
+algebra.scaled_model_matrix and algebra.scaled_contrast_rows.  Magnitude
+bounds are computed exactly (in Python ints) before any int64 conversion
+and asserted to fit comfortably in int64, so the numpy fast paths can never
+overflow silently.  Used for whole-enumeration cross-checks where the
+per-design Fraction route would be too slow.
 
 Idempotency is checked as X theta in {0, 1}^m: the reduced square of the
 indicator has coefficients mu(theta) = X^-1 ((X theta) o (X theta)), and X
@@ -18,17 +18,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from math import lcm
 
 import numpy as np
 
-from .algebra import (
-    build_contrast_matrix,
-    build_model_matrix,
-    model_matrix_inverse,
-)
+from .algebra import build_contrast_matrix, scaled_contrast_rows, scaled_model_matrix
 from .designs import Design, FullFactorial
-from .linalg import Matrix
 
 _INT64_SAFE = 2**62
 
@@ -43,17 +37,10 @@ def runs_matrix(designs, run_count: int) -> np.ndarray:
     return y
 
 
-def _scaled_int_matrix(matrix: Matrix) -> tuple[np.ndarray, int]:
-    """(matrix * scale) as int64, where scale clears every denominator."""
-    scale = 1
-    for row in matrix:
-        for x in row:
-            scale = lcm(scale, x.denominator)
-    data = [[int(x * scale) for x in row] for row in matrix]
-    hi = max((abs(v) for row in data for v in row), default=0)
-    if hi >= _INT64_SAFE:
-        raise OverflowError("scaled matrix does not fit in int64")
-    return np.array(data, dtype=np.int64), scale
+def _check_fits(rows: np.ndarray, theta_bound: int) -> None:
+    """Every row . (w_scale * theta) fits in int64 for 0/1 membership rows."""
+    if max(sum(map(abs, row)) for row in rows) * theta_bound >= _INT64_SAFE:
+        raise OverflowError("ambient too large for the int64 fast path")
 
 
 class BatchChecker:
@@ -64,42 +51,25 @@ class BatchChecker:
 
     def __init__(self, ambient: FullFactorial):
         self.ambient = ambient
-        m = ambient.run_count
-        self.m = m
+        self.m = ambient.run_count
 
-        self.x_int, self.x_scale = _scaled_int_matrix(build_model_matrix(ambient))
-        self.w_int, self.w_scale = _scaled_int_matrix(model_matrix_inverse(ambient))
+        x, self.x_scale = scaled_model_matrix(ambient, inverse=False)
+        w, self.w_scale = scaled_model_matrix(ambient, inverse=True)
         # Row-sum bound on |scaled theta|; membership vectors are 0/1.
-        self.theta_bound = int(np.abs(self.w_int).sum(axis=1).max())
+        self.theta_bound = max(sum(map(abs, row)) for row in w)
+        # X theta first: an oversized ambient fails before the m x m
+        # contrast products are formed.
+        _check_fits(x, self.theta_bound)
+        rows = scaled_contrast_rows(ambient)
+        _check_fits(rows, self.theta_bound)
 
-        contrast = build_contrast_matrix(ambient)
-        # Column sums of the scaled model matrix = x_scale * (1' X).
-        self.ones_x = self.x_int.sum(axis=0)
-        if self.m * int(np.abs(self.x_int).max(initial=0)) >= _INT64_SAFE:
-            raise OverflowError("ambient too large for the int64 fast path")
-        self.cx_blocks: list[np.ndarray] = []
-        for k in range(1, ambient.n_factors + 1):
-            block = contrast.block(k)
-            if block.rows == 0:
-                self.cx_blocks.append(np.zeros((0, m), dtype=np.int64))
-                continue
-            c_int, c_scale = _scaled_int_matrix(block)
-            assert c_scale == 1  # contrast entries are -1, 0, 1
-            # c_int @ x_int = x_scale * (C_k X), exactly.
-            self.cx_blocks.append(c_int @ self.x_int)
-
-        self._assert_bounds()
-
-    def _assert_bounds(self) -> None:
-        b = self.theta_bound
-        worst_lin = int(np.abs(self.ones_x).sum()) * b
-        for cx in self.cx_blocks:
-            if cx.size:
-                worst_lin = max(worst_lin, int(np.abs(cx).sum(axis=1).max()) * b)
-        worst_interp = int(np.abs(self.x_int).sum(axis=1).max()) * b
-        for value in (worst_lin, worst_interp):
-            if value >= _INT64_SAFE:
-                raise OverflowError("ambient too large for the int64 fast path")
+        self.x_int = x.astype(np.int64)
+        self.w_int = w.astype(np.int64)
+        rows = rows.astype(np.int64)
+        # x_scale * (1' X), then x_scale * (C_k X) for k = 1..n.
+        self.ones_x = rows[0]
+        sizes = build_contrast_matrix(ambient).block_sizes()
+        self.cx_blocks = np.split(rows[1:], np.cumsum(sizes)[:-1])
 
     # -- coefficient vectors ------------------------------------------------
 

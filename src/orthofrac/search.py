@@ -43,6 +43,10 @@ class ProblemTooLargeError(ValueError):
     """The brute-force subset space exceeds the configured ceiling."""
 
 
+class CrossCheckError(RuntimeError):
+    """An enumerated design failed the algebraic cross-check: an internal fault."""
+
+
 @dataclass(frozen=True)
 class SearchProblem:
     """An enumeration instance plus engine options."""
@@ -285,7 +289,7 @@ def _cross_check(designs: list[Design], problem: SearchProblem) -> None:
     ok = checker.verify(y, problem.size, problem.strength)
     if not bool(np.all(ok)):
         bad = int(np.flatnonzero(~ok)[0])
-        raise RuntimeError(
+        raise CrossCheckError(
             f"internal consistency failure: design {designs[bad].runs} fails the algebraic check"
         )
 

@@ -21,6 +21,7 @@ from orthofrac.algebra import (
     orthogonality_system,
     polynomial_from_theta,
     satisfies_idempotency,
+    scaled_model_matrix,
     theta_vector,
     verify_theta,
     verify_theta_report,
@@ -67,10 +68,21 @@ def test_flagship_model_matrix_inverse_roundtrip():
     assert inv @ x == Matrix.identity(48)
 
 
-@pytest.mark.parametrize("amb", [FLAGSHIP, RATIONAL, full_factorial([2, 3, 4])])
+@pytest.mark.parametrize(
+    "amb", [FLAGSHIP, RATIONAL, full_factorial([2, 3, 4]), full_factorial([6, 6])]
+)
 def test_kronecker_transforms_match_model_matrix(amb):
-    # The per-factor mode products equal the dense m x m route exactly.
+    # The per-factor mode products and integer matrices equal the dense
+    # m x m route (direct evaluation, Gauss-Jordan inverse) exactly.
     x, inverse = build_model_matrix(amb), model_matrix_inverse(amb)
+    for reference, inv in ((x, False), (inverse, True)):
+        a, d = scaled_model_matrix(amb, inverse=inv)
+        assert [[Fraction(v, d) for v in row] for row in a] == [list(row) for row in reference]
+    # The orthogonality rows are [1; C_1; ...; C_t] X for every t.
+    products = list(build_contrast_matrix(amb).stacked() @ x)
+    for t in range(1, amb.n_factors + 1):
+        n_rows = 1 + sum(expected_block_size(amb, k) for k in range(1, t + 1))
+        assert orthogonality_system(amb, 3, t).coeffs == Matrix(products[:n_rows])
     rng = random.Random(53)
     for _ in range(10):
         v = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(amb.run_count)]

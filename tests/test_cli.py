@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import sign_fraction
+from orthofrac import search
 from orthofrac.cli import main
 from orthofrac.designs import full_factorial, save_design_csv
 
@@ -105,6 +107,21 @@ def test_enumerate_int64_overflow_exit_4(capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("error:") and "int64" in err
+
+
+def test_cross_check_failure_exit_5(monkeypatch, capsys):
+    # A checker that rejects every design stands in for an engine fault.
+    class RejectAll:
+        def verify(self, y, size, strength):
+            return np.zeros(len(y), dtype=bool)
+
+    monkeypatch.setattr(search, "get_checker", lambda ambient: RejectAll())
+    code = main(["enumerate", "--levels", "2,2,2", "--size", "4", "--strength", "2"])
+    assert code == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal consistency failure")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_indicator_command(tmp_path, capsys):
