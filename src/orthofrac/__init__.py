@@ -27,10 +27,8 @@ from .polynomials import (
 from .algebra import (
     NotAnIndicatorError,
     build_contrast_matrix,
-    build_model_matrix,
     design_from_indicator,
     exponent_lattice,
-    idempotency_system,
     indicator_from_design,
     linear_preprocess,
     orthogonality_system,

@@ -9,13 +9,15 @@ Central objects, all exact:
   to integer matrices factor by factor (scaled_model_matrix);
 * the indicator polynomial of a fraction, with coefficient vector
   theta = X^{-1} y for the 0/1 membership vector y;
-* the quadratic idempotency system theta_a = mu_a(theta) obtained by
-  squaring the generic lattice polynomial and reducing to standard form
-  (a coefficient vector satisfies it iff the polynomial is 0/1-valued on
-  the whole ambient);
 * the contrast matrix C and the linear system 1'X theta = s,
   C_l X theta = 0 (l = 1..t) characterizing fractions of size s with
   orthogonality strength t.
+
+verify_theta_report reads every check from the values at the runs
+v = X theta.  theta is idempotent (theta = mu(theta), the reduced square
+of the polynomial) iff v is in {0, 1}^m, because mu(theta) =
+X^{-1} (v o v) and X is invertible; the size and contrast rows
+[1; C] X theta are [1; C] v.
 
 Everything derived from an ambient is cached on the (hashable) ambient.
 """
@@ -31,9 +33,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .designs import Design, FactorSpec, FullFactorial, all_points
+from .designs import Design, FactorSpec, FullFactorial
 from .linalg import Matrix
-from .polynomials import Polynomial, reduce_to_standard_form, _power_table
+from .polynomials import Polynomial, reduce_to_standard_form
 
 
 class NotAnIndicatorError(ValueError):
@@ -48,30 +50,6 @@ class InconsistentSystemError(ValueError):
 def exponent_lattice(ambient: FullFactorial) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors with e_j < r_j, in canonical (last fastest) order."""
     return tuple(itertools.product(*(range(r) for r in ambient.radices)))
-
-
-@lru_cache(maxsize=None)
-def build_model_matrix(ambient: FullFactorial) -> Matrix:
-    """X[i, a] = product_j level_{ij}^{a_j}; rows in run order, columns in lattice order.
-
-    Evaluated directly at the points, independently of the Kronecker
-    factors: the tests' reference for scaled_model_matrix and the mode products.
-    """
-    lattice = exponent_lattice(ambient)
-    rows = []
-    for pt in all_points(ambient):
-        powers = [
-            [v**e for e in range(r)]
-            for v, r in zip(pt, ambient.radices)
-        ]
-        rows.append([prod(p[e] for p, e in zip(powers, a)) for a in lattice])
-    return Matrix(rows)
-
-
-@lru_cache(maxsize=None)
-def model_matrix_inverse(ambient: FullFactorial) -> Matrix:
-    """X^{-1} by rational Gauss-Jordan elimination: the tests' reference."""
-    return build_model_matrix(ambient).inverse()
 
 
 def theta_vector(poly: Polynomial, ambient: FullFactorial) -> tuple[Fraction, ...]:
@@ -110,9 +88,11 @@ def scaled_model_matrix(ambient: FullFactorial, inverse: bool) -> tuple[np.ndarr
     return a, d
 
 
-def _mode_products(ambient: FullFactorial, v: Sequence, inverse: bool) -> tuple[Fraction, ...]:
-    """prod_j V_j (or V_j^{-1}) applied along mode j of v, exactly: the per-factor
-    integer matrices act on Python ints and the scales divide once at the end."""
+def _scaled_mode_products(ambient: FullFactorial, v: Sequence, inverse: bool) -> tuple[np.ndarray, int]:
+    """prod_j V_j (or V_j^{-1}) applied along mode j of v, exactly: integer
+    numerators (a flat object array of Python ints) over one positive denominator.
+    The per-factor integer matrices act on Python ints; the scales multiply the
+    denominator."""
     radices = ambient.radices
     if len(v) != prod(radices):
         raise ValueError("vector length mismatch")
@@ -123,7 +103,12 @@ def _mode_products(ambient: FullFactorial, v: Sequence, inverse: bool) -> tuple[
         a, scale = _factor_matrix(factor, inverse)
         t = np.moveaxis(np.tensordot(a, t, axes=([1], [j])), 0, j)
         den *= scale
-    return tuple(Fraction(int(x), den) for x in t.ravel())
+    return t.ravel(), den
+
+
+def _mode_products(ambient: FullFactorial, v: Sequence, inverse: bool) -> tuple[Fraction, ...]:
+    nums, den = _scaled_mode_products(ambient, v, inverse)
+    return tuple(Fraction(int(x), den) for x in nums)
 
 
 def mul_model_matrix(ambient: FullFactorial, theta: Sequence) -> tuple[Fraction, ...]:
@@ -142,13 +127,20 @@ def indicator_from_design(design: Design) -> Polynomial:
     return polynomial_from_theta(theta, design.ambient)
 
 
+def _values_at_runs(poly: Polynomial, ambient: FullFactorial) -> tuple[np.ndarray, int, int | None]:
+    """X theta as integer numerators over one positive denominator, and the
+    first run whose value is not 0 or 1 (None iff the polynomial is 0/1-valued)."""
+    nums, den = _scaled_mode_products(ambient, theta_vector(poly, ambient), inverse=False)
+    bad = next((i for i, v in enumerate(nums) if v != 0 and v != den), None)
+    return nums, den, bad
+
+
 def design_from_indicator(poly: Polynomial, ambient: FullFactorial) -> Design:
     """Total inverse of indicator_from_design for standard-form polynomials."""
-    values = mul_model_matrix(ambient, theta_vector(poly, ambient))
-    for i, value in enumerate(values):
-        if value != 0 and value != 1:
-            raise NotAnIndicatorError(f"value {value} at run {i} is not 0 or 1")
-    return Design(ambient, tuple(i for i, value in enumerate(values) if value == 1))
+    nums, den, bad = _values_at_runs(poly, ambient)
+    if bad is not None:
+        raise NotAnIndicatorError(f"value {Fraction(nums[bad], den)} at run {bad} is not 0 or 1")
+    return Design(ambient, tuple(i for i, v in enumerate(nums) if v))
 
 
 # ---------------------------------------------------------------------------
@@ -240,24 +232,25 @@ class LinearSystem:
     def n_rows(self) -> int:
         return self.coeffs.rows
 
-    def residuals(self, theta: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        lhs = self.coeffs.mul_vec(theta)
-        return tuple(a - b for a, b in zip(lhs, self.constants))
 
-    def satisfied_by(self, theta: Sequence[Fraction]) -> bool:
-        return all(r == 0 for r in self.residuals(theta))
+@lru_cache(maxsize=None)
+def _contrast_rows(ambient: FullFactorial) -> np.ndarray:
+    """[1'; C_1; ...; C_n] as a read-only object array of the ints -1, 0 and 1;
+    rows follow build_contrast_matrix's row_labels."""
+    m = ambient.run_count
+    stacked = [[1] * m] + [
+        [int(v) for v in row] for block in build_contrast_matrix(ambient).blocks for row in block
+    ]
+    rows = np.array(stacked, dtype=object)
+    rows.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=None)
 def scaled_contrast_rows(ambient: FullFactorial) -> np.ndarray:
     """[1'; C_1; ...; C_n] A as a read-only object array of Python ints, where
     A / d = X (scaled_model_matrix); rows follow build_contrast_matrix's row_labels."""
-    m = ambient.run_count
-    # Contrast entries are -1, 0 or 1, so they convert without scaling.
-    stacked = [[1] * m] + [
-        [int(v) for v in row] for block in build_contrast_matrix(ambient).blocks for row in block
-    ]
-    rows = np.array(stacked, dtype=object) @ scaled_model_matrix(ambient, inverse=False)[0]
+    rows = _contrast_rows(ambient) @ scaled_model_matrix(ambient, inverse=False)[0]
     rows.flags.writeable = False
     return rows
 
@@ -326,103 +319,29 @@ def linear_preprocess(system: LinearSystem) -> Preprocessed:
     return Preprocessed(eliminated, free)
 
 
-# ---------------------------------------------------------------------------
-# Quadratic idempotency system
-
-
-@dataclass(frozen=True)
-class QuadraticEquation:
-    """theta_target = sum over unordered pairs of coeff * theta_a1 * theta_a2.
-
-    Off-diagonal pairs carry doubled coefficients so the unordered form is
-    canonical.
-    """
-
-    target: tuple[int, ...]
-    form: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], Fraction], ...]
-
-    def residual(self, theta: dict[tuple[int, ...], Fraction]) -> Fraction:
-        zero = Fraction(0)
-        total = Fraction(0)
-        for (a1, a2), coeff in self.form:
-            t1 = theta.get(a1, zero)
-            if t1 == 0:
-                continue
-            t2 = theta.get(a2, zero)
-            if t2 == 0:
-                continue
-            total += coeff * t1 * t2
-        return theta.get(self.target, zero) - total
-
-
-@lru_cache(maxsize=None)
-def idempotency_system(ambient: FullFactorial) -> tuple[QuadraticEquation, ...]:
-    """One equation per lattice exponent; satisfied iff the polynomial is 0/1 on D.
-
-    Built in one pass over unordered exponent pairs: the product monomial
-    x^{a1+a2} is reduced to the standard basis once, and its coefficients
-    are scattered into the per-target quadratic forms.
-    """
-    lattice = exponent_lattice(ambient)
-    factors = ambient.factors
-    radices = ambient.radices
-    tables = [
-        _power_table(f, 2 * (r - 1))
-        for f, r in zip(factors, radices)
-    ]
-    forms: dict[tuple[int, ...], dict[tuple, Fraction]] = {a: {} for a in lattice}
-    for i1, a1 in enumerate(lattice):
-        for a2 in lattice[i1:]:
-            weight = 1 if a1 == a2 else 2
-            # Expand prod_j reduction of x_j^{a1_j + a2_j} over target exponents.
-            partial: dict[tuple[int, ...], Fraction] = {(): Fraction(weight)}
-            for j in range(len(radices)):
-                row = tables[j][a1[j] + a2[j]]
-                nxt: dict[tuple[int, ...], Fraction] = {}
-                for prefix, c in partial.items():
-                    for k, ck in enumerate(row):
-                        if ck:
-                            nxt[prefix + (k,)] = nxt.get(prefix + (k,), Fraction(0)) + c * ck
-                partial = nxt
-            key = (a1, a2)
-            for target, coeff in partial.items():
-                if coeff:
-                    forms[target][key] = forms[target].get(key, Fraction(0)) + coeff
-    return tuple(
-        QuadraticEquation(target, tuple(sorted(form.items())))
-        for target, form in forms.items()
-    )
-
-
-def satisfies_idempotency(poly: Polynomial, ambient: FullFactorial) -> bool:
-    theta = {a: c for a, c in poly.items()}
-    return all(eq.residual(theta) == 0 for eq in idempotency_system(ambient))
-
-
 def verify_theta_report(
     poly: Polynomial, ambient: FullFactorial, size: int, strength: int
 ) -> dict[str, bool]:
-    """Per-check results: the idempotency system, the size row, each contrast block."""
-    if not poly.in_lattice(ambient):
-        raise ValueError("polynomial is not in standard form for this ambient")
-    report: dict[str, bool] = {}
-    report["idempotency"] = satisfies_idempotency(poly, ambient)
-    theta = theta_vector(poly, ambient)
-    system = orthogonality_system(ambient, size, strength)
-    residuals = system.residuals(theta)
-    report["size"] = residuals[0] == 0
-    for k in range(1, strength + 1):
-        ok = all(
-            r == 0
-            for r, tag in zip(residuals, system.tags)
-            if tag[0] == "contrast" and tag[1] == k
-        )
-        report[f"contrast[{k}]"] = ok
+    """Per-check results: idempotency, the size row, each contrast block.
+
+    All are read from v = X theta (see the module docstring): idempotency is
+    v in {0, 1}^m, the size row is sum(v) == size and block k is C_k v == 0.
+    """
+    nums, den, bad = _values_at_runs(poly, ambient)
+    if not 1 <= strength <= ambient.n_factors:
+        raise ValueError("strength out of range")
+    sizes = build_contrast_matrix(ambient).block_sizes()[:strength]
+    sums = _contrast_rows(ambient)[: 1 + sum(sizes)] @ nums
+    report = {"idempotency": bad is None, "size": sums[0] == size * den}
+    start = 1
+    for k, n_rows in enumerate(sizes, 1):
+        report[f"contrast[{k}]"] = not any(sums[start : start + n_rows])
+        start += n_rows
     return report
 
 
 def verify_theta(poly: Polynomial, ambient: FullFactorial, size: int, strength: int) -> bool:
-    """True iff the coefficients satisfy both the idempotency system and the
-    size/strength linear system, i.e. the polynomial is the indicator of an
-    orthogonal fraction of that size and strength."""
+    """True iff the polynomial is the indicator of an orthogonal fraction of
+    that size and strength: theta is idempotent and satisfies the size and
+    contrast rows."""
     return all(verify_theta_report(poly, ambient, size, strength).values())

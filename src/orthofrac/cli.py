@@ -2,9 +2,11 @@
 
 Subcommands: enumerate, classify, indicator, verify.  Exit codes:
 0 success / verification pass, 1 verification fail, 2 usage or parse
-error, 3 brute-force ceiling exceeded, 4 the ambient is too large for
-the int64 fast path, 5 an enumerated design failed the algebraic
-cross-check (an internal fault).
+error, 3 the problem is too large (brute-force ceiling exceeded, or out
+of memory), 4 the ambient is too large for the int64 fast path, 5 an
+enumerated design failed the algebraic cross-check (an internal fault),
+6 any other internal error.  Every error is one `error: ...` line on
+stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -211,6 +213,12 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _detail(exc: BaseException) -> str:
+    """': message' on one line, or '' when the exception carries no message."""
+    text = " ".join(str(exc).split())
+    return f": {text}" if text else ""
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -228,6 +236,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory{_detail(exc)}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"error: internal error ({type(exc).__name__}){_detail(exc)}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ per-design Fraction route would be too slow.
 Idempotency is checked as X theta in {0, 1}^m: the reduced square of the
 indicator has coefficients mu(theta) = X^-1 ((X theta) o (X theta)), and X
 is invertible, so theta == mu(theta) exactly when every entry of X theta is
-0 or 1.  The quadratic system of algebra.idempotency_system stays the
-Fraction route and the tests' reference.
+0 or 1.  algebra.verify_theta_report checks one design the same way, in
+Python ints; the quadratic system is only the tests' reference.
 """
 
 from __future__ import annotations

@@ -1,0 +1,135 @@
+"""Reference implementations the tests check the production routes against.
+
+None of these is used by the package itself:
+
+* the dense model matrix X, evaluated directly at the points, and its
+  rational Gauss-Jordan inverse (production uses the per-factor Kronecker
+  factors, algebra.scaled_model_matrix and the mode products);
+* the quadratic idempotency system theta_a = mu_a(theta), built by
+  squaring the generic lattice polynomial and reducing it to standard
+  form (production checks idempotency as X theta in {0, 1}^m);
+* the Fraction residuals of a LinearSystem (production reads the size and
+  contrast rows from X theta);
+* reference_report, verify_theta_report assembled from the last two.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import prod
+from typing import Sequence
+
+from orthofrac.algebra import LinearSystem, exponent_lattice, orthogonality_system, theta_vector
+from orthofrac.designs import FullFactorial, all_points
+from orthofrac.linalg import Matrix
+from orthofrac.polynomials import Polynomial, _power_table
+
+
+@lru_cache(maxsize=None)
+def build_model_matrix(ambient: FullFactorial) -> Matrix:
+    """X[i, a] = product_j level_{ij}^{a_j}; rows in run order, columns in lattice order."""
+    lattice = exponent_lattice(ambient)
+    rows = []
+    for pt in all_points(ambient):
+        powers = [[v**e for e in range(r)] for v, r in zip(pt, ambient.radices)]
+        rows.append([prod(p[e] for p, e in zip(powers, a)) for a in lattice])
+    return Matrix(rows)
+
+
+@lru_cache(maxsize=None)
+def model_matrix_inverse(ambient: FullFactorial) -> Matrix:
+    """X^{-1} by rational Gauss-Jordan elimination."""
+    return build_model_matrix(ambient).inverse()
+
+
+@dataclass(frozen=True)
+class QuadraticEquation:
+    """theta_target = sum over unordered pairs of coeff * theta_a1 * theta_a2.
+
+    Off-diagonal pairs carry doubled coefficients so the unordered form is
+    canonical.
+    """
+
+    target: tuple[int, ...]
+    form: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], Fraction], ...]
+
+    def residual(self, theta: dict[tuple[int, ...], Fraction]) -> Fraction:
+        zero = Fraction(0)
+        total = Fraction(0)
+        for (a1, a2), coeff in self.form:
+            t1 = theta.get(a1, zero)
+            if t1 == 0:
+                continue
+            t2 = theta.get(a2, zero)
+            if t2 == 0:
+                continue
+            total += coeff * t1 * t2
+        return theta.get(self.target, zero) - total
+
+
+@lru_cache(maxsize=None)
+def idempotency_system(ambient: FullFactorial) -> tuple[QuadraticEquation, ...]:
+    """One equation per lattice exponent; satisfied iff the polynomial is 0/1 on D.
+
+    Built in one pass over unordered exponent pairs: the product monomial
+    x^{a1+a2} is reduced to the standard basis once, and its coefficients
+    are scattered into the per-target quadratic forms.
+    """
+    lattice = exponent_lattice(ambient)
+    tables = [_power_table(f, 2 * (f.arity - 1)) for f in ambient.factors]
+    forms: dict[tuple[int, ...], dict[tuple, Fraction]] = {a: {} for a in lattice}
+    for i1, a1 in enumerate(lattice):
+        for a2 in lattice[i1:]:
+            weight = 1 if a1 == a2 else 2
+            # Expand prod_j reduction of x_j^{a1_j + a2_j} over target exponents.
+            partial: dict[tuple[int, ...], Fraction] = {(): Fraction(weight)}
+            for j, table in enumerate(tables):
+                row = table[a1[j] + a2[j]]
+                nxt: dict[tuple[int, ...], Fraction] = {}
+                for prefix, c in partial.items():
+                    for k, ck in enumerate(row):
+                        if ck:
+                            nxt[prefix + (k,)] = nxt.get(prefix + (k,), Fraction(0)) + c * ck
+                partial = nxt
+            for target, coeff in partial.items():
+                if coeff:
+                    form = forms[target]
+                    form[(a1, a2)] = form.get((a1, a2), Fraction(0)) + coeff
+    return tuple(
+        QuadraticEquation(target, tuple(sorted(form.items())))
+        for target, form in forms.items()
+    )
+
+
+def satisfies_idempotency(poly: Polynomial, ambient: FullFactorial) -> bool:
+    theta = dict(poly.items())
+    return all(eq.residual(theta) == 0 for eq in idempotency_system(ambient))
+
+
+def residuals(system: LinearSystem, theta: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """coeffs @ theta - constants, as Fractions."""
+    lhs = system.coeffs.mul_vec(theta)
+    return tuple(a - b for a, b in zip(lhs, system.constants))
+
+
+def satisfied_by(system: LinearSystem, theta: Sequence[Fraction]) -> bool:
+    return all(r == 0 for r in residuals(system, theta))
+
+
+def reference_report(
+    poly: Polynomial, ambient: FullFactorial, size: int, strength: int
+) -> dict[str, bool]:
+    """The per-check report from the quadratic system and the Fraction residuals."""
+    if not poly.in_lattice(ambient):
+        raise ValueError("polynomial is not in standard form for this ambient")
+    report = {"idempotency": satisfies_idempotency(poly, ambient)}
+    system = orthogonality_system(ambient, size, strength)
+    res = residuals(system, theta_vector(poly, ambient))
+    report["size"] = res[0] == 0
+    for k in range(1, strength + 1):
+        report[f"contrast[{k}]"] = all(
+            r == 0 for r, tag in zip(res, system.tags) if tag[0] == "contrast" and tag[1] == k
+        )
+    return report

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -8,27 +10,38 @@ from orthofrac.algebra import (
     InconsistentSystemError,
     NotAnIndicatorError,
     build_contrast_matrix,
-    build_model_matrix,
     design_from_indicator,
     exponent_lattice,
     expected_block_size,
-    idempotency_system,
     indicator_from_design,
     linear_preprocess,
-    model_matrix_inverse,
     mul_model_inverse,
     mul_model_matrix,
     orthogonality_system,
     polynomial_from_theta,
-    satisfies_idempotency,
     scaled_model_matrix,
     theta_vector,
     verify_theta,
     verify_theta_report,
 )
-from orthofrac.designs import Design, all_points, full_design, full_factorial, has_strength
+from orthofrac.designs import (
+    Design,
+    all_points,
+    from_level_sets,
+    full_design,
+    full_factorial,
+    has_strength,
+)
 from orthofrac.linalg import Matrix
 from orthofrac.polynomials import Polynomial, parse_polynomial
+from reference import (
+    build_model_matrix,
+    idempotency_system,
+    model_matrix_inverse,
+    reference_report,
+    satisfied_by,
+    satisfies_idempotency,
+)
 
 
 FLAGSHIP = full_factorial([2, 2, 2, 2, 3])
@@ -184,12 +197,12 @@ def test_orthogonality_system_on_known_thetas():
     amb = full_factorial([2, 2, 3])
     theta_full = theta_vector(Polynomial.constant(3, 1), amb)
     for t in (1, 2, 3):
-        assert orthogonality_system(amb, 12, t).satisfied_by(theta_full)
+        assert satisfied_by(orthogonality_system(amb, 12, t), theta_full)
 
     frac3 = sign_fraction(FLAGSHIP, (0, 1, 3), 1)
     theta = theta_vector(indicator_from_design(frac3), FLAGSHIP)
-    assert orthogonality_system(FLAGSHIP, 24, 2).satisfied_by(theta)
-    assert not orthogonality_system(FLAGSHIP, 24, 3).satisfied_by(theta)
+    assert satisfied_by(orthogonality_system(FLAGSHIP, 24, 2), theta)
+    assert not satisfied_by(orthogonality_system(FLAGSHIP, 24, 3), theta)
 
 
 def test_idempotency_equations_single_two_level_factor():
@@ -239,7 +252,7 @@ def test_linear_preprocess_substitution_closes_system():
         theta[j] = v
     for pivot, expr in pre.eliminated.items():
         theta[pivot] = expr.evaluate(values)
-    assert system.satisfied_by(theta)
+    assert satisfied_by(system, theta)
 
 
 def test_linear_preprocess_edge_cases():
@@ -275,6 +288,75 @@ def test_verify_theta_examples():
     report = verify_theta_report(Polynomial.constant(5, Fraction(1, 2)), FLAGSHIP, 24, 2)
     assert not report["idempotency"]
     assert report["size"]
+
+
+def _random_ambient(rng):
+    """Arities 2..5 with at most 16 runs; half the time with random rational levels."""
+    n = rng.randint(1, 4)
+    while True:
+        arities = [rng.randint(2, 5) for _ in range(n)]
+        if prod(arities) <= 16:
+            break
+    if rng.random() < 0.5:
+        return full_factorial(arities)
+    pool = sorted({Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3)})
+    levels = [rng.sample(pool, r) for r in arities]
+    return from_level_sets(levels)
+
+
+def _null_vector(rows, rng):
+    """A random nonzero rational u with rows . u == 0, or None if there is none."""
+    reduced, _, pivots = Matrix(rows).rref()
+    free = [j for j in range(len(rows[0])) if j not in pivots]
+    if not free:
+        return None
+    u = [Fraction(0)] * len(rows[0])
+    for j in free:
+        u[j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    u[rng.choice(free)] = Fraction(1)
+    for i, p in enumerate(pivots):
+        u[p] = -sum(reduced[i, j] * u[j] for j in free)
+    return u
+
+
+def test_verify_theta_report_matches_reference():
+    # Differential: the report read from X theta equals the one built from the
+    # quadratic idempotency system and the Fraction residuals, key order included.
+    # Inputs: true indicators; theta moved along a kernel vector of the size and
+    # contrast rows (fails idempotency only, when the design has strength t);
+    # theta with one coefficient moved by a random rational; every strength;
+    # the right size and size +- 1.
+    rng = random.Random(61)
+    seen = Counter()
+    for amb in [_random_ambient(rng) for _ in range(10)] + [RATIONAL]:
+        m, n = amb.run_count, amb.n_factors
+        stacked = [list(row) for row in build_contrast_matrix(amb).stacked()]
+        designs = [full_design(amb)] + [
+            Design(amb, tuple(sorted(rng.sample(range(m), rng.randint(0, m))))) for _ in range(5)
+        ]
+        for design in designs:
+            y = design.membership()
+            for t in range(1, n + 1):
+                q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9))
+                values = [y]
+                n_rows = 1 + sum(expected_block_size(amb, k) for k in range(1, t + 1))
+                u = _null_vector(stacked[:n_rows], rng)
+                if u is not None:
+                    values.append([a + q * b for a, b in zip(y, u)])
+                thetas = [list(mul_model_inverse(amb, v)) for v in values]
+                moved = list(thetas[0])
+                moved[rng.randrange(m)] += q
+                for theta in thetas + [moved]:
+                    poly = polynomial_from_theta(theta, amb)
+                    for size in (design.size - 1, design.size, design.size + 1):
+                        report = verify_theta_report(poly, amb, size, t)
+                        expected = reference_report(poly, amb, size, t)
+                        assert list(report.items()) == list(expected.items())
+                        seen[tuple(name for name, ok in report.items() if not ok)] += 1
+    assert seen[()] and seen[("idempotency",)] and seen[("size",)]
+    assert any(failed and all(f.startswith("contrast") for f in failed) for failed in seen)
+    with pytest.raises(ValueError, match="strength out of range"):
+        verify_theta_report(Polynomial.constant(2, 1), full_factorial([2, 2]), 4, 3)
 
 
 def test_verify_theta_matches_combinatorial_checks_on_2cubed():

