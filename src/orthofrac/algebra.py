@@ -4,9 +4,10 @@ Central objects, all exact:
 
 * the exponent lattice L (one exponent per factor, below the arity) and
   the m x m model matrix X of monomial evaluations at the runs, which is
-  the Kronecker product of one small Vandermonde matrix V_j per factor,
-  so X v and X^{-1} v are n exact mode products, and X and X^{-1} scale
-  to integer matrices factor by factor (scaled_model_matrix);
+  the Kronecker product of one small Vandermonde matrix V_j per factor;
+  mode_products applies X or X^{-1} to a batch of integer rows as n
+  per-factor integer mode products, in int64 where an exact bound allows
+  and in Python ints otherwise, and is the only code that does;
 * the indicator polynomial of a fraction, with coefficient vector
   theta = X^{-1} y for the 0/1 membership vector y;
 * the contrast matrix C and the linear system 1'X theta = s,
@@ -17,7 +18,7 @@ verify_theta_report reads every check from the values at the runs
 v = X theta.  theta is idempotent (theta = mu(theta), the reduced square
 of the polynomial) iff v is in {0, 1}^m, because mu(theta) =
 X^{-1} (v o v) and X is invertible; the size and contrast rows
-[1; C] X theta are [1; C] v.
+[1; C] X theta are [1; C] v (contrast_sums).
 
 Everything derived from an ambient is cached on the (hashable) ambient.
 """
@@ -63,84 +64,101 @@ def polynomial_from_theta(theta: Sequence[Fraction], ambient: FullFactorial) -> 
     lattice = exponent_lattice(ambient)
     if len(theta) != len(lattice):
         raise ValueError("coefficient vector length mismatch")
-    return Polynomial(ambient.n_factors, dict(zip(lattice, map(Fraction, theta))))
+    return Polynomial(ambient.n_factors, dict(zip(lattice, theta)))
+
+
+_INT64_SAFE = 2**62
+
+
+def _exact_dtype(bound: int):
+    """int64 when bound, an exact bound on every magnitude formed, is below 2^62;
+    Python ints (object) otherwise."""
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def _max_abs(a: np.ndarray) -> int:
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 @lru_cache(maxsize=None)
-def _factor_matrix(factor: FactorSpec, inverse: bool) -> tuple[np.ndarray, int]:
-    """(A, d) with A / d = V or V^{-1}, where V[l, e] = level_l^e and A holds Python ints."""
+def _factor_matrix(factor: FactorSpec, inverse: bool) -> tuple[np.ndarray, int, int]:
+    """(A, d, g) with A / d = V or V^{-1}, where V[l, e] = level_l^e, A holds
+    Python ints and g is its largest row-abs-sum, so |A u| <= g * max|u|."""
     matrix = Matrix([[v**e for e in range(factor.arity)] for v in factor.levels])
     if inverse:
         matrix = matrix.inverse()
     scale = lcm(*(x.denominator for row in matrix for x in row))
-    return np.array([[int(x * scale) for x in row] for row in matrix], dtype=object), scale
+    a = np.array([[int(x * scale) for x in row] for row in matrix], dtype=object)
+    return a, scale, max(sum(map(abs, row)) for row in a)
 
 
-@lru_cache(maxsize=None)
-def scaled_model_matrix(ambient: FullFactorial, inverse: bool) -> tuple[np.ndarray, int]:
-    """(A, d) with A / d = X or X^{-1} exactly: A is the Kronecker product of the
-    per-factor integer matrices, a read-only object array of Python ints."""
-    a, d = np.ones((1, 1), dtype=object), 1
-    for factor in ambient.factors:
-        f, scale = _factor_matrix(factor, inverse)
-        a, d = np.kron(a, f), d * scale
-    a.flags.writeable = False
-    return a, d
+def mode_products(
+    ambient: FullFactorial, rows: np.ndarray, inverse: bool
+) -> tuple[np.ndarray, int]:
+    """X v (or X^{-1} v) for every row v of a B x m integer array, exactly:
+    B x m integer numerators over one positive denominator d.
 
-
-def _scaled_mode_products(ambient: FullFactorial, v: Sequence, inverse: bool) -> tuple[np.ndarray, int]:
-    """prod_j V_j (or V_j^{-1}) applied along mode j of v, exactly: integer
-    numerators (a flat object array of Python ints) over one positive denominator.
-    The per-factor integer matrices act on Python ints; the scales multiply the
-    denominator."""
-    radices = ambient.radices
-    if len(v) != prod(radices):
+    X = V_1 (x) ... (x) V_n, so the product is one mode product per factor:
+    factor j's integer matrix acts on axis j of each row reshaped to the
+    radices, and the factor scales multiply into d.  The numerators are
+    int64 when max|v| times the product of the factors' row-abs-sums (a
+    bound on every intermediate) is below 2^62, and Python ints otherwise.
+    This is the only code that applies X or X^{-1}.
+    """
+    rows = np.asarray(rows)
+    m = ambient.run_count
+    if rows.ndim != 2 or rows.shape[1] != m:
         raise ValueError("vector length mismatch")
-    v = [Fraction(x) for x in v]
-    den = lcm(*(x.denominator for x in v))
-    t = np.array([x.numerator * (den // x.denominator) for x in v], dtype=object).reshape(radices)
-    for j, factor in enumerate(ambient.factors):
-        a, scale = _factor_matrix(factor, inverse)
-        t = np.moveaxis(np.tensordot(a, t, axes=([1], [j])), 0, j)
-        den *= scale
-    return t.ravel(), den
+    batch = len(rows)
+    factors = [_factor_matrix(f, inverse) for f in ambient.factors]
+    dtype = _exact_dtype(_max_abs(rows) * prod(g for _, _, g in factors))
+    # rows is rebound at each step, so a temporary input is freed after the first.
+    rows, lead, inner = rows.astype(dtype, copy=False), batch, m
+    for (a, _, _), r in zip(factors, ambient.radices):
+        inner //= r
+        rows = a.astype(dtype) @ rows.reshape(lead, r, inner)
+        lead *= r
+    return rows.reshape(batch, m), prod(d for _, d, _ in factors)
 
 
-def _mode_products(ambient: FullFactorial, v: Sequence, inverse: bool) -> tuple[Fraction, ...]:
-    nums, den = _scaled_mode_products(ambient, v, inverse)
-    return tuple(Fraction(int(x), den) for x in nums)
+def values_at_runs(poly: Polynomial, ambient: FullFactorial) -> tuple[np.ndarray, int]:
+    """X theta, the values at the runs of a standard-form polynomial, as one
+    row of integer numerators over one positive denominator."""
+    theta = theta_vector(poly, ambient)
+    den = lcm(*(x.denominator for x in theta))
+    nums = np.array([[x.numerator * (den // x.denominator) for x in theta]], dtype=object)
+    values, scale = mode_products(ambient, nums, inverse=False)
+    return values, den * scale
 
 
-def mul_model_matrix(ambient: FullFactorial, theta: Sequence) -> tuple[Fraction, ...]:
-    """X theta, the values at the runs of the lattice polynomial with coefficients theta."""
-    return _mode_products(ambient, theta, inverse=False)
-
-
-def mul_model_inverse(ambient: FullFactorial, values: Sequence) -> tuple[Fraction, ...]:
-    """X^{-1} values, the coefficients of the lattice polynomial taking these values at the runs."""
-    return _mode_products(ambient, values, inverse=True)
+def polynomial_from_values(values: np.ndarray, den: int, ambient: FullFactorial) -> Polynomial:
+    """The lattice polynomial whose values at the runs are values / den, for
+    one row of integer numerators: X^{-1} applied to them, each coefficient
+    built once as a Fraction."""
+    theta, scale = mode_products(ambient, values, inverse=True)
+    den *= scale
+    return polynomial_from_theta([Fraction(x, den) for x in theta[0].tolist()], ambient)
 
 
 def indicator_from_design(design: Design) -> Polynomial:
     """The unique lattice polynomial equal to 1 on the fraction and 0 elsewhere."""
-    theta = mul_model_inverse(design.ambient, design.membership())
-    return polynomial_from_theta(theta, design.ambient)
+    return polynomial_from_values(np.array([design.membership()]), 1, design.ambient)
 
 
-def _values_at_runs(poly: Polynomial, ambient: FullFactorial) -> tuple[np.ndarray, int, int | None]:
-    """X theta as integer numerators over one positive denominator, and the
-    first run whose value is not 0 or 1 (None iff the polynomial is 0/1-valued)."""
-    nums, den = _scaled_mode_products(ambient, theta_vector(poly, ambient), inverse=False)
-    bad = next((i for i, v in enumerate(nums) if v != 0 and v != den), None)
-    return nums, den, bad
+def _off_indicator(values: np.ndarray, den: int) -> np.ndarray:
+    """Where values / den is neither 0 nor 1."""
+    return (values != 0) & (values != den)
 
 
 def design_from_indicator(poly: Polynomial, ambient: FullFactorial) -> Design:
     """Total inverse of indicator_from_design for standard-form polynomials."""
-    nums, den, bad = _values_at_runs(poly, ambient)
-    if bad is not None:
-        raise NotAnIndicatorError(f"value {Fraction(nums[bad], den)} at run {bad} is not 0 or 1")
-    return Design(ambient, tuple(i for i, v in enumerate(nums) if v))
+    values, den = values_at_runs(poly, ambient)
+    bad = np.flatnonzero(_off_indicator(values[0], den))
+    if len(bad):
+        run = int(bad[0])
+        value = Fraction(int(values[0, run]), den)
+        raise NotAnIndicatorError(f"value {value} at run {run} is not 0 or 1")
+    return Design(ambient, tuple(np.flatnonzero(values[0]).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +253,30 @@ class LinearSystem:
 
 @lru_cache(maxsize=None)
 def _contrast_rows(ambient: FullFactorial) -> np.ndarray:
-    """[1'; C_1; ...; C_n] as a read-only object array of the ints -1, 0 and 1;
-    rows follow build_contrast_matrix's row_labels."""
+    """[1'; C_1; ...; C_n] as a read-only int64 array of -1, 0 and 1; rows
+    follow build_contrast_matrix's row_labels."""
     m = ambient.run_count
     stacked = [[1] * m] + [
         [int(v) for v in row] for block in build_contrast_matrix(ambient).blocks for row in block
     ]
-    rows = np.array(stacked, dtype=object)
+    rows = np.array(stacked, dtype=np.int64)
     rows.flags.writeable = False
     return rows
 
 
-@lru_cache(maxsize=None)
-def scaled_contrast_rows(ambient: FullFactorial) -> np.ndarray:
-    """[1'; C_1; ...; C_n] A as a read-only object array of Python ints, where
-    A / d = X (scaled_model_matrix); rows follow build_contrast_matrix's row_labels."""
-    rows = _contrast_rows(ambient) @ scaled_model_matrix(ambient, inverse=False)[0]
-    rows.flags.writeable = False
-    return rows
+def contrast_sums(ambient: FullFactorial, values: np.ndarray, strength: int) -> np.ndarray:
+    """[1'; C_1; ...; C_strength] applied to every row of a B x m integer
+    array, exactly: one column per row label of build_contrast_matrix.
+
+    int64 when max|value| * m (the all-ones row has the largest row-abs-sum)
+    is below 2^62, Python ints otherwise.
+    """
+    if not 1 <= strength <= ambient.n_factors:
+        raise ValueError("strength out of range")
+    n_rows = 1 + sum(build_contrast_matrix(ambient).block_sizes()[:strength])
+    dtype = _exact_dtype(_max_abs(values) * ambient.run_count)
+    rows = _contrast_rows(ambient)[:n_rows].T
+    return values.astype(dtype, copy=False) @ rows.astype(dtype, copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -262,15 +286,13 @@ def orthogonality_system(ambient: FullFactorial, size: int, strength: int) -> Li
     A standard-form polynomial's coefficient vector satisfies this system
     iff its design has the given size and strength.
     """
-    if not 1 <= strength <= ambient.n_factors:
-        raise ValueError("strength out of range")
-    contrast = build_contrast_matrix(ambient)
-    n_rows = 1 + sum(contrast.block_sizes()[:strength])
-    d = scaled_model_matrix(ambient, inverse=False)[1]
-    rows = scaled_contrast_rows(ambient)[:n_rows]
-    coeffs = Matrix([[Fraction(v, d) for v in row] for row in rows])
-    constants = (Fraction(size),) + (Fraction(0),) * (n_rows - 1)
-    return LinearSystem(coeffs, constants, contrast.row_labels[:n_rows])
+    # Row i of the mode products of the identity is d times column i of X,
+    # so its contrast sums are column i of d [1; C] X.
+    columns, d = mode_products(ambient, np.eye(ambient.run_count, dtype=np.int64), inverse=False)
+    sums = contrast_sums(ambient, columns, strength)
+    coeffs = Matrix([[Fraction(v, d) for v in row] for row in sums.T.tolist()])
+    constants = (Fraction(size),) + (Fraction(0),) * (coeffs.rows - 1)
+    return LinearSystem(coeffs, constants, build_contrast_matrix(ambient).row_labels[: coeffs.rows])
 
 
 @dataclass(frozen=True)
@@ -327,14 +349,11 @@ def verify_theta_report(
     All are read from v = X theta (see the module docstring): idempotency is
     v in {0, 1}^m, the size row is sum(v) == size and block k is C_k v == 0.
     """
-    nums, den, bad = _values_at_runs(poly, ambient)
-    if not 1 <= strength <= ambient.n_factors:
-        raise ValueError("strength out of range")
-    sizes = build_contrast_matrix(ambient).block_sizes()[:strength]
-    sums = _contrast_rows(ambient)[: 1 + sum(sizes)] @ nums
-    report = {"idempotency": bad is None, "size": sums[0] == size * den}
+    values, den = values_at_runs(poly, ambient)
+    sums = contrast_sums(ambient, values, strength)[0].tolist()
+    report = {"idempotency": not _off_indicator(values, den).any(), "size": sums[0] == size * den}
     start = 1
-    for k, n_rows in enumerate(sizes, 1):
+    for k, n_rows in enumerate(build_contrast_matrix(ambient).block_sizes()[:strength], 1):
         report[f"contrast[{k}]"] = not any(sums[start : start + n_rows])
         start += n_rows
     return report

@@ -20,13 +20,7 @@ from math import prod
 
 import numpy as np
 
-from .algebra import (
-    indicator_from_design,
-    mul_model_inverse,
-    mul_model_matrix,
-    polynomial_from_theta,
-    theta_vector,
-)
+from .algebra import indicator_from_design, polynomial_from_values, values_at_runs
 from .designs import (
     Design,
     FullFactorial,
@@ -115,12 +109,10 @@ def act(g: GroupElement, design: Design) -> Design:
 
 def act_theta(g: GroupElement, poly: Polynomial) -> Polynomial:
     """Coefficient-level action: X^{-1} P X theta for the run permutation P of g."""
-    ambient = g.ambient
-    values = mul_model_matrix(ambient, theta_vector(poly, ambient))
-    permuted = list(values)
-    for i, v in zip(g.run_perm, values):
-        permuted[i] = v
-    return polynomial_from_theta(mul_model_inverse(ambient, permuted), ambient)
+    values, den = values_at_runs(poly, g.ambient)
+    permuted = np.empty_like(values)
+    permuted[:, g.run_perm] = values
+    return polynomial_from_values(permuted, den, g.ambient)
 
 
 def _bitsets(bits: np.ndarray) -> np.ndarray:

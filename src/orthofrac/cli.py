@@ -3,10 +3,10 @@
 Subcommands: enumerate, classify, indicator, verify.  Exit codes:
 0 success / verification pass, 1 verification fail, 2 usage or parse
 error, 3 the problem is too large (brute-force ceiling exceeded, or out
-of memory), 4 the ambient is too large for the int64 fast path, 5 an
-enumerated design failed the algebraic cross-check (an internal fault),
-6 any other internal error.  Every error is one `error: ...` line on
-stderr, never a traceback.
+of memory), 4 an arithmetic overflow (an internal fault: every int64
+fast path falls back to exact Python ints), 5 an enumerated design failed
+the algebraic cross-check (an internal fault), 6 any other internal error.
+Every error is one `error: ...` line on stderr, never a traceback.
 """
 
 from __future__ import annotations

@@ -1,17 +1,18 @@
 """Vectorized exact verification of many fractions of one ambient.
 
-Every check runs in int64 arithmetic on the integer matrices of
-algebra.scaled_model_matrix and algebra.scaled_contrast_rows.  Magnitude
-bounds are computed exactly (in Python ints) before any int64 conversion
-and asserted to fit comfortably in int64, so the numpy fast paths can never
-overflow silently.  Used for whole-enumeration cross-checks where the
-per-design Fraction route would be too slow.
+Every check runs on integer numerators from algebra.mode_products (theta
+= X^-1 y, then the values at the runs X theta) and algebra.contrast_sums.
+Both pick int64 only when an exact Python-int bound on every value they
+form is below 2^62, and otherwise run the same lines on Python ints, so
+the checks never overflow silently and never refuse an ambient.  Used for
+whole-enumeration cross-checks where the per-design Fraction route would
+be too slow.
 
 Idempotency is checked as X theta in {0, 1}^m: the reduced square of the
 indicator has coefficients mu(theta) = X^-1 ((X theta) o (X theta)), and X
 is invertible, so theta == mu(theta) exactly when every entry of X theta is
-0 or 1.  algebra.verify_theta_report checks one design the same way, in
-Python ints; the quadratic system is only the tests' reference.
+0 or 1.  algebra.verify_theta_report checks one design the same way; the
+quadratic system is only the tests' reference.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import build_contrast_matrix, scaled_contrast_rows, scaled_model_matrix
+from .algebra import contrast_sums, mode_products
 from .designs import Design, FullFactorial
-
-_INT64_SAFE = 2**62
 
 
 def runs_matrix(designs, run_count: int) -> np.ndarray:
@@ -37,12 +36,6 @@ def runs_matrix(designs, run_count: int) -> np.ndarray:
     return y
 
 
-def _check_fits(rows: np.ndarray, theta_bound: int) -> None:
-    """Every row . (w_scale * theta) fits in int64 for 0/1 membership rows."""
-    if max(sum(map(abs, row)) for row in rows) * theta_bound >= _INT64_SAFE:
-        raise OverflowError("ambient too large for the int64 fast path")
-
-
 class BatchChecker:
     """Exact integer algebraic checks on batches of fractions of a fixed ambient.
 
@@ -52,70 +45,60 @@ class BatchChecker:
     def __init__(self, ambient: FullFactorial):
         self.ambient = ambient
         self.m = ambient.run_count
-
-        x, self.x_scale = scaled_model_matrix(ambient, inverse=False)
-        w, self.w_scale = scaled_model_matrix(ambient, inverse=True)
-        # Row-sum bound on |scaled theta|; membership vectors are 0/1.
-        self.theta_bound = max(sum(map(abs, row)) for row in w)
-        # X theta first: an oversized ambient fails before the m x m
-        # contrast products are formed.
-        _check_fits(x, self.theta_bound)
-        rows = scaled_contrast_rows(ambient)
-        _check_fits(rows, self.theta_bound)
-
-        self.x_int = x.astype(np.int64)
-        self.w_int = w.astype(np.int64)
-        rows = rows.astype(np.int64)
-        # x_scale * (1' X), then x_scale * (C_k X) for k = 1..n.
-        self.ones_x = rows[0]
-        sizes = build_contrast_matrix(ambient).block_sizes()
-        self.cx_blocks = np.split(rows[1:], np.cumsum(sizes)[:-1])
+        # The denominators of X and X^-1 that mode_products returns.
+        empty = np.zeros((0, self.m), dtype=np.int64)
+        self.x_scale = mode_products(ambient, empty, inverse=False)[1]
+        self.w_scale = mode_products(ambient, empty, inverse=True)[1]
 
     # -- coefficient vectors ------------------------------------------------
 
     def theta_scaled(self, y: np.ndarray) -> np.ndarray:
         """w_scale * theta for each membership row of y."""
-        return y @ self.w_int.T
+        return mode_products(self.ambient, y, inverse=True)[0]
+
+    def values_scaled(self, y: np.ndarray) -> np.ndarray:
+        """x_scale * w_scale * X theta, the scaled values at the runs, for each row of y."""
+        return mode_products(self.ambient, self.theta_scaled(y), inverse=False)[0]
 
     # -- algebraic checks ----------------------------------------------------
 
     def idempotent_ok(self, y: np.ndarray) -> np.ndarray:
         """theta == mu(theta), i.e. X theta takes only the values 0 and 1, exactly."""
-        return self._idempotent(self.theta_scaled(y))
+        return self._idempotent(self.values_scaled(y))
 
     def orthogonal_ok(self, y: np.ndarray, size: int, strength: int) -> np.ndarray:
         """Size row and contrast blocks 1..strength, exactly."""
-        return self._orthogonal(self.theta_scaled(y), size, strength)
+        return self._orthogonal(self.values_scaled(y), size, strength)
 
     def verify(self, y: np.ndarray, size: int, strength: int) -> np.ndarray:
         """Batch analogue of algebra.verify_theta."""
-        theta = self.theta_scaled(y)
-        return self._idempotent(theta) & self._orthogonal(theta, size, strength)
+        values = self.values_scaled(y)
+        return self._idempotent(values) & self._orthogonal(values, size, strength)
 
-    def _idempotent(self, theta: np.ndarray) -> np.ndarray:
-        values = theta @ self.x_int.T
+    def _scaled(self, a):
+        """a * x_scale * w_scale exactly: a Python int, or an array of them."""
+        return np.multiply(a, self.x_scale * self.w_scale, dtype=object)
+
+    def _idempotent(self, values: np.ndarray) -> np.ndarray:
         return np.all((values == 0) | (values == self.x_scale * self.w_scale), axis=1)
 
-    def _orthogonal(self, theta: np.ndarray, size: int, strength: int) -> np.ndarray:
-        ok = (theta @ self.ones_x) == size * self.x_scale * self.w_scale
-        for k in range(1, strength + 1):
-            cx = self.cx_blocks[k - 1]
-            if cx.size:
-                ok &= np.all(theta @ cx.T == 0, axis=1)
-        return ok
+    def _orthogonal(self, values: np.ndarray, size: int, strength: int) -> np.ndarray:
+        sums = contrast_sums(self.ambient, values, strength)
+        return (sums[:, 0] == self._scaled(size)) & np.all(sums[:, 1:] == 0, axis=1)
 
     # -- indicator identities -------------------------------------------------
 
     def interpolation_ok(self, y: np.ndarray) -> np.ndarray:
         """X theta reproduces the 0/1 membership vector exactly."""
-        theta = self.theta_scaled(y)
-        return np.all(theta @ self.x_int.T == self.x_scale * self.w_scale * y, axis=1)
+        return np.all(self.values_scaled(y) == self._scaled(y), axis=1)
 
     def constant_term_ok(self, y: np.ndarray) -> np.ndarray:
         """theta at exponent zero equals |F| / m."""
         theta0 = self.theta_scaled(y)[:, 0]
         sizes = y.sum(axis=1)
-        return theta0 * self.m == self.w_scale * sizes
+        return np.multiply(theta0, self.m, dtype=object) == np.multiply(
+            sizes, self.w_scale, dtype=object
+        )
 
 
 @lru_cache(maxsize=None)

@@ -12,12 +12,26 @@ import pytest
 
 from orthofrac.catalog import flagship_ambient
 from orthofrac.classify import classify
-from orthofrac.designs import Design, from_level_sets, run_point
+from orthofrac.designs import Design, from_level_sets, full_factorial, run_point
 from orthofrac.search import SearchProblem, enumerate_orthogonal
 
 
 # Levels with nontrivial denominators force x_scale > 1.
 RATIONAL = from_level_sets([(0, Fraction(1, 2)), (-1, Fraction(1, 3), 2)])
+
+
+def random_ambient(rng):
+    """Arities 2..5 with at most 16 runs; half the time with random rational levels."""
+    n = rng.randint(1, 4)
+    while True:
+        arities = [rng.randint(2, 5) for _ in range(n)]
+        if prod(arities) <= 16:
+            break
+    if rng.random() < 0.5:
+        return full_factorial(arities)
+    pool = sorted({Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3)})
+    levels = [rng.sample(pool, r) for r in arities]
+    return from_level_sets(levels)
 
 
 def sign_fraction(ambient, factors, sign):

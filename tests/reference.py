@@ -3,8 +3,10 @@
 None of these is used by the package itself:
 
 * the dense model matrix X, evaluated directly at the points, and its
-  rational Gauss-Jordan inverse (production uses the per-factor Kronecker
-  factors, algebra.scaled_model_matrix and the mode products);
+  rational Gauss-Jordan inverse (production applies X and X^-1 only
+  through the per-factor mode products, algebra.mode_products);
+* mul_model_matrix and mul_model_inverse, X v and X^-1 v as Fractions
+  through algebra.mode_products, for the tests' vector checks;
 * the quadratic idempotency system theta_a = mu_a(theta), built by
   squaring the generic lattice polynomial and reducing it to standard
   form (production checks idempotency as X theta in {0, 1}^m);
@@ -18,10 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
-from orthofrac.algebra import LinearSystem, exponent_lattice, orthogonality_system, theta_vector
+import numpy as np
+
+from orthofrac.algebra import (
+    LinearSystem,
+    exponent_lattice,
+    mode_products,
+    orthogonality_system,
+    theta_vector,
+)
 from orthofrac.designs import FullFactorial, all_points
 from orthofrac.linalg import Matrix
 from orthofrac.polynomials import Polynomial, _power_table
@@ -42,6 +52,23 @@ def build_model_matrix(ambient: FullFactorial) -> Matrix:
 def model_matrix_inverse(ambient: FullFactorial) -> Matrix:
     """X^{-1} by rational Gauss-Jordan elimination."""
     return build_model_matrix(ambient).inverse()
+
+
+def _mul(ambient: FullFactorial, v: Sequence, inverse: bool) -> tuple[Fraction, ...]:
+    v = [Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in v))
+    nums, d = mode_products(ambient, np.array([[int(x * den) for x in v]], dtype=object), inverse)
+    return tuple(Fraction(int(x), den * d) for x in nums[0])
+
+
+def mul_model_matrix(ambient: FullFactorial, theta: Sequence) -> tuple[Fraction, ...]:
+    """X theta, the values at the runs of the lattice polynomial with coefficients theta."""
+    return _mul(ambient, theta, inverse=False)
+
+
+def mul_model_inverse(ambient: FullFactorial, values: Sequence) -> tuple[Fraction, ...]:
+    """X^{-1} values, the coefficients of the lattice polynomial taking these values at the runs."""
+    return _mul(ambient, values, inverse=True)
 
 
 @dataclass(frozen=True)

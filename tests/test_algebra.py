@@ -1,11 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import prod
 
+import numpy as np
 import pytest
 
-from conftest import RATIONAL, sign_fraction
+from conftest import RATIONAL, random_ambient, sign_fraction
 from orthofrac.algebra import (
     InconsistentSystemError,
     NotAnIndicatorError,
@@ -15,11 +15,9 @@ from orthofrac.algebra import (
     expected_block_size,
     indicator_from_design,
     linear_preprocess,
-    mul_model_inverse,
-    mul_model_matrix,
+    mode_products,
     orthogonality_system,
     polynomial_from_theta,
-    scaled_model_matrix,
     theta_vector,
     verify_theta,
     verify_theta_report,
@@ -27,7 +25,6 @@ from orthofrac.algebra import (
 from orthofrac.designs import (
     Design,
     all_points,
-    from_level_sets,
     full_design,
     full_factorial,
     has_strength,
@@ -38,6 +35,8 @@ from reference import (
     build_model_matrix,
     idempotency_system,
     model_matrix_inverse,
+    mul_model_inverse,
+    mul_model_matrix,
     reference_report,
     satisfied_by,
     satisfies_idempotency,
@@ -85,12 +84,16 @@ def test_flagship_model_matrix_inverse_roundtrip():
     "amb", [FLAGSHIP, RATIONAL, full_factorial([2, 3, 4]), full_factorial([6, 6])]
 )
 def test_kronecker_transforms_match_model_matrix(amb):
-    # The per-factor mode products and integer matrices equal the dense
-    # m x m route (direct evaluation, Gauss-Jordan inverse) exactly.
+    # The per-factor mode products equal the dense m x m route (direct
+    # evaluation, Gauss-Jordan inverse) exactly: on the identity rows they
+    # give d times the columns of X and X^-1.
     x, inverse = build_model_matrix(amb), model_matrix_inverse(amb)
+    identity = np.eye(amb.run_count, dtype=np.int64)
     for reference, inv in ((x, False), (inverse, True)):
-        a, d = scaled_model_matrix(amb, inverse=inv)
-        assert [[Fraction(v, d) for v in row] for row in a] == [list(row) for row in reference]
+        columns, d = mode_products(amb, identity, inverse=inv)
+        assert [[Fraction(v, d) for v in row] for row in columns.T.tolist()] == [
+            list(row) for row in reference
+        ]
     # The orthogonality rows are [1; C_1; ...; C_t] X for every t.
     products = list(build_contrast_matrix(amb).stacked() @ x)
     for t in range(1, amb.n_factors + 1):
@@ -290,20 +293,6 @@ def test_verify_theta_examples():
     assert report["size"]
 
 
-def _random_ambient(rng):
-    """Arities 2..5 with at most 16 runs; half the time with random rational levels."""
-    n = rng.randint(1, 4)
-    while True:
-        arities = [rng.randint(2, 5) for _ in range(n)]
-        if prod(arities) <= 16:
-            break
-    if rng.random() < 0.5:
-        return full_factorial(arities)
-    pool = sorted({Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3)})
-    levels = [rng.sample(pool, r) for r in arities]
-    return from_level_sets(levels)
-
-
 def _null_vector(rows, rng):
     """A random nonzero rational u with rows . u == 0, or None if there is none."""
     reduced, _, pivots = Matrix(rows).rref()
@@ -328,7 +317,7 @@ def test_verify_theta_report_matches_reference():
     # the right size and size +- 1.
     rng = random.Random(61)
     seen = Counter()
-    for amb in [_random_ambient(rng) for _ in range(10)] + [RATIONAL]:
+    for amb in [random_ambient(rng) for _ in range(10)] + [RATIONAL]:
         m, n = amb.run_count, amb.n_factors
         stacked = [list(row) for row in build_contrast_matrix(amb).stacked()]
         designs = [full_design(amb)] + [

@@ -103,11 +103,19 @@ def test_classify_parse_error_exit_2(tmp_path, capsys):
         assert "error: line 2:" in capsys.readouterr().err
 
 
-def test_enumerate_int64_overflow_exit_4(capsys):
-    code = main(["enumerate", "--levels", "8,8", "--size", "8", "--strength", "1"])
+def test_enumerate_int64_overflow_exit_4(monkeypatch, capsys):
+    # Every int64 path falls back to Python ints, so an OverflowError is
+    # unexpected; a checker that raises one stands in for such a fault.
+    class Overflowing:
+        def verify(self, y, size, strength):
+            raise OverflowError("int64 overflow")
+
+    monkeypatch.setattr(search, "get_checker", lambda ambient: Overflowing())
+    code = main(["enumerate", "--levels", "2,2,2", "--size", "4", "--strength", "2"])
     assert code == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "int64" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: int64 overflow\n"
 
 
 def test_cross_check_failure_exit_5(monkeypatch, capsys):

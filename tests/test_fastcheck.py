@@ -8,18 +8,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import RATIONAL
+from conftest import RATIONAL, random_ambient
 from orthofrac.algebra import (
     exponent_lattice,
     indicator_from_design,
     polynomial_from_theta,
     theta_vector,
     verify_theta,
+    verify_theta_report,
 )
 from orthofrac.designs import (
     Design,
     ShapeMismatchError,
     from_level_sets,
+    full_design,
     full_factorial,
     has_strength,
     invariant_triple,
@@ -75,6 +77,44 @@ def test_theta_scaled_matches_exact_theta():
     for runs, row in zip(subsets, scaled):
         exact = theta_vector(indicator_from_design(Design(amb, runs)), amb)
         assert [Fraction(int(v), checker.w_scale) for v in row] == list(exact)
+
+
+# Levels this far apart put X theta beyond 2^62, so the mode products run on Python ints.
+WIDE = from_level_sets([(0, 1, 10**4, -(10**5)), (1, 7**9, Fraction(-1, 3))])
+
+
+def test_batch_checker_matches_exact_route():
+    # Differential: theta from the batch mode products equals X^-1 y by the
+    # dense Gauss-Jordan inverse, and verify equals the one-design report
+    # at every strength, on random ambients, on int64 and Python-int paths.
+    rng = random.Random(71)
+    paths = set()
+    for amb in [random_ambient(rng) for _ in range(10)] + [WIDE]:
+        m, n = amb.run_count, amb.n_factors
+        rows = [full_design(amb).membership()]
+        rows += runs_matrix(
+            [tuple(sorted(rng.sample(range(m), rng.randint(0, m)))) for _ in range(20)], m
+        ).tolist()
+        rows += [[rng.choice((-1, 0, 1, 2)) for _ in range(m)] for _ in range(20)]
+        checker, y = BatchChecker(amb), np.array(rows, dtype=np.int64)
+        inverse = model_matrix_inverse(amb)
+        thetas = [inverse.mul_vec(row) for row in rows]
+        scaled = checker.theta_scaled(y)
+        assert [[Fraction(v, checker.w_scale) for v in row] for row in scaled.tolist()] == [
+            list(theta) for theta in thetas
+        ]
+        dtype = checker.values_scaled(y).dtype
+        paths.add(dtype)
+        assert dtype == object or amb is not WIDE
+        polys = [polynomial_from_theta(theta, amb) for theta in thetas]
+        sizes = y.sum(axis=1)
+        for t in range(1, n + 1):
+            expected = [
+                all(verify_theta_report(poly, amb, int(size), t).values())
+                for poly, size in zip(polys, sizes)
+            ]
+            assert checker.verify(y, sizes, t).tolist() == expected
+    assert paths == {np.dtype(np.int64), np.dtype(object)}
 
 
 def test_batch_verify_agrees_with_verify_theta_exhaustively():

@@ -83,12 +83,19 @@ def test_oracle_equivalence_2_to_the_4():
 
 
 def test_oracle_equivalence_square_grids():
-    # One run per row and column: the permutations of 6 and 7 symbols.
+    # One run per row and column: the permutations of 6, 7 and 8 symbols.
     amb = full_factorial([6, 6])
     engine = enumerate_orthogonal(SearchProblem(amb, 6, 1))
     assert engine == brute_force_oracle(SearchProblem(amb, 6, 1))
     assert len(engine) == 720
     assert len(enumerate_orthogonal(SearchProblem(full_factorial([7, 7]), 7, 1))) == 5040
+    # 8 x 8: the values at the runs outgrow int64 and the cross-check runs on Python ints.
+    amb = full_factorial([8, 8])
+    result = enumerate_orthogonal(SearchProblem(amb, 8, 1))
+    assert len(result) == 40320
+    for d in result:
+        for j in (0, 1):
+            assert sorted(amb.decode(i)[j] for i in d.runs) == list(range(8))
 
 
 def test_every_output_is_sound():
