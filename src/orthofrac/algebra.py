@@ -100,10 +100,10 @@ def mode_products(
 
     X = V_1 (x) ... (x) V_n, so the product is one mode product per factor:
     factor j's integer matrix acts on axis j of each row reshaped to the
-    radices, and the factor scales multiply into d.  The numerators are
-    int64 when max|v| times the product of the factors' row-abs-sums (a
-    bound on every intermediate) is below 2^62, and Python ints otherwise.
-    This is the only code that applies X or X^{-1}.
+    radices, and the factor scales multiply into d.  Each step runs in int64
+    when the largest magnitude of its input times the factor's row-abs-sum (a
+    bound on every value the step forms) is below 2^62, and on Python ints
+    otherwise.  This is the only code that applies X or X^{-1}.
     """
     rows = np.asarray(rows)
     m = ambient.run_count
@@ -111,12 +111,12 @@ def mode_products(
         raise ValueError("vector length mismatch")
     batch = len(rows)
     factors = [_factor_matrix(f, inverse) for f in ambient.factors]
-    dtype = _exact_dtype(_max_abs(rows) * prod(g for _, _, g in factors))
     # rows is rebound at each step, so a temporary input is freed after the first.
-    rows, lead, inner = rows.astype(dtype, copy=False), batch, m
-    for (a, _, _), r in zip(factors, ambient.radices):
+    lead, inner = batch, m
+    for (a, _, g), r in zip(factors, ambient.radices):
+        dtype = _exact_dtype(_max_abs(rows) * g)
         inner //= r
-        rows = a.astype(dtype) @ rows.reshape(lead, r, inner)
+        rows = a.astype(dtype) @ rows.astype(dtype, copy=False).reshape(lead, r, inner)
         lead *= r
     return rows.reshape(batch, m), prod(d for _, d, _ in factors)
 
@@ -167,14 +167,8 @@ def design_from_indicator(poly: Polynomial, ambient: FullFactorial) -> Design:
 
 @dataclass(frozen=True)
 class ContrastMatrix:
-    """All-ones row followed by level-contrast blocks C_1..C_n.
-
-    Block C_k has one row per (factor subset J of size k, pinned index
-    vector): the row is +1 on runs whose J-coordinates hit the pinned
-    cell with last coordinate at level index 0, -1 on the same cell with
-    the last coordinate moved, 0 elsewhere.  Row order: J lexicographic,
-    then pin vectors lexicographic.
-    """
+    """All-ones row followed by level-contrast blocks C_1..C_n, as Fractions
+    (rows and labels as in _contrast_rows)."""
 
     ambient: FullFactorial
     blocks: tuple[Matrix, ...]
@@ -207,35 +201,50 @@ def expected_block_size(ambient: FullFactorial, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def build_contrast_matrix(ambient: FullFactorial) -> ContrastMatrix:
-    n = ambient.n_factors
-    radices = ambient.radices
-    m = ambient.run_count
-    index_vectors = [ambient.decode(i) for i in range(m)]
-    blocks = []
+def _contrast_row_count(ambient: FullFactorial, strength: int) -> int:
+    """The rows of [1'; C_1; ...; C_strength]."""
+    return 1 + sum(expected_block_size(ambient, k) for k in range(1, strength + 1))
+
+
+@lru_cache(maxsize=None)
+def _contrast_rows(ambient: FullFactorial) -> tuple[np.ndarray, tuple[tuple, ...]]:
+    """[1'; C_1; ...; C_n] as a read-only int64 array of -1, 0 and 1, and
+    its row labels: ("size",), then ("contrast", k, J, pins + (v,)).
+
+    Block C_k has one row per (factor subset J of size k, pinned index
+    vector): the row is +1 on runs whose J-coordinates hit the pinned
+    cell with last coordinate at level index 0, -1 on the same cell with
+    the last coordinate at level index v, 0 elsewhere.  Row order: J
+    lexicographic, then pin vectors lexicographic.
+    """
+    radices, n, m = ambient.radices, ambient.n_factors, ambient.run_count
+    ivs = np.stack(np.unravel_index(np.arange(m), radices), axis=1)
+    rows = [np.ones(m, dtype=np.int64)]
     labels: list[tuple] = [("size",)]
     for k in range(1, n + 1):
-        rows = []
         for subset in itertools.combinations(range(n), k):
-            pin_ranges = [range(radices[j] - 1) for j in subset[:-1]]
-            last = subset[-1]
-            for pins in itertools.product(*pin_ranges):
+            *lead, last = subset
+            # Pins fix the leading J-coordinates (level indices 0..r-2).
+            for pins in itertools.product(*(range(radices[j] - 1) for j in lead)):
+                pinned = np.all(ivs[:, lead] == np.array(pins, dtype=np.int64), axis=1)
+                base = pinned & (ivs[:, last] == 0)
                 for v in range(1, radices[last]):
-                    # Pins fix the leading J-coordinates (level indices
-                    # 0..r-2); the row compares the last J-coordinate at
-                    # level index 0 against level index v.
-                    row = [Fraction(0)] * m
-                    for i, iv in enumerate(index_vectors):
-                        if any(iv[j] != p for j, p in zip(subset[:-1], pins)):
-                            continue
-                        if iv[last] == 0:
-                            row[i] = Fraction(1)
-                        elif iv[last] == v:
-                            row[i] = Fraction(-1)
-                    rows.append(row)
+                    rows.append(base.astype(np.int64) - (pinned & (ivs[:, last] == v)))
                     labels.append(("contrast", k, subset, pins + (v,)))
-        blocks.append(Matrix(rows) if rows else Matrix([]))
-    return ContrastMatrix(ambient, tuple(blocks), tuple(labels))
+    table = np.array(rows, dtype=np.int64)
+    table.flags.writeable = False
+    return table, tuple(labels)
+
+
+@lru_cache(maxsize=None)
+def build_contrast_matrix(ambient: FullFactorial) -> ContrastMatrix:
+    """The Fraction view of _contrast_rows: one Matrix per block C_k."""
+    rows, labels = _contrast_rows(ambient)
+    blocks = []
+    for k in range(1, ambient.n_factors + 1):
+        start = _contrast_row_count(ambient, k - 1)
+        blocks.append(Matrix(rows[start : start + expected_block_size(ambient, k)].tolist()))
+    return ContrastMatrix(ambient, tuple(blocks), labels)
 
 
 @dataclass(frozen=True)
@@ -251,19 +260,6 @@ class LinearSystem:
         return self.coeffs.rows
 
 
-@lru_cache(maxsize=None)
-def _contrast_rows(ambient: FullFactorial) -> np.ndarray:
-    """[1'; C_1; ...; C_n] as a read-only int64 array of -1, 0 and 1; rows
-    follow build_contrast_matrix's row_labels."""
-    m = ambient.run_count
-    stacked = [[1] * m] + [
-        [int(v) for v in row] for block in build_contrast_matrix(ambient).blocks for row in block
-    ]
-    rows = np.array(stacked, dtype=np.int64)
-    rows.flags.writeable = False
-    return rows
-
-
 def contrast_sums(ambient: FullFactorial, values: np.ndarray, strength: int) -> np.ndarray:
     """[1'; C_1; ...; C_strength] applied to every row of a B x m integer
     array, exactly: one column per row label of build_contrast_matrix.
@@ -273,9 +269,8 @@ def contrast_sums(ambient: FullFactorial, values: np.ndarray, strength: int) -> 
     """
     if not 1 <= strength <= ambient.n_factors:
         raise ValueError("strength out of range")
-    n_rows = 1 + sum(build_contrast_matrix(ambient).block_sizes()[:strength])
     dtype = _exact_dtype(_max_abs(values) * ambient.run_count)
-    rows = _contrast_rows(ambient)[:n_rows].T
+    rows = _contrast_rows(ambient)[0][: _contrast_row_count(ambient, strength)].T
     return values.astype(dtype, copy=False) @ rows.astype(dtype, copy=False)
 
 
@@ -292,7 +287,7 @@ def orthogonality_system(ambient: FullFactorial, size: int, strength: int) -> Li
     sums = contrast_sums(ambient, columns, strength)
     coeffs = Matrix([[Fraction(v, d) for v in row] for row in sums.T.tolist()])
     constants = (Fraction(size),) + (Fraction(0),) * (coeffs.rows - 1)
-    return LinearSystem(coeffs, constants, build_contrast_matrix(ambient).row_labels[: coeffs.rows])
+    return LinearSystem(coeffs, constants, _contrast_rows(ambient)[1][: coeffs.rows])
 
 
 @dataclass(frozen=True)
@@ -352,10 +347,10 @@ def verify_theta_report(
     values, den = values_at_runs(poly, ambient)
     sums = contrast_sums(ambient, values, strength)[0].tolist()
     report = {"idempotency": not _off_indicator(values, den).any(), "size": sums[0] == size * den}
-    start = 1
-    for k, n_rows in enumerate(build_contrast_matrix(ambient).block_sizes()[:strength], 1):
-        report[f"contrast[{k}]"] = not any(sums[start : start + n_rows])
-        start += n_rows
+    for k in range(1, strength + 1):
+        report[f"contrast[{k}]"] = not any(
+            sums[_contrast_row_count(ambient, k - 1) : _contrast_row_count(ambient, k)]
+        )
     return report
 
 

@@ -29,7 +29,7 @@ from .designs import (
     invariant_triples,
     supports_triple_invariant,
 )
-from .fastcheck import runs_matrix
+from .fastcheck import bitset_keys, key_order, matrix_runs, runs_matrix
 from .polynomials import Polynomial
 
 
@@ -115,53 +115,40 @@ def act_theta(g: GroupElement, poly: Polynomial) -> Polynomial:
     return polynomial_from_values(permuted, den, g.ambient)
 
 
-def _bitsets(bits: np.ndarray) -> np.ndarray:
-    """The key of every 0/1 membership row: padded to whole 64-bit words and packed."""
-    padded = np.zeros((len(bits), -(-bits.shape[1] // 64) * 64), dtype=bool)
-    padded[:, : bits.shape[1]] = bits
-    return np.packbits(padded, axis=1).view(f"V{padded.shape[1] // 8}").ravel()
-
-
 def _run_tuples(keys: np.ndarray) -> list[tuple[int, ...]]:
     """The run set of every bitset key."""
-    bits = np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1)
-    return [tuple(np.flatnonzero(row).tolist()) for row in bits]
+    return matrix_runs(np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1))
 
 
-def _image_keys(design: Design) -> np.ndarray:
-    """The bitset of the design's image under every group element, in table order."""
-    table = run_perm_table(design.ambient)
+def _image_keys(ambient: FullFactorial, runs) -> np.ndarray:
+    """The bitset of the design with these runs under every group element, in table order."""
+    table = run_perm_table(ambient)
     bits = np.zeros(table.shape, dtype=bool)
-    bits[np.arange(len(table))[:, None], table[:, list(design.runs)]] = True
-    return _bitsets(bits)
+    bits[np.arange(len(table))[:, None], table[:, np.array(runs, dtype=np.int64)]] = True
+    return bitset_keys(bits)
 
 
-def _key_order(keys: np.ndarray) -> np.ndarray:
-    """The argsort of bitset keys (lexsort on their words: faster than sorting the bytes)."""
-    return np.lexsort(keys.view(">u8").reshape(len(keys), -1).T[::-1])
-
-
-def _orbit_keys(design: Design) -> np.ndarray:
+def _orbit_keys(ambient: FullFactorial, runs) -> np.ndarray:
     """The sorted distinct bitsets of the orbit; the last one is the canonical form."""
-    keys = _image_keys(design)
-    keys = keys[_key_order(keys)]
+    keys = _image_keys(ambient, runs)
+    keys = keys[key_order(keys)]
     return keys[np.r_[True, keys[1:] != keys[:-1]]]
 
 
 def canonical_form(design: Design) -> tuple[int, ...]:
     """The runs of the lexicographically least design in the orbit."""
-    return _run_tuples(_orbit_keys(design)[-1:])[0]
+    return _run_tuples(_orbit_keys(design.ambient, design.runs)[-1:])[0]
 
 
 def orbit_of(design: Design) -> set[tuple[int, ...]]:
     """Run tuples of the full group orbit of one design."""
-    return set(_run_tuples(_orbit_keys(design)))
+    return set(_run_tuples(_orbit_keys(design.ambient, design.runs)))
 
 
 def stabilizer_size(design: Design) -> int:
     """The number of group elements that map the design onto itself."""
-    own = _bitsets(runs_matrix([design], design.ambient.run_count))
-    return int(np.count_nonzero(_image_keys(design) == own))
+    own = bitset_keys(runs_matrix([design], design.ambient.run_count))
+    return int(np.count_nonzero(_image_keys(design.ambient, design.runs) == own))
 
 
 @dataclass(frozen=True)
@@ -195,25 +182,34 @@ def classify(designs, store_members: bool = False) -> list[EquivalenceClass]:
     ambient = designs[0].ambient
     if any(d.ambient != ambient for d in designs):
         raise ShapeMismatchError("designs come from different ambients")
-    keys = _bitsets(runs_matrix(designs, ambient.run_count))
-    order = _key_order(keys)
+    return classify_matrix(ambient, runs_matrix(designs, ambient.run_count), store_members)
+
+
+def classify_matrix(
+    ambient: FullFactorial, y: np.ndarray, store_members: bool = False
+) -> list[EquivalenceClass]:
+    """classify for the designs of a membership matrix, one 0/1 row each."""
+    if not len(y):
+        return []
+    keys = bitset_keys(y)
+    order = key_order(keys)
     sorted_keys = keys[order]
     if np.any(sorted_keys[1:] == sorted_keys[:-1]):
         raise ValueError("designs must be pairwise distinct")
 
-    seen = np.zeros(len(designs), dtype=bool)
+    seen = np.zeros(len(y), dtype=bool)
     orbits = []
-    for idx, design in enumerate(designs):
+    for idx in range(len(y)):
         if seen[idx]:
             continue
-        orbit = _orbit_keys(design)
-        pos = np.minimum(np.searchsorted(sorted_keys, orbit), len(designs) - 1)
+        orbit = _orbit_keys(ambient, np.flatnonzero(y[idx]))
+        pos = np.minimum(np.searchsorted(sorted_keys, orbit), len(y) - 1)
         seen[order[pos[sorted_keys[pos] == orbit]]] = True
         orbits.append(orbit)
 
     reps = _run_tuples(np.concatenate([orbit[-1:] for orbit in orbits]))
     invariants = [None] * len(orbits)
-    if supports_triple_invariant(ambient) and all(d.size == 24 for d in designs):
+    if supports_triple_invariant(ambient) and np.all(np.count_nonzero(y, axis=1) == 24):
         invariants = invariant_triples(ambient, runs_matrix(reps, ambient.run_count))
     classes = []
     for orbit, rep, inv in zip(orbits, reps, invariants):

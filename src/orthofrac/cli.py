@@ -21,17 +21,18 @@ from .algebra import (
     verify_theta_report,
 )
 from .catalog import FLAGSHIP_ARITIES, cross_check_classes
-from .classify import classification_report, classify, table_report
+from .classify import classification_report, classify_matrix, table_report
 from .designs import FullFactorial, full_factorial, load_design_csv
+from .fastcheck import matrix_runs
 from .polynomials import parse_polynomial
 from .search import (
     CrossCheckError,
     ProblemTooLargeError,
     SearchProblem,
-    brute_force_oracle,
-    enumerate_orthogonal,
-    read_designs,
-    write_designs,
+    brute_force_matrix,
+    enumerate_matrix,
+    read_design_matrix,
+    write_design_matrix,
 )
 
 
@@ -107,25 +108,25 @@ def cmd_enumerate(args) -> int:
         workers=max(1, args.workers),
         oracle_ceiling=args.oracle_ceiling,
     )
-    designs = brute_force_oracle(problem) if args.oracle else enumerate_orthogonal(problem)
+    y = brute_force_matrix(problem) if args.oracle else enumerate_matrix(problem)
     if args.format == "json":
         payload = {
             "schema": 1,
             "arities": list(args.levels),
             "size": args.size,
             "strength": args.strength,
-            "count": len(designs),
-            "designs": [list(d.runs) for d in designs],
+            "count": len(y),
+            "designs": matrix_runs(y),
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         import io
 
         buf = io.StringIO()
-        write_designs(designs, buf)
+        write_design_matrix(y, buf)
         _emit(buf.getvalue(), args.out)
     if args.out:
-        print(f"{len(designs)} designs -> {args.out}")
+        print(f"{len(y)} designs -> {args.out}")
     return 0
 
 
@@ -142,10 +143,10 @@ def cmd_classify(args) -> int:
     ambient = full_factorial(args.levels)
     if args.designs:
         with open(args.designs) as fh:
-            designs = read_designs(fh, ambient)
+            y = read_design_matrix(fh, ambient)
     else:
-        designs = read_designs(sys.stdin, ambient)
-    classes = classify(designs)
+        y = read_design_matrix(sys.stdin, ambient)
+    classes = classify_matrix(ambient, y)
     report = classification_report(classes)
     check_failed = False
     if _is_complete_flagship(ambient, classes):
@@ -155,7 +156,7 @@ def cmd_classify(args) -> int:
     if args.format == "json":
         _emit(json.dumps(report, indent=2) + "\n", args.out)
     else:
-        lines = [f"{len(designs)} designs in {len(classes)} classes"]
+        lines = [f"{len(y)} designs in {len(classes)} classes"]
         for rec in report["classes"]:
             inv = rec.get("invariants")
             tag = ""

@@ -13,6 +13,11 @@ indicator has coefficients mu(theta) = X^-1 ((X theta) o (X theta)), and X
 is invertible, so theta == mu(theta) exactly when every entry of X theta is
 0 or 1.  algebra.verify_theta_report checks one design the same way; the
 quadratic system is only the tests' reference.
+
+A list of designs travels between the search, the designs file and
+classify as one membership matrix: a B x m int64 array with one 0/1 row
+per design.  runs_matrix builds it, matrix_runs and matrix_designs read
+it back, and bitset_keys and key_order pack and sort its rows.
 """
 
 from __future__ import annotations
@@ -27,13 +32,46 @@ from .designs import Design, FullFactorial
 
 
 def runs_matrix(designs, run_count: int) -> np.ndarray:
-    """Stack 0/1 membership rows for a sequence of designs or run tuples."""
+    """Stack 0/1 membership rows for a sequence of designs or run tuples, or
+    for a 2-D integer array with one design's runs per row."""
+    if isinstance(designs, np.ndarray) and designs.ndim == 2:
+        y = np.zeros((len(designs), run_count), dtype=np.int64)
+        np.put_along_axis(y, designs, 1, axis=1)
+        return y
     rows = [d.runs if isinstance(d, Design) else d for d in designs]
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
     y = np.zeros((len(rows), run_count), dtype=np.int64)
     y[np.repeat(np.arange(len(rows)), lengths), flat] = 1
     return y
+
+
+def matrix_runs(y: np.ndarray) -> list[tuple[int, ...]]:
+    """The sorted runs of every 0/1 membership row: the inverse of runs_matrix."""
+    ends = np.count_nonzero(y, axis=1).cumsum().tolist()
+    flat = tuple((np.flatnonzero(y != 0) % y.shape[1]).tolist())
+    return [flat[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def matrix_designs(ambient: FullFactorial, y: np.ndarray) -> list[Design]:
+    """One Design per 0/1 membership row of y."""
+    return [Design(ambient, runs) for runs in matrix_runs(y)]
+
+
+def bitset_keys(y: np.ndarray) -> np.ndarray:
+    """The key of every 0/1 membership row: padded to whole 64-bit words and
+    packed big-endian, run r at bit 63 - r % 64 of word r // 64."""
+    padded = np.zeros((len(y), -(-y.shape[1] // 64) * 64), dtype=bool)
+    padded[:, : y.shape[1]] = y
+    return np.packbits(padded, axis=1).view(f"V{padded.shape[1] // 8}").ravel()
+
+
+def key_order(keys: np.ndarray) -> np.ndarray:
+    """The argsort of bitset keys (lexsort on their words: faster than sorting
+    the bytes).  Among designs of one size, descending keys are ascending run
+    tuples: the smallest run in which two designs differ is in the one whose
+    tuple sorts first, and sets its bit."""
+    return np.lexsort(keys.view(">u8").reshape(len(keys), keys.itemsize // 8).T[::-1])
 
 
 class BatchChecker:

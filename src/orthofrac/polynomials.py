@@ -19,6 +19,9 @@ from typing import Mapping, Sequence
 from .designs import FactorSpec, FullFactorial
 
 
+_ZERO = Fraction(0)
+
+
 class Polynomial:
     """Immutable sparse polynomial in n variables with Fraction coefficients."""
 
@@ -29,7 +32,8 @@ class Polynomial:
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
+                if type(coeff) is not Fraction:
+                    coeff = Fraction(coeff)
                 if coeff == 0:
                     continue
                 exps = tuple(int(e) for e in exps)
@@ -55,7 +59,7 @@ class Polynomial:
         return self._terms.items()
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        return self._terms.get(tuple(exps), _ZERO)
 
     def __len__(self) -> int:
         return len(self._terms)

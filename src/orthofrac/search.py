@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from math import comb
 from multiprocessing import get_context
@@ -32,7 +33,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .designs import Design, FullFactorial, margin_cells
-from .fastcheck import get_checker, runs_matrix
+from .fastcheck import bitset_keys, get_checker, key_order, matrix_designs, runs_matrix
 
 # The first _SPLIT_DEPTH include/exclude decisions of the backtracking
 # search are fixed per task when it runs on several workers.
@@ -232,16 +233,34 @@ def _join_assignments(keys, buckets, target, n_levels):
     return assignments
 
 
-def _materialize(assignment, buckets, embed):
-    """Yield run tuples for every candidate combination of one key assignment."""
-    pools = [buckets[key] for key in assignment]
-    for combo in itertools.product(*pools):
-        runs = [embed[c][s] for c, cand in enumerate(combo) for s in cand]
-        runs.sort()
-        yield tuple(runs)
+def _materialize(assignments, buckets, embed) -> np.ndarray:
+    """The runs of every candidate combination of every key assignment, one
+    design per row (unsorted), by index arithmetic over all rows at once.
+
+    Row j of an assignment with pool sizes n_0..n_{r-1} takes, at level c,
+    candidate (j // (n_{c+1} ... n_{r-1})) % n_c of the pool of its key.
+    """
+    keys = sorted(buckets)
+    key_id = {key: i for i, key in enumerate(keys)}
+    pool_sizes = np.array([len(buckets[key]) for key in keys], dtype=np.int64)
+    pool_starts = np.cumsum(pool_sizes) - pool_sizes
+    pooled = [cand for key in keys for cand in buckets[key]]
+    candidates = np.array(pooled, dtype=np.int64).reshape(len(pooled), len(pooled[0]))
+    ids = np.array([[key_id[key] for key in a] for a in assignments], dtype=np.int64)
+    sizes = pool_sizes[ids]
+    totals = sizes.prod(axis=1)
+    which = np.repeat(np.arange(len(ids)), totals)
+    local = np.arange(len(which)) - np.repeat(np.cumsum(totals) - totals, totals)
+    parts = []
+    for c in range(len(embed) - 1, -1, -1):
+        n_c = sizes[which, c]
+        chosen = pool_starts[ids[which, c]] + local % n_c
+        local //= n_c
+        parts.append(embed[c][candidates[chosen]])
+    return np.concatenate(parts, axis=1)
 
 
-def _sliced_enumeration(problem: SearchProblem) -> list[tuple[int, ...]]:
+def _sliced_enumeration(problem: SearchProblem) -> np.ndarray:
     ambient = problem.ambient
     p = (
         problem.slicing_factor
@@ -249,19 +268,20 @@ def _sliced_enumeration(problem: SearchProblem) -> list[tuple[int, ...]]:
         else _default_slicing_factor(ambient)
     )
     r = ambient.radices[p]
+    empty = np.zeros((0, problem.size), dtype=np.int64)
     if problem.size % r:
-        return []
+        return empty
     q = problem.size // r
     sub = _sub_ambient(ambient, p)
     candidates = _parallel_backtrack(sub, q, problem.strength - 1, problem.workers)
     if not candidates:
-        return []
+        return empty
 
     # Join keys: the candidates' margin counts over the size-t subsets of
     # the sub-ambient (none when t exceeds its factor count).
     table = margin_cells(sub, problem.strength)
     if np.any(problem.size % table.volumes):
-        return []
+        return empty
     target = tuple((problem.size // table.volumes).tolist())
     vectors = map(tuple, table.count(runs_matrix(candidates, sub.run_count)).tolist())
     buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -269,29 +289,46 @@ def _sliced_enumeration(problem: SearchProblem) -> list[tuple[int, ...]]:
         buckets.setdefault(vec, []).append(cand)
     keys = sorted(buckets)
     assignments = _join_assignments(keys, buckets, target, r)
-    embed = _embedding_tables(ambient, p)
-    out: list[tuple[int, ...]] = []
-    for assignment in assignments:
-        out.extend(_materialize(assignment, buckets, embed))
-    return out
+    if not assignments:
+        return empty
+    embed = np.array(_embedding_tables(ambient, p), dtype=np.int64)
+    return _materialize(assignments, buckets, embed)
 
 
 # ---------------------------------------------------------------------------
 # Public entry points
 
 
-def _cross_check(designs: list[Design], problem: SearchProblem) -> None:
+def _cross_check(y: np.ndarray, problem: SearchProblem) -> None:
     """Algebraic verification (idempotency + size/contrast system) of every output."""
-    if not designs:
+    if not len(y):
         return
     checker = get_checker(problem.ambient)
-    y = runs_matrix(designs, problem.ambient.run_count)
     ok = checker.verify(y, problem.size, problem.strength)
     if not bool(np.all(ok)):
         bad = int(np.flatnonzero(~ok)[0])
         raise CrossCheckError(
-            f"internal consistency failure: design {designs[bad].runs} fails the algebraic check"
+            f"internal consistency failure: design {tuple(np.flatnonzero(y[bad]).tolist())} "
+            "fails the algebraic check"
         )
+
+
+def _enumerate_rows(problem: SearchProblem) -> np.ndarray:
+    """The runs of every fraction, one design per row, in no particular order."""
+    ambient = problem.ambient
+    if ambient.n_factors >= 2:
+        return _sliced_enumeration(problem)
+    raw = _parallel_backtrack(ambient, problem.size, problem.strength, problem.workers)
+    return np.array(raw, dtype=np.int64).reshape(len(raw), problem.size)
+
+
+def enumerate_matrix(problem: SearchProblem) -> np.ndarray:
+    """enumerate_orthogonal as a membership matrix: one 0/1 row per design."""
+    y = runs_matrix(_enumerate_rows(problem), problem.ambient.run_count)
+    # All designs have one size, so descending bitset keys sort them by run tuple.
+    y = y[key_order(bitset_keys(y))[::-1]]
+    _cross_check(y, problem)
+    return y
 
 
 def enumerate_orthogonal(problem: SearchProblem) -> list[Design]:
@@ -301,23 +338,11 @@ def enumerate_orthogonal(problem: SearchProblem) -> list[Design]:
     design is cross-checked against the algebraic characterization before
     being returned.
     """
-    ambient = problem.ambient
-    if ambient.n_factors >= 2:
-        raw = _sliced_enumeration(problem)
-    else:
-        raw = _parallel_backtrack(ambient, problem.size, problem.strength, problem.workers)
-    raw.sort()
-    designs = [Design(ambient, runs) for runs in raw]
-    _cross_check(designs, problem)
-    return designs
+    return matrix_designs(problem.ambient, enumerate_matrix(problem))
 
 
-def brute_force_oracle(problem: SearchProblem) -> list[Design]:
-    """Filter all size-s subsets by direct margin counting.
-
-    Independent of the search engine; refuses to run above the configured
-    subset-count ceiling.
-    """
+def brute_force_matrix(problem: SearchProblem) -> np.ndarray:
+    """brute_force_oracle as a membership matrix: one 0/1 row per design."""
     ambient = problem.ambient
     m = ambient.run_count
     total = comb(m, problem.size)
@@ -327,54 +352,118 @@ def brute_force_oracle(problem: SearchProblem) -> list[Design]:
         )
     table = margin_cells(ambient, problem.strength)
     if np.any(problem.size % table.volumes):
-        return []
+        return np.zeros((0, m), dtype=np.int64)
 
-    out: list[Design] = []
+    out = [np.zeros((0, m), dtype=np.int64)]
     chunk_size = 65536
     combos = itertools.combinations(range(m), problem.size)
     while True:
         chunk = list(itertools.islice(combos, chunk_size))
         if not chunk:
             break
-        y = np.zeros((len(chunk), m), dtype=np.int64)
-        if problem.size:
-            rows = np.repeat(np.arange(len(chunk)), problem.size)
-            y[rows, np.array(chunk, dtype=np.int64).ravel()] = 1
+        y = runs_matrix(np.array(chunk, dtype=np.int64).reshape(len(chunk), problem.size), m)
         balanced = table.balanced(table.count(y), problem.size)
-        good = np.flatnonzero(balanced.all(axis=1))
-        out.extend(Design(ambient, chunk[i]) for i in good)
-    return out
+        out.append(y[balanced.all(axis=1)])
+    return np.concatenate(out)
+
+
+def brute_force_oracle(problem: SearchProblem) -> list[Design]:
+    """Filter all size-s subsets by direct margin counting.
+
+    Independent of the search engine; refuses to run above the configured
+    subset-count ceiling.
+    """
+    return matrix_designs(problem.ambient, brute_force_matrix(problem))
 
 
 # ---------------------------------------------------------------------------
 # Results file format: one design per line as "[i1, i2, ...]", then a
-# trailing "# count: N" summary line.
+# trailing "# count: N" summary line.  Those canonical lines (", "
+# separators, no leading zeros) are read in bulk; any other line that
+# holds a JSON list of run indices is read on its own.
+
+
+def _design_lines(lengths: list[int], flat: list[int]) -> str:
+    """The canonical lines of designs with these run counts and concatenated
+    runs: one %-format over all of them."""
+    formats = {k: "[" + ", ".join(["%d"] * k) + "]\n" for k in set(lengths)}
+    return "".join(map(formats.__getitem__, lengths)) % tuple(flat)
+
+
+def write_design_matrix(y: np.ndarray, fh) -> None:
+    """write_designs for the designs of a membership matrix, one per row."""
+    runs = np.flatnonzero(y != 0) % y.shape[1]
+    fh.write(_design_lines(np.count_nonzero(y, axis=1).tolist(), runs.tolist()))
+    fh.write(f"# count: {len(y)}\n")
 
 
 def write_designs(designs: list[Design], fh) -> None:
-    for d in designs:
-        fh.write(json.dumps(list(d.runs)) + "\n")
+    fh.write(_design_lines([d.size for d in designs], [r for d in designs for r in d.runs]))
     fh.write(f"# count: {len(designs)}\n")
 
 
 _INT_TYPE = frozenset((int,))
+_CANONICAL_LINE = re.compile(r"\[(?:(?:[1-9][0-9]{0,17}|0)(?:, (?:[1-9][0-9]{0,17}|0))*)?\]")
+_SEPARATORS = str.maketrans("[],\n", "    ")
+
+
+def _parse_line(line: str, lineno: int, ambient: FullFactorial) -> tuple[int, ...]:
+    """The runs of one stripped design line, read as JSON, or the line's error."""
+    try:
+        runs = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    # An exact type test: bool is a subclass of int, but true/false are not run indices.
+    if type(runs) is not list or not _INT_TYPE.issuperset(map(type, runs)):
+        raise ValueError(f"line {lineno}: expected a list of run indices")
+    try:
+        return Design.from_runs(ambient, runs).runs
+    except (IndexError, ValueError) as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
+def read_design_matrix(fh, ambient: FullFactorial) -> np.ndarray:
+    """read_designs as a membership matrix: one 0/1 row per design line, in file order.
+
+    Canonical lines whose runs are in range and strictly increasing are
+    parsed together by one numeric parse; every other line goes through
+    _parse_line in file order, so the first bad line raises its error.
+    """
+    m = ambient.run_count
+    lines = list(map(str.strip, fh))
+    matches = map(bool, map(_CANONICAL_LINE.fullmatch, lines))
+    canonical = np.fromiter(matches, dtype=bool, count=len(lines))
+    bulk = np.flatnonzero(canonical)
+    texts = list(map(lines.__getitem__, bulk.tolist()))
+    # Runs per line: one more than its commas, except in "[]".
+    commas = map(str.count, texts, itertools.repeat(","))
+    lengths = np.fromiter(commas, dtype=np.int64, count=len(texts))
+    lengths += np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) > 2
+    flat = np.zeros(0, dtype=np.int64)
+    if lengths.sum():  # np.fromstring reads an all-blank string as [0]
+        flat = np.fromstring("\n".join(texts).translate(_SEPARATORS), dtype=np.int64, sep=" ")
+    # A bulk line keeps its runs only where _parse_line would accept them
+    # unchanged: every run in range, each above the one before it.
+    ends = np.cumsum(lengths)
+    first = np.zeros(len(flat), dtype=bool)
+    first[(ends - lengths)[lengths > 0]] = True
+    bad = flat >= m
+    bad[1:] |= (flat[1:] <= flat[:-1]) & ~first[1:]
+    canonical[bulk[np.searchsorted(ends, np.flatnonzero(bad), side="right")]] = False
+
+    # The design lines left to _parse_line: all but blank and "#" lines.
+    rest = [i for i in np.flatnonzero(~canonical).tolist() if lines[i] and lines[i][0] != "#"]
+    is_design = canonical.copy()
+    is_design[rest] = True
+    row = np.cumsum(is_design) - 1
+    y = np.zeros((int(is_design.sum()), m), dtype=np.int64)
+    keep = canonical[bulk]
+    y[np.repeat(row[bulk[keep]], lengths[keep]), flat[np.repeat(keep, lengths)]] = 1
+    parsed = [_parse_line(lines[i], i + 1, ambient) for i in rest]
+    rest_runs = np.fromiter(itertools.chain.from_iterable(parsed), dtype=np.int64)
+    y[np.repeat(row[rest], list(map(len, parsed))), rest_runs] = 1
+    return y
 
 
 def read_designs(fh, ambient: FullFactorial) -> list[Design]:
-    designs = []
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            runs = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        # An exact type test: bool is a subclass of int, but true/false are not run indices.
-        if type(runs) is not list or not _INT_TYPE.issuperset(map(type, runs)):
-            raise ValueError(f"line {lineno}: expected a list of run indices")
-        try:
-            designs.append(Design.from_runs(ambient, runs))
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return designs
+    return matrix_designs(ambient, read_design_matrix(fh, ambient))

@@ -12,11 +12,17 @@ None of these is used by the package itself:
   form (production checks idempotency as X theta in {0, 1}^m);
 * the Fraction residuals of a LinearSystem (production reads the size and
   contrast rows from X theta);
-* reference_report, verify_theta_report assembled from the last two.
+* reference_report, verify_theta_report assembled from the last two;
+* reference_contrast_matrix, the contrast blocks built entry by entry as
+  Fractions (production builds the int rows from the index vectors);
+* read_designs, the design-list reader as it was before the canonical
+  lines were parsed in bulk: every line on its own.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +38,7 @@ from orthofrac.algebra import (
     orthogonality_system,
     theta_vector,
 )
-from orthofrac.designs import FullFactorial, all_points
+from orthofrac.designs import Design, FullFactorial, all_points
 from orthofrac.linalg import Matrix
 from orthofrac.polynomials import Polynomial, _power_table
 
@@ -160,3 +166,55 @@ def reference_report(
             r == 0 for r, tag in zip(res, system.tags) if tag[0] == "contrast" and tag[1] == k
         )
     return report
+
+
+def reference_contrast_matrix(ambient: FullFactorial) -> tuple[tuple[Matrix, ...], tuple[tuple, ...]]:
+    """The contrast blocks C_1..C_n and the row labels, entry by entry."""
+    n = ambient.n_factors
+    radices = ambient.radices
+    m = ambient.run_count
+    index_vectors = [ambient.decode(i) for i in range(m)]
+    blocks = []
+    labels: list[tuple] = [("size",)]
+    for k in range(1, n + 1):
+        rows = []
+        for subset in itertools.combinations(range(n), k):
+            pin_ranges = [range(radices[j] - 1) for j in subset[:-1]]
+            last = subset[-1]
+            for pins in itertools.product(*pin_ranges):
+                for v in range(1, radices[last]):
+                    row = [Fraction(0)] * m
+                    for i, iv in enumerate(index_vectors):
+                        if any(iv[j] != p for j, p in zip(subset[:-1], pins)):
+                            continue
+                        if iv[last] == 0:
+                            row[i] = Fraction(1)
+                        elif iv[last] == v:
+                            row[i] = Fraction(-1)
+                    rows.append(row)
+                    labels.append(("contrast", k, subset, pins + (v,)))
+        blocks.append(Matrix(rows) if rows else Matrix([]))
+    return tuple(blocks), tuple(labels)
+
+
+_INT_TYPE = frozenset((int,))
+
+
+def read_designs(fh, ambient: FullFactorial) -> list[Design]:
+    designs = []
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            runs = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        # An exact type test: bool is a subclass of int, but true/false are not run indices.
+        if type(runs) is not list or not _INT_TYPE.issuperset(map(type, runs)):
+            raise ValueError(f"line {lineno}: expected a list of run indices")
+        try:
+            designs.append(Design.from_runs(ambient, runs))
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return designs

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import RATIONAL, random_ambient, sign_fraction
+from orthofrac import algebra
 from orthofrac.algebra import (
     InconsistentSystemError,
     NotAnIndicatorError,
@@ -37,6 +38,7 @@ from reference import (
     model_matrix_inverse,
     mul_model_inverse,
     mul_model_matrix,
+    reference_contrast_matrix,
     reference_report,
     satisfied_by,
     satisfies_idempotency,
@@ -44,6 +46,25 @@ from reference import (
 
 
 FLAGSHIP = full_factorial([2, 2, 2, 2, 3])
+
+
+def test_mode_products_switch_to_python_ints_mid_product(monkeypatch):
+    # On 8 x 8 the first factor step of this input fits int64 and the second
+    # does not; the numerators equal a run on Python ints throughout.
+    amb = full_factorial([8, 8])
+    a, _, g = algebra._factor_matrix(amb.factors[0], False)
+    j = max(range(8), key=lambda e: max(abs(x) for x in a[:, e]))
+    k = (algebra._INT64_SAFE - 1) // g
+    rows = np.zeros((2, 64), dtype=np.int64)
+    rows[0, 8 * j] = k
+    rows[1] = np.arange(64) - 32
+    assert k * g < algebra._INT64_SAFE <= max(abs(x) for x in a[:, j]) * k * g
+    mixed, d = mode_products(amb, rows, inverse=False)
+    assert mixed.dtype == object
+    monkeypatch.setattr(algebra, "_INT64_SAFE", 0)
+    python_ints, d_python = mode_products(amb, rows.astype(object), inverse=False)
+    assert d == d_python
+    assert mixed.tolist() == python_ints.tolist()
 
 
 def test_model_matrix_single_two_level_factor():
@@ -158,6 +179,25 @@ def test_listed_representative_maps_to_strength_two_design():
     design = design_from_indicator(poly, FLAGSHIP)
     assert design.size == 24
     assert has_strength(design, 2)
+
+
+@pytest.mark.parametrize(
+    "amb",
+    [FLAGSHIP, RATIONAL, full_factorial([2]), full_factorial([2, 3]), full_factorial([2, 3, 4]),
+     full_factorial([6, 6])] + [random_ambient(random.Random(seed)) for seed in range(5)],
+)
+def test_contrast_rows_match_reference(amb):
+    # The int64 rows built from the index vectors, their labels and their
+    # Fraction view equal the blocks built entry by entry.
+    blocks, labels = reference_contrast_matrix(amb)
+    rows, row_labels = algebra._contrast_rows(amb)
+    assert rows.tolist() == [[1] * amb.run_count] + [
+        [int(v) for v in row] for block in blocks for row in block
+    ]
+    assert row_labels == labels
+    contrast = build_contrast_matrix(amb)
+    assert contrast.blocks == blocks
+    assert contrast.row_labels == labels
 
 
 def test_contrast_block_sizes_flagship():

@@ -30,7 +30,7 @@ from orthofrac.designs import (
     margin_cells,
     margins,
 )
-from orthofrac.fastcheck import BatchChecker, get_checker, runs_matrix
+from orthofrac.fastcheck import BatchChecker, get_checker, matrix_designs, matrix_runs, runs_matrix
 from reference import (
     build_model_matrix,
     idempotency_system,
@@ -272,3 +272,19 @@ def test_batch_invariant_triples_match_reference():
         assert any(24 in jset for _, jset, _ in batch)
     with pytest.raises(ShapeMismatchError):
         invariant_triples(full_factorial([2, 3, 4]), runs_matrix([tuple(range(12))], 24))
+
+
+def test_membership_matrix_round_trip():
+    amb = full_factorial([2, 2, 3])
+    rng = random.Random(31)
+    runs = [tuple(sorted(rng.sample(range(12), rng.randrange(13)))) for _ in range(40)]
+    y = runs_matrix(runs, 12)
+    assert matrix_runs(y) == runs
+    assert matrix_designs(amb, y) == [Design(amb, r) for r in runs]
+    # The 2-D run array path scatters the same rows.
+    six = [tuple(sorted(rng.sample(range(12), 6))) for _ in range(10)]
+    assert np.array_equal(runs_matrix(np.array(six), 12), runs_matrix(six, 12))
+    # Designs are built through the validated constructor: a column past
+    # the ambient's last run is rejected, not turned into a Design.
+    with pytest.raises(IndexError):
+        matrix_designs(amb, runs_matrix([(0, 12)], 13))

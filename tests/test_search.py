@@ -1,17 +1,27 @@
 import io
+import json
+import random
 
+import numpy as np
 import pytest
 
-from conftest import sign_fraction
+import reference
+from conftest import random_ambient, sign_fraction
 from orthofrac.algebra import verify_theta, indicator_from_design
-from orthofrac.classify import generate_group, act
+from orthofrac.catalog import cross_check_classes
+from orthofrac.classify import act, classification_report, classify, classify_matrix, generate_group
 from orthofrac.designs import full_design, full_factorial, has_strength
+from orthofrac.fastcheck import runs_matrix
 from orthofrac.search import (
     ProblemTooLargeError,
     SearchProblem,
+    brute_force_matrix,
     brute_force_oracle,
+    enumerate_matrix,
     enumerate_orthogonal,
+    read_design_matrix,
     read_designs,
+    write_design_matrix,
     write_designs,
 )
 
@@ -89,7 +99,7 @@ def test_oracle_equivalence_square_grids():
     assert engine == brute_force_oracle(SearchProblem(amb, 6, 1))
     assert len(engine) == 720
     assert len(enumerate_orthogonal(SearchProblem(full_factorial([7, 7]), 7, 1))) == 5040
-    # 8 x 8: the values at the runs outgrow int64 and the cross-check runs on Python ints.
+    # 8 x 8: the largest ambient whose cross-check runs in int64 step by step.
     amb = full_factorial([8, 8])
     result = enumerate_orthogonal(SearchProblem(amb, 8, 1))
     assert len(result) == 40320
@@ -182,3 +192,93 @@ def test_designs_file_rejects_garbage():
         read_designs(io.StringIO("[0, 1\n"), amb)
     with pytest.raises(ValueError):
         read_designs(io.StringIO('{"a": 1}\n'), amb)
+
+
+def _random_line(rng, amb):
+    """One design-file line: canonical, valid but not canonical, not a design, or bad."""
+    m = amb.run_count
+    runs = sorted(rng.sample(range(m), rng.randint(0, min(m, 12))))
+    kind = rng.choice(("canonical",) * 6 + ("valid", "skipped", "bad"))
+    if kind == "canonical":
+        return json.dumps(runs)
+    if kind == "valid":
+        shuffled = rng.sample(runs, len(runs))
+        return rng.choice([
+            "[0,1]", " [ 3 , 1 ] ", json.dumps(shuffled), json.dumps(runs, separators=(",", ":")),
+            "[-0]", f"\t{json.dumps(runs)}  ", "[1, 0]", "[]",
+        ])
+    if kind == "skipped":
+        return rng.choice(["", "   ", "# comment", "# count: 3"])
+    return rng.choice([
+        "[0, 1", "true", "1.0", "[-1]", "[01]", f"[0, {m}]", f"[{m + rng.randint(0, 10**20)}]",
+        "[1, 1]", "[2, 0, 2]", "{}", "[1.0]", "[true]", "[0, 1]]", "[, 1]", "[1,]", "null",
+        '"[0]"', "[0 1]", "[[0]]", "[99999999999999999999]", "[\u0661]",
+    ])
+
+
+def test_read_designs_matches_per_line_reader():
+    # Differential: the bulk reader returns the designs of the per-line
+    # reference reader, or raises its exact error, on mixed files.
+    rng = random.Random(83)
+    ambients = [full_factorial([2, 2, 3]), full_factorial([2, 2, 2, 2, 3])]
+    ambients += [random_ambient(rng) for _ in range(4)]
+    outcomes = set()
+    for amb in ambients:
+        for _ in range(150):
+            lines = [_random_line(rng, amb) for _ in range(rng.randint(0, 12))]
+            text = rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n"))
+            try:
+                expected = reference.read_designs(io.StringIO(text), amb)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    read_designs(io.StringIO(text), amb)
+                assert str(got.value) == str(exc)
+                outcomes.add("error")
+                continue
+            assert read_designs(io.StringIO(text), amb) == expected
+            y = read_design_matrix(io.StringIO(text), amb)
+            assert y.tolist() == runs_matrix(expected, amb.run_count).tolist()
+            outcomes.add("designs" if expected else "empty")
+    assert outcomes == {"error", "designs", "empty"}
+
+
+def _old_design_file(designs) -> str:
+    """The design file as written one json.dumps per design."""
+    return "".join(json.dumps(list(d.runs)) + "\n" for d in designs) + f"# count: {len(designs)}\n"
+
+
+@pytest.mark.parametrize(
+    "levels, size, strength, oracle",
+    [((2, 2, 2, 2, 3), 24, 2, False), ((2, 2, 2, 2), 8, 2, True), ((2, 2), 3, 2, False)],
+)
+def test_array_route_matches_list_route(levels, size, strength, oracle, flagship_designs):
+    # enumerate -> write -> read -> classify on membership matrices gives the
+    # bytes of the route through Design lists, the per-line reader and the
+    # json.dumps writer: on the flagship, with the oracle and on an empty result.
+    amb = full_factorial(levels)
+    problem = SearchProblem(amb, size, strength)
+    if oracle:
+        y, designs = brute_force_matrix(problem), brute_force_oracle(problem)
+    else:
+        y = enumerate_matrix(problem)
+        designs = flagship_designs if size == 24 else enumerate_orthogonal(problem)
+    # Line lists, not strings: a failure then names the first differing line.
+    written = io.StringIO()
+    write_design_matrix(y, written)
+    assert written.getvalue().split("\n") == _old_design_file(designs).split("\n")
+    listed = io.StringIO()
+    write_designs(designs, listed)
+    assert listed.getvalue().split("\n") == written.getvalue().split("\n")
+
+    shuffled = written.getvalue().splitlines(keepends=True)
+    body = shuffled[:-1]
+    random.Random(size).shuffle(body)
+    text = "".join(body + shuffled[-1:])
+    array_classes = classify_matrix(amb, read_design_matrix(io.StringIO(text), amb))
+    list_classes = classify(reference.read_designs(io.StringIO(text), amb))
+    array_report = json.dumps(classification_report(array_classes), indent=2).split("\n")
+    assert array_report == json.dumps(classification_report(list_classes), indent=2).split("\n")
+    assert bool(array_classes) == bool(len(y))
+    if levels == (2, 2, 2, 2, 3):
+        assert cross_check_classes(array_classes) == cross_check_classes(list_classes) == []
+    assert np.array_equal(y, runs_matrix(designs, amb.run_count))
