@@ -9,9 +9,21 @@ Two independent routes:
   slices recombine exactly when the margin counts over the remaining
   factors sum to the uniform target.  Slice candidates are enumerated by
   a backtracking search over the sub-ambient with exact margin counters
-  and remaining-capacity pruning, then joined by grouping on margin-count
-  vectors.  Every output is cross-checked against the algebraic
-  characterization (idempotency plus size/contrast system).
+  and remaining-capacity pruning, then joined on their margin counts.
+  Every output is cross-checked against the algebraic characterization
+  (idempotency plus size/contrast system).
+
+  The join keys a candidate by its counts on the free margin cells, those
+  whose levels are all >= 1: the candidates share every lower-order
+  margin, and given those the free cells fix the rest, so the key loses
+  nothing.  The counts are packed mixed-radix into one int64 word, or a
+  Python int when the word bound is not below 2^62, and grouped by one
+  np.unique.  The first r - 2 slice levels loop in Python, level r - 1
+  takes every fitting key at once, and one searchsorted finds the last.
+  The join returns key ids and the exact design count.  It raises
+  ProblemTooLargeError as soon as the count passes the design ceiling,
+  the most designs whose B x m int64 membership matrix fits in
+  _MATRIX_BUDGET bytes, before any design is built.
 
 * `brute_force_oracle` - plain enumeration of all size-s subsets filtered
   by direct margin counting, for small ambients.  Used to validate the
@@ -27,11 +39,12 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from multiprocessing import get_context
 
 import numpy as np
 
+from .algebra import _exact_dtype
 from .designs import Design, FullFactorial, margin_cells
 from .fastcheck import bitset_keys, get_checker, key_order, matrix_designs, runs_matrix
 
@@ -39,9 +52,14 @@ from .fastcheck import bitset_keys, get_checker, key_order, matrix_designs, runs
 # search are fixed per task when it runs on several workers.
 _SPLIT_DEPTH = 6
 
+# The sliced enumeration refuses a problem whose B x m int64 membership
+# matrix would take more bytes than this: 10^6 designs at m = 96, 2 * 10^6
+# on the 48-run flagship ambient.
+_MATRIX_BUDGET = 768 * 10**6
+
 
 class ProblemTooLargeError(ValueError):
-    """The brute-force subset space exceeds the configured ceiling."""
+    """The brute-force subset space, or the number of designs, exceeds its ceiling."""
 
 
 class CrossCheckError(RuntimeError):
@@ -208,45 +226,118 @@ def _embedding_tables(ambient: FullFactorial, p: int) -> list[list[int]]:
     return tables
 
 
-def _join_assignments(keys, buckets, target, n_levels):
-    """All n_levels-tuples of vector keys whose componentwise sum is target."""
-    n_cells = len(target)
-    assignments: list[tuple] = []
-    stack: list = []
+def _free_cells(sub: FullFactorial, strength: int) -> np.ndarray:
+    """The ids, in margin_cells(sub, strength), of the cells whose levels are all >= 1.
 
-    def rec(level: int, partial: tuple[int, ...]) -> None:
-        if level == n_levels - 1:
-            need = tuple(t - p for t, p in zip(target, partial))
-            if all(v >= 0 for v in need) and need in buckets:
-                assignments.append(tuple(stack) + (need,))
+    Subset s numbers its cells from starts[s] on by the mixed-radix value
+    of their levels, first factor most significant: row-major order.
+    """
+    table = margin_cells(sub, strength)
+    free = [np.zeros(0, dtype=np.int64)]
+    for start, subset in zip(table.starts.tolist(), table.subsets):
+        levels = np.indices([sub.radices[j] for j in subset]).reshape(len(subset), -1)
+        free.append(start + np.flatnonzero(np.all(levels >= 1, axis=0)))
+    return np.concatenate(free)
+
+
+@dataclass(frozen=True)
+class _SliceKeys:
+    """Slice candidates grouped by their counts on the free margin cells.
+
+    Candidate i has key pool[i].  Key k has the free-cell counts free[k] and
+    the mixed-radix word packed[k] = free[k] @ weights, strictly increasing
+    in k; target holds the free cells' counts in a whole fraction.
+    """
+
+    pool: np.ndarray
+    free: np.ndarray
+    packed: np.ndarray
+    weights: np.ndarray
+    target: np.ndarray
+
+
+def _slice_keys(sub: FullFactorial, candidates: np.ndarray, size: int, strength: int):
+    """Key the slice candidates (one sub-ambient run tuple per row) by their
+    counts on the free cells of the size-`strength` margins, or None when
+    `size` is not a multiple of every margin volume.
+
+    A cell is free when its levels are all >= 1.  Every candidate has the
+    same lower-order margins, and given those the free cells fix every
+    other cell, so two candidates share a key exactly when they share
+    every margin count.  What the target leaves for the last slice has
+    those lower-order margins too, so its free cells fix it as well.
+    """
+    table = margin_cells(sub, strength)
+    if np.any(size % table.volumes):
+        return None
+    free = _free_cells(sub, strength)
+    target = size // table.volumes[free]
+    counts = runs_matrix(candidates, sub.run_count) @ table.incidence[:, free]
+    # Digit c runs over 0 .. radix[c] - 1, which holds the key counts and
+    # the target, so packing is injective on every count the join compares,
+    # and each word it forms is below prod(radix) in magnitude.
+    radix = np.maximum(counts.max(axis=0, initial=0), target) + 1
+    dtype = _exact_dtype(prod(radix.tolist()))
+    weights = np.ones(len(radix), dtype=dtype)
+    for c in range(len(radix) - 2, -1, -1):
+        weights[c] = weights[c + 1] * int(radix[c + 1])
+    packed, first, pool = np.unique(counts.astype(dtype) @ weights, return_index=True, return_inverse=True)
+    return _SliceKeys(pool, counts[first], packed, weights, target)
+
+
+def _join_assignments(keys: _SliceKeys, n_levels: int, ceiling: int) -> tuple[np.ndarray, int]:
+    """Every n_levels-tuple of key ids whose free-cell counts sum to the target,
+    one per row in no particular order, and the exact number of designs they
+    make: the sum over rows of the product of the rows' pool sizes.
+
+    Levels 0 .. n_levels - 3 loop in Python over the keys that still fit
+    under the target.  Level n_levels - 2 takes every fitting key at once,
+    and the last level is the key whose word is the target's minus the
+    others': one searchsorted.  The counts left for the last level lie in
+    [0, target], within every digit's range, where packing is injective.
+
+    Raises ProblemTooLargeError as soon as the count exceeds `ceiling`.
+    """
+    free, packed, target = keys.free, keys.packed, keys.target
+    # Each row's product, and their sum, is at most len(pool)^n_levels.
+    pool_sizes = np.bincount(keys.pool).astype(_exact_dtype(len(keys.pool) ** n_levels))
+    goal = target @ keys.weights
+    chunks: list[np.ndarray] = []
+    count = 0
+
+    def join(prefix: list[int], partial: np.ndarray, word) -> None:
+        nonlocal count
+        fits = np.flatnonzero(np.all(free <= target - partial, axis=1))
+        if len(prefix) < n_levels - 2:
+            for k in fits.tolist():
+                join(prefix + [k], partial + free[k], word + packed[k])
             return
-        for key in keys:
-            if all(k + p <= t for k, p, t in zip(key, partial, target)):
-                stack.append(key)
-                rec(level + 1, tuple(k + p for k, p in zip(key, partial)))
-                stack.pop()
+        need = goal - word - packed[fits]
+        last = np.minimum(np.searchsorted(packed, need), len(packed) - 1)
+        hit = packed[last] == need
+        rows = np.empty((int(np.count_nonzero(hit)), n_levels), dtype=np.int64)
+        rows[:, :-2] = prefix
+        rows[:, -2] = fits[hit]
+        rows[:, -1] = last[hit]
+        count += int(pool_sizes[rows].prod(axis=1).sum())
+        if count > ceiling:
+            raise ProblemTooLargeError(f"more than {ceiling} designs, the design ceiling for this ambient")
+        chunks.append(rows)
 
-    if n_cells == 0:
-        assignments.extend(itertools.product(keys, repeat=n_levels))
-    else:
-        rec(0, (0,) * n_cells)
-    return assignments
+    join([], np.zeros_like(target), 0)
+    return np.concatenate([np.zeros((0, n_levels), dtype=np.int64), *chunks]), count
 
 
-def _materialize(assignments, buckets, embed) -> np.ndarray:
+def _materialize(ids: np.ndarray, pool: np.ndarray, candidates: np.ndarray, embed) -> np.ndarray:
     """The runs of every candidate combination of every key assignment, one
     design per row (unsorted), by index arithmetic over all rows at once.
 
     Row j of an assignment with pool sizes n_0..n_{r-1} takes, at level c,
     candidate (j // (n_{c+1} ... n_{r-1})) % n_c of the pool of its key.
     """
-    keys = sorted(buckets)
-    key_id = {key: i for i, key in enumerate(keys)}
-    pool_sizes = np.array([len(buckets[key]) for key in keys], dtype=np.int64)
+    pool_sizes = np.bincount(pool)
     pool_starts = np.cumsum(pool_sizes) - pool_sizes
-    pooled = [cand for key in keys for cand in buckets[key]]
-    candidates = np.array(pooled, dtype=np.int64).reshape(len(pooled), len(pooled[0]))
-    ids = np.array([[key_id[key] for key in a] for a in assignments], dtype=np.int64)
+    candidates = candidates[np.argsort(pool, kind="stable")]
     sizes = pool_sizes[ids]
     totals = sizes.prod(axis=1)
     which = np.repeat(np.arange(len(ids)), totals)
@@ -273,26 +364,16 @@ def _sliced_enumeration(problem: SearchProblem) -> np.ndarray:
         return empty
     q = problem.size // r
     sub = _sub_ambient(ambient, p)
-    candidates = _parallel_backtrack(sub, q, problem.strength - 1, problem.workers)
-    if not candidates:
+    raw = _parallel_backtrack(sub, q, problem.strength - 1, problem.workers)
+    candidates = np.array(raw, dtype=np.int64).reshape(len(raw), q)
+    keys = _slice_keys(sub, candidates, problem.size, problem.strength)
+    if keys is None:
         return empty
-
-    # Join keys: the candidates' margin counts over the size-t subsets of
-    # the sub-ambient (none when t exceeds its factor count).
-    table = margin_cells(sub, problem.strength)
-    if np.any(problem.size % table.volumes):
-        return empty
-    target = tuple((problem.size // table.volumes).tolist())
-    vectors = map(tuple, table.count(runs_matrix(candidates, sub.run_count)).tolist())
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for cand, vec in zip(candidates, vectors):
-        buckets.setdefault(vec, []).append(cand)
-    keys = sorted(buckets)
-    assignments = _join_assignments(keys, buckets, target, r)
-    if not assignments:
+    ids, _ = _join_assignments(keys, r, _MATRIX_BUDGET // (8 * ambient.run_count))
+    if not len(ids):
         return empty
     embed = np.array(_embedding_tables(ambient, p), dtype=np.int64)
-    return _materialize(assignments, buckets, embed)
+    return _materialize(ids, keys.pool, candidates, embed)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ None of these is used by the package itself:
 * reference_contrast_matrix, the contrast blocks built entry by entry as
   Fractions (production builds the int rows from the index vectors);
 * read_designs, the design-list reader as it was before the canonical
-  lines were parsed in bulk: every line on its own.
+  lines were parsed in bulk: every line on its own;
+* join_assignments, the slice join as it was before it ran on packed
+  free-cell keys: a recursion over full margin-count tuples.
 """
 
 from __future__ import annotations
@@ -218,3 +220,28 @@ def read_designs(fh, ambient: FullFactorial) -> list[Design]:
         except (IndexError, ValueError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return designs
+
+
+def join_assignments(keys, buckets, target, n_levels):
+    """All n_levels-tuples of vector keys whose componentwise sum is target."""
+    n_cells = len(target)
+    assignments: list[tuple] = []
+    stack: list = []
+
+    def rec(level: int, partial: tuple[int, ...]) -> None:
+        if level == n_levels - 1:
+            need = tuple(t - p for t, p in zip(target, partial))
+            if all(v >= 0 for v in need) and need in buckets:
+                assignments.append(tuple(stack) + (need,))
+            return
+        for key in keys:
+            if all(k + p <= t for k, p, t in zip(key, partial, target)):
+                stack.append(key)
+                rec(level + 1, tuple(k + p for k, p in zip(key, partial)))
+                stack.pop()
+
+    if n_cells == 0:
+        assignments.extend(itertools.product(keys, repeat=n_levels))
+    else:
+        rec(0, (0,) * n_cells)
+    return assignments

@@ -57,6 +57,18 @@ def test_enumerate_oracle_ceiling_exit_3(capsys):
     assert "ceiling" in capsys.readouterr().err
 
 
+def test_enumerate_design_ceiling_exit_3(monkeypatch, capsys, tmp_path):
+    # The join counts the designs before any is built; past the ceiling
+    # nothing is written and one error line names the ceiling.  A budget
+    # of one 8-run int64 row puts the ceiling at 1 design.
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 8 * 8)
+    path = tmp_path / "designs.txt"
+    code = main(["enumerate", "--levels", "2,2,2", "--size", "4", "--strength", "2", "--out", str(path)])
+    assert code == 3
+    assert capsys.readouterr().err == "error: more than 1 designs, the design ceiling for this ambient\n"
+    assert not path.exists()
+
+
 def test_classify_pipeline(tmp_path, capsys):
     designs = tmp_path / "designs.txt"
     report = tmp_path / "report.json"

@@ -10,9 +10,15 @@ from conftest import random_ambient, sign_fraction
 from orthofrac.algebra import verify_theta, indicator_from_design
 from orthofrac.catalog import cross_check_classes
 from orthofrac.classify import act, classification_report, classify, classify_matrix, generate_group
-from orthofrac.designs import full_design, full_factorial, has_strength
+from orthofrac import algebra, search
+from orthofrac.designs import default_levels, full_design, full_factorial, has_strength, margin_cells
 from orthofrac.fastcheck import runs_matrix
 from orthofrac.search import (
+    _backtrack_subsets,
+    _free_cells,
+    _join_assignments,
+    _slice_keys,
+    _sub_ambient,
     ProblemTooLargeError,
     SearchProblem,
     brute_force_matrix,
@@ -151,6 +157,128 @@ def test_oracle_ceiling():
         brute_force_oracle(SearchProblem(amb, 24, 2))  # C(48,24) >> default ceiling
     with pytest.raises(ProblemTooLargeError):
         brute_force_oracle(SearchProblem(full_factorial([2, 2, 2]), 4, 2, oracle_ceiling=10))
+
+
+def _slices(amb, p, size, strength):
+    """The sub-ambient, the slice candidates and their keys for slicing factor p."""
+    sub = _sub_ambient(amb, p)
+    q = size // amb.radices[p]
+    candidates = np.array(_backtrack_subsets(sub, q, strength - 1), dtype=np.int64)
+    candidates = candidates.reshape(len(candidates), q)
+    return sub, candidates, _slice_keys(sub, candidates, size, strength)
+
+
+def test_join_matches_reference_join():
+    # Differential: the packed free-cell join gives the key assignments of
+    # the recursion over full margin-count tuples, for every slicing factor,
+    # divisible size and strength of random ambients, and counts their designs.
+    rng = random.Random(29)
+    levels_seen, empty_keys_seen = set(), False
+    ambients = [full_factorial([5, 3]), full_factorial([4, 2, 2])]
+    ambients += [random_ambient(rng) for _ in range(40)]
+    for amb in ambients:
+        if amb.n_factors < 2:
+            continue
+        for p, r in enumerate(amb.radices):
+            for size in range(0, amb.run_count + 1, r):
+                for strength in range(1, amb.n_factors + 1):
+                    sub, candidates, keys = _slices(amb, p, size, strength)
+                    table = margin_cells(sub, strength)
+                    if keys is None:
+                        assert np.any(size % table.volumes)
+                        continue
+                    vectors = [tuple(v) for v in table.count(runs_matrix(candidates, sub.run_count)).tolist()]
+                    buckets = {}
+                    for cand, vec in zip(candidates.tolist(), vectors):
+                        buckets.setdefault(vec, []).append(cand)
+                    target = tuple((size // table.volumes).tolist())
+                    expected = reference.join_assignments(sorted(buckets), buckets, target, r)
+                    ids, count = _join_assignments(keys, r, ceiling=10**12)
+                    full = {k: vectors[i] for i, k in enumerate(keys.pool.tolist())}
+                    assert sorted(tuple(full[k] for k in row) for row in ids.tolist()) == sorted(expected)
+                    assert count == sum(np.prod([len(buckets[key]) for key in a]) for a in expected)
+                    levels_seen.add(r)
+                    empty_keys_seen |= not len(target)
+    assert levels_seen == {2, 3, 4, 5} and empty_keys_seen
+
+
+def test_free_cells_are_the_cells_with_all_levels_positive():
+    # Read from the cell numbering, the free cells are those a run with
+    # every level >= 1 on the subset's factors falls in.
+    rng = random.Random(31)
+    for amb in [full_factorial([4, 3, 2])] + [random_ambient(rng) for _ in range(20)]:
+        runs = np.array([amb.decode(i) for i in range(amb.run_count)])
+        for strength in range(1, amb.n_factors + 2):
+            table = margin_cells(amb, strength)
+            expected = set()
+            for s, subset in enumerate(table.subsets):
+                expected.update(table.cells[np.all(runs[:, list(subset)] >= 1, axis=1), s].tolist())
+            assert _free_cells(amb, strength).tolist() == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "levels, size, count",
+    [((2, 2, 2, 2, 3), 24, 35200), ((3, 3, 3, 3), 18, 24696), ((2,) * 6, 16, 65100)],
+)
+def test_join_count_and_key_injectivity(levels, size, count):
+    # The join's exact count is the number of designs, and packing only the
+    # free cells of the candidates' margins loses no distinction between them.
+    amb = full_factorial(levels)
+    problem = SearchProblem(amb, size, 2)
+    p = len(levels) - 1
+    sub, candidates, keys = _slices(amb, p, size, 2)
+    assert _join_assignments(keys, amb.radices[p], ceiling=10**12)[1] == count
+    assert len(enumerate_matrix(problem)) == count
+    vectors = margin_cells(sub, 2).count(runs_matrix(candidates, sub.run_count))
+    assert len(keys.packed) == len(np.unique(vectors, axis=0))
+
+
+def test_design_ceiling(monkeypatch):
+    # The ceiling is the number of m-run int64 membership rows that fit the
+    # budget: the flagship's 35,200 designs need 35,200 * 48 * 8 bytes.
+    flagship = SearchProblem(full_factorial([2, 2, 2, 2, 3]), 24, 2)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 35200 * 48 * 8 - 1)
+    with pytest.raises(ProblemTooLargeError, match="more than 35199 designs"):
+        enumerate_matrix(flagship)
+    problem = SearchProblem(full_factorial([2, 2, 2]), 4, 2)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 2 * 8 * 8)
+    assert len(enumerate_matrix(problem)) == 2
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 2 * 8 * 8 - 1)
+    with pytest.raises(ProblemTooLargeError, match="more than 1 designs"):
+        enumerate_matrix(problem)
+
+
+def test_python_int_packing_gives_the_same_designs(monkeypatch):
+    # Above the int64 bound, the keys, the join and its count run on Python ints.
+    problems = [SearchProblem(full_factorial(levels), size, t)
+                for levels, size, t in (((3, 3, 3), 9, 2), ((2, 2, 2, 2), 8, 2), ((2, 2, 3), 6, 1))]
+    expected = [enumerate_matrix(problem) for problem in problems]
+    monkeypatch.setattr(algebra, "_INT64_SAFE", 0)
+    _, _, keys = _slices(problems[0].ambient, 2, 9, 2)
+    assert keys.packed.dtype == object
+    for problem, y in zip(problems, expected):
+        assert np.array_equal(enumerate_matrix(problem), y)
+
+
+def test_engine_matches_oracle_on_random_ambients():
+    # Differential: engine == oracle on seeded random ambients (rational
+    # level sets half the time) at proper sizes that every margin volume divides.
+    rng = random.Random(47)
+    compared, rational, several = 0, 0, 0
+    while compared < 40:
+        amb = random_ambient(rng)
+        t = rng.randint(1, amb.n_factors)
+        volumes = margin_cells(amb, t).volumes
+        sizes = [s for s in range(1, amb.run_count) if not np.any(s % volumes)]
+        if not sizes:
+            continue
+        problem = SearchProblem(amb, rng.choice(sizes), t)
+        engine = enumerate_orthogonal(problem)
+        assert engine == brute_force_oracle(problem)
+        compared += 1
+        rational += any(f.levels != default_levels(f.arity) for f in amb.factors)
+        several += len(engine) > 1
+    assert rational >= 10 and several >= 10
 
 
 def test_flagship_strength_three_fractions():
