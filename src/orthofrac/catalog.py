@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import design_from_indicator
-from .classify import canonical_form
+from .classify import in_orbit
 from .designs import FullFactorial, from_level_sets
+from .fastcheck import bitset_keys, runs_matrix
 from .polynomials import parse_polynomial
 
 FLAGSHIP_ARITIES = (2, 2, 2, 2, 3)
@@ -418,22 +419,27 @@ def cross_check_classes(classes) -> list[str]:
 
     Every catalog representative must land in exactly one computed class
     whose invariants and orbit size match its entry, and every class must
-    be hit exactly once.  Catalog designs and class representatives are
-    both matched by their canonical form, so any orbit member may
-    represent a class.  Returns a list of discrepancies (empty = pass).
+    be hit exactly once.  The orbit of each catalog design is closed once,
+    and a class is hit when its representative lies in that orbit, so any
+    orbit member may represent a class.  Returns a list of discrepancies
+    (empty = pass).
     """
     problems: list[str] = []
     classes = list(classes)
     if len(classes) != len(CATALOG):
         problems.append(f"expected {len(CATALOG)} classes, got {len(classes)}")
-    class_of = {canonical_form(c.representative): k for k, c in enumerate(classes)}
+    m = flagship_ambient().run_count
+    reps = bitset_keys(runs_matrix([c.representative for c in classes], m))
 
     hits: dict[int, int] = {}
     for entry, design in catalog_designs():
-        k = class_of.get(canonical_form(design))
-        if k is None:
+        found = in_orbit(design, reps).nonzero()[0]
+        if not len(found):
             problems.append(f"catalog type {entry.type_label} not found in any class")
             continue
+        # Of several classes in one orbit only the last is hit, so the
+        # others are reported as matching no entry.
+        k = int(found[-1])
         hits[k] = hits.get(k, 0) + 1
         c = classes[k]
         if c.orbit_size != entry.orbit_size:

@@ -6,9 +6,13 @@ a permutation of the run indices; the group is one cached G x m table of
 them.  Acting on a design is a gather from it, and acting on an indicator
 coefficient vector conjugates the run permutation by the model matrix.
 
-An orbit is packed into one bitset per image (ceil(m/64) big-endian 64-bit
-words, run r at bit 63 - r % 64 of word r // 64), so the largest bitset of
-an orbit is its lexicographically least design: the canonical form.
+A design's key is ceil(m/64) uint64 words, run r at bit 63 - r % 64 of
+word r // 64, so the largest key of an orbit is its lexicographically
+least design: the canonical form.  The keys of all G images are summed
+from the one-run keys of the table's columns (fastcheck.run_keys), one run
+at a time.  classify closes each orbit once, from the first input design
+not yet seen, and keeps only its largest key and its size unless members
+are asked for.
 """
 
 from __future__ import annotations
@@ -29,7 +33,15 @@ from .designs import (
     invariant_triples,
     supports_triple_invariant,
 )
-from .fastcheck import bitset_keys, key_order, matrix_runs, runs_matrix
+from .fastcheck import (
+    bitset_keys,
+    find_keys,
+    key_order,
+    key_runs,
+    run_keys,
+    runs_matrix,
+    search_keys,
+)
 from .polynomials import Polynomial
 
 
@@ -115,40 +127,44 @@ def act_theta(g: GroupElement, poly: Polynomial) -> Polynomial:
     return polynomial_from_values(permuted, den, g.ambient)
 
 
-def _run_tuples(keys: np.ndarray) -> list[tuple[int, ...]]:
-    """The run set of every bitset key."""
-    return matrix_runs(np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1))
+def _images(ambient: FullFactorial, runs) -> np.ndarray:
+    """The key of the design with these runs under every group element, in table order."""
+    table, singles = run_perm_table(ambient), run_keys(ambient.run_count)
+    keys = np.zeros((len(table), singles.shape[1]), dtype=np.uint64)
+    # One run at a time: each step gathers one table column, and the G x W
+    # sum stays in cache.
+    for r in np.asarray(runs, dtype=np.int64).tolist():
+        keys += singles.take(table[:, r], axis=0)
+    return keys
 
 
-def _image_keys(ambient: FullFactorial, runs) -> np.ndarray:
-    """The bitset of the design with these runs under every group element, in table order."""
-    table = run_perm_table(ambient)
-    bits = np.zeros(table.shape, dtype=bool)
-    bits[np.arange(len(table))[:, None], table[:, np.array(runs, dtype=np.int64)]] = True
-    return bitset_keys(bits)
-
-
-def _orbit_keys(ambient: FullFactorial, runs) -> np.ndarray:
-    """The sorted distinct bitsets of the orbit; the last one is the canonical form."""
-    keys = _image_keys(ambient, runs)
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct key rows; the last one is the largest."""
     keys = keys[key_order(keys)]
-    return keys[np.r_[True, keys[1:] != keys[:-1]]]
+    return keys[np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]]
 
 
 def canonical_form(design: Design) -> tuple[int, ...]:
     """The runs of the lexicographically least design in the orbit."""
-    return _run_tuples(_orbit_keys(design.ambient, design.runs)[-1:])[0]
+    return key_runs(_distinct(_images(design.ambient, design.runs))[-1:])[0]
 
 
 def orbit_of(design: Design) -> set[tuple[int, ...]]:
     """Run tuples of the full group orbit of one design."""
-    return set(_run_tuples(_orbit_keys(design.ambient, design.runs)))
+    return set(key_runs(_distinct(_images(design.ambient, design.runs))))
+
+
+def in_orbit(design: Design, keys: np.ndarray) -> np.ndarray:
+    """Which rows of keys (fastcheck.bitset_keys of designs of the same
+    ambient) lie in the orbit of the design."""
+    return find_keys(search_keys(_distinct(_images(design.ambient, design.runs))), keys)[1]
 
 
 def stabilizer_size(design: Design) -> int:
     """The number of group elements that map the design onto itself."""
+    images = _images(design.ambient, design.runs)
     own = bitset_keys(runs_matrix([design], design.ambient.run_count))
-    return int(np.count_nonzero(_image_keys(design.ambient, design.runs) == own))
+    return int(np.count_nonzero(np.all(images == own, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -193,30 +209,35 @@ def classify_matrix(
         return []
     keys = bitset_keys(y)
     order = key_order(keys)
-    sorted_keys = keys[order]
-    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+    ordered = search_keys(keys[order])
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("designs must be pairwise distinct")
 
-    seen = np.zeros(len(y), dtype=bool)
-    orbits = []
-    for idx in range(len(y)):
-        if seen[idx]:
-            continue
-        orbit = _orbit_keys(ambient, np.flatnonzero(y[idx]))
-        pos = np.minimum(np.searchsorted(sorted_keys, orbit), len(y) - 1)
-        seen[order[pos[sorted_keys[pos] == orbit]]] = True
-        orbits.append(orbit)
+    unseen = np.ones(len(y), dtype=bool)
+    tops, sizes, orbits = [], [], []
+    idx = 0
+    while idx < len(y):
+        orbit = _distinct(_images(ambient, np.flatnonzero(y[idx])))
+        pos, found = find_keys(ordered, orbit)
+        unseen[order[pos[found]]] = False
+        tops.append(orbit[-1])
+        sizes.append(len(orbit))
+        if store_members:
+            orbits.append(orbit)
+        # Row idx lies in its own orbit, so argmax is 0 only when no row is unseen.
+        step = int(np.argmax(unseen[idx:]))
+        idx = idx + step if step else len(y)
 
-    reps = _run_tuples(np.concatenate([orbit[-1:] for orbit in orbits]))
-    invariants = [None] * len(orbits)
+    reps = key_runs(np.array(tops))
+    invariants = members = [None] * len(reps)
     if supports_triple_invariant(ambient) and np.all(np.count_nonzero(y, axis=1) == 24):
         invariants = invariant_triples(ambient, runs_matrix(reps, ambient.run_count))
-    classes = []
-    for orbit, rep, inv in zip(orbits, reps, invariants):
-        members = None
-        if store_members:
-            members = tuple(Design(ambient, runs) for runs in reversed(_run_tuples(orbit)))
-        classes.append(EquivalenceClass(Design(ambient, rep), len(orbit), inv, members))
+    if store_members:
+        members = [tuple(Design(ambient, r) for r in reversed(key_runs(o))) for o in orbits]
+    classes = [
+        EquivalenceClass(Design(ambient, rep), size, inv, mem)
+        for rep, size, inv, mem in zip(reps, sizes, invariants, members)
+    ]
     classes.sort(key=lambda c: c.sort_key)
     return classes
 

@@ -17,7 +17,8 @@ quadratic system is only the tests' reference.
 A list of designs travels between the search, the designs file and
 classify as one membership matrix: a B x m int64 array with one 0/1 row
 per design.  runs_matrix builds it, matrix_runs and matrix_designs read
-it back, and bitset_keys and key_order pack and sort its rows.
+it back, bitset_keys packs its rows into uint64 words, key_runs reads
+them back, and key_order sorts them.
 """
 
 from __future__ import annotations
@@ -59,19 +60,52 @@ def matrix_designs(ambient: FullFactorial, y: np.ndarray) -> list[Design]:
 
 
 def bitset_keys(y: np.ndarray) -> np.ndarray:
-    """The key of every 0/1 membership row: padded to whole 64-bit words and
-    packed big-endian, run r at bit 63 - r % 64 of word r // 64."""
+    """The key of every 0/1 membership row: ceil(m/64) uint64 words, run r
+    at bit 63 - r % 64 of word r // 64."""
     padded = np.zeros((len(y), -(-y.shape[1] // 64) * 64), dtype=bool)
     padded[:, : y.shape[1]] = y
-    return np.packbits(padded, axis=1).view(f"V{padded.shape[1] // 8}").ravel()
+    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
+
+
+def key_runs(keys: np.ndarray) -> list[tuple[int, ...]]:
+    """The sorted runs of every key row: the inverse of bitset_keys."""
+    return matrix_runs(np.unpackbits(keys.astype(">u8").view(np.uint8), axis=1))
+
+
+@lru_cache(maxsize=None)
+def run_keys(m: int) -> np.ndarray:
+    """The m x ceil(m/64) keys of the one-run designs (read-only).  A design's
+    key is the sum of its runs' keys: their bits are disjoint, so the sum is
+    their OR."""
+    keys = bitset_keys(np.eye(m, dtype=bool))
+    keys.flags.writeable = False
+    return keys
 
 
 def key_order(keys: np.ndarray) -> np.ndarray:
-    """The argsort of bitset keys (lexsort on their words: faster than sorting
-    the bytes).  Among designs of one size, descending keys are ascending run
-    tuples: the smallest run in which two designs differ is in the one whose
-    tuple sorts first, and sets its bit."""
-    return np.lexsort(keys.view(">u8").reshape(len(keys), keys.itemsize // 8).T[::-1])
+    """The argsort of keys, lexicographic over their words: one uint64 column
+    for m <= 64, a lexsort otherwise.  Among designs of one size, descending
+    keys are ascending run tuples: the smallest run in which two designs
+    differ is in the one whose tuple sorts first, and sets its bit."""
+    if keys.shape[1] == 1:
+        return np.argsort(keys[:, 0])
+    return np.lexsort(keys.T[::-1])
+
+
+def search_keys(keys: np.ndarray) -> np.ndarray:
+    """A 1-D array whose order and equality are those of the key rows, for
+    np.searchsorted: the word itself, or the rows' big-endian bytes."""
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    return np.ascontiguousarray(keys.astype(">u8")).view(f"V{keys.shape[1] * 8}").ravel()
+
+
+def find_keys(ordered: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each key row, its position in a sorted, non-empty search_keys array
+    and whether the key is there."""
+    needles = search_keys(keys)
+    pos = np.minimum(np.searchsorted(ordered, needles), len(ordered) - 1)
+    return pos, ordered[pos] == needles
 
 
 class BatchChecker:

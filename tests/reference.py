@@ -18,7 +18,11 @@ None of these is used by the package itself:
 * read_designs, the design-list reader as it was before the canonical
   lines were parsed in bulk: every line on its own;
 * join_assignments, the slice join as it was before it ran on packed
-  free-cell keys: a recursion over full margin-count tuples.
+  free-cell keys: a recursion over full margin-count tuples;
+* image_keys and orbit_keys, the orbit closure as it was before the keys
+  were summed from one-run uint64 words: a bool scatter of every image
+  into a G x m array, packed into one big-endian void key per image, and
+  the canonical form, orbit and stabilizer read from them.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from orthofrac.algebra import (
     orthogonality_system,
     theta_vector,
 )
+from orthofrac.classify import run_perm_table
 from orthofrac.designs import Design, FullFactorial, all_points
 from orthofrac.linalg import Matrix
 from orthofrac.polynomials import Polynomial, _power_table
@@ -245,3 +250,40 @@ def join_assignments(keys, buckets, target, n_levels):
     else:
         rec(0, (0,) * n_cells)
     return assignments
+
+
+def _packed_keys(ambient: FullFactorial, images: np.ndarray) -> np.ndarray:
+    """One big-endian void key per row of run indices, padded to whole 64-bit words."""
+    bits = np.zeros((len(images), -(-ambient.run_count // 64) * 64), dtype=bool)
+    bits[np.arange(len(images))[:, None], images] = True
+    return np.packbits(bits, axis=1).view(f"V{bits.shape[1] // 8}").ravel()
+
+
+def image_keys(ambient: FullFactorial, runs) -> np.ndarray:
+    """The bitset of the design with these runs under every group element, in table order."""
+    return _packed_keys(ambient, run_perm_table(ambient)[:, np.array(runs, dtype=np.int64)])
+
+
+def orbit_keys(ambient: FullFactorial, runs) -> np.ndarray:
+    """The sorted distinct bitsets of the orbit; the last one is the canonical form."""
+    keys = image_keys(ambient, runs)
+    keys = keys[np.lexsort(keys.view(">u8").reshape(len(keys), -1).T[::-1])]
+    return keys[np.r_[True, keys[1:] != keys[:-1]]]
+
+
+def _key_runs(keys: np.ndarray) -> list[tuple[int, ...]]:
+    bits = np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1)
+    return [tuple(np.flatnonzero(row).tolist()) for row in bits]
+
+
+def canonical_form(design: Design) -> tuple[int, ...]:
+    return _key_runs(orbit_keys(design.ambient, design.runs)[-1:])[0]
+
+
+def orbit_of(design: Design) -> set[tuple[int, ...]]:
+    return set(_key_runs(orbit_keys(design.ambient, design.runs)))
+
+
+def stabilizer_size(design: Design) -> int:
+    own = _packed_keys(design.ambient, np.array(design.runs, dtype=np.int64).reshape(1, -1))
+    return int(np.count_nonzero(image_keys(design.ambient, design.runs) == own))

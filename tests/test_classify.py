@@ -1,18 +1,23 @@
 import dataclasses
 import random
+from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 import pytest
 
-from conftest import sign_fraction
+import reference
+from conftest import random_ambient, sign_fraction
 from orthofrac.algebra import indicator_from_design
-from orthofrac.catalog import cross_check_classes
+from orthofrac.catalog import CATALOG, cross_check_classes
 from orthofrac.classify import (
     act,
     act_theta,
     canonical_form,
     classify,
     generate_group,
+    in_orbit,
     orbit_of,
     stabilizer_size,
     table_report,
@@ -20,9 +25,11 @@ from orthofrac.classify import (
 from orthofrac.designs import (
     Design,
     ShapeMismatchError,
+    from_level_sets,
     full_factorial,
     has_strength,
 )
+from orthofrac.fastcheck import bitset_keys, runs_matrix
 from orthofrac.search import SearchProblem, enumerate_orthogonal
 
 
@@ -263,3 +270,117 @@ def test_cross_check_accepts_any_orbit_member_as_representative(flagship_classes
     # A representative taken from another class is caught.
     classes[0] = dataclasses.replace(classes[0], representative=classes[1].representative)
     assert cross_check_classes(classes) != []
+
+
+def _group_order(ambient):
+    """|G| from the arities alone: level permutations times same-arity factor swaps."""
+    arities = Counter(ambient.radices)
+    return prod(factorial(r) ** k * factorial(k) for r, k in arities.items())
+
+
+def _random_design(ambient, rng):
+    m = ambient.run_count
+    return Design(ambient, tuple(sorted(rng.sample(range(m), rng.randint(0, m)))))
+
+
+def _check_closure_against_reference(ambient, rng, n_designs):
+    order = _group_order(ambient)
+    for _ in range(n_designs):
+        d = _random_design(ambient, rng)
+        orbit = orbit_of(d)
+        assert orbit == reference.orbit_of(d)
+        assert canonical_form(d) == reference.canonical_form(d) == min(orbit)
+        stab = stabilizer_size(d)
+        assert stab == reference.stabilizer_size(d)
+        assert len(orbit) * stab == order
+        # Classify a sample of the orbit: one class, the full orbit, its least member.
+        sample = rng.sample(sorted(orbit), min(len(orbit), 20))
+        (c,) = classify([Design(ambient, runs) for runs in sample])
+        assert (c.representative.runs, c.orbit_size) == (min(orbit), len(orbit))
+        others = [_random_design(ambient, rng).runs for _ in range(5)]
+        keys = bitset_keys(runs_matrix(sample + others, ambient.run_count))
+        assert in_orbit(d, keys).tolist() == [runs in orbit for runs in sample + others]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_word_closure_matches_bool_scatter_on_random_ambients(seed):
+    rng = random.Random(seed)
+    _check_closure_against_reference(random_ambient(rng), rng, 4)
+
+
+_WIDE = {
+    # m = 81 and m = 80 take two words; 2^6 fills exactly one.
+    "3^4": full_factorial([3, 3, 3, 3]),
+    "2^4*5-rational": from_level_sets(
+        [(0, Fraction(1, 2))] * 2
+        + [(-1, Fraction(1, 3)), (Fraction(-1, 2), 2)]
+        + [(-2, Fraction(-1, 3), 0, Fraction(1, 2), 3)]
+    ),
+    "2^6": full_factorial([2] * 6),
+}
+
+
+@pytest.mark.parametrize("name", list(_WIDE))
+def test_word_closure_matches_bool_scatter_on_wide_ambients(name):
+    _check_closure_against_reference(_WIDE[name], random.Random(name), 3)
+
+
+def _random_design_list(seed):
+    """40 distinct random designs of a random ambient with at least 8 runs."""
+    rng = random.Random(seed)
+    ambient = random_ambient(rng)
+    while ambient.run_count < 8:
+        ambient = random_ambient(rng)
+    runs = {_random_design(ambient, rng).runs for _ in range(40)}
+    return [Design(ambient, r) for r in sorted(runs)]
+
+
+@pytest.mark.parametrize("subset", [False, True], ids=["full", "subset"])
+@pytest.mark.parametrize("case", ["flagship", "random-a", "random-b"])
+def test_classify_returns_the_same_classes_for_a_relabelled_list(case, subset, flagship_designs):
+    designs = flagship_designs if case == "flagship" else _random_design_list(case)
+    rng = random.Random(f"{case}-{subset}")
+    if subset:
+        designs = rng.sample(designs, len(designs) // 3)
+    g = rng.choice([g for g in generate_group(designs[0].ambient) if not g.is_identity()])
+    relabelled = [act(g, d) for d in designs]
+    rng.shuffle(relabelled)
+
+    def summary(classes):
+        return [(c.representative.runs, c.orbit_size, c.invariants) for c in classes]
+
+    assert summary(classify(relabelled)) == summary(classify(designs))
+
+
+def test_cross_check_passes_with_every_representative_a_random_orbit_member(flagship_classes):
+    rng = random.Random(73)
+    classes = []
+    for c in flagship_classes:
+        runs = rng.choice(sorted(orbit_of(c.representative)))
+        classes.append(dataclasses.replace(c, representative=Design(c.representative.ambient, runs)))
+    moved = sum(a.representative != c.representative for a, c in zip(classes, flagship_classes))
+    assert moved > 50
+    assert cross_check_classes(classes) == []
+
+
+def test_cross_check_problem_strings(flagship_classes):
+    classes = list(flagship_classes)
+    assert cross_check_classes([]) == ["expected 63 classes, got 0"] + [
+        f"catalog type {e.type_label} not found in any class" for e in CATALOG
+    ]
+    assert cross_check_classes(classes[:5] + classes[6:]) == [
+        "expected 63 classes, got 62",
+        "catalog type 0,{0,0,0,0}-1 not found in any class",
+    ]
+    duplicated = ["expected 63 classes, got 64", "some classes matched no catalog entry"]
+    assert cross_check_classes(classes + [classes[7]]) == duplicated
+    assert cross_check_classes([classes[7]] + classes) == duplicated
+    wrong = dataclasses.replace(classes[3], orbit_size=classes[3].orbit_size + 1)
+    assert cross_check_classes(classes[:3] + [wrong] + classes[4:]) == [
+        "type 0,{0,0,0,0}-1: orbit size 73 != 72"
+    ]
+    swapped = dataclasses.replace(classes[0], representative=classes[1].representative)
+    assert cross_check_classes([swapped] + classes[1:]) == [
+        "catalog type 0,{0,0,0,0}-0 not found in any class",
+        "some classes matched no catalog entry",
+    ]

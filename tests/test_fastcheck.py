@@ -30,7 +30,19 @@ from orthofrac.designs import (
     margin_cells,
     margins,
 )
-from orthofrac.fastcheck import BatchChecker, get_checker, matrix_designs, matrix_runs, runs_matrix
+from orthofrac.fastcheck import (
+    BatchChecker,
+    bitset_keys,
+    find_keys,
+    get_checker,
+    key_order,
+    key_runs,
+    matrix_designs,
+    matrix_runs,
+    run_keys,
+    runs_matrix,
+    search_keys,
+)
 from reference import (
     build_model_matrix,
     idempotency_system,
@@ -288,3 +300,23 @@ def test_membership_matrix_round_trip():
     # the ambient's last run is rejected, not turned into a Design.
     with pytest.raises(IndexError):
         matrix_designs(amb, runs_matrix([(0, 12)], 13))
+
+
+@pytest.mark.parametrize("m", [12, 48, 64, 81, 130])
+def test_word_keys_are_sums_of_run_keys_and_sort_as_run_tuples(m):
+    rng = random.Random(m)
+    runs = sorted({tuple(sorted(rng.sample(range(m), 7))) for _ in range(60)})
+    keys = bitset_keys(runs_matrix(runs, m))
+    assert keys.dtype == np.uint64 and keys.shape == (len(runs), -(-m // 64))
+    assert key_runs(keys) == runs
+    singles = run_keys(m)
+    assert np.array_equal(keys, np.stack([singles[list(r)].sum(axis=0) for r in runs]))
+    # Descending keys are ascending run tuples among designs of one size.
+    shuffled = rng.sample(range(len(runs)), len(runs))
+    order = key_order(keys[shuffled])[::-1]
+    assert [runs[shuffled[i]] for i in order] == runs
+    # Binary search over the sorted keys finds every key, and no 8-run design.
+    ordered = search_keys(keys[key_order(keys)])
+    pos, found = find_keys(ordered, keys)
+    assert found.all() and np.array_equal(ordered[pos], search_keys(keys))
+    assert not find_keys(ordered, bitset_keys(runs_matrix([tuple(range(8))], m)))[1].any()
