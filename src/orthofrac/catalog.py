@@ -11,10 +11,11 @@ use it as an independent yardstick.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .algebra import design_from_indicator
 from .classify import in_orbit
-from .designs import FullFactorial, from_level_sets
+from .designs import Design, FullFactorial, from_level_sets
 from .fastcheck import bitset_keys, runs_matrix
 from .polynomials import parse_polynomial
 
@@ -404,14 +405,16 @@ def _entries():
 CATALOG: tuple[CatalogEntry, ...] = _entries()
 
 
-def catalog_designs():
-    """Parse every catalog indicator into a design of the flagship ambient."""
+@cache
+def catalog_designs() -> tuple[tuple[CatalogEntry, Design], ...]:
+    """Every catalog entry with its indicator parsed into a design of the
+    flagship ambient, built once: a tuple of frozen pairs, so no caller can
+    change the cached value."""
     ambient = flagship_ambient()
-    out = []
-    for entry in CATALOG:
-        poly = parse_polynomial(entry.indicator_text, 5)
-        out.append((entry, design_from_indicator(poly, ambient)))
-    return out
+    return tuple(
+        (entry, design_from_indicator(parse_polynomial(entry.indicator_text, 5), ambient))
+        for entry in CATALOG
+    )
 
 
 def cross_check_classes(classes) -> list[str]:

@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--size", type=int, required=True)
     p_enum.add_argument("--strength", type=int, required=True)
     p_enum.add_argument("--out", help="results file (default: stdout)")
-    p_enum.add_argument("--workers", type=int, default=1)
     p_enum.add_argument("--oracle", action="store_true", help="force the brute-force subset filter")
     p_enum.add_argument("--oracle-ceiling", type=int, default=10**8)
     p_enum.add_argument("--format", choices=("text", "json"), default="text")
@@ -101,13 +100,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_enumerate(args) -> int:
     ambient = full_factorial(args.levels)
-    problem = SearchProblem(
-        ambient,
-        args.size,
-        args.strength,
-        workers=max(1, args.workers),
-        oracle_ceiling=args.oracle_ceiling,
-    )
+    problem = SearchProblem(ambient, args.size, args.strength, oracle_ceiling=args.oracle_ceiling)
     y = brute_force_matrix(problem) if args.oracle else enumerate_matrix(problem)
     if args.format == "json":
         payload = {

@@ -7,11 +7,13 @@ Two independent routes:
   highest-arity factor into slices; any fraction of strength t restricts
   to one slice per level, of equal size and strength t-1, and conversely
   slices recombine exactly when the margin counts over the remaining
-  factors sum to the uniform target.  Slice candidates are enumerated by
-  a backtracking search over the sub-ambient with exact margin counters
-  and remaining-capacity pruning, then joined on their margin counts.
-  Every output is cross-checked against the algebraic characterization
-  (idempotency plus size/contrast system).
+  factors sum to the uniform target.  The slice candidates are the
+  fractions of strength t-1 of the sub-ambient, so the engine finds them
+  by the same slice-and-join, down to strength 0, where every subset of
+  the slice size qualifies, or to one factor, where only the empty set
+  and the whole factor are balanced.  Every output is cross-checked
+  against the algebraic characterization (idempotency plus size/contrast
+  system).
 
   The join keys a candidate by its counts on the free margin cells, those
   whose levels are all >= 1: the candidates share every lower-order
@@ -23,14 +25,15 @@ Two independent routes:
   The join returns key ids and the exact design count.  It raises
   ProblemTooLargeError as soon as the count passes the design ceiling,
   the most designs whose B x m int64 membership matrix fits in
-  _MATRIX_BUDGET bytes, before any design is built.
+  _MATRIX_BUDGET bytes, before any design is built; at strength 0 the
+  C(m, q) subsets meet the same ceiling before any is listed.
 
 * `brute_force_oracle` - plain enumeration of all size-s subsets filtered
   by direct margin counting, for small ambients.  Used to validate the
   engine.
 
 Both return designs sorted by run-index sequence, and both are
-deterministic for any worker count.
+deterministic.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import json
 import re
 from dataclasses import dataclass
 from math import comb, prod
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -48,13 +50,9 @@ from .algebra import _exact_dtype
 from .designs import Design, FullFactorial, margin_cells
 from .fastcheck import bitset_keys, get_checker, key_order, matrix_designs, runs_matrix
 
-# The first _SPLIT_DEPTH include/exclude decisions of the backtracking
-# search are fixed per task when it runs on several workers.
-_SPLIT_DEPTH = 6
-
-# The sliced enumeration refuses a problem whose B x m int64 membership
-# matrix would take more bytes than this: 10^6 designs at m = 96, 2 * 10^6
-# on the 48-run flagship ambient.
+# At every level of its recursion the sliced enumeration refuses a result
+# whose B x m int64 membership matrix would take more bytes than this: 10^6
+# designs at m = 96, 2 * 10^6 on the 48-run flagship ambient.
 _MATRIX_BUDGET = 768 * 10**6
 
 
@@ -68,13 +66,14 @@ class CrossCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """An enumeration instance plus engine options."""
+    """An enumeration instance plus engine options: the slicing factor of the
+    top level and the subset-count ceiling of the brute-force oracle."""
 
     ambient: FullFactorial
     size: int
     strength: int
     slicing_factor: int | None = None  # default: last factor of maximal arity
-    workers: int = 1
+    workers: int = 1  # inert: the benchmark's traced pass still passes workers=2
     oracle_ceiling: int = 10**8
 
     def __post_init__(self):
@@ -84,118 +83,6 @@ class SearchProblem:
             raise ValueError("strength out of range")
         if self.slicing_factor is not None and not 0 <= self.slicing_factor < self.ambient.n_factors:
             raise ValueError("slicing factor out of range")
-
-
-# ---------------------------------------------------------------------------
-# Backtracking subset search with margin-count pruning
-
-
-def _backtrack_subsets(
-    ambient: FullFactorial,
-    size: int,
-    strength: int,
-    prefix: tuple[bool, ...] = (),
-) -> list[tuple[int, ...]]:
-    """All size-`size` run subsets balanced on every size-`strength` factor
-    subset, in lexicographic order.
-
-    `prefix` forces include/exclude decisions for the first runs (used to
-    split the search across workers).  Maintains exact margin counters and
-    per-cell remaining-capacity bounds; a branch is cut as soon as some
-    cell's deficit exceeds what the undecided runs can still supply.
-    """
-    m = ambient.run_count
-    if size < 0 or size > m:
-        return []
-    table = margin_cells(ambient, strength)
-    if np.any(size % table.volumes):
-        return []
-    run_cells = [tuple(row) for row in table.cells.tolist()]
-    targets = (size // table.volumes).tolist()
-    n_cells = len(targets)
-    counts = [0] * n_cells
-    # caps[i][c]: how many runs with index >= i hit cell c.
-    caps = [[0] * n_cells for _ in range(m + 1)]
-    for i in range(m - 1, -1, -1):
-        row = caps[i + 1][:]
-        for c in run_cells[i]:
-            row[c] += 1
-        caps[i] = row
-    if any(t > caps[0][c] for c, t in enumerate(targets)):
-        return []
-
-    chosen: list[int] = []
-    out: list[tuple[int, ...]] = []
-
-    # Forced prefix decisions, with the same pruning as the search proper.
-    start = 0
-    remaining = size
-    for i, take in enumerate(prefix):
-        cells_i = run_cells[i]
-        nxt = caps[i + 1]
-        if take:
-            if remaining == 0 or any(counts[c] >= targets[c] for c in cells_i):
-                return []
-            for c in cells_i:
-                counts[c] += 1
-            chosen.append(i)
-            remaining -= 1
-        if any(targets[c] - counts[c] > nxt[c] for c in cells_i):
-            return []
-        if m - (i + 1) < remaining:
-            return []
-        start = i + 1
-
-    def rec(i: int, remaining: int) -> None:
-        if remaining == 0:
-            # Counters never exceed targets and each subset's cells sum to
-            # the chosen count, so all targets are exactly met here.
-            out.append(tuple(chosen))
-            return
-        if m - i < remaining:
-            return
-        cells_i = run_cells[i]
-        nxt = caps[i + 1]
-        if all(counts[c] < targets[c] for c in cells_i):
-            for c in cells_i:
-                counts[c] += 1
-            if all(targets[c] - counts[c] <= nxt[c] for c in cells_i):
-                chosen.append(i)
-                rec(i + 1, remaining - 1)
-                chosen.pop()
-            for c in cells_i:
-                counts[c] -= 1
-        if all(targets[c] - counts[c] <= nxt[c] for c in cells_i):
-            rec(i + 1, remaining)
-
-    rec(start, remaining)
-    return out
-
-
-def _backtrack_task(args):
-    level_sets, size, strength, prefix = args
-    from .designs import from_level_sets
-
-    ambient = from_level_sets(level_sets)
-    return _backtrack_subsets(ambient, size, strength, prefix)
-
-
-def _parallel_backtrack(
-    ambient: FullFactorial, size: int, strength: int, workers: int
-) -> list[tuple[int, ...]]:
-    if workers <= 1:
-        return _backtrack_subsets(ambient, size, strength)
-    depth = min(_SPLIT_DEPTH, ambient.run_count)
-    level_sets = tuple(tuple(f.levels) for f in ambient.factors)
-    # Include-first prefix order matches the DFS output order, so the
-    # concatenation below is exactly the single-worker order.
-    tasks = [
-        (level_sets, size, strength, prefix)
-        for prefix in itertools.product((True, False), repeat=depth)
-    ]
-    with get_context("fork").Pool(workers) as pool:
-        chunks = pool.map(_backtrack_task, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-    return [runs for chunk in chunks for runs in chunk]
 
 
 # ---------------------------------------------------------------------------
@@ -351,25 +238,44 @@ def _materialize(ids: np.ndarray, pool: np.ndarray, candidates: np.ndarray, embe
     return np.concatenate(parts, axis=1)
 
 
-def _sliced_enumeration(problem: SearchProblem) -> np.ndarray:
-    ambient = problem.ambient
-    p = (
-        problem.slicing_factor
-        if problem.slicing_factor is not None
-        else _default_slicing_factor(ambient)
-    )
+def _enumerate_rows(
+    ambient: FullFactorial, size: int, strength: int, slicing_factor: int | None = None
+) -> np.ndarray:
+    """The runs of every fraction of this size and strength, one design per
+    row, in no particular order.
+
+    At strength 0 every size-`size` subset qualifies.  An ambient of one
+    factor has one run per level, so at strength 1 only the empty set and
+    the whole factor are balanced.  Otherwise the runs are sliced on
+    `slicing_factor` (default: _default_slicing_factor); the slice
+    candidates, the sub-ambient's fractions of strength one less, come from
+    this same function, and the slices are joined.  The design ceiling of
+    the ambient bounds the subsets at strength 0 and the join's count.
+    """
+    m = ambient.run_count
+    ceiling = _MATRIX_BUDGET // (8 * m)
+    empty = np.zeros((0, size), dtype=np.int64)
+    if strength == 0:
+        total = comb(m, size)
+        if total > ceiling:
+            raise ProblemTooLargeError(
+                f"C({m},{size}) = {total} subsets exceed the design ceiling {ceiling} "
+                "for this ambient"
+            )
+        runs = itertools.chain.from_iterable(itertools.combinations(range(m), size))
+        return np.fromiter(runs, dtype=np.int64, count=total * size).reshape(total, size)
+    if ambient.n_factors == 1:
+        return np.arange(m, dtype=np.int64)[None, :size] if size in (0, m) else empty
+    p = _default_slicing_factor(ambient) if slicing_factor is None else slicing_factor
     r = ambient.radices[p]
-    empty = np.zeros((0, problem.size), dtype=np.int64)
-    if problem.size % r:
+    if size % r:
         return empty
-    q = problem.size // r
     sub = _sub_ambient(ambient, p)
-    raw = _parallel_backtrack(sub, q, problem.strength - 1, problem.workers)
-    candidates = np.array(raw, dtype=np.int64).reshape(len(raw), q)
-    keys = _slice_keys(sub, candidates, problem.size, problem.strength)
+    candidates = _enumerate_rows(sub, size // r, strength - 1)
+    keys = _slice_keys(sub, candidates, size, strength)
     if keys is None:
         return empty
-    ids, _ = _join_assignments(keys, r, _MATRIX_BUDGET // (8 * ambient.run_count))
+    ids, _ = _join_assignments(keys, r, ceiling)
     if not len(ids):
         return empty
     embed = np.array(_embedding_tables(ambient, p), dtype=np.int64)
@@ -394,18 +300,12 @@ def _cross_check(y: np.ndarray, problem: SearchProblem) -> None:
         )
 
 
-def _enumerate_rows(problem: SearchProblem) -> np.ndarray:
-    """The runs of every fraction, one design per row, in no particular order."""
-    ambient = problem.ambient
-    if ambient.n_factors >= 2:
-        return _sliced_enumeration(problem)
-    raw = _parallel_backtrack(ambient, problem.size, problem.strength, problem.workers)
-    return np.array(raw, dtype=np.int64).reshape(len(raw), problem.size)
-
-
 def enumerate_matrix(problem: SearchProblem) -> np.ndarray:
     """enumerate_orthogonal as a membership matrix: one 0/1 row per design."""
-    y = runs_matrix(_enumerate_rows(problem), problem.ambient.run_count)
+    ambient = problem.ambient
+    y = runs_matrix(
+        _enumerate_rows(ambient, problem.size, problem.strength, problem.slicing_factor), ambient.run_count
+    )
     # All designs have one size, so descending bitset keys sort them by run tuple.
     y = y[key_order(bitset_keys(y))[::-1]]
     _cross_check(y, problem)
@@ -415,9 +315,8 @@ def enumerate_matrix(problem: SearchProblem) -> np.ndarray:
 def enumerate_orthogonal(problem: SearchProblem) -> list[Design]:
     """All fractions of the given size and strength, sorted by run sequence.
 
-    Output is deterministic and independent of the worker count, and every
-    design is cross-checked against the algebraic characterization before
-    being returned.
+    Output is deterministic, and every design is cross-checked against the
+    algebraic characterization before being returned.
     """
     return matrix_designs(problem.ambient, enumerate_matrix(problem))
 

@@ -19,6 +19,9 @@ None of these is used by the package itself:
   lines were parsed in bulk: every line on its own;
 * join_assignments, the slice join as it was before it ran on packed
   free-cell keys: a recursion over full margin-count tuples;
+* _backtrack_subsets, the slice candidates as they were found before the
+  slice-and-join recursed: a backtracking search over the runs with exact
+  margin counters and remaining-capacity pruning;
 * image_keys and orbit_keys, the orbit closure as it was before the keys
   were summed from one-run uint64 words: a bool scatter of every image
   into a G x m array, packed into one big-endian void key per image, and
@@ -45,7 +48,7 @@ from orthofrac.algebra import (
     theta_vector,
 )
 from orthofrac.classify import run_perm_table
-from orthofrac.designs import Design, FullFactorial, all_points
+from orthofrac.designs import Design, FullFactorial, all_points, margin_cells
 from orthofrac.linalg import Matrix
 from orthofrac.polynomials import Polynomial, _power_table
 
@@ -250,6 +253,88 @@ def join_assignments(keys, buckets, target, n_levels):
     else:
         rec(0, (0,) * n_cells)
     return assignments
+
+
+def _backtrack_subsets(
+    ambient: FullFactorial,
+    size: int,
+    strength: int,
+    prefix: tuple[bool, ...] = (),
+) -> list[tuple[int, ...]]:
+    """All size-`size` run subsets balanced on every size-`strength` factor
+    subset, in lexicographic order.
+
+    `prefix` forces include/exclude decisions for the first runs.  Maintains
+    exact margin counters and per-cell remaining-capacity bounds; a branch
+    is cut as soon as some cell's deficit exceeds what the undecided runs
+    can still supply.
+    """
+    m = ambient.run_count
+    if size < 0 or size > m:
+        return []
+    table = margin_cells(ambient, strength)
+    if np.any(size % table.volumes):
+        return []
+    run_cells = [tuple(row) for row in table.cells.tolist()]
+    targets = (size // table.volumes).tolist()
+    n_cells = len(targets)
+    counts = [0] * n_cells
+    # caps[i][c]: how many runs with index >= i hit cell c.
+    caps = [[0] * n_cells for _ in range(m + 1)]
+    for i in range(m - 1, -1, -1):
+        row = caps[i + 1][:]
+        for c in run_cells[i]:
+            row[c] += 1
+        caps[i] = row
+    if any(t > caps[0][c] for c, t in enumerate(targets)):
+        return []
+
+    chosen: list[int] = []
+    out: list[tuple[int, ...]] = []
+
+    # Forced prefix decisions, with the same pruning as the search proper.
+    start = 0
+    remaining = size
+    for i, take in enumerate(prefix):
+        cells_i = run_cells[i]
+        nxt = caps[i + 1]
+        if take:
+            if remaining == 0 or any(counts[c] >= targets[c] for c in cells_i):
+                return []
+            for c in cells_i:
+                counts[c] += 1
+            chosen.append(i)
+            remaining -= 1
+        if any(targets[c] - counts[c] > nxt[c] for c in cells_i):
+            return []
+        if m - (i + 1) < remaining:
+            return []
+        start = i + 1
+
+    def rec(i: int, remaining: int) -> None:
+        if remaining == 0:
+            # Counters never exceed targets and each subset's cells sum to
+            # the chosen count, so all targets are exactly met here.
+            out.append(tuple(chosen))
+            return
+        if m - i < remaining:
+            return
+        cells_i = run_cells[i]
+        nxt = caps[i + 1]
+        if all(counts[c] < targets[c] for c in cells_i):
+            for c in cells_i:
+                counts[c] += 1
+            if all(targets[c] - counts[c] <= nxt[c] for c in cells_i):
+                chosen.append(i)
+                rec(i + 1, remaining - 1)
+                chosen.pop()
+            for c in cells_i:
+                counts[c] -= 1
+        if all(targets[c] - counts[c] <= nxt[c] for c in cells_i):
+            rec(i + 1, remaining)
+
+    rec(start, remaining)
+    return out
 
 
 def _packed_keys(ambient: FullFactorial, images: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 import reference
 from conftest import random_ambient, sign_fraction
 from orthofrac.algebra import indicator_from_design
-from orthofrac.catalog import CATALOG, cross_check_classes
+from orthofrac.catalog import CATALOG, catalog_designs, cross_check_classes
 from orthofrac.classify import (
     act,
     act_theta,
@@ -361,6 +361,16 @@ def test_cross_check_passes_with_every_representative_a_random_orbit_member(flag
     moved = sum(a.representative != c.representative for a, c in zip(classes, flagship_classes))
     assert moved > 50
     assert cross_check_classes(classes) == []
+
+
+def test_catalog_designs_are_built_once():
+    # One immutable tuple of (entry, design) pairs, in catalog order, equal
+    # to a fresh parse of the indicators.
+    designs = catalog_designs()
+    assert catalog_designs() is designs
+    assert type(designs) is tuple and all(type(pair) is tuple for pair in designs)
+    assert [entry for entry, _ in designs] == list(CATALOG)
+    assert catalog_designs.__wrapped__() == designs
 
 
 def test_cross_check_problem_strings(flagship_classes):

@@ -69,6 +69,19 @@ def test_enumerate_design_ceiling_exit_3(monkeypatch, capsys, tmp_path):
     assert not path.exists()
 
 
+def test_enumerate_strength_zero_ceiling_exit_3(monkeypatch, capsys):
+    # 2^4 at strength 1 slices into strength-0 candidates of the 8-run 2^3
+    # sub-ambient: all C(8, 4) = 70 subsets, one more than a budget of 69
+    # membership rows of 8 int64 entries admits.  The refusal is one error
+    # line, before any join.
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 69 * 8 * 8)
+    code = main(["enumerate", "--levels", "2,2,2,2", "--size", "8", "--strength", "1"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: C(8,4) = 70 subsets exceed the design ceiling 69 for this ambient\n"
+
+
 def test_classify_pipeline(tmp_path, capsys):
     designs = tmp_path / "designs.txt"
     report = tmp_path / "report.json"
@@ -235,14 +248,6 @@ def test_verify_indicator_file(tmp_path, capsys):
         == 0
     )
     assert "overall: PASS" in capsys.readouterr().out
-
-
-def test_enumerate_workers_flag_gives_identical_output(capsys):
-    args = ["enumerate", "--levels", "2,2,3", "--size", "6", "--strength", "1"]
-    assert main(args) == 0
-    single = capsys.readouterr().out
-    assert main(args + ["--workers", "2"]) == 0
-    assert capsys.readouterr().out == single
 
 
 def test_verify_parse_error_exit_2(capsys):

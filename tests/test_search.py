@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 
@@ -14,7 +15,7 @@ from orthofrac import algebra, search
 from orthofrac.designs import default_levels, full_design, full_factorial, has_strength, margin_cells
 from orthofrac.fastcheck import runs_matrix
 from orthofrac.search import (
-    _backtrack_subsets,
+    _enumerate_rows,
     _free_cells,
     _join_assignments,
     _slice_keys,
@@ -132,23 +133,59 @@ def test_enumeration_closed_under_group():
             assert act(g, d).runs in found
 
 
-def test_worker_count_does_not_change_output():
-    amb = full_factorial([2, 2, 3])
-    single = enumerate_orthogonal(SearchProblem(amb, 6, 1, workers=1))
-    multi = enumerate_orthogonal(SearchProblem(amb, 6, 1, workers=3))
-    assert single == multi
-
-    buf1, buf2 = io.StringIO(), io.StringIO()
-    write_designs(single, buf1)
-    write_designs(multi, buf2)
-    assert buf1.getvalue() == buf2.getvalue()
-
-
 def test_explicit_slicing_factor_choice_is_equivalent():
     amb = full_factorial([2, 2, 3])
     default = enumerate_orthogonal(SearchProblem(amb, 6, 1))
     for p in range(3):
         assert enumerate_orthogonal(SearchProblem(amb, 6, 1, slicing_factor=p)) == default
+
+
+def test_recursive_candidates_match_backtracking():
+    # Differential: the slice-and-join, recursing down to strength 0 or one
+    # factor, lists the fractions the backtracking search finds, for every
+    # strength 0..n and every size each margin volume divides.
+    rng = random.Random(53)
+    ambients = [full_factorial([4, 2, 2]), full_factorial([2, 2, 2, 2])]
+    ambients += [random_ambient(rng) for _ in range(30)]
+    strengths_seen, several, rational = set(), 0, 0
+    for amb in ambients:
+        rational += any(f.levels != default_levels(f.arity) for f in amb.factors)
+        for strength in range(amb.n_factors + 1):
+            volumes = margin_cells(amb, strength).volumes
+            for size in range(amb.run_count + 1):
+                if np.any(size % volumes):
+                    continue
+                rows = _enumerate_rows(amb, size, strength)
+                assert rows.shape[1] == size
+                found = sorted(tuple(sorted(row)) for row in rows.tolist())
+                expected = reference._backtrack_subsets(amb, size, strength)
+                assert found == expected
+                strengths_seen.add(strength)
+                several += len(expected) > 1
+    assert strengths_seen == {0, 1, 2, 3, 4} and several >= 100 and rational >= 10
+
+
+def test_strength_zero_subsets_meet_the_design_ceiling(monkeypatch):
+    # At strength 0 every subset qualifies: the C(8, 4) = 70 subsets of the
+    # 8-run 2^3 ambient need 70 membership rows of 8 int64 entries.  One
+    # byte less of budget refuses them before a single subset is listed.
+    taken = []
+    combinations = itertools.combinations
+
+    def counted(*args):
+        for combo in combinations(*args):
+            taken.append(combo)
+            yield combo
+
+    monkeypatch.setattr(itertools, "combinations", counted)
+    amb = full_factorial([2, 2, 2])
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 70 * 8 * 8)
+    assert len(np.unique(_enumerate_rows(amb, 4, 0), axis=0)) == len(taken) == 70
+    taken.clear()
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 70 * 8 * 8 - 1)
+    with pytest.raises(ProblemTooLargeError, match=r"C\(8,4\) = 70 subsets exceed the design ceiling 69 "):
+        _enumerate_rows(amb, 4, 0)
+    assert taken == []
 
 
 def test_oracle_ceiling():
@@ -163,7 +200,7 @@ def _slices(amb, p, size, strength):
     """The sub-ambient, the slice candidates and their keys for slicing factor p."""
     sub = _sub_ambient(amb, p)
     q = size // amb.radices[p]
-    candidates = np.array(_backtrack_subsets(sub, q, strength - 1), dtype=np.int64)
+    candidates = np.array(reference._backtrack_subsets(sub, q, strength - 1), dtype=np.int64)
     candidates = candidates.reshape(len(candidates), q)
     return sub, candidates, _slice_keys(sub, candidates, size, strength)
 
