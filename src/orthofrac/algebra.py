@@ -14,11 +14,14 @@ Central objects, all exact:
   C_l X theta = 0 (l = 1..t) characterizing fractions of size s with
   orthogonality strength t.
 
-verify_theta_report reads every check from the values at the runs
-v = X theta.  theta is idempotent (theta = mu(theta), the reduced square
-of the polynomial) iff v is in {0, 1}^m, because mu(theta) =
-X^{-1} (v o v) and X is invertible; the size and contrast rows
-[1; C] X theta are [1; C] v (contrast_sums).
+value_checks reads every check from the values at the runs v = X theta.
+theta is idempotent (theta = mu(theta), the reduced square of the
+polynomial) iff v is in {0, 1}^m, because mu(theta) = X^{-1} (v o v) and
+X is invertible; the size and contrast rows [1; C] X theta are [1; C] v
+(contrast_sums).  So the check is "v is 0/1 and [1; C] v = [s; 0]".
+verify_theta_report computes v for one polynomial; the batch cross-check
+(fastcheck.BatchChecker) passes the membership rows themselves, since for
+theta = X^{-1} y the values X theta are y.
 
 Everything derived from an ambient is cached on the (hashable) ambient.
 """
@@ -201,9 +204,11 @@ def expected_block_size(ambient: FullFactorial, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _contrast_row_count(ambient: FullFactorial, strength: int) -> int:
-    """The rows of [1'; C_1; ...; C_strength]."""
-    return 1 + sum(expected_block_size(ambient, k) for k in range(1, strength + 1))
+def _block_starts(ambient: FullFactorial) -> tuple[int, ...]:
+    """The first rows of the blocks 1', C_1, ..., C_n of _contrast_rows, then
+    its row count: [1'; C_1; ...; C_t] is rows [0, starts[t + 1])."""
+    sizes = (expected_block_size(ambient, k) for k in range(1, ambient.n_factors + 1))
+    return (0, *itertools.accumulate(sizes, initial=1))
 
 
 @lru_cache(maxsize=None)
@@ -241,9 +246,9 @@ def build_contrast_matrix(ambient: FullFactorial) -> ContrastMatrix:
     """The Fraction view of _contrast_rows: one Matrix per block C_k."""
     rows, labels = _contrast_rows(ambient)
     blocks = []
-    for k in range(1, ambient.n_factors + 1):
-        start = _contrast_row_count(ambient, k - 1)
-        blocks.append(Matrix(rows[start : start + expected_block_size(ambient, k)].tolist()))
+    starts = _block_starts(ambient)
+    for start, end in zip(starts[1:], starts[2:]):
+        blocks.append(Matrix(rows[start:end].tolist()))
     return ContrastMatrix(ambient, tuple(blocks), labels)
 
 
@@ -270,7 +275,7 @@ def contrast_sums(ambient: FullFactorial, values: np.ndarray, strength: int) -> 
     if not 1 <= strength <= ambient.n_factors:
         raise ValueError("strength out of range")
     dtype = _exact_dtype(_max_abs(values) * ambient.run_count)
-    rows = _contrast_rows(ambient)[0][: _contrast_row_count(ambient, strength)].T
+    rows = _contrast_rows(ambient)[0][: _block_starts(ambient)[strength + 1]].T
     return values.astype(dtype, copy=False) @ rows.astype(dtype, copy=False)
 
 
@@ -336,22 +341,34 @@ def linear_preprocess(system: LinearSystem) -> Preprocessed:
     return Preprocessed(eliminated, free)
 
 
+def value_checks(
+    ambient: FullFactorial, values: np.ndarray, den: int, size: int | np.ndarray, strength: int
+) -> np.ndarray:
+    """Every check of verify_theta_report for each row of a B x m integer array
+    of values at the runs over one positive denominator: a B x (2 + strength)
+    bool array with columns idempotency (every value is 0 or den), size
+    (the values sum to size * den), then contrast[1..strength] (C_k v == 0).
+
+    size is one int or one per row.
+    """
+    sums = contrast_sums(ambient, values, strength)
+    hits = sums == 0
+    hits[:, 0] = sums[:, 0] == np.multiply(size, den, dtype=object)
+    # One AND per block: the size row, then each C_k.
+    blocks = np.logical_and.reduceat(hits, _block_starts(ambient)[: strength + 1], axis=1)
+    return np.column_stack([~_off_indicator(values, den).any(axis=1), blocks])
+
+
 def verify_theta_report(
     poly: Polynomial, ambient: FullFactorial, size: int, strength: int
 ) -> dict[str, bool]:
     """Per-check results: idempotency, the size row, each contrast block.
 
-    All are read from v = X theta (see the module docstring): idempotency is
-    v in {0, 1}^m, the size row is sum(v) == size and block k is C_k v == 0.
+    All are read from v = X theta by value_checks (see the module docstring).
     """
     values, den = values_at_runs(poly, ambient)
-    sums = contrast_sums(ambient, values, strength)[0].tolist()
-    report = {"idempotency": not _off_indicator(values, den).any(), "size": sums[0] == size * den}
-    for k in range(1, strength + 1):
-        report[f"contrast[{k}]"] = not any(
-            sums[_contrast_row_count(ambient, k - 1) : _contrast_row_count(ambient, k)]
-        )
-    return report
+    names = ["idempotency", "size"] + [f"contrast[{k}]" for k in range(1, strength + 1)]
+    return dict(zip(names, value_checks(ambient, values, den, size, strength)[0].tolist()))
 
 
 def verify_theta(poly: Polynomial, ambient: FullFactorial, size: int, strength: int) -> bool:

@@ -18,12 +18,14 @@ are asked for.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import factorial, prod
 
 import numpy as np
 
+from . import search
 from .algebra import indicator_from_design, polynomial_from_values, values_at_runs
 from .designs import (
     Design,
@@ -80,11 +82,21 @@ def _level_perms(ambient: FullFactorial) -> list[list[tuple[int, ...]]]:
 def run_perm_table(ambient: FullFactorial) -> np.ndarray:
     """perm[g, i]: the image of run i under the g-th element of generate_group (read-only).
 
+    Raises search.ProblemTooLargeError, before allocating, when the G x m
+    int32 table would take more than search._MATRIX_BUDGET bytes.
+
     Rows run over factor permutations, then over level-permutation choices
     with the last factor fastest; the image of run i is the mixed-radix
     sum of stride_j * level_perms[j][iv_i[factor_perm[j]]].
     """
     radices, n, m = ambient.radices, ambient.n_factors, ambient.run_count
+    # k factors of arity r contribute k! factor orders times r!^k level relabelings.
+    order = prod(factorial(k) * factorial(r) ** k for r, k in Counter(radices).items())
+    if order * m * 4 > search._MATRIX_BUDGET:
+        raise search.ProblemTooLargeError(
+            f"the symmetry group has {order} elements; its {order} x {m} int32 run-permutation "
+            f"table exceeds the {search._MATRIX_BUDGET}-byte budget"
+        )
     ivs = np.stack(np.unravel_index(np.arange(m), radices), axis=1)
     # int32 keeps the table, the largest cached object of an ambient, at half size.
     level_perms = [np.array(choices, dtype=np.int32) for choices in _level_perms(ambient)]

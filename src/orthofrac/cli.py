@@ -2,8 +2,9 @@
 
 Subcommands: enumerate, classify, indicator, verify.  Exit codes:
 0 success / verification pass, 1 verification fail, 2 usage or parse
-error, 3 the problem is too large (brute-force ceiling exceeded, or out
-of memory), 4 an arithmetic overflow (an internal fault: every int64
+error, 3 the problem is too large (the brute-force ceiling, the design
+ceiling or the symmetry-group table budget is exceeded, or memory runs
+out), 4 an arithmetic overflow (an internal fault: every int64
 fast path falls back to exact Python ints), 5 an enumerated design failed
 the algebraic cross-check (an internal fault), 6 any other internal error.
 Every error is one `error: ...` line on stderr, never a traceback.

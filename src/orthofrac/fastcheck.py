@@ -1,18 +1,14 @@
 """Vectorized exact verification of many fractions of one ambient.
 
-Every check runs on integer numerators from algebra.mode_products (theta
-= X^-1 y, then the values at the runs X theta) and algebra.contrast_sums.
-Both pick int64 only when an exact Python-int bound on every value they
-form is below 2^62, and otherwise run the same lines on Python ints, so
-the checks never overflow silently and never refuse an ambient.  Used for
-whole-enumeration cross-checks where the per-design Fraction route would
-be too slow.
-
-Idempotency is checked as X theta in {0, 1}^m: the reduced square of the
-indicator has coefficients mu(theta) = X^-1 ((X theta) o (X theta)), and X
-is invertible, so theta == mu(theta) exactly when every entry of X theta is
-0 or 1.  algebra.verify_theta_report checks one design the same way; the
-quadratic system is only the tests' reference.
+BatchChecker.verify is the algebraic cross-check of enumerated designs: a
+membership row y passes when y is 0/1 and [1; C] y = [s; 0].  That is the
+paper's system for the indicator coefficients theta = X^-1 y, idempotency
+plus [1; C] X theta = [s; 0], because X theta = y: theta is idempotent
+exactly when X theta is 0/1 (see algebra's module docstring).  The verdict
+comes from algebra.value_checks, which also decides
+algebra.verify_theta_report.  It uses algebra's contrast rows, not the
+search's margin cells, so it stays independent of the search, and it never
+applies X or X^-1.
 
 A list of designs travels between the search, the designs file and
 classify as one membership matrix: a B x m int64 array with one 0/1 row
@@ -28,7 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import contrast_sums, mode_products
+from .algebra import value_checks
 from .designs import Design, FullFactorial
 
 
@@ -109,68 +105,17 @@ def find_keys(ordered: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 class BatchChecker:
-    """Exact integer algebraic checks on batches of fractions of a fixed ambient.
+    """The algebraic cross-check of many membership rows of a fixed ambient.
 
     Margin counts (strength, invariants) live in designs.margin_cells.
     """
 
     def __init__(self, ambient: FullFactorial):
         self.ambient = ambient
-        self.m = ambient.run_count
-        # The denominators of X and X^-1 that mode_products returns.
-        empty = np.zeros((0, self.m), dtype=np.int64)
-        self.x_scale = mode_products(ambient, empty, inverse=False)[1]
-        self.w_scale = mode_products(ambient, empty, inverse=True)[1]
 
-    # -- coefficient vectors ------------------------------------------------
-
-    def theta_scaled(self, y: np.ndarray) -> np.ndarray:
-        """w_scale * theta for each membership row of y."""
-        return mode_products(self.ambient, y, inverse=True)[0]
-
-    def values_scaled(self, y: np.ndarray) -> np.ndarray:
-        """x_scale * w_scale * X theta, the scaled values at the runs, for each row of y."""
-        return mode_products(self.ambient, self.theta_scaled(y), inverse=False)[0]
-
-    # -- algebraic checks ----------------------------------------------------
-
-    def idempotent_ok(self, y: np.ndarray) -> np.ndarray:
-        """theta == mu(theta), i.e. X theta takes only the values 0 and 1, exactly."""
-        return self._idempotent(self.values_scaled(y))
-
-    def orthogonal_ok(self, y: np.ndarray, size: int, strength: int) -> np.ndarray:
-        """Size row and contrast blocks 1..strength, exactly."""
-        return self._orthogonal(self.values_scaled(y), size, strength)
-
-    def verify(self, y: np.ndarray, size: int, strength: int) -> np.ndarray:
-        """Batch analogue of algebra.verify_theta."""
-        values = self.values_scaled(y)
-        return self._idempotent(values) & self._orthogonal(values, size, strength)
-
-    def _scaled(self, a):
-        """a * x_scale * w_scale exactly: a Python int, or an array of them."""
-        return np.multiply(a, self.x_scale * self.w_scale, dtype=object)
-
-    def _idempotent(self, values: np.ndarray) -> np.ndarray:
-        return np.all((values == 0) | (values == self.x_scale * self.w_scale), axis=1)
-
-    def _orthogonal(self, values: np.ndarray, size: int, strength: int) -> np.ndarray:
-        sums = contrast_sums(self.ambient, values, strength)
-        return (sums[:, 0] == self._scaled(size)) & np.all(sums[:, 1:] == 0, axis=1)
-
-    # -- indicator identities -------------------------------------------------
-
-    def interpolation_ok(self, y: np.ndarray) -> np.ndarray:
-        """X theta reproduces the 0/1 membership vector exactly."""
-        return np.all(self.values_scaled(y) == self._scaled(y), axis=1)
-
-    def constant_term_ok(self, y: np.ndarray) -> np.ndarray:
-        """theta at exponent zero equals |F| / m."""
-        theta0 = self.theta_scaled(y)[:, 0]
-        sizes = y.sum(axis=1)
-        return np.multiply(theta0, self.m, dtype=object) == np.multiply(
-            sizes, self.w_scale, dtype=object
-        )
+    def verify(self, y: np.ndarray, size: int | np.ndarray, strength: int) -> np.ndarray:
+        """Batch analogue of algebra.verify_theta: y is 0/1 and [1; C] y = [size; 0]."""
+        return value_checks(self.ambient, y, 1, size, strength).all(axis=1)
 
 
 @lru_cache(maxsize=None)

@@ -12,8 +12,10 @@ Two independent routes:
   by the same slice-and-join, down to strength 0, where every subset of
   the slice size qualifies, or to one factor, where only the empty set
   and the whole factor are balanced.  Every output is cross-checked
-  against the algebraic characterization (idempotency plus size/contrast
-  system).
+  against the algebraic characterization, independently of the margin
+  counts: its membership row y must be 0/1 with [1; C] y = [s; 0].  That
+  is the paper's system, idempotency plus [1; C] X theta = [s; 0], for
+  theta = X^-1 y, because X theta = y (fastcheck.BatchChecker).
 
   The join keys a candidate by its counts on the free margin cells, those
   whose levels are all >= 1: the candidates share every lower-order
@@ -287,7 +289,7 @@ def _enumerate_rows(
 
 
 def _cross_check(y: np.ndarray, problem: SearchProblem) -> None:
-    """Algebraic verification (idempotency + size/contrast system) of every output."""
+    """Algebraic verification of every output row: 0/1 and [1; C] y = [s; 0]."""
     if not len(y):
         return
     checker = get_checker(problem.ambient)

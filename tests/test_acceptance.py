@@ -17,7 +17,9 @@ from orthofrac.algebra import (
     design_from_indicator,
     indicator_from_design,
     linear_preprocess,
+    mode_products,
     orthogonality_system,
+    value_checks,
     verify_theta,
 )
 from orthofrac.catalog import CATALOG
@@ -193,11 +195,13 @@ def test_criterion_8_algebraic_characterization(arities):
 
 
 def test_criterion_9_indicator_identities(flagship, flagship_designs):
-    checker = get_checker(flagship)
     y = runs_matrix(flagship_designs, 48)
-    interp = checker.interpolation_ok(y)
-    const = checker.constant_term_ok(y)
-    idem = checker.idempotent_ok(y)
+    theta, w = mode_products(flagship, y, inverse=True)
+    values, x = mode_products(flagship, theta, inverse=False)
+    interp = values == y * (x * w)
+    const = theta[:, 0] * 48 == 24 * w
+    # The squared reduction: X theta is 0/1, read from the round-tripped values.
+    idem = value_checks(flagship, values, x * w, 24, 2)[:, 0]
     ok = bool(np.all(interp) and np.all(const) and np.all(idem))
     detail = f"{len(flagship_designs)} designs: interpolation/constant/squared-reduction"
     # Polynomial-level spot of the same identities on the 63 catalog entries.

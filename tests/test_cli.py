@@ -82,6 +82,32 @@ def test_enumerate_strength_zero_ceiling_exit_3(monkeypatch, capsys):
     assert err == "error: C(8,4) = 70 subsets exceed the design ceiling 69 for this ambient\n"
 
 
+def test_classify_group_table_budget_exit_3(monkeypatch, capsys, tmp_path):
+    # The 2^3 group has 3! * 2^3 = 48 elements, a 48 x 8 int32 table of
+    # 1536 bytes.  One byte less of budget refuses it before it is built.
+    from orthofrac.classify import generate_group, run_perm_table
+
+    amb = full_factorial([2, 2, 2])
+    for cached in (generate_group, run_perm_table):
+        cached.cache_clear()
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 48 * 8 * 4)
+    assert len(generate_group(amb)) == 48
+    for cached in (generate_group, run_perm_table):
+        cached.cache_clear()
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 48 * 8 * 4 - 1)
+    with pytest.raises(search.ProblemTooLargeError, match="48 x 8 int32"):
+        generate_group(amb)
+    designs = tmp_path / "one.txt"
+    designs.write_text("[0, 3, 5, 6]\n")
+    assert main(["classify", "--levels", "2,2,2", "--designs", str(designs)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: the symmetry group has 48 elements; its 48 x 8 int32 run-permutation "
+        "table exceeds the 1535-byte budget\n"
+    )
+
+
 def test_classify_pipeline(tmp_path, capsys):
     designs = tmp_path / "designs.txt"
     report = tmp_path / "report.json"

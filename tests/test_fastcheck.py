@@ -12,8 +12,10 @@ from conftest import RATIONAL, random_ambient
 from orthofrac.algebra import (
     exponent_lattice,
     indicator_from_design,
+    mode_products,
     polynomial_from_theta,
     theta_vector,
+    value_checks,
     verify_theta,
     verify_theta_report,
 )
@@ -80,15 +82,31 @@ def _reference_invariants(design):
     return t1, jset, t2
 
 
+def _round_trip(amb, y):
+    """(theta numerators over w, X theta numerators over x * w, w, x) by mode_products."""
+    theta, w = mode_products(amb, y, inverse=True)
+    values, x = mode_products(amb, theta, inverse=False)
+    return theta, values, w, x
+
+
+def _identities_hold(amb, y):
+    """Interpolation X (X^-1 y) = y, theta_0 = |F| / m and X theta 0/1, row by row."""
+    theta, values, w, x = _round_trip(amb, y)
+    interpolation = np.all(values == np.multiply(y, x * w, dtype=object), axis=1)
+    constant = np.multiply(theta[:, 0], amb.run_count, dtype=object) == np.multiply(
+        y.sum(axis=1), w, dtype=object
+    )
+    idempotent = value_checks(amb, values, x * w, y.sum(axis=1), 1)[:, 0]
+    return interpolation, constant, idempotent
+
+
 def test_theta_scaled_matches_exact_theta():
     amb = full_factorial([2, 2, 2])
-    checker = BatchChecker(amb)
     subsets = _all_subsets(amb)
-    y = runs_matrix(subsets, amb.run_count)
-    scaled = checker.theta_scaled(y)
-    for runs, row in zip(subsets, scaled):
+    theta, w = mode_products(amb, runs_matrix(subsets, amb.run_count), inverse=True)
+    for runs, row in zip(subsets, theta):
         exact = theta_vector(indicator_from_design(Design(amb, runs)), amb)
-        assert [Fraction(int(v), checker.w_scale) for v in row] == list(exact)
+        assert [Fraction(int(v), w) for v in row] == list(exact)
 
 
 # Levels this far apart put X theta beyond 2^62, so the mode products run on Python ints.
@@ -111,15 +129,18 @@ def test_batch_checker_matches_exact_route():
         checker, y = BatchChecker(amb), np.array(rows, dtype=np.int64)
         inverse = model_matrix_inverse(amb)
         thetas = [inverse.mul_vec(row) for row in rows]
-        scaled = checker.theta_scaled(y)
-        assert [[Fraction(v, checker.w_scale) for v in row] for row in scaled.tolist()] == [
+        scaled, values, w, x = _round_trip(amb, y)
+        assert [[Fraction(v, w) for v in row] for row in scaled.tolist()] == [
             list(theta) for theta in thetas
         ]
-        dtype = checker.values_scaled(y).dtype
-        paths.add(dtype)
-        assert dtype == object or amb is not WIDE
+        assert np.all(values == np.multiply(y, x * w, dtype=object))
+        paths.add(values.dtype)
+        assert values.dtype == object or amb is not WIDE
         polys = [polynomial_from_theta(theta, amb) for theta in thetas]
         sizes = y.sum(axis=1)
+        # X theta = y, so the verdict read from the round trip is the one read from y.
+        round_trip = value_checks(amb, values, x * w, sizes, n)
+        assert np.array_equal(round_trip, value_checks(amb, y, 1, sizes, n))
         for t in range(1, n + 1):
             expected = [
                 all(verify_theta_report(poly, amb, int(size), t).values())
@@ -188,17 +209,14 @@ def test_batch_strength_agrees_with_has_strength():
 
 def test_indicator_identity_checks():
     amb = full_factorial([2, 2, 2])
-    checker = get_checker(amb)
-    subsets = _all_subsets(amb)
-    y = runs_matrix(subsets, amb.run_count)
-    assert bool(np.all(checker.interpolation_ok(y)))
-    assert bool(np.all(checker.constant_term_ok(y)))
-    assert bool(np.all(checker.idempotent_ok(y)))
+    y = runs_matrix(_all_subsets(amb), amb.run_count)
+    assert all(bool(np.all(holds)) for holds in _identities_hold(amb, y))
 
 
 def test_idempotent_ok_agrees_with_quadratic_system():
-    # The quadratic system is the reference for the X theta in {0, 1}^m check,
-    # on 0/1 rows and on integer rows whose theta is not an indicator.
+    # The quadratic system is the reference for the idempotency column of
+    # value_checks (X theta in {0, 1}^m), on 0/1 rows and on integer rows
+    # whose theta is not an indicator.
     rng = random.Random(37)
     for amb in (full_factorial([2, 2, 2]), full_factorial([2, 3]), RATIONAL):
         m = amb.run_count
@@ -210,11 +228,12 @@ def test_idempotent_ok_agrees_with_quadratic_system():
         inverse = model_matrix_inverse(amb)
         polys = [polynomial_from_theta(inverse.mul_vec(row), amb) for row in rows]
         expected = [satisfies_idempotency(poly, amb) for poly in polys]
-        assert checker.idempotent_ok(y).tolist() == expected
+        sizes = y.sum(axis=1)
+        checks = value_checks(amb, y, 1, sizes, 1)
+        assert checks[:, 0].tolist() == expected
         assert not all(expected)
         # verify needs both halves: some non-indicators pass the linear half.
-        sizes = y.sum(axis=1)
-        linear = checker.orthogonal_ok(y, sizes, 1)
+        linear = checks[:, 1:].all(axis=1)
         assert (linear & ~np.array(expected)).any()
         assert checker.verify(y, sizes, 1).tolist() == [
             verify_theta(poly, amb, int(size), 1) for poly, size in zip(polys, sizes)
@@ -238,16 +257,16 @@ def test_idempotency_system_is_the_reduced_square():
 
 
 def test_scaling_paths_on_rational_level_ambient():
-    # The fast path must still agree with the exact route when x_scale > 1.
+    # The fast path must still agree with the exact route when X's denominator is > 1.
     amb = RATIONAL
     checker = BatchChecker(amb)
-    assert checker.x_scale > 1
     subsets = _all_subsets(amb)
     y = runs_matrix(subsets, amb.run_count)
-    scaled = checker.theta_scaled(y)
+    scaled, _, w, x = _round_trip(amb, y)
+    assert x > 1
     for runs, row in zip(subsets, scaled):
         exact = theta_vector(indicator_from_design(Design(amb, runs)), amb)
-        assert [Fraction(int(v), checker.w_scale) for v in row] == list(exact)
+        assert [Fraction(int(v), w) for v in row] == list(exact)
     for t in (1, 2):
         for s in (2, 3):
             batch = checker.verify(y, s, t)
@@ -257,12 +276,11 @@ def test_scaling_paths_on_rational_level_ambient():
                 poly = indicator_from_design(design)
                 assert bool(got) == verify_theta(poly, amb, s, t)
                 assert bool(got_s) == (len(runs) == s and _reference_strength(design, t))
-    assert bool(np.all(checker.idempotent_ok(y)))
-    assert bool(np.all(checker.interpolation_ok(y)))
+    interpolation, const, idempotent = _identities_hold(amb, y)
+    assert bool(np.all(idempotent)) and bool(np.all(interpolation))
     # theta_0 == |F|/m is a property of symmetric level codings, not a
-    # theorem for arbitrary levels; here the checker must simply agree
-    # with the exact constant coefficient.
-    const = checker.constant_term_ok(y)
+    # theorem for arbitrary levels; here the mode products must simply
+    # agree with the exact constant coefficient.
     for runs, got in zip(subsets, const):
         theta0 = indicator_from_design(Design(amb, runs)).coefficient((0, 0))
         assert bool(got) == (theta0 == Fraction(len(runs), amb.run_count))

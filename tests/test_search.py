@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from orthofrac.search import (
     _join_assignments,
     _slice_keys,
     _sub_ambient,
+    CrossCheckError,
     ProblemTooLargeError,
     SearchProblem,
     brute_force_matrix,
@@ -283,6 +285,21 @@ def test_design_ceiling(monkeypatch):
     monkeypatch.setattr(search, "_MATRIX_BUDGET", 2 * 8 * 8 - 1)
     with pytest.raises(ProblemTooLargeError, match="more than 1 designs"):
         enumerate_matrix(problem)
+
+
+def test_cross_check_rejects_with_the_real_checker():
+    # No fake: the batch checker itself must name the failing row.  An
+    # unbalanced 0/1 row of the right size fails only the contrast rows;
+    # twice the balanced half {000, 111} has size 4 and zero contrast sums,
+    # so only the 0/1 test catches it.
+    problem = SearchProblem(full_factorial([2, 2, 2]), 4, 1)
+    good = runs_matrix([(0, 3, 5, 6)], 8)[0]
+    search._cross_check(np.array([good]), problem)
+    unbalanced = runs_matrix([(0, 1, 2, 3)], 8)[0]
+    doubled = 2 * runs_matrix([(0, 7)], 8)[0]
+    for bad, runs in ((unbalanced, (0, 1, 2, 3)), (doubled, (0, 7))):
+        with pytest.raises(CrossCheckError, match=re.escape(f"design {runs} fails the algebraic check")):
+            search._cross_check(np.array([good, bad]), problem)
 
 
 def test_python_int_packing_gives_the_same_designs(monkeypatch):
