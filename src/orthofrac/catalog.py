@@ -15,7 +15,7 @@ from functools import cache
 
 from .algebra import design_from_indicator
 from .classify import in_orbit
-from .designs import Design, FullFactorial, from_level_sets
+from .designs import Design, FullFactorial, full_factorial
 from .fastcheck import bitset_keys, runs_matrix
 from .polynomials import parse_polynomial
 
@@ -23,7 +23,8 @@ FLAGSHIP_ARITIES = (2, 2, 2, 2, 3)
 
 
 def flagship_ambient() -> FullFactorial:
-    return from_level_sets([(-1, 1), (-1, 1), (-1, 1), (-1, 1), (-1, 0, 1)])
+    """The 2x2x2x2x3 ambient, levels (-1, 1) and (-1, 0, 1): the CLI's own instance."""
+    return full_factorial(FLAGSHIP_ARITIES)
 
 
 @dataclass(frozen=True)

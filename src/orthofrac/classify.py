@@ -10,9 +10,9 @@ A design's key is ceil(m/64) uint64 words, run r at bit 63 - r % 64 of
 word r // 64, so the largest key of an orbit is its lexicographically
 least design: the canonical form.  The keys of all G images are summed
 from the one-run keys of the table's columns (fastcheck.run_keys), one run
-at a time.  classify closes each orbit once, from the first input design
-not yet seen, and keeps only its largest key and its size unless members
-are asked for.
+at a time.  classify_keys closes each orbit of its input keys once, from
+the first input design not yet seen, and keeps only its largest key and
+its size unless members are asked for.
 """
 
 from __future__ import annotations
@@ -35,15 +35,7 @@ from .designs import (
     invariant_triples,
     supports_triple_invariant,
 )
-from .fastcheck import (
-    bitset_keys,
-    find_keys,
-    key_order,
-    key_runs,
-    run_keys,
-    runs_matrix,
-    search_keys,
-)
+from .fastcheck import bitset_keys, find_keys, key_order, key_runs, run_keys, runs_matrix, search_keys
 from .polynomials import Polynomial
 
 
@@ -175,7 +167,7 @@ def in_orbit(design: Design, keys: np.ndarray) -> np.ndarray:
 def stabilizer_size(design: Design) -> int:
     """The number of group elements that map the design onto itself."""
     images = _images(design.ambient, design.runs)
-    own = bitset_keys(runs_matrix([design], design.ambient.run_count))
+    own = run_keys(design.ambient.run_count)[list(design.runs)].sum(axis=0, dtype=np.uint64)
     return int(np.count_nonzero(np.all(images == own, axis=1)))
 
 
@@ -210,26 +202,25 @@ def classify(designs, store_members: bool = False) -> list[EquivalenceClass]:
     ambient = designs[0].ambient
     if any(d.ambient != ambient for d in designs):
         raise ShapeMismatchError("designs come from different ambients")
-    return classify_matrix(ambient, runs_matrix(designs, ambient.run_count), store_members)
+    return classify_keys(ambient, bitset_keys(runs_matrix(designs, ambient.run_count)), store_members)
 
 
-def classify_matrix(
-    ambient: FullFactorial, y: np.ndarray, store_members: bool = False
+def classify_keys(
+    ambient: FullFactorial, keys: np.ndarray, store_members: bool = False
 ) -> list[EquivalenceClass]:
-    """classify for the designs of a membership matrix, one 0/1 row each."""
-    if not len(y):
+    """classify for the designs of keys (fastcheck), one row each."""
+    if not len(keys):
         return []
-    keys = bitset_keys(y)
     order = key_order(keys)
     ordered = search_keys(keys[order])
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("designs must be pairwise distinct")
 
-    unseen = np.ones(len(y), dtype=bool)
+    unseen = np.ones(len(keys), dtype=bool)
     tops, sizes, orbits = [], [], []
     idx = 0
-    while idx < len(y):
-        orbit = _distinct(_images(ambient, np.flatnonzero(y[idx])))
+    while idx < len(keys):
+        orbit = _distinct(_images(ambient, key_runs(keys[idx : idx + 1])[0]))
         pos, found = find_keys(ordered, orbit)
         unseen[order[pos[found]]] = False
         tops.append(orbit[-1])
@@ -238,11 +229,12 @@ def classify_matrix(
             orbits.append(orbit)
         # Row idx lies in its own orbit, so argmax is 0 only when no row is unseen.
         step = int(np.argmax(unseen[idx:]))
-        idx = idx + step if step else len(y)
+        idx = idx + step if step else len(keys)
 
     reps = key_runs(np.array(tops))
     invariants = members = [None] * len(reps)
-    if supports_triple_invariant(ambient) and np.all(np.count_nonzero(y, axis=1) == 24):
+    # Every input design shares its size with the representative of its orbit.
+    if supports_triple_invariant(ambient) and all(len(rep) == 24 for rep in reps):
         invariants = invariant_triples(ambient, runs_matrix(reps, ambient.run_count))
     if store_members:
         members = [tuple(Design(ambient, r) for r in reversed(key_runs(o))) for o in orbits]
@@ -338,7 +330,7 @@ def table_report(classes) -> TableReport:
     return TableReport(tuple(row_keys), t2_values, *matrices)
 
 
-def classification_report(classes, include_members: bool = False) -> dict:
+def classification_report(classes) -> dict:
     """JSON-ready report: one record per class plus the table when defined."""
     classes = list(classes)
     report: dict = {"schema": 1, "class_count": len(classes)}
@@ -357,8 +349,6 @@ def classification_report(classes, include_members: bool = False) -> dict:
             t1, jset, t2 = c.invariants
             rec["invariants"] = {"t1": t1, "jset": list(jset), "t2": t2}
             rec["strength3"] = has_strength(c.representative, 3)
-        if include_members and c.members is not None:
-            rec["members"] = [list(d.runs) for d in c.members]
         records.append(rec)
     report["classes"] = records
     if classes and classes[0].invariants is not None:

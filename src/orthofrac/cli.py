@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from functools import lru_cache
 
 from .algebra import (
     indicator_from_design,
@@ -22,18 +24,18 @@ from .algebra import (
     verify_theta_report,
 )
 from .catalog import FLAGSHIP_ARITIES, cross_check_classes
-from .classify import classification_report, classify_matrix, table_report
+from .classify import classification_report, classify_keys, table_report
 from .designs import FullFactorial, full_factorial, load_design_csv
-from .fastcheck import matrix_runs
+from .fastcheck import key_runs
 from .polynomials import parse_polynomial
 from .search import (
     CrossCheckError,
     ProblemTooLargeError,
     SearchProblem,
-    brute_force_matrix,
-    enumerate_matrix,
-    read_design_matrix,
-    write_design_matrix,
+    brute_force_keys,
+    enumerate_keys,
+    read_design_keys,
+    write_design_keys,
 )
 
 
@@ -47,6 +49,8 @@ def _arities(text: str) -> tuple[int, ...]:
     return arities
 
 
+# Built once per process: building it costs a small classify's worth of time.
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthofrac",
@@ -61,22 +65,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--strength", type=int, required=True)
     p_enum.add_argument("--out", help="results file (default: stdout)")
     p_enum.add_argument("--oracle", action="store_true", help="force the brute-force subset filter")
-    p_enum.add_argument("--oracle-ceiling", type=int, default=10**8)
     p_enum.add_argument("--format", choices=("text", "json"), default="text")
-    p_enum.set_defaults(func=cmd_enumerate)
 
     p_cls = sub.add_parser("classify", help="partition a design list into symmetry classes")
     p_cls.add_argument("--levels", type=_arities, required=True, metavar="R1,R2,...")
     p_cls.add_argument("--designs", help="design list file (default: stdin)")
     p_cls.add_argument("--out", help="report file (default: stdout)")
     p_cls.add_argument("--format", choices=("text", "json"), default="text")
-    p_cls.set_defaults(func=cmd_classify)
 
     p_ind = sub.add_parser("indicator", help="print the indicator polynomial of a design")
     p_ind.add_argument("--levels", type=_arities, required=True, metavar="R1,R2,...")
     p_ind.add_argument("--design", required=True, help="design CSV file")
     p_ind.add_argument("--format", choices=("text", "json"), default="text")
-    p_ind.set_defaults(func=cmd_indicator)
 
     p_ver = sub.add_parser("verify", help="check a design or indicator for size and strength")
     p_ver.add_argument("--levels", type=_arities, required=True, metavar="R1,R2,...")
@@ -87,40 +87,43 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--indicator", help="indicator polynomial text")
     src.add_argument("--indicator-file", help="file holding indicator polynomial text")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
-    p_ver.set_defaults(func=cmd_verify)
     return parser
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
+        # Overwritten in place and then cut to length: on ext4, truncating a
+        # file to zero makes its close() start writeback (auto_da_alloc).
+        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
             fh.write(text)
+            if os.path.isfile(out):  # not a pipe or a device
+                fh.truncate()
     else:
         sys.stdout.write(text)
 
 
 def cmd_enumerate(args) -> int:
     ambient = full_factorial(args.levels)
-    problem = SearchProblem(ambient, args.size, args.strength, oracle_ceiling=args.oracle_ceiling)
-    y = brute_force_matrix(problem) if args.oracle else enumerate_matrix(problem)
+    problem = SearchProblem(ambient, args.size, args.strength)
+    keys = brute_force_keys(problem) if args.oracle else enumerate_keys(problem)
     if args.format == "json":
         payload = {
             "schema": 1,
             "arities": list(args.levels),
             "size": args.size,
             "strength": args.strength,
-            "count": len(y),
-            "designs": matrix_runs(y),
+            "count": len(keys),
+            "designs": key_runs(keys),
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         import io
 
         buf = io.StringIO()
-        write_design_matrix(y, buf)
+        write_design_keys(keys, buf)
         _emit(buf.getvalue(), args.out)
     if args.out:
-        print(f"{len(y)} designs -> {args.out}")
+        print(f"{len(keys)} designs -> {args.out}")
     return 0
 
 
@@ -137,10 +140,10 @@ def cmd_classify(args) -> int:
     ambient = full_factorial(args.levels)
     if args.designs:
         with open(args.designs) as fh:
-            y = read_design_matrix(fh, ambient)
+            keys = read_design_keys(fh, ambient)
     else:
-        y = read_design_matrix(sys.stdin, ambient)
-    classes = classify_matrix(ambient, y)
+        keys = read_design_keys(sys.stdin, ambient)
+    classes = classify_keys(ambient, keys)
     report = classification_report(classes)
     check_failed = False
     if _is_complete_flagship(ambient, classes):
@@ -150,7 +153,7 @@ def cmd_classify(args) -> int:
     if args.format == "json":
         _emit(json.dumps(report, indent=2) + "\n", args.out)
     else:
-        lines = [f"{len(y)} designs in {len(classes)} classes"]
+        lines = [f"{len(keys)} designs in {len(classes)} classes"]
         for rec in report["classes"]:
             inv = rec.get("invariants")
             tag = ""
@@ -215,10 +218,10 @@ def _detail(exc: BaseException) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up per call, not stored in the shared parser.
+        return globals()[f"cmd_{args.command}"](args)
     except ProblemTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -54,6 +54,15 @@ class FactorSpec:
         if not all(isinstance(v, Fraction) for v in self.levels):
             object.__setattr__(self, "levels", tuple(Fraction(v) for v in self.levels))
 
+    # Every lru_cache keyed by a factor or an ambient hashes it: the hash is
+    # computed once per instance, while == stays field-based.
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.levels)
+
     @property
     def arity(self) -> int:
         return len(self.levels)
@@ -74,7 +83,14 @@ class FullFactorial:
         return len(self.factors)
 
     # Computed once per instance: the dataclass is frozen but not slotted, so
-    # cached_property can store into __dict__; hash and == stay field-based.
+    # cached_property can store into __dict__; == stays field-based.
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.factors)
+
     @cached_property
     def radices(self) -> tuple[int, ...]:
         return tuple(f.arity for f in self.factors)
@@ -93,17 +109,15 @@ class FullFactorial:
             out.append(d)
         return tuple(reversed(out))
 
-    def encode(self, index_vector: Sequence[int]) -> int:
-        run = 0
-        for d, r in zip(index_vector, self.radices):
-            if not 0 <= d < r:
-                raise IndexError(f"index {d} out of range for arity {r}")
-            run = run * r + d
-        return run
-
 
 def full_factorial(arities: Iterable[int]) -> FullFactorial:
-    """Ambient with default symmetric levels, e.g. full_factorial([2, 2, 2, 2, 3])."""
+    """Ambient with default symmetric levels, e.g. full_factorial([2, 2, 2, 2, 3]):
+    one shared instance per arity tuple."""
+    return _full_factorial(tuple(arities))
+
+
+@lru_cache(maxsize=None)
+def _full_factorial(arities: tuple[int, ...]) -> FullFactorial:
     return FullFactorial(tuple(FactorSpec(default_levels(r)) for r in arities))
 
 

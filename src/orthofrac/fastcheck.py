@@ -11,10 +11,13 @@ search's margin cells, so it stays independent of the search, and it never
 applies X or X^-1.
 
 A list of designs travels between the search, the designs file and
-classify as one membership matrix: a B x m int64 array with one 0/1 row
-per design.  runs_matrix builds it, matrix_runs and matrix_designs read
-it back, bitset_keys packs its rows into uint64 words, key_runs reads
-them back, and key_order sorts them.
+classify as one key array: a B x ceil(m/64) uint64 array, run r at bit
+63 - r % 64 of word r // 64.  bitset_keys packs 0/1 membership rows into
+keys and run_keys holds the keys of the one-run designs, whose sums are
+the keys of larger designs; key_bits unpacks keys into 0/1 rows, key_runs
+and key_designs read them back as run tuples and Designs, and key_order
+sorts them.  Membership rows stay inside the code that counts runs: the
+cross-check, margin counts and the class invariants.
 """
 
 from __future__ import annotations
@@ -43,18 +46,6 @@ def runs_matrix(designs, run_count: int) -> np.ndarray:
     return y
 
 
-def matrix_runs(y: np.ndarray) -> list[tuple[int, ...]]:
-    """The sorted runs of every 0/1 membership row: the inverse of runs_matrix."""
-    ends = np.count_nonzero(y, axis=1).cumsum().tolist()
-    flat = tuple((np.flatnonzero(y != 0) % y.shape[1]).tolist())
-    return [flat[start:end] for start, end in zip([0, *ends], ends)]
-
-
-def matrix_designs(ambient: FullFactorial, y: np.ndarray) -> list[Design]:
-    """One Design per 0/1 membership row of y."""
-    return [Design(ambient, runs) for runs in matrix_runs(y)]
-
-
 def bitset_keys(y: np.ndarray) -> np.ndarray:
     """The key of every 0/1 membership row: ceil(m/64) uint64 words, run r
     at bit 63 - r % 64 of word r // 64."""
@@ -63,9 +54,23 @@ def bitset_keys(y: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
 
 
+def key_bits(keys: np.ndarray, count: int | None = None) -> np.ndarray:
+    """The 0/1 uint8 membership row of every key: its first `count` bits,
+    default all 64 per word.  The inverse of bitset_keys."""
+    return np.unpackbits(keys.astype(">u8").view(np.uint8), axis=1, count=count)
+
+
 def key_runs(keys: np.ndarray) -> list[tuple[int, ...]]:
-    """The sorted runs of every key row: the inverse of bitset_keys."""
-    return matrix_runs(np.unpackbits(keys.astype(">u8").view(np.uint8), axis=1))
+    """The sorted runs of every key row."""
+    bits = key_bits(keys)
+    ends = np.count_nonzero(bits, axis=1).cumsum().tolist()
+    flat = tuple((np.flatnonzero(bits) % bits.shape[1]).tolist())
+    return [flat[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def key_designs(ambient: FullFactorial, keys: np.ndarray) -> list[Design]:
+    """One Design per key row."""
+    return [Design(ambient, runs) for runs in key_runs(keys)]
 
 
 @lru_cache(maxsize=None)
@@ -105,7 +110,7 @@ def find_keys(ordered: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 class BatchChecker:
-    """The algebraic cross-check of many membership rows of a fixed ambient.
+    """The algebraic cross-check of many 0/1 membership rows of a fixed ambient.
 
     Margin counts (strength, invariants) live in designs.margin_cells.
     """

@@ -15,7 +15,9 @@ Two independent routes:
   against the algebraic characterization, independently of the margin
   counts: its membership row y must be 0/1 with [1; C] y = [s; 0].  That
   is the paper's system, idempotency plus [1; C] X theta = [s; 0], for
-  theta = X^-1 y, because X theta = y (fastcheck.BatchChecker).
+  theta = X^-1 y, because X theta = y (fastcheck.BatchChecker).  y is the
+  bits of the design's final key, where a repeated run would carry into
+  another bit and fail the size row.
 
   The join keys a candidate by its counts on the free margin cells, those
   whose levels are all >= 1: the candidates share every lower-order
@@ -26,8 +28,8 @@ Two independent routes:
   takes every fitting key at once, and one searchsorted finds the last.
   The join returns key ids and the exact design count.  It raises
   ProblemTooLargeError as soon as the count passes the design ceiling,
-  the most designs whose B x m int64 membership matrix fits in
-  _MATRIX_BUDGET bytes, before any design is built; at strength 0 the
+  the most designs whose B x m int64 values, which the cross-check forms,
+  fit in _MATRIX_BUDGET bytes, before any design is built; at strength 0 the
   C(m, q) subsets meet the same ceiling before any is listed.
 
 * `brute_force_oracle` - plain enumeration of all size-s subsets filtered
@@ -35,7 +37,7 @@ Two independent routes:
   engine.
 
 Both return designs sorted by run-index sequence, and both are
-deterministic.
+deterministic.  The *_keys functions are the same stages on fastcheck keys.
 """
 
 from __future__ import annotations
@@ -50,12 +52,15 @@ import numpy as np
 
 from .algebra import _exact_dtype
 from .designs import Design, FullFactorial, margin_cells
-from .fastcheck import bitset_keys, get_checker, key_order, matrix_designs, runs_matrix
+from .fastcheck import bitset_keys, get_checker, key_bits, key_designs, key_order, run_keys, runs_matrix
 
 # At every level of its recursion the sliced enumeration refuses a result
-# whose B x m int64 membership matrix would take more bytes than this: 10^6
-# designs at m = 96, 2 * 10^6 on the 48-run flagship ambient.
+# whose B x m int64 cross-check values would take more bytes than this:
+# 10^6 designs at m = 96, 2 * 10^6 on the 48-run flagship ambient.
 _MATRIX_BUDGET = 768 * 10**6
+
+# The most size-s subsets the brute-force oracle filters.
+_ORACLE_CEILING = 10**8
 
 
 class ProblemTooLargeError(ValueError):
@@ -68,15 +73,13 @@ class CrossCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """An enumeration instance plus engine options: the slicing factor of the
-    top level and the subset-count ceiling of the brute-force oracle."""
+    """An enumeration instance plus the slicing factor of the top level."""
 
     ambient: FullFactorial
     size: int
     strength: int
     slicing_factor: int | None = None  # default: last factor of maximal arity
     workers: int = 1  # inert: the benchmark's traced pass still passes workers=2
-    oracle_ceiling: int = 10**8
 
     def __post_init__(self):
         if not 0 <= self.size <= self.ambient.run_count:
@@ -101,18 +104,14 @@ def _sub_ambient(ambient: FullFactorial, p: int) -> FullFactorial:
     return FullFactorial(tuple(f for j, f in enumerate(ambient.factors) if j != p))
 
 
-def _embedding_tables(ambient: FullFactorial, p: int) -> list[list[int]]:
-    """tables[c][sub_run] = full run index with the slicing factor at level c."""
-    sub = _sub_ambient(ambient, p)
-    tables = []
-    for c in range(ambient.radices[p]):
-        table = []
-        for s in range(sub.run_count):
-            iv = list(sub.decode(s))
-            iv.insert(p, c)
-            table.append(ambient.encode(iv))
-        tables.append(table)
-    return tables
+def _embedding_tables(ambient: FullFactorial, p: int) -> np.ndarray:
+    """tables[c, sub_run] = full run index with the slicing factor at level c:
+    with S the product of the radices after p, sub-run s keeps its higher
+    digits at (s // S) * r * S and its lower ones at s % S, and c adds c * S."""
+    r = ambient.radices[p]
+    stride = prod(ambient.radices[p + 1 :])
+    s = np.arange(ambient.run_count // r, dtype=np.int64)
+    return (s // stride) * (r * stride) + s % stride + stride * np.arange(r, dtype=np.int64)[:, None]
 
 
 def _free_cells(sub: FullFactorial, strength: int) -> np.ndarray:
@@ -280,8 +279,7 @@ def _enumerate_rows(
     ids, _ = _join_assignments(keys, r, ceiling)
     if not len(ids):
         return empty
-    embed = np.array(_embedding_tables(ambient, p), dtype=np.int64)
-    return _materialize(ids, keys.pool, candidates, embed)
+    return _materialize(ids, keys.pool, candidates, _embedding_tables(ambient, p))
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +288,7 @@ def _enumerate_rows(
 
 def _cross_check(y: np.ndarray, problem: SearchProblem) -> None:
     """Algebraic verification of every output row: 0/1 and [1; C] y = [s; 0]."""
-    if not len(y):
-        return
-    checker = get_checker(problem.ambient)
-    ok = checker.verify(y, problem.size, problem.strength)
+    ok = get_checker(problem.ambient).verify(y, problem.size, problem.strength)
     if not bool(np.all(ok)):
         bad = int(np.flatnonzero(~ok)[0])
         raise CrossCheckError(
@@ -302,16 +297,16 @@ def _cross_check(y: np.ndarray, problem: SearchProblem) -> None:
         )
 
 
-def enumerate_matrix(problem: SearchProblem) -> np.ndarray:
-    """enumerate_orthogonal as a membership matrix: one 0/1 row per design."""
-    ambient = problem.ambient
-    y = runs_matrix(
-        _enumerate_rows(ambient, problem.size, problem.strength, problem.slicing_factor), ambient.run_count
-    )
-    # All designs have one size, so descending bitset keys sort them by run tuple.
-    y = y[key_order(bitset_keys(y))[::-1]]
-    _cross_check(y, problem)
-    return y
+def enumerate_keys(problem: SearchProblem) -> np.ndarray:
+    """enumerate_orthogonal as keys (fastcheck): one row per design."""
+    m = problem.ambient.run_count
+    rows = _enumerate_rows(problem.ambient, problem.size, problem.strength, problem.slicing_factor)
+    keys = run_keys(m)[rows].sum(axis=1, dtype=np.uint64)
+    del rows  # not held while the cross-check forms its B x m int64 values
+    # All designs have one size, so descending keys sort them by run tuple.
+    keys = keys[key_order(keys)[::-1]]
+    _cross_check(key_bits(keys, m), problem)
+    return keys
 
 
 def enumerate_orthogonal(problem: SearchProblem) -> list[Design]:
@@ -320,42 +315,33 @@ def enumerate_orthogonal(problem: SearchProblem) -> list[Design]:
     Output is deterministic, and every design is cross-checked against the
     algebraic characterization before being returned.
     """
-    return matrix_designs(problem.ambient, enumerate_matrix(problem))
+    return key_designs(problem.ambient, enumerate_keys(problem))
 
 
-def brute_force_matrix(problem: SearchProblem) -> np.ndarray:
-    """brute_force_oracle as a membership matrix: one 0/1 row per design."""
-    ambient = problem.ambient
-    m = ambient.run_count
+def brute_force_keys(problem: SearchProblem) -> np.ndarray:
+    """brute_force_oracle as keys (fastcheck): one row per design."""
+    m = problem.ambient.run_count
     total = comb(m, problem.size)
-    if total > problem.oracle_ceiling:
-        raise ProblemTooLargeError(
-            f"C({m},{problem.size}) = {total} exceeds the ceiling {problem.oracle_ceiling}"
-        )
-    table = margin_cells(ambient, problem.strength)
+    if total > _ORACLE_CEILING:
+        raise ProblemTooLargeError(f"C({m},{problem.size}) = {total} exceeds the ceiling {_ORACLE_CEILING}")
+    table = margin_cells(problem.ambient, problem.strength)
+    out = [bitset_keys(np.zeros((0, m), dtype=bool))]
     if np.any(problem.size % table.volumes):
-        return np.zeros((0, m), dtype=np.int64)
-
-    out = [np.zeros((0, m), dtype=np.int64)]
-    chunk_size = 65536
+        return out[0]
     combos = itertools.combinations(range(m), problem.size)
-    while True:
-        chunk = list(itertools.islice(combos, chunk_size))
-        if not chunk:
-            break
+    while chunk := list(itertools.islice(combos, 65536)):
         y = runs_matrix(np.array(chunk, dtype=np.int64).reshape(len(chunk), problem.size), m)
-        balanced = table.balanced(table.count(y), problem.size)
-        out.append(y[balanced.all(axis=1)])
+        out.append(bitset_keys(y[table.balanced(table.count(y), problem.size).all(axis=1)]))
     return np.concatenate(out)
 
 
 def brute_force_oracle(problem: SearchProblem) -> list[Design]:
     """Filter all size-s subsets by direct margin counting.
 
-    Independent of the search engine; refuses to run above the configured
-    subset-count ceiling.
+    Independent of the search engine; refuses to run above _ORACLE_CEILING
+    subsets.
     """
-    return matrix_designs(problem.ambient, brute_force_matrix(problem))
+    return key_designs(problem.ambient, brute_force_keys(problem))
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +358,12 @@ def _design_lines(lengths: list[int], flat: list[int]) -> str:
     return "".join(map(formats.__getitem__, lengths)) % tuple(flat)
 
 
-def write_design_matrix(y: np.ndarray, fh) -> None:
-    """write_designs for the designs of a membership matrix, one per row."""
-    runs = np.flatnonzero(y != 0) % y.shape[1]
-    fh.write(_design_lines(np.count_nonzero(y, axis=1).tolist(), runs.tolist()))
-    fh.write(f"# count: {len(y)}\n")
+def write_design_keys(keys: np.ndarray, fh) -> None:
+    """write_designs for the designs of keys (fastcheck), one per row."""
+    bits = key_bits(keys)
+    runs = np.flatnonzero(bits) % bits.shape[1]
+    fh.write(_design_lines(np.count_nonzero(bits, axis=1).tolist(), runs.tolist()))
+    fh.write(f"# count: {len(keys)}\n")
 
 
 def write_designs(designs: list[Design], fh) -> None:
@@ -404,8 +391,8 @@ def _parse_line(line: str, lineno: int, ambient: FullFactorial) -> tuple[int, ..
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
-def read_design_matrix(fh, ambient: FullFactorial) -> np.ndarray:
-    """read_designs as a membership matrix: one 0/1 row per design line, in file order.
+def read_design_keys(fh, ambient: FullFactorial) -> np.ndarray:
+    """read_designs as keys (fastcheck): one row per design line, in file order.
 
     Canonical lines whose runs are in range and strictly increasing are
     parsed together by one numeric parse; every other line goes through
@@ -438,14 +425,14 @@ def read_design_matrix(fh, ambient: FullFactorial) -> np.ndarray:
     is_design = canonical.copy()
     is_design[rest] = True
     row = np.cumsum(is_design) - 1
-    y = np.zeros((int(is_design.sum()), m), dtype=np.int64)
+    y = np.zeros((int(is_design.sum()), m), dtype=bool)
     keep = canonical[bulk]
     y[np.repeat(row[bulk[keep]], lengths[keep]), flat[np.repeat(keep, lengths)]] = 1
     parsed = [_parse_line(lines[i], i + 1, ambient) for i in rest]
     rest_runs = np.fromiter(itertools.chain.from_iterable(parsed), dtype=np.int64)
     y[np.repeat(row[rest], list(map(len, parsed))), rest_runs] = 1
-    return y
+    return bitset_keys(y)
 
 
 def read_designs(fh, ambient: FullFactorial) -> list[Design]:
-    return matrix_designs(ambient, read_design_matrix(fh, ambient))
+    return key_designs(ambient, read_design_keys(fh, ambient))

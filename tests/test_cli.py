@@ -35,6 +35,16 @@ def test_enumerate_to_file_and_formats(tmp_path, capsys):
     assert payload["designs"] == [[0, 3, 5, 6], [1, 2, 4, 7]]
 
 
+def test_out_replaces_a_longer_file_and_accepts_devices(tmp_path, capsys):
+    argv = ["enumerate", "--levels", "2,2,2", "--size", "4", "--strength", "2"]
+    path = tmp_path / "designs.txt"
+    path.write_text("x" * 1000 + "\n")
+    assert main([*argv, "--out", str(path)]) == 0
+    assert path.read_text() == "[0, 3, 5, 6]\n[1, 2, 4, 7]\n# count: 2\n"
+    assert main([*argv, "--out", "/dev/null"]) == 0
+    assert capsys.readouterr().out == f"2 designs -> {path}\n2 designs -> /dev/null\n"
+
+
 def test_enumerate_empty_result_is_success(capsys):
     assert main(["enumerate", "--levels", "2,2", "--size", "3", "--strength", "2"]) == 0
     assert capsys.readouterr().out == "# count: 0\n"
@@ -47,6 +57,12 @@ def test_enumerate_usage_errors_exit_2(capsys):
     capsys.readouterr()
     # size out of range is a config error reported as exit 2
     assert main(["enumerate", "--levels", "2,2", "--size", "9", "--strength", "1"]) == 2
+    # Removed options are unknown arguments.
+    for option in ("--workers", "--oracle-ceiling"):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--levels", "2,2", "--size", "2", "--strength", "1", option, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 2" in capsys.readouterr().err
 
 
 def test_enumerate_oracle_ceiling_exit_3(capsys):

@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import sign_fraction
+from orthofrac.catalog import flagship_ambient
 from orthofrac.designs import (
     Design,
+    FullFactorial,
     NonTwoLevelFactorError,
     ShapeMismatchError,
+    from_level_sets,
     full_design,
     full_factorial,
     has_strength,
@@ -23,11 +26,28 @@ from orthofrac.designs import (
 
 
 def test_ambient_equality_ignores_cached_shape():
-    amb, fresh = full_factorial([2, 3]), full_factorial([2, 3])
-    assert (amb.radices, amb.run_count) == ((2, 3), 6)
-    assert amb == fresh and hash(amb) == hash(fresh)
+    amb = full_factorial([2, 3])
+    fresh = FullFactorial(amb.factors)
+    assert (amb.radices, amb.run_count, hash(amb)) == ((2, 3), 6, hash(fresh))
+    assert amb == fresh and amb is not fresh
     assert pickle.loads(pickle.dumps(amb)) == fresh
     assert amb != full_factorial([3, 2])
+
+
+def test_ambients_are_shared_and_hash_their_levels_once(monkeypatch):
+    # One instance per arity tuple, the catalog's included, so cache
+    # lookups find it by identity; and a factor hashes its level values
+    # once, however often it or its ambient is hashed.
+    amb = full_factorial([2, 2, 2, 2, 3])
+    assert full_factorial((2, 2, 2, 2, 3)) is amb is flagship_ambient()
+    assert full_factorial([2, 2, 2, 3]) is not full_factorial([2, 2, 3, 2])
+    fresh = from_level_sets([(-1, 1), (0, 1, 2)])
+    hashed = []
+    fraction_hash = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda v: hashed.append(v) or fraction_hash(v))
+    assert hash(fresh) == hash(fresh) == hash(FullFactorial(fresh.factors))
+    assert hashed == [-1, 1, 0, 1, 2]
+    assert fresh == from_level_sets([(-1, 1), (0, 1, 2)]) != from_level_sets([(1, -1), (0, 1, 2)])
 
 
 def test_run_point_lexicographic_origin():

@@ -37,10 +37,10 @@ from orthofrac.fastcheck import (
     bitset_keys,
     find_keys,
     get_checker,
+    key_bits,
+    key_designs,
     key_order,
     key_runs,
-    matrix_designs,
-    matrix_runs,
     run_keys,
     runs_matrix,
     search_keys,
@@ -309,15 +309,18 @@ def test_membership_matrix_round_trip():
     rng = random.Random(31)
     runs = [tuple(sorted(rng.sample(range(12), rng.randrange(13)))) for _ in range(40)]
     y = runs_matrix(runs, 12)
-    assert matrix_runs(y) == runs
-    assert matrix_designs(amb, y) == [Design(amb, r) for r in runs]
+    keys = bitset_keys(y)
+    assert key_runs(keys) == runs
+    assert key_designs(amb, keys) == [Design(amb, r) for r in runs]
+    assert np.array_equal(key_bits(keys, 12), y)
+    assert np.array_equal(key_bits(keys), np.pad(y, ((0, 0), (0, 52))))
     # The 2-D run array path scatters the same rows.
     six = [tuple(sorted(rng.sample(range(12), 6))) for _ in range(10)]
     assert np.array_equal(runs_matrix(np.array(six), 12), runs_matrix(six, 12))
     # Designs are built through the validated constructor: a column past
     # the ambient's last run is rejected, not turned into a Design.
     with pytest.raises(IndexError):
-        matrix_designs(amb, runs_matrix([(0, 12)], 13))
+        key_designs(amb, bitset_keys(runs_matrix([(0, 12)], 13)))
 
 
 @pytest.mark.parametrize("m", [12, 48, 64, 81, 130])
@@ -327,6 +330,7 @@ def test_word_keys_are_sums_of_run_keys_and_sort_as_run_tuples(m):
     keys = bitset_keys(runs_matrix(runs, m))
     assert keys.dtype == np.uint64 and keys.shape == (len(runs), -(-m // 64))
     assert key_runs(keys) == runs
+    assert np.array_equal(key_bits(keys, m), runs_matrix(runs, m))
     singles = run_keys(m)
     assert np.array_equal(keys, np.stack([singles[list(r)].sum(axis=0) for r in runs]))
     # Descending keys are ascending run tuples among designs of one size.

@@ -11,10 +11,10 @@ import reference
 from conftest import random_ambient, sign_fraction
 from orthofrac.algebra import verify_theta, indicator_from_design
 from orthofrac.catalog import cross_check_classes
-from orthofrac.classify import act, classification_report, classify, classify_matrix, generate_group
+from orthofrac.classify import act, classification_report, classify, classify_keys, generate_group
 from orthofrac import algebra, search
 from orthofrac.designs import default_levels, full_design, full_factorial, has_strength, margin_cells
-from orthofrac.fastcheck import runs_matrix
+from orthofrac.fastcheck import bitset_keys, key_runs, runs_matrix
 from orthofrac.search import (
     _enumerate_rows,
     _free_cells,
@@ -24,13 +24,13 @@ from orthofrac.search import (
     CrossCheckError,
     ProblemTooLargeError,
     SearchProblem,
-    brute_force_matrix,
+    brute_force_keys,
     brute_force_oracle,
-    enumerate_matrix,
+    enumerate_keys,
     enumerate_orthogonal,
-    read_design_matrix,
+    read_design_keys,
     read_designs,
-    write_design_matrix,
+    write_design_keys,
     write_designs,
 )
 
@@ -190,12 +190,17 @@ def test_strength_zero_subsets_meet_the_design_ceiling(monkeypatch):
     assert taken == []
 
 
-def test_oracle_ceiling():
+def test_oracle_ceiling(monkeypatch):
     amb = full_factorial([2, 2, 2, 2, 3])
     with pytest.raises(ProblemTooLargeError):
         brute_force_oracle(SearchProblem(amb, 24, 2))  # C(48,24) >> default ceiling
-    with pytest.raises(ProblemTooLargeError):
-        brute_force_oracle(SearchProblem(full_factorial([2, 2, 2]), 4, 2, oracle_ceiling=10))
+    # The ceiling counts subsets: C(8,4) = 70.
+    problem = SearchProblem(full_factorial([2, 2, 2]), 4, 2)
+    monkeypatch.setattr(search, "_ORACLE_CEILING", 70)
+    assert len(brute_force_keys(problem)) == 2
+    monkeypatch.setattr(search, "_ORACLE_CEILING", 69)
+    with pytest.raises(ProblemTooLargeError, match=r"C\(8,4\) = 70 exceeds the ceiling 69"):
+        brute_force_oracle(problem)
 
 
 def _slices(amb, p, size, strength):
@@ -267,7 +272,7 @@ def test_join_count_and_key_injectivity(levels, size, count):
     p = len(levels) - 1
     sub, candidates, keys = _slices(amb, p, size, 2)
     assert _join_assignments(keys, amb.radices[p], ceiling=10**12)[1] == count
-    assert len(enumerate_matrix(problem)) == count
+    assert len(enumerate_keys(problem)) == count
     vectors = margin_cells(sub, 2).count(runs_matrix(candidates, sub.run_count))
     assert len(keys.packed) == len(np.unique(vectors, axis=0))
 
@@ -278,13 +283,13 @@ def test_design_ceiling(monkeypatch):
     flagship = SearchProblem(full_factorial([2, 2, 2, 2, 3]), 24, 2)
     monkeypatch.setattr(search, "_MATRIX_BUDGET", 35200 * 48 * 8 - 1)
     with pytest.raises(ProblemTooLargeError, match="more than 35199 designs"):
-        enumerate_matrix(flagship)
+        enumerate_keys(flagship)
     problem = SearchProblem(full_factorial([2, 2, 2]), 4, 2)
     monkeypatch.setattr(search, "_MATRIX_BUDGET", 2 * 8 * 8)
-    assert len(enumerate_matrix(problem)) == 2
+    assert len(enumerate_keys(problem)) == 2
     monkeypatch.setattr(search, "_MATRIX_BUDGET", 2 * 8 * 8 - 1)
     with pytest.raises(ProblemTooLargeError, match="more than 1 designs"):
-        enumerate_matrix(problem)
+        enumerate_keys(problem)
 
 
 def test_cross_check_rejects_with_the_real_checker():
@@ -306,12 +311,12 @@ def test_python_int_packing_gives_the_same_designs(monkeypatch):
     # Above the int64 bound, the keys, the join and its count run on Python ints.
     problems = [SearchProblem(full_factorial(levels), size, t)
                 for levels, size, t in (((3, 3, 3), 9, 2), ((2, 2, 2, 2), 8, 2), ((2, 2, 3), 6, 1))]
-    expected = [enumerate_matrix(problem) for problem in problems]
+    expected = [enumerate_keys(problem) for problem in problems]
     monkeypatch.setattr(algebra, "_INT64_SAFE", 0)
     _, _, keys = _slices(problems[0].ambient, 2, 9, 2)
     assert keys.packed.dtype == object
     for problem, y in zip(problems, expected):
-        assert np.array_equal(enumerate_matrix(problem), y)
+        assert np.array_equal(enumerate_keys(problem), y)
 
 
 def test_engine_matches_oracle_on_random_ambients():
@@ -366,6 +371,26 @@ def test_designs_file_round_trip(tmp_path):
     assert text.endswith("# count: 2\n")
     with open(path) as fh:
         assert read_designs(fh, amb) == designs
+    # On keys, write after read gives a canonical file back byte for byte:
+    # size-0 designs, no designs, m = 64 (one full word) and m = 81 (a
+    # second word with 47 padding bits).
+    for levels, size in (((2, 2, 2), 4), ((2,) * 6, 8), ((3,) * 4, 9)):
+        amb = full_factorial(levels)
+        m = amb.run_count
+        canonical = [
+            "# count: 0\n",
+            "[]\n# count: 1\n",
+            "[]\n[]\n# count: 2\n",
+            f"[0, {m - 1}]\n[{m - 1}]\n[]\n[{', '.join(map(str, range(m)))}]\n# count: 4\n",
+            _old_design_file(enumerate_orthogonal(SearchProblem(amb, size, 2))[:50]),
+        ]
+        for text in canonical:
+            keys = read_design_keys(io.StringIO(text), amb)
+            assert keys.shape == (text.count("\n") - 1, -(-m // 64))
+            written = io.StringIO()
+            write_design_keys(keys, written)
+            assert written.getvalue() == text
+    assert read_design_keys(io.StringIO(""), amb).shape == (0, 2)
 
 
 def test_designs_file_rejects_garbage():
@@ -403,12 +428,15 @@ def test_read_designs_matches_per_line_reader():
     # reference reader, or raises its exact error, on mixed files.
     rng = random.Random(83)
     ambients = [full_factorial([2, 2, 3]), full_factorial([2, 2, 2, 2, 3])]
+    ambients += [full_factorial([2] * 6), full_factorial([3] * 4)]  # m = 64 and 81
     ambients += [random_ambient(rng) for _ in range(4)]
     outcomes = set()
     for amb in ambients:
+        texts = ["", "[]", "[]\n[]\n# count: 2\n"]  # an empty file and size-0 designs
         for _ in range(150):
             lines = [_random_line(rng, amb) for _ in range(rng.randint(0, 12))]
-            text = rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n"))
+            texts.append(rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n")))
+        for text in texts:
             try:
                 expected = reference.read_designs(io.StringIO(text), amb)
             except ValueError as exc:
@@ -418,8 +446,9 @@ def test_read_designs_matches_per_line_reader():
                 outcomes.add("error")
                 continue
             assert read_designs(io.StringIO(text), amb) == expected
-            y = read_design_matrix(io.StringIO(text), amb)
-            assert y.tolist() == runs_matrix(expected, amb.run_count).tolist()
+            keys = read_design_keys(io.StringIO(text), amb)
+            assert key_runs(keys) == [d.runs for d in expected]
+            assert np.array_equal(keys, bitset_keys(runs_matrix(expected, amb.run_count)))
             outcomes.add("designs" if expected else "empty")
     assert outcomes == {"error", "designs", "empty"}
 
@@ -434,19 +463,19 @@ def _old_design_file(designs) -> str:
     [((2, 2, 2, 2, 3), 24, 2, False), ((2, 2, 2, 2), 8, 2, True), ((2, 2), 3, 2, False)],
 )
 def test_array_route_matches_list_route(levels, size, strength, oracle, flagship_designs):
-    # enumerate -> write -> read -> classify on membership matrices gives the
+    # enumerate -> write -> read -> classify on keys gives the
     # bytes of the route through Design lists, the per-line reader and the
     # json.dumps writer: on the flagship, with the oracle and on an empty result.
     amb = full_factorial(levels)
     problem = SearchProblem(amb, size, strength)
     if oracle:
-        y, designs = brute_force_matrix(problem), brute_force_oracle(problem)
+        keys, designs = brute_force_keys(problem), brute_force_oracle(problem)
     else:
-        y = enumerate_matrix(problem)
+        keys = enumerate_keys(problem)
         designs = flagship_designs if size == 24 else enumerate_orthogonal(problem)
     # Line lists, not strings: a failure then names the first differing line.
     written = io.StringIO()
-    write_design_matrix(y, written)
+    write_design_keys(keys, written)
     assert written.getvalue().split("\n") == _old_design_file(designs).split("\n")
     listed = io.StringIO()
     write_designs(designs, listed)
@@ -456,11 +485,11 @@ def test_array_route_matches_list_route(levels, size, strength, oracle, flagship
     body = shuffled[:-1]
     random.Random(size).shuffle(body)
     text = "".join(body + shuffled[-1:])
-    array_classes = classify_matrix(amb, read_design_matrix(io.StringIO(text), amb))
+    array_classes = classify_keys(amb, read_design_keys(io.StringIO(text), amb))
     list_classes = classify(reference.read_designs(io.StringIO(text), amb))
     array_report = json.dumps(classification_report(array_classes), indent=2).split("\n")
     assert array_report == json.dumps(classification_report(list_classes), indent=2).split("\n")
-    assert bool(array_classes) == bool(len(y))
+    assert bool(array_classes) == bool(len(keys))
     if levels == (2, 2, 2, 2, 3):
         assert cross_check_classes(array_classes) == cross_check_classes(list_classes) == []
-    assert np.array_equal(y, runs_matrix(designs, amb.run_count))
+    assert np.array_equal(keys, bitset_keys(runs_matrix(designs, amb.run_count)))
