@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 
 from .algebra import (
@@ -90,16 +91,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _output(out: str | None):
+    """The text handle of --out, or stdout."""
+    if not out:
+        yield sys.stdout
+        return
+    # Overwritten in place and then cut to length: on ext4, truncating a
+    # file to zero makes its close() start writeback (auto_da_alloc).
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        yield fh
+        if os.path.isfile(out):  # not a pipe or a device
+            fh.truncate()
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        # Overwritten in place and then cut to length: on ext4, truncating a
-        # file to zero makes its close() start writeback (auto_da_alloc).
-        with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-            fh.write(text)
-            if os.path.isfile(out):  # not a pipe or a device
-                fh.truncate()
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def cmd_enumerate(args) -> int:
@@ -117,11 +125,8 @@ def cmd_enumerate(args) -> int:
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        import io
-
-        buf = io.StringIO()
-        write_design_keys(keys, buf)
-        _emit(buf.getvalue(), args.out)
+        with _output(args.out) as fh:
+            write_design_keys(keys, fh)
     if args.out:
         print(f"{len(keys)} designs -> {args.out}")
     return 0

@@ -17,7 +17,8 @@ Two independent routes:
   is the paper's system, idempotency plus [1; C] X theta = [s; 0], for
   theta = X^-1 y, because X theta = y (fastcheck.BatchChecker).  y is the
   bits of the design's final key, where a repeated run would carry into
-  another bit and fail the size row.
+  another bit and fail the size row; the keys are checked in chunks of
+  rows, so the B x m values are never formed at once.
 
   The join keys a candidate by its counts on the free margin cells, those
   whose levels are all >= 1: the candidates share every lower-order
@@ -28,8 +29,8 @@ Two independent routes:
   takes every fitting key at once, and one searchsorted finds the last.
   The join returns key ids and the exact design count.  It raises
   ProblemTooLargeError as soon as the count passes the design ceiling,
-  the most designs whose B x m int64 values, which the cross-check forms,
-  fit in _MATRIX_BUDGET bytes, before any design is built; at strength 0 the
+  the most designs whose B x m int64 membership values would fit in
+  _MATRIX_BUDGET bytes, before any design is built; at strength 0 the
   C(m, q) subsets meet the same ceiling before any is listed.
 
 * `brute_force_oracle` - plain enumeration of all size-s subsets filtered
@@ -44,8 +45,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 
 import numpy as np
@@ -55,7 +56,7 @@ from .designs import Design, FullFactorial, margin_cells
 from .fastcheck import bitset_keys, get_checker, key_bits, key_designs, key_order, run_keys, runs_matrix
 
 # At every level of its recursion the sliced enumeration refuses a result
-# whose B x m int64 cross-check values would take more bytes than this:
+# whose B x m int64 membership values would take more bytes than this:
 # 10^6 designs at m = 96, 2 * 10^6 on the 48-run flagship ambient.
 _MATRIX_BUDGET = 768 * 10**6
 
@@ -302,10 +303,12 @@ def enumerate_keys(problem: SearchProblem) -> np.ndarray:
     m = problem.ambient.run_count
     rows = _enumerate_rows(problem.ambient, problem.size, problem.strength, problem.slicing_factor)
     keys = run_keys(m)[rows].sum(axis=1, dtype=np.uint64)
-    del rows  # not held while the cross-check forms its B x m int64 values
+    del rows
     # All designs have one size, so descending keys sort them by run tuple.
     keys = keys[key_order(keys)[::-1]]
-    _cross_check(key_bits(keys, m), problem)
+    step = _chunk_rows(m)
+    for start in range(0, len(keys), step):
+        _cross_check(key_bits(keys[start : start + step], m), problem)
     return keys
 
 
@@ -346,34 +349,77 @@ def brute_force_oracle(problem: SearchProblem) -> list[Design]:
 
 # ---------------------------------------------------------------------------
 # Results file format: one design per line as "[i1, i2, ...]", then a
-# trailing "# count: N" summary line.  Those canonical lines (", "
-# separators, no leading zeros) are read in bulk; any other line that
-# holds a JSON list of run indices is read on its own.
+# trailing "# count: N" summary line.  A canonical line is one that equals
+# the writer's rendering of its runs: in range, strictly increasing, ", "
+# separators, no leading zeros, one "\n".  Canonical lines are read in bulk;
+# every other line is read on its own as JSON, in file order, so blank and
+# "#" lines are skipped and the first bad line raises its error.  Both
+# directions work on bytes, in chunks: the writer renders a chunk of key
+# rows at a time, and the reader parses text chunks that end on a line
+# boundary.
+
+# The chunk size of the design-file codec and of the cross-check: the reader
+# takes text chunks of this many characters, completed to the end of their
+# line, and a chunk of key rows holds at most this many bytes of B x m int64
+# values.
+_CHUNK_BYTES = 1 << 20
 
 
-def _design_lines(lengths: list[int], flat: list[int]) -> str:
-    """The canonical lines of designs with these run counts and concatenated
-    runs: one %-format over all of them."""
-    formats = {k: "[" + ", ".join(["%d"] * k) + "]\n" for k in set(lengths)}
-    return "".join(map(formats.__getitem__, lengths)) % tuple(flat)
+def _chunk_rows(m: int) -> int:
+    return max(1, _CHUNK_BYTES // (8 * m))
+
+
+@lru_cache(maxsize=None)
+def _tokens(m: int) -> np.ndarray:
+    """The tokens of canonical lines on m runs, one zero-padded word per row:
+    "r, " for every run r, then "r]\n" for every run, then "[" and "[]\n"."""
+    texts = [f"{r}, " for r in range(m)] + [f"{r}]\n" for r in range(m)] + ["[", "[]\n"]
+    width = max(map(len, texts))
+    width = 4 if width <= 4 else -(-width // 8) * 8
+    data = b"".join(t.encode().ljust(width, b"\0") for t in texts)
+    words = np.frombuffer(data, dtype=np.uint32 if width == 4 else np.uint64)
+    return words.reshape(len(texts), -1)
+
+
+def _render(lengths: np.ndarray, runs: np.ndarray, m: int) -> np.ndarray:
+    """The canonical lines, as uint8 bytes, of designs with these run counts
+    (one per line) and concatenated runs, every run below m: one take of the
+    token words, then the pad bytes dropped."""
+    ids = np.empty(len(lengths) + len(runs), dtype=np.int64)
+    starts = np.cumsum(lengths + 1) - (lengths + 1)
+    is_run = np.ones(len(ids), dtype=bool)
+    is_run[starts] = False
+    ids[is_run] = runs
+    full = lengths > 0
+    ids[(starts + lengths)[full]] += m  # the last run closes its line
+    ids[starts] = np.where(full, 2 * m, 2 * m + 1)
+    text = np.take(_tokens(m), ids, axis=0).view(np.uint8).ravel()
+    return text[text != 0]
 
 
 def write_design_keys(keys: np.ndarray, fh) -> None:
     """write_designs for the designs of keys (fastcheck), one per row."""
-    bits = key_bits(keys)
-    runs = np.flatnonzero(bits) % bits.shape[1]
-    fh.write(_design_lines(np.count_nonzero(bits, axis=1).tolist(), runs.tolist()))
+    m = 64 * keys.shape[1]  # every run of a key is below it
+    step = _chunk_rows(m)
+    for start in range(0, len(keys), step):
+        bits = key_bits(keys[start : start + step])
+        fh.write(_render(np.count_nonzero(bits, axis=1), np.flatnonzero(bits) % m, m).tobytes().decode())
     fh.write(f"# count: {len(keys)}\n")
 
 
 def write_designs(designs: list[Design], fh) -> None:
-    fh.write(_design_lines([d.size for d in designs], [r for d in designs for r in d.runs]))
+    m = max((d.ambient.run_count for d in designs), default=1)
+    step = _chunk_rows(m)
+    for start in range(0, len(designs), step):
+        chunk = designs[start : start + step]
+        lengths = np.fromiter((d.size for d in chunk), dtype=np.int64, count=len(chunk))
+        runs = itertools.chain.from_iterable(d.runs for d in chunk)
+        runs = np.fromiter(runs, dtype=np.int64, count=int(lengths.sum()))
+        fh.write(_render(lengths, runs, m).tobytes().decode())
     fh.write(f"# count: {len(designs)}\n")
 
 
 _INT_TYPE = frozenset((int,))
-_CANONICAL_LINE = re.compile(r"\[(?:(?:[1-9][0-9]{0,17}|0)(?:, (?:[1-9][0-9]{0,17}|0))*)?\]")
-_SEPARATORS = str.maketrans("[],\n", "    ")
 
 
 def _parse_line(line: str, lineno: int, ambient: FullFactorial) -> tuple[int, ...]:
@@ -391,47 +437,103 @@ def _parse_line(line: str, lineno: int, ambient: FullFactorial) -> tuple[int, ..
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
-def read_design_keys(fh, ambient: FullFactorial) -> np.ndarray:
-    """read_designs as keys (fastcheck): one row per design line, in file order.
+def _run_sums(lengths: np.ndarray, runs: np.ndarray, m: int) -> np.ndarray:
+    """The keys of designs with these run counts and concatenated runs."""
+    keys = np.zeros((len(lengths), -(-m // 64)), dtype=np.uint64)
+    full = lengths > 0
+    if len(runs):
+        keys[full] = np.add.reduceat(run_keys(m)[runs], (np.cumsum(lengths) - lengths)[full], axis=0)
+    return keys
 
-    Canonical lines whose runs are in range and strictly increasing are
-    parsed together by one numeric parse; every other line goes through
-    _parse_line in file order, so the first bad line raises its error.
+
+def _canonical_lines(b: np.ndarray, ends: np.ndarray, m: int):
+    """Which lines of the uint8 text b are canonical, and the run counts and
+    concatenated runs of those.  Line i ends just before index ends[i], and
+    b ends with a newline.
+
+    Every maximal run of digits is a number, read from its last len(str(m-1))
+    digits.  A line keeps its numbers only when they are in range and
+    strictly increasing, and is canonical exactly when it equals their
+    rendering.  That comparison is what makes the loose parse safe: a
+    canonical line parses back to the runs it renders.
     """
-    m = ambient.run_count
-    lines = list(map(str.strip, fh))
-    matches = map(bool, map(_CANONICAL_LINE.fullmatch, lines))
-    canonical = np.fromiter(matches, dtype=bool, count=len(lines))
-    bulk = np.flatnonzero(canonical)
-    texts = list(map(lines.__getitem__, bulk.tolist()))
-    # Runs per line: one more than its commas, except in "[]".
-    commas = map(str.count, texts, itertools.repeat(","))
-    lengths = np.fromiter(commas, dtype=np.int64, count=len(texts))
-    lengths += np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) > 2
-    flat = np.zeros(0, dtype=np.int64)
-    if lengths.sum():  # np.fromstring reads an all-blank string as [0]
-        flat = np.fromstring("\n".join(texts).translate(_SEPARATORS), dtype=np.int64, sep=" ")
-    # A bulk line keeps its runs only where _parse_line would accept them
-    # unchanged: every run in range, each above the one before it.
-    ends = np.cumsum(lengths)
-    first = np.zeros(len(flat), dtype=bool)
-    first[(ends - lengths)[lengths > 0]] = True
-    bad = flat >= m
-    bad[1:] |= (flat[1:] <= flat[:-1]) & ~first[1:]
-    canonical[bulk[np.searchsorted(ends, np.flatnonzero(bad), side="right")]] = False
+    digits = b - np.uint8(48)  # wraps below "0"
+    is_digit = digits < 10
+    last = np.flatnonzero(is_digit[:-1] > is_digit[1:])  # each number's last digit
+    value = np.take(digits, last).astype(np.int32)  # at most 9 digits for any m <= 10^9
+    in_number = np.ones(len(last), dtype=bool)
+    for k in range(1, len(str(m - 1))):
+        # Index -1 is the final newline, so a number at the start stops there.
+        d = np.take(digits, last - k, mode="wrap")
+        in_number &= d < 10
+        d[~in_number] = 0
+        value += d * np.int32(10**k)
+    lengths = np.diff(np.searchsorted(last, ends), prepend=0)
+    line = np.repeat(np.arange(len(ends)), lengths)
 
+    bad = value >= m
+    bad[1:] |= (value[1:] <= value[:-1]) & (line[1:] == line[:-1])
+    # The rendered line: "[" or "[]\n", then "r, " or "r]\n" for every run r.
+    rendered = 1 + 3 * lengths + 2 * (lengths == 0)
+    line_end = np.cumsum(lengths)
+    for k in range(1, len(str(m - 1))):
+        rendered += np.diff(np.searchsorted(np.flatnonzero(value >= 10**k), line_end), prepend=0)
+    own = np.diff(ends, prepend=0)
+    canonical = rendered == own
+    canonical[line[bad]] = False
+
+    differs = _render(lengths[canonical], value[canonical[line]], m)
+    differs = differs != (b if canonical.all() else b[np.repeat(canonical, own)])
+    if len(differs):
+        offsets = np.cumsum(rendered[canonical]) - rendered[canonical]
+        canonical[np.flatnonzero(canonical)[np.logical_or.reduceat(differs, offsets)]] = False
+    return canonical, lengths[canonical], value[canonical[line]]
+
+
+def _read_chunk(text: str, first_line: int, ambient: FullFactorial) -> tuple[np.ndarray, int]:
+    """The keys of the design lines of text, a whole number of lines, in
+    order, and its line count; its first line is line first_line + 1."""
+    m = ambient.run_count
+    data = text.encode("utf-8", "surrogatepass")
+    if not data.endswith(b"\n"):
+        data += b"\n"  # the file's last line; stripped away either way
+    b = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(b == 10) + 1
+    canonical, lengths, runs = _canonical_lines(b, ends, m)
     # The design lines left to _parse_line: all but blank and "#" lines.
-    rest = [i for i in np.flatnonzero(~canonical).tolist() if lines[i] and lines[i][0] != "#"]
+    rest, parsed = [], []
+    for i in np.flatnonzero(~canonical).tolist():
+        line = data[ends[i - 1] if i else 0 : ends[i]].decode("utf-8", "surrogatepass").strip()
+        if line and line[0] != "#":
+            rest.append(i)
+            parsed.append(_parse_line(line, first_line + i + 1, ambient))
     is_design = canonical.copy()
     is_design[rest] = True
     row = np.cumsum(is_design) - 1
-    y = np.zeros((int(is_design.sum()), m), dtype=bool)
-    keep = canonical[bulk]
-    y[np.repeat(row[bulk[keep]], lengths[keep]), flat[np.repeat(keep, lengths)]] = 1
-    parsed = [_parse_line(lines[i], i + 1, ambient) for i in rest]
-    rest_runs = np.fromiter(itertools.chain.from_iterable(parsed), dtype=np.int64)
-    y[np.repeat(row[rest], list(map(len, parsed))), rest_runs] = 1
-    return bitset_keys(y)
+    keys = np.zeros((int(is_design.sum()), -(-m // 64)), dtype=np.uint64)
+    keys[row[canonical]] = _run_sums(lengths, runs, m)
+    rest_lengths = np.fromiter(map(len, parsed), dtype=np.int64, count=len(parsed))
+    rest_runs = np.fromiter(itertools.chain.from_iterable(parsed), dtype=np.int64, count=int(rest_lengths.sum()))
+    keys[row[rest]] = _run_sums(rest_lengths, rest_runs, m)
+    return keys, len(ends)
+
+
+def read_design_keys(fh, ambient: FullFactorial) -> np.ndarray:
+    """read_designs as keys (fastcheck): one row per design line, in file order.
+
+    Reads fh in text chunks of _CHUNK_BYTES characters, each completed to
+    the end of its line.  Canonical lines are read in bulk; every other
+    line goes through _parse_line, so the first bad line raises its error.
+    """
+    chunks = [np.zeros((0, -(-ambient.run_count // 64)), dtype=np.uint64)]
+    lines = 0
+    while text := fh.read(_CHUNK_BYTES):
+        if not text.endswith("\n"):
+            text += fh.readline()
+        keys, count = _read_chunk(text, lines, ambient)
+        chunks.append(keys)
+        lines += count
+    return np.concatenate(chunks)
 
 
 def read_designs(fh, ambient: FullFactorial) -> list[Design]:

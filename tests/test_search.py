@@ -14,7 +14,7 @@ from orthofrac.catalog import cross_check_classes
 from orthofrac.classify import act, classification_report, classify, classify_keys, generate_group
 from orthofrac import algebra, search
 from orthofrac.designs import default_levels, full_design, full_factorial, has_strength, margin_cells
-from orthofrac.fastcheck import bitset_keys, key_runs, runs_matrix
+from orthofrac.fastcheck import bitset_keys, key_designs, key_runs, runs_matrix
 from orthofrac.search import (
     _enumerate_rows,
     _free_cells,
@@ -451,6 +451,109 @@ def test_read_designs_matches_per_line_reader():
             assert np.array_equal(keys, bitset_keys(runs_matrix(expected, amb.run_count)))
             outcomes.add("designs" if expected else "empty")
     assert outcomes == {"error", "designs", "empty"}
+    # Lines next to the canonical form, where a loose numeric parse could go
+    # wrong: the bulk reader must give the reference's designs or error.
+    for amb in ambients:
+        m = amb.run_count
+        digits = len(str(m - 1))
+        texts = [
+            f"[0, {m - 1}]\n[1]",  # a final line with no newline
+            "[0]\n[]\n[1]\n[]\n# count: 4",  # "[]" between canonical lines
+            "[007]\n",
+            f"[0]\n[{m - 1:0{digits + 1}d}]\n",  # more digits than m - 1, in range
+            f"[{1:0{digits + 2}d}, 2]\n",
+            f"[0, {'9' * (digits + 1)}]\n",
+            "[0, \u0661]\n",  # non-ASCII digits in an otherwise canonical line
+            "[\uff11, 2]\n[0]\n",
+            "[0, 1\u0662]\n",
+            "[0, 1]\n[\u00b9]",
+            "[0,,1]\n{0, 1]\n[0, 1}\n[0; 1]\n",  # as long as "[0, 1]", but not it
+        ]
+        for text in texts:
+            try:
+                expected = reference.read_designs(io.StringIO(text), amb)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    read_design_keys(io.StringIO(text), amb)
+                assert str(got.value) == str(exc)
+                continue
+            keys = read_design_keys(io.StringIO(text), amb)
+            assert key_runs(keys) == [d.runs for d in expected]
+
+
+@pytest.mark.parametrize("levels, size", [((2, 2, 2, 2, 3), 24), ((2,) * 6, 16), ((3,) * 4, 18)])
+def test_chunk_size_does_not_change_the_design_file(levels, size, monkeypatch):
+    # The codec's chunk size: 1, 2 and 7 key rows per chunk, then text
+    # chunks of a few characters, which end mid-line and are completed to
+    # the end of their line.  m = 48, 64 (one full word) and 81 (two words).
+    amb = full_factorial(levels)
+    m = amb.run_count
+    keys = enumerate_keys(SearchProblem(amb, size, 2))[::151]
+    keys = np.concatenate([keys, np.zeros((1, keys.shape[1]), dtype=np.uint64)])  # "[]"
+    written = io.StringIO()
+    write_design_keys(keys, written)
+    text = written.getvalue()
+    listed = io.StringIO()
+    write_designs(key_designs(amb, keys), listed)
+    assert listed.getvalue() == text
+    # A mixed file: lines for the per-line route among canonical ones, and a
+    # bad line close to the end, so in a later chunk than the first.
+    lines = text.splitlines(keepends=True)
+    mixed = lines[:3] + [" [ 3 , 1 ] \n", "\n", "[0,1]\r\n", "# note\n"] + lines[3:-1]
+    mixed += [f"[{m - 1}, 0]\n"] + lines[-1:]
+    bad = "".join(mixed[:-2] + ["[2, 2]\n"] + mixed[-2:])
+    mixed = "".join(mixed)
+    expected_mixed = read_design_keys(io.StringIO(mixed), amb)
+    assert key_runs(expected_mixed) == [d.runs for d in reference.read_designs(io.StringIO(mixed), amb)]
+    with pytest.raises(ValueError) as default_error:
+        read_design_keys(io.StringIO(bad), amb)
+    with pytest.raises(ValueError, match=re.escape(str(default_error.value))):
+        reference.read_designs(io.StringIO(bad), amb)
+    assert str(default_error.value).startswith(f"line {bad.count(chr(10)) - 2}: ")
+
+    row_bytes = 8 * 64 * keys.shape[1]  # the writer's rows per chunk are _CHUNK_BYTES // row_bytes
+    for chunk in (row_bytes, 2 * row_bytes, 7 * row_bytes, 1, 2, 7, 97):
+        monkeypatch.setattr(search, "_CHUNK_BYTES", chunk)
+        written = io.StringIO()
+        write_design_keys(keys, written)
+        assert written.getvalue() == text
+        listed = io.StringIO()
+        write_designs(key_designs(amb, keys), listed)
+        assert listed.getvalue() == text
+        assert np.array_equal(read_design_keys(io.StringIO(text), amb), keys)
+        assert np.array_equal(read_design_keys(io.StringIO(mixed), amb), expected_mixed)
+        with pytest.raises(ValueError) as got:
+            read_design_keys(io.StringIO(bad), amb)
+        assert str(got.value) == str(default_error.value)
+
+
+def test_chunk_size_does_not_change_enumerate(monkeypatch):
+    # The cross-check runs over chunks of rows; the first failing row, in a
+    # later chunk, names the same design.
+    problem = SearchProblem(full_factorial([2, 2, 2, 3]), 12, 2)
+    keys = enumerate_keys(problem)
+    assert len(keys) > 7 * 2
+    first_bad = key_runs(keys[5:6])[0]
+    real = search.get_checker(problem.ambient)
+
+    class RejectFromRowFive:
+        def __init__(self):
+            self.seen = 0
+
+        def verify(self, y, size, strength):
+            ok = real.verify(y, size, strength)
+            ok[max(0, 5 - self.seen) :] = False
+            self.seen += len(y)
+            return ok
+
+    for rows in (1, 2, 7):
+        monkeypatch.setattr(search, "_CHUNK_BYTES", rows * 8 * problem.ambient.run_count)
+        assert np.array_equal(enumerate_keys(problem), keys)
+        checker = RejectFromRowFive()
+        monkeypatch.setattr(search, "get_checker", lambda ambient: checker)
+        with pytest.raises(CrossCheckError, match=re.escape(f"design {first_bad} fails")):
+            enumerate_keys(problem)
+        monkeypatch.setattr(search, "get_checker", lambda ambient: real)
 
 
 def _old_design_file(designs) -> str:
