@@ -17,11 +17,16 @@ Central objects, all exact:
 value_checks reads every check from the values at the runs v = X theta.
 theta is idempotent (theta = mu(theta), the reduced square of the
 polynomial) iff v is in {0, 1}^m, because mu(theta) = X^{-1} (v o v) and
-X is invertible; the size and contrast rows [1; C] X theta are [1; C] v
-(contrast_sums).  So the check is "v is 0/1 and [1; C] v = [s; 0]".
-verify_theta_report computes v for one polynomial; the batch cross-check
-(fastcheck.BatchChecker) passes the membership rows themselves, since for
-theta = X^{-1} y the values X theta are y.
+X is invertible; the size and contrast rows [1; C] X theta are [1; C] v.
+So the check is "v is 0/1 and [1; C] v = [s; 0]".
+
+There is one verdict on [1; C] v, contrast_checks, over one set of rows,
+contrast_rows, and two ways to sum them.  verify_theta_report computes v
+for one polynomial as integer numerators over a denominator and sums the
+rows by contrast_sums, an integer product.  The batch cross-check
+(fastcheck.BatchChecker) reads the designs' keys: for theta = X^{-1} y the
+values X theta are y, the key's bits, which are 0/1 by construction, and
+a row of -1, 0 and 1 sums over them to two popcounts.
 
 Everything derived from an ambient is cached on the (hashable) ambient.
 """
@@ -265,18 +270,38 @@ class LinearSystem:
         return self.coeffs.rows
 
 
+def contrast_rows(ambient: FullFactorial, strength: int) -> np.ndarray:
+    """[1'; C_1; ...; C_strength]: the leading rows of _contrast_rows, a
+    read-only int64 array of -1, 0 and 1 with one row per row label of
+    build_contrast_matrix, and at most m rows."""
+    if not 1 <= strength <= ambient.n_factors:
+        raise ValueError("strength out of range")
+    return _contrast_rows(ambient)[0][: _block_starts(ambient)[strength + 1]]
+
+
 def contrast_sums(ambient: FullFactorial, values: np.ndarray, strength: int) -> np.ndarray:
-    """[1'; C_1; ...; C_strength] applied to every row of a B x m integer
-    array, exactly: one column per row label of build_contrast_matrix.
+    """contrast_rows applied to every row of a B x m integer array, exactly:
+    one column per row.
 
     int64 when max|value| * m (the all-ones row has the largest row-abs-sum)
     is below 2^62, Python ints otherwise.
     """
-    if not 1 <= strength <= ambient.n_factors:
-        raise ValueError("strength out of range")
+    rows = contrast_rows(ambient, strength).T
     dtype = _exact_dtype(_max_abs(values) * ambient.run_count)
-    rows = _contrast_rows(ambient)[0][: _block_starts(ambient)[strength + 1]].T
     return values.astype(dtype, copy=False) @ rows.astype(dtype, copy=False)
+
+
+def contrast_checks(
+    ambient: FullFactorial, sums: np.ndarray, size: int | np.ndarray, strength: int
+) -> np.ndarray:
+    """The verdict of every block of contrast_rows(ambient, strength) on the
+    B x R sums of B vectors: a B x (1 + strength) bool array with columns
+    size (the all-ones row sums to size, one int or one per row), then
+    contrast[1..strength] (every row of C_k sums to 0)."""
+    hits = sums == 0
+    hits[:, 0] = sums[:, 0] == size
+    # One AND per block: the size row, then each C_k.
+    return np.logical_and.reduceat(hits, _block_starts(ambient)[: strength + 1], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -352,10 +377,7 @@ def value_checks(
     size is one int or one per row.
     """
     sums = contrast_sums(ambient, values, strength)
-    hits = sums == 0
-    hits[:, 0] = sums[:, 0] == np.multiply(size, den, dtype=object)
-    # One AND per block: the size row, then each C_k.
-    blocks = np.logical_and.reduceat(hits, _block_starts(ambient)[: strength + 1], axis=1)
+    blocks = contrast_checks(ambient, sums, np.multiply(size, den, dtype=object), strength)
     return np.column_stack([~_off_indicator(values, den).any(axis=1), blocks])
 
 

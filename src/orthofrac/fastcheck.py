@@ -1,14 +1,17 @@
 """Vectorized exact verification of many fractions of one ambient.
 
-BatchChecker.verify is the algebraic cross-check of enumerated designs: a
-membership row y passes when y is 0/1 and [1; C] y = [s; 0].  That is the
-paper's system for the indicator coefficients theta = X^-1 y, idempotency
-plus [1; C] X theta = [s; 0], because X theta = y: theta is idempotent
-exactly when X theta is 0/1 (see algebra's module docstring).  The verdict
-comes from algebra.value_checks, which also decides
-algebra.verify_theta_report.  It uses algebra's contrast rows, not the
-search's margin cells, so it stays independent of the search, and it never
-applies X or X^-1.
+BatchChecker.verify is the algebraic cross-check of enumerated designs,
+read straight from their keys: a design with membership row y passes when
+[1; C] y = [s; 0].  That is the paper's system for the indicator
+coefficients theta = X^-1 y, idempotency plus [1; C] X theta = [s; 0],
+because X theta = y: theta is idempotent exactly when X theta is 0/1 (see
+algebra's module docstring), and the bits of a key are 0/1 by
+construction.  Each row of [1; C] (algebra.contrast_rows) has entries -1,
+0 and 1, so its sum over a design is the popcount of the key on the row's
++1 runs minus that on its -1 runs.  The verdict on those sums is
+algebra.contrast_checks, which also decides algebra.verify_theta_report.
+It uses algebra's contrast rows, not the search's margin cells, so it
+stays independent of the search, and it never applies X or X^-1.
 
 A list of designs travels between the search, the designs file and
 classify as one key array: a B x ceil(m/64) uint64 array, run r at bit
@@ -16,8 +19,8 @@ classify as one key array: a B x ceil(m/64) uint64 array, run r at bit
 keys and run_keys holds the keys of the one-run designs, whose sums are
 the keys of larger designs; key_bits unpacks keys into 0/1 rows, key_runs
 and key_designs read them back as run tuples and Designs, and key_order
-sorts them.  Membership rows stay inside the code that counts runs: the
-cross-check, margin counts and the class invariants.
+sorts them.  Membership rows stay inside the code that counts runs on
+margin cells: the search's join and oracle, and the class invariants.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import value_checks
+from .algebra import contrast_checks, contrast_rows
 from .designs import Design, FullFactorial
 
 
@@ -109,8 +112,20 @@ def find_keys(ordered: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.nda
     return pos, ordered[pos] == needles
 
 
+@lru_cache(maxsize=None)
+def _contrast_masks(ambient: FullFactorial, strength: int) -> tuple[np.ndarray, np.ndarray]:
+    """The runs where each row of contrast_rows(ambient, strength) is +1, and
+    where it is -1, as two read-only W x R arrays: word w of every row's
+    key, for W = ceil(m/64) words and R rows."""
+    rows = contrast_rows(ambient, strength)
+    masks = bitset_keys(rows == 1).T.copy(), bitset_keys(rows == -1).T.copy()
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
 class BatchChecker:
-    """The algebraic cross-check of many 0/1 membership rows of a fixed ambient.
+    """The algebraic cross-check of many keys of a fixed ambient.
 
     Margin counts (strength, invariants) live in designs.margin_cells.
     """
@@ -118,9 +133,30 @@ class BatchChecker:
     def __init__(self, ambient: FullFactorial):
         self.ambient = ambient
 
-    def verify(self, y: np.ndarray, size: int | np.ndarray, strength: int) -> np.ndarray:
-        """Batch analogue of algebra.verify_theta: y is 0/1 and [1; C] y = [size; 0]."""
-        return value_checks(self.ambient, y, 1, size, strength).all(axis=1)
+    def sums(self, keys: np.ndarray, strength: int) -> np.ndarray:
+        """contrast_rows(ambient, strength) applied to the bits of every key:
+        a B x R array, word by word the popcount of the key on each row's +1
+        runs minus that on its -1 runs.
+
+        No run is in both masks of a row, so every partial sum lies within
+        +-m, and the dtype is the narrowest of int16, int32 and int64 that
+        holds m.
+        """
+        plus, minus = _contrast_masks(self.ambient, strength)
+        m = self.ambient.run_count
+        dtype = next(t for t in (np.int16, np.int32, np.int64) if m <= np.iinfo(t).max)
+        sums = np.zeros((len(keys), plus.shape[1]), dtype=dtype)
+        for word, p, n in zip(keys.T, plus, minus):
+            sums += np.bitwise_count(word[:, None] & p)
+            sums -= np.bitwise_count(word[:, None] & n)
+        return sums
+
+    def verify(self, keys: np.ndarray, size: int | np.ndarray, strength: int) -> np.ndarray:
+        """Batch analogue of algebra.verify_theta on keys: [1; C] y = [size; 0]
+        for the bits y of every key.  A key summed from a repeated run
+        carries into another bit, or out of its word, so it has fewer than
+        size bits and fails the size row."""
+        return contrast_checks(self.ambient, self.sums(keys, strength), size, strength).all(axis=1)
 
 
 @lru_cache(maxsize=None)

@@ -16,9 +16,10 @@ Two independent routes:
   counts: its membership row y must be 0/1 with [1; C] y = [s; 0].  That
   is the paper's system, idempotency plus [1; C] X theta = [s; 0], for
   theta = X^-1 y, because X theta = y (fastcheck.BatchChecker).  y is the
-  bits of the design's final key, where a repeated run would carry into
-  another bit and fail the size row; the keys are checked in chunks of
-  rows, so the B x m values are never formed at once.
+  bits of the design's final key, 0/1 by construction, where a repeated
+  run would carry into another bit and fail the size row.  The checker
+  sums each row of [1; C] over a key by popcounts on the key's words, in
+  chunks of key rows, and never unpacks the bits.
 
   The join keys a candidate by its counts on the free margin cells, those
   whose levels are all >= 1: the candidates share every lower-order
@@ -28,9 +29,8 @@ Two independent routes:
   np.unique.  The first r - 2 slice levels loop in Python, level r - 1
   takes every fitting key at once, and one searchsorted finds the last.
   The join returns key ids and the exact design count.  It raises
-  ProblemTooLargeError as soon as the count passes the design ceiling,
-  the most designs whose B x m int64 membership values would fit in
-  _MATRIX_BUDGET bytes, before any design is built; at strength 0 the
+  ProblemTooLargeError as soon as the count passes the design ceiling
+  (see _MATRIX_BUDGET), before any design is built; at strength 0 the
   C(m, q) subsets meet the same ceiling before any is listed.
 
 * `brute_force_oracle` - plain enumeration of all size-s subsets filtered
@@ -53,11 +53,14 @@ import numpy as np
 
 from .algebra import _exact_dtype
 from .designs import Design, FullFactorial, margin_cells
-from .fastcheck import bitset_keys, get_checker, key_bits, key_designs, key_order, run_keys, runs_matrix
+from .fastcheck import bitset_keys, get_checker, key_bits, key_designs, key_order, key_runs, run_keys, runs_matrix
 
-# At every level of its recursion the sliced enumeration refuses a result
-# whose B x m int64 membership values would take more bytes than this:
-# 10^6 designs at m = 96, 2 * 10^6 on the 48-run flagship ambient.
+# The design ceiling: at every level of its recursion the sliced enumeration
+# refuses a result of more than _MATRIX_BUDGET // (8 m) designs, 10^6 at
+# m = 96 and 2 * 10^6 on the 48-run flagship ambient.  Their B x s int64 run
+# array (_materialize) then fits in this many bytes, since s <= m, and the
+# B x s x ceil(m/64) uint64 key gather (enumerate_keys) in ceil(m/64) times
+# as many.
 _MATRIX_BUDGET = 768 * 10**6
 
 # The most size-s subsets the brute-force oracle filters.
@@ -287,13 +290,13 @@ def _enumerate_rows(
 # Public entry points
 
 
-def _cross_check(y: np.ndarray, problem: SearchProblem) -> None:
-    """Algebraic verification of every output row: 0/1 and [1; C] y = [s; 0]."""
-    ok = get_checker(problem.ambient).verify(y, problem.size, problem.strength)
+def _cross_check(keys: np.ndarray, problem: SearchProblem) -> None:
+    """Algebraic verification of every output key: [1; C] y = [s; 0] on its bits y."""
+    ok = get_checker(problem.ambient).verify(keys, problem.size, problem.strength)
     if not bool(np.all(ok)):
         bad = int(np.flatnonzero(~ok)[0])
         raise CrossCheckError(
-            f"internal consistency failure: design {tuple(np.flatnonzero(y[bad]).tolist())} "
+            f"internal consistency failure: design {key_runs(keys[bad : bad + 1])[0]} "
             "fails the algebraic check"
         )
 
@@ -308,7 +311,7 @@ def enumerate_keys(problem: SearchProblem) -> np.ndarray:
     keys = keys[key_order(keys)[::-1]]
     step = _chunk_rows(m)
     for start in range(0, len(keys), step):
-        _cross_check(key_bits(keys[start : start + step], m), problem)
+        _cross_check(keys[start : start + step], problem)
     return keys
 
 
@@ -360,8 +363,8 @@ def brute_force_oracle(problem: SearchProblem) -> list[Design]:
 
 # The chunk size of the design-file codec and of the cross-check: the reader
 # takes text chunks of this many characters, completed to the end of their
-# line, and a chunk of key rows holds at most this many bytes of B x m int64
-# values.
+# line, and a chunk of B key rows of the cross-check forms at most this many
+# bytes of B x R uint64 word counts, since [1; C_1; ...; C_t] has R <= m rows.
 _CHUNK_BYTES = 1 << 20
 
 

@@ -32,7 +32,7 @@ from orthofrac.designs import (
     invariant_triples,
     margin_cells,
 )
-from orthofrac.fastcheck import get_checker, runs_matrix
+from orthofrac.fastcheck import bitset_keys, get_checker, runs_matrix
 from orthofrac.polynomials import parse_polynomial, reduce_to_standard_form
 from orthofrac.search import SearchProblem, brute_force_oracle, enumerate_orthogonal
 
@@ -253,7 +253,7 @@ def test_flagship_outputs_are_sound(flagship, flagship_designs):
     y = runs_matrix(flagship_designs, 48)
     table = margin_cells(flagship, 2)
     assert bool(np.all(table.balanced(table.count(y), 24)))
-    assert bool(np.all(get_checker(flagship).verify(y, 24, 2)))
+    assert bool(np.all(get_checker(flagship).verify(bitset_keys(y), 24, 2)))
 
 
 def test_invariants_constant_on_every_orbit(flagship, flagship_designs, flagship_classes):

@@ -174,7 +174,7 @@ def test_enumerate_int64_overflow_exit_4(monkeypatch, capsys):
     # Every int64 path falls back to Python ints, so an OverflowError is
     # unexpected; a checker that raises one stands in for such a fault.
     class Overflowing:
-        def verify(self, y, size, strength):
+        def verify(self, keys, size, strength):
             raise OverflowError("int64 overflow")
 
     monkeypatch.setattr(search, "get_checker", lambda ambient: Overflowing())
@@ -188,8 +188,8 @@ def test_enumerate_int64_overflow_exit_4(monkeypatch, capsys):
 def test_cross_check_failure_exit_5(monkeypatch, capsys):
     # A checker that rejects every design stands in for an engine fault.
     class RejectAll:
-        def verify(self, y, size, strength):
-            return np.zeros(len(y), dtype=bool)
+        def verify(self, keys, size, strength):
+            return np.zeros(len(keys), dtype=bool)
 
     monkeypatch.setattr(search, "get_checker", lambda ambient: RejectAll())
     code = main(["enumerate", "--levels", "2,2,2", "--size", "4", "--strength", "2"])

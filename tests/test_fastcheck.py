@@ -10,6 +10,7 @@ import pytest
 
 from conftest import RATIONAL, random_ambient
 from orthofrac.algebra import (
+    contrast_sums,
     exponent_lattice,
     indicator_from_design,
     mode_products,
@@ -115,8 +116,9 @@ WIDE = from_level_sets([(0, 1, 10**4, -(10**5)), (1, 7**9, Fraction(-1, 3))])
 
 def test_batch_checker_matches_exact_route():
     # Differential: theta from the batch mode products equals X^-1 y by the
-    # dense Gauss-Jordan inverse, and verify equals the one-design report
-    # at every strength, on random ambients, on int64 and Python-int paths.
+    # dense Gauss-Jordan inverse, and the verdict equals the one-design report
+    # at every strength, on random ambients, on int64 and Python-int paths:
+    # value_checks on every row, verify on the keys of the 0/1 rows.
     rng = random.Random(71)
     paths = set()
     for amb in [random_ambient(rng) for _ in range(10)] + [WIDE]:
@@ -125,6 +127,7 @@ def test_batch_checker_matches_exact_route():
         rows += runs_matrix(
             [tuple(sorted(rng.sample(range(m), rng.randint(0, m)))) for _ in range(20)], m
         ).tolist()
+        keys = bitset_keys(np.array(rows, dtype=bool))
         rows += [[rng.choice((-1, 0, 1, 2)) for _ in range(m)] for _ in range(20)]
         checker, y = BatchChecker(amb), np.array(rows, dtype=np.int64)
         inverse = model_matrix_inverse(amb)
@@ -146,7 +149,8 @@ def test_batch_checker_matches_exact_route():
                 all(verify_theta_report(poly, amb, int(size), t).values())
                 for poly, size in zip(polys, sizes)
             ]
-            assert checker.verify(y, sizes, t).tolist() == expected
+            assert value_checks(amb, y, 1, sizes, t).all(axis=1).tolist() == expected
+            assert checker.verify(keys, sizes[: len(keys)], t).tolist() == expected[: len(keys)]
     assert paths == {np.dtype(np.int64), np.dtype(object)}
 
 
@@ -154,26 +158,56 @@ def test_batch_verify_agrees_with_verify_theta_exhaustively():
     amb = full_factorial([2, 2, 2])
     checker = get_checker(amb)
     subsets = _all_subsets(amb)
-    y = runs_matrix(subsets, amb.run_count)
+    keys = bitset_keys(runs_matrix(subsets, amb.run_count))
     for t in (1, 2, 3):
         for s in (2, 4):
-            batch = checker.verify(y, s, t)
+            batch = checker.verify(keys, s, t)
             for runs, got in zip(subsets, batch):
                 poly = indicator_from_design(Design(amb, runs))
                 assert bool(got) == verify_theta(poly, amb, s, t)
 
 
-def _parity_fractions(amb):
-    """{runs: the level indices of the factors in S sum to c mod 2}, for every S and c."""
+def _parity_fractions(amb, q=2):
+    """{runs: the level indices of the factors in S sum to c mod q}, for every S and c."""
     n, m = amb.n_factors, amb.run_count
     out = []
     for k in range(1, n + 1):
         for subset in itertools.combinations(range(n), k):
-            for c in (0, 1):
+            for c in range(q):
                 out.append(tuple(
-                    i for i in range(m) if sum(amb.decode(i)[j] for j in subset) % 2 == c
+                    i for i in range(m) if sum(amb.decode(i)[j] for j in subset) % q == c
                 ))
     return out
+
+
+@pytest.mark.parametrize("levels", [None, (2,) * 6, (3,) * 4, (2,) * 7], ids=["random", "2^6", "3^4", "2^7"])
+def test_key_sums_match_contrast_sums(levels):
+    # Differential: the popcount sums on keys equal contrast_sums of their
+    # bits, and verify equals value_checks on those bits, at every strength:
+    # on random ambients, where m fills one word (2^6), leaves padding bits
+    # (3^4) and fills two words (2^7).  Keys are summed from one-run keys,
+    # as enumerate sums them; one summed with a repeated run has fewer bits
+    # than runs and fails the size row.
+    rng = random.Random(59)
+    ambients = [random_ambient(rng) for _ in range(10)] if levels is None else [full_factorial(levels)]
+    for amb in ambients:
+        m, n = amb.run_count, amb.n_factors
+        runs = [(), tuple(range(m))] + _parity_fractions(amb, max(amb.radices) if levels else 2)
+        runs += [tuple(sorted(rng.sample(range(m), rng.randint(1, m)))) for _ in range(30)]
+        plain = len(runs)
+        runs += [r + (r[rng.randrange(len(r))],) for r in runs[1:]]
+        keys = np.stack([run_keys(m)[list(r)].sum(axis=0, dtype=np.uint64) for r in runs])
+        sizes = np.array([len(r) for r in runs])
+        bits, checker = key_bits(keys, m), BatchChecker(amb)
+        for t in range(1, n + 1):
+            sums = checker.sums(keys, t)
+            assert np.array_equal(sums, contrast_sums(amb, bits, t))
+            ok = checker.verify(keys, sizes, t)
+            assert ok.tolist() == value_checks(amb, bits, 1, sizes, t).all(axis=1).tolist()
+            assert ok[:2].all() and not ok[plain:].any()
+            assert np.all(sums[plain:, 0] < sizes[plain:])
+            # The regular fractions on all n factors have strength n - 1.
+            assert ok[2:plain].any() or not levels or t == n
 
 
 def test_batch_strength_agrees_with_has_strength():
@@ -221,6 +255,7 @@ def test_idempotent_ok_agrees_with_quadratic_system():
     for amb in (full_factorial([2, 2, 2]), full_factorial([2, 3]), RATIONAL):
         m = amb.run_count
         rows = runs_matrix(_all_subsets(amb), m).tolist()
+        keys = bitset_keys(np.array(rows, dtype=bool))
         # The doubled and negated full factorials are balanced but not 0/1.
         rows += [[2] * m, [-1] * m]
         rows += [[rng.choice((-1, 0, 1, 2)) for _ in range(m)] for _ in range(40)]
@@ -235,9 +270,9 @@ def test_idempotent_ok_agrees_with_quadratic_system():
         # verify needs both halves: some non-indicators pass the linear half.
         linear = checks[:, 1:].all(axis=1)
         assert (linear & ~np.array(expected)).any()
-        assert checker.verify(y, sizes, 1).tolist() == [
-            verify_theta(poly, amb, int(size), 1) for poly, size in zip(polys, sizes)
-        ]
+        verdicts = [verify_theta(poly, amb, int(size), 1) for poly, size in zip(polys, sizes)]
+        assert checks.all(axis=1).tolist() == verdicts
+        assert checker.verify(keys, sizes[: len(keys)], 1).tolist() == verdicts[: len(keys)]
 
 
 def test_idempotency_system_is_the_reduced_square():
@@ -267,9 +302,10 @@ def test_scaling_paths_on_rational_level_ambient():
     for runs, row in zip(subsets, scaled):
         exact = theta_vector(indicator_from_design(Design(amb, runs)), amb)
         assert [Fraction(int(v), w) for v in row] == list(exact)
+    keys = bitset_keys(y)
     for t in (1, 2):
         for s in (2, 3):
-            batch = checker.verify(y, s, t)
+            batch = checker.verify(keys, s, t)
             strength = _batch_strength(amb, y, s, t)
             for runs, got, got_s in zip(subsets, batch, strength):
                 design = Design(amb, runs)

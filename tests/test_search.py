@@ -14,7 +14,7 @@ from orthofrac.catalog import cross_check_classes
 from orthofrac.classify import act, classification_report, classify, classify_keys, generate_group
 from orthofrac import algebra, search
 from orthofrac.designs import default_levels, full_design, full_factorial, has_strength, margin_cells
-from orthofrac.fastcheck import bitset_keys, key_designs, key_runs, runs_matrix
+from orthofrac.fastcheck import bitset_keys, key_designs, key_runs, run_keys, runs_matrix
 from orthofrac.search import (
     _enumerate_rows,
     _free_cells,
@@ -293,16 +293,18 @@ def test_design_ceiling(monkeypatch):
 
 
 def test_cross_check_rejects_with_the_real_checker():
-    # No fake: the batch checker itself must name the failing row.  An
-    # unbalanced 0/1 row of the right size fails only the contrast rows;
-    # twice the balanced half {000, 111} has size 4 and zero contrast sums,
-    # so only the 0/1 test catches it.
+    # No fake: the batch checker itself must name the failing key.  An
+    # unbalanced design of the right size fails only the contrast rows.
+    # The balanced half {000, 111} summed twice, as a repeated run would be
+    # summed, has size 4 and zero contrast sums as a membership row of 2s;
+    # as a key, run 0 carries out of its word and run 7 into run 6, so the
+    # key is the design (6,), which fails the size row.
     problem = SearchProblem(full_factorial([2, 2, 2]), 4, 1)
-    good = runs_matrix([(0, 3, 5, 6)], 8)[0]
+    good = bitset_keys(runs_matrix([(0, 3, 5, 6)], 8))[0]
     search._cross_check(np.array([good]), problem)
-    unbalanced = runs_matrix([(0, 1, 2, 3)], 8)[0]
-    doubled = 2 * runs_matrix([(0, 7)], 8)[0]
-    for bad, runs in ((unbalanced, (0, 1, 2, 3)), (doubled, (0, 7))):
+    unbalanced = bitset_keys(runs_matrix([(0, 1, 2, 3)], 8))[0]
+    doubled = run_keys(8)[[0, 0, 7, 7]].sum(axis=0, dtype=np.uint64)
+    for bad, runs in ((unbalanced, (0, 1, 2, 3)), (doubled, (6,))):
         with pytest.raises(CrossCheckError, match=re.escape(f"design {runs} fails the algebraic check")):
             search._cross_check(np.array([good, bad]), problem)
 
@@ -540,10 +542,10 @@ def test_chunk_size_does_not_change_enumerate(monkeypatch):
         def __init__(self):
             self.seen = 0
 
-        def verify(self, y, size, strength):
-            ok = real.verify(y, size, strength)
+        def verify(self, keys, size, strength):
+            ok = real.verify(keys, size, strength)
             ok[max(0, 5 - self.seen) :] = False
-            self.seen += len(y)
+            self.seen += len(keys)
             return ok
 
     for rows in (1, 2, 7):
