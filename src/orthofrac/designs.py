@@ -6,7 +6,9 @@ canonical ordering in the package relies on that convention.
 
 `margin_cells` is the one integer encoding of factor-subset margins that
 the strength checks, the search, the oracle and the class invariants
-count with; `margins` is the Fraction-labelled view of the same counts.
+count with: on 0/1 membership rows through its incidence matrix, or on
+packed keys (fastcheck) as popcounts against its per-cell run masks.
+`margins` is the Fraction-labelled view of the same counts.
 """
 
 from __future__ import annotations
@@ -224,19 +226,41 @@ class MarginCells:
     volumes: np.ndarray  # volumes[c]: the number of cells of c's subset
     starts: np.ndarray  # starts[s]: the first cell id of subsets[s]
     incidence: np.ndarray  # incidence[i, c] == 1 iff run i hits cell c
+    masks: np.ndarray  # masks[w, c]: word w of the key (fastcheck layout) of the runs that hit cell c
 
     def count(self, y: np.ndarray) -> np.ndarray:
         """counts[b, c]: how many runs of the 0/1 membership row y[b] hit cell c."""
         return y @ self.incidence
+
+    def count_keys(self, keys: np.ndarray, cells=slice(None)) -> np.ndarray:
+        """counts[b, k]: how many runs of the design with key row keys[b] hit
+        cell cells[k] (default: every cell), as popcounts of key & mask."""
+        return popcounts(keys, self.masks[:, cells])
 
     def balanced(self, counts: np.ndarray, size) -> np.ndarray:
         """balanced[b, s]: every cell of subsets[s] holds size/volume runs of row b."""
         return np.logical_and.reduceat(counts * self.volumes == size, self.starts, axis=1)
 
 
+def popcounts(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """counts[b, c]: the number of bits that key row b shares with column c of
+    masks, for keys of W uint64 words and a W x C array of mask words.
+
+    The counts accumulate word by word in the narrowest of int16, int32 and
+    int64 that holds 64 W, the most bits a key has.
+    """
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if 64 * len(masks) <= np.iinfo(t).max)
+    counts = np.zeros((len(keys), masks.shape[1]), dtype=dtype)
+    for word, mask in zip(keys.T, masks):
+        counts += np.bitwise_count(word[:, None] & mask)
+    return counts
+
+
 @lru_cache(maxsize=None)
 def margin_cells(ambient: FullFactorial, k: int) -> MarginCells:
     """The cached margin-cell table of the size-k factor subsets (read-only arrays)."""
+    from .fastcheck import bitset_keys  # fastcheck imports this module
+
     m = ambient.run_count
     radices = ambient.radices
     ivs = np.array([ambient.decode(i) for i in range(m)], dtype=np.int64)
@@ -254,9 +278,14 @@ def margin_cells(ambient: FullFactorial, k: int) -> MarginCells:
     incidence = np.zeros((m, len(volumes)), dtype=np.int64)
     incidence[np.arange(m)[:, None], cells] = 1
     table = MarginCells(
-        subsets, cells, np.array(volumes, dtype=np.int64), np.array(starts, dtype=np.int64), incidence
+        subsets,
+        cells,
+        np.array(volumes, dtype=np.int64),
+        np.array(starts, dtype=np.int64),
+        incidence,
+        bitset_keys(incidence.T).T.copy(),
     )
-    for array in (table.cells, table.volumes, table.starts, table.incidence):
+    for array in (table.cells, table.volumes, table.starts, table.incidence, table.masks):
         array.flags.writeable = False
     return table
 

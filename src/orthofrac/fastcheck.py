@@ -19,8 +19,9 @@ classify as one key array: a B x ceil(m/64) uint64 array, run r at bit
 keys and run_keys holds the keys of the one-run designs, whose sums are
 the keys of larger designs; key_bits unpacks keys into 0/1 rows, key_runs
 and key_designs read them back as run tuples and Designs, and key_order
-sorts them.  Membership rows stay inside the code that counts runs on
-margin cells: the search's join and oracle, and the class invariants.
+sorts them.  The search and its oracle count margins on keys too
+(designs.MarginCells.count_keys); membership rows stay inside the class
+invariants and the one-design strength check.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import contrast_checks, contrast_rows
-from .designs import Design, FullFactorial
+from .algebra import _exact_dtype, contrast_checks, contrast_rows
+from .designs import Design, FullFactorial, popcounts
 
 
 def runs_matrix(designs, run_count: int) -> np.ndarray:
@@ -88,12 +89,41 @@ def run_keys(m: int) -> np.ndarray:
 
 def key_order(keys: np.ndarray) -> np.ndarray:
     """The argsort of keys, lexicographic over their words: one uint64 column
-    for m <= 64, a lexsort otherwise.  Among designs of one size, descending
-    keys are ascending run tuples: the smallest run in which two designs
-    differ is in the one whose tuple sorts first, and sets its bit."""
+    for m <= 64, the order of np.lexsort otherwise.  Among designs of one
+    size, descending keys are ascending run tuples: the smallest run in which
+    two designs differ is in the one whose tuple sorts first, and sets its bit.
+
+    For two words, word 0 is argsorted alone, and only the runs of rows with
+    equal word 0 are sorted again, by word 1 and then by row, as lexsort's
+    stability orders equal keys: one np.sort of an int64 composite of the
+    run, the dense rank of word 1 among the tied rows, and the row.  When
+    that composite could leave int64 (algebra._exact_dtype), the tied rows
+    go to lexsort instead.
+    """
     if keys.shape[1] == 1:
         return np.argsort(keys[:, 0])
-    return np.lexsort(keys.T[::-1])
+    if keys.shape[1] > 2:
+        return np.lexsort(keys.T[::-1])
+    n = len(keys)
+    order = np.argsort(keys[:, 0])
+    first = keys[order, 0]
+    tie = first[1:] == first[:-1]
+    tied = np.zeros(n, dtype=bool)
+    tied[1:] = tie
+    tied[:-1] |= tie
+    at = np.flatnonzero(tied)
+    if not len(at):
+        return order
+    rows = order[at]
+    run = np.cumsum(np.r_[True, ~tie])[at]
+    run -= run[0]
+    second = keys[rows, 1]
+    if _exact_dtype((int(run[-1]) + 1) * len(at) * n) is np.int64:
+        _, rank = np.unique(second, return_inverse=True)
+        order[at] = np.sort((run * len(at) + rank) * n + rows) % n
+    else:
+        order[at] = rows[np.lexsort((rows, second, run))]
+    return order
 
 
 def search_keys(keys: np.ndarray) -> np.ndarray:
@@ -135,21 +165,12 @@ class BatchChecker:
 
     def sums(self, keys: np.ndarray, strength: int) -> np.ndarray:
         """contrast_rows(ambient, strength) applied to the bits of every key:
-        a B x R array, word by word the popcount of the key on each row's +1
-        runs minus that on its -1 runs.
-
-        No run is in both masks of a row, so every partial sum lies within
-        +-m, and the dtype is the narrowest of int16, int32 and int64 that
-        holds m.
+        a B x R array, the popcount of the key on each row's +1 runs minus
+        that on its -1 runs (designs.popcounts).  Both lie in 0 .. 64 W, so
+        the difference fits their dtype.
         """
         plus, minus = _contrast_masks(self.ambient, strength)
-        m = self.ambient.run_count
-        dtype = next(t for t in (np.int16, np.int32, np.int64) if m <= np.iinfo(t).max)
-        sums = np.zeros((len(keys), plus.shape[1]), dtype=dtype)
-        for word, p, n in zip(keys.T, plus, minus):
-            sums += np.bitwise_count(word[:, None] & p)
-            sums -= np.bitwise_count(word[:, None] & n)
-        return sums
+        return popcounts(keys, plus) - popcounts(keys, minus)
 
     def verify(self, keys: np.ndarray, size: int | np.ndarray, strength: int) -> np.ndarray:
         """Batch analogue of algebra.verify_theta on keys: [1; C] y = [size; 0]

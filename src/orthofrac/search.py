@@ -21,21 +21,25 @@ Two independent routes:
   sums each row of [1; C] over a key by popcounts on the key's words, in
   chunks of key rows, and never unpacks the bits.
 
-  The join keys a candidate by its counts on the free margin cells, those
-  whose levels are all >= 1: the candidates share every lower-order
-  margin, and given those the free cells fix the rest, so the key loses
-  nothing.  The counts are packed mixed-radix into one int64 word, or a
+  Every level returns keys of its ambient (fastcheck).  The join keys a
+  candidate by its counts on the free margin cells, those whose levels
+  are all >= 1: the candidates share every lower-order margin, and given
+  those the free cells fix the rest, so the key loses nothing.  The
+  counts are popcounts of the candidates' keys on the cells' run masks
+  (MarginCells.count_keys), packed mixed-radix into one int64 word, or a
   Python int when the word bound is not below 2^62, and grouped by one
   np.unique.  The first r - 2 slice levels loop in Python, level r - 1
   takes every fitting key at once, and one searchsorted finds the last.
   The join returns key ids and the exact design count.  It raises
-  ProblemTooLargeError as soon as the count passes the design ceiling
-  (see _MATRIX_BUDGET), before any design is built; at strength 0 the
-  C(m, q) subsets meet the same ceiling before any is listed.
+  ProblemTooLargeError as soon as the count passes the key budget (see
+  _MATRIX_BUDGET), before any design is built; at strength 0 the C(m, q)
+  subsets meet the same budget before any is listed.  A design's key is
+  the sum of its slices' keys, each embedded at its level once through
+  per-byte lookup tables, summed a chunk of designs at a time.
 
 * `brute_force_oracle` - plain enumeration of all size-s subsets filtered
-  by direct margin counting, for small ambients.  Used to validate the
-  engine.
+  by direct margin counting (popcounts of their keys), for small
+  ambients.  Used to validate the engine.
 
 Both return designs sorted by run-index sequence, and both are
 deterministic.  The *_keys functions are the same stages on fastcheck keys.
@@ -53,14 +57,13 @@ import numpy as np
 
 from .algebra import _exact_dtype
 from .designs import Design, FullFactorial, margin_cells
-from .fastcheck import bitset_keys, get_checker, key_bits, key_designs, key_order, key_runs, run_keys, runs_matrix
+from .fastcheck import get_checker, key_bits, key_designs, key_order, key_runs, run_keys
 
-# The design ceiling: at every level of its recursion the sliced enumeration
-# refuses a result of more than _MATRIX_BUDGET // (8 m) designs, 10^6 at
-# m = 96 and 2 * 10^6 on the 48-run flagship ambient.  Their B x s int64 run
-# array (_materialize) then fits in this many bytes, since s <= m, and the
-# B x s x ceil(m/64) uint64 key gather (enumerate_keys) in ceil(m/64) times
-# as many.
+# The key budget: at every level of its recursion the sliced enumeration
+# refuses a result of more than _MATRIX_BUDGET // (8 W + 8) designs on m runs,
+# W = ceil(m/64): 4.8 * 10^7 designs for m <= 64 and 3.2 * 10^7 for m <= 128.
+# Their B x W uint64 keys and the int64 index that sorts them then fit in
+# this many bytes.  The join counts the designs before any is built.
 _MATRIX_BUDGET = 768 * 10**6
 
 # The most size-s subsets the brute-force oracle filters.
@@ -68,7 +71,7 @@ _ORACLE_CEILING = 10**8
 
 
 class ProblemTooLargeError(ValueError):
-    """The brute-force subset space, or the number of designs, exceeds its ceiling."""
+    """The brute-force subset space exceeds its ceiling, or the designs' keys the key budget."""
 
 
 class CrossCheckError(RuntimeError):
@@ -118,6 +121,40 @@ def _embedding_tables(ambient: FullFactorial, p: int) -> np.ndarray:
     return (s // stride) * (r * stride) + s % stride + stride * np.arange(r, dtype=np.int64)[:, None]
 
 
+@lru_cache(maxsize=None)
+def _byte_tables(ambient: FullFactorial, p: int) -> np.ndarray:
+    """tables[c, j, v]: the ambient key of the sub-runs that byte value v
+    holds at byte j of a sub-ambient key, placed at level c of the slicing
+    factor p (read-only).  Byte j of a key's big-endian words holds sub-runs
+    8j .. 8j + 7, the first at its top bit, so a sub-key embeds at level c
+    as the sum of one table row per byte."""
+    embed = _embedding_tables(ambient, p)
+    singles = run_keys(ambient.run_count)
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.uint64)
+    n_bytes = -(-embed.shape[1] // 8)
+    tables = np.zeros((len(embed), n_bytes, 256, singles.shape[1]), dtype=np.uint64)
+    for c, runs in enumerate(embed):
+        for j in range(n_bytes):
+            byte_runs = runs[8 * j : 8 * j + 8]
+            # The runs' keys have disjoint bits, so this integer product is their OR.
+            tables[c, j] = bits[:, : len(byte_runs)] @ singles[byte_runs]
+    tables.flags.writeable = False
+    return tables
+
+
+def _embedded(candidates: np.ndarray, ambient: FullFactorial, p: int) -> np.ndarray:
+    """embedded[c, i]: the ambient key of sub-ambient key candidates[i] placed
+    at level c of the slicing factor p."""
+    tables = _byte_tables(ambient, p)
+    n_levels, n_bytes, _, words = tables.shape
+    octets = candidates.astype(">u8").view(np.uint8)[:, :n_bytes]
+    embedded = np.zeros((n_levels, len(candidates), words), dtype=np.uint64)
+    for c in range(n_levels):
+        for j in range(n_bytes):
+            embedded[c] += tables[c, j].take(octets[:, j], axis=0)
+    return embedded
+
+
 def _free_cells(sub: FullFactorial, strength: int) -> np.ndarray:
     """The ids, in margin_cells(sub, strength), of the cells whose levels are all >= 1.
 
@@ -149,7 +186,7 @@ class _SliceKeys:
 
 
 def _slice_keys(sub: FullFactorial, candidates: np.ndarray, size: int, strength: int):
-    """Key the slice candidates (one sub-ambient run tuple per row) by their
+    """Key the slice candidates (sub-ambient keys, one per row) by their
     counts on the free cells of the size-`strength` margins, or None when
     `size` is not a multiple of every margin volume.
 
@@ -164,7 +201,7 @@ def _slice_keys(sub: FullFactorial, candidates: np.ndarray, size: int, strength:
         return None
     free = _free_cells(sub, strength)
     target = size // table.volumes[free]
-    counts = runs_matrix(candidates, sub.run_count) @ table.incidence[:, free]
+    counts = table.count_keys(candidates, free)
     # Digit c runs over 0 .. radix[c] - 1, which holds the key counts and
     # the target, so packing is injective on every count the join compares,
     # and each word it forms is below prod(radix) in magnitude.
@@ -173,8 +210,11 @@ def _slice_keys(sub: FullFactorial, candidates: np.ndarray, size: int, strength:
     weights = np.ones(len(radix), dtype=dtype)
     for c in range(len(radix) - 2, -1, -1):
         weights[c] = weights[c + 1] * int(radix[c + 1])
-    packed, first, pool = np.unique(counts.astype(dtype) @ weights, return_index=True, return_inverse=True)
-    return _SliceKeys(pool, counts[first], packed, weights, target)
+    words = np.zeros(len(counts), dtype=dtype)
+    for column, weight in zip(counts.T, weights):
+        words += column.astype(dtype) * weight
+    packed, first, pool = np.unique(words, return_index=True, return_inverse=True)
+    return _SliceKeys(pool, counts[first].astype(np.int64), packed, weights, target)
 
 
 def _join_assignments(keys: _SliceKeys, n_levels: int, ceiling: int) -> tuple[np.ndarray, int]:
@@ -213,40 +253,60 @@ def _join_assignments(keys: _SliceKeys, n_levels: int, ceiling: int) -> tuple[np
         rows[:, -1] = last[hit]
         count += int(pool_sizes[rows].prod(axis=1).sum())
         if count > ceiling:
-            raise ProblemTooLargeError(f"more than {ceiling} designs, the design ceiling for this ambient")
+            raise ProblemTooLargeError(f"more than {ceiling} designs, the key budget for this ambient")
         chunks.append(rows)
 
     join([], np.zeros_like(target), 0)
     return np.concatenate([np.zeros((0, n_levels), dtype=np.int64), *chunks]), count
 
 
-def _materialize(ids: np.ndarray, pool: np.ndarray, candidates: np.ndarray, embed) -> np.ndarray:
-    """The runs of every candidate combination of every key assignment, one
-    design per row (unsorted), by index arithmetic over all rows at once.
+def _materialize(
+    ids: np.ndarray, count: int, pool: np.ndarray, candidates: np.ndarray, ambient: FullFactorial, p: int
+) -> np.ndarray:
+    """The key of every candidate combination of every key assignment, one
+    design per row (unsorted): `count` rows, built a chunk of rows at a time.
 
-    Row j of an assignment with pool sizes n_0..n_{r-1} takes, at level c,
-    candidate (j // (n_{c+1} ... n_{r-1})) % n_c of the pool of its key.
+    Design j of an assignment with pool sizes n_0..n_{r-1} takes, at level
+    c, candidate (j // (n_{c+1} ... n_{r-1})) % n_c of the pool of its key.
+    Its key is the sum of its r candidates' keys, each embedded once per
+    level (_embedded).
     """
     pool_sizes = np.bincount(pool)
     pool_starts = np.cumsum(pool_sizes) - pool_sizes
-    candidates = candidates[np.argsort(pool, kind="stable")]
+    embedded = _embedded(candidates[np.argsort(pool, kind="stable")], ambient, p)
     sizes = pool_sizes[ids]
     totals = sizes.prod(axis=1)
-    which = np.repeat(np.arange(len(ids)), totals)
-    local = np.arange(len(which)) - np.repeat(np.cumsum(totals) - totals, totals)
-    parts = []
-    for c in range(len(embed) - 1, -1, -1):
-        n_c = sizes[which, c]
-        chosen = pool_starts[ids[which, c]] + local % n_c
-        local //= n_c
-        parts.append(embed[c][candidates[chosen]])
-    return np.concatenate(parts, axis=1)
+    ends = np.cumsum(totals)
+    starts = ends - totals
+    out = np.zeros((count, embedded.shape[2]), dtype=np.uint64)
+    # A chunk's rows hold, besides their key words, three int64 indices each.
+    step = max(1, _CHUNK_BYTES // (8 * (out.shape[1] + 3)))
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
+        spans = np.minimum(ends[first : last + 1], stop) - np.maximum(starts[first : last + 1], start)
+        which = np.repeat(np.arange(first, last + 1), spans)
+        local = np.arange(start, stop) - starts[which]
+        for c in range(len(embedded) - 1, -1, -1):
+            n_c = sizes[which, c]
+            out[start:stop] += embedded[c].take(pool_starts[ids[which, c]] + local % n_c, axis=0)
+            local //= n_c
+    return out
 
 
-def _enumerate_rows(
+def _subset_keys(m: int, size: int):
+    """The keys of the size-subsets of m runs, in itertools.combinations
+    order, 65536 rows at a time."""
+    combos = itertools.combinations(range(m), size)
+    while chunk := list(itertools.islice(combos, 65536)):
+        runs = np.array(chunk, dtype=np.int64).reshape(len(chunk), size)
+        yield run_keys(m)[runs].sum(axis=1, dtype=np.uint64)
+
+
+def _enumerate_keys(
     ambient: FullFactorial, size: int, strength: int, slicing_factor: int | None = None
 ) -> np.ndarray:
-    """The runs of every fraction of this size and strength, one design per
+    """The key of every fraction of this size and strength, one design per
     row, in no particular order.
 
     At strength 0 every size-`size` subset qualifies.  An ambient of one
@@ -254,36 +314,35 @@ def _enumerate_rows(
     the whole factor are balanced.  Otherwise the runs are sliced on
     `slicing_factor` (default: _default_slicing_factor); the slice
     candidates, the sub-ambient's fractions of strength one less, come from
-    this same function, and the slices are joined.  The design ceiling of
-    the ambient bounds the subsets at strength 0 and the join's count.
+    this same function, and the slices are joined.  The key budget of the
+    ambient bounds the subsets at strength 0 and the join's count.
     """
     m = ambient.run_count
-    ceiling = _MATRIX_BUDGET // (8 * m)
-    empty = np.zeros((0, size), dtype=np.int64)
+    ceiling = _MATRIX_BUDGET // (8 * -(-m // 64) + 8)
+    empty = np.zeros((0, -(-m // 64)), dtype=np.uint64)
     if strength == 0:
         total = comb(m, size)
         if total > ceiling:
             raise ProblemTooLargeError(
-                f"C({m},{size}) = {total} subsets exceed the design ceiling {ceiling} "
+                f"C({m},{size}) = {total} subsets exceed the key budget of {ceiling} designs "
                 "for this ambient"
             )
-        runs = itertools.chain.from_iterable(itertools.combinations(range(m), size))
-        return np.fromiter(runs, dtype=np.int64, count=total * size).reshape(total, size)
+        return np.concatenate([empty, *_subset_keys(m, size)])
     if ambient.n_factors == 1:
-        return np.arange(m, dtype=np.int64)[None, :size] if size in (0, m) else empty
+        return np.concatenate([empty, *_subset_keys(m, size)]) if size in (0, m) else empty
     p = _default_slicing_factor(ambient) if slicing_factor is None else slicing_factor
     r = ambient.radices[p]
     if size % r:
         return empty
     sub = _sub_ambient(ambient, p)
-    candidates = _enumerate_rows(sub, size // r, strength - 1)
+    candidates = _enumerate_keys(sub, size // r, strength - 1)
     keys = _slice_keys(sub, candidates, size, strength)
     if keys is None:
         return empty
-    ids, _ = _join_assignments(keys, r, ceiling)
-    if not len(ids):
+    ids, count = _join_assignments(keys, r, ceiling)
+    if not count:
         return empty
-    return _materialize(ids, keys.pool, candidates, _embedding_tables(ambient, p))
+    return _materialize(ids, count, keys.pool, candidates, ambient, p)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +363,7 @@ def _cross_check(keys: np.ndarray, problem: SearchProblem) -> None:
 def enumerate_keys(problem: SearchProblem) -> np.ndarray:
     """enumerate_orthogonal as keys (fastcheck): one row per design."""
     m = problem.ambient.run_count
-    rows = _enumerate_rows(problem.ambient, problem.size, problem.strength, problem.slicing_factor)
-    keys = run_keys(m)[rows].sum(axis=1, dtype=np.uint64)
-    del rows
+    keys = _enumerate_keys(problem.ambient, problem.size, problem.strength, problem.slicing_factor)
     # All designs have one size, so descending keys sort them by run tuple.
     keys = keys[key_order(keys)[::-1]]
     step = _chunk_rows(m)
@@ -331,13 +388,11 @@ def brute_force_keys(problem: SearchProblem) -> np.ndarray:
     if total > _ORACLE_CEILING:
         raise ProblemTooLargeError(f"C({m},{problem.size}) = {total} exceeds the ceiling {_ORACLE_CEILING}")
     table = margin_cells(problem.ambient, problem.strength)
-    out = [bitset_keys(np.zeros((0, m), dtype=bool))]
+    out = [np.zeros((0, -(-m // 64)), dtype=np.uint64)]
     if np.any(problem.size % table.volumes):
         return out[0]
-    combos = itertools.combinations(range(m), problem.size)
-    while chunk := list(itertools.islice(combos, 65536)):
-        y = runs_matrix(np.array(chunk, dtype=np.int64).reshape(len(chunk), problem.size), m)
-        out.append(bitset_keys(y[table.balanced(table.count(y), problem.size).all(axis=1)]))
+    for keys in _subset_keys(m, problem.size):
+        out.append(keys[table.balanced(table.count_keys(keys), problem.size).all(axis=1)])
     return np.concatenate(out)
 
 
@@ -361,10 +416,14 @@ def brute_force_oracle(problem: SearchProblem) -> list[Design]:
 # rows at a time, and the reader parses text chunks that end on a line
 # boundary.
 
-# The chunk size of the design-file codec and of the cross-check: the reader
-# takes text chunks of this many characters, completed to the end of their
-# line, and a chunk of B key rows of the cross-check forms at most this many
-# bytes of B x R uint64 word counts, since [1; C_1; ...; C_t] has R <= m rows.
+# The chunk size of the design-file codec, the cross-check and the
+# materialise step.  The writer renders and the cross-check checks chunks of
+# B key rows whose B x m bits, or B x R uint64 word counts ([1; C_1; ...; C_t]
+# has R <= m rows), take at most this many bytes.  The reader's numpy
+# temporaries peak at ~16 bytes per text byte, so it takes text chunks of
+# _CHUNK_BYTES // 16 characters, completed to the end of their line: a chunk's
+# working set is then ~_CHUNK_BYTES, so reading faults in far fewer fresh
+# pages than with chunks of _CHUNK_BYTES characters.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -524,13 +583,13 @@ def _read_chunk(text: str, first_line: int, ambient: FullFactorial) -> tuple[np.
 def read_design_keys(fh, ambient: FullFactorial) -> np.ndarray:
     """read_designs as keys (fastcheck): one row per design line, in file order.
 
-    Reads fh in text chunks of _CHUNK_BYTES characters, each completed to
-    the end of its line.  Canonical lines are read in bulk; every other
+    Reads fh in text chunks of _CHUNK_BYTES // 16 characters, each completed
+    to the end of its line.  Canonical lines are read in bulk; every other
     line goes through _parse_line, so the first bad line raises its error.
     """
     chunks = [np.zeros((0, -(-ambient.run_count // 64)), dtype=np.uint64)]
     lines = 0
-    while text := fh.read(_CHUNK_BYTES):
+    while text := fh.read(max(1, _CHUNK_BYTES // 16)):
         if not text.endswith("\n"):
             text += fh.readline()
         keys, count = _read_chunk(text, lines, ambient)

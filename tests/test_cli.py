@@ -74,28 +74,29 @@ def test_enumerate_oracle_ceiling_exit_3(capsys):
 
 
 def test_enumerate_design_ceiling_exit_3(monkeypatch, capsys, tmp_path):
-    # The join counts the designs before any is built; past the ceiling
-    # nothing is written and one error line names the ceiling.  A budget
-    # of one 8-run int64 row puts the ceiling at 1 design.
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 8 * 8)
+    # The join counts the designs before any is built; past the key budget
+    # nothing is written and one error line names it.  The flagship's
+    # 35,200 one-word keys and sort indices need 35,200 * 16 bytes, so one
+    # byte less puts the ceiling at 35,199 designs.
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 35200 * 16 - 1)
     path = tmp_path / "designs.txt"
-    code = main(["enumerate", "--levels", "2,2,2", "--size", "4", "--strength", "2", "--out", str(path)])
+    code = main(["enumerate", "--levels", "2,2,2,2,3", "--size", "24", "--strength", "2", "--out", str(path)])
     assert code == 3
-    assert capsys.readouterr().err == "error: more than 1 designs, the design ceiling for this ambient\n"
+    assert capsys.readouterr().err == "error: more than 35199 designs, the key budget for this ambient\n"
     assert not path.exists()
 
 
 def test_enumerate_strength_zero_ceiling_exit_3(monkeypatch, capsys):
     # 2^4 at strength 1 slices into strength-0 candidates of the 8-run 2^3
     # sub-ambient: all C(8, 4) = 70 subsets, one more than a budget of 69
-    # membership rows of 8 int64 entries admits.  The refusal is one error
-    # line, before any join.
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 69 * 8 * 8)
+    # one-word keys and int64 sort indices admits.  The refusal is one
+    # error line, before any join.
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 69 * 16)
     code = main(["enumerate", "--levels", "2,2,2,2", "--size", "8", "--strength", "1"])
     assert code == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: C(8,4) = 70 subsets exceed the design ceiling 69 for this ambient\n"
+    assert err == "error: C(8,4) = 70 subsets exceed the key budget of 69 designs for this ambient\n"
 
 
 def test_classify_group_table_budget_exit_3(monkeypatch, capsys, tmp_path):

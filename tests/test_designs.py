@@ -3,9 +3,10 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from conftest import sign_fraction
+from conftest import random_ambient, sign_fraction
 from orthofrac.catalog import flagship_ambient
 from orthofrac.designs import (
     Design,
@@ -19,6 +20,7 @@ from orthofrac.designs import (
     invariant_triple,
     j_statistic,
     load_design_csv,
+    margin_cells,
     margins,
     run_point,
     save_design_csv,
@@ -119,6 +121,33 @@ def test_strength_is_monotone_on_random_fractions():
         results = [has_strength(d, t) for t in (1, 2, 3)]
         for lower, higher in zip(results, results[1:]):
             assert lower or not higher
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_popcount_margin_counts_match_membership_counts(wide):
+    # MarginCells.count_keys (popcounts of key & cell mask) equals
+    # MarginCells.count (membership row @ incidence) at every strength, on
+    # seeded random ambients of one word, or, wide, on ambients of more
+    # than 64 runs (two or three words, some with padding bits), for the
+    # empty and full designs and random subsets; also on a column subset.
+    from orthofrac.fastcheck import bitset_keys
+
+    rng = random.Random(59 + wide)
+    extra = [[2, 2, 2, 2, 2, 3], [3, 3, 3, 3], [2] * 7, [5, 5, 5]]
+    ambients = [full_factorial(arities) for arities in extra] if wide else [random_ambient(rng) for _ in range(20)]
+    for amb in ambients:
+        m = amb.run_count
+        assert (m > 64) == wide
+        y = np.array([[0] * m, [1] * m] + [[int(rng.random() < 0.5) for _ in range(m)] for _ in range(30)])
+        keys = bitset_keys(y)
+        for strength in range(amb.n_factors + 1):
+            table = margin_cells(amb, strength)
+            assert table.masks.shape == (keys.shape[1], len(table.volumes))
+            counts = table.count_keys(keys)
+            assert np.issubdtype(counts.dtype, np.integer)
+            assert np.array_equal(counts, table.count(y))
+            cells = np.array(sorted(rng.sample(range(len(table.volumes)), len(table.volumes) // 2)), dtype=np.int64)
+            assert np.array_equal(table.count_keys(keys, cells), table.count(y)[:, cells])
 
 
 def test_j_statistic_of_regular_triple():

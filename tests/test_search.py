@@ -16,7 +16,7 @@ from orthofrac import algebra, search
 from orthofrac.designs import default_levels, full_design, full_factorial, has_strength, margin_cells
 from orthofrac.fastcheck import bitset_keys, key_designs, key_runs, run_keys, runs_matrix
 from orthofrac.search import (
-    _enumerate_rows,
+    _enumerate_keys,
     _free_cells,
     _join_assignments,
     _slice_keys,
@@ -157,9 +157,10 @@ def test_recursive_candidates_match_backtracking():
             for size in range(amb.run_count + 1):
                 if np.any(size % volumes):
                     continue
-                rows = _enumerate_rows(amb, size, strength)
-                assert rows.shape[1] == size
-                found = sorted(tuple(sorted(row)) for row in rows.tolist())
+                keys = _enumerate_keys(amb, size, strength)
+                assert keys.shape[1] == -(-amb.run_count // 64)
+                found = sorted(key_runs(keys))
+                assert all(len(runs) == size for runs in found)
                 expected = reference._backtrack_subsets(amb, size, strength)
                 assert found == expected
                 strengths_seen.add(strength)
@@ -169,8 +170,9 @@ def test_recursive_candidates_match_backtracking():
 
 def test_strength_zero_subsets_meet_the_design_ceiling(monkeypatch):
     # At strength 0 every subset qualifies: the C(8, 4) = 70 subsets of the
-    # 8-run 2^3 ambient need 70 membership rows of 8 int64 entries.  One
-    # byte less of budget refuses them before a single subset is listed.
+    # 8-run 2^3 ambient need 70 one-word keys and 70 int64 sort indices,
+    # 16 bytes each.  One byte less of budget refuses them before a single
+    # subset is listed.
     taken = []
     combinations = itertools.combinations
 
@@ -181,12 +183,12 @@ def test_strength_zero_subsets_meet_the_design_ceiling(monkeypatch):
 
     monkeypatch.setattr(itertools, "combinations", counted)
     amb = full_factorial([2, 2, 2])
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 70 * 8 * 8)
-    assert len(np.unique(_enumerate_rows(amb, 4, 0), axis=0)) == len(taken) == 70
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 70 * 16)
+    assert len(np.unique(_enumerate_keys(amb, 4, 0), axis=0)) == len(taken) == 70
     taken.clear()
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 70 * 8 * 8 - 1)
-    with pytest.raises(ProblemTooLargeError, match=r"C\(8,4\) = 70 subsets exceed the design ceiling 69 "):
-        _enumerate_rows(amb, 4, 0)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 70 * 16 - 1)
+    with pytest.raises(ProblemTooLargeError, match=r"C\(8,4\) = 70 subsets exceed the key budget of 69 designs "):
+        _enumerate_keys(amb, 4, 0)
     assert taken == []
 
 
@@ -204,12 +206,14 @@ def test_oracle_ceiling(monkeypatch):
 
 
 def _slices(amb, p, size, strength):
-    """The sub-ambient, the slice candidates and their keys for slicing factor p."""
+    """The sub-ambient, the slice candidates (one run tuple per row) and
+    their keys for slicing factor p."""
     sub = _sub_ambient(amb, p)
     q = size // amb.radices[p]
     candidates = np.array(reference._backtrack_subsets(sub, q, strength - 1), dtype=np.int64)
     candidates = candidates.reshape(len(candidates), q)
-    return sub, candidates, _slice_keys(sub, candidates, size, strength)
+    bits = run_keys(sub.run_count)[candidates].sum(axis=1, dtype=np.uint64)
+    return sub, candidates, _slice_keys(sub, bits, size, strength)
 
 
 def test_join_matches_reference_join():
@@ -278,18 +282,54 @@ def test_join_count_and_key_injectivity(levels, size, count):
 
 
 def test_design_ceiling(monkeypatch):
-    # The ceiling is the number of m-run int64 membership rows that fit the
-    # budget: the flagship's 35,200 designs need 35,200 * 48 * 8 bytes.
+    # The key budget holds each design's W = ceil(m/64) key words and its
+    # int64 sort index: the flagship's 35,200 designs need 35,200 * 16
+    # bytes, and the 24,696 two-word keys of 3^4/18/2 need 24,696 * 24.
     flagship = SearchProblem(full_factorial([2, 2, 2, 2, 3]), 24, 2)
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 35200 * 48 * 8 - 1)
-    with pytest.raises(ProblemTooLargeError, match="more than 35199 designs"):
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 35200 * 16)
+    assert len(enumerate_keys(flagship)) == 35200
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 35200 * 16 - 1)
+    with pytest.raises(ProblemTooLargeError, match="more than 35199 designs, the key budget"):
         enumerate_keys(flagship)
+    two_words = SearchProblem(full_factorial([3, 3, 3, 3]), 18, 2)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 24696 * 24)
+    assert len(enumerate_keys(two_words)) == 24696
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 24696 * 24 - 1)
+    with pytest.raises(ProblemTooLargeError, match="more than 24695 designs"):
+        enumerate_keys(two_words)
+    # Every level has the same ceiling on ambients of one word: at 2^3/4/2
+    # the recursion's last level, the two one-run subsets of a 2-run
+    # factor, is the first result past a ceiling of 1.
     problem = SearchProblem(full_factorial([2, 2, 2]), 4, 2)
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 2 * 8 * 8)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 2 * 16)
     assert len(enumerate_keys(problem)) == 2
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 2 * 8 * 8 - 1)
-    with pytest.raises(ProblemTooLargeError, match="more than 1 designs"):
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 2 * 16 - 1)
+    with pytest.raises(ProblemTooLargeError, match=re.escape("C(2,1) = 2 subsets exceed the key budget of 1 designs")):
         enumerate_keys(problem)
+
+
+def test_key_budget_refuses_before_it_allocates(monkeypatch):
+    # Past the budget the join raises before any design key exists: the
+    # materialise step, the only place that allocates one row per design,
+    # never runs.
+    problem = SearchProblem(full_factorial([2, 2, 2, 2, 3]), 24, 2)
+    built = []
+    materialize = search._materialize
+
+    def counted(ids, count, *args):
+        built.append(count)
+        return materialize(ids, count, *args)
+
+    monkeypatch.setattr(search, "_materialize", counted)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 35200 * 16 - 1)
+    with pytest.raises(ProblemTooLargeError):
+        enumerate_keys(problem)
+    # The lower levels fit and built their candidates; the top level did not.
+    assert built and 35200 not in built
+    built.clear()
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 35200 * 16)
+    enumerate_keys(problem)
+    assert built[-1] == 35200
 
 
 def test_cross_check_rejects_with_the_real_checker():
@@ -321,7 +361,7 @@ def test_python_int_packing_gives_the_same_designs(monkeypatch):
         assert np.array_equal(enumerate_keys(problem), y)
 
 
-def test_engine_matches_oracle_on_random_ambients():
+def test_engine_matches_oracle_on_random_ambients(monkeypatch):
     # Differential: engine == oracle on seeded random ambients (rational
     # level sets half the time) at proper sizes that every margin volume divides.
     rng = random.Random(47)
@@ -336,6 +376,12 @@ def test_engine_matches_oracle_on_random_ambients():
         problem = SearchProblem(amb, rng.choice(sizes), t)
         engine = enumerate_orthogonal(problem)
         assert engine == brute_force_oracle(problem)
+        # Materialise chunks of 1 and 7 design rows: a chunk boundary falls
+        # inside the designs of one join row as well as between join rows.
+        with monkeypatch.context() as patched:
+            for rows in (1, 7):
+                patched.setattr(search, "_CHUNK_BYTES", rows * 8 * (-(-amb.run_count // 64) + 3))
+                assert enumerate_orthogonal(problem) == engine
         compared += 1
         rational += any(f.levels != default_levels(f.arity) for f in amb.factors)
         several += len(engine) > 1
@@ -486,8 +532,9 @@ def test_read_designs_matches_per_line_reader():
 @pytest.mark.parametrize("levels, size", [((2, 2, 2, 2, 3), 24), ((2,) * 6, 16), ((3,) * 4, 18)])
 def test_chunk_size_does_not_change_the_design_file(levels, size, monkeypatch):
     # The codec's chunk size: 1, 2 and 7 key rows per chunk, then text
-    # chunks of a few characters, which end mid-line and are completed to
-    # the end of their line.  m = 48, 64 (one full word) and 81 (two words).
+    # chunks of a few characters (_CHUNK_BYTES // 16: 1, 2, 7 and 97), which
+    # end mid-line and are completed to the end of their line.  m = 48, 64
+    # (one full word) and 81 (two words).
     amb = full_factorial(levels)
     m = amb.run_count
     keys = enumerate_keys(SearchProblem(amb, size, 2))[::151]
@@ -514,7 +561,7 @@ def test_chunk_size_does_not_change_the_design_file(levels, size, monkeypatch):
     assert str(default_error.value).startswith(f"line {bad.count(chr(10)) - 2}: ")
 
     row_bytes = 8 * 64 * keys.shape[1]  # the writer's rows per chunk are _CHUNK_BYTES // row_bytes
-    for chunk in (row_bytes, 2 * row_bytes, 7 * row_bytes, 1, 2, 7, 97):
+    for chunk in (row_bytes, 2 * row_bytes, 7 * row_bytes, 16, 32, 112, 16 * 97):
         monkeypatch.setattr(search, "_CHUNK_BYTES", chunk)
         written = io.StringIO()
         write_design_keys(keys, written)
