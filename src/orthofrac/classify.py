@@ -142,29 +142,8 @@ def _images(ambient: FullFactorial, runs) -> np.ndarray:
     return keys
 
 
-# An odd 64-bit multiplier (2^64 over the golden ratio) for the fingerprint
-# of a key of several words in _distinct.
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The sorted distinct key rows; the last one is the largest.
-
-    The images of one design repeat each orbit member |stabiliser| times.
-    Keys of more than one word are first grouped by one uint64 fingerprint
-    (word 0 * _MIX + word 1 ..., wrapping) with one np.unique, and only one
-    row per group is sorted.  When a group holds two different keys, a
-    fingerprint collision, every row is sorted instead.
-    """
-    if keys.shape[1] > 1:
-        fingerprint = keys[:, 0]
-        for word in keys.T[1:]:
-            fingerprint = fingerprint * _MIX + word
-        groups, group = np.unique(fingerprint, return_inverse=True)
-        first = np.empty(len(groups), dtype=np.int64)
-        first[group] = np.arange(len(keys))
-        if np.array_equal(keys[first][group], keys):
-            keys = keys[first]
+    """The sorted distinct key rows; the last one is the largest."""
     keys = keys[key_order(keys)]
     return keys[np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]]
 

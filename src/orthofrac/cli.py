@@ -3,12 +3,13 @@
 Subcommands: enumerate, classify, indicator, verify.  Exit codes:
 0 success / verification pass, 1 verification fail, 2 usage or parse
 error, 3 the problem is too large (the brute-force ceiling of 10^8
-subsets, the key budget of enumerate, which admits 768 MB // (8W + 8)
-designs of W = ceil(m/64) key words each, or the symmetry-group table
-budget is exceeded, or memory runs out), 4 an arithmetic overflow (an
-internal fault: every int64 fast path falls back to exact Python ints),
-5 an enumerated design failed the algebraic cross-check (an internal
-fault), 6 any other internal error.
+subsets, the 768 MB key budget of enumerate, which charges 16W + 8 bytes
+per design of W = ceil(m/64) key words plus what the join rows and slice
+candidates of each level hold (search._MATRIX_BUDGET), or the
+symmetry-group table budget is exceeded, or memory runs out), 4 an
+arithmetic overflow (an internal fault: every int64 fast path falls back
+to exact Python ints), 5 an enumerated design failed the algebraic
+cross-check (an internal fault), 6 any other internal error.
 Every error is one `error: ...` line on stderr, never a traceback.
 """
 

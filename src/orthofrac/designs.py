@@ -7,8 +7,13 @@ canonical ordering in the package relies on that convention.
 `margin_cells` is the one integer encoding of factor-subset margins that
 the strength checks, the search, the oracle and the class invariants
 count with: on 0/1 membership rows through its incidence matrix, or on
-packed keys (fastcheck) as popcounts against its per-cell run masks.
+packed keys as popcounts against its per-cell run masks.
 `margins` is the Fraction-labelled view of the same counts.
+
+A key packs a 0/1 membership row over m runs into ceil(m/64) uint64 words,
+run r at bit 63 - r % 64 of word r // 64 (bitset_keys); fastcheck reads
+keys back and sorts them.  A mask is the key of a set of runs, stored
+word-major (mask_words), so popcounts counts a key's runs in each set.
 """
 
 from __future__ import annotations
@@ -226,7 +231,7 @@ class MarginCells:
     volumes: np.ndarray  # volumes[c]: the number of cells of c's subset
     starts: np.ndarray  # starts[s]: the first cell id of subsets[s]
     incidence: np.ndarray  # incidence[i, c] == 1 iff run i hits cell c
-    masks: np.ndarray  # masks[w, c]: word w of the key (fastcheck layout) of the runs that hit cell c
+    masks: np.ndarray  # masks[w, c]: word w of the key of the runs that hit cell c
 
     def count(self, y: np.ndarray) -> np.ndarray:
         """counts[b, c]: how many runs of the 0/1 membership row y[b] hit cell c."""
@@ -242,25 +247,46 @@ class MarginCells:
         return np.logical_and.reduceat(counts * self.volumes == size, self.starts, axis=1)
 
 
+def bitset_keys(y: np.ndarray) -> np.ndarray:
+    """The key of every 0/1 membership row: ceil(m/64) uint64 words, run r
+    at bit 63 - r % 64 of word r // 64."""
+    padded = np.zeros((len(y), -(-y.shape[1] // 64) * 64), dtype=bool)
+    padded[:, : y.shape[1]] = y
+    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
+
+
+def mask_words(columns: np.ndarray) -> np.ndarray:
+    """The read-only W x C mask words of the 0/1 run columns of an m x C
+    array: word w of the key of every column's runs."""
+    masks = bitset_keys(columns.T).T.copy()
+    masks.flags.writeable = False
+    return masks
+
+
+# The most bytes of key & mask words that popcounts forms at once.
+_POPCOUNT_BYTES = 1 << 20
+
+
 def popcounts(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """counts[b, c]: the number of bits that key row b shares with column c of
     masks, for keys of W uint64 words and a W x C array of mask words.
 
     The counts accumulate word by word in the narrowest of int16, int32 and
-    int64 that holds 64 W, the most bits a key has.
+    int64 that holds 64 W, the most bits a key has, over chunks of key rows
+    whose B x C words take at most _POPCOUNT_BYTES.
     """
     dtype = next(t for t in (np.int16, np.int32, np.int64) if 64 * len(masks) <= np.iinfo(t).max)
     counts = np.zeros((len(keys), masks.shape[1]), dtype=dtype)
-    for word, mask in zip(keys.T, masks):
-        counts += np.bitwise_count(word[:, None] & mask)
+    step = max(1, _POPCOUNT_BYTES // (8 * masks.shape[1] or 1))
+    for start in range(0, len(keys), step):
+        for word, mask in zip(keys[start : start + step].T, masks):
+            counts[start : start + step] += np.bitwise_count(word[:, None] & mask)
     return counts
 
 
 @lru_cache(maxsize=None)
 def margin_cells(ambient: FullFactorial, k: int) -> MarginCells:
     """The cached margin-cell table of the size-k factor subsets (read-only arrays)."""
-    from .fastcheck import bitset_keys  # fastcheck imports this module
-
     m = ambient.run_count
     radices = ambient.radices
     ivs = np.array([ambient.decode(i) for i in range(m)], dtype=np.int64)
@@ -283,9 +309,9 @@ def margin_cells(ambient: FullFactorial, k: int) -> MarginCells:
         np.array(volumes, dtype=np.int64),
         np.array(starts, dtype=np.int64),
         incidence,
-        bitset_keys(incidence.T).T.copy(),
+        mask_words(incidence),
     )
-    for array in (table.cells, table.volumes, table.starts, table.incidence, table.masks):
+    for array in (table.cells, table.volumes, table.starts, table.incidence):
         array.flags.writeable = False
     return table
 

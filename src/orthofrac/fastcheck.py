@@ -15,13 +15,14 @@ stays independent of the search, and it never applies X or X^-1.
 
 A list of designs travels between the search, the designs file and
 classify as one key array: a B x ceil(m/64) uint64 array, run r at bit
-63 - r % 64 of word r // 64.  bitset_keys packs 0/1 membership rows into
-keys and run_keys holds the keys of the one-run designs, whose sums are
-the keys of larger designs; key_bits unpacks keys into 0/1 rows, key_runs
-and key_designs read them back as run tuples and Designs, and key_order
-sorts them.  The search and its oracle count margins on keys too
-(designs.MarginCells.count_keys); membership rows stay inside the class
-invariants and the one-design strength check.
+63 - r % 64 of word r // 64.  designs.bitset_keys packs 0/1 membership
+rows into keys, and designs.mask_words and designs.popcounts count a
+key's runs in sets of runs.  run_keys holds the keys of the one-run
+designs, whose sums are the keys of larger designs; key_bits unpacks keys
+into 0/1 rows, key_runs and key_designs read them back as run tuples and
+Designs, and key_order sorts them.  The search and its oracle count
+margins on keys too (designs.MarginCells.count_keys); membership rows
+stay inside the class invariants and the one-design strength check.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import _exact_dtype, contrast_checks, contrast_rows
-from .designs import Design, FullFactorial, popcounts
+from .algebra import contrast_checks, contrast_rows
+from .designs import Design, FullFactorial, bitset_keys, mask_words, popcounts
 
 
 def runs_matrix(designs, run_count: int) -> np.ndarray:
@@ -48,14 +49,6 @@ def runs_matrix(designs, run_count: int) -> np.ndarray:
     y = np.zeros((len(rows), run_count), dtype=np.int64)
     y[np.repeat(np.arange(len(rows)), lengths), flat] = 1
     return y
-
-
-def bitset_keys(y: np.ndarray) -> np.ndarray:
-    """The key of every 0/1 membership row: ceil(m/64) uint64 words, run r
-    at bit 63 - r % 64 of word r // 64."""
-    padded = np.zeros((len(y), -(-y.shape[1] // 64) * 64), dtype=bool)
-    padded[:, : y.shape[1]] = y
-    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
 
 
 def key_bits(keys: np.ndarray, count: int | None = None) -> np.ndarray:
@@ -89,41 +82,15 @@ def run_keys(m: int) -> np.ndarray:
 
 def key_order(keys: np.ndarray) -> np.ndarray:
     """The argsort of keys, lexicographic over their words: one uint64 column
-    for m <= 64, the order of np.lexsort otherwise.  Among designs of one
-    size, descending keys are ascending run tuples: the smallest run in which
-    two designs differ is in the one whose tuple sorts first, and sets its bit.
+    for m <= 64, a lexsort otherwise.  Among designs of one size, descending
+    keys are ascending run tuples: the smallest run in which two designs
+    differ is in the one whose tuple sorts first, and sets its bit.
 
-    For two words, word 0 is argsorted alone, and only the runs of rows with
-    equal word 0 are sorted again, by word 1 and then by row, as lexsort's
-    stability orders equal keys: one np.sort of an int64 composite of the
-    run, the dense rank of word 1 among the tied rows, and the row.  When
-    that composite could leave int64 (algebra._exact_dtype), the tied rows
-    go to lexsort instead.
-    """
+    Either holds at most 24 bytes per key beside the keys: the int64 index,
+    and lexsort's copies of the words it sorts by."""
     if keys.shape[1] == 1:
         return np.argsort(keys[:, 0])
-    if keys.shape[1] > 2:
-        return np.lexsort(keys.T[::-1])
-    n = len(keys)
-    order = np.argsort(keys[:, 0])
-    first = keys[order, 0]
-    tie = first[1:] == first[:-1]
-    tied = np.zeros(n, dtype=bool)
-    tied[1:] = tie
-    tied[:-1] |= tie
-    at = np.flatnonzero(tied)
-    if not len(at):
-        return order
-    rows = order[at]
-    run = np.cumsum(np.r_[True, ~tie])[at]
-    run -= run[0]
-    second = keys[rows, 1]
-    if _exact_dtype((int(run[-1]) + 1) * len(at) * n) is np.int64:
-        _, rank = np.unique(second, return_inverse=True)
-        order[at] = np.sort((run * len(at) + rank) * n + rows) % n
-    else:
-        order[at] = rows[np.lexsort((rows, second, run))]
-    return order
+    return np.lexsort(keys.T[::-1])
 
 
 def search_keys(keys: np.ndarray) -> np.ndarray:
@@ -148,10 +115,7 @@ def _contrast_masks(ambient: FullFactorial, strength: int) -> tuple[np.ndarray, 
     where it is -1, as two read-only W x R arrays: word w of every row's
     key, for W = ceil(m/64) words and R rows."""
     rows = contrast_rows(ambient, strength)
-    masks = bitset_keys(rows == 1).T.copy(), bitset_keys(rows == -1).T.copy()
-    for mask in masks:
-        mask.flags.writeable = False
-    return masks
+    return mask_words((rows == 1).T), mask_words((rows == -1).T)
 
 
 class BatchChecker:

@@ -1,6 +1,6 @@
 """Exhaustive enumeration of orthogonal fractions of a given size and strength.
 
-Two independent routes:
+Two routes:
 
 * `enumerate_orthogonal` - the production engine.  When the ambient has at
   least two factors it partitions the runs by the level of the
@@ -31,15 +31,19 @@ Two independent routes:
   np.unique.  The first r - 2 slice levels loop in Python, level r - 1
   takes every fitting key at once, and one searchsorted finds the last.
   The join returns key ids and the exact design count.  It raises
-  ProblemTooLargeError as soon as the count passes the key budget (see
-  _MATRIX_BUDGET), before any design is built; at strength 0 the C(m, q)
-  subsets meet the same budget before any is listed.  A design's key is
+  ProblemTooLargeError as soon as the designs, their join rows and the
+  slice candidates pass the key budget in bytes (see _MATRIX_BUDGET),
+  before any design is built; at strength 0 the C(m, q) subsets meet the
+  same budget before any is listed.  A design's key is
   the sum of its slices' keys, each embedded at its level once through
   per-byte lookup tables, summed a chunk of designs at a time.
 
 * `brute_force_oracle` - plain enumeration of all size-s subsets filtered
   by direct margin counting (popcounts of their keys), for small
-  ambients.  Used to validate the engine.
+  ambients.  Used to validate the engine.  It shares no join, slicing or
+  materialising with the engine, but counts margins through the same
+  MarginCells.count_keys; the tests check that count, and the oracle's
+  output, against membership rows times the incidence matrix.
 
 Both return designs sorted by run-index sequence, and both are
 deterministic.  The *_keys functions are the same stages on fastcheck keys.
@@ -59,11 +63,21 @@ from .algebra import _exact_dtype
 from .designs import Design, FullFactorial, margin_cells
 from .fastcheck import get_checker, key_bits, key_designs, key_order, key_runs, run_keys
 
-# The key budget: at every level of its recursion the sliced enumeration
-# refuses a result of more than _MATRIX_BUDGET // (8 W + 8) designs on m runs,
-# W = ceil(m/64): 4.8 * 10^7 designs for m <= 64 and 3.2 * 10^7 for m <= 128.
-# Their B x W uint64 keys and the int64 index that sorts them then fit in
-# this many bytes.  The join counts the designs before any is built.
+# The key budget, in bytes, of every level of the sliced enumeration.  On m
+# runs, W = ceil(m/64), each design is charged 16 W + 8 bytes: at the sort
+# in enumerate_keys its key, the key's sorted copy and the int64 index are
+# alive together (key_order's own temporaries, at most 24 bytes per key,
+# are gone by then).  A level of r slices is also charged what it holds
+# beside the designs' keys while it materialises them: 8 (2r + 3) bytes per
+# join row (r key ids, r pool sizes, three int64 offsets), 8 (r W + 2 W' + 2)
+# bytes per slice candidate of W' words (the candidate, its copy in pool
+# order, its pool id and sort index, its r embedded keys), and the
+# free-cell counts and packed word of each slice key (_held_bytes).  These
+# arrays never all live at once, so the sum bounds their peak; chunked
+# temporaries of about _CHUNK_BYTES, and _slice_keys' counts before the
+# join, come on top.  The join counts designs and rows before anything is
+# built.  768 MB admits 3.2 * 10^7 designs of one word or 1.9 * 10^7 of
+# two, less what their join rows and candidates take.
 _MATRIX_BUDGET = 768 * 10**6
 
 # The most size-s subsets the brute-force oracle filters.
@@ -214,36 +228,47 @@ def _slice_keys(sub: FullFactorial, candidates: np.ndarray, size: int, strength:
     for column, weight in zip(counts.T, weights):
         words += column.astype(dtype) * weight
     packed, first, pool = np.unique(words, return_index=True, return_inverse=True)
-    return _SliceKeys(pool, counts[first].astype(np.int64), packed, weights, target)
+    return _SliceKeys(pool, counts[first], packed, weights, target)
 
 
-def _join_assignments(keys: _SliceKeys, n_levels: int, ceiling: int) -> tuple[np.ndarray, int]:
+def _fitting_prefixes(keys: _SliceKeys, depth: int, prefix: tuple, partial: np.ndarray, word):
+    """Depth first, every `depth`-tuple of key ids that extends prefix and
+    whose free-cell counts, added to partial, stay within the target; with
+    the keys that still fit after it and its packed words added to word."""
+    fits = np.flatnonzero(np.all(keys.free <= keys.target - partial, axis=1))
+    if len(prefix) == depth:
+        yield prefix, fits, word
+        return
+    for k in fits.tolist():
+        yield from _fitting_prefixes(keys, depth, (*prefix, k), partial + keys.free[k], word + keys.packed[k])
+
+
+def _join_assignments(
+    keys: _SliceKeys, n_levels: int, room: int, design_bytes: int
+) -> tuple[np.ndarray, int]:
     """Every n_levels-tuple of key ids whose free-cell counts sum to the target,
     one per row in no particular order, and the exact number of designs they
     make: the sum over rows of the product of the rows' pool sizes.
 
     Levels 0 .. n_levels - 3 loop in Python over the keys that still fit
-    under the target.  Level n_levels - 2 takes every fitting key at once,
-    and the last level is the key whose word is the target's minus the
-    others': one searchsorted.  The counts left for the last level lie in
-    [0, target], within every digit's range, where packing is injective.
+    under the target (_fitting_prefixes).  Level n_levels - 2 takes every
+    fitting key at once, and the last level is the key whose word is the
+    target's minus the others': one searchsorted.  The counts left for the
+    last level lie in [0, target], within every digit's range, where
+    packing is injective.
 
-    Raises ProblemTooLargeError as soon as the count exceeds `ceiling`.
+    Raises ProblemTooLargeError as soon as the designs, at design_bytes
+    each, and the rows, at 8 (2 n_levels + 3) bytes each, take more than
+    `room` bytes (see _MATRIX_BUDGET).
     """
-    free, packed, target = keys.free, keys.packed, keys.target
+    packed = keys.packed
     # Each row's product, and their sum, is at most len(pool)^n_levels.
     pool_sizes = np.bincount(keys.pool).astype(_exact_dtype(len(keys.pool) ** n_levels))
-    goal = target @ keys.weights
-    chunks: list[np.ndarray] = []
-    count = 0
-
-    def join(prefix: list[int], partial: np.ndarray, word) -> None:
-        nonlocal count
-        fits = np.flatnonzero(np.all(free <= target - partial, axis=1))
-        if len(prefix) < n_levels - 2:
-            for k in fits.tolist():
-                join(prefix + [k], partial + free[k], word + packed[k])
-            return
+    goal = keys.target @ keys.weights
+    row_bytes = 8 * (2 * n_levels + 3)
+    chunks = [np.zeros((0, n_levels), dtype=np.int64)]
+    count = n_rows = 0
+    for prefix, fits, word in _fitting_prefixes(keys, n_levels - 2, (), np.zeros_like(keys.target), 0):
         need = goal - word - packed[fits]
         last = np.minimum(np.searchsorted(packed, need), len(packed) - 1)
         hit = packed[last] == need
@@ -252,12 +277,23 @@ def _join_assignments(keys: _SliceKeys, n_levels: int, ceiling: int) -> tuple[np
         rows[:, -2] = fits[hit]
         rows[:, -1] = last[hit]
         count += int(pool_sizes[rows].prod(axis=1).sum())
-        if count > ceiling:
-            raise ProblemTooLargeError(f"more than {ceiling} designs, the key budget for this ambient")
+        n_rows += len(rows)
+        if count * design_bytes + n_rows * row_bytes > room:
+            raise ProblemTooLargeError(
+                f"at least {count} designs exceed the key budget of {_MATRIX_BUDGET} bytes for this ambient"
+            )
         chunks.append(rows)
+    return np.concatenate(chunks), count
 
-    join([], np.zeros_like(target), 0)
-    return np.concatenate([np.zeros((0, n_levels), dtype=np.int64), *chunks]), count
+
+def _held_bytes(candidates: np.ndarray, keys: _SliceKeys, r: int, words: int) -> int:
+    """What a level of r slices holds beside its design keys and join rows
+    while it materialises them (see _MATRIX_BUDGET): the slice candidates,
+    their copy in pool order, pool ids and sort index, and r embedded keys
+    of `words` words each; and the free-cell counts and packed word of
+    every slice key."""
+    n = len(candidates)
+    return 2 * candidates.nbytes + 16 * n + 8 * r * words * n + keys.free.nbytes + keys.packed.nbytes
 
 
 def _materialize(
@@ -314,17 +350,18 @@ def _enumerate_keys(
     the whole factor are balanced.  Otherwise the runs are sliced on
     `slicing_factor` (default: _default_slicing_factor); the slice
     candidates, the sub-ambient's fractions of strength one less, come from
-    this same function, and the slices are joined.  The key budget of the
-    ambient bounds the subsets at strength 0 and the join's count.
+    this same function, and the slices are joined.  The key budget bounds
+    the subsets at strength 0 and the join (see _MATRIX_BUDGET).
     """
     m = ambient.run_count
-    ceiling = _MATRIX_BUDGET // (8 * -(-m // 64) + 8)
-    empty = np.zeros((0, -(-m // 64)), dtype=np.uint64)
+    words = -(-m // 64)
+    design_bytes = 16 * words + 8
+    empty = np.zeros((0, words), dtype=np.uint64)
     if strength == 0:
         total = comb(m, size)
-        if total > ceiling:
+        if total * design_bytes > _MATRIX_BUDGET:
             raise ProblemTooLargeError(
-                f"C({m},{size}) = {total} subsets exceed the key budget of {ceiling} designs "
+                f"C({m},{size}) = {total} subsets exceed the key budget of {_MATRIX_BUDGET} bytes "
                 "for this ambient"
             )
         return np.concatenate([empty, *_subset_keys(m, size)])
@@ -339,7 +376,8 @@ def _enumerate_keys(
     keys = _slice_keys(sub, candidates, size, strength)
     if keys is None:
         return empty
-    ids, count = _join_assignments(keys, r, ceiling)
+    room = _MATRIX_BUDGET - _held_bytes(candidates, keys, r, words)
+    ids, count = _join_assignments(keys, r, room, design_bytes)
     if not count:
         return empty
     return _materialize(ids, count, keys.pool, candidates, ambient, p)

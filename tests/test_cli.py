@@ -75,28 +75,31 @@ def test_enumerate_oracle_ceiling_exit_3(capsys):
 
 def test_enumerate_design_ceiling_exit_3(monkeypatch, capsys, tmp_path):
     # The join counts the designs before any is built; past the key budget
-    # nothing is written and one error line names it.  The flagship's
-    # 35,200 one-word keys and sort indices need 35,200 * 16 bytes, so one
-    # byte less puts the ceiling at 35,199 designs.
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 35200 * 16 - 1)
+    # nothing is written and one error line names it.  The flagship's top
+    # level is charged 1,083,660 bytes (35,200 one-word designs at 24 bytes,
+    # 3,109 join rows at 72, 222 candidates at 56, 129 slice keys at 20),
+    # so one byte less refuses it.
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 1083660 - 1)
     path = tmp_path / "designs.txt"
     code = main(["enumerate", "--levels", "2,2,2,2,3", "--size", "24", "--strength", "2", "--out", str(path)])
     assert code == 3
-    assert capsys.readouterr().err == "error: more than 35199 designs, the key budget for this ambient\n"
+    err = capsys.readouterr().err
+    assert err == "error: at least 35200 designs exceed the key budget of 1083659 bytes for this ambient\n"
     assert not path.exists()
 
 
 def test_enumerate_strength_zero_ceiling_exit_3(monkeypatch, capsys):
     # 2^4 at strength 1 slices into strength-0 candidates of the 8-run 2^3
-    # sub-ambient: all C(8, 4) = 70 subsets, one more than a budget of 69
-    # one-word keys and int64 sort indices admits.  The refusal is one
-    # error line, before any join.
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 69 * 16)
+    # sub-ambient: all C(8, 4) = 70 subsets, charged 24 bytes each (a
+    # one-word key, its sorted copy and an int64 sort index), one more than
+    # a budget of 69 * 24 bytes admits.  The refusal is one error line,
+    # before any join.
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 69 * 24)
     code = main(["enumerate", "--levels", "2,2,2,2", "--size", "8", "--strength", "1"])
     assert code == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: C(8,4) = 70 subsets exceed the key budget of 69 designs for this ambient\n"
+    assert err == "error: C(8,4) = 70 subsets exceed the key budget of 1656 bytes for this ambient\n"
 
 
 def test_classify_group_table_budget_exit_3(monkeypatch, capsys, tmp_path):

@@ -13,6 +13,7 @@ from orthofrac.designs import (
     FullFactorial,
     NonTwoLevelFactorError,
     ShapeMismatchError,
+    bitset_keys,
     from_level_sets,
     full_design,
     full_factorial,
@@ -130,8 +131,6 @@ def test_popcount_margin_counts_match_membership_counts(wide):
     # seeded random ambients of one word, or, wide, on ambients of more
     # than 64 runs (two or three words, some with padding bits), for the
     # empty and full designs and random subsets; also on a column subset.
-    from orthofrac.fastcheck import bitset_keys
-
     rng = random.Random(59 + wide)
     extra = [[2, 2, 2, 2, 2, 3], [3, 3, 3, 3], [2] * 7, [5, 5, 5]]
     ambients = [full_factorial(arities) for arities in extra] if wide else [random_ambient(rng) for _ in range(20)]

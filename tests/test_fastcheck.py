@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from conftest import RATIONAL, random_ambient
-from orthofrac import algebra
 from orthofrac.algebra import (
     contrast_sums,
     exponent_lattice,
@@ -379,28 +378,3 @@ def test_word_keys_are_sums_of_run_keys_and_sort_as_run_tuples(m):
     pos, found = find_keys(ordered, keys)
     assert found.all() and np.array_equal(ordered[pos], search_keys(keys))
     assert not find_keys(ordered, bitset_keys(runs_matrix([tuple(range(8))], m)))[1].any()
-
-
-def test_two_word_key_order_is_lexsort(monkeypatch):
-    # key_order on two words sorts word 0 alone and re-sorts only the runs
-    # of equal word-0 values; its order equals np.lexsort's, equal keys in
-    # row order included.  Seeded random keys with word 0 drawn from a few
-    # values (forced ties), word 1 from few or many, and exact duplicates;
-    # then again through the lexsort fallback for tied rows whose int64
-    # composite bound is patched to 0.
-    rng = np.random.default_rng(61)
-    cases = [np.zeros((0, 2), dtype=np.uint64), np.zeros((1, 2), dtype=np.uint64)]
-    for n in (2, 5, 40, 1000):
-        for first, second in ((3, 2), (3, 2**64 - 1), (2**64 - 1, 2**64 - 1), (1, 4), (n // 2 + 1, 3)):
-            keys = np.stack(
-                [rng.integers(0, first, n, dtype=np.uint64, endpoint=True),
-                 rng.integers(0, second, n, dtype=np.uint64, endpoint=True)],
-                axis=1,
-            )
-            cases += [keys, keys[rng.integers(0, n, n)]]
-    assert len(np.unique(cases[-1][:, 0])) < len(cases[-1])
-    for keys in cases:
-        assert np.array_equal(key_order(keys), np.lexsort(keys.T[::-1]))
-    monkeypatch.setattr(algebra, "_INT64_SAFE", 0)
-    for keys in cases:
-        assert np.array_equal(key_order(keys), np.lexsort(keys.T[::-1]))

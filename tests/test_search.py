@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from orthofrac.catalog import cross_check_classes
 from orthofrac.classify import act, classification_report, classify, classify_keys, generate_group
 from orthofrac import algebra, search
 from orthofrac.designs import default_levels, full_design, full_factorial, has_strength, margin_cells
-from orthofrac.fastcheck import bitset_keys, key_designs, key_runs, run_keys, runs_matrix
+from orthofrac.fastcheck import bitset_keys, key_bits, key_designs, key_runs, run_keys, runs_matrix
 from orthofrac.search import (
     _enumerate_keys,
     _free_cells,
@@ -170,9 +171,9 @@ def test_recursive_candidates_match_backtracking():
 
 def test_strength_zero_subsets_meet_the_design_ceiling(monkeypatch):
     # At strength 0 every subset qualifies: the C(8, 4) = 70 subsets of the
-    # 8-run 2^3 ambient need 70 one-word keys and 70 int64 sort indices,
-    # 16 bytes each.  One byte less of budget refuses them before a single
-    # subset is listed.
+    # 8-run 2^3 ambient are charged 16 W + 8 = 24 bytes each (a one-word
+    # key, its sorted copy, an int64 sort index).  One byte less of budget
+    # refuses them before a single subset is listed.
     taken = []
     combinations = itertools.combinations
 
@@ -183,11 +184,11 @@ def test_strength_zero_subsets_meet_the_design_ceiling(monkeypatch):
 
     monkeypatch.setattr(itertools, "combinations", counted)
     amb = full_factorial([2, 2, 2])
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 70 * 16)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 70 * 24)
     assert len(np.unique(_enumerate_keys(amb, 4, 0), axis=0)) == len(taken) == 70
     taken.clear()
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 70 * 16 - 1)
-    with pytest.raises(ProblemTooLargeError, match=r"C\(8,4\) = 70 subsets exceed the key budget of 69 designs "):
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 70 * 24 - 1)
+    with pytest.raises(ProblemTooLargeError, match=r"C\(8,4\) = 70 subsets exceed the key budget of 1679 bytes "):
         _enumerate_keys(amb, 4, 0)
     assert taken == []
 
@@ -241,7 +242,7 @@ def test_join_matches_reference_join():
                         buckets.setdefault(vec, []).append(cand)
                     target = tuple((size // table.volumes).tolist())
                     expected = reference.join_assignments(sorted(buckets), buckets, target, r)
-                    ids, count = _join_assignments(keys, r, ceiling=10**12)
+                    ids, count = _join_assignments(keys, r, room=10**18, design_bytes=1)
                     full = {k: vectors[i] for i, k in enumerate(keys.pool.tolist())}
                     assert sorted(tuple(full[k] for k in row) for row in ids.tolist()) == sorted(expected)
                     assert count == sum(np.prod([len(buckets[key]) for key in a]) for a in expected)
@@ -275,36 +276,51 @@ def test_join_count_and_key_injectivity(levels, size, count):
     problem = SearchProblem(amb, size, 2)
     p = len(levels) - 1
     sub, candidates, keys = _slices(amb, p, size, 2)
-    assert _join_assignments(keys, amb.radices[p], ceiling=10**12)[1] == count
+    assert _join_assignments(keys, amb.radices[p], room=10**18, design_bytes=1)[1] == count
     assert len(enumerate_keys(problem)) == count
     vectors = margin_cells(sub, 2).count(runs_matrix(candidates, sub.run_count))
     assert len(keys.packed) == len(np.unique(vectors, axis=0))
 
 
+# The key budget of the flagship's top level: 35,200 one-word designs at
+# 16 W + 8 = 24 bytes, 3,109 join rows of r = 3 slices at 8 (2r + 3) = 72
+# bytes, 222 one-word slice candidates at 8 (r W + 2 W' + 2) = 56 bytes, and
+# 129 slice keys of 6 int16 free-cell counts and an int64 word, 20 bytes.
+_FLAGSHIP_KEY_BYTES = 35200 * 24 + 3109 * 72 + 222 * 56 + 129 * 20
+
+
 def test_design_ceiling(monkeypatch):
-    # The key budget holds each design's W = ceil(m/64) key words and its
-    # int64 sort index: the flagship's 35,200 designs need 35,200 * 16
-    # bytes, and the 24,696 two-word keys of 3^4/18/2 need 24,696 * 24.
+    # The budget admits exactly what it charges (see _FLAGSHIP_KEY_BYTES).
     flagship = SearchProblem(full_factorial([2, 2, 2, 2, 3]), 24, 2)
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 35200 * 16)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", _FLAGSHIP_KEY_BYTES)
     assert len(enumerate_keys(flagship)) == 35200
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 35200 * 16 - 1)
-    with pytest.raises(ProblemTooLargeError, match="more than 35199 designs, the key budget"):
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", _FLAGSHIP_KEY_BYTES - 1)
+    message = f"at least 35200 designs exceed the key budget of {_FLAGSHIP_KEY_BYTES - 1} bytes"
+    with pytest.raises(ProblemTooLargeError, match=message):
         enumerate_keys(flagship)
+    # 3^4/18/2 has 24,696 two-word designs at 40 bytes, one per join row
+    # of 3 slices, from 900 one-word candidates at 8 (6 + 2 + 2) = 80 bytes
+    # and 900 slice keys of 12 int16 counts and a word, 32 bytes.
     two_words = SearchProblem(full_factorial([3, 3, 3, 3]), 18, 2)
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 24696 * 24)
+    need = 24696 * 40 + 24696 * 72 + 900 * 80 + 900 * 32
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", need)
     assert len(enumerate_keys(two_words)) == 24696
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 24696 * 24 - 1)
-    with pytest.raises(ProblemTooLargeError, match="more than 24695 designs"):
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", need - 1)
+    with pytest.raises(ProblemTooLargeError, match="at least 24696 designs exceed"):
         enumerate_keys(two_words)
-    # Every level has the same ceiling on ambients of one word: at 2^3/4/2
-    # the recursion's last level, the two one-run subsets of a 2-run
-    # factor, is the first result past a ceiling of 1.
+    # Every level meets the same budget.  At 2^3/4/2 the strength-0 level
+    # lists the 2 one-run subsets of a 2-run factor (48 bytes), and the
+    # levels above it each join 2 designs in 2 rows of 2 slices from 2
+    # candidates with 2 slice keys of one count:
+    # 2 * 24 + 2 * 56 + 2 * 48 + 2 * 10 = 276 bytes.
     problem = SearchProblem(full_factorial([2, 2, 2]), 4, 2)
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 2 * 16)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 276)
     assert len(enumerate_keys(problem)) == 2
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 2 * 16 - 1)
-    with pytest.raises(ProblemTooLargeError, match=re.escape("C(2,1) = 2 subsets exceed the key budget of 1 designs")):
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 275)
+    with pytest.raises(ProblemTooLargeError, match="at least 2 designs exceed the key budget of 275 bytes"):
+        enumerate_keys(problem)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 47)
+    with pytest.raises(ProblemTooLargeError, match=re.escape("C(2,1) = 2 subsets exceed the key budget of 47 bytes")):
         enumerate_keys(problem)
 
 
@@ -321,15 +337,40 @@ def test_key_budget_refuses_before_it_allocates(monkeypatch):
         return materialize(ids, count, *args)
 
     monkeypatch.setattr(search, "_materialize", counted)
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 35200 * 16 - 1)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", _FLAGSHIP_KEY_BYTES - 1)
     with pytest.raises(ProblemTooLargeError):
         enumerate_keys(problem)
     # The lower levels fit and built their candidates; the top level did not.
     assert built and 35200 not in built
     built.clear()
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 35200 * 16)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", _FLAGSHIP_KEY_BYTES)
     enumerate_keys(problem)
     assert built[-1] == 35200
+
+
+def test_key_budget_bounds_the_traced_peak(monkeypatch):
+    # What the budget charges bounds what enumerate_keys allocates.  At
+    # 2^7/32/3 the top level joins 92,400 two-word designs in 54,881 rows of
+    # 2 slices, from 65,100 one-word candidates at 8 (2 * 2 + 2 + 2) bytes
+    # with 54,881 slice keys of 20 int16 counts and a word; the levels
+    # below charge less.  With 4 KiB chunks only one chunk of popcounts
+    # (designs._POPCOUNT_BYTES) comes on top.
+    import tracemalloc
+
+    from orthofrac import designs
+
+    problem = SearchProblem(full_factorial([2] * 7), 32, 3)
+    charged = 92400 * 40 + 54881 * 56 + 65100 * 64 + 54881 * 48
+    monkeypatch.setattr(search, "_CHUNK_BYTES", 1 << 12)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", charged)
+    tracemalloc.start()
+    try:
+        keys = enumerate_keys(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == 92400
+    assert charged / 2 < peak <= charged + designs._POPCOUNT_BYTES
 
 
 def test_cross_check_rejects_with_the_real_checker():
@@ -365,7 +406,7 @@ def test_engine_matches_oracle_on_random_ambients(monkeypatch):
     # Differential: engine == oracle on seeded random ambients (rational
     # level sets half the time) at proper sizes that every margin volume divides.
     rng = random.Random(47)
-    compared, rational, several = 0, 0, 0
+    compared, rational, several, complete = 0, 0, 0, 0
     while compared < 40:
         amb = random_ambient(rng)
         t = rng.randint(1, amb.n_factors)
@@ -375,7 +416,17 @@ def test_engine_matches_oracle_on_random_ambients(monkeypatch):
             continue
         problem = SearchProblem(amb, rng.choice(sizes), t)
         engine = enumerate_orthogonal(problem)
-        assert engine == brute_force_oracle(problem)
+        oracle = brute_force_keys(problem)
+        assert engine == key_designs(amb, oracle)
+        # Apart from the popcounts that engine and oracle share: the oracle's
+        # designs, as membership rows times the incidence matrix, are
+        # balanced, and on small ambients they are every balanced subset.
+        m, table = amb.run_count, margin_cells(amb, t)
+        assert table.balanced(table.count(key_bits(oracle, m)), problem.size).all()
+        if comb(m, problem.size) <= 10**4:
+            y = runs_matrix(list(itertools.combinations(range(m), problem.size)), m)
+            assert np.array_equal(bitset_keys(y[table.balanced(table.count(y), problem.size).all(axis=1)]), oracle)
+            complete += 1
         # Materialise chunks of 1 and 7 design rows: a chunk boundary falls
         # inside the designs of one join row as well as between join rows.
         with monkeypatch.context() as patched:
@@ -385,7 +436,7 @@ def test_engine_matches_oracle_on_random_ambients(monkeypatch):
         compared += 1
         rational += any(f.levels != default_levels(f.arity) for f in amb.factors)
         several += len(engine) > 1
-    assert rational >= 10 and several >= 10
+    assert rational >= 10 and several >= 10 and complete >= 10
 
 
 def test_flagship_strength_three_fractions():
