@@ -15,8 +15,7 @@ from functools import cache
 
 from .algebra import design_from_indicator
 from .classify import in_orbit
-from .designs import Design, FullFactorial, full_factorial
-from .fastcheck import bitset_keys, runs_matrix
+from .designs import Design, FullFactorial, design_keys, full_factorial
 from .polynomials import parse_polynomial
 
 FLAGSHIP_ARITIES = (2, 2, 2, 2, 3)
@@ -433,7 +432,7 @@ def cross_check_classes(classes) -> list[str]:
     if len(classes) != len(CATALOG):
         problems.append(f"expected {len(CATALOG)} classes, got {len(classes)}")
     m = flagship_ambient().run_count
-    reps = bitset_keys(runs_matrix([c.representative for c in classes], m))
+    reps = design_keys([c.representative for c in classes], m)
 
     hits: dict[int, int] = {}
     for entry, design in catalog_designs():

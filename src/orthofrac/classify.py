@@ -9,7 +9,7 @@ coefficient vector conjugates the run permutation by the model matrix.
 A design's key is ceil(m/64) uint64 words, run r at bit 63 - r % 64 of
 word r // 64, so the largest key of an orbit is its lexicographically
 least design: the canonical form.  The keys of all G images are summed
-from the one-run keys of the table's columns (fastcheck.run_keys), one run
+from the one-run keys of the table's columns (designs.run_keys), one run
 at a time.  classify_keys closes each orbit of its input keys once, from
 the first input design not yet seen, and keeps only its largest key and
 its size unless members are asked for.
@@ -31,11 +31,12 @@ from .designs import (
     Design,
     FullFactorial,
     ShapeMismatchError,
-    has_strength,
+    design_keys,
     invariant_triples,
+    run_keys,
     supports_triple_invariant,
 )
-from .fastcheck import bitset_keys, find_keys, key_order, key_runs, run_keys, runs_matrix, search_keys
+from .fastcheck import find_keys, key_order, key_runs, search_keys
 from .polynomials import Polynomial
 
 
@@ -159,7 +160,7 @@ def orbit_of(design: Design) -> set[tuple[int, ...]]:
 
 
 def in_orbit(design: Design, keys: np.ndarray) -> np.ndarray:
-    """Which rows of keys (fastcheck.bitset_keys of designs of the same
+    """Which rows of keys (designs.design_keys of designs of the same
     ambient) lie in the orbit of the design."""
     return find_keys(search_keys(_distinct(_images(design.ambient, design.runs))), keys)[1]
 
@@ -167,7 +168,7 @@ def in_orbit(design: Design, keys: np.ndarray) -> np.ndarray:
 def stabilizer_size(design: Design) -> int:
     """The number of group elements that map the design onto itself."""
     images = _images(design.ambient, design.runs)
-    own = run_keys(design.ambient.run_count)[list(design.runs)].sum(axis=0, dtype=np.uint64)
+    own = design_keys([design], design.ambient.run_count)
     return int(np.count_nonzero(np.all(images == own, axis=1)))
 
 
@@ -202,7 +203,7 @@ def classify(designs, store_members: bool = False) -> list[EquivalenceClass]:
     ambient = designs[0].ambient
     if any(d.ambient != ambient for d in designs):
         raise ShapeMismatchError("designs come from different ambients")
-    return classify_keys(ambient, bitset_keys(runs_matrix(designs, ambient.run_count)), store_members)
+    return classify_keys(ambient, design_keys(designs, ambient.run_count), store_members)
 
 
 def classify_keys(
@@ -231,11 +232,12 @@ def classify_keys(
         step = int(np.argmax(unseen[idx:]))
         idx = idx + step if step else len(keys)
 
-    reps = key_runs(np.array(tops))
+    tops = np.array(tops)
+    reps = key_runs(tops)
     invariants = members = [None] * len(reps)
     # Every input design shares its size with the representative of its orbit.
     if supports_triple_invariant(ambient) and all(len(rep) == 24 for rep in reps):
-        invariants = invariant_triples(ambient, runs_matrix(reps, ambient.run_count))
+        invariants = invariant_triples(ambient, tops)
     if store_members:
         members = [tuple(Design(ambient, r) for r in reversed(key_runs(o))) for o in orbits]
     classes = [
@@ -298,6 +300,13 @@ class TableReport:
         return "\n".join(lines)
 
 
+def _strength3(t1: int, t2: int) -> bool:
+    """has_strength(representative, 3) of a class with invariants (T1, J, T2):
+    the ten size-3 factor subsets of the 2x2x2x2x3 ambient are the four
+    two-level triples that T1 counts and the six mixed ones that T2 counts."""
+    return t1 == t2 == 0
+
+
 def table_report(classes) -> TableReport:
     """Class-count matrix over (T1, J) x T2 for flagship-shaped classifications."""
     classes = list(classes)
@@ -316,7 +325,7 @@ def table_report(classes) -> TableReport:
         t1, jset, t2 = c.invariants
         cell = by_row.setdefault((t1, jset), {}).setdefault(t2, [0, 0, 0])
         cell[0] += 1
-        if has_strength(c.representative, 3):
+        if _strength3(t1, t2):
             cell[1] += 1
         if 24 in jset:
             cell[2] += 1
@@ -348,7 +357,7 @@ def classification_report(classes) -> dict:
         if c.invariants is not None:
             t1, jset, t2 = c.invariants
             rec["invariants"] = {"t1": t1, "jset": list(jset), "t2": t2}
-            rec["strength3"] = has_strength(c.representative, 3)
+            rec["strength3"] = _strength3(t1, t2)
         records.append(rec)
     report["classes"] = records
     if classes and classes[0].invariants is not None:

@@ -4,16 +4,16 @@ Runs of the full factorial are indexed lexicographically in the index
 vector with the last factor varying fastest; every file format and
 canonical ordering in the package relies on that convention.
 
-`margin_cells` is the one integer encoding of factor-subset margins that
-the strength checks, the search, the oracle and the class invariants
-count with: on 0/1 membership rows through its incidence matrix, or on
-packed keys as popcounts against its per-cell run masks.
-`margins` is the Fraction-labelled view of the same counts.
-
-A key packs a 0/1 membership row over m runs into ceil(m/64) uint64 words,
-run r at bit 63 - r % 64 of word r // 64 (bitset_keys); fastcheck reads
+Below the Fraction algebra a set of runs is always a key: ceil(m/64)
+uint64 words, run r at bit 63 - r % 64 of word r // 64 (bitset_keys), the
+sum of its runs' keys (run_keys, run_sums, design_keys).  fastcheck reads
 keys back and sorts them.  A mask is the key of a set of runs, stored
 word-major (mask_words), so popcounts counts a key's runs in each set.
+
+`margin_cells` is the one integer encoding of factor-subset margins that
+the strength checks, the search, the oracle and the class invariants
+count with, as popcounts of keys on its per-cell run masks (count_keys).
+`margins` is the Fraction-labelled view of the same counts.
 """
 
 from __future__ import annotations
@@ -230,12 +230,7 @@ class MarginCells:
     cells: np.ndarray  # cells[i, s]: the cell of subsets[s] that run i hits
     volumes: np.ndarray  # volumes[c]: the number of cells of c's subset
     starts: np.ndarray  # starts[s]: the first cell id of subsets[s]
-    incidence: np.ndarray  # incidence[i, c] == 1 iff run i hits cell c
     masks: np.ndarray  # masks[w, c]: word w of the key of the runs that hit cell c
-
-    def count(self, y: np.ndarray) -> np.ndarray:
-        """counts[b, c]: how many runs of the 0/1 membership row y[b] hit cell c."""
-        return y @ self.incidence
 
     def count_keys(self, keys: np.ndarray, cells=slice(None)) -> np.ndarray:
         """counts[b, k]: how many runs of the design with key row keys[b] hit
@@ -261,6 +256,33 @@ def mask_words(columns: np.ndarray) -> np.ndarray:
     masks = bitset_keys(columns.T).T.copy()
     masks.flags.writeable = False
     return masks
+
+
+@lru_cache(maxsize=None)
+def run_keys(m: int) -> np.ndarray:
+    """The m x ceil(m/64) keys of the one-run designs (read-only).  A design's
+    key is the sum of its runs' keys: their bits are disjoint, so the sum is
+    their OR."""
+    keys = bitset_keys(np.eye(m, dtype=bool))
+    keys.flags.writeable = False
+    return keys
+
+
+def run_sums(lengths: np.ndarray, runs: np.ndarray, m: int) -> np.ndarray:
+    """The keys of designs of m runs with these run counts and concatenated runs."""
+    keys = np.zeros((len(lengths), -(-m // 64)), dtype=np.uint64)
+    full = lengths > 0
+    if len(runs):
+        keys[full] = np.add.reduceat(run_keys(m)[runs], (np.cumsum(lengths) - lengths)[full], axis=0)
+    return keys
+
+
+def design_keys(designs, m: int) -> np.ndarray:
+    """The key of every Design, or sequence of runs, of m runs: one row each."""
+    rows = [d.runs if isinstance(d, Design) else d for d in designs]
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    runs = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+    return run_sums(lengths, runs, m)
 
 
 # The most bytes of key & mask words that popcounts forms at once.
@@ -301,23 +323,14 @@ def margin_cells(ambient: FullFactorial, k: int) -> MarginCells:
         volume = prod(radices[j] for j in subset)
         volumes.extend([volume] * volume)
     cells = np.array(columns, dtype=np.int64).reshape(len(subsets), m).T
-    incidence = np.zeros((m, len(volumes)), dtype=np.int64)
-    incidence[np.arange(m)[:, None], cells] = 1
+    hits = np.zeros((m, len(volumes)), dtype=bool)  # hits[i, c]: run i hits cell c
+    hits[np.arange(m)[:, None], cells] = True
     table = MarginCells(
-        subsets,
-        cells,
-        np.array(volumes, dtype=np.int64),
-        np.array(starts, dtype=np.int64),
-        incidence,
-        mask_words(incidence),
+        subsets, cells, np.array(volumes, dtype=np.int64), np.array(starts, dtype=np.int64), mask_words(hits)
     )
-    for array in (table.cells, table.volumes, table.starts, table.incidence):
+    for array in (table.cells, table.volumes, table.starts):
         array.flags.writeable = False
     return table
-
-
-def _membership_row(design: Design) -> np.ndarray:
-    return np.array([design.membership()], dtype=np.int64)
 
 
 def has_strength(design: Design, t: int) -> bool:
@@ -330,7 +343,8 @@ def has_strength(design: Design, t: int) -> bool:
     if not 1 <= t <= n:
         raise ValueError(f"strength must be in 1..{n}")
     table = margin_cells(design.ambient, t)
-    return bool(table.balanced(table.count(_membership_row(design)), design.size).all())
+    keys = design_keys([design], design.ambient.run_count)
+    return bool(table.balanced(table.count_keys(keys), design.size).all())
 
 
 def j_statistic(design: Design, factor_subset: Sequence[int]) -> int:
@@ -373,15 +387,15 @@ def _cell_signs(ambient: FullFactorial) -> np.ndarray:
 
 
 def invariant_triples(
-    ambient: FullFactorial, y: np.ndarray
+    ambient: FullFactorial, keys: np.ndarray
 ) -> list[tuple[int, tuple[int, int, int, int], int]]:
-    """invariant_triple of every 0/1 membership row of y, from the size-3 margin counts."""
+    """invariant_triple of the design of every key row, from the size-3 margin counts."""
     if not supports_triple_invariant(ambient):
         raise ShapeMismatchError("ambient is not 2x2x2x2x3 shaped")
-    if np.any(y.sum(axis=1) != 24):
+    if np.any(np.bitwise_count(keys).sum(axis=1) != 24):
         raise ShapeMismatchError("invariants are defined for 24-run fractions")
     table = margin_cells(ambient, 3)
-    counts = table.count(y)
+    counts = table.count_keys(keys)
     unbalanced = ~table.balanced(counts, 24)
     j_stats = np.abs(np.add.reduceat(counts * _cell_signs(ambient), table.starts, axis=1))
     triples = [s for s, subset in enumerate(table.subsets) if 4 not in subset]
@@ -400,7 +414,7 @@ def invariant_triple(design: Design) -> tuple[int, tuple[int, int, int, int], in
     triples, and T2 the number of pairs (x_i, x_j) whose margins together
     with the three-level factor are not all equal.
     """
-    return invariant_triples(design.ambient, _membership_row(design))[0]
+    return invariant_triples(design.ambient, design_keys([design], design.ambient.run_count))[0]
 
 
 def save_design_csv(design: Design, path) -> None:

@@ -15,40 +15,24 @@ stays independent of the search, and it never applies X or X^-1.
 
 A list of designs travels between the search, the designs file and
 classify as one key array: a B x ceil(m/64) uint64 array, run r at bit
-63 - r % 64 of word r // 64.  designs.bitset_keys packs 0/1 membership
-rows into keys, and designs.mask_words and designs.popcounts count a
-key's runs in sets of runs.  run_keys holds the keys of the one-run
-designs, whose sums are the keys of larger designs; key_bits unpacks keys
-into 0/1 rows, key_runs and key_designs read them back as run tuples and
-Designs, and key_order sorts them.  The search and its oracle count
-margins on keys too (designs.MarginCells.count_keys); membership rows
-stay inside the class invariants and the one-design strength check.
+63 - r % 64 of word r // 64.  designs owns that layout: bitset_keys packs
+0/1 rows into keys, run_keys and design_keys sum keys from runs, and
+mask_words and popcounts count a key's runs in sets of runs.  Here
+key_bits unpacks keys into 0/1 rows, key_runs and key_designs read them
+back as run tuples and Designs, and key_order sorts them.  Every margin
+count, in the search, its oracle, the strength check and the class
+invariants, is a popcount on keys too (designs.MarginCells.count_keys).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
 from .algebra import contrast_checks, contrast_rows
-from .designs import Design, FullFactorial, bitset_keys, mask_words, popcounts
-
-
-def runs_matrix(designs, run_count: int) -> np.ndarray:
-    """Stack 0/1 membership rows for a sequence of designs or run tuples, or
-    for a 2-D integer array with one design's runs per row."""
-    if isinstance(designs, np.ndarray) and designs.ndim == 2:
-        y = np.zeros((len(designs), run_count), dtype=np.int64)
-        np.put_along_axis(y, designs, 1, axis=1)
-        return y
-    rows = [d.runs if isinstance(d, Design) else d for d in designs]
-    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-    flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
-    y = np.zeros((len(rows), run_count), dtype=np.int64)
-    y[np.repeat(np.arange(len(rows)), lengths), flat] = 1
-    return y
+# bitset_keys and run_keys are imported from here too; designs owns them.
+from .designs import Design, FullFactorial, bitset_keys, mask_words, popcounts, run_keys  # noqa: F401
 
 
 def key_bits(keys: np.ndarray, count: int | None = None) -> np.ndarray:
@@ -68,16 +52,6 @@ def key_runs(keys: np.ndarray) -> list[tuple[int, ...]]:
 def key_designs(ambient: FullFactorial, keys: np.ndarray) -> list[Design]:
     """One Design per key row."""
     return [Design(ambient, runs) for runs in key_runs(keys)]
-
-
-@lru_cache(maxsize=None)
-def run_keys(m: int) -> np.ndarray:
-    """The m x ceil(m/64) keys of the one-run designs (read-only).  A design's
-    key is the sum of its runs' keys: their bits are disjoint, so the sum is
-    their OR."""
-    keys = bitset_keys(np.eye(m, dtype=bool))
-    keys.flags.writeable = False
-    return keys
 
 
 def key_order(keys: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ Two routes:
   sums each row of [1; C] over a key by popcounts on the key's words, in
   chunks of key rows, and never unpacks the bits.
 
-  Every level returns keys of its ambient (fastcheck).  The join keys a
+  Every level returns keys of its ambient (designs).  The join keys a
   candidate by its counts on the free margin cells, those whose levels
   are all >= 1: the candidates share every lower-order margin, and given
   those the free cells fix the rest, so the key loses nothing.  The
@@ -33,20 +33,22 @@ Two routes:
   The join returns key ids and the exact design count.  It raises
   ProblemTooLargeError as soon as the designs, their join rows and the
   slice candidates pass the key budget in bytes (see _MATRIX_BUDGET),
-  before any design is built; at strength 0 the C(m, q) subsets meet the
-  same budget before any is listed.  A design's key is
-  the sum of its slices' keys, each embedded at its level once through
-  per-byte lookup tables, summed a chunk of designs at a time.
+  before any design is built; the slice keys meet the same budget before
+  they are formed, and at strength 0 the C(m, q) subsets before any is
+  listed.  A design's key is the sum of its slices' keys, each embedded at
+  its level once through per-byte lookup tables, summed a chunk of designs
+  at a time.
 
 * `brute_force_oracle` - plain enumeration of all size-s subsets filtered
   by direct margin counting (popcounts of their keys), for small
   ambients.  Used to validate the engine.  It shares no join, slicing or
   materialising with the engine, but counts margins through the same
   MarginCells.count_keys; the tests check that count, and the oracle's
-  output, against membership rows times the incidence matrix.
+  output, against 0/1 membership rows counted cell by cell.
 
 Both return designs sorted by run-index sequence, and both are
-deterministic.  The *_keys functions are the same stages on fastcheck keys.
+deterministic.  The *_keys functions are the same stages on keys, and the
+functions on Design lists are shims over them.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ from math import comb, prod
 import numpy as np
 
 from .algebra import _exact_dtype
-from .designs import Design, FullFactorial, margin_cells
-from .fastcheck import get_checker, key_bits, key_designs, key_order, key_runs, run_keys
+from .designs import Design, FullFactorial, design_keys, margin_cells, run_keys, run_sums
+from .fastcheck import get_checker, key_bits, key_designs, key_order, key_runs
 
 # The key budget, in bytes, of every level of the sliced enumeration.  On m
 # runs, W = ceil(m/64), each design is charged 16 W + 8 bytes: at the sort
@@ -74,10 +76,13 @@ from .fastcheck import get_checker, key_bits, key_designs, key_order, key_runs, 
 # order, its pool id and sort index, its r embedded keys), and the
 # free-cell counts and packed word of each slice key (_held_bytes).  These
 # arrays never all live at once, so the sum bounds their peak; chunked
-# temporaries of about _CHUNK_BYTES, and _slice_keys' counts before the
-# join, come on top.  The join counts designs and rows before anything is
-# built.  768 MB admits 3.2 * 10^7 designs of one word or 1.9 * 10^7 of
-# two, less what their join rows and candidates take.
+# temporaries of about _CHUNK_BYTES come on top.  The join counts designs
+# and rows before anything is built.  _slice_keys is charged before it
+# runs, 4F + 65 bytes per slice candidate for F free cells: 2F + 65 while
+# np.unique runs (the int16 counts, the packed word, and unique's seven
+# int64 arrays and bool mask), up to 4F + 32 after (the distinct keys'
+# counts too).  768 MB admits 3.2 * 10^7 designs of one word or
+# 1.9 * 10^7 of two, less what their join rows and candidates take.
 _MATRIX_BUDGET = 768 * 10**6
 
 # The most size-s subsets the brute-force oracle filters.
@@ -169,8 +174,9 @@ def _embedded(candidates: np.ndarray, ambient: FullFactorial, p: int) -> np.ndar
     return embedded
 
 
+@lru_cache(maxsize=None)
 def _free_cells(sub: FullFactorial, strength: int) -> np.ndarray:
-    """The ids, in margin_cells(sub, strength), of the cells whose levels are all >= 1.
+    """The ids, in margin_cells(sub, strength), of the cells whose levels are all >= 1 (read-only).
 
     Subset s numbers its cells from starts[s] on by the mixed-radix value
     of their levels, first factor most significant: row-major order.
@@ -180,7 +186,9 @@ def _free_cells(sub: FullFactorial, strength: int) -> np.ndarray:
     for start, subset in zip(table.starts.tolist(), table.subsets):
         levels = np.indices([sub.radices[j] for j in subset]).reshape(len(subset), -1)
         free.append(start + np.flatnonzero(np.all(levels >= 1, axis=0)))
-    return np.concatenate(free)
+    free = np.concatenate(free)
+    free.flags.writeable = False
+    return free
 
 
 @dataclass(frozen=True)
@@ -351,7 +359,7 @@ def _enumerate_keys(
     `slicing_factor` (default: _default_slicing_factor); the slice
     candidates, the sub-ambient's fractions of strength one less, come from
     this same function, and the slices are joined.  The key budget bounds
-    the subsets at strength 0 and the join (see _MATRIX_BUDGET).
+    the strength-0 subsets, the slice keys and the join (_MATRIX_BUDGET).
     """
     m = ambient.run_count
     words = -(-m // 64)
@@ -373,6 +381,11 @@ def _enumerate_keys(
         return empty
     sub = _sub_ambient(ambient, p)
     candidates = _enumerate_keys(sub, size // r, strength - 1)
+    if len(candidates) * (4 * len(_free_cells(sub, strength)) + 65) > _MATRIX_BUDGET:
+        raise ProblemTooLargeError(
+            f"{len(candidates)} slice candidates exceed the key budget of {_MATRIX_BUDGET} bytes "
+            "for this ambient"
+        )
     keys = _slice_keys(sub, candidates, size, strength)
     if keys is None:
         return empty
@@ -498,7 +511,7 @@ def _render(lengths: np.ndarray, runs: np.ndarray, m: int) -> np.ndarray:
 
 
 def write_design_keys(keys: np.ndarray, fh) -> None:
-    """write_designs for the designs of keys (fastcheck), one per row."""
+    """One canonical line per key row (fastcheck), then "# count: N"."""
     m = 64 * keys.shape[1]  # every run of a key is below it
     step = _chunk_rows(m)
     for start in range(0, len(keys), step):
@@ -508,15 +521,9 @@ def write_design_keys(keys: np.ndarray, fh) -> None:
 
 
 def write_designs(designs: list[Design], fh) -> None:
+    """write_design_keys for a list of Designs."""
     m = max((d.ambient.run_count for d in designs), default=1)
-    step = _chunk_rows(m)
-    for start in range(0, len(designs), step):
-        chunk = designs[start : start + step]
-        lengths = np.fromiter((d.size for d in chunk), dtype=np.int64, count=len(chunk))
-        runs = itertools.chain.from_iterable(d.runs for d in chunk)
-        runs = np.fromiter(runs, dtype=np.int64, count=int(lengths.sum()))
-        fh.write(_render(lengths, runs, m).tobytes().decode())
-    fh.write(f"# count: {len(designs)}\n")
+    write_design_keys(design_keys(designs, m), fh)
 
 
 _INT_TYPE = frozenset((int,))
@@ -535,15 +542,6 @@ def _parse_line(line: str, lineno: int, ambient: FullFactorial) -> tuple[int, ..
         return Design.from_runs(ambient, runs).runs
     except (IndexError, ValueError) as exc:
         raise ValueError(f"line {lineno}: {exc}") from None
-
-
-def _run_sums(lengths: np.ndarray, runs: np.ndarray, m: int) -> np.ndarray:
-    """The keys of designs with these run counts and concatenated runs."""
-    keys = np.zeros((len(lengths), -(-m // 64)), dtype=np.uint64)
-    full = lengths > 0
-    if len(runs):
-        keys[full] = np.add.reduceat(run_keys(m)[runs], (np.cumsum(lengths) - lengths)[full], axis=0)
-    return keys
 
 
 def _canonical_lines(b: np.ndarray, ends: np.ndarray, m: int):
@@ -611,10 +609,8 @@ def _read_chunk(text: str, first_line: int, ambient: FullFactorial) -> tuple[np.
     is_design[rest] = True
     row = np.cumsum(is_design) - 1
     keys = np.zeros((int(is_design.sum()), -(-m // 64)), dtype=np.uint64)
-    keys[row[canonical]] = _run_sums(lengths, runs, m)
-    rest_lengths = np.fromiter(map(len, parsed), dtype=np.int64, count=len(parsed))
-    rest_runs = np.fromiter(itertools.chain.from_iterable(parsed), dtype=np.int64, count=int(rest_lengths.sum()))
-    keys[row[rest]] = _run_sums(rest_lengths, rest_runs, m)
+    keys[row[canonical]] = run_sums(lengths, runs, m)
+    keys[row[rest]] = design_keys(parsed, m)
     return keys, len(ends)
 
 

@@ -25,7 +25,10 @@ None of these is used by the package itself:
 * image_keys and orbit_keys, the orbit closure as it was before the keys
   were summed from one-run uint64 words: a bool scatter of every image
   into a G x m array, packed into one big-endian void key per image, and
-  the canonical form, orbit and stabilizer read from them.
+  the canonical form, orbit and stabilizer read from them;
+* membership_rows and margin_counts, run sets as int64 0/1 rows and their
+  margin counts as those rows times a run-by-cell incidence matrix built
+  from MarginCells.cells (production counts margins as popcounts of keys).
 """
 
 from __future__ import annotations
@@ -205,6 +208,24 @@ def reference_contrast_matrix(ambient: FullFactorial) -> tuple[tuple[Matrix, ...
                     labels.append(("contrast", k, subset, pins + (v,)))
         blocks.append(Matrix(rows) if rows else Matrix([]))
     return tuple(blocks), tuple(labels)
+
+
+def membership_rows(designs, m: int) -> np.ndarray:
+    """The int64 0/1 membership row over m runs of every Design, run tuple
+    or row of a 2-D run array."""
+    y = np.zeros((len(designs), m), dtype=np.int64)
+    for row, design in zip(y, designs):
+        row[list(design.runs if isinstance(design, Design) else design)] = 1
+    return y
+
+
+def margin_counts(table, y: np.ndarray) -> np.ndarray:
+    """counts[b, c]: how many runs of the 0/1 row y[b] hit cell c of the
+    MarginCells table, as y times the table's run-by-cell incidence matrix."""
+    m = len(table.cells)
+    incidence = np.zeros((m, len(table.volumes)), dtype=np.int64)
+    incidence[np.arange(m)[:, None], table.cells] = 1
+    return y @ incidence
 
 
 _INT_TYPE = frozenset((int,))

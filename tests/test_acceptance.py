@@ -26,15 +26,17 @@ from orthofrac.catalog import CATALOG
 from orthofrac.classify import act, act_theta, generate_group, stabilizer_size, table_report
 from orthofrac.designs import (
     Design,
+    design_keys,
     full_factorial,
     has_strength,
     invariant_triple,
     invariant_triples,
     margin_cells,
 )
-from orthofrac.fastcheck import bitset_keys, get_checker, runs_matrix
+from orthofrac.fastcheck import bitset_keys, get_checker
 from orthofrac.polynomials import parse_polynomial, reduce_to_standard_form
 from orthofrac.search import SearchProblem, brute_force_oracle, enumerate_orthogonal
+from reference import margin_counts, membership_rows
 
 
 def _report(number: int, label: str, outcome: bool, detail: str = "") -> None:
@@ -195,7 +197,7 @@ def test_criterion_8_algebraic_characterization(arities):
 
 
 def test_criterion_9_indicator_identities(flagship, flagship_designs):
-    y = runs_matrix(flagship_designs, 48)
+    y = membership_rows(flagship_designs, 48)
     theta, w = mode_products(flagship, y, inverse=True)
     values, x = mode_products(flagship, theta, inverse=False)
     interp = values == y * (x * w)
@@ -250,9 +252,9 @@ def test_criterion_10_group_action_coherence(flagship, flagship_designs, flagshi
 def test_flagship_outputs_are_sound(flagship, flagship_designs):
     """Soundness sweep: every enumerated design passes the combinatorial and
     the algebraic checks (100%, not sampled)."""
-    y = runs_matrix(flagship_designs, 48)
+    y = membership_rows(flagship_designs, 48)
     table = margin_cells(flagship, 2)
-    assert bool(np.all(table.balanced(table.count(y), 24)))
+    assert bool(np.all(table.balanced(margin_counts(table, y), 24)))
     assert bool(np.all(get_checker(flagship).verify(bitset_keys(y), 24, 2)))
 
 
@@ -261,7 +263,7 @@ def test_invariants_constant_on_every_orbit(flagship, flagship_designs, flagship
     J = 0 <=> balanced-triple equivalence holds design by design."""
     from orthofrac.classify import orbit_of
 
-    triples = invariant_triples(flagship, runs_matrix(flagship_designs, 48))
+    triples = invariant_triples(flagship, design_keys(flagship_designs, 48))
     by_runs = {d.runs: inv for d, inv in zip(flagship_designs, triples)}
     for t1, jset, _ in triples:
         # T1 equals the number of nonzero triple J-statistics.

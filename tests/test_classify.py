@@ -15,6 +15,7 @@ from orthofrac.classify import (
     act,
     act_theta,
     canonical_form,
+    classification_report,
     classify,
     generate_group,
     in_orbit,
@@ -25,11 +26,11 @@ from orthofrac.classify import (
 from orthofrac.designs import (
     Design,
     ShapeMismatchError,
+    design_keys,
     from_level_sets,
     full_factorial,
     has_strength,
 )
-from orthofrac.fastcheck import bitset_keys, runs_matrix
 from orthofrac.search import SearchProblem, enumerate_orthogonal
 
 
@@ -185,6 +186,18 @@ def test_table_report_smoke():
         table_report(classify([Design(full_factorial([2, 2]), (0, 3))]))
 
 
+def test_report_strength3_flags_match_has_strength(flagship_classes):
+    # Both reports read a class's strength-3 flag from its invariants
+    # (T1 = T2 = 0); each flag is has_strength of the representative.
+    expected = [has_strength(c.representative, 3) for c in flagship_classes]
+    assert sum(expected) == 3
+    report = classification_report(flagship_classes)
+    assert [rec["strength3"] for rec in report["classes"]] == expected
+    table = table_report(flagship_classes)
+    assert sum(map(sum, table.strength3_counts)) == 3
+    assert report["table"] == table.to_json_dict()
+
+
 def _reference_classes(designs):
     """(representative, orbit size, sorted members) per orbit, closed with act."""
     group = generate_group(designs[0].ambient)
@@ -298,7 +311,7 @@ def _check_closure_against_reference(ambient, rng, n_designs):
         (c,) = classify([Design(ambient, runs) for runs in sample])
         assert (c.representative.runs, c.orbit_size) == (min(orbit), len(orbit))
         others = [_random_design(ambient, rng).runs for _ in range(5)]
-        keys = bitset_keys(runs_matrix(sample + others, ambient.run_count))
+        keys = design_keys(sample + others, ambient.run_count)
         assert in_orbit(d, keys).tolist() == [runs in orbit for runs in sample + others]
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ambient, sign_fraction
+from reference import margin_counts
 from orthofrac.catalog import flagship_ambient
 from orthofrac.designs import (
     Design,
@@ -126,8 +127,8 @@ def test_strength_is_monotone_on_random_fractions():
 
 @pytest.mark.parametrize("wide", [False, True])
 def test_popcount_margin_counts_match_membership_counts(wide):
-    # MarginCells.count_keys (popcounts of key & cell mask) equals
-    # MarginCells.count (membership row @ incidence) at every strength, on
+    # MarginCells.count_keys (popcounts of key & cell mask) equals the
+    # reference's membership row @ incidence at every strength, on
     # seeded random ambients of one word, or, wide, on ambients of more
     # than 64 runs (two or three words, some with padding bits), for the
     # empty and full designs and random subsets; also on a column subset.
@@ -144,9 +145,9 @@ def test_popcount_margin_counts_match_membership_counts(wide):
             assert table.masks.shape == (keys.shape[1], len(table.volumes))
             counts = table.count_keys(keys)
             assert np.issubdtype(counts.dtype, np.integer)
-            assert np.array_equal(counts, table.count(y))
+            assert np.array_equal(counts, margin_counts(table, y))
             cells = np.array(sorted(rng.sample(range(len(table.volumes)), len(table.volumes) // 2)), dtype=np.int64)
-            assert np.array_equal(table.count_keys(keys, cells), table.count(y)[:, cells])
+            assert np.array_equal(table.count_keys(keys, cells), margin_counts(table, y)[:, cells])
 
 
 def test_j_statistic_of_regular_triple():

@@ -23,6 +23,7 @@ from orthofrac.algebra import (
 from orthofrac.designs import (
     Design,
     ShapeMismatchError,
+    design_keys,
     from_level_sets,
     full_design,
     full_factorial,
@@ -43,12 +44,13 @@ from orthofrac.fastcheck import (
     key_order,
     key_runs,
     run_keys,
-    runs_matrix,
     search_keys,
 )
 from reference import (
     build_model_matrix,
     idempotency_system,
+    margin_counts,
+    membership_rows,
     model_matrix_inverse,
     satisfies_idempotency,
 )
@@ -69,8 +71,9 @@ def _reference_strength(design, t):
 
 
 def _batch_strength(amb, y, size, t):
+    """Strength t of every 0/1 row of y, by the reference's incidence counts."""
     table = margin_cells(amb, t)
-    return table.balanced(table.count(y), size).all(axis=1)
+    return table.balanced(margin_counts(table, y), size).all(axis=1)
 
 
 def _reference_invariants(design):
@@ -104,7 +107,7 @@ def _identities_hold(amb, y):
 def test_theta_scaled_matches_exact_theta():
     amb = full_factorial([2, 2, 2])
     subsets = _all_subsets(amb)
-    theta, w = mode_products(amb, runs_matrix(subsets, amb.run_count), inverse=True)
+    theta, w = mode_products(amb, membership_rows(subsets, amb.run_count), inverse=True)
     for runs, row in zip(subsets, theta):
         exact = theta_vector(indicator_from_design(Design(amb, runs)), amb)
         assert [Fraction(int(v), w) for v in row] == list(exact)
@@ -124,7 +127,7 @@ def test_batch_checker_matches_exact_route():
     for amb in [random_ambient(rng) for _ in range(10)] + [WIDE]:
         m, n = amb.run_count, amb.n_factors
         rows = [full_design(amb).membership()]
-        rows += runs_matrix(
+        rows += membership_rows(
             [tuple(sorted(rng.sample(range(m), rng.randint(0, m)))) for _ in range(20)], m
         ).tolist()
         keys = bitset_keys(np.array(rows, dtype=bool))
@@ -158,7 +161,7 @@ def test_batch_verify_agrees_with_verify_theta_exhaustively():
     amb = full_factorial([2, 2, 2])
     checker = get_checker(amb)
     subsets = _all_subsets(amb)
-    keys = bitset_keys(runs_matrix(subsets, amb.run_count))
+    keys = design_keys(subsets, amb.run_count)
     for t in (1, 2, 3):
         for s in (2, 4):
             batch = checker.verify(keys, s, t)
@@ -213,7 +216,7 @@ def test_key_sums_match_contrast_sums(levels):
 def test_batch_strength_agrees_with_has_strength():
     amb = full_factorial([2, 3])
     subsets = _all_subsets(amb)
-    y = runs_matrix(subsets, amb.run_count)
+    y = membership_rows(subsets, amb.run_count)
     for t in (1, 2):
         batch = _batch_strength(amb, y, 3, t)
         for runs, got in zip(subsets, batch):
@@ -222,13 +225,18 @@ def test_batch_strength_agrees_with_has_strength():
             assert has_strength(design, t) == expected
             assert bool(got) == (len(runs) == 3 and expected)
 
-    # Two-level factors listed as (1, -1), and a four-level factor (k = 1..3).
+    # Two-level factors listed as (1, -1), a four-level factor (k = 1..3),
+    # and keys that fill one word (2^6), leave padding bits (3^4) and fill
+    # two words (2^7).
     rng = random.Random(31)
-    for amb in (FLIPPED, full_factorial([2, 3, 4])):
+    wide = [full_factorial(levels) for levels in ((2,) * 6, (3,) * 4, (2,) * 7)]
+    for amb in [FLIPPED, full_factorial([2, 3, 4])] + wide:
         m = amb.run_count
-        subsets = [tuple(range(m)), ()] + _parity_fractions(amb)
+        parity = _parity_fractions(amb, 3 if amb.radices == (3,) * 4 else 2)
+        # The Fraction reference is slow on the wide ambients: 30 parity fractions each.
+        subsets = [tuple(range(m)), ()] + (rng.sample(parity, 30) if amb in wide else parity)
         subsets += [tuple(sorted(rng.sample(range(m), rng.randrange(m + 1)))) for _ in range(40)]
-        y = runs_matrix(subsets, m)
+        y = membership_rows(subsets, m)
         sizes = y.sum(axis=1, keepdims=True)
         for t in (1, 2, 3):
             batch = _batch_strength(amb, y, sizes, t)
@@ -243,7 +251,7 @@ def test_batch_strength_agrees_with_has_strength():
 
 def test_indicator_identity_checks():
     amb = full_factorial([2, 2, 2])
-    y = runs_matrix(_all_subsets(amb), amb.run_count)
+    y = membership_rows(_all_subsets(amb), amb.run_count)
     assert all(bool(np.all(holds)) for holds in _identities_hold(amb, y))
 
 
@@ -254,7 +262,7 @@ def test_idempotent_ok_agrees_with_quadratic_system():
     rng = random.Random(37)
     for amb in (full_factorial([2, 2, 2]), full_factorial([2, 3]), RATIONAL):
         m = amb.run_count
-        rows = runs_matrix(_all_subsets(amb), m).tolist()
+        rows = membership_rows(_all_subsets(amb), m).tolist()
         keys = bitset_keys(np.array(rows, dtype=bool))
         # The doubled and negated full factorials are balanced but not 0/1.
         rows += [[2] * m, [-1] * m]
@@ -296,7 +304,7 @@ def test_scaling_paths_on_rational_level_ambient():
     amb = RATIONAL
     checker = BatchChecker(amb)
     subsets = _all_subsets(amb)
-    y = runs_matrix(subsets, amb.run_count)
+    y = membership_rows(subsets, amb.run_count)
     scaled, _, w, x = _round_trip(amb, y)
     assert x > 1
     for runs, row in zip(subsets, scaled):
@@ -330,45 +338,56 @@ def test_batch_invariant_triples_match_reference():
         # The 24-run parity fractions include the regular x_i x_j x_k = +-1 (|J| = 24).
         parity = [runs for runs in _parity_fractions(amb) if len(runs) == 24]
         designs = random_designs + parity
-        batch = invariant_triples(amb, runs_matrix(designs, 48))
+        batch = invariant_triples(amb, design_keys(designs, 48))
         for runs, got in zip(designs, batch):
             design = Design(amb, runs)
             assert got == _reference_invariants(design)
             assert invariant_triple(design) == got
         assert any(24 in jset for _, jset, _ in batch)
-    with pytest.raises(ShapeMismatchError):
-        invariant_triples(full_factorial([2, 3, 4]), runs_matrix([tuple(range(12))], 24))
+    # Keys of one full word (2^6), with padding bits (3^4) and of two full
+    # words (2^7): the invariants are defined on the 2x2x2x2x3 ambient only.
+    for levels in ((2, 3, 4), (2,) * 6, (3,) * 4, (2,) * 7):
+        amb = full_factorial(levels)
+        with pytest.raises(ShapeMismatchError):
+            invariant_triples(amb, design_keys([tuple(range(24))], amb.run_count))
+    # A key of 23 or 25 runs is no 24-run fraction.
+    for runs in (tuple(range(23)), tuple(range(25))):
+        with pytest.raises(ShapeMismatchError):
+            invariant_triples(full_factorial([2, 2, 2, 2, 3]), design_keys([runs], 48))
 
 
 def test_membership_matrix_round_trip():
     amb = full_factorial([2, 2, 3])
     rng = random.Random(31)
     runs = [tuple(sorted(rng.sample(range(12), rng.randrange(13)))) for _ in range(40)]
-    y = runs_matrix(runs, 12)
+    y = membership_rows(runs, 12)
     keys = bitset_keys(y)
+    assert np.array_equal(design_keys(runs, 12), keys)
     assert key_runs(keys) == runs
     assert key_designs(amb, keys) == [Design(amb, r) for r in runs]
     assert np.array_equal(key_bits(keys, 12), y)
     assert np.array_equal(key_bits(keys), np.pad(y, ((0, 0), (0, 52))))
-    # The 2-D run array path scatters the same rows.
+    # A 2-D run array, Designs and run tuples give the same keys.
     six = [tuple(sorted(rng.sample(range(12), 6))) for _ in range(10)]
-    assert np.array_equal(runs_matrix(np.array(six), 12), runs_matrix(six, 12))
+    assert np.array_equal(design_keys(np.array(six), 12), design_keys(six, 12))
+    assert np.array_equal(design_keys([Design(amb, r) for r in six], 12), design_keys(six, 12))
     # Designs are built through the validated constructor: a column past
     # the ambient's last run is rejected, not turned into a Design.
     with pytest.raises(IndexError):
-        key_designs(amb, bitset_keys(runs_matrix([(0, 12)], 13)))
+        key_designs(amb, design_keys([(0, 12)], 13))
 
 
 @pytest.mark.parametrize("m", [12, 48, 64, 81, 130])
 def test_word_keys_are_sums_of_run_keys_and_sort_as_run_tuples(m):
     rng = random.Random(m)
     runs = sorted({tuple(sorted(rng.sample(range(m), 7))) for _ in range(60)})
-    keys = bitset_keys(runs_matrix(runs, m))
+    keys = bitset_keys(membership_rows(runs, m))
     assert keys.dtype == np.uint64 and keys.shape == (len(runs), -(-m // 64))
     assert key_runs(keys) == runs
-    assert np.array_equal(key_bits(keys, m), runs_matrix(runs, m))
+    assert np.array_equal(key_bits(keys, m), membership_rows(runs, m))
     singles = run_keys(m)
     assert np.array_equal(keys, np.stack([singles[list(r)].sum(axis=0) for r in runs]))
+    assert np.array_equal(keys, design_keys(runs, m))
     # Descending keys are ascending run tuples among designs of one size.
     shuffled = rng.sample(range(len(runs)), len(runs))
     order = key_order(keys[shuffled])[::-1]
@@ -377,4 +396,4 @@ def test_word_keys_are_sums_of_run_keys_and_sort_as_run_tuples(m):
     ordered = search_keys(keys[key_order(keys)])
     pos, found = find_keys(ordered, keys)
     assert found.all() and np.array_equal(ordered[pos], search_keys(keys))
-    assert not find_keys(ordered, bitset_keys(runs_matrix([tuple(range(8))], m)))[1].any()
+    assert not find_keys(ordered, design_keys([tuple(range(8))], m))[1].any()

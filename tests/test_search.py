@@ -14,8 +14,8 @@ from orthofrac.algebra import verify_theta, indicator_from_design
 from orthofrac.catalog import cross_check_classes
 from orthofrac.classify import act, classification_report, classify, classify_keys, generate_group
 from orthofrac import algebra, search
-from orthofrac.designs import default_levels, full_design, full_factorial, has_strength, margin_cells
-from orthofrac.fastcheck import bitset_keys, key_bits, key_designs, key_runs, run_keys, runs_matrix
+from orthofrac.designs import default_levels, design_keys, full_design, full_factorial, has_strength, margin_cells
+from orthofrac.fastcheck import bitset_keys, key_bits, key_designs, key_runs, run_keys
 from orthofrac.search import (
     _enumerate_keys,
     _free_cells,
@@ -236,7 +236,8 @@ def test_join_matches_reference_join():
                     if keys is None:
                         assert np.any(size % table.volumes)
                         continue
-                    vectors = [tuple(v) for v in table.count(runs_matrix(candidates, sub.run_count)).tolist()]
+                    y = reference.membership_rows(candidates, sub.run_count)
+                    vectors = [tuple(v) for v in reference.margin_counts(table, y).tolist()]
                     buckets = {}
                     for cand, vec in zip(candidates.tolist(), vectors):
                         buckets.setdefault(vec, []).append(cand)
@@ -278,7 +279,7 @@ def test_join_count_and_key_injectivity(levels, size, count):
     sub, candidates, keys = _slices(amb, p, size, 2)
     assert _join_assignments(keys, amb.radices[p], room=10**18, design_bytes=1)[1] == count
     assert len(enumerate_keys(problem)) == count
-    vectors = margin_cells(sub, 2).count(runs_matrix(candidates, sub.run_count))
+    vectors = reference.margin_counts(margin_cells(sub, 2), reference.membership_rows(candidates, sub.run_count))
     assert len(keys.packed) == len(np.unique(vectors, axis=0))
 
 
@@ -373,6 +374,67 @@ def test_key_budget_bounds_the_traced_peak(monkeypatch):
     assert charged / 2 < peak <= charged + designs._POPCOUNT_BYTES
 
 
+def test_key_budget_charges_the_slice_keys(monkeypatch, capsys, tmp_path):
+    # _slice_keys is charged 4F + 65 bytes per slice candidate for F free
+    # cells before it runs (see _MATRIX_BUDGET).  At 2^6/8/2 the top level
+    # keys 320 one-word candidates on F = 10 free cells, 33,600 bytes, more
+    # than any level's join is charged: one byte less refuses the slice
+    # keys although every join would fit.
+    from orthofrac.cli import main
+
+    problem = SearchProblem(full_factorial([2] * 6), 8, 2)
+    slice_bytes = 320 * (4 * 10 + 65)
+    join, slice_keys = search._join_assignments, search._slice_keys
+    joins, sliced = [], []
+
+    def charged_join(keys, r, room, design_bytes):
+        ids, count = join(keys, r, room, design_bytes)
+        joins.append(search._MATRIX_BUDGET - room + count * design_bytes + len(ids) * 8 * (2 * r + 3))
+        return ids, count
+
+    def counted_slice_keys(sub, candidates, *args):
+        sliced.append(len(candidates))
+        return slice_keys(sub, candidates, *args)
+
+    monkeypatch.setattr(search, "_join_assignments", charged_join)
+    monkeypatch.setattr(search, "_slice_keys", counted_slice_keys)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", slice_bytes)
+    assert len(enumerate_keys(problem)) == 240
+    assert sliced == [120, 320] and max(joins) == 30640
+    sliced.clear()
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", slice_bytes - 1)
+    message = f"320 slice candidates exceed the key budget of {slice_bytes - 1} bytes for this ambient"
+    with pytest.raises(ProblemTooLargeError, match=message):
+        enumerate_keys(problem)
+    assert sliced == [120]  # the level below keyed its candidates; the top level did not
+    path = tmp_path / "designs.txt"
+    code = main(["enumerate", "--levels", "2,2,2,2,2,2", "--size", "8", "--strength", "2", "--out", str(path)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not path.exists()
+
+
+def test_slice_key_charge_bounds_their_traced_peak():
+    # The top level of 2^7/32/3 keys 65,100 one-word candidates on F = 20
+    # free cells, charged 4F + 65 = 145 bytes each; what _slice_keys
+    # allocates, its popcount chunks included, stays within that.
+    import tracemalloc
+
+    sub = full_factorial([2] * 6)
+    candidates = _enumerate_keys(sub, 16, 2)
+    charged = len(candidates) * (4 * len(_free_cells(sub, 3)) + 65)
+    assert charged == 65100 * 145
+    _slice_keys(sub, candidates[:1], 32, 3)  # the cached margin cells
+    tracemalloc.start()
+    try:
+        keys = _slice_keys(sub, candidates, 32, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys.packed) == 54881
+    assert charged / 2 < peak <= charged
+
+
 def test_cross_check_rejects_with_the_real_checker():
     # No fake: the batch checker itself must name the failing key.  An
     # unbalanced design of the right size fails only the contrast rows.
@@ -381,9 +443,9 @@ def test_cross_check_rejects_with_the_real_checker():
     # as a key, run 0 carries out of its word and run 7 into run 6, so the
     # key is the design (6,), which fails the size row.
     problem = SearchProblem(full_factorial([2, 2, 2]), 4, 1)
-    good = bitset_keys(runs_matrix([(0, 3, 5, 6)], 8))[0]
+    good = design_keys([(0, 3, 5, 6)], 8)[0]
     search._cross_check(np.array([good]), problem)
-    unbalanced = bitset_keys(runs_matrix([(0, 1, 2, 3)], 8))[0]
+    unbalanced = design_keys([(0, 1, 2, 3)], 8)[0]
     doubled = run_keys(8)[[0, 0, 7, 7]].sum(axis=0, dtype=np.uint64)
     for bad, runs in ((unbalanced, (0, 1, 2, 3)), (doubled, (6,))):
         with pytest.raises(CrossCheckError, match=re.escape(f"design {runs} fails the algebraic check")):
@@ -422,10 +484,11 @@ def test_engine_matches_oracle_on_random_ambients(monkeypatch):
         # designs, as membership rows times the incidence matrix, are
         # balanced, and on small ambients they are every balanced subset.
         m, table = amb.run_count, margin_cells(amb, t)
-        assert table.balanced(table.count(key_bits(oracle, m)), problem.size).all()
+        assert table.balanced(reference.margin_counts(table, key_bits(oracle, m)), problem.size).all()
         if comb(m, problem.size) <= 10**4:
-            y = runs_matrix(list(itertools.combinations(range(m), problem.size)), m)
-            assert np.array_equal(bitset_keys(y[table.balanced(table.count(y), problem.size).all(axis=1)]), oracle)
+            y = reference.membership_rows(list(itertools.combinations(range(m), problem.size)), m)
+            balanced = table.balanced(reference.margin_counts(table, y), problem.size).all(axis=1)
+            assert np.array_equal(bitset_keys(y[balanced]), oracle)
             complete += 1
         # Materialise chunks of 1 and 7 design rows: a chunk boundary falls
         # inside the designs of one join row as well as between join rows.
@@ -547,7 +610,7 @@ def test_read_designs_matches_per_line_reader():
             assert read_designs(io.StringIO(text), amb) == expected
             keys = read_design_keys(io.StringIO(text), amb)
             assert key_runs(keys) == [d.runs for d in expected]
-            assert np.array_equal(keys, bitset_keys(runs_matrix(expected, amb.run_count)))
+            assert np.array_equal(keys, bitset_keys(reference.membership_rows(expected, amb.run_count)))
             outcomes.add("designs" if expected else "empty")
     assert outcomes == {"error", "designs", "empty"}
     # Lines next to the canonical form, where a loose numeric parse could go
@@ -663,12 +726,19 @@ def _old_design_file(designs) -> str:
 
 @pytest.mark.parametrize(
     "levels, size, strength, oracle",
-    [((2, 2, 2, 2, 3), 24, 2, False), ((2, 2, 2, 2), 8, 2, True), ((2, 2), 3, 2, False)],
+    [
+        ((2, 2, 2, 2, 3), 24, 2, False),
+        ((2, 2, 2, 2), 8, 2, True),
+        ((2, 2), 3, 2, False),
+        ((3, 3, 3, 3), 18, 2, False),
+    ],
 )
 def test_array_route_matches_list_route(levels, size, strength, oracle, flagship_designs):
     # enumerate -> write -> read -> classify on keys gives the
     # bytes of the route through Design lists, the per-line reader and the
-    # json.dumps writer: on the flagship, with the oracle and on an empty result.
+    # json.dumps writer: on the flagship, with the oracle, on an empty
+    # result and on two-word keys with padding bits (3^4, m = 81).  The
+    # list functions are shims over the key functions on design_keys.
     amb = full_factorial(levels)
     problem = SearchProblem(amb, size, strength)
     if oracle:
@@ -690,9 +760,11 @@ def test_array_route_matches_list_route(levels, size, strength, oracle, flagship
     text = "".join(body + shuffled[-1:])
     array_classes = classify_keys(amb, read_design_keys(io.StringIO(text), amb))
     list_classes = classify(reference.read_designs(io.StringIO(text), amb))
+    assert array_classes == list_classes
     array_report = json.dumps(classification_report(array_classes), indent=2).split("\n")
     assert array_report == json.dumps(classification_report(list_classes), indent=2).split("\n")
     assert bool(array_classes) == bool(len(keys))
     if levels == (2, 2, 2, 2, 3):
         assert cross_check_classes(array_classes) == cross_check_classes(list_classes) == []
-    assert np.array_equal(keys, bitset_keys(runs_matrix(designs, amb.run_count)))
+    assert np.array_equal(keys, bitset_keys(reference.membership_rows(designs, amb.run_count)))
+    assert np.array_equal(design_keys(designs, amb.run_count), keys)
