@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .algebra import design_from_indicator
-from .classify import in_orbit
+from .classify import in_orbit, jset_text
 from .designs import Design, FullFactorial, design_keys, full_factorial
 from .polynomials import parse_polynomial
 
@@ -41,8 +41,7 @@ class CatalogEntry:
 
     @property
     def type_label(self) -> str:
-        jtxt = "{" + ",".join(str(v) for v in self.jset) + "}"
-        return f"{self.t1},{jtxt}-{self.t2}"
+        return f"{self.t1},{jset_text(self.jset)}-{self.t2}"
 
 
 def _entries():

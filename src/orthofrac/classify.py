@@ -6,13 +6,13 @@ a permutation of the run indices; the group is one cached G x m table of
 them.  Acting on a design is a gather from it, and acting on an indicator
 coefficient vector conjugates the run permutation by the model matrix.
 
-A design's key is ceil(m/64) uint64 words, run r at bit 63 - r % 64 of
-word r // 64, so the largest key of an orbit is its lexicographically
-least design: the canonical form.  The keys of all G images are summed
-from the one-run keys of the table's columns (designs.run_keys), one run
-at a time.  classify_keys closes each orbit of its input keys once, from
-the first input design not yet seen, and keeps only its largest key and
-its size unless members are asked for.
+Designs are keys (designs), and among designs of one size the largest
+key is the lexicographically least design (designs.key_order), so the
+largest key of an orbit is its canonical form.  The keys of all G images
+are summed from the one-run keys of the table's columns (designs.run_keys),
+one run at a time.  classify_keys closes each orbit of its input keys
+once, from the first input design not yet seen, and keeps only its
+largest key and its size.
 """
 
 from __future__ import annotations
@@ -28,15 +28,9 @@ import numpy as np
 from . import search
 from .algebra import indicator_from_design, polynomial_from_values, values_at_runs
 from .designs import (
-    Design,
-    FullFactorial,
-    ShapeMismatchError,
-    design_keys,
-    invariant_triples,
-    run_keys,
-    supports_triple_invariant,
+    Design, FullFactorial, ShapeMismatchError, design_keys, find_keys, invariant_triples, key_order, key_runs,
+    run_keys, search_keys, supports_triple_invariant,
 )
-from .fastcheck import find_keys, key_order, key_runs, search_keys
 from .polynomials import Polynomial
 
 
@@ -179,7 +173,6 @@ class EquivalenceClass:
     representative: Design
     orbit_size: int
     invariants: tuple[int, tuple[int, int, int, int], int] | None
-    members: tuple[Design, ...] | None = None
 
     @property
     def sort_key(self):
@@ -187,7 +180,7 @@ class EquivalenceClass:
         return (inv, self.representative.runs)
 
 
-def classify(designs, store_members: bool = False) -> list[EquivalenceClass]:
+def classify(designs) -> list[EquivalenceClass]:
     """Partition pairwise-distinct designs of one ambient into group orbits.
 
     Each orbit is closed once, from the first input design not yet seen,
@@ -203,13 +196,11 @@ def classify(designs, store_members: bool = False) -> list[EquivalenceClass]:
     ambient = designs[0].ambient
     if any(d.ambient != ambient for d in designs):
         raise ShapeMismatchError("designs come from different ambients")
-    return classify_keys(ambient, design_keys(designs, ambient.run_count), store_members)
+    return classify_keys(ambient, design_keys(designs, ambient.run_count))
 
 
-def classify_keys(
-    ambient: FullFactorial, keys: np.ndarray, store_members: bool = False
-) -> list[EquivalenceClass]:
-    """classify for the designs of keys (fastcheck), one row each."""
+def classify_keys(ambient: FullFactorial, keys: np.ndarray) -> list[EquivalenceClass]:
+    """classify for the designs of keys (designs), one row each."""
     if not len(keys):
         return []
     order = key_order(keys)
@@ -218,7 +209,7 @@ def classify_keys(
         raise ValueError("designs must be pairwise distinct")
 
     unseen = np.ones(len(keys), dtype=bool)
-    tops, sizes, orbits = [], [], []
+    tops, sizes = [], []
     idx = 0
     while idx < len(keys):
         orbit = _distinct(_images(ambient, key_runs(keys[idx : idx + 1])[0]))
@@ -226,23 +217,18 @@ def classify_keys(
         unseen[order[pos[found]]] = False
         tops.append(orbit[-1])
         sizes.append(len(orbit))
-        if store_members:
-            orbits.append(orbit)
         # Row idx lies in its own orbit, so argmax is 0 only when no row is unseen.
         step = int(np.argmax(unseen[idx:]))
         idx = idx + step if step else len(keys)
 
     tops = np.array(tops)
     reps = key_runs(tops)
-    invariants = members = [None] * len(reps)
+    invariants = [None] * len(reps)
     # Every input design shares its size with the representative of its orbit.
     if supports_triple_invariant(ambient) and all(len(rep) == 24 for rep in reps):
         invariants = invariant_triples(ambient, tops)
-    if store_members:
-        members = [tuple(Design(ambient, r) for r in reversed(key_runs(o))) for o in orbits]
     classes = [
-        EquivalenceClass(Design(ambient, rep), size, inv, mem)
-        for rep, size, inv, mem in zip(reps, sizes, invariants, members)
+        EquivalenceClass(Design(ambient, rep), size, inv) for rep, size, inv in zip(reps, sizes, invariants)
     ]
     classes.sort(key=lambda c: c.sort_key)
     return classes
@@ -250,6 +236,11 @@ def classify_keys(
 
 # ---------------------------------------------------------------------------
 # Tabular summary over the invariants (2x2x2x2x3 ambient only)
+
+
+def jset_text(jset) -> str:
+    """The report text of a J-set, e.g. "{24,0,0,0}"."""
+    return "{" + ",".join(str(v) for v in jset) + "}"
 
 
 @dataclass(frozen=True)
@@ -294,8 +285,7 @@ class TableReport:
             for c, a, b in zip(row, s3, reg):
                 mark = "a" if a else ("b" if b else "")
                 cells.append(f"{(str(c) + mark) if c else '':>6}")
-            jtxt = "{" + ",".join(str(v) for v in key[1]) + "}"
-            lines.append(f"{key[0]:<3} {jtxt:<16} " + "".join(cells))
+            lines.append(f"{key[0]:<3} {jset_text(key[1]):<16} " + "".join(cells))
         lines.append("a: strength-3 classes; b: regular x_i x_j x_k = +-1 classes")
         return "\n".join(lines)
 

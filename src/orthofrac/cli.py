@@ -28,9 +28,8 @@ from .algebra import (
     verify_theta_report,
 )
 from .catalog import FLAGSHIP_ARITIES, cross_check_classes
-from .classify import classification_report, classify_keys, table_report
-from .designs import FullFactorial, full_factorial, load_design_csv
-from .fastcheck import key_runs
+from .classify import classification_report, classify_keys, jset_text, table_report
+from .designs import FullFactorial, full_factorial, key_runs, load_design_csv
 from .polynomials import parse_polynomial
 from .search import (
     CrossCheckError,
@@ -166,8 +165,7 @@ def cmd_classify(args) -> int:
             inv = rec.get("invariants")
             tag = ""
             if inv:
-                jtxt = "{" + ",".join(str(v) for v in inv["jset"]) + "}"
-                tag = f"  type {inv['t1']},{jtxt}-{inv['t2']}"
+                tag = f"  type {inv['t1']},{jset_text(inv['jset'])}-{inv['t2']}"
             lines.append(f"orbit {rec['orbit_size']:>5}{tag}  {rec['indicator']}")
         if "table" in report:
             lines.append("")

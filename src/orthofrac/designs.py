@@ -4,10 +4,13 @@ Runs of the full factorial are indexed lexicographically in the index
 vector with the last factor varying fastest; every file format and
 canonical ordering in the package relies on that convention.
 
-Below the Fraction algebra a set of runs is always a key: ceil(m/64)
-uint64 words, run r at bit 63 - r % 64 of word r // 64 (bitset_keys), the
-sum of its runs' keys (run_keys, run_sums, design_keys).  fastcheck reads
-keys back and sorts them.  A mask is the key of a set of runs, stored
+Below the Fraction algebra a set of runs is always a key: key_words(m) =
+ceil(m/64) uint64 words, run r at bit 63 - r % 64 of word r // 64
+(bitset_keys), the sum of its runs' keys (run_keys, run_sums,
+design_keys).  Only this module knows that layout.  unpack_runs inverts
+run_sums, key_runs and key_designs read keys back, key_order, search_keys
+and find_keys sort and look them up, and key_octets and octet_keys read
+them an octet at a time.  A mask is the key of a set of runs, stored
 word-major (mask_words), so popcounts counts a key's runs in each set.
 
 `margin_cells` is the one integer encoding of factor-subset margins that
@@ -242,10 +245,20 @@ class MarginCells:
         return np.logical_and.reduceat(counts * self.volumes == size, self.starts, axis=1)
 
 
+def key_words(m: int) -> int:
+    """The number of uint64 words in a key of m runs: ceil(m/64)."""
+    return -(-m // 64)
+
+
+def key_capacity(keys: np.ndarray) -> int:
+    """How many runs key rows have room for, 64 per word: more than any run of theirs."""
+    return 64 * keys.shape[1]
+
+
 def bitset_keys(y: np.ndarray) -> np.ndarray:
     """The key of every 0/1 membership row: ceil(m/64) uint64 words, run r
     at bit 63 - r % 64 of word r // 64."""
-    padded = np.zeros((len(y), -(-y.shape[1] // 64) * 64), dtype=bool)
+    padded = np.zeros((len(y), 64 * key_words(y.shape[1])), dtype=bool)
     padded[:, : y.shape[1]] = y
     return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
 
@@ -270,7 +283,7 @@ def run_keys(m: int) -> np.ndarray:
 
 def run_sums(lengths: np.ndarray, runs: np.ndarray, m: int) -> np.ndarray:
     """The keys of designs of m runs with these run counts and concatenated runs."""
-    keys = np.zeros((len(lengths), -(-m // 64)), dtype=np.uint64)
+    keys = np.zeros((len(lengths), key_words(m)), dtype=np.uint64)
     full = lengths > 0
     if len(runs):
         keys[full] = np.add.reduceat(run_keys(m)[runs], (np.cumsum(lengths) - lengths)[full], axis=0)
@@ -283,6 +296,75 @@ def design_keys(designs, m: int) -> np.ndarray:
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     runs = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
     return run_sums(lengths, runs, m)
+
+
+def key_bits(keys: np.ndarray, count: int | None = None) -> np.ndarray:
+    """The 0/1 uint8 membership row of every key: its first `count` bits,
+    default all 64 per word.  The inverse of bitset_keys."""
+    return np.unpackbits(key_octets(keys), axis=1, count=count)
+
+
+def unpack_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The run counts and the concatenated sorted runs of the key rows: the
+    inverse of run_sums."""
+    bits = key_bits(keys)
+    return np.count_nonzero(bits, axis=1), np.flatnonzero(bits) % bits.shape[1]
+
+
+def key_runs(keys: np.ndarray) -> list[tuple[int, ...]]:
+    """The sorted runs of every key row."""
+    lengths, runs = unpack_runs(keys)
+    ends = lengths.cumsum().tolist()
+    flat = tuple(runs.tolist())
+    return [flat[start:end] for start, end in zip([0, *ends], ends)]
+
+
+def key_designs(ambient: FullFactorial, keys: np.ndarray) -> list[Design]:
+    """One Design per key row."""
+    return [Design(ambient, runs) for runs in key_runs(keys)]
+
+
+def key_order(keys: np.ndarray) -> np.ndarray:
+    """The argsort of keys, lexicographic over their words: one uint64 column
+    for m <= 64, a lexsort otherwise.  Among designs of one size, descending
+    keys are ascending run tuples: the smallest run in which two designs
+    differ is in the one whose tuple sorts first, and sets its bit.
+
+    Either holds at most 24 bytes per key beside the keys: the int64 index,
+    and lexsort's copies of the words it sorts by."""
+    if keys.shape[1] == 1:
+        return np.argsort(keys[:, 0])
+    return np.lexsort(keys.T[::-1])
+
+
+def search_keys(keys: np.ndarray) -> np.ndarray:
+    """A 1-D array whose order and equality are those of the key rows, for
+    np.searchsorted: the word itself, or the rows' big-endian bytes."""
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    return np.ascontiguousarray(keys.astype(">u8")).view(f"V{keys.shape[1] * 8}").ravel()
+
+
+def find_keys(ordered: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each key row, its position in a sorted, non-empty search_keys array
+    and whether the key is there."""
+    needles = search_keys(keys)
+    pos = np.minimum(np.searchsorted(ordered, needles), len(ordered) - 1)
+    return pos, ordered[pos] == needles
+
+
+def key_octets(keys: np.ndarray) -> np.ndarray:
+    """The B x 8W uint8 octets of B key rows of W words: octet j holds runs
+    8j .. 8j + 7, run 8j at its top bit."""
+    return keys.astype(">u8").view(np.uint8)
+
+
+def octet_keys(runs: np.ndarray, m: int) -> np.ndarray:
+    """keys[v]: the key, of m runs, of the runs[i] (at most 8) whose bit is
+    set in octet value v, runs[0] at the top bit as in key_octets."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)[:, : len(runs)]
+    # The runs' keys have disjoint bits, so this integer product is their OR.
+    return bits.astype(np.uint64) @ run_keys(m)[runs]
 
 
 # The most bytes of key & mask words that popcounts forms at once.

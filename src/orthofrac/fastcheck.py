@@ -13,15 +13,8 @@ algebra.contrast_checks, which also decides algebra.verify_theta_report.
 It uses algebra's contrast rows, not the search's margin cells, so it
 stays independent of the search, and it never applies X or X^-1.
 
-A list of designs travels between the search, the designs file and
-classify as one key array: a B x ceil(m/64) uint64 array, run r at bit
-63 - r % 64 of word r // 64.  designs owns that layout: bitset_keys packs
-0/1 rows into keys, run_keys and design_keys sum keys from runs, and
-mask_words and popcounts count a key's runs in sets of runs.  Here
-key_bits unpacks keys into 0/1 rows, key_runs and key_designs read them
-back as run tuples and Designs, and key_order sorts them.  Every margin
-count, in the search, its oracle, the strength check and the class
-invariants, is a popcount on keys too (designs.MarginCells.count_keys).
+The key layout, and every operation that reads keys back, lives in
+designs; this module only counts their bits (designs.popcounts).
 """
 
 from __future__ import annotations
@@ -31,56 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import contrast_checks, contrast_rows
-# bitset_keys and run_keys are imported from here too; designs owns them.
-from .designs import Design, FullFactorial, bitset_keys, mask_words, popcounts, run_keys  # noqa: F401
-
-
-def key_bits(keys: np.ndarray, count: int | None = None) -> np.ndarray:
-    """The 0/1 uint8 membership row of every key: its first `count` bits,
-    default all 64 per word.  The inverse of bitset_keys."""
-    return np.unpackbits(keys.astype(">u8").view(np.uint8), axis=1, count=count)
-
-
-def key_runs(keys: np.ndarray) -> list[tuple[int, ...]]:
-    """The sorted runs of every key row."""
-    bits = key_bits(keys)
-    ends = np.count_nonzero(bits, axis=1).cumsum().tolist()
-    flat = tuple((np.flatnonzero(bits) % bits.shape[1]).tolist())
-    return [flat[start:end] for start, end in zip([0, *ends], ends)]
-
-
-def key_designs(ambient: FullFactorial, keys: np.ndarray) -> list[Design]:
-    """One Design per key row."""
-    return [Design(ambient, runs) for runs in key_runs(keys)]
-
-
-def key_order(keys: np.ndarray) -> np.ndarray:
-    """The argsort of keys, lexicographic over their words: one uint64 column
-    for m <= 64, a lexsort otherwise.  Among designs of one size, descending
-    keys are ascending run tuples: the smallest run in which two designs
-    differ is in the one whose tuple sorts first, and sets its bit.
-
-    Either holds at most 24 bytes per key beside the keys: the int64 index,
-    and lexsort's copies of the words it sorts by."""
-    if keys.shape[1] == 1:
-        return np.argsort(keys[:, 0])
-    return np.lexsort(keys.T[::-1])
-
-
-def search_keys(keys: np.ndarray) -> np.ndarray:
-    """A 1-D array whose order and equality are those of the key rows, for
-    np.searchsorted: the word itself, or the rows' big-endian bytes."""
-    if keys.shape[1] == 1:
-        return keys[:, 0]
-    return np.ascontiguousarray(keys.astype(">u8")).view(f"V{keys.shape[1] * 8}").ravel()
-
-
-def find_keys(ordered: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each key row, its position in a sorted, non-empty search_keys array
-    and whether the key is there."""
-    needles = search_keys(keys)
-    pos = np.minimum(np.searchsorted(ordered, needles), len(ordered) - 1)
-    return pos, ordered[pos] == needles
+from .designs import FullFactorial, mask_words, popcounts
 
 
 @lru_cache(maxsize=None)

@@ -13,13 +13,8 @@ Two routes:
   the slice size qualifies, or to one factor, where only the empty set
   and the whole factor are balanced.  Every output is cross-checked
   against the algebraic characterization, independently of the margin
-  counts: its membership row y must be 0/1 with [1; C] y = [s; 0].  That
-  is the paper's system, idempotency plus [1; C] X theta = [s; 0], for
-  theta = X^-1 y, because X theta = y (fastcheck.BatchChecker).  y is the
-  bits of the design's final key, 0/1 by construction, where a repeated
-  run would carry into another bit and fail the size row.  The checker
-  sums each row of [1; C] over a key by popcounts on the key's words, in
-  chunks of key rows, and never unpacks the bits.
+  counts, a chunk of keys at a time: [1; C] y = [s; 0] on the bits y of
+  its key (fastcheck.BatchChecker).
 
   Every level returns keys of its ambient (designs).  The join keys a
   candidate by its counts on the free margin cells, those whose levels
@@ -36,8 +31,8 @@ Two routes:
   before any design is built; the slice keys meet the same budget before
   they are formed, and at strength 0 the C(m, q) subsets before any is
   listed.  A design's key is the sum of its slices' keys, each embedded at
-  its level once through per-byte lookup tables, summed a chunk of designs
-  at a time.
+  its level once through per-octet lookup tables (designs.key_octets and
+  designs.octet_keys), summed a chunk of designs at a time.
 
 * `brute_force_oracle` - plain enumeration of all size-s subsets filtered
   by direct margin counting (popcounts of their keys), for small
@@ -48,7 +43,8 @@ Two routes:
 
 Both return designs sorted by run-index sequence, and both are
 deterministic.  The *_keys functions are the same stages on keys, and the
-functions on Design lists are shims over them.
+functions on Design lists are shims over them.  Keys are read, sorted and
+unpacked only through designs, which owns their layout.
 """
 
 from __future__ import annotations
@@ -62,8 +58,11 @@ from math import comb, prod
 import numpy as np
 
 from .algebra import _exact_dtype
-from .designs import Design, FullFactorial, design_keys, margin_cells, run_keys, run_sums
-from .fastcheck import get_checker, key_bits, key_designs, key_order, key_runs
+from .designs import (
+    Design, FullFactorial, design_keys, key_capacity, key_designs, key_octets, key_order, key_runs, key_words,
+    margin_cells, octet_keys, run_keys, run_sums, unpack_runs,
+)
+from .fastcheck import get_checker
 
 # The key budget, in bytes, of every level of the sliced enumeration.  On m
 # runs, W = ceil(m/64), each design is charged 16 W + 8 bytes: at the sort
@@ -99,12 +98,11 @@ class CrossCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """An enumeration instance plus the slicing factor of the top level."""
+    """An enumeration instance."""
 
     ambient: FullFactorial
     size: int
     strength: int
-    slicing_factor: int | None = None  # default: last factor of maximal arity
     workers: int = 1  # inert: the benchmark's traced pass still passes workers=2
 
     def __post_init__(self):
@@ -112,8 +110,6 @@ class SearchProblem:
             raise ValueError("size out of range")
         if not 1 <= self.strength <= self.ambient.n_factors:
             raise ValueError("strength out of range")
-        if self.slicing_factor is not None and not 0 <= self.slicing_factor < self.ambient.n_factors:
-            raise ValueError("slicing factor out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +138,14 @@ def _embedding_tables(ambient: FullFactorial, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _byte_tables(ambient: FullFactorial, p: int) -> np.ndarray:
-    """tables[c, j, v]: the ambient key of the sub-runs that byte value v
-    holds at byte j of a sub-ambient key, placed at level c of the slicing
-    factor p (read-only).  Byte j of a key's big-endian words holds sub-runs
-    8j .. 8j + 7, the first at its top bit, so a sub-key embeds at level c
-    as the sum of one table row per byte."""
+    """tables[c, j, v]: the ambient key of the sub-runs that value v of octet
+    j of a sub-ambient key stands for, placed at level c of the slicing
+    factor p (read-only).  Octet j holds sub-runs 8j .. 8j + 7
+    (designs.key_octets), so a sub-key embeds at level c as the sum of one
+    table row per octet."""
     embed = _embedding_tables(ambient, p)
-    singles = run_keys(ambient.run_count)
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.uint64)
-    n_bytes = -(-embed.shape[1] // 8)
-    tables = np.zeros((len(embed), n_bytes, 256, singles.shape[1]), dtype=np.uint64)
-    for c, runs in enumerate(embed):
-        for j in range(n_bytes):
-            byte_runs = runs[8 * j : 8 * j + 8]
-            # The runs' keys have disjoint bits, so this integer product is their OR.
-            tables[c, j] = bits[:, : len(byte_runs)] @ singles[byte_runs]
+    octets = range(0, embed.shape[1], 8)
+    tables = np.array([[octet_keys(runs[j : j + 8], ambient.run_count) for j in octets] for runs in embed])
     tables.flags.writeable = False
     return tables
 
@@ -166,7 +155,7 @@ def _embedded(candidates: np.ndarray, ambient: FullFactorial, p: int) -> np.ndar
     at level c of the slicing factor p."""
     tables = _byte_tables(ambient, p)
     n_levels, n_bytes, _, words = tables.shape
-    octets = candidates.astype(">u8").view(np.uint8)[:, :n_bytes]
+    octets = key_octets(candidates)[:, :n_bytes]
     embedded = np.zeros((n_levels, len(candidates), words), dtype=np.uint64)
     for c in range(n_levels):
         for j in range(n_bytes):
@@ -347,22 +336,20 @@ def _subset_keys(m: int, size: int):
         yield run_keys(m)[runs].sum(axis=1, dtype=np.uint64)
 
 
-def _enumerate_keys(
-    ambient: FullFactorial, size: int, strength: int, slicing_factor: int | None = None
-) -> np.ndarray:
+def _enumerate_keys(ambient: FullFactorial, size: int, strength: int) -> np.ndarray:
     """The key of every fraction of this size and strength, one design per
     row, in no particular order.
 
     At strength 0 every size-`size` subset qualifies.  An ambient of one
     factor has one run per level, so at strength 1 only the empty set and
-    the whole factor are balanced.  Otherwise the runs are sliced on
-    `slicing_factor` (default: _default_slicing_factor); the slice
+    the whole factor are balanced.  Otherwise the runs are sliced on the
+    last factor of maximal arity (_default_slicing_factor); the slice
     candidates, the sub-ambient's fractions of strength one less, come from
     this same function, and the slices are joined.  The key budget bounds
     the strength-0 subsets, the slice keys and the join (_MATRIX_BUDGET).
     """
     m = ambient.run_count
-    words = -(-m // 64)
+    words = key_words(m)
     design_bytes = 16 * words + 8
     empty = np.zeros((0, words), dtype=np.uint64)
     if strength == 0:
@@ -375,7 +362,7 @@ def _enumerate_keys(
         return np.concatenate([empty, *_subset_keys(m, size)])
     if ambient.n_factors == 1:
         return np.concatenate([empty, *_subset_keys(m, size)]) if size in (0, m) else empty
-    p = _default_slicing_factor(ambient) if slicing_factor is None else slicing_factor
+    p = _default_slicing_factor(ambient)
     r = ambient.radices[p]
     if size % r:
         return empty
@@ -412,9 +399,9 @@ def _cross_check(keys: np.ndarray, problem: SearchProblem) -> None:
 
 
 def enumerate_keys(problem: SearchProblem) -> np.ndarray:
-    """enumerate_orthogonal as keys (fastcheck): one row per design."""
+    """enumerate_orthogonal as keys (designs): one row per design."""
     m = problem.ambient.run_count
-    keys = _enumerate_keys(problem.ambient, problem.size, problem.strength, problem.slicing_factor)
+    keys = _enumerate_keys(problem.ambient, problem.size, problem.strength)
     # All designs have one size, so descending keys sort them by run tuple.
     keys = keys[key_order(keys)[::-1]]
     step = _chunk_rows(m)
@@ -433,13 +420,13 @@ def enumerate_orthogonal(problem: SearchProblem) -> list[Design]:
 
 
 def brute_force_keys(problem: SearchProblem) -> np.ndarray:
-    """brute_force_oracle as keys (fastcheck): one row per design."""
+    """brute_force_oracle as keys (designs): one row per design."""
     m = problem.ambient.run_count
     total = comb(m, problem.size)
     if total > _ORACLE_CEILING:
         raise ProblemTooLargeError(f"C({m},{problem.size}) = {total} exceeds the ceiling {_ORACLE_CEILING}")
     table = margin_cells(problem.ambient, problem.strength)
-    out = [np.zeros((0, -(-m // 64)), dtype=np.uint64)]
+    out = [np.zeros((0, key_words(m)), dtype=np.uint64)]
     if np.any(problem.size % table.volumes):
         return out[0]
     for keys in _subset_keys(m, problem.size):
@@ -511,12 +498,11 @@ def _render(lengths: np.ndarray, runs: np.ndarray, m: int) -> np.ndarray:
 
 
 def write_design_keys(keys: np.ndarray, fh) -> None:
-    """One canonical line per key row (fastcheck), then "# count: N"."""
-    m = 64 * keys.shape[1]  # every run of a key is below it
+    """One canonical line per key row (designs), then "# count: N"."""
+    m = key_capacity(keys)
     step = _chunk_rows(m)
     for start in range(0, len(keys), step):
-        bits = key_bits(keys[start : start + step])
-        fh.write(_render(np.count_nonzero(bits, axis=1), np.flatnonzero(bits) % m, m).tobytes().decode())
+        fh.write(_render(*unpack_runs(keys[start : start + step]), m).tobytes().decode())
     fh.write(f"# count: {len(keys)}\n")
 
 
@@ -608,20 +594,20 @@ def _read_chunk(text: str, first_line: int, ambient: FullFactorial) -> tuple[np.
     is_design = canonical.copy()
     is_design[rest] = True
     row = np.cumsum(is_design) - 1
-    keys = np.zeros((int(is_design.sum()), -(-m // 64)), dtype=np.uint64)
+    keys = np.zeros((int(is_design.sum()), key_words(m)), dtype=np.uint64)
     keys[row[canonical]] = run_sums(lengths, runs, m)
     keys[row[rest]] = design_keys(parsed, m)
     return keys, len(ends)
 
 
 def read_design_keys(fh, ambient: FullFactorial) -> np.ndarray:
-    """read_designs as keys (fastcheck): one row per design line, in file order.
+    """read_designs as keys (designs): one row per design line, in file order.
 
     Reads fh in text chunks of _CHUNK_BYTES // 16 characters, each completed
     to the end of its line.  Canonical lines are read in bulk; every other
     line goes through _parse_line, so the first bad line raises its error.
     """
-    chunks = [np.zeros((0, -(-ambient.run_count // 64)), dtype=np.uint64)]
+    chunks = [np.zeros((0, key_words(ambient.run_count)), dtype=np.uint64)]
     lines = 0
     while text := fh.read(max(1, _CHUNK_BYTES // 16)):
         if not text.endswith("\n"):

@@ -26,6 +26,7 @@ from orthofrac.catalog import CATALOG
 from orthofrac.classify import act, act_theta, generate_group, stabilizer_size, table_report
 from orthofrac.designs import (
     Design,
+    bitset_keys,
     design_keys,
     full_factorial,
     has_strength,
@@ -33,7 +34,7 @@ from orthofrac.designs import (
     invariant_triples,
     margin_cells,
 )
-from orthofrac.fastcheck import bitset_keys, get_checker
+from orthofrac.fastcheck import get_checker
 from orthofrac.polynomials import parse_polynomial, reduce_to_standard_form
 from orthofrac.search import SearchProblem, brute_force_oracle, enumerate_orthogonal
 from reference import margin_counts, membership_rows

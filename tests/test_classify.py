@@ -145,11 +145,10 @@ def test_classify_single_design_reports_full_orbit():
 def test_classify_partitions_group_closed_input():
     amb = full_factorial([2, 2, 2])
     designs = enumerate_orthogonal(SearchProblem(amb, 4, 2))
-    classes = classify(designs, store_members=True)
+    classes = classify(designs)
     assert len(classes) == 1
     assert classes[0].orbit_size == 2
-    assert classes[0].members is not None
-    assert {d.runs for d in classes[0].members} == {d.runs for d in designs}
+    assert orbit_of(classes[0].representative) == {d.runs for d in designs}
 
 
 def test_classify_rejects_duplicates_and_mixed_ambients():
@@ -211,9 +210,7 @@ def _reference_classes(designs):
 
 
 def _summary(classes):
-    return [
-        (c.representative.runs, c.orbit_size, tuple(d.runs for d in c.members)) for c in classes
-    ]
+    return [(c.representative.runs, c.orbit_size, tuple(sorted(orbit_of(c.representative)))) for c in classes]
 
 
 def _not_group_closed():
@@ -240,14 +237,15 @@ def _three_four():
 )
 def test_classify_matches_reference_closure(designs):
     designs = designs()
-    classes = classify(designs, store_members=True)
+    classes = classify(designs)
     reference = _reference_classes(designs)
     assert _summary(classes) == reference
     order = len(generate_group(designs[0].ambient))
     for c in classes[:3]:
-        d = c.members[-1]
+        members = orbit_of(c.representative)
+        d = Design(c.representative.ambient, max(members))
         assert canonical_form(d) == c.representative.runs
-        assert orbit_of(d) == {m.runs for m in c.members}
+        assert orbit_of(d) == members
         assert c.orbit_size * stabilizer_size(d) == order
 
 
@@ -262,12 +260,14 @@ def test_enumerated_3_4_is_one_class_of_72():
 def test_classify_invariant_under_relabelling_and_shuffle(flagship_designs):
     rng = random.Random(61)
     designs = rng.sample(flagship_designs, 600)
-    expected = classify(designs, store_members=True)
+    expected = classify(designs)
     g = rng.choice(generate_group(FLAGSHIP))
     relabelled = [act(g, d) for d in designs]
     rng.shuffle(relabelled)
     assert {d.runs for d in relabelled} != {d.runs for d in designs}
-    assert classify(relabelled, store_members=True) == expected
+    got = classify(relabelled)
+    assert got == expected
+    assert [orbit_of(c.representative) for c in got] == [orbit_of(c.representative) for c in expected]
 
 
 def test_cross_check_accepts_any_orbit_member_as_representative(flagship_classes):

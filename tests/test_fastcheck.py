@@ -23,7 +23,9 @@ from orthofrac.algebra import (
 from orthofrac.designs import (
     Design,
     ShapeMismatchError,
+    bitset_keys,
     design_keys,
+    find_keys,
     from_level_sets,
     full_design,
     full_factorial,
@@ -31,21 +33,22 @@ from orthofrac.designs import (
     invariant_triple,
     invariant_triples,
     j_statistic,
-    margin_cells,
-    margins,
-)
-from orthofrac.fastcheck import (
-    BatchChecker,
-    bitset_keys,
-    find_keys,
-    get_checker,
     key_bits,
+    key_capacity,
     key_designs,
+    key_octets,
     key_order,
     key_runs,
+    key_words,
+    margin_cells,
+    margins,
+    octet_keys,
     run_keys,
+    run_sums,
     search_keys,
+    unpack_runs,
 )
+from orthofrac.fastcheck import BatchChecker, get_checker
 from reference import (
     build_model_matrix,
     idempotency_system,
@@ -377,12 +380,13 @@ def test_membership_matrix_round_trip():
         key_designs(amb, design_keys([(0, 12)], 13))
 
 
-@pytest.mark.parametrize("m", [12, 48, 64, 81, 130])
+@pytest.mark.parametrize("m", [1, 12, 48, 63, 64, 65, 81, 128, 129, 130])
 def test_word_keys_are_sums_of_run_keys_and_sort_as_run_tuples(m):
     rng = random.Random(m)
-    runs = sorted({tuple(sorted(rng.sample(range(m), 7))) for _ in range(60)})
+    size = min(7, m - 1)
+    runs = sorted({tuple(sorted(rng.sample(range(m), size))) for _ in range(60)})
     keys = bitset_keys(membership_rows(runs, m))
-    assert keys.dtype == np.uint64 and keys.shape == (len(runs), -(-m // 64))
+    assert keys.dtype == np.uint64 and keys.shape == (len(runs), -(-m // 64)) == (len(runs), key_words(m))
     assert key_runs(keys) == runs
     assert np.array_equal(key_bits(keys, m), membership_rows(runs, m))
     singles = run_keys(m)
@@ -392,8 +396,28 @@ def test_word_keys_are_sums_of_run_keys_and_sort_as_run_tuples(m):
     shuffled = rng.sample(range(len(runs)), len(runs))
     order = key_order(keys[shuffled])[::-1]
     assert [runs[shuffled[i]] for i in order] == runs
-    # Binary search over the sorted keys finds every key, and no 8-run design.
+    # Binary search over the sorted keys finds every key, and no larger design.
     ordered = search_keys(keys[key_order(keys)])
     pos, found = find_keys(ordered, keys)
     assert found.all() and np.array_equal(ordered[pos], search_keys(keys))
-    assert not find_keys(ordered, design_keys([tuple(range(8))], m))[1].any()
+    assert not find_keys(ordered, design_keys([tuple(range(size + 1))], m))[1].any()
+    # Unpacking is the inverse of run_sums, and octet v of a key stands for
+    # the sum of the run keys of its set bits, also on empty and full rows.
+    runs += [(), tuple(range(m))]
+    keys = design_keys(runs, m)
+    lengths, flat = unpack_runs(keys)
+    assert lengths.tolist() == [len(r) for r in runs] and flat.tolist() == [i for r in runs for i in r]
+    assert np.array_equal(run_sums(lengths, flat, m), keys)
+    assert key_capacity(keys) == 64 * key_words(m) and flat.max() < key_capacity(keys)
+    octets = key_octets(keys)
+    assert octets.dtype == np.uint8 and octets.shape == (len(runs), 8 * key_words(m))
+    rebuilt = np.zeros_like(keys)
+    for j in range(-(-m // 8)):
+        rebuilt += octet_keys(np.arange(8 * j, min(8 * j + 8, m)), m)[octets[:, j]]
+    assert np.array_equal(rebuilt, keys) and not octets[:, -(-m // 8) :].any()
+    # Over any runs, bit i from the top of an octet value stands for runs[i].
+    mapped = rng.sample(range(m), min(8, m))
+    table = octet_keys(np.array(mapped), m)
+    for v in range(256):
+        chosen = [r for i, r in enumerate(mapped) if v >> (7 - i) & 1]
+        assert np.array_equal(table[v], singles[chosen].sum(axis=0, dtype=np.uint64))

@@ -14,8 +14,19 @@ from orthofrac.algebra import verify_theta, indicator_from_design
 from orthofrac.catalog import cross_check_classes
 from orthofrac.classify import act, classification_report, classify, classify_keys, generate_group
 from orthofrac import algebra, search
-from orthofrac.designs import default_levels, design_keys, full_design, full_factorial, has_strength, margin_cells
-from orthofrac.fastcheck import bitset_keys, key_bits, key_designs, key_runs, run_keys
+from orthofrac.designs import (
+    bitset_keys,
+    default_levels,
+    design_keys,
+    full_design,
+    full_factorial,
+    has_strength,
+    key_bits,
+    key_designs,
+    key_runs,
+    margin_cells,
+    run_keys,
+)
 from orthofrac.search import (
     _enumerate_keys,
     _free_cells,
@@ -136,11 +147,15 @@ def test_enumeration_closed_under_group():
             assert act(g, d).runs in found
 
 
-def test_explicit_slicing_factor_choice_is_equivalent():
+def test_explicit_slicing_factor_choice_is_equivalent(monkeypatch):
+    # Slicing the top ambient on any factor finds the same designs; the
+    # sub-ambients keep their own default factor.
     amb = full_factorial([2, 2, 3])
     default = enumerate_orthogonal(SearchProblem(amb, 6, 1))
+    choose = search._default_slicing_factor
     for p in range(3):
-        assert enumerate_orthogonal(SearchProblem(amb, 6, 1, slicing_factor=p)) == default
+        monkeypatch.setattr(search, "_default_slicing_factor", lambda a, p=p: p if a == amb else choose(a))
+        assert enumerate_orthogonal(SearchProblem(amb, 6, 1)) == default
 
 
 def test_recursive_candidates_match_backtracking():
