@@ -8,10 +8,12 @@ Below the Fraction algebra a set of runs is always a key: key_words(m) =
 ceil(m/64) uint64 words, run r at bit 63 - r % 64 of word r // 64
 (bitset_keys), the sum of its runs' keys (run_keys, run_sums,
 design_keys).  Only this module knows that layout.  unpack_runs inverts
-run_sums, key_runs and key_designs read keys back, key_order, search_keys
-and find_keys sort and look them up, and key_octets and octet_keys read
-them an octet at a time.  A mask is the key of a set of runs, stored
-word-major (mask_words), so popcounts counts a key's runs in each set.
+run_sums, with the run counts as popcounts of the words and the runs as the
+positions of the set bits (key_bits), key_runs and key_designs read keys
+back, key_order, search_keys and find_keys sort and look them up, and
+key_octets and octet_keys read them an octet at a time.  A mask is the key
+of a set of runs, stored word-major (mask_words), so popcounts counts a
+key's runs in each set.
 
 `margin_cells` is the one integer encoding of factor-subset margins that
 the strength checks, the search, the oracle and the class invariants
@@ -283,10 +285,13 @@ def run_keys(m: int) -> np.ndarray:
 
 def run_sums(lengths: np.ndarray, runs: np.ndarray, m: int) -> np.ndarray:
     """The keys of designs of m runs with these run counts and concatenated runs."""
+    starts = np.cumsum(lengths) - lengths
+    if lengths.all():  # no empty design: one reduceat gives every key
+        return np.add.reduceat(run_keys(m).take(runs, axis=0), starts, axis=0)
     keys = np.zeros((len(lengths), key_words(m)), dtype=np.uint64)
     full = lengths > 0
     if len(runs):
-        keys[full] = np.add.reduceat(run_keys(m)[runs], (np.cumsum(lengths) - lengths)[full], axis=0)
+        keys[full] = np.add.reduceat(run_keys(m).take(runs, axis=0), starts[full], axis=0)
     return keys
 
 
@@ -298,17 +303,20 @@ def design_keys(designs, m: int) -> np.ndarray:
     return run_sums(lengths, runs, m)
 
 
-def key_bits(keys: np.ndarray, count: int | None = None) -> np.ndarray:
-    """The 0/1 uint8 membership row of every key: its first `count` bits,
-    default all 64 per word.  The inverse of bitset_keys."""
-    return np.unpackbits(key_octets(keys), axis=1, count=count)
+def key_bits(keys: np.ndarray) -> np.ndarray:
+    """The 0/1 uint8 membership row of every key, all 64 bits of every word:
+    the inverse of bitset_keys, padding included."""
+    return np.unpackbits(key_octets(keys), axis=1)
 
 
 def unpack_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The run counts and the concatenated sorted runs of the key rows: the
-    inverse of run_sums."""
-    bits = key_bits(keys)
-    return np.count_nonzero(bits, axis=1), np.flatnonzero(bits) % bits.shape[1]
+    inverse of run_sums.  The counts are popcounts of the words; the runs
+    are the set bits' flat positions, less the 64 W bits of the rows before."""
+    lengths = np.bitwise_count(keys).sum(axis=1, dtype=np.int64)
+    capacity = key_capacity(keys)
+    flat = np.flatnonzero(key_bits(keys).view(bool))
+    return lengths, flat - np.repeat(np.arange(0, capacity * len(keys), capacity), lengths)
 
 
 def key_runs(keys: np.ndarray) -> list[tuple[int, ...]]:

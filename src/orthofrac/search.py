@@ -446,22 +446,26 @@ def brute_force_oracle(problem: SearchProblem) -> list[Design]:
 # ---------------------------------------------------------------------------
 # Results file format: one design per line as "[i1, i2, ...]", then a
 # trailing "# count: N" summary line.  A canonical line is one that equals
-# the writer's rendering of its runs: in range, strictly increasing, ", "
-# separators, no leading zeros, one "\n".  Canonical lines are read in bulk;
-# every other line is read on its own as JSON, in file order, so blank and
-# "#" lines are skipped and the first bad line raises its error.  Both
-# directions work on bytes, in chunks: the writer renders a chunk of key
-# rows at a time, and the reader parses text chunks that end on a line
-# boundary.
+# the writer's rendering of its runs (_render): in range, strictly
+# increasing, ", " separators, no leading zeros, one "\n".  Canonical lines
+# are read in bulk; every other line is read on its own as JSON, in file
+# order, so blank and "#" lines are skipped and the first bad line raises
+# its error.  Both directions work on bytes, in chunks, and pass over each
+# byte and each run only a few times.  The writer renders a chunk of key
+# rows at a time from their popcounts and set bits (designs.unpack_runs).
+# The reader parses text chunks that end on a line boundary: it reads every
+# number, and when none is out of range or out of order it renders the
+# whole chunk and accepts every line with one byte compare; otherwise it
+# compares the lines one by one (_canonical_lines).
 
 # The chunk size of the design-file codec, the cross-check and the
 # materialise step.  The writer renders and the cross-check checks chunks of
 # B key rows whose B x m bits, or B x R uint64 word counts ([1; C_1; ...; C_t]
 # has R <= m rows), take at most this many bytes.  The reader's numpy
-# temporaries peak at ~16 bytes per text byte, so it takes text chunks of
+# temporaries peak at ~13 bytes per text byte, so it takes text chunks of
 # _CHUNK_BYTES // 16 characters, completed to the end of their line: a chunk's
-# working set is then ~_CHUNK_BYTES, so reading faults in far fewer fresh
-# pages than with chunks of _CHUNK_BYTES characters.
+# working set is then below _CHUNK_BYTES, so reading faults in far fewer
+# fresh pages than with chunks of _CHUNK_BYTES characters.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -481,10 +485,10 @@ def _tokens(m: int) -> np.ndarray:
     return words.reshape(len(texts), -1)
 
 
-def _render(lengths: np.ndarray, runs: np.ndarray, m: int) -> np.ndarray:
-    """The canonical lines, as uint8 bytes, of designs with these run counts
-    (one per line) and concatenated runs, every run below m: one take of the
-    token words, then the pad bytes dropped."""
+def _render(lengths: np.ndarray, runs: np.ndarray, m: int) -> bytes:
+    """The canonical lines of designs with these run counts (one per line)
+    and concatenated runs, every run below m: one take of the token words,
+    then the pad bytes dropped."""
     ids = np.empty(len(lengths) + len(runs), dtype=np.int64)
     starts = np.cumsum(lengths + 1) - (lengths + 1)
     is_run = np.ones(len(ids), dtype=bool)
@@ -493,8 +497,7 @@ def _render(lengths: np.ndarray, runs: np.ndarray, m: int) -> np.ndarray:
     full = lengths > 0
     ids[(starts + lengths)[full]] += m  # the last run closes its line
     ids[starts] = np.where(full, 2 * m, 2 * m + 1)
-    text = np.take(_tokens(m), ids, axis=0).view(np.uint8).ravel()
-    return text[text != 0]
+    return np.take(_tokens(m), ids, axis=0).tobytes().translate(None, b"\0")
 
 
 def write_design_keys(keys: np.ndarray, fh) -> None:
@@ -502,7 +505,7 @@ def write_design_keys(keys: np.ndarray, fh) -> None:
     m = key_capacity(keys)
     step = _chunk_rows(m)
     for start in range(0, len(keys), step):
-        fh.write(_render(*unpack_runs(keys[start : start + step]), m).tobytes().decode())
+        fh.write(_render(*unpack_runs(keys[start : start + step]), m).decode())
     fh.write(f"# count: {len(keys)}\n")
 
 
@@ -530,48 +533,63 @@ def _parse_line(line: str, lineno: int, ambient: FullFactorial) -> tuple[int, ..
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
-def _canonical_lines(b: np.ndarray, ends: np.ndarray, m: int):
-    """Which lines of the uint8 text b are canonical, and the run counts and
+def _canonical_lines(data: bytes, ends: np.ndarray, m: int):
+    """Which lines of the text data are canonical, and the run counts and
     concatenated runs of those.  Line i ends just before index ends[i], and
-    b ends with a newline.
+    data ends with a newline.
 
     Every maximal run of digits is a number, read from its last len(str(m-1))
     digits.  A line keeps its numbers only when they are in range and
     strictly increasing, and is canonical exactly when it equals their
     rendering.  That comparison is what makes the loose parse safe: a
-    canonical line parses back to the runs it renders.
+    canonical line parses back to the runs it renders.  When no number is
+    out of place, one compare of the chunk with the rendering of all its
+    lines accepts them all; otherwise the lines of the right length are
+    rendered and compared one by one.
     """
-    digits = b - np.uint8(48)  # wraps below "0"
+    b = np.frombuffer(data, dtype=np.uint8)
+    width = len(str(m - 1))
+    # Digit values, wrapping below "0", behind width - 1 non-digit pad bytes:
+    # shifted[width - 1 - k :][i] is digits[i - k], or a pad byte for i < k.
+    shifted = np.full(len(b) + width - 1, 255, dtype=np.uint8)
+    digits = shifted[width - 1 :]
+    np.subtract(b, np.uint8(48), out=digits)
     is_digit = digits < 10
     last = np.flatnonzero(is_digit[:-1] > is_digit[1:])  # each number's last digit
-    value = np.take(digits, last).astype(np.int32)  # at most 9 digits for any m <= 10^9
+    dtype = np.int16 if 10**width <= np.iinfo(np.int16).max else np.int32  # at most 9 digits for m <= 10^9
+    value = np.take(digits, last).astype(dtype)
     in_number = np.ones(len(last), dtype=bool)
-    for k in range(1, len(str(m - 1))):
-        # Index -1 is the final newline, so a number at the start stops there.
-        d = np.take(digits, last - k, mode="wrap")
+    for k in range(1, width):
+        d = np.take(shifted[width - 1 - k :], last)
         in_number &= d < 10
-        d[~in_number] = 0
-        value += d * np.int32(10**k)
-    lengths = np.diff(np.searchsorted(last, ends), prepend=0)
-    line = np.repeat(np.arange(len(ends)), lengths)
+        value += (d * in_number).astype(dtype) * dtype(10**k)
+    line_end = np.searchsorted(last, ends)  # the numbers up to each line's end
+    lengths = np.diff(line_end, prepend=0)
 
     bad = value >= m
-    bad[1:] |= (value[1:] <= value[:-1]) & (line[1:] == line[:-1])
+    first = np.zeros(len(value) + 1, dtype=bool)  # first[i]: number i starts a line after line 0
+    first[line_end] = True
+    bad[1:] |= (value[1:] <= value[:-1]) & ~first[1:-1]
+    canonical = np.ones(len(ends), dtype=bool)
+    if bad.any():
+        canonical[np.searchsorted(line_end, np.flatnonzero(bad), side="right")] = False
+    elif _render(lengths, value, m) == data:
+        return canonical, lengths, value
+
     # The rendered line: "[" or "[]\n", then "r, " or "r]\n" for every run r.
     rendered = 1 + 3 * lengths + 2 * (lengths == 0)
-    line_end = np.cumsum(lengths)
-    for k in range(1, len(str(m - 1))):
+    for k in range(1, width):
         rendered += np.diff(np.searchsorted(np.flatnonzero(value >= 10**k), line_end), prepend=0)
     own = np.diff(ends, prepend=0)
-    canonical = rendered == own
-    canonical[line[bad]] = False
-
-    differs = _render(lengths[canonical], value[canonical[line]], m)
-    differs = differs != (b if canonical.all() else b[np.repeat(canonical, own)])
+    canonical &= rendered == own
+    kept = np.repeat(canonical, lengths)
+    text = np.frombuffer(_render(lengths[canonical], value[kept], m), dtype=np.uint8)
+    differs = text != b[np.repeat(canonical, own)]
     if len(differs):
         offsets = np.cumsum(rendered[canonical]) - rendered[canonical]
         canonical[np.flatnonzero(canonical)[np.logical_or.reduceat(differs, offsets)]] = False
-    return canonical, lengths[canonical], value[canonical[line]]
+        kept = np.repeat(canonical, lengths)
+    return canonical, lengths[canonical], value[kept]
 
 
 def _read_chunk(text: str, first_line: int, ambient: FullFactorial) -> tuple[np.ndarray, int]:
@@ -581,9 +599,11 @@ def _read_chunk(text: str, first_line: int, ambient: FullFactorial) -> tuple[np.
     data = text.encode("utf-8", "surrogatepass")
     if not data.endswith(b"\n"):
         data += b"\n"  # the file's last line; stripped away either way
-    b = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(b == 10) + 1
-    canonical, lengths, runs = _canonical_lines(b, ends, m)
+    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10) + 1
+    canonical, lengths, runs = _canonical_lines(data, ends, m)
+    sums = run_sums(lengths, runs, m)
+    if canonical.all():
+        return sums, len(ends)
     # The design lines left to _parse_line: all but blank and "#" lines.
     rest, parsed = [], []
     for i in np.flatnonzero(~canonical).tolist():
@@ -595,7 +615,7 @@ def _read_chunk(text: str, first_line: int, ambient: FullFactorial) -> tuple[np.
     is_design[rest] = True
     row = np.cumsum(is_design) - 1
     keys = np.zeros((int(is_design.sum()), key_words(m)), dtype=np.uint64)
-    keys[row[canonical]] = run_sums(lengths, runs, m)
+    keys[row[canonical]] = sums
     keys[row[rest]] = design_keys(parsed, m)
     return keys, len(ends)
 

@@ -15,6 +15,7 @@ from orthofrac.catalog import cross_check_classes
 from orthofrac.classify import act, classification_report, classify, classify_keys, generate_group
 from orthofrac import algebra, search
 from orthofrac.designs import (
+    Design,
     bitset_keys,
     default_levels,
     design_keys,
@@ -499,7 +500,7 @@ def test_engine_matches_oracle_on_random_ambients(monkeypatch):
         # designs, as membership rows times the incidence matrix, are
         # balanced, and on small ambients they are every balanced subset.
         m, table = amb.run_count, margin_cells(amb, t)
-        assert table.balanced(reference.margin_counts(table, key_bits(oracle, m)), problem.size).all()
+        assert table.balanced(reference.margin_counts(table, key_bits(oracle)[:, :m]), problem.size).all()
         if comb(m, problem.size) <= 10**4:
             y = reference.membership_rows(list(itertools.combinations(range(m), problem.size)), m)
             balanced = table.balanced(reference.margin_counts(table, y), problem.size).all(axis=1)
@@ -549,17 +550,26 @@ def test_designs_file_round_trip(tmp_path):
     with open(path) as fh:
         assert read_designs(fh, amb) == designs
     # On keys, write after read gives a canonical file back byte for byte:
-    # size-0 designs, no designs, m = 64 (one full word) and m = 81 (a
-    # second word with 47 padding bits).
-    for levels, size in (((2, 2, 2), 4), ((2,) * 6, 8), ((3,) * 4, 9)):
+    # size-0 designs, no designs, m = 64 (one full word), m = 81 (a second
+    # word with 47 padding bits), and the token and digit boundaries: m = 100
+    # (two-digit runs, 4-byte token words), m = 101 (the first 5-byte token,
+    # so 8-byte token words), m = 128 (two full words, three-digit runs) and
+    # m = 1001 (four-digit runs).
+    rng = random.Random(41)
+    for levels, size in (((2, 2, 2), 4), ((2,) * 6, 8), ((4, 5, 5), 0), ((101,), 0), ((2,) * 7, 0),
+                         ((7, 11, 13), 0), ((3,) * 4, 9)):
         amb = full_factorial(levels)
         m = amb.run_count
+        if size:
+            designs = enumerate_orthogonal(SearchProblem(amb, size, 2))[:50]
+        else:
+            designs = [Design.from_runs(amb, rng.sample(range(m), rng.randint(1, 40))) for _ in range(50)]
         canonical = [
             "# count: 0\n",
             "[]\n# count: 1\n",
             "[]\n[]\n# count: 2\n",
             f"[0, {m - 1}]\n[{m - 1}]\n[]\n[{', '.join(map(str, range(m)))}]\n# count: 4\n",
-            _old_design_file(enumerate_orthogonal(SearchProblem(amb, size, 2))[:50]),
+            _old_design_file(designs),
         ]
         for text in canonical:
             keys = read_design_keys(io.StringIO(text), amb)
@@ -606,6 +616,9 @@ def test_read_designs_matches_per_line_reader():
     rng = random.Random(83)
     ambients = [full_factorial([2, 2, 3]), full_factorial([2, 2, 2, 2, 3])]
     ambients += [full_factorial([2] * 6), full_factorial([3] * 4)]  # m = 64 and 81
+    # Token width and digit count boundaries: m = 100, 101, 128 and 1001.
+    ambients += [full_factorial([4, 5, 5]), full_factorial([101]), full_factorial([2] * 7)]
+    ambients += [full_factorial([7, 11, 13])]
     ambients += [random_ambient(rng) for _ in range(4)]
     outcomes = set()
     for amb in ambients:
@@ -656,6 +669,42 @@ def test_read_designs_matches_per_line_reader():
                 continue
             keys = read_design_keys(io.StringIO(text), amb)
             assert key_runs(keys) == [d.runs for d in expected]
+
+
+def test_one_changed_byte_sends_only_its_line_to_the_json_route(monkeypatch):
+    # A chunk of canonical lines in which one middle line differs by one byte
+    # and keeps its length: the chunk's rendering differs from its text, and
+    # the per-line diff sends that line, and no other, to _parse_line.
+    amb = full_factorial([2] * 6)
+    keys = enumerate_keys(SearchProblem(amb, 16, 2))[:200]
+    written = io.StringIO()
+    write_design_keys(keys, written)
+    lines = written.getvalue().splitlines(keepends=True)
+    assert sum(map(len, lines)) < search._CHUNK_BYTES // 16  # one text chunk
+    parsed = []
+    real_parse = search._parse_line
+
+    def recording_parse(line, lineno, ambient):
+        parsed.append(lineno)
+        return real_parse(line, lineno, ambient)
+
+    monkeypatch.setattr(search, "_parse_line", recording_parse)
+    middle = 100
+    assert lines[middle].count(", ") > 1
+    tabbed = lines[:middle] + [lines[middle].replace(", ", ",\t", 1)] + lines[middle + 1 :]
+    assert len("".join(tabbed)) == len("".join(lines))
+    assert np.array_equal(read_design_keys(io.StringIO("".join(tabbed)), amb), keys)
+    assert parsed == [middle + 1]
+    # The same with a byte that breaks the line: the per-line route names it.
+    parsed.clear()
+    broken = "".join(lines[:middle] + [lines[middle].replace("]", "}")] + lines[middle + 1 :])
+    with pytest.raises(ValueError, match=f"^line {middle + 1}: "):
+        read_design_keys(io.StringIO(broken), amb)
+    assert parsed == [middle + 1]
+    # The untouched file sends no line to _parse_line: its count line is skipped.
+    parsed.clear()
+    assert np.array_equal(read_design_keys(io.StringIO("".join(lines)), amb), keys)
+    assert parsed == []
 
 
 @pytest.mark.parametrize("levels, size", [((2, 2, 2, 2, 3), 24), ((2,) * 6, 16), ((3,) * 4, 18)])
