@@ -139,18 +139,18 @@ def values_at_runs(poly: Polynomial, ambient: FullFactorial) -> tuple[np.ndarray
     return values, den * scale
 
 
-def polynomial_from_values(values: np.ndarray, den: int, ambient: FullFactorial) -> Polynomial:
-    """The lattice polynomial whose values at the runs are values / den, for
-    one row of integer numerators: X^{-1} applied to them, each coefficient
-    built once as a Fraction."""
+def polynomial_from_values(values: np.ndarray, den: int, ambient: FullFactorial) -> list[Polynomial]:
+    """The lattice polynomial whose values at the runs are row / den, for
+    every row of a B x m array of integer numerators: X^{-1} applied to all
+    rows at once, each coefficient built once as a Fraction."""
     theta, scale = mode_products(ambient, values, inverse=True)
     den *= scale
-    return polynomial_from_theta([Fraction(x, den) for x in theta[0].tolist()], ambient)
+    return [polynomial_from_theta([Fraction(x, den) for x in row], ambient) for row in theta.tolist()]
 
 
 def indicator_from_design(design: Design) -> Polynomial:
     """The unique lattice polynomial equal to 1 on the fraction and 0 elsewhere."""
-    return polynomial_from_values(np.array([design.membership()]), 1, design.ambient)
+    return polynomial_from_values(np.array([design.membership()]), 1, design.ambient)[0]
 
 
 def _off_indicator(values: np.ndarray, den: int) -> np.ndarray:

@@ -3,16 +3,17 @@
 The symmetry group combines a level permutation per factor with a
 permutation of factors among factors of equal arity.  Each element induces
 a permutation of the run indices; the group is one cached G x m table of
-them.  Acting on a design is a gather from it, and acting on an indicator
-coefficient vector conjugates the run permutation by the model matrix.
+them, in the narrowest unsigned dtype that holds m - 1 (one byte per entry
+for m <= 256).  Acting on a design is a gather of the table's columns at
+its runs, and acting on an indicator coefficient vector conjugates the run
+permutation by the model matrix.
 
 Designs are keys (designs), and among designs of one size the largest
 key is the lexicographically least design (designs.key_order), so the
 largest key of an orbit is its canonical form.  The keys of all G images
-are summed from the one-run keys of the table's columns (designs.run_keys),
-one run at a time.  classify_keys closes each orbit of its input keys
-once, from the first input design not yet seen, and keeps only its
-largest key and its size.
+are shifted out of the gathered G x s run indices (designs.indexed_keys).
+classify_keys closes each orbit of its input keys once, from the first
+input design not yet seen, and keeps only its largest key and its size.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from math import factorial, prod
 import numpy as np
 
 from . import search
-from .algebra import indicator_from_design, polynomial_from_values, values_at_runs
+from .algebra import polynomial_from_values, values_at_runs
 from .designs import (
-    Design, FullFactorial, ShapeMismatchError, design_keys, find_keys, invariant_triples, key_order, key_runs,
-    run_keys, search_keys, supports_triple_invariant,
+    Design, FullFactorial, ShapeMismatchError, design_keys, find_keys, indexed_keys, invariant_triples, key_order,
+    key_runs, search_keys, supports_triple_invariant, unpack_runs,
 )
 from .polynomials import Polynomial
 
@@ -67,35 +68,44 @@ def _level_perms(ambient: FullFactorial) -> list[list[tuple[int, ...]]]:
 
 @lru_cache(maxsize=None)
 def run_perm_table(ambient: FullFactorial) -> np.ndarray:
-    """perm[g, i]: the image of run i under the g-th element of generate_group (read-only).
+    """perm[g, i]: the image of run i under the g-th element of generate_group
+    (read-only), in the narrowest unsigned dtype that holds m - 1: uint8 for
+    m <= 256, so the table, the largest cached object of an ambient, takes
+    G x m bytes there.  It is stored column-major, so gathering the columns
+    of a design's runs copies whole contiguous columns.
 
-    Raises search.ProblemTooLargeError, before allocating, when the G x m
-    int32 table would take more than search._MATRIX_BUDGET bytes.
+    Raises search.ProblemTooLargeError, before allocating, when the table
+    would take more than search._MATRIX_BUDGET bytes.
 
     Rows run over factor permutations, then over level-permutation choices
-    with the last factor fastest; the image of run i is the mixed-radix
-    sum of stride_j * level_perms[j][iv_i[factor_perm[j]]].
+    with the last factor fastest.  Row (f, l) is level[l, factor[f, i]]:
+    factor[f] permutes the runs by the factor permutation alone,
+    factor[f, i] = sum of stride_j * iv_i[factor_perm[j]], and level[l] by
+    the level permutations alone, level[l, i] = sum of
+    stride_j * level_perms[j][iv_i[j]].
     """
     radices, n, m = ambient.radices, ambient.n_factors, ambient.run_count
+    dtype = np.min_scalar_type(m - 1)
     # k factors of arity r contribute k! factor orders times r!^k level relabelings.
     order = prod(factorial(k) * factorial(r) ** k for r, k in Counter(radices).items())
-    if order * m * 4 > search._MATRIX_BUDGET:
+    if order * m * dtype.itemsize > search._MATRIX_BUDGET:
         raise search.ProblemTooLargeError(
-            f"the symmetry group has {order} elements; its {order} x {m} int32 run-permutation "
+            f"the symmetry group has {order} elements; its {order} x {m} {dtype.name} run-permutation "
             f"table exceeds the {search._MATRIX_BUDGET}-byte budget"
         )
-    ivs = np.stack(np.unravel_index(np.arange(m), radices), axis=1)
-    # int32 keeps the table, the largest cached object of an ambient, at half size.
-    level_perms = [np.array(choices, dtype=np.int32) for choices in _level_perms(ambient)]
-    blocks = []
-    for factor_perm in _factor_perms(ambient):
-        images = 0
-        for j, perms in enumerate(level_perms):
-            shape = (1,) * j + (-1,) + (1,) * (n - j - 1) + (m,)
-            stride = prod(radices[j + 1 :])
-            images = images + stride * perms[:, ivs[:, factor_perm[j]]].reshape(shape)
-        blocks.append(images.reshape(-1, m))
-    table = np.concatenate(blocks)
+    # ivs[j, i]: the level of factor j in run i.  Every partial sum below is
+    # a run index, so the sums stay in dtype.
+    ivs = np.stack(np.unravel_index(np.arange(m), radices)).astype(dtype)
+    strides = [prod(radices[j + 1 :]) for j in range(n)]
+    factor_perms = np.array(list(_factor_perms(ambient)), dtype=np.intp)
+    factor = sum(stride * ivs[factor_perms[:, j]] for j, stride in enumerate(strides))
+    level = 0
+    for j, choices in enumerate(_level_perms(ambient)):
+        shape = (1,) * j + (-1,) + (1,) * (n - j - 1) + (m,)
+        level = level + strides[j] * np.array(choices, dtype=dtype)[:, ivs[j]].reshape(shape)
+    # columns[i, f, l] = level[l, factor[f, i]]: the m x G transpose, built in one gather.
+    columns = level.reshape(-1, m).T.take(factor.T, axis=0)
+    table = columns.reshape(m, order).T
     table.flags.writeable = False
     return table
 
@@ -123,23 +133,17 @@ def act_theta(g: GroupElement, poly: Polynomial) -> Polynomial:
     values, den = values_at_runs(poly, g.ambient)
     permuted = np.empty_like(values)
     permuted[:, g.run_perm] = values
-    return polynomial_from_values(permuted, den, g.ambient)
+    return polynomial_from_values(permuted, den, g.ambient)[0]
 
 
 def _images(ambient: FullFactorial, runs) -> np.ndarray:
     """The key of the design with these runs under every group element, in table order."""
-    table, singles = run_perm_table(ambient), run_keys(ambient.run_count)
-    keys = np.zeros((len(table), singles.shape[1]), dtype=np.uint64)
-    # One run at a time: each step gathers one table column, and the G x W
-    # sum stays in cache.
-    for r in np.asarray(runs, dtype=np.int64).tolist():
-        keys += singles.take(table[:, r], axis=0)
-    return keys
+    return indexed_keys(run_perm_table(ambient)[:, np.asarray(runs, dtype=np.intp)], ambient.run_count)
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The sorted distinct key rows; the last one is the largest."""
-    keys = keys[key_order(keys)]
+    keys = np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[key_order(keys)]
     return keys[np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]]
 
 
@@ -212,7 +216,7 @@ def classify_keys(ambient: FullFactorial, keys: np.ndarray) -> list[EquivalenceC
     tops, sizes = [], []
     idx = 0
     while idx < len(keys):
-        orbit = _distinct(_images(ambient, key_runs(keys[idx : idx + 1])[0]))
+        orbit = _distinct(_images(ambient, unpack_runs(keys[idx : idx + 1])[1]))
         pos, found = find_keys(ordered, orbit)
         unseen[order[pos[found]]] = False
         tops.append(orbit[-1])
@@ -333,15 +337,20 @@ def classification_report(classes) -> dict:
     """JSON-ready report: one record per class plus the table when defined."""
     classes = list(classes)
     report: dict = {"schema": 1, "class_count": len(classes)}
+    indicators = []
     if classes:
         ambient = classes[0].representative.ambient
         report["arities"] = list(ambient.radices)
         report["total_designs"] = sum(c.orbit_size for c in classes)
+        # One X^{-1} product gives every representative's indicator.
+        indicators = polynomial_from_values(
+            np.array([c.representative.membership() for c in classes]), 1, ambient
+        )
     records = []
-    for c in classes:
+    for c, indicator in zip(classes, indicators):
         rec: dict = {
             "representative_runs": list(c.representative.runs),
-            "indicator": indicator_from_design(c.representative).to_text(),
+            "indicator": indicator.to_text(),
             "orbit_size": c.orbit_size,
         }
         if c.invariants is not None:

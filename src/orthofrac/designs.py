@@ -7,7 +7,8 @@ canonical ordering in the package relies on that convention.
 Below the Fraction algebra a set of runs is always a key: key_words(m) =
 ceil(m/64) uint64 words, run r at bit 63 - r % 64 of word r // 64
 (bitset_keys), the sum of its runs' keys (run_keys, run_sums,
-design_keys).  Only this module knows that layout.  unpack_runs inverts
+design_keys, and indexed_keys, which shifts the bits out of a run-index
+array).  Only this module knows that layout.  unpack_runs inverts
 run_sums, with the run counts as popcounts of the words and the runs as the
 positions of the set bits (key_bits), key_runs and key_designs read keys
 back, key_order, search_keys and find_keys sort and look them up, and
@@ -394,6 +395,27 @@ def popcounts(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
         for word, mask in zip(keys[start : start + step].T, masks):
             counts[start : start + step] += np.bitwise_count(word[:, None] & mask)
     return counts
+
+
+def indexed_keys(runs: np.ndarray, m: int) -> np.ndarray:
+    """The B x key_words(m) keys of the rows of a B x s unsigned array of
+    runs below m, each row's runs distinct.
+
+    Word w of a row sums 2^63 >> (r - 64 w) over its runs r.  The unsigned
+    subtraction wraps, and numpy makes a shift by 64 or more 0, so a run
+    outside word w adds nothing.  The B x s uint64 terms are formed over
+    chunks of rows that take at most _POPCOUNT_BYTES, and summed by einsum,
+    which over rows this short is ~3x faster than sum(axis=1).
+    """
+    keys = np.empty((len(runs), key_words(m)), dtype=np.uint64)
+    top = np.uint64(1 << 63)
+    step = max(1, _POPCOUNT_BYTES // (8 * runs.shape[1] or 1))
+    for start in range(0, len(runs), step):
+        chunk = runs[start : start + step]
+        for w in range(keys.shape[1]):
+            shifts = chunk - 64 * w if w else chunk
+            keys[start : start + step, w] = np.einsum("ij->i", np.right_shift(top, shifts))
+    return keys
 
 
 @lru_cache(maxsize=None)

@@ -461,12 +461,15 @@ def brute_force_oracle(problem: SearchProblem) -> list[Design]:
 # The chunk size of the design-file codec, the cross-check and the
 # materialise step.  The writer renders and the cross-check checks chunks of
 # B key rows whose B x m bits, or B x R uint64 word counts ([1; C_1; ...; C_t]
-# has R <= m rows), take at most this many bytes.  The reader's numpy
-# temporaries peak at ~13 bytes per text byte, so it takes text chunks of
-# _CHUNK_BYTES // 16 characters, completed to the end of their line: a chunk's
-# working set is then below _CHUNK_BYTES, so reading faults in far fewer
-# fresh pages than with chunks of _CHUNK_BYTES characters.
+# has R <= m rows), take at most this many bytes.  The reader takes text
+# chunks of _CHUNK_BYTES // _READ_PEAK_PER_CHAR characters, completed to the
+# end of their line, so that a chunk's numpy temporaries stay within
+# _CHUNK_BYTES: reading then faults in far fewer fresh pages than with chunks
+# of _CHUNK_BYTES characters.
 _CHUNK_BYTES = 1 << 20
+# The tracemalloc peak of _read_chunk per text byte, rounded up: 11.6 on the
+# 2^4*3 and 3^4 files, 11.8 on 2^6 and 12.9 on the three-digit 2^7 file.
+_READ_PEAK_PER_CHAR = 13
 
 
 def _chunk_rows(m: int) -> int:
@@ -623,13 +626,14 @@ def _read_chunk(text: str, first_line: int, ambient: FullFactorial) -> tuple[np.
 def read_design_keys(fh, ambient: FullFactorial) -> np.ndarray:
     """read_designs as keys (designs): one row per design line, in file order.
 
-    Reads fh in text chunks of _CHUNK_BYTES // 16 characters, each completed
-    to the end of its line.  Canonical lines are read in bulk; every other
-    line goes through _parse_line, so the first bad line raises its error.
+    Reads fh in text chunks of _CHUNK_BYTES // _READ_PEAK_PER_CHAR
+    characters, each completed to the end of its line.  Canonical lines are
+    read in bulk; every other line goes through _parse_line, so the first
+    bad line raises its error.
     """
     chunks = [np.zeros((0, key_words(ambient.run_count)), dtype=np.uint64)]
     lines = 0
-    while text := fh.read(max(1, _CHUNK_BYTES // 16)):
+    while text := fh.read(max(1, _CHUNK_BYTES // _READ_PEAK_PER_CHAR)):
         if not text.endswith("\n"):
             text += fh.readline()
         keys, count = _read_chunk(text, lines, ambient)

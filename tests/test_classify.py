@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
+import numpy as np
 import pytest
 
 import reference
@@ -20,6 +21,7 @@ from orthofrac.classify import (
     generate_group,
     in_orbit,
     orbit_of,
+    run_perm_table,
     stabilizer_size,
     table_report,
 )
@@ -31,6 +33,7 @@ from orthofrac.designs import (
     full_factorial,
     has_strength,
 )
+from orthofrac import search
 from orthofrac.search import SearchProblem, enumerate_orthogonal
 
 
@@ -49,6 +52,24 @@ def test_group_elements_are_permutations_and_unique():
     assert len(perms) == len(group)
     for g in group:
         assert sorted(g.run_perm) == list(range(6))
+
+
+def test_run_perm_table_rows_are_the_documented_actions(monkeypatch):
+    # Row g of the table is new_iv[j] = level_perms[j][old_iv[factor_perm[j]]]
+    # on run indices, for the labels of the g-th group element, in the
+    # narrowest unsigned dtype that holds m - 1.
+    for amb in (FLAGSHIP, full_factorial([2, 3, 3]), full_factorial([4, 2, 2])):
+        table = run_perm_table(amb)
+        assert table.dtype == np.uint8 and not table.flags.writeable
+        run_of = {amb.decode(i): i for i in range(amb.run_count)}
+        ivs = [amb.decode(i) for i in range(amb.run_count)]
+        for row, g in zip(table.tolist(), generate_group(amb), strict=True):
+            fp, lp = g.factor_perm, g.level_perms
+            assert row == [run_of[tuple(lp[j][iv[fp[j]]] for j in range(len(fp)))] for iv in ivs]
+    # 288 runs take two bytes each: the budget names the dtype before allocating.
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 0)
+    with pytest.raises(search.ProblemTooLargeError, match="276480 x 288 uint16"):
+        run_perm_table(full_factorial([2, 2, 2, 2, 2, 3, 3]))
 
 
 def test_identity_element_acts_trivially():

@@ -103,19 +103,19 @@ def test_enumerate_strength_zero_ceiling_exit_3(monkeypatch, capsys):
 
 
 def test_classify_group_table_budget_exit_3(monkeypatch, capsys, tmp_path):
-    # The 2^3 group has 3! * 2^3 = 48 elements, a 48 x 8 int32 table of
-    # 1536 bytes.  One byte less of budget refuses it before it is built.
+    # The 2^3 group has 3! * 2^3 = 48 elements, a 48 x 8 uint8 table of
+    # 384 bytes.  One byte less of budget refuses it before it is built.
     from orthofrac.classify import generate_group, run_perm_table
 
     amb = full_factorial([2, 2, 2])
     for cached in (generate_group, run_perm_table):
         cached.cache_clear()
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 48 * 8 * 4)
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 48 * 8 * 1)
     assert len(generate_group(amb)) == 48
     for cached in (generate_group, run_perm_table):
         cached.cache_clear()
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 48 * 8 * 4 - 1)
-    with pytest.raises(search.ProblemTooLargeError, match="48 x 8 int32"):
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 48 * 8 * 1 - 1)
+    with pytest.raises(search.ProblemTooLargeError, match="48 x 8 uint8"):
         generate_group(amb)
     designs = tmp_path / "one.txt"
     designs.write_text("[0, 3, 5, 6]\n")
@@ -123,8 +123,8 @@ def test_classify_group_table_budget_exit_3(monkeypatch, capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (
-        "error: the symmetry group has 48 elements; its 48 x 8 int32 run-permutation "
-        "table exceeds the 1535-byte budget\n"
+        "error: the symmetry group has 48 elements; its 48 x 8 uint8 run-permutation "
+        "table exceeds the 383-byte budget\n"
     )
 
 

@@ -20,6 +20,7 @@ from orthofrac.algebra import (
     verify_theta,
     verify_theta_report,
 )
+from orthofrac import designs
 from orthofrac.designs import (
     Design,
     ShapeMismatchError,
@@ -30,6 +31,7 @@ from orthofrac.designs import (
     full_design,
     full_factorial,
     has_strength,
+    indexed_keys,
     invariant_triple,
     invariant_triples,
     j_statistic,
@@ -378,6 +380,30 @@ def test_membership_matrix_round_trip():
     # the ambient's last run is rejected, not turned into a Design.
     with pytest.raises(IndexError):
         key_designs(amb, design_keys([(0, 12)], 13))
+
+
+@pytest.mark.parametrize(
+    "m, dtype",
+    [(m, np.uint8) for m in (1, 8, 63, 64, 65, 128, 129, 256)] + [(m, np.uint16) for m in (257, 324, 1001)],
+)
+def test_indexed_keys_match_design_keys(m, dtype, monkeypatch):
+    # Rows of distinct runs in any order, in the narrowest unsigned dtype that
+    # holds m - 1, as a run-permutation table's columns are gathered: the runs
+    # of a word other than w wrap to shifts of 64 or more and add nothing.
+    rng = np.random.default_rng(m)
+    for size in sorted({0, 1, min(m, 7), m // 2, m}):
+        runs = np.argsort(rng.random((11, m)), axis=1)[:, :size].astype(dtype)
+        expected = design_keys([sorted(row) for row in runs.tolist()], m)
+        flat = np.sort(runs, axis=1).ravel().astype(np.int64)
+        assert np.array_equal(run_sums(np.full(len(runs), size), flat, m), expected)
+        keys = indexed_keys(runs, m)
+        assert keys.dtype == np.uint64 and keys.shape == (len(runs), key_words(m))
+        assert np.array_equal(keys, expected)
+        # Chunks of 1 and 4 of the 11 rows put chunk boundaries inside the batch.
+        for rows in (1, 4):
+            monkeypatch.setattr(designs, "_POPCOUNT_BYTES", 8 * size * rows)
+            assert np.array_equal(indexed_keys(runs, m), expected)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("m", [1, 12, 48, 63, 64, 65, 81, 128, 129, 130])

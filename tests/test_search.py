@@ -680,7 +680,7 @@ def test_one_changed_byte_sends_only_its_line_to_the_json_route(monkeypatch):
     written = io.StringIO()
     write_design_keys(keys, written)
     lines = written.getvalue().splitlines(keepends=True)
-    assert sum(map(len, lines)) < search._CHUNK_BYTES // 16  # one text chunk
+    assert sum(map(len, lines)) < search._CHUNK_BYTES // search._READ_PEAK_PER_CHAR  # one text chunk
     parsed = []
     real_parse = search._parse_line
 
@@ -710,7 +710,7 @@ def test_one_changed_byte_sends_only_its_line_to_the_json_route(monkeypatch):
 @pytest.mark.parametrize("levels, size", [((2, 2, 2, 2, 3), 24), ((2,) * 6, 16), ((3,) * 4, 18)])
 def test_chunk_size_does_not_change_the_design_file(levels, size, monkeypatch):
     # The codec's chunk size: 1, 2 and 7 key rows per chunk, then text
-    # chunks of a few characters (_CHUNK_BYTES // 16: 1, 2, 7 and 97), which
+    # chunks of a few characters (_CHUNK_BYTES // _READ_PEAK_PER_CHAR: 1, 2, 7 and 97), which
     # end mid-line and are completed to the end of their line.  m = 48, 64
     # (one full word) and 81 (two words).
     amb = full_factorial(levels)
@@ -739,7 +739,8 @@ def test_chunk_size_does_not_change_the_design_file(levels, size, monkeypatch):
     assert str(default_error.value).startswith(f"line {bad.count(chr(10)) - 2}: ")
 
     row_bytes = 8 * 64 * keys.shape[1]  # the writer's rows per chunk are _CHUNK_BYTES // row_bytes
-    for chunk in (row_bytes, 2 * row_bytes, 7 * row_bytes, 16, 32, 112, 16 * 97):
+    per_char = search._READ_PEAK_PER_CHAR
+    for chunk in (row_bytes, 2 * row_bytes, 7 * row_bytes, per_char, 2 * per_char, 7 * per_char, 97 * per_char):
         monkeypatch.setattr(search, "_CHUNK_BYTES", chunk)
         written = io.StringIO()
         write_design_keys(keys, written)
