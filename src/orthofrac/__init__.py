@@ -17,7 +17,6 @@ from .designs import (
     run_point,
     save_design_csv,
 )
-from .linalg import Matrix, SingularMatrixError
 from .polynomials import (
     Polynomial,
     parse_polynomial,
@@ -26,7 +25,6 @@ from .polynomials import (
 )
 from .algebra import (
     NotAnIndicatorError,
-    build_contrast_matrix,
     design_from_indicator,
     exponent_lattice,
     indicator_from_design,

@@ -10,9 +10,11 @@ Central objects, all exact:
   and in Python ints otherwise, and is the only code that does;
 * the indicator polynomial of a fraction, with coefficient vector
   theta = X^{-1} y for the 0/1 membership vector y;
-* the contrast matrix C and the linear system 1'X theta = s,
-  C_l X theta = 0 (l = 1..t) characterizing fractions of size s with
-  orthogonality strength t.
+* the contrast rows [1; C] (contrast_rows, int64 -1/0/1) and the linear
+  system 1'X theta = s, C_l X theta = 0 (l = 1..t) characterizing
+  fractions of size s with orthogonality strength t, as Fraction rows;
+* rref, the only exact Gaussian elimination: linear_preprocess reduces the
+  system with it, and _factor_matrix takes each V_j^{-1} from it.
 
 value_checks reads every check from the values at the runs v = X theta.
 theta is idempotent (theta = mu(theta), the reduced square of the
@@ -43,7 +45,6 @@ from typing import Sequence
 import numpy as np
 
 from .designs import Design, FactorSpec, FullFactorial
-from .linalg import Matrix
 from .polynomials import Polynomial, reduce_to_standard_form
 
 
@@ -91,10 +92,15 @@ def _max_abs(a: np.ndarray) -> int:
 @lru_cache(maxsize=None)
 def _factor_matrix(factor: FactorSpec, inverse: bool) -> tuple[np.ndarray, int, int]:
     """(A, d, g) with A / d = V or V^{-1}, where V[l, e] = level_l^e, A holds
-    Python ints and g is its largest row-abs-sum, so |A u| <= g * max|u|."""
-    matrix = Matrix([[v**e for e in range(factor.arity)] for v in factor.levels])
+    Python ints and g is its largest row-abs-sum, so |A u| <= g * max|u|.
+
+    V^{-1} is the right half of rref([V | I]): V is a Vandermonde matrix on
+    distinct levels (FactorSpec enforces them), so it is invertible."""
+    r = factor.arity
+    matrix = [[v**e for e in range(r)] for v in factor.levels]
     if inverse:
-        matrix = matrix.inverse()
+        reduced, _ = rref([row + [int(i == j) for j in range(r)] for i, row in enumerate(matrix)])
+        matrix = [row[r:] for row in reduced]
     scale = lcm(*(x.denominator for row in matrix for x in row))
     a = np.array([[int(x * scale) for x in row] for row in matrix], dtype=object)
     return a, scale, max(sum(map(abs, row)) for row in a)
@@ -170,33 +176,7 @@ def design_from_indicator(poly: Polynomial, ambient: FullFactorial) -> Design:
 
 
 # ---------------------------------------------------------------------------
-# Contrast matrix and the linear orthogonality system
-
-
-@dataclass(frozen=True)
-class ContrastMatrix:
-    """All-ones row followed by level-contrast blocks C_1..C_n, as Fractions
-    (rows and labels as in _contrast_rows)."""
-
-    ambient: FullFactorial
-    blocks: tuple[Matrix, ...]
-    row_labels: tuple[tuple, ...]
-
-    def block(self, k: int) -> Matrix:
-        if not 1 <= k <= len(self.blocks):
-            raise ValueError(f"block index must be in 1..{len(self.blocks)}")
-        return self.blocks[k - 1]
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(b.rows for b in self.blocks)
-
-    def stacked(self) -> Matrix:
-        m = self.ambient.run_count
-        out = Matrix([[Fraction(1)] * m])
-        for b in self.blocks:
-            if b.rows:
-                out = out.vstack(b)
-        return out
+# Contrast rows and the linear orthogonality system
 
 
 def expected_block_size(ambient: FullFactorial, k: int) -> int:
@@ -246,34 +226,24 @@ def _contrast_rows(ambient: FullFactorial) -> tuple[np.ndarray, tuple[tuple, ...
     return table, tuple(labels)
 
 
-@lru_cache(maxsize=None)
-def build_contrast_matrix(ambient: FullFactorial) -> ContrastMatrix:
-    """The Fraction view of _contrast_rows: one Matrix per block C_k."""
-    rows, labels = _contrast_rows(ambient)
-    blocks = []
-    starts = _block_starts(ambient)
-    for start, end in zip(starts[1:], starts[2:]):
-        blocks.append(Matrix(rows[start:end].tolist()))
-    return ContrastMatrix(ambient, tuple(blocks), labels)
-
-
 @dataclass(frozen=True)
 class LinearSystem:
-    """Rows of exact linear constraints on theta: coeffs @ theta = constants."""
+    """Exact linear constraints on theta, one Fraction row of coeffs per
+    constraint: coeffs theta = constants."""
 
-    coeffs: Matrix
+    coeffs: tuple[tuple[Fraction, ...], ...]
     constants: tuple[Fraction, ...]
     tags: tuple[tuple, ...]
 
     @property
     def n_rows(self) -> int:
-        return self.coeffs.rows
+        return len(self.coeffs)
 
 
 def contrast_rows(ambient: FullFactorial, strength: int) -> np.ndarray:
-    """[1'; C_1; ...; C_strength]: the leading rows of _contrast_rows, a
-    read-only int64 array of -1, 0 and 1 with one row per row label of
-    build_contrast_matrix, and at most m rows."""
+    """[1'; C_1; ...; C_strength]: the leading rows of _contrast_rows (one
+    per row label), a read-only int64 array of -1, 0 and 1 with at most m
+    rows.  These are the package's only contrast rows."""
     if not 1 <= strength <= ambient.n_factors:
         raise ValueError("strength out of range")
     return _contrast_rows(ambient)[0][: _block_starts(ambient)[strength + 1]]
@@ -315,9 +285,9 @@ def orthogonality_system(ambient: FullFactorial, size: int, strength: int) -> Li
     # so its contrast sums are column i of d [1; C] X.
     columns, d = mode_products(ambient, np.eye(ambient.run_count, dtype=np.int64), inverse=False)
     sums = contrast_sums(ambient, columns, strength)
-    coeffs = Matrix([[Fraction(v, d) for v in row] for row in sums.T.tolist()])
-    constants = (Fraction(size),) + (Fraction(0),) * (coeffs.rows - 1)
-    return LinearSystem(coeffs, constants, _contrast_rows(ambient)[1][: coeffs.rows])
+    coeffs = tuple(tuple(Fraction(v, d) for v in row) for row in sums.T.tolist())
+    constants = (Fraction(size),) + (Fraction(0),) * (len(coeffs) - 1)
+    return LinearSystem(coeffs, constants, _contrast_rows(ambient)[1][: len(coeffs)])
 
 
 @dataclass(frozen=True)
@@ -347,18 +317,44 @@ class Preprocessed:
         return len(self.eliminated)
 
 
+def rref(rows: Sequence[Sequence]) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
+    """The reduced row echelon form of rows of rationals, exactly: the reduced
+    rows as Fraction tuples, and the pivot columns (their count is the rank).
+
+    Each column's pivot is its first nonzero entry at or below the next pivot
+    row.  This is the package's only Gaussian elimination.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        if top == len(m):
+            break
+        sel = next((r for r in range(top, len(m)) if m[r][col] != 0), None)
+        if sel is None:
+            continue
+        m[top], m[sel] = m[sel], m[top]
+        inv = 1 / m[top][col]
+        pivot = m[top] = [x * inv for x in m[top]]
+        for r, row in enumerate(m):
+            if r != top and row[col] != 0:
+                f = row[col]
+                m[r] = [x - f * y for x, y in zip(row, pivot)]
+        pivots.append(col)
+    return tuple(map(tuple, m)), tuple(pivots)
+
+
 def linear_preprocess(system: LinearSystem) -> Preprocessed:
     """Express each pivot variable affinely in the free variables via exact RREF."""
-    n_vars = system.coeffs.cols
-    augmented = system.coeffs.hstack(Matrix([[c] for c in system.constants]))
-    reduced, rank, pivots = augmented.rref()
+    reduced, pivots = rref([row + (c,) for row, c in zip(system.coeffs, system.constants)])
+    n_vars = len(reduced[0]) - 1
     if n_vars in pivots:
         raise InconsistentSystemError("system reduces to 0 = nonzero")
     pivot_set = set(pivots)
     free = tuple(j for j in range(n_vars) if j not in pivot_set)
     eliminated: dict[int, AffineExpression] = {}
     for row_idx, pivot_col in enumerate(pivots):
-        row = reduced.row(row_idx)
+        row = reduced[row_idx]
         coeffs = tuple(
             (j, -row[j]) for j in free if row[j] != 0
         )

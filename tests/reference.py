@@ -2,9 +2,12 @@
 
 None of these is used by the package itself:
 
-* the dense model matrix X, evaluated directly at the points, and its
-  rational Gauss-Jordan inverse (production applies X and X^-1 only
-  through the per-factor mode products, algebra.mode_products);
+* the dense model matrix X as Fraction rows, evaluated directly at the
+  points, and its inverse, the right half of algebra.rref([X | I])
+  (production applies X and X^-1 only through the per-factor mode
+  products, algebra.mode_products); inverse_by_rref, that inverse for any
+  square matrix; identity, mat_vec and mat_mul, the plain products the
+  tests check them with;
 * mul_model_matrix and mul_model_inverse, X v and X^-1 v as Fractions
   through algebra.mode_products, for the tests' vector checks;
 * the quadratic idempotency system theta_a = mu_a(theta), built by
@@ -14,7 +17,8 @@ None of these is used by the package itself:
   contrast rows from X theta);
 * reference_report, verify_theta_report assembled from the last two;
 * reference_contrast_matrix, the contrast blocks built entry by entry as
-  Fractions (production builds the int rows from the index vectors);
+  Fraction rows (production builds the int64 rows of algebra._contrast_rows
+  from the index vectors);
 * read_designs, the design-list reader as it was before the canonical
   lines were parsed in bulk: every line on its own;
 * join_assignments, the slice join as it was before it ran on packed
@@ -48,29 +52,60 @@ from orthofrac.algebra import (
     exponent_lattice,
     mode_products,
     orthogonality_system,
+    rref,
     theta_vector,
 )
 from orthofrac.classify import run_perm_table
 from orthofrac.designs import Design, FullFactorial, all_points, margin_cells
-from orthofrac.linalg import Matrix
 from orthofrac.polynomials import Polynomial, _power_table
 
 
+Rows = tuple[tuple[Fraction, ...], ...]
+
+
+def identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:
+    """a v, exactly."""
+    v = [Fraction(x) for x in v]
+    if any(len(row) != len(v) for row in a):
+        raise ValueError("shape mismatch")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Rows:
+    """a b, exactly."""
+    columns = list(zip(*b))
+    return tuple(mat_vec(columns, row) for row in a)
+
+
 @lru_cache(maxsize=None)
-def build_model_matrix(ambient: FullFactorial) -> Matrix:
+def build_model_matrix(ambient: FullFactorial) -> Rows:
     """X[i, a] = product_j level_{ij}^{a_j}; rows in run order, columns in lattice order."""
     lattice = exponent_lattice(ambient)
     rows = []
     for pt in all_points(ambient):
         powers = [[v**e for e in range(r)] for v, r in zip(pt, ambient.radices)]
-        rows.append([prod(p[e] for p, e in zip(powers, a)) for a in lattice])
-    return Matrix(rows)
+        rows.append(tuple(prod(p[e] for p, e in zip(powers, a)) for a in lattice))
+    return tuple(rows)
+
+
+def inverse_by_rref(a: Sequence[Sequence]) -> tuple[Rows, tuple[int, ...]]:
+    """The right half of rref([A | I]) for a square A, and the reduction's
+    pivots: A is invertible, and the half is A^{-1}, iff they are 0..n-1."""
+    n = len(a)
+    reduced, pivots = rref([tuple(row) + e for row, e in zip(a, identity(n))])
+    return tuple(row[n:] for row in reduced), pivots
 
 
 @lru_cache(maxsize=None)
-def model_matrix_inverse(ambient: FullFactorial) -> Matrix:
-    """X^{-1} by rational Gauss-Jordan elimination."""
-    return build_model_matrix(ambient).inverse()
+def model_matrix_inverse(ambient: FullFactorial) -> Rows:
+    """X^{-1}, the right half of rref([X | I])."""
+    inverse, pivots = inverse_by_rref(build_model_matrix(ambient))
+    assert pivots == tuple(range(ambient.run_count)), "X is singular"
+    return inverse
 
 
 def _mul(ambient: FullFactorial, v: Sequence, inverse: bool) -> tuple[Fraction, ...]:
@@ -156,7 +191,7 @@ def satisfies_idempotency(poly: Polynomial, ambient: FullFactorial) -> bool:
 
 def residuals(system: LinearSystem, theta: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """coeffs @ theta - constants, as Fractions."""
-    lhs = system.coeffs.mul_vec(theta)
+    lhs = mat_vec(system.coeffs, theta)
     return tuple(a - b for a, b in zip(lhs, system.constants))
 
 
@@ -181,7 +216,7 @@ def reference_report(
     return report
 
 
-def reference_contrast_matrix(ambient: FullFactorial) -> tuple[tuple[Matrix, ...], tuple[tuple, ...]]:
+def reference_contrast_matrix(ambient: FullFactorial) -> tuple[tuple[Rows, ...], tuple[tuple, ...]]:
     """The contrast blocks C_1..C_n and the row labels, entry by entry."""
     n = ambient.n_factors
     radices = ambient.radices
@@ -204,9 +239,9 @@ def reference_contrast_matrix(ambient: FullFactorial) -> tuple[tuple[Matrix, ...
                             row[i] = Fraction(1)
                         elif iv[last] == v:
                             row[i] = Fraction(-1)
-                    rows.append(row)
+                    rows.append(tuple(row))
                     labels.append(("contrast", k, subset, pins + (v,)))
-        blocks.append(Matrix(rows) if rows else Matrix([]))
+        blocks.append(tuple(rows))
     return tuple(blocks), tuple(labels)
 
 

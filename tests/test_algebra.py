@@ -9,8 +9,9 @@ from conftest import RATIONAL, random_ambient, sign_fraction
 from orthofrac import algebra
 from orthofrac.algebra import (
     InconsistentSystemError,
+    LinearSystem,
     NotAnIndicatorError,
-    build_contrast_matrix,
+    contrast_rows,
     design_from_indicator,
     exponent_lattice,
     expected_block_size,
@@ -19,6 +20,7 @@ from orthofrac.algebra import (
     mode_products,
     orthogonality_system,
     polynomial_from_theta,
+    rref,
     theta_vector,
     verify_theta,
     verify_theta_report,
@@ -30,11 +32,13 @@ from orthofrac.designs import (
     full_factorial,
     has_strength,
 )
-from orthofrac.linalg import Matrix
 from orthofrac.polynomials import Polynomial, parse_polynomial
 from reference import (
     build_model_matrix,
+    identity,
     idempotency_system,
+    mat_mul,
+    mat_vec,
     model_matrix_inverse,
     mul_model_inverse,
     mul_model_matrix,
@@ -69,12 +73,12 @@ def test_mode_products_switch_to_python_ints_mid_product(monkeypatch):
 
 def test_model_matrix_single_two_level_factor():
     amb = full_factorial([2])
-    assert build_model_matrix(amb) == Matrix([[1, -1], [1, 1]])
+    assert build_model_matrix(amb) == ((1, -1), (1, 1))
 
 
 def test_model_matrix_single_three_level_factor():
     amb = full_factorial([3])
-    assert build_model_matrix(amb) == Matrix([[1, -1, 1], [1, 0, 0], [1, 1, 1]])
+    assert build_model_matrix(amb) == ((1, -1, 1), (1, 0, 0), (1, 1, 1))
 
 
 def test_model_matrix_is_kronecker_product():
@@ -83,22 +87,21 @@ def test_model_matrix_is_kronecker_product():
     amb = full_factorial([2, 3])
     x2 = build_model_matrix(full_factorial([2]))
     x3 = build_model_matrix(full_factorial([3]))
-    kron = Matrix(
-        [
-            [x2[i1, j1] * x3[i2, j2] for j1 in range(2) for j2 in range(3)]
-            for i1 in range(2)
-            for i2 in range(3)
-        ]
+    kron = tuple(
+        tuple(x2[i1][j1] * x3[i2][j2] for j1 in range(2) for j2 in range(3))
+        for i1 in range(2)
+        for i2 in range(3)
     )
     assert build_model_matrix(amb) == kron
 
 
 def test_flagship_model_matrix_inverse_roundtrip():
+    # Plain products, so the reference inverse is checked apart from rref.
     x = build_model_matrix(FLAGSHIP)
-    assert x.rows == x.cols == 48
+    assert len(x) == 48 and all(len(row) == 48 for row in x)
     inv = model_matrix_inverse(FLAGSHIP)
-    assert x @ inv == Matrix.identity(48)
-    assert inv @ x == Matrix.identity(48)
+    assert mat_mul(x, inv) == identity(48)
+    assert mat_mul(inv, x) == identity(48)
 
 
 @pytest.mark.parametrize(
@@ -106,37 +109,40 @@ def test_flagship_model_matrix_inverse_roundtrip():
 )
 def test_kronecker_transforms_match_model_matrix(amb):
     # The per-factor mode products equal the dense m x m route (direct
-    # evaluation, Gauss-Jordan inverse) exactly: on the identity rows they
+    # evaluation, inverse by rref) exactly: on the identity rows they
     # give d times the columns of X and X^-1.
     x, inverse = build_model_matrix(amb), model_matrix_inverse(amb)
-    identity = np.eye(amb.run_count, dtype=np.int64)
+    eye = np.eye(amb.run_count, dtype=np.int64)
     for reference, inv in ((x, False), (inverse, True)):
-        columns, d = mode_products(amb, identity, inverse=inv)
+        columns, d = mode_products(amb, eye, inverse=inv)
         assert [[Fraction(v, d) for v in row] for row in columns.T.tolist()] == [
             list(row) for row in reference
         ]
-    # The orthogonality rows are [1; C_1; ...; C_t] X for every t.
-    products = list(build_contrast_matrix(amb).stacked() @ x)
+    # The orthogonality rows are [1; C_1; ...; C_t] X for every t, with C
+    # built entry by entry.
+    blocks, _ = reference_contrast_matrix(amb)
+    products = mat_mul(((1,) * amb.run_count,) + sum(blocks, ()), x)
     for t in range(1, amb.n_factors + 1):
         n_rows = 1 + sum(expected_block_size(amb, k) for k in range(1, t + 1))
-        assert orthogonality_system(amb, 3, t).coeffs == Matrix(products[:n_rows])
+        assert orthogonality_system(amb, 3, t).coeffs == products[:n_rows]
     rng = random.Random(53)
     for _ in range(10):
         v = [Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(amb.run_count)]
-        assert mul_model_matrix(amb, v) == x.mul_vec(v)
-        assert mul_model_inverse(amb, v) == inverse.mul_vec(v)
+        assert mul_model_matrix(amb, v) == mat_vec(x, v)
+        assert mul_model_inverse(amb, v) == mat_vec(inverse, v)
         assert mul_model_matrix(amb, mul_model_inverse(amb, v)) == tuple(v)
     with pytest.raises(ValueError):
         mul_model_matrix(amb, [1] * (amb.run_count + 1))
 
 
 def test_solve_model_matrix_for_membership_vector():
-    # Solving X theta = y agrees with the inverse-multiply route.
+    # Solving X theta = y by rref([X | y]) agrees with the inverse-multiply route.
     frac = sign_fraction(FLAGSHIP, (0, 1, 2, 3), 1)
     y = frac.membership()
-    x = build_model_matrix(FLAGSHIP)
-    theta = x.solve(y)
-    assert theta == model_matrix_inverse(FLAGSHIP).mul_vec(y)
+    reduced, pivots = rref([row + (v,) for row, v in zip(build_model_matrix(FLAGSHIP), y)])
+    assert pivots == tuple(range(48))
+    theta = tuple(row[48] for row in reduced)
+    assert theta == mat_vec(model_matrix_inverse(FLAGSHIP), y)
     assert theta == theta_vector(indicator_from_design(frac), FLAGSHIP)
 
 
@@ -187,22 +193,20 @@ def test_listed_representative_maps_to_strength_two_design():
      full_factorial([6, 6])] + [random_ambient(random.Random(seed)) for seed in range(5)],
 )
 def test_contrast_rows_match_reference(amb):
-    # The int64 rows built from the index vectors, their labels and their
-    # Fraction view equal the blocks built entry by entry.
+    # The int64 rows built from the index vectors and their labels equal the
+    # blocks built entry by entry.
     blocks, labels = reference_contrast_matrix(amb)
     rows, row_labels = algebra._contrast_rows(amb)
     assert rows.tolist() == [[1] * amb.run_count] + [
         [int(v) for v in row] for block in blocks for row in block
     ]
     assert row_labels == labels
-    contrast = build_contrast_matrix(amb)
-    assert contrast.blocks == blocks
-    assert contrast.row_labels == labels
 
 
 def test_contrast_block_sizes_flagship():
-    contrast = build_contrast_matrix(FLAGSHIP)
-    sizes = contrast.block_sizes()
+    sizes = tuple(map(len, reference_contrast_matrix(FLAGSHIP)[0]))
+    starts = algebra._block_starts(FLAGSHIP)
+    assert sizes == tuple(b - a for a, b in zip(starts[1:], starts[2:]))
     assert sizes[0] == expected_block_size(FLAGSHIP, 1) == 6
     assert sizes[1] == expected_block_size(FLAGSHIP, 2) == 14
     assert 1 + sizes[0] + sizes[1] == 21
@@ -212,28 +216,29 @@ def test_contrast_block_sizes_flagship():
 
 
 def test_contrast_single_two_level_factor():
-    contrast = build_contrast_matrix(full_factorial([2]))
-    assert contrast.block(1) == Matrix([[1, -1]])
+    amb = full_factorial([2])
+    assert reference_contrast_matrix(amb)[0] == (((1, -1),),)
+    assert contrast_rows(amb, 1).tolist() == [[1, 1], [1, -1]]
 
 
 def test_contrast_entries_and_row_sums():
-    contrast = build_contrast_matrix(full_factorial([2, 3]))
-    for k in (1, 2):
-        for row in contrast.block(k):
-            assert set(row) <= {Fraction(-1), Fraction(0), Fraction(1)}
-            assert sum(row) == 0
+    rows = contrast_rows(full_factorial([2, 3]), 2)
+    assert len(rows) == 6
+    for row in rows[1:].tolist():
+        assert set(row) <= {-1, 0, 1}
+        assert sum(row) == 0
 
 
 def test_stacked_contrast_is_nonsingular():
-    stacked = build_contrast_matrix(FLAGSHIP).stacked()
-    assert stacked.rows == 48
-    assert stacked.rank() == 48
+    stacked = contrast_rows(FLAGSHIP, FLAGSHIP.n_factors).tolist()
+    assert len(stacked) == 48
+    assert len(rref(stacked)[1]) == 48
 
 
 def test_orthogonality_system_shape_and_rank():
     system = orthogonality_system(FLAGSHIP, 24, 2)
     assert system.n_rows == 21
-    assert system.coeffs.rank() == 21
+    assert len(rref(system.coeffs)[1]) == 21
 
 
 def test_orthogonality_system_on_known_thetas():
@@ -299,26 +304,24 @@ def test_linear_preprocess_substitution_closes_system():
 
 
 def test_linear_preprocess_edge_cases():
-    from orthofrac.algebra import LinearSystem
-
     tiny = orthogonality_system(full_factorial([2]), 2, 1)
     # single-factor system: 1'X theta = s and one contrast row
     pre = linear_preprocess(tiny)
     assert pre.n_eliminated + pre.n_free == 2
 
     # no effective constraints: no pivots, every variable free
-    trivial = LinearSystem(Matrix([[0, 0, 0]]), (Fraction(0),), (("size",),))
+    trivial = LinearSystem(((0, 0, 0),), (Fraction(0),), (("size",),))
     pre = linear_preprocess(trivial)
     assert pre.n_eliminated == 0
     assert pre.free_variables == (0, 1, 2)
 
-    system = LinearSystem(Matrix([[1, 0, 0]]), (Fraction(1, 2),), (("size",),))
+    system = LinearSystem(((1, 0, 0),), (Fraction(1, 2),), (("size",),))
     pre = linear_preprocess(system)
     assert pre.eliminated[0].constant == Fraction(1, 2)
     assert pre.eliminated[0].coeffs == ()
     assert pre.n_free == 2
 
-    bad = LinearSystem(Matrix([[1, 1], [1, 1]]), (Fraction(0), Fraction(1)), ((), ()))
+    bad = LinearSystem(((1, 1), (1, 1)), (Fraction(0), Fraction(1)), ((), ()))
     with pytest.raises(InconsistentSystemError):
         linear_preprocess(bad)
 
@@ -335,7 +338,7 @@ def test_verify_theta_examples():
 
 def _null_vector(rows, rng):
     """A random nonzero rational u with rows . u == 0, or None if there is none."""
-    reduced, _, pivots = Matrix(rows).rref()
+    reduced, pivots = rref(rows)
     free = [j for j in range(len(rows[0])) if j not in pivots]
     if not free:
         return None
@@ -344,7 +347,7 @@ def _null_vector(rows, rng):
         u[j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
     u[rng.choice(free)] = Fraction(1)
     for i, p in enumerate(pivots):
-        u[p] = -sum(reduced[i, j] * u[j] for j in free)
+        u[p] = -sum(reduced[i][j] * u[j] for j in free)
     return u
 
 
@@ -359,7 +362,7 @@ def test_verify_theta_report_matches_reference():
     seen = Counter()
     for amb in [random_ambient(rng) for _ in range(10)] + [RATIONAL]:
         m, n = amb.run_count, amb.n_factors
-        stacked = [list(row) for row in build_contrast_matrix(amb).stacked()]
+        stacked = algebra._contrast_rows(amb)[0].tolist()
         designs = [full_design(amb)] + [
             Design(amb, tuple(sorted(rng.sample(range(m), rng.randint(0, m))))) for _ in range(5)
         ]

@@ -55,6 +55,7 @@ from reference import (
     build_model_matrix,
     idempotency_system,
     margin_counts,
+    mat_vec,
     membership_rows,
     model_matrix_inverse,
     satisfies_idempotency,
@@ -139,7 +140,7 @@ def test_batch_checker_matches_exact_route():
         rows += [[rng.choice((-1, 0, 1, 2)) for _ in range(m)] for _ in range(20)]
         checker, y = BatchChecker(amb), np.array(rows, dtype=np.int64)
         inverse = model_matrix_inverse(amb)
-        thetas = [inverse.mul_vec(row) for row in rows]
+        thetas = [mat_vec(inverse, row) for row in rows]
         scaled, values, w, x = _round_trip(amb, y)
         assert [[Fraction(v, w) for v in row] for row in scaled.tolist()] == [
             list(theta) for theta in thetas
@@ -274,7 +275,7 @@ def test_idempotent_ok_agrees_with_quadratic_system():
         rows += [[rng.choice((-1, 0, 1, 2)) for _ in range(m)] for _ in range(40)]
         checker, y = get_checker(amb), np.array(rows, dtype=np.int64)
         inverse = model_matrix_inverse(amb)
-        polys = [polynomial_from_theta(inverse.mul_vec(row), amb) for row in rows]
+        polys = [polynomial_from_theta(mat_vec(inverse, row), amb) for row in rows]
         expected = [satisfies_idempotency(poly, amb) for poly in polys]
         sizes = y.sum(axis=1)
         checks = value_checks(amb, y, 1, sizes, 1)
@@ -299,8 +300,8 @@ def test_idempotency_system_is_the_reduced_square():
             theta = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in lattice]
             coeffs = dict(zip(lattice, theta))
             mu = {eq.target: coeffs[eq.target] - eq.residual(coeffs) for eq in system}
-            values = x.mul_vec(theta)
-            square = inverse.mul_vec([v * v for v in values])
+            values = mat_vec(x, theta)
+            square = mat_vec(inverse, [v * v for v in values])
             assert [mu[a] for a in lattice] == list(square)
 
 

@@ -1,101 +1,69 @@
+"""algebra.rref, the package's only exact elimination, and the inverses read
+from it as the right half of rref([A | I])."""
+
 import random
 from fractions import Fraction
 
-import pytest
-
-from orthofrac.linalg import Matrix, SingularMatrixError
+from orthofrac.algebra import _factor_matrix, rref
+from orthofrac.designs import FactorSpec
+from reference import identity, inverse_by_rref, mat_mul
 
 
 def test_rref_zero_matrix():
-    m = Matrix.zeros(2, 2)
-    reduced, rank, pivots = m.rref()
-    assert reduced == m
-    assert rank == 0
-    assert pivots == ()
+    zero = ((0, 0), (0, 0))
+    assert rref(zero) == (zero, ())
 
 
 def test_rref_identity():
-    m = Matrix.identity(3)
-    reduced, rank, pivots = m.rref()
-    assert reduced == m
-    assert rank == 3
+    reduced, pivots = rref(identity(3))
+    assert reduced == identity(3)
     assert pivots == (0, 1, 2)
 
 
 def test_rref_dependent_rows():
-    m = Matrix([[1, 1], [1, 1]])
-    reduced, rank, _ = m.rref()
-    assert reduced == Matrix([[1, 1], [0, 0]])
-    assert rank == 1
+    reduced, pivots = rref([[1, 1], [1, 1]])
+    assert reduced == ((1, 1), (0, 0))
+    assert pivots == (0,)
+    assert all(type(x) is Fraction for row in reduced for x in row)
 
 
 def test_rref_idempotent_on_random_matrices():
     rng = random.Random(7)
     for _ in range(25):
-        m = Matrix(
-            [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(4)] for _ in range(3)]
-        )
-        reduced = m.rref()[0]
-        assert reduced.rref()[0] == reduced
+        m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(4)] for _ in range(3)]
+        reduced, pivots = rref(m)
+        assert rref(reduced) == (reduced, pivots)
 
 
 def test_inverse_2x2_closed_form():
-    m = Matrix([[1, -1], [1, 1]])
-    inv = m.inverse()
-    assert inv == Matrix([[Fraction(1, 2), Fraction(1, 2)], [Fraction(-1, 2), Fraction(1, 2)]])
+    # V on the levels -1, 1, as _factor_matrix builds it: V^-1 = A / 2.
+    inv, pivots = inverse_by_rref([[1, -1], [1, 1]])
+    assert inv == ((Fraction(1, 2), Fraction(1, 2)), (Fraction(-1, 2), Fraction(1, 2)))
+    assert pivots == (0, 1)
+    a, d, g = _factor_matrix(FactorSpec((-1, 1)), True)
+    assert (a.tolist(), d, g) == ([[1, 1], [-1, 1]], 2, 2)
 
 
 def test_inverse_identity():
-    assert Matrix.identity(4).inverse() == Matrix.identity(4)
-
-
-def test_inverse_of_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        Matrix([[1, 2], [2, 4]]).inverse()
-    with pytest.raises(SingularMatrixError):
-        Matrix([[1, 2, 3], [4, 5, 6]]).inverse()
+    assert inverse_by_rref(identity(4)) == (identity(4), (0, 1, 2, 3))
 
 
 def test_inverse_roundtrip_random():
+    # Invertible A: the right half of rref([A | I]) is A^-1 on both sides.
+    # Singular A (its last row a combination of two others): fewer than 4 pivots.
     rng = random.Random(11)
-    done = 0
-    while done < 10:
-        m = Matrix(
-            [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] for _ in range(4)]
-        )
-        try:
-            inv = m.inverse()
-        except SingularMatrixError:
+    invertible = 0
+    while invertible < 10:
+        a = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] for _ in range(4)]
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        dependent = a[:3] + [[q * x + y for x, y in zip(a[0], a[1])]]
+        assert len(rref(dependent)[1]) < 4
+        assert inverse_by_rref(dependent)[1] != (0, 1, 2, 3)
+        inv, pivots = inverse_by_rref(a)
+        if len(rref(a)[1]) < 4:
+            assert pivots != (0, 1, 2, 3)
             continue
-        assert m @ inv == Matrix.identity(4)
-        assert inv @ m == Matrix.identity(4)
-        done += 1
-
-
-def test_solve_identity_and_diagonal():
-    rhs = [Fraction(3), Fraction(-2)]
-    assert Matrix.identity(2).solve(rhs) == (Fraction(3), Fraction(-2))
-    assert Matrix([[2, 0], [0, 4]]).solve([1, 1]) == (Fraction(1, 2), Fraction(1, 4))
-
-
-def test_solve_matches_inverse_multiply_and_roundtrips():
-    rng = random.Random(13)
-    done = 0
-    while done < 10:
-        m = Matrix(
-            [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
-        )
-        v = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
-        try:
-            inv = m.inverse()
-        except SingularMatrixError:
-            continue
-        rhs = m.mul_vec(v)
-        assert m.solve(rhs) == tuple(v)
-        assert inv.mul_vec(rhs) == tuple(v)
-        done += 1
-
-
-def test_solve_singular_raises():
-    with pytest.raises(SingularMatrixError):
-        Matrix([[1, 1], [1, 1]]).solve([1, 2])
+        assert pivots == (0, 1, 2, 3)
+        assert mat_mul(inv, a) == identity(4)
+        assert mat_mul(a, inv) == identity(4)
+        invertible += 1
