@@ -48,17 +48,27 @@ def test_inverse_identity():
     assert inverse_by_rref(identity(4)) == (identity(4), (0, 1, 2, 3))
 
 
+def test_inverse_of_singular_raises():
+    # No inverse: rref([A | I]) leaves a pivot in the right half, so the
+    # pivots are not 0..n-1, and rref(A) has fewer pivots than A has columns.
+    assert rref([[1, 2], [2, 4]])[1] == (0,)
+    assert inverse_by_rref([[1, 2], [2, 4]])[1] == (0, 2)
+    assert len(rref([[1, 2, 3], [4, 5, 6]])[1]) < 3
+    rng = random.Random(13)
+    for _ in range(10):
+        a = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] for _ in range(3)]
+        q = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        dependent = a + [[q * x + y for x, y in zip(a[0], a[1])]]
+        assert len(rref(dependent)[1]) < 4
+        assert inverse_by_rref(dependent)[1] != (0, 1, 2, 3)
+
+
 def test_inverse_roundtrip_random():
     # Invertible A: the right half of rref([A | I]) is A^-1 on both sides.
-    # Singular A (its last row a combination of two others): fewer than 4 pivots.
     rng = random.Random(11)
     invertible = 0
     while invertible < 10:
         a = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] for _ in range(4)]
-        q = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        dependent = a[:3] + [[q * x + y for x, y in zip(a[0], a[1])]]
-        assert len(rref(dependent)[1]) < 4
-        assert inverse_by_rref(dependent)[1] != (0, 1, 2, 3)
         inv, pivots = inverse_by_rref(a)
         if len(rref(a)[1]) < 4:
             assert pivots != (0, 1, 2, 3)
