@@ -106,6 +106,16 @@ def _factor_matrix(factor: FactorSpec, inverse: bool) -> tuple[np.ndarray, int, 
     return a, scale, max(sum(map(abs, row)) for row in a)
 
 
+@lru_cache(maxsize=None)
+def _mode_factors(ambient: FullFactorial, inverse: bool) -> tuple[tuple, int]:
+    """Per factor of the ambient (A, A64, g) from _factor_matrix, where A64
+    is A as int64, or None where g, so possibly an entry, reaches 2^63;
+    then the product of the factor scales d."""
+    factors = [_factor_matrix(f, inverse) for f in ambient.factors]
+    steps = tuple((a, a.astype(np.int64) if g < 2**63 else None, g) for a, _, g in factors)
+    return steps, prod(d for _, d, _ in factors)
+
+
 def mode_products(
     ambient: FullFactorial, rows: np.ndarray, inverse: bool
 ) -> tuple[np.ndarray, int]:
@@ -117,41 +127,66 @@ def mode_products(
     radices, and the factor scales multiply into d.  Each step runs in int64
     when the largest magnitude of its input times the factor's row-abs-sum (a
     bound on every value the step forms) is below 2^62, and on Python ints
-    otherwise.  This is the only code that applies X or X^{-1}.
+    otherwise.  The largest magnitude is measured once and then carried as
+    the bound max|out| <= g * max|in|; it is measured again only where the
+    carried bound would leave int64, so each step picks the dtype a fresh
+    measurement would.  This is the only code that applies X or X^{-1}.
     """
     rows = np.asarray(rows)
     m = ambient.run_count
     if rows.ndim != 2 or rows.shape[1] != m:
         raise ValueError("vector length mismatch")
     batch = len(rows)
-    factors = [_factor_matrix(f, inverse) for f in ambient.factors]
+    steps, scale = _mode_factors(ambient, inverse)
+    bound = _max_abs(rows)
     # rows is rebound at each step, so a temporary input is freed after the first.
     lead, inner = batch, m
-    for (a, _, g), r in zip(factors, ambient.radices):
-        dtype = _exact_dtype(_max_abs(rows) * g)
+    for (a, a64, g), r in zip(steps, ambient.radices):
+        if bound * g >= _INT64_SAFE:
+            bound = _max_abs(rows)
+        if bound * g < _INT64_SAFE and a64 is not None:
+            a, dtype = a64, np.int64
+        else:
+            dtype = object
         inner //= r
-        rows = a.astype(dtype) @ rows.astype(dtype, copy=False).reshape(lead, r, inner)
+        rows = a @ rows.astype(dtype, copy=False).reshape(lead, r, inner)
         lead *= r
-    return rows.reshape(batch, m), prod(d for _, d, _ in factors)
+        bound *= g
+    return rows.reshape(batch, m), scale
+
+
+@lru_cache(maxsize=None)
+def _lattice_index(ambient: FullFactorial) -> dict[tuple[int, ...], int]:
+    """The position of each lattice exponent vector in exponent_lattice."""
+    return {exps: i for i, exps in enumerate(exponent_lattice(ambient))}
 
 
 def values_at_runs(poly: Polynomial, ambient: FullFactorial) -> tuple[np.ndarray, int]:
     """X theta, the values at the runs of a standard-form polynomial, as one
     row of integer numerators over one positive denominator."""
-    theta = theta_vector(poly, ambient)
-    den = lcm(*(x.denominator for x in theta))
-    nums = np.array([[x.numerator * (den // x.denominator) for x in theta]], dtype=object)
-    values, scale = mode_products(ambient, nums, inverse=False)
+    index = _lattice_index(ambient)
+    den = lcm(*(c.denominator for _, c in poly.items()))
+    nums = [0] * ambient.run_count
+    for exps, c in poly.items():
+        i = index.get(exps)
+        if i is None:
+            raise ValueError("polynomial is not in standard form for this ambient")
+        nums[i] = c.numerator * (den // c.denominator)
+    values, scale = mode_products(ambient, np.array([nums], dtype=object), inverse=False)
     return values, den * scale
 
 
 def polynomial_from_values(values: np.ndarray, den: int, ambient: FullFactorial) -> list[Polynomial]:
     """The lattice polynomial whose values at the runs are row / den, for
     every row of a B x m array of integer numerators: X^{-1} applied to all
-    rows at once, each coefficient built once as a Fraction."""
+    rows at once, a Fraction built only for each nonzero coefficient."""
     theta, scale = mode_products(ambient, values, inverse=True)
     den *= scale
-    return [polynomial_from_theta([Fraction(x, den) for x in row], ambient) for row in theta.tolist()]
+    lattice, n = exponent_lattice(ambient), ambient.n_factors
+    return [
+        Polynomial._trusted(n, {lattice[i]: Fraction(x, den) for i, x in enumerate(row) if x})
+        for row in theta.tolist()
+    ]
 
 
 def indicator_from_design(design: Design) -> Polynomial:

@@ -43,6 +43,16 @@ class Polynomial:
         self._terms = clean
 
     @classmethod
+    def _trusted(cls, n_vars: int, terms: dict[tuple[int, ...], Fraction]) -> "Polynomial":
+        """Wrap a term dict the package built itself, without re-validating it:
+        every key a tuple of n_vars non-negative ints, every value a nonzero
+        Fraction.  The dict is kept, not copied."""
+        poly = object.__new__(cls)
+        poly.n_vars = n_vars
+        poly._terms = terms
+        return poly
+
+    @classmethod
     def zero(cls, n_vars: int) -> "Polynomial":
         return cls(n_vars)
 
@@ -130,25 +140,26 @@ class Polynomial:
 
     def to_text(self) -> str:
         """Canonical text form, terms in lattice order (exponent tuples ascending)."""
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
         parts: list[str] = []
-        for exps in sorted(self._terms):
-            coeff = self._terms[exps]
-            factors = [
-                f"x{j + 1}" + (f"^{e}" if e > 1 else "")
-                for j, e in enumerate(exps)
-                if e > 0
-            ]
-            body = str(abs(coeff)) if not factors else " ".join([str(abs(coeff))] + factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"{'+' if coeff > 0 else '-'} {body}")
+        for exps in sorted(terms):
+            coeff = terms[exps]
+            num, den = coeff.numerator, coeff.denominator
+            # Coefficients are nonzero, so the numerator's sign is the term's.
+            sign = "-" if num < 0 else "+"
+            body = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            for j, e in enumerate(exps, 1):
+                if e:
+                    body += f" x{j}^{e}" if e > 1 else f" x{j}"
+            parts.append(f"{sign} {body}")
+        first = parts[0]
+        parts[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
         return " ".join(parts)
 
 
-_COEFF_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_COEFF_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
@@ -174,31 +185,42 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
     for op, term in zip(chunks[1::2], chunks[2::2]):
         signed.append((1 if op == "+" else -1, term))
     terms: dict[tuple[int, ...], Fraction] = {}
+    # (index, exponent) of each distinct variable token met in this text.
+    variables: dict[str, tuple[int, int]] = {}
     for sign, term in signed:
         tokens = term.split()
         if not tokens:
             raise ValueError(f"empty term in {text!r}")
-        coeff = Fraction(1)
-        start = 0
-        if _COEFF_RE.match(tokens[0]):
-            coeff = Fraction(tokens[0])
-            start = 1
+        m = _COEFF_RE.match(tokens[0])
+        if m:
+            num, den = m.groups()
+            den = int(den or 1)
+            if not den:
+                raise ValueError(f"zero denominator in coefficient {tokens[0]!r}")
+            coeff = Fraction(sign * int(num), den)
+            del tokens[0]
         elif not tokens[0].startswith("x"):
             raise ValueError(f"bad token {tokens[0]!r}")
+        else:
+            coeff = Fraction(sign)
         exps = [0] * n_vars
-        for tok in tokens[start:]:
+        for tok in tokens:
             if tok == "1":
                 continue
-            m = _VAR_RE.match(tok)
-            if not m:
-                raise ValueError(f"bad monomial token {tok!r}")
-            j = int(m.group(1))
-            if not 1 <= j <= n_vars:
-                raise ValueError(f"variable x{j} out of range 1..{n_vars}")
-            exps[j - 1] += int(m.group(2) or 1)
+            var = variables.get(tok)
+            if var is None:
+                m = _VAR_RE.match(tok)
+                if not m:
+                    raise ValueError(f"bad monomial token {tok!r}")
+                j = int(m.group(1))
+                if not 1 <= j <= n_vars:
+                    raise ValueError(f"variable x{j} out of range 1..{n_vars}")
+                var = variables[tok] = (j - 1, int(m.group(2) or 1))
+            exps[var[0]] += var[1]
         key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-    return Polynomial(n_vars, terms)
+        prev = terms.get(key)
+        terms[key] = coeff if prev is None else prev + coeff
+    return Polynomial._trusted(n_vars, {e: c for e, c in terms.items() if c})
 
 
 def vanishing_substitution(factor: FactorSpec) -> tuple[Fraction, ...]:
@@ -250,8 +272,8 @@ def reduce_to_standard_form(poly: Polynomial, ambient: FullFactorial) -> Polynom
                 for k, ck in enumerate(row):
                     if ck:
                         key = prefix + (k,)
-                        nxt[key] = nxt.get(key, Fraction(0)) + c * ck
+                        nxt[key] = nxt.get(key, _ZERO) + c * ck
             partial = nxt
         for key, c in partial.items():
-            out[key] = out.get(key, Fraction(0)) + c
-    return Polynomial(poly.n_vars, out)
+            out[key] = out.get(key, _ZERO) + c
+    return Polynomial._trusted(poly.n_vars, {e: c for e, c in out.items() if c})

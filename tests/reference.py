@@ -32,13 +32,19 @@ None of these is used by the package itself:
   the canonical form, orbit and stabilizer read from them;
 * membership_rows and margin_counts, run sets as int64 0/1 rows and their
   margin counts as those rows times a run-by-cell incidence matrix built
-  from MarginCells.cells (production counts margins as popcounts of keys).
+  from MarginCells.cells (production counts margins as popcounts of keys);
+* parse_polynomial and to_text, the text parser and renderer as they were
+  before the parser built each coefficient once from the token's parts and
+  the renderer formatted numerator and denominator directly: the parser
+  goes through Fraction(str) and the validating Polynomial constructor,
+  the renderer through abs() and comparisons of Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -428,3 +434,76 @@ def orbit_of(design: Design) -> set[tuple[int, ...]]:
 def stabilizer_size(design: Design) -> int:
     own = _packed_keys(design.ambient, np.array(design.runs, dtype=np.int64).reshape(1, -1))
     return int(np.count_nonzero(image_keys(design.ambient, design.runs) == own))
+
+
+_COEFF_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+
+
+def parse_polynomial(text: str, n_vars: int) -> Polynomial:
+    """Parse the indicator text format; terms may appear in any order.
+
+    Grammar: terms joined by ' + ' / ' - ', each an optional rational
+    coefficient followed by space-separated factors 'x<j>' or 'x<j>^<e>'.
+    """
+    s = text.strip()
+    if not s:
+        raise ValueError("empty polynomial text")
+    if s == "0":
+        return Polynomial.zero(n_vars)
+    # Normalize a leading sign into the first term.
+    chunks = re.split(r"\s+([+-])\s+", s)
+    signed: list[tuple[int, str]] = []
+    first = chunks[0]
+    if first.startswith("-"):
+        signed.append((-1, first[1:].strip()))
+    else:
+        signed.append((1, first))
+    for op, term in zip(chunks[1::2], chunks[2::2]):
+        signed.append((1 if op == "+" else -1, term))
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for sign, term in signed:
+        tokens = term.split()
+        if not tokens:
+            raise ValueError(f"empty term in {text!r}")
+        coeff = Fraction(1)
+        start = 0
+        if _COEFF_RE.match(tokens[0]):
+            coeff = Fraction(tokens[0])
+            start = 1
+        elif not tokens[0].startswith("x"):
+            raise ValueError(f"bad token {tokens[0]!r}")
+        exps = [0] * n_vars
+        for tok in tokens[start:]:
+            if tok == "1":
+                continue
+            m = _VAR_RE.match(tok)
+            if not m:
+                raise ValueError(f"bad monomial token {tok!r}")
+            j = int(m.group(1))
+            if not 1 <= j <= n_vars:
+                raise ValueError(f"variable x{j} out of range 1..{n_vars}")
+            exps[j - 1] += int(m.group(2) or 1)
+        key = tuple(exps)
+        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
+    return Polynomial(n_vars, terms)
+
+
+def to_text(self: Polynomial) -> str:
+    """Canonical text form, terms in lattice order (exponent tuples ascending)."""
+    if not self._terms:
+        return "0"
+    parts: list[str] = []
+    for exps in sorted(self._terms):
+        coeff = self._terms[exps]
+        factors = [
+            f"x{j + 1}" + (f"^{e}" if e > 1 else "")
+            for j, e in enumerate(exps)
+            if e > 0
+        ]
+        body = str(abs(coeff)) if not factors else " ".join([str(abs(coeff))] + factors)
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(f"{'+' if coeff > 0 else '-'} {body}")
+    return " ".join(parts)

@@ -20,6 +20,7 @@ from orthofrac.algebra import (
     mode_products,
     orthogonality_system,
     polynomial_from_theta,
+    polynomial_from_values,
     rref,
     theta_vector,
     verify_theta,
@@ -32,7 +33,8 @@ from orthofrac.designs import (
     full_factorial,
     has_strength,
 )
-from orthofrac.polynomials import Polynomial, parse_polynomial
+from orthofrac.classify import act_theta, generate_group
+from orthofrac.polynomials import Polynomial, parse_polynomial, reduce_to_standard_form
 from reference import (
     build_model_matrix,
     identity,
@@ -178,6 +180,9 @@ def test_design_from_indicator_error_cases():
         design_from_indicator(Polynomial.constant(2, Fraction(1, 2)), amb)
     with pytest.raises(ValueError):
         design_from_indicator(Polynomial.monomial((2, 0)), amb)  # not standard form
+    for n_vars in (1, 3):  # not a polynomial of this ambient's variables
+        with pytest.raises(ValueError, match="not in standard form"):
+            design_from_indicator(Polynomial.monomial((1,) * n_vars), amb)
 
 
 def test_listed_representative_maps_to_strength_two_design():
@@ -411,3 +416,95 @@ def test_orthogonality_row_count_formula():
             system = orthogonality_system(amb, amb.run_count, t)
             expected = 1 + sum(expected_block_size(amb, k) for k in range(1, t + 1))
             assert system.n_rows == expected
+
+
+def _step_bounds(amb, row, inverse):
+    """For each mode-product step on one integer row: the measured
+    max|input| times the factor's g, and the bound carried from the row's
+    own max|.| times the same g (the carried bound is never re-measured)."""
+    rows = np.array([row], dtype=object)
+    carried, lead, inner, out = max(map(abs, row)), 1, amb.run_count, []
+    for factor, r in zip(amb.factors, amb.radices):
+        a, _, g = algebra._factor_matrix(factor, inverse)
+        out.append((max(abs(x) for x in rows.ravel()) * g, carried * g))
+        inner //= r
+        rows = a @ rows.reshape(lead, r, inner)
+        lead, carried = lead * r, carried * g
+    return out
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("amb", [FLAGSHIP, RATIONAL], ids=["flagship", "rational"])
+def test_mode_products_at_the_int64_boundary(amb, inverse):
+    # Each unit row is scaled to the largest multiple whose every step fits
+    # int64 by measurement, and one past it.  The first kind includes rows
+    # whose carried bound crosses 2^62 while no measured maximum does (e_0:
+    # X e_0 is constant); the second has a measured maximum that crosses.
+    # Both must give the dense product, in the dtype a per-step measurement picks.
+    safe = algebra._INT64_SAFE
+    dense = model_matrix_inverse(amb) if inverse else build_model_matrix(amb)
+    rng = random.Random(62)
+    m = amb.run_count
+    units = [
+        [int(i == 0) for i in range(m)],
+        [int(i == m - 1) for i in range(m)],
+        [1] * m,
+        [rng.choice((-1, 1)) for _ in range(m)],
+        [rng.randint(-3, 3) for _ in range(m)],
+    ]
+    seen = Counter()
+    for unit in units:
+        steps = _step_bounds(amb, unit, inverse)
+        top = (safe - 1) // max(measured for measured, _ in steps)
+        for scale in (top, top + 1):
+            row = [scale * x for x in unit]
+            measured = [scale * x for x, _ in steps]
+            carried = [scale * x for _, x in steps]
+            if max(measured) < safe <= max(carried):
+                seen["carried only"] += 1
+            if max(measured) >= safe:
+                seen["measured"] += 1
+            dtype = np.int64 if max(map(abs, row)) < 2**63 else object
+            values, d = mode_products(amb, np.array([row], dtype=dtype), inverse)
+            assert [Fraction(v, d) for v in values[0].tolist()] == list(mat_vec(dense, row))
+            assert values.dtype == (np.int64 if measured[-1] < safe else object)
+    assert seen["carried only"] and seen["measured"]
+
+
+def _assert_well_formed(poly, n):
+    rebuilt = Polynomial(n, dict(poly.items()))
+    assert poly.n_vars == n and poly == rebuilt and hash(poly) == hash(rebuilt)
+    for exps, coeff in poly.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert type(exps) is tuple and len(exps) == n and all(type(e) is int for e in exps)
+
+
+@pytest.mark.parametrize(
+    "amb", [FLAGSHIP, full_factorial([2, 3, 4]), RATIONAL], ids=["flagship", "2x3x4", "rational"]
+)
+def test_polynomials_built_without_validation_are_valid(amb):
+    # parse_polynomial, polynomial_from_values (so indicator_from_design and
+    # act_theta) and reduce_to_standard_form skip the constructor's checks;
+    # what they build must pass them unchanged.
+    rng = random.Random(31)
+    n, m = amb.n_factors, amb.run_count
+    group = generate_group(amb)
+    for _ in range(6):
+        poly = indicator_from_design(Design(amb, tuple(sorted(rng.sample(range(m), rng.randint(1, m - 1))))))
+        text = poly.to_text()
+        square = reduce_to_standard_form(poly * poly, amb)
+        built = [
+            poly,
+            act_theta(rng.choice(group), poly),
+            parse_polynomial(text, n),
+            # Terms that cancel, and a zero coefficient.
+            parse_polynomial(f"{text} + 1/2 x1^5 - 1/2 x1^5 + 0 x{n}", n),
+            square,
+            reduce_to_standard_form(poly * poly - poly, amb),
+            *polynomial_from_values(
+                np.array([[rng.randint(-3, 3) for _ in range(m)], [0] * m]), 6, amb
+            ),
+        ]
+        for p in built:
+            _assert_well_formed(p, n)
+        assert square == poly and not built[5] and not built[-1]

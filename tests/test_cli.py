@@ -302,6 +302,13 @@ def test_verify_parse_error_exit_2(capsys):
               "--indicator", "1/2 + garbage"])
         == 2
     )
+    # A zero denominator is a parse error, not an internal one (exit 6).
+    assert (
+        main(["verify", "--levels", "2,2", "--size", "2", "--strength", "1",
+              "--indicator", "1/0 + x1"])
+        == 2
+    )
+    assert "'1/0'" in capsys.readouterr().err
 
 
 def test_verify_json_format(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from orthofrac.designs import FactorSpec, all_points, full_factorial
 from orthofrac.polynomials import (
     Polynomial,
@@ -120,6 +121,8 @@ def test_parse_rejects_garbage():
         parse_polynomial("x9", 2)
     with pytest.raises(ValueError):
         parse_polynomial("", 2)
+    with pytest.raises(ValueError, match="'1/0'"):
+        parse_polynomial("1/0 + x1", 2)
 
 
 def test_polynomial_arithmetic_and_evaluation():
@@ -129,3 +132,78 @@ def test_polynomial_arithmetic_and_evaluation():
     assert p == Polynomial(2, {(2, 0): 1, (0, 2): -1})
     assert p.evaluate((3, 2)) == 5
     assert (p - p) == Polynomial.zero(2)
+
+
+def _random_coefficient(rng) -> str:
+    sign = "-" if rng.random() < 0.3 else ""
+    if rng.random() < 0.4:
+        return f"{sign}{rng.randint(0, 12)}"
+    # Non-reduced fractions such as 2/4 come up as often as reduced ones.
+    return f"{sign}{rng.randint(0, 12)}/{rng.randint(1, 8)}"
+
+
+def _random_factors(rng, exps) -> list[str]:
+    """Factor tokens whose exponents add up to exps, in a random order, with
+    repeated variables (x1 x1), split powers, and 1 and x<j>^0 tokens."""
+    tokens = []
+    for j, e in enumerate(exps, 1):
+        while e:
+            step = rng.randint(1, e)
+            tokens.append(f"x{j}" if step == 1 else f"x{j}^{step}")
+            e -= step
+        if rng.random() < 0.15:
+            tokens.append(f"x{j}^0")
+    if rng.random() < 0.15:
+        tokens.append("1")
+    rng.shuffle(tokens)
+    return tokens
+
+
+def _random_text(rng, n: int) -> str:
+    # A small pool of monomials, so that terms repeat and merge.
+    pool = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        factors = _random_factors(rng, rng.choice(pool))
+        # A term without a coefficient must open with a variable.
+        if factors and factors[0].startswith("x") and rng.random() < 0.3:
+            terms.append(factors)
+        else:
+            terms.append([_random_coefficient(rng)] + factors)
+    space = lambda: rng.choice([" ", " ", "  ", "\t", " \t "])
+    text = rng.choice(["", "", "-"]) + " ".join(terms[0])
+    for term in terms[1:]:
+        text += space() + rng.choice("+-") + space() + space().join(term)
+    return rng.choice(["", " ", "\n"]) + text + rng.choice(["", "  "])
+
+
+def test_parse_and_to_text_match_the_reference():
+    rng = random.Random(22)
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        text = _random_text(rng, n)
+        poly, expected = parse_polynomial(text, n), reference.parse_polynomial(text, n)
+        assert poly == expected and hash(poly) == hash(expected), text
+        rendered = poly.to_text()
+        assert rendered == reference.to_text(expected), text
+        assert parse_polynomial(rendered, n) == poly
+
+
+@pytest.mark.parametrize("text", [
+    "", "   ", "-", "1/2 + + x1", "1/2 y3", "x9", "x0", "X1", "x", "+ x1", "1/2 +",
+    "1/2 x1 -", "1/2 - - x1", "1.5 x1", "x1 1/2", "1/2/3", "1//2", "/2", "2/",
+    "1/2 x1^", "1/2 x1^-1", "x1^^2", "x1*x2", "1/2 x1 x3", "1/-2", "1/2 * x1",
+])
+def test_parse_rejects_malformed_text_like_the_reference(text):
+    with pytest.raises(ValueError):
+        reference.parse_polynomial(text, 2)
+    with pytest.raises(ValueError):
+        parse_polynomial(text, 2)
+
+
+def test_zero_denominator_is_the_one_difference_from_the_reference():
+    for text in ("1/0 + x1", "x1 - 0/0", "x2 + -3/0 x1"):
+        with pytest.raises(ZeroDivisionError):
+            reference.parse_polynomial(text, 2)
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_polynomial(text, 2)
