@@ -62,20 +62,6 @@ def exponent_lattice(ambient: FullFactorial) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(*(range(r) for r in ambient.radices)))
 
 
-def theta_vector(poly: Polynomial, ambient: FullFactorial) -> tuple[Fraction, ...]:
-    """Coefficient vector of a standard-form polynomial in lattice order."""
-    if not poly.in_lattice(ambient):
-        raise ValueError("polynomial is not in standard form for this ambient")
-    return tuple(poly.coefficient(a) for a in exponent_lattice(ambient))
-
-
-def polynomial_from_theta(theta: Sequence[Fraction], ambient: FullFactorial) -> Polynomial:
-    lattice = exponent_lattice(ambient)
-    if len(theta) != len(lattice):
-        raise ValueError("coefficient vector length mismatch")
-    return Polynomial(ambient.n_factors, dict(zip(lattice, theta)))
-
-
 _INT64_SAFE = 2**62
 
 

@@ -113,10 +113,11 @@ def run_perm_table(ambient: FullFactorial) -> np.ndarray:
 @lru_cache(maxsize=None)
 def generate_group(ambient: FullFactorial) -> tuple[GroupElement, ...]:
     """Every combination of same-arity factor permutations and level permutations."""
+    table = run_perm_table(ambient)  # its budget check comes before any label is listed
     labels = itertools.product(_factor_perms(ambient), itertools.product(*_level_perms(ambient)))
     return tuple(
         GroupElement(ambient, fp, lp, tuple(run_perm))
-        for (fp, lp), run_perm in zip(labels, map(np.ndarray.tolist, run_perm_table(ambient)))
+        for (fp, lp), run_perm in zip(labels, map(np.ndarray.tolist, table))
     )
 
 

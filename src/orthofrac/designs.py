@@ -5,21 +5,21 @@ vector with the last factor varying fastest; every file format and
 canonical ordering in the package relies on that convention.
 
 Below the Fraction algebra a set of runs is always a key: key_words(m) =
-ceil(m/64) uint64 words, run r at bit 63 - r % 64 of word r // 64
-(bitset_keys), the sum of its runs' keys (run_keys, run_sums,
-design_keys, and indexed_keys, which shifts the bits out of a run-index
-array).  Only this module knows that layout.  unpack_runs inverts
-run_sums, with the run counts as popcounts of the words and the runs as the
-positions of the set bits (key_bits), key_runs and key_designs read keys
-back, key_order, search_keys and find_keys sort and look them up, and
-key_octets and octet_keys read them an octet at a time.  A mask is the key
-of a set of runs, stored word-major (mask_words), so popcounts counts a
-key's runs in each set.
+ceil(m/64) uint64 words, run r at bit 63 - r % 64 of word r // 64.  Two
+encoders build keys: bitset_keys packs 0/1 membership rows, and
+indexed_keys shifts the bits out of an array of run indices (run_sums and
+design_keys feed it rows of unequal length).  Only this module knows that
+layout.  unpack_runs inverts run_sums, with the run counts as popcounts of
+the words and the runs as the positions of the set bits (key_bits),
+key_runs and key_designs read keys back, key_order, search_keys and
+find_keys sort and look them up, and key_octets and octet_keys read them
+an octet at a time.  A mask is the key of a set of runs, stored word-major
+(mask_words), so popcounts counts a key's runs in each set.
 
 `margin_cells` is the one integer encoding of factor-subset margins that
 the strength checks, the search, the oracle and the class invariants
 count with, as popcounts of keys on its per-cell run masks (count_keys).
-`margins` is the Fraction-labelled view of the same counts.
+`margins` counts one Design's points itself, labelled by Fraction levels.
 """
 
 from __future__ import annotations
@@ -274,26 +274,20 @@ def mask_words(columns: np.ndarray) -> np.ndarray:
     return masks
 
 
-@lru_cache(maxsize=None)
-def run_keys(m: int) -> np.ndarray:
-    """The m x ceil(m/64) keys of the one-run designs (read-only).  A design's
-    key is the sum of its runs' keys: their bits are disjoint, so the sum is
-    their OR."""
-    keys = bitset_keys(np.eye(m, dtype=bool))
-    keys.flags.writeable = False
-    return keys
-
-
 def run_sums(lengths: np.ndarray, runs: np.ndarray, m: int) -> np.ndarray:
-    """The keys of designs of m runs with these run counts and concatenated runs."""
-    starts = np.cumsum(lengths) - lengths
-    if lengths.all():  # no empty design: one reduceat gives every key
-        return np.add.reduceat(run_keys(m).take(runs, axis=0), starts, axis=0)
-    keys = np.zeros((len(lengths), key_words(m)), dtype=np.uint64)
-    full = lengths > 0
-    if len(runs):
-        keys[full] = np.add.reduceat(run_keys(m).take(runs, axis=0), starts[full], axis=0)
-    return keys
+    """The keys (indexed_keys) of designs of m runs, each of distinct runs,
+    with these run counts and concatenated runs.  Shorter rows are padded
+    with run 64 W, which shifts out of every word.  A run outside [0, m)
+    raises IndexError."""
+    outside = (runs < 0) | (runs >= m)
+    if outside.any():
+        raise IndexError(f"run {runs[outside][0]} out of range")
+    width = int(lengths.max(initial=0))
+    if len(runs) == width * len(lengths):  # every row is `width` long
+        return indexed_keys(runs.astype(np.uint64).reshape(len(lengths), width), m)
+    padded = np.full((len(lengths), width), 64 * key_words(m), dtype=np.uint64)
+    padded[np.arange(width) < lengths[:, None]] = runs
+    return indexed_keys(padded, m)
 
 
 def design_keys(designs, m: int) -> np.ndarray:
@@ -370,14 +364,14 @@ def key_octets(keys: np.ndarray) -> np.ndarray:
 
 def octet_keys(runs: np.ndarray, m: int) -> np.ndarray:
     """keys[v]: the key, of m runs, of the runs[i] (at most 8) whose bit is
-    set in octet value v, runs[0] at the top bit as in key_octets."""
+    set in octet value v, runs[0] at the top bit as in key_octets.  An unset
+    bit stands for run 64 W, which shifts out of every word (indexed_keys)."""
     bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)[:, : len(runs)]
-    # The runs' keys have disjoint bits, so this integer product is their OR.
-    return bits.astype(np.uint64) @ run_keys(m)[runs]
+    return indexed_keys(np.where(bits, runs, 64 * key_words(m)).astype(np.uint64), m)
 
 
-# The most bytes of key & mask words that popcounts forms at once.
-_POPCOUNT_BYTES = 1 << 20
+# The most bytes that any chunk loop, here and in search.py, forms at once.
+_CHUNK_BYTES = 1 << 20
 
 
 def popcounts(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -386,11 +380,11 @@ def popcounts(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
     The counts accumulate word by word in the narrowest of int16, int32 and
     int64 that holds 64 W, the most bits a key has, over chunks of key rows
-    whose B x C words take at most _POPCOUNT_BYTES.
+    whose B x C words take at most _CHUNK_BYTES.
     """
     dtype = next(t for t in (np.int16, np.int32, np.int64) if 64 * len(masks) <= np.iinfo(t).max)
     counts = np.zeros((len(keys), masks.shape[1]), dtype=dtype)
-    step = max(1, _POPCOUNT_BYTES // (8 * masks.shape[1] or 1))
+    step = max(1, _CHUNK_BYTES // (8 * masks.shape[1] or 1))
     for start in range(0, len(keys), step):
         for word, mask in zip(keys[start : start + step].T, masks):
             counts[start : start + step] += np.bitwise_count(word[:, None] & mask)
@@ -404,12 +398,12 @@ def indexed_keys(runs: np.ndarray, m: int) -> np.ndarray:
     Word w of a row sums 2^63 >> (r - 64 w) over its runs r.  The unsigned
     subtraction wraps, and numpy makes a shift by 64 or more 0, so a run
     outside word w adds nothing.  The B x s uint64 terms are formed over
-    chunks of rows that take at most _POPCOUNT_BYTES, and summed by einsum,
+    chunks of rows that take at most _CHUNK_BYTES, and summed by einsum,
     which over rows this short is ~3x faster than sum(axis=1).
     """
     keys = np.empty((len(runs), key_words(m)), dtype=np.uint64)
     top = np.uint64(1 << 63)
-    step = max(1, _POPCOUNT_BYTES // (8 * runs.shape[1] or 1))
+    step = max(1, _CHUNK_BYTES // (8 * runs.shape[1] or 1))
     for start in range(0, len(runs), step):
         chunk = runs[start : start + step]
         for w in range(keys.shape[1]):

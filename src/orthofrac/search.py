@@ -43,8 +43,9 @@ Two routes:
 
 Both return designs sorted by run-index sequence, and both are
 deterministic.  The *_keys functions are the same stages on keys, and the
-functions on Design lists are shims over them.  Keys are read, sorted and
-unpacked only through designs, which owns their layout.
+functions on Design lists are shims over them.  Keys are built, read,
+sorted and unpacked only through designs, which owns their layout and the
+chunk budget of every loop here (designs._CHUNK_BYTES, read at call time).
 """
 
 from __future__ import annotations
@@ -57,10 +58,11 @@ from math import comb, prod
 
 import numpy as np
 
+from . import designs
 from .algebra import _exact_dtype
 from .designs import (
-    Design, FullFactorial, design_keys, key_capacity, key_designs, key_octets, key_order, key_runs, key_words,
-    margin_cells, octet_keys, run_keys, run_sums, unpack_runs,
+    Design, FullFactorial, design_keys, indexed_keys, key_capacity, key_designs, key_octets, key_order, key_runs,
+    key_words, margin_cells, octet_keys, run_sums, unpack_runs,
 )
 from .fastcheck import get_checker
 
@@ -313,7 +315,7 @@ def _materialize(
     starts = ends - totals
     out = np.zeros((count, embedded.shape[2]), dtype=np.uint64)
     # A chunk's rows hold, besides their key words, three int64 indices each.
-    step = max(1, _CHUNK_BYTES // (8 * (out.shape[1] + 3)))
+    step = max(1, designs._CHUNK_BYTES // (8 * (out.shape[1] + 3)))
     for start in range(0, count, step):
         stop = min(start + step, count)
         first, last = np.searchsorted(ends, [start, stop - 1], side="right")
@@ -332,8 +334,7 @@ def _subset_keys(m: int, size: int):
     order, 65536 rows at a time."""
     combos = itertools.combinations(range(m), size)
     while chunk := list(itertools.islice(combos, 65536)):
-        runs = np.array(chunk, dtype=np.int64).reshape(len(chunk), size)
-        yield run_keys(m)[runs].sum(axis=1, dtype=np.uint64)
+        yield indexed_keys(np.array(chunk, dtype=np.uint64).reshape(len(chunk), size), m)
 
 
 def _enumerate_keys(ambient: FullFactorial, size: int, strength: int) -> np.ndarray:
@@ -458,22 +459,20 @@ def brute_force_oracle(problem: SearchProblem) -> list[Design]:
 # whole chunk and accepts every line with one byte compare; otherwise it
 # compares the lines one by one (_canonical_lines).
 
-# The chunk size of the design-file codec, the cross-check and the
-# materialise step.  The writer renders and the cross-check checks chunks of
-# B key rows whose B x m bits, or B x R uint64 word counts ([1; C_1; ...; C_t]
-# has R <= m rows), take at most this many bytes.  The reader takes text
-# chunks of _CHUNK_BYTES // _READ_PEAK_PER_CHAR characters, completed to the
-# end of their line, so that a chunk's numpy temporaries stay within
-# _CHUNK_BYTES: reading then faults in far fewer fresh pages than with chunks
-# of _CHUNK_BYTES characters.
-_CHUNK_BYTES = 1 << 20
+# The writer renders and the cross-check checks chunks of B key rows whose
+# B x m bits, or B x R uint64 word counts ([1; C_1; ...; C_t] has R <= m
+# rows), take at most designs._CHUNK_BYTES.  The reader takes text chunks of
+# _CHUNK_BYTES // _READ_PEAK_PER_CHAR characters, completed to the end of
+# their line, so that a chunk's numpy temporaries stay within _CHUNK_BYTES:
+# reading then faults in far fewer fresh pages than with chunks of
+# _CHUNK_BYTES characters.
 # The tracemalloc peak of _read_chunk per text byte, rounded up: 11.6 on the
 # 2^4*3 and 3^4 files, 11.8 on 2^6 and 12.9 on the three-digit 2^7 file.
 _READ_PEAK_PER_CHAR = 13
 
 
 def _chunk_rows(m: int) -> int:
-    return max(1, _CHUNK_BYTES // (8 * m))
+    return max(1, designs._CHUNK_BYTES // (8 * m))
 
 
 @lru_cache(maxsize=None)
@@ -626,14 +625,14 @@ def _read_chunk(text: str, first_line: int, ambient: FullFactorial) -> tuple[np.
 def read_design_keys(fh, ambient: FullFactorial) -> np.ndarray:
     """read_designs as keys (designs): one row per design line, in file order.
 
-    Reads fh in text chunks of _CHUNK_BYTES // _READ_PEAK_PER_CHAR
+    Reads fh in text chunks of designs._CHUNK_BYTES // _READ_PEAK_PER_CHAR
     characters, each completed to the end of its line.  Canonical lines are
     read in bulk; every other line goes through _parse_line, so the first
     bad line raises its error.
     """
     chunks = [np.zeros((0, key_words(ambient.run_count)), dtype=np.uint64)]
     lines = 0
-    while text := fh.read(max(1, _CHUNK_BYTES // _READ_PEAK_PER_CHAR)):
+    while text := fh.read(max(1, designs._CHUNK_BYTES // _READ_PEAK_PER_CHAR)):
         if not text.endswith("\n"):
             text += fh.readline()
         keys, count = _read_chunk(text, lines, ambient)

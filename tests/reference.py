@@ -30,9 +30,17 @@ None of these is used by the package itself:
   were summed from one-run uint64 words: a bool scatter of every image
   into a G x m array, packed into one big-endian void key per image, and
   the canonical form, orbit and stabilizer read from them;
+* theta_vector and polynomial_from_theta, a standard-form polynomial as
+  its coefficients in lattice order and back, read coefficient by
+  coefficient (production goes through the values at the runs,
+  algebra.values_at_runs and algebra.polynomial_from_values);
 * membership_rows and margin_counts, run sets as int64 0/1 rows and their
   margin counts as those rows times a run-by-cell incidence matrix built
   from MarginCells.cells (production counts margins as popcounts of keys);
+* run_keys, the keys of the one-run designs, packed from the rows of the
+  identity (production builds keys from run indices by shifting bits,
+  designs.indexed_keys); summing them builds keys, deliberately bad ones
+  with repeated runs included;
 * parse_polynomial and to_text, the text parser and renderer as they were
   before the parser built each coefficient once from the token's parts and
   the renderer formatted numerator and denominator directly: the parser
@@ -59,10 +67,9 @@ from orthofrac.algebra import (
     mode_products,
     orthogonality_system,
     rref,
-    theta_vector,
 )
 from orthofrac.classify import run_perm_table
-from orthofrac.designs import Design, FullFactorial, all_points, margin_cells
+from orthofrac.designs import Design, FullFactorial, all_points, bitset_keys, margin_cells
 from orthofrac.polynomials import Polynomial, _power_table
 
 
@@ -249,6 +256,30 @@ def reference_contrast_matrix(ambient: FullFactorial) -> tuple[tuple[Rows, ...],
                     labels.append(("contrast", k, subset, pins + (v,)))
         blocks.append(tuple(rows))
     return tuple(blocks), tuple(labels)
+
+
+def theta_vector(poly: Polynomial, ambient: FullFactorial) -> tuple[Fraction, ...]:
+    """Coefficient vector of a standard-form polynomial in lattice order."""
+    if not poly.in_lattice(ambient):
+        raise ValueError("polynomial is not in standard form for this ambient")
+    return tuple(poly.coefficient(a) for a in exponent_lattice(ambient))
+
+
+def polynomial_from_theta(theta: Sequence[Fraction], ambient: FullFactorial) -> Polynomial:
+    lattice = exponent_lattice(ambient)
+    if len(theta) != len(lattice):
+        raise ValueError("coefficient vector length mismatch")
+    return Polynomial(ambient.n_factors, dict(zip(lattice, theta)))
+
+
+@lru_cache(maxsize=None)
+def run_keys(m: int) -> np.ndarray:
+    """The m x ceil(m/64) keys of the one-run designs (read-only), packed
+    from the identity's rows.  A design's key is the sum of its runs' keys:
+    their bits are disjoint, so the sum is their OR."""
+    keys = bitset_keys(np.eye(m, dtype=bool))
+    keys.flags.writeable = False
+    return keys
 
 
 def membership_rows(designs, m: int) -> np.ndarray:

@@ -19,10 +19,8 @@ from orthofrac.algebra import (
     linear_preprocess,
     mode_products,
     orthogonality_system,
-    polynomial_from_theta,
     polynomial_from_values,
     rref,
-    theta_vector,
     verify_theta,
     verify_theta_report,
 )
@@ -44,10 +42,12 @@ from reference import (
     model_matrix_inverse,
     mul_model_inverse,
     mul_model_matrix,
+    polynomial_from_theta,
     reference_contrast_matrix,
     reference_report,
     satisfied_by,
     satisfies_idempotency,
+    theta_vector,
 )
 
 

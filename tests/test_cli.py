@@ -104,8 +104,13 @@ def test_enumerate_strength_zero_ceiling_exit_3(monkeypatch, capsys):
 
 def test_classify_group_table_budget_exit_3(monkeypatch, capsys, tmp_path):
     # The 2^3 group has 3! * 2^3 = 48 elements, a 48 x 8 uint8 table of
-    # 384 bytes.  One byte less of budget refuses it before it is built.
+    # 384 bytes.  One byte less of budget refuses it before it is built, and
+    # before generate_group lists a single level permutation.
+    import importlib
+
     from orthofrac.classify import generate_group, run_perm_table
+
+    classify = importlib.import_module("orthofrac.classify")  # the package exports a function of that name
 
     amb = full_factorial([2, 2, 2])
     for cached in (generate_group, run_perm_table):
@@ -115,8 +120,12 @@ def test_classify_group_table_budget_exit_3(monkeypatch, capsys, tmp_path):
     for cached in (generate_group, run_perm_table):
         cached.cache_clear()
     monkeypatch.setattr(search, "_MATRIX_BUDGET", 48 * 8 * 1 - 1)
+    listed = []
+    real_level_perms = classify._level_perms
+    monkeypatch.setattr(classify, "_level_perms", lambda ambient: listed.append(ambient) or real_level_perms(ambient))
     with pytest.raises(search.ProblemTooLargeError, match="48 x 8 uint8"):
         generate_group(amb)
+    assert listed == []
     designs = tmp_path / "one.txt"
     designs.write_text("[0, 3, 5, 6]\n")
     assert main(["classify", "--levels", "2,2,2", "--designs", str(designs)]) == 3

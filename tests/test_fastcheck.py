@@ -14,8 +14,6 @@ from orthofrac.algebra import (
     exponent_lattice,
     indicator_from_design,
     mode_products,
-    polynomial_from_theta,
-    theta_vector,
     value_checks,
     verify_theta,
     verify_theta_report,
@@ -45,7 +43,6 @@ from orthofrac.designs import (
     margin_cells,
     margins,
     octet_keys,
-    run_keys,
     run_sums,
     search_keys,
     unpack_runs,
@@ -58,7 +55,10 @@ from reference import (
     mat_vec,
     membership_rows,
     model_matrix_inverse,
+    polynomial_from_theta,
+    run_keys,
     satisfies_idempotency,
+    theta_vector,
 )
 
 # Two-level factors listed as (1, -1) put the value +1 at level index 0.
@@ -381,6 +381,14 @@ def test_membership_matrix_round_trip():
     # the ambient's last run is rejected, not turned into a Design.
     with pytest.raises(IndexError):
         key_designs(amb, design_keys([(0, 12)], 13))
+    # A run outside [0, m) raises, on rows of one length and on padded rows;
+    # run 64 is also the pad value that shifts out of every word.
+    for rows in ([(0, 12)], [(-1, 3)], [(5, 64)], [(0, 12), (1,)], [(1,), (-1, 3)], [(), (64,)]):
+        with pytest.raises(IndexError, match="out of range"):
+            design_keys(rows, 12)
+        lengths = np.array([len(r) for r in rows], dtype=np.int64)
+        with pytest.raises(IndexError, match="out of range"):
+            run_sums(lengths, np.array([i for r in rows for i in r], dtype=np.int64), 12)
 
 
 @pytest.mark.parametrize(
@@ -394,7 +402,8 @@ def test_indexed_keys_match_design_keys(m, dtype, monkeypatch):
     rng = np.random.default_rng(m)
     for size in sorted({0, 1, min(m, 7), m // 2, m}):
         runs = np.argsort(rng.random((11, m)), axis=1)[:, :size].astype(dtype)
-        expected = design_keys([sorted(row) for row in runs.tolist()], m)
+        expected = bitset_keys(membership_rows(runs.astype(np.int64), m))
+        assert np.array_equal(design_keys([sorted(row) for row in runs.tolist()], m), expected)
         flat = np.sort(runs, axis=1).ravel().astype(np.int64)
         assert np.array_equal(run_sums(np.full(len(runs), size), flat, m), expected)
         keys = indexed_keys(runs, m)
@@ -402,7 +411,7 @@ def test_indexed_keys_match_design_keys(m, dtype, monkeypatch):
         assert np.array_equal(keys, expected)
         # Chunks of 1 and 4 of the 11 rows put chunk boundaries inside the batch.
         for rows in (1, 4):
-            monkeypatch.setattr(designs, "_POPCOUNT_BYTES", 8 * size * rows)
+            monkeypatch.setattr(designs, "_CHUNK_BYTES", 8 * size * rows)
             assert np.array_equal(indexed_keys(runs, m), expected)
         monkeypatch.undo()
 
@@ -431,7 +440,8 @@ def test_word_keys_are_sums_of_run_keys_and_sort_as_run_tuples(m):
     # Unpacking is the inverse of run_sums, and octet v of a key stands for
     # the sum of the run keys of its set bits, also on empty and full rows.
     runs += [(), tuple(range(m))]
-    keys = design_keys(runs, m)
+    keys = bitset_keys(membership_rows(runs, m))
+    assert np.array_equal(design_keys(runs, m), keys)
     lengths, flat = unpack_runs(keys)
     assert lengths.tolist() == [len(r) for r in runs] and flat.tolist() == [i for r in runs for i in r]
     assert np.array_equal(run_sums(lengths, flat, m), keys)

@@ -13,7 +13,7 @@ from conftest import random_ambient, sign_fraction
 from orthofrac.algebra import verify_theta, indicator_from_design
 from orthofrac.catalog import cross_check_classes
 from orthofrac.classify import act, classification_report, classify, classify_keys, generate_group
-from orthofrac import algebra, search
+from orthofrac import algebra, designs, search
 from orthofrac.designs import (
     Design,
     bitset_keys,
@@ -26,7 +26,6 @@ from orthofrac.designs import (
     key_designs,
     key_runs,
     margin_cells,
-    run_keys,
 )
 from orthofrac.search import (
     _enumerate_keys,
@@ -229,7 +228,7 @@ def _slices(amb, p, size, strength):
     q = size // amb.radices[p]
     candidates = np.array(reference._backtrack_subsets(sub, q, strength - 1), dtype=np.int64)
     candidates = candidates.reshape(len(candidates), q)
-    bits = run_keys(sub.run_count)[candidates].sum(axis=1, dtype=np.uint64)
+    bits = reference.run_keys(sub.run_count)[candidates].sum(axis=1, dtype=np.uint64)
     return sub, candidates, _slice_keys(sub, bits, size, strength)
 
 
@@ -370,15 +369,13 @@ def test_key_budget_bounds_the_traced_peak(monkeypatch):
     # 2^7/32/3 the top level joins 92,400 two-word designs in 54,881 rows of
     # 2 slices, from 65,100 one-word candidates at 8 (2 * 2 + 2 + 2) bytes
     # with 54,881 slice keys of 20 int16 counts and a word; the levels
-    # below charge less.  With 4 KiB chunks only one chunk of popcounts
-    # (designs._POPCOUNT_BYTES) comes on top.
+    # below charge less.  With 4 KiB chunks (designs._CHUNK_BYTES, which
+    # every chunk loop reads) only one such chunk comes on top.
     import tracemalloc
-
-    from orthofrac import designs
 
     problem = SearchProblem(full_factorial([2] * 7), 32, 3)
     charged = 92400 * 40 + 54881 * 56 + 65100 * 64 + 54881 * 48
-    monkeypatch.setattr(search, "_CHUNK_BYTES", 1 << 12)
+    monkeypatch.setattr(designs, "_CHUNK_BYTES", 1 << 12)
     monkeypatch.setattr(search, "_MATRIX_BUDGET", charged)
     tracemalloc.start()
     try:
@@ -387,7 +384,7 @@ def test_key_budget_bounds_the_traced_peak(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(keys) == 92400
-    assert charged / 2 < peak <= charged + designs._POPCOUNT_BYTES
+    assert charged / 2 < peak <= charged + designs._CHUNK_BYTES
 
 
 def test_key_budget_charges_the_slice_keys(monkeypatch, capsys, tmp_path):
@@ -462,7 +459,7 @@ def test_cross_check_rejects_with_the_real_checker():
     good = design_keys([(0, 3, 5, 6)], 8)[0]
     search._cross_check(np.array([good]), problem)
     unbalanced = design_keys([(0, 1, 2, 3)], 8)[0]
-    doubled = run_keys(8)[[0, 0, 7, 7]].sum(axis=0, dtype=np.uint64)
+    doubled = reference.run_keys(8)[[0, 0, 7, 7]].sum(axis=0, dtype=np.uint64)
     for bad, runs in ((unbalanced, (0, 1, 2, 3)), (doubled, (6,))):
         with pytest.raises(CrossCheckError, match=re.escape(f"design {runs} fails the algebraic check")):
             search._cross_check(np.array([good, bad]), problem)
@@ -510,7 +507,7 @@ def test_engine_matches_oracle_on_random_ambients(monkeypatch):
         # inside the designs of one join row as well as between join rows.
         with monkeypatch.context() as patched:
             for rows in (1, 7):
-                patched.setattr(search, "_CHUNK_BYTES", rows * 8 * (-(-amb.run_count // 64) + 3))
+                patched.setattr(designs, "_CHUNK_BYTES", rows * 8 * (-(-amb.run_count // 64) + 3))
                 assert enumerate_orthogonal(problem) == engine
         compared += 1
         rational += any(f.levels != default_levels(f.arity) for f in amb.factors)
@@ -680,7 +677,7 @@ def test_one_changed_byte_sends_only_its_line_to_the_json_route(monkeypatch):
     written = io.StringIO()
     write_design_keys(keys, written)
     lines = written.getvalue().splitlines(keepends=True)
-    assert sum(map(len, lines)) < search._CHUNK_BYTES // search._READ_PEAK_PER_CHAR  # one text chunk
+    assert sum(map(len, lines)) < designs._CHUNK_BYTES // search._READ_PEAK_PER_CHAR  # one text chunk
     parsed = []
     real_parse = search._parse_line
 
@@ -741,7 +738,7 @@ def test_chunk_size_does_not_change_the_design_file(levels, size, monkeypatch):
     row_bytes = 8 * 64 * keys.shape[1]  # the writer's rows per chunk are _CHUNK_BYTES // row_bytes
     per_char = search._READ_PEAK_PER_CHAR
     for chunk in (row_bytes, 2 * row_bytes, 7 * row_bytes, per_char, 2 * per_char, 7 * per_char, 97 * per_char):
-        monkeypatch.setattr(search, "_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(designs, "_CHUNK_BYTES", chunk)
         written = io.StringIO()
         write_design_keys(keys, written)
         assert written.getvalue() == text
@@ -775,7 +772,7 @@ def test_chunk_size_does_not_change_enumerate(monkeypatch):
             return ok
 
     for rows in (1, 2, 7):
-        monkeypatch.setattr(search, "_CHUNK_BYTES", rows * 8 * problem.ambient.run_count)
+        monkeypatch.setattr(designs, "_CHUNK_BYTES", rows * 8 * problem.ambient.run_count)
         assert np.array_equal(enumerate_keys(problem), keys)
         checker = RejectFromRowFive()
         monkeypatch.setattr(search, "get_checker", lambda ambient: checker)
