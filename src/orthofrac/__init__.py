@@ -17,12 +17,7 @@ from .designs import (
     run_point,
     save_design_csv,
 )
-from .polynomials import (
-    Polynomial,
-    parse_polynomial,
-    reduce_to_standard_form,
-    vanishing_substitution,
-)
+from .polynomials import Polynomial, parse_polynomial
 from .algebra import (
     NotAnIndicatorError,
     design_from_indicator,
@@ -30,6 +25,7 @@ from .algebra import (
     indicator_from_design,
     linear_preprocess,
     orthogonality_system,
+    reduce_to_standard_form,
     verify_theta,
     verify_theta_report,
 )

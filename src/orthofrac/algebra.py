@@ -14,7 +14,10 @@ Central objects, all exact:
   system 1'X theta = s, C_l X theta = 0 (l = 1..t) characterizing
   fractions of size s with orthogonality strength t, as Fraction rows;
 * rref, the only exact Gaussian elimination: linear_preprocess reduces the
-  system with it, and _factor_matrix takes each V_j^{-1} from it.
+  system with it, and _factor_matrix takes each V_j^{-1} from it;
+* the standard form of any polynomial (reduce_to_standard_form): x_j^e
+  reduces to the polynomial of degree below r_j with the values level^e at
+  the factor's levels, whose coefficients are V_j^{-1} applied to them.
 
 value_checks reads every check from the values at the runs v = X theta.
 theta is idempotent (theta = mu(theta), the reduced square of the
@@ -45,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .designs import Design, FactorSpec, FullFactorial
-from .polynomials import Polynomial, reduce_to_standard_form
+from .polynomials import _ZERO, Polynomial
 
 
 class NotAnIndicatorError(ValueError):
@@ -90,6 +93,38 @@ def _factor_matrix(factor: FactorSpec, inverse: bool) -> tuple[np.ndarray, int, 
     scale = lcm(*(x.denominator for row in matrix for x in row))
     a = np.array([[int(x * scale) for x in row] for row in matrix], dtype=object)
     return a, scale, max(sum(map(abs, row)) for row in a)
+
+
+@lru_cache(maxsize=None)
+def _power_row(factor: FactorSpec, e: int) -> tuple[Fraction, ...]:
+    """The coefficients over x^0 .. x^{r-1} of the reduction of x^e: V^{-1}
+    applied to the levels' e-th powers (_factor_matrix)."""
+    a, d, _ = _factor_matrix(factor, inverse=True)
+    powers = [v**e for v in factor.levels]
+    return tuple(sum(x * v for x, v in zip(row, powers)) / d for row in a.tolist())
+
+
+def reduce_to_standard_form(poly: Polynomial, ambient: FullFactorial) -> Polynomial:
+    """The unique lattice-supported polynomial equal to `poly` on every ambient point."""
+    if poly.n_vars != ambient.n_factors:
+        raise ValueError("variable count does not match the ambient")
+    factors = ambient.factors
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in poly.items():
+        # Expand factor by factor; each variable reduces independently.
+        partial: dict[tuple[int, ...], Fraction] = {(): coeff}
+        for factor, e in zip(factors, exps):
+            row = _power_row(factor, e)
+            nxt: dict[tuple[int, ...], Fraction] = {}
+            for prefix, c in partial.items():
+                for k, ck in enumerate(row):
+                    if ck:
+                        key = prefix + (k,)
+                        nxt[key] = nxt.get(key, _ZERO) + c * ck
+            partial = nxt
+        for key, c in partial.items():
+            out[key] = out.get(key, _ZERO) + c
+    return Polynomial._trusted(poly.n_vars, {e: c for e, c in out.items() if c})
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +264,7 @@ def _contrast_rows(ambient: FullFactorial) -> tuple[np.ndarray, tuple[tuple, ...
     lexicographic, then pin vectors lexicographic.
     """
     radices, n, m = ambient.radices, ambient.n_factors, ambient.run_count
-    ivs = np.stack(np.unravel_index(np.arange(m), radices), axis=1)
+    ivs = ambient.index_vectors
     rows = [np.ones(m, dtype=np.int64)]
     labels: list[tuple] = [("size",)]
     for k in range(1, n + 1):

@@ -30,7 +30,7 @@ from . import search
 from .algebra import polynomial_from_values, values_at_runs
 from .designs import (
     Design, FullFactorial, ShapeMismatchError, design_keys, find_keys, indexed_keys, invariant_triples, key_order,
-    key_runs, search_keys, supports_triple_invariant, unpack_runs,
+    key_runs, run_index, search_keys, supports_triple_invariant, unpack_runs,
 )
 from .polynomials import Polynomial
 
@@ -80,9 +80,11 @@ def run_perm_table(ambient: FullFactorial) -> np.ndarray:
     Rows run over factor permutations, then over level-permutation choices
     with the last factor fastest.  Row (f, l) is level[l, factor[f, i]]:
     factor[f] permutes the runs by the factor permutation alone,
-    factor[f, i] = sum of stride_j * iv_i[factor_perm[j]], and level[l] by
-    the level permutations alone, level[l, i] = sum of
-    stride_j * level_perms[j][iv_i[j]].
+    factor[f, i] = run_index(iv_i[factor_perm[0]], ..., iv_i[factor_perm[n-1]]),
+    and level[l] by the level permutations alone, the sum over j of
+    run_index of level_perms[j][iv_i[j]] at factor j and 0 elsewhere (a
+    run index is the sum of those of its digits placed alone).  Both are
+    cast to the table's dtype as they are formed.
     """
     radices, n, m = ambient.radices, ambient.n_factors, ambient.run_count
     dtype = np.min_scalar_type(m - 1)
@@ -95,14 +97,14 @@ def run_perm_table(ambient: FullFactorial) -> np.ndarray:
         )
     # ivs[j, i]: the level of factor j in run i.  Every partial sum below is
     # a run index, so the sums stay in dtype.
-    ivs = np.stack(np.unravel_index(np.arange(m), radices)).astype(dtype)
-    strides = [prod(radices[j + 1 :]) for j in range(n)]
+    ivs = ambient.index_vectors.T
     factor_perms = np.array(list(_factor_perms(ambient)), dtype=np.intp)
-    factor = sum(stride * ivs[factor_perms[:, j]] for j, stride in enumerate(strides))
+    factor = run_index(ambient, ivs[factor_perms.T]).astype(dtype)
     level = 0
     for j, choices in enumerate(_level_perms(ambient)):
-        shape = (1,) * j + (-1,) + (1,) * (n - j - 1) + (m,)
-        level = level + strides[j] * np.array(choices, dtype=dtype)[:, ivs[j]].reshape(shape)
+        digits = [0] * n
+        digits[j] = np.array(choices)[:, ivs[j]].reshape((1,) * j + (-1,) + (1,) * (n - j - 1) + (m,))
+        level = level + run_index(ambient, digits).astype(dtype)
     # columns[i, f, l] = level[l, factor[f, i]]: the m x G transpose, built in one gather.
     columns = level.reshape(-1, m).T.take(factor.T, axis=0)
     table = columns.reshape(m, order).T

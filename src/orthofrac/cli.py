@@ -100,11 +100,16 @@ def _output(out: str | None):
         yield sys.stdout
         return
     # Overwritten in place and then cut to length: on ext4, truncating a
-    # file to zero makes its close() start writeback (auto_da_alloc).
+    # file to zero makes its close() start writeback (auto_da_alloc).  The
+    # cut is at the bytes that reached the file, also when a write failed,
+    # so no tail of the old file stays behind the new text.
     with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-        yield fh
-        if os.path.isfile(out):  # not a pipe or a device
-            fh.truncate()
+        try:
+            yield fh
+            fh.flush()
+        finally:
+            if os.path.isfile(out):  # not a pipe or a device
+                os.ftruncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
 
 
 def _emit(text: str, out: str | None) -> None:

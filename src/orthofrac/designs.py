@@ -2,7 +2,10 @@
 
 Runs of the full factorial are indexed lexicographically in the index
 vector with the last factor varying fastest; every file format and
-canonical ordering in the package relies on that convention.
+canonical ordering in the package relies on that convention.  This module
+alone derives it: FullFactorial.index_vectors lists every run's level
+indices, and run_index maps index vectors back to runs.  Other modules
+read those two.
 
 Below the Fraction algebra a set of runs is always a key: key_words(m) =
 ceil(m/64) uint64 words, run r at bit 63 - r % 64 of word r // 64.  Two
@@ -104,6 +107,11 @@ class FullFactorial:
     def _hash(self) -> int:
         return hash(self.factors)
 
+    # A pickle holds the factors alone: an unpickled copy of the cached
+    # index_vectors would be writeable.
+    def __getstate__(self) -> dict:
+        return {"factors": self.factors}
+
     @cached_property
     def radices(self) -> tuple[int, ...]:
         return tuple(f.arity for f in self.factors)
@@ -121,6 +129,20 @@ class FullFactorial:
             run, d = divmod(run, r)
             out.append(d)
         return tuple(reversed(out))
+
+    @cached_property
+    def index_vectors(self) -> np.ndarray:
+        """index_vectors[i] == decode(i): the read-only m x n int64 level indices of every run."""
+        ivs = np.stack(np.unravel_index(np.arange(self.run_count), self.radices), axis=1)
+        ivs.flags.writeable = False
+        return ivs
+
+
+def run_index(ambient: FullFactorial, digits) -> np.ndarray:
+    """The run whose index vector is digits[:, ...]: the inverse of
+    index_vectors, over the first axis of digits (one entry per factor,
+    broadcast against each other as by np.ravel_multi_index)."""
+    return np.ravel_multi_index(tuple(digits), ambient.radices)
 
 
 def full_factorial(arities: Iterable[int]) -> FullFactorial:
@@ -236,6 +258,7 @@ class MarginCells:
     cells: np.ndarray  # cells[i, s]: the cell of subsets[s] that run i hits
     volumes: np.ndarray  # volumes[c]: the number of cells of c's subset
     starts: np.ndarray  # starts[s]: the first cell id of subsets[s]
+    levels: np.ndarray  # levels[c]: the level indices of cell c on its subset's factors
     masks: np.ndarray  # masks[w, c]: word w of the key of the runs that hit cell c
 
     def count_keys(self, keys: np.ndarray, cells=slice(None)) -> np.ndarray:
@@ -415,11 +438,9 @@ def indexed_keys(runs: np.ndarray, m: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def margin_cells(ambient: FullFactorial, k: int) -> MarginCells:
     """The cached margin-cell table of the size-k factor subsets (read-only arrays)."""
-    m = ambient.run_count
-    radices = ambient.radices
-    ivs = np.array([ambient.decode(i) for i in range(m)], dtype=np.int64)
+    m, radices, ivs = ambient.run_count, ambient.radices, ambient.index_vectors
     subsets = tuple(itertools.combinations(range(ambient.n_factors), k))
-    columns, volumes, starts = [], [], []
+    columns, volumes, starts, levels = [], [], [], [np.zeros((0, k), dtype=np.int64)]
     for subset in subsets:
         offset = np.zeros(m, dtype=np.int64)
         for j in subset:
@@ -428,13 +449,16 @@ def margin_cells(ambient: FullFactorial, k: int) -> MarginCells:
         columns.append(starts[-1] + offset)
         volume = prod(radices[j] for j in subset)
         volumes.extend([volume] * volume)
+        levels.append(np.zeros((volume, k), dtype=np.int64))
+        levels[-1][offset] = ivs[:, subset]
     cells = np.array(columns, dtype=np.int64).reshape(len(subsets), m).T
     hits = np.zeros((m, len(volumes)), dtype=bool)  # hits[i, c]: run i hits cell c
     hits[np.arange(m)[:, None], cells] = True
     table = MarginCells(
-        subsets, cells, np.array(volumes, dtype=np.int64), np.array(starts, dtype=np.int64), mask_words(hits)
+        subsets, cells, np.array(volumes, dtype=np.int64), np.array(starts, dtype=np.int64),
+        np.concatenate(levels), mask_words(hits),
     )
-    for array in (table.cells, table.volumes, table.starts):
+    for array in (table.cells, table.volumes, table.starts, table.levels):
         array.flags.writeable = False
     return table
 

@@ -1,22 +1,19 @@
 """Sparse multivariate polynomials over the rationals.
 
 A polynomial is a mapping from exponent tuples to nonzero Fraction
-coefficients.  Reduction to standard form rewrites each variable's
-exponent below the factor's arity using the substitution
-x_j^{r_j} -> g_j(x_j), where x^{r_j} - g_j is the monic polynomial
-vanishing on the factor's level set.  The result is the unique polynomial
-supported on the exponent lattice that agrees with the input on every
-point of the ambient design.
+coefficients, with exact arithmetic, evaluation and the indicator text
+format (to_text, parse_polynomial).  Its standard form on an ambient, the
+unique polynomial on the exponent lattice that agrees with it at every
+run, is algebra.reduce_to_standard_form.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .designs import FactorSpec, FullFactorial
+from .designs import FullFactorial
 
 
 _ZERO = Fraction(0)
@@ -221,59 +218,3 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
         prev = terms.get(key)
         terms[key] = coeff if prev is None else prev + coeff
     return Polynomial._trusted(n_vars, {e: c for e, c in terms.items() if c})
-
-
-def vanishing_substitution(factor: FactorSpec) -> tuple[Fraction, ...]:
-    """Coefficients (g_0, ..., g_{r-1}) with x^r - g(x) = prod(x - a) over the levels.
-
-    Hence x^r equals g(x) at every level of the factor.
-    """
-    # Expand prod (x - a) exactly; coeffs[k] is the coefficient of x^k.
-    coeffs = [Fraction(1)]
-    for a in factor.levels:
-        coeffs = [Fraction(0)] + coeffs
-        for k in range(len(coeffs) - 1):
-            coeffs[k] -= a * coeffs[k + 1]
-    r = factor.arity
-    return tuple(-coeffs[k] for k in range(r))
-
-
-@lru_cache(maxsize=None)
-def _power_table(factor: FactorSpec, max_exp: int) -> tuple[tuple[Fraction, ...], ...]:
-    """table[e] = coefficients over x^0..x^{r-1} of the reduction of x^e."""
-    r = factor.arity
-    g = vanishing_substitution(factor)
-    table: list[tuple[Fraction, ...]] = [
-        tuple(Fraction(1) if k == e else Fraction(0) for k in range(r))
-        for e in range(r)
-    ]
-    for e in range(r, max_exp + 1):
-        prev = table[e - 1]
-        top = prev[r - 1]
-        shifted = (Fraction(0),) + prev[: r - 1]
-        table.append(tuple(shifted[k] + top * g[k] for k in range(r)))
-    return tuple(table)
-
-
-def reduce_to_standard_form(poly: Polynomial, ambient: FullFactorial) -> Polynomial:
-    """Unique lattice-supported polynomial equal to `poly` on every ambient point."""
-    if poly.n_vars != ambient.n_factors:
-        raise ValueError("variable count does not match the ambient")
-    factors = ambient.factors
-    out: dict[tuple[int, ...], Fraction] = {}
-    for exps, coeff in poly.items():
-        # Expand factor by factor; each variable reduces independently.
-        partial: dict[tuple[int, ...], Fraction] = {(): coeff}
-        for j, e in enumerate(exps):
-            table = _power_table(factors[j], max(e, factors[j].arity - 1))
-            row = table[e]
-            nxt: dict[tuple[int, ...], Fraction] = {}
-            for prefix, c in partial.items():
-                for k, ck in enumerate(row):
-                    if ck:
-                        key = prefix + (k,)
-                        nxt[key] = nxt.get(key, _ZERO) + c * ck
-            partial = nxt
-        for key, c in partial.items():
-            out[key] = out.get(key, _ZERO) + c
-    return Polynomial._trusted(poly.n_vars, {e: c for e, c in out.items() if c})

@@ -129,13 +129,11 @@ def _sub_ambient(ambient: FullFactorial, p: int) -> FullFactorial:
 
 
 def _embedding_tables(ambient: FullFactorial, p: int) -> np.ndarray:
-    """tables[c, sub_run] = full run index with the slicing factor at level c:
-    with S the product of the radices after p, sub-run s keeps its higher
-    digits at (s // S) * r * S and its lower ones at s % S, and c adds c * S."""
-    r = ambient.radices[p]
-    stride = prod(ambient.radices[p + 1 :])
-    s = np.arange(ambient.run_count // r, dtype=np.int64)
-    return (s // stride) * (r * stride) + s % stride + stride * np.arange(r, dtype=np.int64)[:, None]
+    """tables[c, sub_run]: the ambient run with the slicing factor p at level
+    c and the other factors at sub_run's levels.  The runs at level c, in
+    run order, list the sub-ambient's index vectors in its run order."""
+    levels = ambient.index_vectors[:, p]
+    return np.array([np.flatnonzero(levels == c) for c in range(ambient.radices[p])])
 
 
 @lru_cache(maxsize=None)
@@ -167,17 +165,9 @@ def _embedded(candidates: np.ndarray, ambient: FullFactorial, p: int) -> np.ndar
 
 @lru_cache(maxsize=None)
 def _free_cells(sub: FullFactorial, strength: int) -> np.ndarray:
-    """The ids, in margin_cells(sub, strength), of the cells whose levels are all >= 1 (read-only).
-
-    Subset s numbers its cells from starts[s] on by the mixed-radix value
-    of their levels, first factor most significant: row-major order.
-    """
-    table = margin_cells(sub, strength)
-    free = [np.zeros(0, dtype=np.int64)]
-    for start, subset in zip(table.starts.tolist(), table.subsets):
-        levels = np.indices([sub.radices[j] for j in subset]).reshape(len(subset), -1)
-        free.append(start + np.flatnonzero(np.all(levels >= 1, axis=0)))
-    free = np.concatenate(free)
+    """The ids, in margin_cells(sub, strength), of the cells whose levels
+    (MarginCells.levels) are all >= 1 (read-only)."""
+    free = np.flatnonzero(np.all(margin_cells(sub, strength).levels >= 1, axis=1))
     free.flags.writeable = False
     return free
 

@@ -10,6 +10,11 @@ None of these is used by the package itself:
   tests check them with;
 * mul_model_matrix and mul_model_inverse, X v and X^-1 v as Fractions
   through algebra.mode_products, for the tests' vector checks;
+* vanishing_substitution, _power_table and reduce_to_standard_form, the
+  standard form as it was reduced before it went through each factor's
+  V^-1 (algebra.reduce_to_standard_form): x^r -> g(x), with x^r - g(x) the
+  monic polynomial vanishing on the factor's levels, applied e - r + 1
+  times to reduce x^e;
 * the quadratic idempotency system theta_a = mu_a(theta), built by
   squaring the generic lattice polynomial and reducing it to standard
   form (production checks idempotency as X theta in {0, 1}^m);
@@ -69,8 +74,8 @@ from orthofrac.algebra import (
     rref,
 )
 from orthofrac.classify import run_perm_table
-from orthofrac.designs import Design, FullFactorial, all_points, bitset_keys, margin_cells
-from orthofrac.polynomials import Polynomial, _power_table
+from orthofrac.designs import Design, FactorSpec, FullFactorial, all_points, bitset_keys, margin_cells
+from orthofrac.polynomials import Polynomial
 
 
 Rows = tuple[tuple[Fraction, ...], ...]
@@ -136,6 +141,62 @@ def mul_model_matrix(ambient: FullFactorial, theta: Sequence) -> tuple[Fraction,
 def mul_model_inverse(ambient: FullFactorial, values: Sequence) -> tuple[Fraction, ...]:
     """X^{-1} values, the coefficients of the lattice polynomial taking these values at the runs."""
     return _mul(ambient, values, inverse=True)
+
+
+def vanishing_substitution(factor: FactorSpec) -> tuple[Fraction, ...]:
+    """Coefficients (g_0, ..., g_{r-1}) with x^r - g(x) = prod(x - a) over the levels.
+
+    Hence x^r equals g(x) at every level of the factor.
+    """
+    # Expand prod (x - a) exactly; coeffs[k] is the coefficient of x^k.
+    coeffs = [Fraction(1)]
+    for a in factor.levels:
+        coeffs = [Fraction(0)] + coeffs
+        for k in range(len(coeffs) - 1):
+            coeffs[k] -= a * coeffs[k + 1]
+    r = factor.arity
+    return tuple(-coeffs[k] for k in range(r))
+
+
+@lru_cache(maxsize=None)
+def _power_table(factor: FactorSpec, max_exp: int) -> tuple[tuple[Fraction, ...], ...]:
+    """table[e] = coefficients over x^0..x^{r-1} of the reduction of x^e."""
+    r = factor.arity
+    g = vanishing_substitution(factor)
+    table: list[tuple[Fraction, ...]] = [
+        tuple(Fraction(1) if k == e else Fraction(0) for k in range(r))
+        for e in range(r)
+    ]
+    for e in range(r, max_exp + 1):
+        prev = table[e - 1]
+        top = prev[r - 1]
+        shifted = (Fraction(0),) + prev[: r - 1]
+        table.append(tuple(shifted[k] + top * g[k] for k in range(r)))
+    return tuple(table)
+
+
+def reduce_to_standard_form(poly: Polynomial, ambient: FullFactorial) -> Polynomial:
+    """Unique lattice-supported polynomial equal to `poly` on every ambient point."""
+    if poly.n_vars != ambient.n_factors:
+        raise ValueError("variable count does not match the ambient")
+    factors = ambient.factors
+    out: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in poly.items():
+        # Expand factor by factor; each variable reduces independently.
+        partial: dict[tuple[int, ...], Fraction] = {(): coeff}
+        for j, e in enumerate(exps):
+            table = _power_table(factors[j], max(e, factors[j].arity - 1))
+            row = table[e]
+            nxt: dict[tuple[int, ...], Fraction] = {}
+            for prefix, c in partial.items():
+                for k, ck in enumerate(row):
+                    if ck:
+                        key = prefix + (k,)
+                        nxt[key] = nxt.get(key, Fraction(0)) + c * ck
+            partial = nxt
+        for key, c in partial.items():
+            out[key] = out.get(key, Fraction(0)) + c
+    return Polynomial(poly.n_vars, out)
 
 
 @dataclass(frozen=True)

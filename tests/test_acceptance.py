@@ -19,6 +19,7 @@ from orthofrac.algebra import (
     linear_preprocess,
     mode_products,
     orthogonality_system,
+    reduce_to_standard_form,
     value_checks,
     verify_theta,
 )
@@ -35,7 +36,7 @@ from orthofrac.designs import (
     margin_cells,
 )
 from orthofrac.fastcheck import get_checker
-from orthofrac.polynomials import parse_polynomial, reduce_to_standard_form
+from orthofrac.polynomials import parse_polynomial
 from orthofrac.search import SearchProblem, brute_force_oracle, enumerate_orthogonal
 from reference import margin_counts, membership_rows
 

@@ -20,6 +20,7 @@ from orthofrac.algebra import (
     mode_products,
     orthogonality_system,
     polynomial_from_values,
+    reduce_to_standard_form,
     rref,
     verify_theta,
     verify_theta_report,
@@ -32,7 +33,7 @@ from orthofrac.designs import (
     has_strength,
 )
 from orthofrac.classify import act_theta, generate_group
-from orthofrac.polynomials import Polynomial, parse_polynomial, reduce_to_standard_form
+from orthofrac.polynomials import Polynomial, parse_polynomial
 from reference import (
     build_model_matrix,
     identity,

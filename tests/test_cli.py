@@ -1,4 +1,7 @@
+import errno
 import json
+import resource
+import signal
 
 import numpy as np
 import pytest
@@ -43,6 +46,49 @@ def test_out_replaces_a_longer_file_and_accepts_devices(tmp_path, capsys):
     assert path.read_text() == "[0, 3, 5, 6]\n[1, 2, 4, 7]\n# count: 2\n"
     assert main([*argv, "--out", "/dev/null"]) == 0
     assert capsys.readouterr().out == f"2 designs -> {path}\n2 designs -> /dev/null\n"
+
+
+def test_out_cut_at_the_new_text_when_a_write_fails(tmp_path, monkeypatch, capsys):
+    # A disk that fills after one line: the command fails (exit 2), and the
+    # file holds that line alone, with no stale designs or count line of the
+    # longer file it overwrote.
+    path = tmp_path / "designs.txt"
+    path.write_text("[0, 3, 5, 6]\n" * 50 + "# count: 50\n")
+
+    def full_disk(keys, fh):
+        fh.write("[1, 2, 4, 7]\n")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_design_keys", full_disk)
+    argv = ["enumerate", "--levels", "2,2,2", "--size", "4", "--strength", "2", "--out", str(path)]
+    assert main(argv) == 2
+    assert path.read_text() == "[1, 2, 4, 7]\n"
+    assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+
+
+def test_out_cut_at_the_bytes_written_when_the_kernel_refuses_a_write(tmp_path, capsys):
+    # Past the file-size limit the kernel writes up to it and then refuses
+    # (EFBIG), and flushing the rest fails again, so the file must be cut at
+    # the bytes that got through: the first `limit` bytes of the new text,
+    # with no tail of the longer file it overwrote.
+    argv = ["enumerate", "--levels", "2,2,2,3", "--size", "12", "--strength", "2"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    limit = 1024
+    assert len(text) > limit
+    path = tmp_path / "designs.txt"
+    path.write_text("# stale\n" * 1000)
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+    try:
+        code = main([*argv, "--out", str(path)])
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: [Errno 27] File too large\n")
+    assert path.read_text() == text[:limit]
 
 
 def test_enumerate_empty_result_is_success(capsys):

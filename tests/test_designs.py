@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_ambient, sign_fraction
+from conftest import RATIONAL, random_ambient, sign_fraction
 from reference import margin_counts
 from orthofrac.catalog import flagship_ambient
 from orthofrac.designs import (
@@ -24,6 +24,7 @@ from orthofrac.designs import (
     load_design_csv,
     margin_cells,
     margins,
+    run_index,
     run_point,
     save_design_csv,
 )
@@ -71,6 +72,34 @@ def test_run_point_last_run_of_flagship():
     assert run_point(amb, 47) == (1, 1, 1, 1, 1)
     with pytest.raises(IndexError):
         run_point(amb, 48)
+
+
+def test_index_vectors_own_the_run_order():
+    # index_vectors lists decode(i) for every run, read-only, also in a
+    # pickled copy; run_index inverts it, and each run hits, on every factor
+    # subset, the margin cell whose levels are the run's levels there.
+    rng = random.Random(24)
+    for amb in [RATIONAL, full_factorial([4, 3, 2])] + [random_ambient(rng) for _ in range(20)]:
+        m = amb.run_count
+        ivs = amb.index_vectors
+        assert ivs.dtype == np.int64 and ivs.shape == (m, amb.n_factors)
+        assert ivs.tolist() == [list(amb.decode(i)) for i in range(m)]
+        copy = pickle.loads(pickle.dumps(amb))
+        for array in (ivs, copy.index_vectors):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+        assert amb.index_vectors is ivs and np.array_equal(copy.index_vectors, ivs)
+        assert run_index(amb, ivs.T).tolist() == list(range(m))
+        for k in range(1, amb.n_factors + 1):
+            table = margin_cells(amb, k)
+            assert len(table.levels) == len(table.volumes) and not table.levels.flags.writeable
+            for s, subset in enumerate(table.subsets):
+                assert (table.levels[table.cells[:, s]] == ivs[:, subset]).all()
+                # A subset's cells come in the run order of the factorial of its factors.
+                start, volume = table.starts[s], table.volumes[table.starts[s]]
+                margin = FullFactorial(tuple(amb.factors[j] for j in subset))
+                assert run_index(margin, table.levels[start : start + volume].T).tolist() == list(range(volume))
 
 
 def test_margins_full_factorial_balanced():

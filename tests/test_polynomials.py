@@ -1,16 +1,14 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import reference
+from conftest import RATIONAL
+from orthofrac.algebra import reduce_to_standard_form
 from orthofrac.designs import FactorSpec, all_points, full_factorial
-from orthofrac.polynomials import (
-    Polynomial,
-    parse_polynomial,
-    reduce_to_standard_form,
-    vanishing_substitution,
-)
+from orthofrac.polynomials import Polynomial, parse_polynomial
 
 
 def _levels(*vals):
@@ -19,17 +17,17 @@ def _levels(*vals):
 
 def test_vanishing_substitution_two_level():
     # (x-1)(x+1) = x^2 - 1, so x^2 -> 1
-    assert vanishing_substitution(_levels(-1, 1)) == (Fraction(1), Fraction(0))
+    assert reference.vanishing_substitution(_levels(-1, 1)) == (Fraction(1), Fraction(0))
 
 
 def test_vanishing_substitution_three_level():
     # x(x^2-1) = x^3 - x, so x^3 -> x
-    assert vanishing_substitution(_levels(-1, 0, 1)) == (0, 1, 0)
+    assert reference.vanishing_substitution(_levels(-1, 0, 1)) == (0, 1, 0)
 
 
 def test_vanishing_substitution_shifted_levels():
     # x(x-2) = x^2 - 2x, so x^2 -> 2x
-    assert vanishing_substitution(_levels(0, 2)) == (0, 2)
+    assert reference.vanishing_substitution(_levels(0, 2)) == (0, 2)
 
 
 def test_reduce_single_power():
@@ -62,6 +60,40 @@ def test_reduction_preserves_values_on_ambient():
         assert reduced.in_lattice(amb)
         for pt in pts:
             assert reduced.evaluate(pt) == poly.evaluate(pt)
+
+
+@pytest.mark.parametrize(
+    "amb",
+    [full_factorial([2, 2, 2, 2, 3]), full_factorial([4, 3, 2]), RATIONAL, full_factorial([8, 8])],
+    ids=["flagship", "4x3x2", "rational", "8x8"],
+)
+def test_reduction_matches_the_vanishing_substitution_reference(amb):
+    # Each x_j^e reduced through factor j's V^-1 is the polynomial the
+    # substitution x^r -> g(x) reaches step by step, for exponents up to 3r.
+    rng = random.Random(24)
+    for _ in range(60):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            exps = tuple(rng.randint(0, 3 * r) for r in amb.radices)
+            terms[exps] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        poly = Polynomial(amb.n_factors, terms)
+        assert reduce_to_standard_form(poly, amb) == reference.reduce_to_standard_form(poly, amb)
+
+
+def test_reducing_a_huge_power_takes_memory_independent_of_the_exponent():
+    # x5^e with x5 in {-1, 0, 1} reduces to x5^2 for every even e >= 2.
+    # Stepping x^3 -> x up to e = 10^5 held ~35 MB of table rows; the
+    # levels' e-th powers take a few bytes each.
+    amb = full_factorial([2, 2, 2, 2, 3])
+    poly = Polynomial.monomial((0, 0, 0, 0, 10**5), Fraction(2, 3))
+    tracemalloc.start()
+    try:
+        reduced = reduce_to_standard_form(poly, amb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reduced == Polynomial.monomial((0, 0, 0, 0, 2), Fraction(2, 3))
+    assert peak < 10**6
 
 
 def test_to_text_canonical_example():

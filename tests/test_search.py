@@ -28,6 +28,7 @@ from orthofrac.designs import (
     margin_cells,
 )
 from orthofrac.search import (
+    _embedding_tables,
     _enumerate_keys,
     _free_cells,
     _join_assignments,
@@ -279,6 +280,22 @@ def test_free_cells_are_the_cells_with_all_levels_positive():
             for s, subset in enumerate(table.subsets):
                 expected.update(table.cells[np.all(runs[:, list(subset)] >= 1, axis=1), s].tolist())
             assert _free_cells(amb, strength).tolist() == sorted(expected)
+
+
+def test_embedding_tables_put_each_sub_run_at_every_level():
+    # tables[c, s] is the run whose index vector is sub-run s's with level c
+    # of the slicing factor inserted, read through decode.
+    rng = random.Random(24)
+    ambients = [full_factorial([4, 3, 2])] + [random_ambient(rng) for _ in range(10)]
+    for amb in [a for a in ambients if a.n_factors > 1]:
+        for p in range(amb.n_factors):
+            sub = _sub_ambient(amb, p)
+            tables = _embedding_tables(amb, p)
+            assert tables.shape == (amb.radices[p], sub.run_count)
+            for c, row in enumerate(tables.tolist()):
+                for s, run in enumerate(row):
+                    iv = sub.decode(s)
+                    assert amb.decode(run) == iv[:p] + (c,) + iv[p:]
 
 
 @pytest.mark.parametrize(
