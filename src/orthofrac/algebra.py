@@ -47,7 +47,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .designs import Design, FactorSpec, FullFactorial
+from . import designs
+from .designs import Design, FactorSpec, FullFactorial, ProblemTooLargeError
 from .polynomials import _ZERO, Polynomial
 
 
@@ -61,8 +62,8 @@ class InconsistentSystemError(ValueError):
 
 @lru_cache(maxsize=None)
 def exponent_lattice(ambient: FullFactorial) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors with e_j < r_j, in canonical (last fastest) order."""
-    return tuple(itertools.product(*(range(r) for r in ambient.radices)))
+    """All exponent vectors with e_j < r_j, in run order: the index vectors."""
+    return tuple(map(tuple, ambient.index_vectors.tolist()))
 
 
 _INT64_SAFE = 2**62
@@ -98,7 +99,18 @@ def _factor_matrix(factor: FactorSpec, inverse: bool) -> tuple[np.ndarray, int, 
 @lru_cache(maxsize=None)
 def _power_row(factor: FactorSpec, e: int) -> tuple[Fraction, ...]:
     """The coefficients over x^0 .. x^{r-1} of the reduction of x^e: V^{-1}
-    applied to the levels' e-th powers (_factor_matrix)."""
+    applied to the levels' e-th powers (_factor_matrix).
+
+    Raises ProblemTooLargeError, before forming any power, when a level's
+    e-th power would take more than designs._CHUNK_BYTES: e times the bit
+    length of its |numerator| or denominator passes 8 _CHUNK_BYTES.  The
+    powers of levels 0, 1 and -1 stay one bit long."""
+    big = [max(abs(v.numerator), v.denominator) for v in factor.levels if v not in (-1, 0, 1)]
+    bits = max(big, default=0).bit_length()
+    if e * bits > 8 * designs._CHUNK_BYTES:
+        raise ProblemTooLargeError(
+            f"x^{e} on levels of up to {bits} bits exceeds the {designs._CHUNK_BYTES}-byte budget of a level power"
+        )
     a, d, _ = _factor_matrix(factor, inverse=True)
     powers = [v**e for v in factor.levels]
     return tuple(sum(x * v for x, v in zip(row, powers)) / d for row in a.tolist())

@@ -29,8 +29,8 @@ import numpy as np
 from . import search
 from .algebra import polynomial_from_values, values_at_runs
 from .designs import (
-    Design, FullFactorial, ShapeMismatchError, design_keys, find_keys, indexed_keys, invariant_triples, key_order,
-    key_runs, run_index, search_keys, supports_triple_invariant, unpack_runs,
+    Design, FullFactorial, ShapeMismatchError, design_keys, distinct_keys, find_keys, indexed_keys, invariant_triples,
+    key_order, key_runs, run_index, search_keys, supports_triple_invariant, unpack_runs,
 )
 from .polynomials import Polynomial
 
@@ -144,26 +144,20 @@ def _images(ambient: FullFactorial, runs) -> np.ndarray:
     return indexed_keys(run_perm_table(ambient)[:, np.asarray(runs, dtype=np.intp)], ambient.run_count)
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The sorted distinct key rows; the last one is the largest."""
-    keys = np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[key_order(keys)]
-    return keys[np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]]
-
-
 def canonical_form(design: Design) -> tuple[int, ...]:
     """The runs of the lexicographically least design in the orbit."""
-    return key_runs(_distinct(_images(design.ambient, design.runs))[-1:])[0]
+    return key_runs(distinct_keys(_images(design.ambient, design.runs))[-1:])[0]
 
 
 def orbit_of(design: Design) -> set[tuple[int, ...]]:
     """Run tuples of the full group orbit of one design."""
-    return set(key_runs(_distinct(_images(design.ambient, design.runs))))
+    return set(key_runs(distinct_keys(_images(design.ambient, design.runs))))
 
 
 def in_orbit(design: Design, keys: np.ndarray) -> np.ndarray:
     """Which rows of keys (designs.design_keys of designs of the same
     ambient) lie in the orbit of the design."""
-    return find_keys(search_keys(_distinct(_images(design.ambient, design.runs))), keys)[1]
+    return find_keys(search_keys(distinct_keys(_images(design.ambient, design.runs))), keys)[1]
 
 
 def stabilizer_size(design: Design) -> int:
@@ -219,7 +213,7 @@ def classify_keys(ambient: FullFactorial, keys: np.ndarray) -> list[EquivalenceC
     tops, sizes = [], []
     idx = 0
     while idx < len(keys):
-        orbit = _distinct(_images(ambient, unpack_runs(keys[idx : idx + 1])[1]))
+        orbit = distinct_keys(_images(ambient, unpack_runs(keys[idx : idx + 1])[1]))
         pos, found = find_keys(ordered, orbit)
         unseen[order[pos[found]]] = False
         tops.append(orbit[-1])

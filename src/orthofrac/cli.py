@@ -5,8 +5,10 @@ Subcommands: enumerate, classify, indicator, verify.  Exit codes:
 error, 3 the problem is too large (the brute-force ceiling of 10^8
 subsets, the 768 MB key budget of enumerate, which charges 16W + 8 bytes
 per design of W = ceil(m/64) key words plus what the join rows and slice
-candidates of each level hold (search._MATRIX_BUDGET), or the
-symmetry-group table budget is exceeded, or memory runs out), 4 an
+candidates of each level hold (search._MATRIX_BUDGET), the
+symmetry-group table budget, or the 1 MiB budget of one level power when
+verify reduces an indicator such as x1^10000000 (algebra._power_row), is
+exceeded, or memory runs out), 4 an
 arithmetic overflow (an internal fault: every int64 fast path falls back
 to exact Python ints), 5 an enumerated design failed the algebraic
 cross-check (an internal fault), 6 any other internal error.

@@ -14,10 +14,11 @@ indexed_keys shifts the bits out of an array of run indices (run_sums and
 design_keys feed it rows of unequal length).  Only this module knows that
 layout.  unpack_runs inverts run_sums, with the run counts as popcounts of
 the words and the runs as the positions of the set bits (key_bits),
-key_runs and key_designs read keys back, key_order, search_keys and
-find_keys sort and look them up, and key_octets and octet_keys read them
-an octet at a time.  A mask is the key of a set of runs, stored word-major
-(mask_words), so popcounts counts a key's runs in each set.
+key_runs and key_designs read keys back, key_order, distinct_keys,
+search_keys and find_keys sort and look them up, and key_octets and
+octet_keys read them an octet at a time.  A mask is the key of a set of
+runs, stored word-major (mask_words), so popcounts counts a key's runs in
+each set.
 
 `margin_cells` is the one integer encoding of factor-subset margins that
 the strength checks, the search, the oracle and the class invariants
@@ -45,6 +46,11 @@ class ShapeMismatchError(ValueError):
 
 class NonTwoLevelFactorError(ValueError):
     """A J-statistic was requested for a factor whose levels are not {-1, 1}."""
+
+
+class ProblemTooLargeError(ValueError):
+    """The brute-force subset space exceeds its ceiling, the designs' keys or
+    the group table the key budget, or a level power the chunk budget."""
 
 
 def default_levels(arity: int) -> tuple[Fraction, ...]:
@@ -121,18 +127,14 @@ class FullFactorial:
         return prod(self.radices)
 
     def decode(self, run: int) -> tuple[int, ...]:
-        """Run index -> index vector (last factor fastest)."""
+        """Run index -> index vector: row `run` of index_vectors."""
         if not 0 <= run < self.run_count:
             raise IndexError(f"run {run} out of range")
-        out = []
-        for r in reversed(self.radices):
-            run, d = divmod(run, r)
-            out.append(d)
-        return tuple(reversed(out))
+        return tuple(self.index_vectors[operator.index(run)].tolist())
 
     @cached_property
     def index_vectors(self) -> np.ndarray:
-        """index_vectors[i] == decode(i): the read-only m x n int64 level indices of every run."""
+        """The read-only m x n int64 level indices of every run, last factor fastest."""
         ivs = np.stack(np.unravel_index(np.arange(self.run_count), self.radices), axis=1)
         ivs.flags.writeable = False
         return ivs
@@ -361,6 +363,12 @@ def key_order(keys: np.ndarray) -> np.ndarray:
     if keys.shape[1] == 1:
         return np.argsort(keys[:, 0])
     return np.lexsort(keys.T[::-1])
+
+
+def distinct_keys(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct key rows; the last one is the largest."""
+    keys = np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[key_order(keys)]
+    return keys[np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]]
 
 
 def search_keys(keys: np.ndarray) -> np.ndarray:

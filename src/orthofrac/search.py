@@ -61,8 +61,8 @@ import numpy as np
 from . import designs
 from .algebra import _exact_dtype
 from .designs import (
-    Design, FullFactorial, design_keys, indexed_keys, key_capacity, key_designs, key_octets, key_order, key_runs,
-    key_words, margin_cells, octet_keys, run_sums, unpack_runs,
+    Design, FullFactorial, ProblemTooLargeError, design_keys, indexed_keys, key_capacity, key_designs, key_octets,
+    key_order, key_runs, key_words, margin_cells, octet_keys, run_sums, unpack_runs,
 )
 from .fastcheck import get_checker
 
@@ -88,10 +88,6 @@ _MATRIX_BUDGET = 768 * 10**6
 
 # The most size-s subsets the brute-force oracle filters.
 _ORACLE_CEILING = 10**8
-
-
-class ProblemTooLargeError(ValueError):
-    """The brute-force subset space exceeds its ceiling, or the designs' keys the key budget."""
 
 
 class CrossCheckError(RuntimeError):
@@ -438,16 +434,16 @@ def brute_force_oracle(problem: SearchProblem) -> list[Design]:
 # Results file format: one design per line as "[i1, i2, ...]", then a
 # trailing "# count: N" summary line.  A canonical line is one that equals
 # the writer's rendering of its runs (_render): in range, strictly
-# increasing, ", " separators, no leading zeros, one "\n".  Canonical lines
-# are read in bulk; every other line is read on its own as JSON, in file
-# order, so blank and "#" lines are skipped and the first bad line raises
-# its error.  Both directions work on bytes, in chunks, and pass over each
-# byte and each run only a few times.  The writer renders a chunk of key
-# rows at a time from their popcounts and set bits (designs.unpack_runs).
-# The reader parses text chunks that end on a line boundary: it reads every
-# number, and when none is out of range or out of order it renders the
-# whole chunk and accepts every line with one byte compare; otherwise it
-# compares the lines one by one (_canonical_lines).
+# increasing, ", " separators, no leading zeros, one "\n".  Both directions
+# work in chunks.  The writer renders a chunk of key rows at a time from
+# their popcounts and set bits (designs.unpack_runs).  The reader takes
+# text chunks that end on a line boundary, each by one of two routes.  When
+# every line but those that start with "#" is canonical, the chunk is read
+# in bulk, on bytes: every number is read, none may be out of range or out
+# of order, and one byte compare with the chunk's rendering accepts it
+# (_canonical_lines).  Otherwise every line of the chunk is read on its own
+# as JSON, in file order, so blank and "#" lines are skipped and the first
+# bad line raises its error.
 
 # The writer renders and the cross-check checks chunks of B key rows whose
 # B x m bits, or B x R uint64 word counts ([1; C_1; ...; C_t] has R <= m
@@ -456,8 +452,11 @@ def brute_force_oracle(problem: SearchProblem) -> list[Design]:
 # their line, so that a chunk's numpy temporaries stay within _CHUNK_BYTES:
 # reading then faults in far fewer fresh pages than with chunks of
 # _CHUNK_BYTES characters.
-# The tracemalloc peak of _read_chunk per text byte, rounded up: 11.6 on the
-# 2^4*3 and 3^4 files, 11.8 on 2^6 and 12.9 on the three-digit 2^7 file.
+# The tracemalloc peak of _read_chunk per text byte on full chunks: 11.4 on
+# the 2^4*3 and 3^4 files, 11.6 on 2^6 and 12.7 on the three-digit 2^7 file.
+# A full chunk that holds the "# count" line is copied without it first:
+# 12.6 to 12.7 there, and 13.5 on the 2^7 file, the one chunk of a file that
+# passes the bound, by 4 %.
 _READ_PEAK_PER_CHAR = 13
 
 
@@ -526,20 +525,24 @@ def _parse_line(line: str, lineno: int, ambient: FullFactorial) -> tuple[int, ..
 
 
 def _canonical_lines(data: bytes, ends: np.ndarray, m: int):
-    """Which lines of the text data are canonical, and the run counts and
-    concatenated runs of those.  Line i ends just before index ends[i], and
-    data ends with a newline.
+    """The run counts and concatenated runs of the lines of the text data
+    when every line but those that start with "#" is canonical, else None.
+    Line i ends just before index ends[i], and data ends with a newline.
 
-    Every maximal run of digits is a number, read from its last len(str(m-1))
-    digits.  A line keeps its numbers only when they are in range and
-    strictly increasing, and is canonical exactly when it equals their
-    rendering.  That comparison is what makes the loose parse safe: a
-    canonical line parses back to the runs it renders.  When no number is
-    out of place, one compare of the chunk with the rendering of all its
-    lines accepts them all; otherwise the lines of the right length are
-    rendered and compared one by one.
+    The "#" lines and their bytes are dropped first, when data holds a "#"
+    at all.  Every maximal run of digits is then a number, read from its
+    last len(str(m-1)) digits.  When every number is in range and each
+    line's numbers strictly increase, one compare of the text with the
+    rendering of all its lines decides.  That comparison is what makes the
+    loose parse safe: a canonical line parses back to the runs it renders.
     """
     b = np.frombuffer(data, dtype=np.uint8)
+    if b"#" in data:
+        own = np.diff(ends, prepend=0)
+        kept = b[ends - own] != ord("#")
+        data = b[np.repeat(kept, own)].tobytes()
+        b = np.frombuffer(data, dtype=np.uint8)
+        ends = np.cumsum(own[kept])
     width = len(str(m - 1))
     # Digit values, wrapping below "0", behind width - 1 non-digit pad bytes:
     # shifted[width - 1 - k :][i] is digits[i - k], or a pad byte for i < k.
@@ -558,67 +561,43 @@ def _canonical_lines(data: bytes, ends: np.ndarray, m: int):
     line_end = np.searchsorted(last, ends)  # the numbers up to each line's end
     lengths = np.diff(line_end, prepend=0)
 
-    bad = value >= m
     first = np.zeros(len(value) + 1, dtype=bool)  # first[i]: number i starts a line after line 0
     first[line_end] = True
-    bad[1:] |= (value[1:] <= value[:-1]) & ~first[1:-1]
-    canonical = np.ones(len(ends), dtype=bool)
-    if bad.any():
-        canonical[np.searchsorted(line_end, np.flatnonzero(bad), side="right")] = False
-    elif _render(lengths, value, m) == data:
-        return canonical, lengths, value
-
-    # The rendered line: "[" or "[]\n", then "r, " or "r]\n" for every run r.
-    rendered = 1 + 3 * lengths + 2 * (lengths == 0)
-    for k in range(1, width):
-        rendered += np.diff(np.searchsorted(np.flatnonzero(value >= 10**k), line_end), prepend=0)
-    own = np.diff(ends, prepend=0)
-    canonical &= rendered == own
-    kept = np.repeat(canonical, lengths)
-    text = np.frombuffer(_render(lengths[canonical], value[kept], m), dtype=np.uint8)
-    differs = text != b[np.repeat(canonical, own)]
-    if len(differs):
-        offsets = np.cumsum(rendered[canonical]) - rendered[canonical]
-        canonical[np.flatnonzero(canonical)[np.logical_or.reduceat(differs, offsets)]] = False
-        kept = np.repeat(canonical, lengths)
-    return canonical, lengths[canonical], value[kept]
+    # _render takes runs below m only.
+    if np.any(value >= m) or np.any((value[1:] <= value[:-1]) & ~first[1:-1]) or _render(lengths, value, m) != data:
+        return None
+    return lengths, value
 
 
 def _read_chunk(text: str, first_line: int, ambient: FullFactorial) -> tuple[np.ndarray, int]:
     """The keys of the design lines of text, a whole number of lines, in
-    order, and its line count; its first line is line first_line + 1."""
+    order, and its line count; its first line is line first_line + 1.
+    Either every line is read in bulk, or every line goes through
+    _parse_line in file order."""
     m = ambient.run_count
     data = text.encode("utf-8", "surrogatepass")
     if not data.endswith(b"\n"):
         data += b"\n"  # the file's last line; stripped away either way
     ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10) + 1
-    canonical, lengths, runs = _canonical_lines(data, ends, m)
-    sums = run_sums(lengths, runs, m)
-    if canonical.all():
-        return sums, len(ends)
-    # The design lines left to _parse_line: all but blank and "#" lines.
-    rest, parsed = [], []
-    for i in np.flatnonzero(~canonical).tolist():
-        line = data[ends[i - 1] if i else 0 : ends[i]].decode("utf-8", "surrogatepass").strip()
+    bulk = _canonical_lines(data, ends, m)
+    if bulk is not None:
+        return run_sums(*bulk, m), len(ends)
+    parsed = []
+    for i, line in enumerate(text.split("\n")):
+        line = line.strip()
         if line and line[0] != "#":
-            rest.append(i)
             parsed.append(_parse_line(line, first_line + i + 1, ambient))
-    is_design = canonical.copy()
-    is_design[rest] = True
-    row = np.cumsum(is_design) - 1
-    keys = np.zeros((int(is_design.sum()), key_words(m)), dtype=np.uint64)
-    keys[row[canonical]] = sums
-    keys[row[rest]] = design_keys(parsed, m)
-    return keys, len(ends)
+    return design_keys(parsed, m), len(ends)
 
 
 def read_design_keys(fh, ambient: FullFactorial) -> np.ndarray:
     """read_designs as keys (designs): one row per design line, in file order.
 
     Reads fh in text chunks of designs._CHUNK_BYTES // _READ_PEAK_PER_CHAR
-    characters, each completed to the end of its line.  Canonical lines are
-    read in bulk; every other line goes through _parse_line, so the first
-    bad line raises its error.
+    characters, each completed to the end of its line.  A chunk whose lines
+    are all canonical, but for "#" lines, is read in bulk; every line of any
+    other chunk goes through _parse_line, so the first bad line raises its
+    error.
     """
     chunks = [np.zeros((0, key_words(ambient.run_count)), dtype=np.uint64)]
     lines = 0

@@ -148,6 +148,16 @@ def test_enumerate_strength_zero_ceiling_exit_3(monkeypatch, capsys):
     assert err == "error: C(8,4) = 70 subsets exceed the key budget of 1656 bytes for this ambient\n"
 
 
+def test_verify_huge_level_power_exit_3(capsys):
+    # 3^(10^7) would take 2.4 MB, more than designs._CHUNK_BYTES: refused
+    # before it is formed, with one error line.
+    code = main(["verify", "--levels", "4,2", "--size", "4", "--strength", "1", "--indicator", "x1^10000000"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: x^10000000 on levels of up to 2 bits exceeds the 1048576-byte budget of a level power\n"
+
+
 def test_classify_group_table_budget_exit_3(monkeypatch, capsys, tmp_path):
     # The 2^3 group has 3! * 2^3 = 48 elements, a 48 x 8 uint8 table of
     # 384 bytes.  One byte less of budget refuses it before it is built, and

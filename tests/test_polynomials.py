@@ -6,8 +6,9 @@ import pytest
 
 import reference
 from conftest import RATIONAL
+from orthofrac import algebra, designs, search
 from orthofrac.algebra import reduce_to_standard_form
-from orthofrac.designs import FactorSpec, all_points, full_factorial
+from orthofrac.designs import FactorSpec, ProblemTooLargeError, all_points, from_level_sets, full_factorial
 from orthofrac.polynomials import Polynomial, parse_polynomial
 
 
@@ -94,6 +95,31 @@ def test_reducing_a_huge_power_takes_memory_independent_of_the_exponent():
         tracemalloc.stop()
     assert reduced == Polynomial.monomial((0, 0, 0, 0, 2), Fraction(2, 3))
     assert peak < 10**6
+
+
+def test_a_level_power_past_the_chunk_budget_is_refused(monkeypatch):
+    # A level power may take designs._CHUNK_BYTES: e times the bit length
+    # of a level's |numerator| or denominator may reach 8 _CHUNK_BYTES.
+    # Both x1's levels (-5, the largest numerator) and x3's (1/7, the
+    # largest denominator) take 3 bits, so a 3-byte budget admits their
+    # 8th powers and refuses their 9th before forming any power; levels
+    # 0 and +-1 take any exponent.
+    assert search.ProblemTooLargeError is ProblemTooLargeError
+    algebra._power_row.cache_clear()
+    amb = from_level_sets([(-5, Fraction(1, 3), 2), (-1, 0, 1), (Fraction(1, 7), 2)])
+    monkeypatch.setattr(designs, "_CHUNK_BYTES", 3)
+    edge = Polynomial.monomial((8, 1, 8), Fraction(2, 3))
+    assert reduce_to_standard_form(edge, amb) == reference.reduce_to_standard_form(edge, amb)
+    message = "^x\\^9 on levels of up to 3 bits exceeds the 3-byte budget of a level power$"
+    for past in ((9, 0, 0), (0, 0, 9)):
+        with pytest.raises(ProblemTooLargeError, match=message):
+            reduce_to_standard_form(Polynomial.monomial(past), amb)
+    free = Polynomial.monomial((0, 10**9 + 1, 0), Fraction(2, 3))
+    assert reduce_to_standard_form(free, amb) == Polynomial.monomial((0, 1, 0), Fraction(2, 3))
+    monkeypatch.undo()
+    flagship = full_factorial([2, 2, 2, 2, 3])
+    huge = Polynomial.monomial((0, 0, 0, 0, 10**9))
+    assert reduce_to_standard_form(huge, flagship) == Polynomial.monomial((0, 0, 0, 0, 2))
 
 
 def test_to_text_canonical_example():

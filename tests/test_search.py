@@ -685,10 +685,10 @@ def test_read_designs_matches_per_line_reader():
             assert key_runs(keys) == [d.runs for d in expected]
 
 
-def test_one_changed_byte_sends_only_its_line_to_the_json_route(monkeypatch):
+def test_one_changed_byte_sends_its_whole_chunk_to_the_json_route(monkeypatch):
     # A chunk of canonical lines in which one middle line differs by one byte
-    # and keeps its length: the chunk's rendering differs from its text, and
-    # the per-line diff sends that line, and no other, to _parse_line.
+    # and keeps its length: the chunk's rendering differs from its text, so
+    # every design line of the chunk goes through _parse_line, in file order.
     amb = full_factorial([2] * 6)
     keys = enumerate_keys(SearchProblem(amb, 16, 2))[:200]
     written = io.StringIO()
@@ -708,16 +708,21 @@ def test_one_changed_byte_sends_only_its_line_to_the_json_route(monkeypatch):
     tabbed = lines[:middle] + [lines[middle].replace(", ", ",\t", 1)] + lines[middle + 1 :]
     assert len("".join(tabbed)) == len("".join(lines))
     assert np.array_equal(read_design_keys(io.StringIO("".join(tabbed)), amb), keys)
-    assert parsed == [middle + 1]
+    assert parsed == list(range(1, len(keys) + 1))  # the "# count" line is skipped
     # The same with a byte that breaks the line: the per-line route names it.
     parsed.clear()
     broken = "".join(lines[:middle] + [lines[middle].replace("]", "}")] + lines[middle + 1 :])
     with pytest.raises(ValueError, match=f"^line {middle + 1}: "):
         read_design_keys(io.StringIO(broken), amb)
-    assert parsed == [middle + 1]
-    # The untouched file sends no line to _parse_line: its count line is skipped.
+    assert parsed == list(range(1, middle + 2))
+    # The untouched file sends no line to _parse_line: its count line is dropped.
     parsed.clear()
     assert np.array_equal(read_design_keys(io.StringIO("".join(lines)), amb), keys)
+    assert parsed == []
+    # Two design files concatenated, with a "# count" line mid-chunk, are read in bulk.
+    twice = "".join(lines) * 2
+    assert len(twice) < designs._CHUNK_BYTES // search._READ_PEAK_PER_CHAR
+    assert np.array_equal(read_design_keys(io.StringIO(twice), amb), np.concatenate([keys, keys]))
     assert parsed == []
 
 
