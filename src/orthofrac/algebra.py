@@ -456,9 +456,3 @@ def verify_theta_report(
     names = ["idempotency", "size"] + [f"contrast[{k}]" for k in range(1, strength + 1)]
     return dict(zip(names, value_checks(ambient, values, den, size, strength)[0].tolist()))
 
-
-def verify_theta(poly: Polynomial, ambient: FullFactorial, size: int, strength: int) -> bool:
-    """True iff the polynomial is the indicator of an orthogonal fraction of
-    that size and strength: theta is idempotent and satisfies the size and
-    contrast rows."""
-    return all(verify_theta_report(poly, ambient, size, strength).values())

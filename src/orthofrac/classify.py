@@ -144,27 +144,10 @@ def _images(ambient: FullFactorial, runs) -> np.ndarray:
     return indexed_keys(run_perm_table(ambient)[:, np.asarray(runs, dtype=np.intp)], ambient.run_count)
 
 
-def canonical_form(design: Design) -> tuple[int, ...]:
-    """The runs of the lexicographically least design in the orbit."""
-    return key_runs(distinct_keys(_images(design.ambient, design.runs))[-1:])[0]
-
-
-def orbit_of(design: Design) -> set[tuple[int, ...]]:
-    """Run tuples of the full group orbit of one design."""
-    return set(key_runs(distinct_keys(_images(design.ambient, design.runs))))
-
-
 def in_orbit(design: Design, keys: np.ndarray) -> np.ndarray:
     """Which rows of keys (designs.design_keys of designs of the same
     ambient) lie in the orbit of the design."""
     return find_keys(search_keys(distinct_keys(_images(design.ambient, design.runs))), keys)[1]
-
-
-def stabilizer_size(design: Design) -> int:
-    """The number of group elements that map the design onto itself."""
-    images = _images(design.ambient, design.runs)
-    own = design_keys([design], design.ambient.run_count)
-    return int(np.count_nonzero(np.all(images == own, axis=1)))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ arithmetic overflow (an internal fault: every int64 fast path falls back
 to exact Python ints), 5 an enumerated design failed the algebraic
 cross-check (an internal fault), 6 any other internal error.
 Every error is one `error: ...` line on stderr, never a traceback.
+classify adds one `note: ...` line on stderr when it read fewer designs
+than the orbits of its classes hold.
 """
 
 from __future__ import annotations
@@ -185,6 +187,15 @@ def cmd_classify(args) -> int:
                 "catalog check: FAIL\n" + "\n".join("  " + p for p in check["problems"])
             )
         _emit("\n".join(lines) + "\n", args.out)
+    # The report's total counts whole orbits; a subset, or designs of another
+    # ambient with as many runs, reads fewer designs than that.
+    in_orbits = report.get("total_designs", 0)
+    if in_orbits != len(keys):
+        print(
+            f"note: {len(keys)} designs read, {in_orbits} in the orbits of their {len(classes)} classes: "
+            "the input is not closed under the symmetry group",
+            file=sys.stderr,
+        )
     return 1 if check_failed else 0
 
 

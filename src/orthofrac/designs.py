@@ -1,4 +1,4 @@
-"""Full factorial designs, fractions, margin counts, strength, J-statistics.
+"""Full factorial designs, fractions, margin counts, strength, class invariants.
 
 Runs of the full factorial are indexed lexicographically in the index
 vector with the last factor varying fastest; every file format and
@@ -23,7 +23,6 @@ each set.
 `margin_cells` is the one integer encoding of factor-subset margins that
 the strength checks, the search, the oracle and the class invariants
 count with, as popcounts of keys on its per-cell run masks (count_keys).
-`margins` counts one Design's points itself, labelled by Fraction levels.
 """
 
 from __future__ import annotations
@@ -35,17 +34,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 
 class ShapeMismatchError(ValueError):
     """Design and ambient (or operation requirement) shapes disagree."""
-
-
-class NonTwoLevelFactorError(ValueError):
-    """A J-statistic was requested for a factor whose levels are not {-1, 1}."""
 
 
 class ProblemTooLargeError(ValueError):
@@ -215,36 +210,6 @@ class Design:
         for r in self.runs:
             y[r] = 1
         return y
-
-
-def full_design(ambient: FullFactorial) -> Design:
-    return Design(ambient, tuple(range(ambient.run_count)))
-
-
-@dataclass
-class MarginTable:
-    """Occurrence counts of every level combination of a factor subset."""
-
-    factor_subset: tuple[int, ...]
-    counts: dict[tuple[Fraction, ...], int]
-
-    def is_uniform(self) -> bool:
-        values = set(self.counts.values())
-        return len(values) <= 1
-
-
-def margins(design: Design, factor_subset: Sequence[int]) -> MarginTable:
-    """Exact counts of each level combination of the given factors."""
-    if not factor_subset:
-        raise ValueError("factor subset must be nonempty")
-    subset = tuple(factor_subset)
-    factors = design.ambient.factors
-    counts: dict[tuple[Fraction, ...], int] = {
-        combo: 0 for combo in itertools.product(*(factors[j].levels for j in subset))
-    }
-    for pt in design.points():
-        counts[tuple(pt[j] for j in subset)] += 1
-    return MarginTable(subset, counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,22 +450,6 @@ def has_strength(design: Design, t: int) -> bool:
     return bool(table.balanced(table.count_keys(keys), design.size).all())
 
 
-def j_statistic(design: Design, factor_subset: Sequence[int]) -> int:
-    """Sum over the design's runs of the product of the +-1 coordinates in the subset."""
-    subset = tuple(factor_subset)
-    factors = design.ambient.factors
-    for j in subset:
-        if set(factors[j].levels) != {Fraction(-1), Fraction(1)}:
-            raise NonTwoLevelFactorError(f"factor {j} does not have levels {{-1, 1}}")
-    total = 0
-    for pt in design.points():
-        sign = 1
-        for j in subset:
-            sign *= 1 if pt[j] > 0 else -1
-        total += sign
-    return total
-
-
 def supports_triple_invariant(ambient: FullFactorial) -> bool:
     """Ambient shaped as four {-1,1} factors followed by one three-level factor."""
     if ambient.n_factors != 5:
@@ -553,16 +502,6 @@ def invariant_triple(design: Design) -> tuple[int, tuple[int, int, int, int], in
     with the three-level factor are not all equal.
     """
     return invariant_triples(design.ambient, design_keys([design], design.ambient.run_count))[0]
-
-
-def save_design_csv(design: Design, path) -> None:
-    """Write one run per row with exact level values, header x1..xn."""
-    n = design.ambient.n_factors
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(n)])
-        for pt in design.points():
-            writer.writerow([str(v) for v in pt])
 
 
 def load_design_csv(path, ambient: FullFactorial) -> Design:

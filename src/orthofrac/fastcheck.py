@@ -55,10 +55,10 @@ class BatchChecker:
         return popcounts(keys, plus) - popcounts(keys, minus)
 
     def verify(self, keys: np.ndarray, size: int | np.ndarray, strength: int) -> np.ndarray:
-        """Batch analogue of algebra.verify_theta on keys: [1; C] y = [size; 0]
-        for the bits y of every key.  A key summed from a repeated run
-        carries into another bit, or out of its word, so it has fewer than
-        size bits and fails the size row."""
+        """The size and contrast rows of algebra.verify_theta_report on keys:
+        [1; C] y = [size; 0] for the bits y of every key.  A key summed from
+        a repeated run carries into another bit, or out of its word, so it
+        has fewer than size bits and fails the size row."""
         return contrast_checks(self.ambient, self.sums(keys, strength), size, strength).all(axis=1)
 
 

@@ -2,7 +2,7 @@
 
 Two routes:
 
-* `enumerate_orthogonal` - the production engine.  When the ambient has at
+* `enumerate_keys` - the production engine.  When the ambient has at
   least two factors it partitions the runs by the level of the
   highest-arity factor into slices; any fraction of strength t restricts
   to one slice per level, of equal size and strength t-1, and conversely
@@ -34,7 +34,7 @@ Two routes:
   its level once through per-octet lookup tables (designs.key_octets and
   designs.octet_keys), summed a chunk of designs at a time.
 
-* `brute_force_oracle` - plain enumeration of all size-s subsets filtered
+* `brute_force_keys` - plain enumeration of all size-s subsets filtered
   by direct margin counting (popcounts of their keys), for small
   ambients.  Used to validate the engine.  It shares no join, slicing or
   materialising with the engine, but counts margins through the same
@@ -42,10 +42,11 @@ Two routes:
   output, against 0/1 membership rows counted cell by cell.
 
 Both return designs sorted by run-index sequence, and both are
-deterministic.  The *_keys functions are the same stages on keys, and the
-functions on Design lists are shims over them.  Keys are built, read,
-sorted and unpacked only through designs, which owns their layout and the
-chunk budget of every loop here (designs._CHUNK_BYTES, read at call time).
+deterministic.  The CLI runs the *_keys stages; enumerate_orthogonal,
+read_designs and write_designs are shims over them on Design lists.  Keys
+are built, read, sorted and unpacked only through designs, which owns
+their layout and the chunk budget of every loop here
+(designs._CHUNK_BYTES, read at call time).
 """
 
 from __future__ import annotations
@@ -407,7 +408,12 @@ def enumerate_orthogonal(problem: SearchProblem) -> list[Design]:
 
 
 def brute_force_keys(problem: SearchProblem) -> np.ndarray:
-    """brute_force_oracle as keys (designs): one row per design."""
+    """The keys (designs) of every size-s subset that direct margin counting
+    finds balanced, one row per design.
+
+    Independent of the search engine; refuses to run above _ORACLE_CEILING
+    subsets.
+    """
     m = problem.ambient.run_count
     total = comb(m, problem.size)
     if total > _ORACLE_CEILING:
@@ -419,15 +425,6 @@ def brute_force_keys(problem: SearchProblem) -> np.ndarray:
     for keys in _subset_keys(m, problem.size):
         out.append(keys[table.balanced(table.count_keys(keys), problem.size).all(axis=1)])
     return np.concatenate(out)
-
-
-def brute_force_oracle(problem: SearchProblem) -> list[Design]:
-    """Filter all size-s subsets by direct margin counting.
-
-    Independent of the search engine; refuses to run above _ORACLE_CEILING
-    subsets.
-    """
-    return key_designs(problem.ambient, brute_force_keys(problem))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ None of these is used by the package itself:
 * the Fraction residuals of a LinearSystem (production reads the size and
   contrast rows from X theta);
 * reference_report, verify_theta_report assembled from the last two;
+  verify_theta, verify_theta_report reduced to one verdict;
 * reference_contrast_matrix, the contrast blocks built entry by entry as
   Fraction rows (production builds the int64 rows of algebra._contrast_rows
   from the index vectors);
@@ -34,7 +35,9 @@ None of these is used by the package itself:
 * image_keys and orbit_keys, the orbit closure as it was before the keys
   were summed from one-run uint64 words: a bool scatter of every image
   into a G x m array, packed into one big-endian void key per image, and
-  the canonical form, orbit and stabilizer read from them;
+  the canonical form, orbit and stabilizer read from them (production
+  reads the canonical form and orbit size from classify.classify_keys and
+  orbit membership from classify.in_orbit);
 * theta_vector and polynomial_from_theta, a standard-form polynomial as
   its coefficients in lattice order and back, read coefficient by
   coefficient (production goes through the values at the runs,
@@ -42,6 +45,12 @@ None of these is used by the package itself:
 * membership_rows and margin_counts, run sets as int64 0/1 rows and their
   margin counts as those rows times a run-by-cell incidence matrix built
   from MarginCells.cells (production counts margins as popcounts of keys);
+* full_design, margins (a MarginTable), j_statistic (which raises
+  NonTwoLevelFactorError) and save_design_csv, a Design's runs, its
+  margins and J-statistics counted point by point in Fraction levels, and
+  the CSV that designs.load_design_csv reads (production counts margins
+  on keys and computes J-statistics through designs.invariant_triples);
+* brute_force_oracle, search.brute_force_keys as a Design list;
 * run_keys, the keys of the one-run designs, packed from the rows of the
   identity (production builds keys from run indices by shifting bits,
   designs.indexed_keys); summing them builds keys, deliberately bad ones
@@ -55,6 +64,7 @@ None of these is used by the package itself:
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import re
@@ -72,10 +82,12 @@ from orthofrac.algebra import (
     mode_products,
     orthogonality_system,
     rref,
+    verify_theta_report,
 )
 from orthofrac.classify import run_perm_table
-from orthofrac.designs import Design, FactorSpec, FullFactorial, all_points, bitset_keys, margin_cells
+from orthofrac.designs import Design, FactorSpec, FullFactorial, all_points, bitset_keys, key_designs, margin_cells
 from orthofrac.polynomials import Polynomial
+from orthofrac.search import SearchProblem, brute_force_keys
 
 
 Rows = tuple[tuple[Fraction, ...], ...]
@@ -290,6 +302,13 @@ def reference_report(
     return report
 
 
+def verify_theta(poly: Polynomial, ambient: FullFactorial, size: int, strength: int) -> bool:
+    """True iff every check of algebra.verify_theta_report passes: the
+    polynomial is the indicator of an orthogonal fraction of that size and
+    strength."""
+    return all(verify_theta_report(poly, ambient, size, strength).values())
+
+
 def reference_contrast_matrix(ambient: FullFactorial) -> tuple[tuple[Rows, ...], tuple[tuple, ...]]:
     """The contrast blocks C_1..C_n and the row labels, entry by entry."""
     n = ambient.n_factors
@@ -359,6 +378,72 @@ def margin_counts(table, y: np.ndarray) -> np.ndarray:
     incidence = np.zeros((m, len(table.volumes)), dtype=np.int64)
     incidence[np.arange(m)[:, None], table.cells] = 1
     return y @ incidence
+
+
+def full_design(ambient: FullFactorial) -> Design:
+    return Design(ambient, tuple(range(ambient.run_count)))
+
+
+@dataclass
+class MarginTable:
+    """Occurrence counts of every level combination of a factor subset."""
+
+    factor_subset: tuple[int, ...]
+    counts: dict[tuple[Fraction, ...], int]
+
+    def is_uniform(self) -> bool:
+        return len(set(self.counts.values())) <= 1
+
+
+def margins(design: Design, factor_subset: Sequence[int]) -> MarginTable:
+    """Exact counts of each level combination of the given factors, from
+    the design's points labelled by their Fraction levels."""
+    if not factor_subset:
+        raise ValueError("factor subset must be nonempty")
+    subset = tuple(factor_subset)
+    factors = design.ambient.factors
+    counts: dict[tuple[Fraction, ...], int] = {
+        combo: 0 for combo in itertools.product(*(factors[j].levels for j in subset))
+    }
+    for pt in design.points():
+        counts[tuple(pt[j] for j in subset)] += 1
+    return MarginTable(subset, counts)
+
+
+class NonTwoLevelFactorError(ValueError):
+    """A J-statistic was requested for a factor whose levels are not {-1, 1}."""
+
+
+def j_statistic(design: Design, factor_subset: Sequence[int]) -> int:
+    """Sum over the design's runs of the product of the +-1 coordinates in the subset."""
+    subset = tuple(factor_subset)
+    factors = design.ambient.factors
+    for j in subset:
+        if set(factors[j].levels) != {Fraction(-1), Fraction(1)}:
+            raise NonTwoLevelFactorError(f"factor {j} does not have levels {{-1, 1}}")
+    total = 0
+    for pt in design.points():
+        sign = 1
+        for j in subset:
+            sign *= 1 if pt[j] > 0 else -1
+        total += sign
+    return total
+
+
+def save_design_csv(design: Design, path) -> None:
+    """Write one run per row with exact level values, header x1..xn: the
+    format designs.load_design_csv reads."""
+    n = design.ambient.n_factors
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j + 1}" for j in range(n)])
+        for pt in design.points():
+            writer.writerow([str(v) for v in pt])
+
+
+def brute_force_oracle(problem: SearchProblem) -> list[Design]:
+    """search.brute_force_keys as a Design list."""
+    return key_designs(problem.ambient, brute_force_keys(problem))
 
 
 _INT_TYPE = frozenset((int,))

@@ -21,10 +21,9 @@ from orthofrac.algebra import (
     orthogonality_system,
     reduce_to_standard_form,
     value_checks,
-    verify_theta,
 )
 from orthofrac.catalog import CATALOG
-from orthofrac.classify import act, act_theta, generate_group, stabilizer_size, table_report
+from orthofrac.classify import act, act_theta, generate_group, in_orbit, table_report
 from orthofrac.designs import (
     Design,
     bitset_keys,
@@ -37,8 +36,15 @@ from orthofrac.designs import (
 )
 from orthofrac.fastcheck import get_checker
 from orthofrac.polynomials import parse_polynomial
-from orthofrac.search import SearchProblem, brute_force_oracle, enumerate_orthogonal
-from reference import margin_counts, membership_rows
+from orthofrac.search import SearchProblem, enumerate_orthogonal
+from reference import (
+    brute_force_oracle,
+    margin_counts,
+    membership_rows,
+    orbit_of,
+    stabilizer_size,
+    verify_theta,
+)
 
 
 def _report(number: int, label: str, outcome: bool, detail: str = "") -> None:
@@ -103,9 +109,7 @@ def test_criterion_4_orbit_size_ledger(flagship_classes):
 
 def test_criterion_5_representative_cross_check(flagship, flagship_designs, flagship_classes):
     enumerated = {d.runs for d in flagship_designs}
-    rep_to_class = {}
-    for k, c in enumerate(flagship_classes):
-        rep_to_class[c.representative.runs] = k
+    rep_keys = design_keys([c.representative for c in flagship_classes], 48)
     orbits = []  # class index per catalog entry
     problems = []
     for entry in CATALOG:
@@ -119,11 +123,8 @@ def test_criterion_5_representative_cross_check(flagship, flagship_designs, flag
             continue
         if invariant_triple(design) != (entry.t1, entry.jset, entry.t2):
             problems.append(f"{entry.type_label}: invariants mismatch")
-        # locate its class: orbit members share invariants; match by orbit
-        from orthofrac.classify import orbit_of
-
-        orbit = orbit_of(design)
-        hits = [k for rep, k in rep_to_class.items() if rep in orbit]
+        # locate its class: the one whose representative lies in its orbit
+        hits = in_orbit(design, rep_keys).nonzero()[0].tolist()
         if len(hits) != 1:
             problems.append(f"{entry.type_label}: found {len(hits)} classes")
             continue
@@ -131,7 +132,7 @@ def test_criterion_5_representative_cross_check(flagship, flagship_designs, flag
         orbits.append(k)
         if flagship_classes[k].orbit_size != entry.orbit_size:
             problems.append(f"{entry.type_label}: orbit size mismatch")
-        if len(orbit) != entry.orbit_size:
+        if len(orbit_of(design)) != entry.orbit_size:
             problems.append(f"{entry.type_label}: direct orbit size mismatch")
     if len(set(orbits)) != 63:
         problems.append(f"only {len(set(orbits))} distinct classes hit")
@@ -263,21 +264,18 @@ def test_flagship_outputs_are_sound(flagship, flagship_designs):
 def test_invariants_constant_on_every_orbit(flagship, flagship_designs, flagship_classes):
     """invariant_triple is a class invariant across all 35200 designs, and the
     J = 0 <=> balanced-triple equivalence holds design by design."""
-    from orthofrac.classify import orbit_of
-
     triples = invariant_triples(flagship, design_keys(flagship_designs, 48))
     by_runs = {d.runs: inv for d, inv in zip(flagship_designs, triples)}
     for t1, jset, _ in triples:
         # T1 equals the number of nonzero triple J-statistics.
         assert t1 == sum(1 for j in jset if j)
-    rep_invariants = {c.representative.runs: c.invariants for c in flagship_classes}
+    rep_keys = design_keys([c.representative for c in flagship_classes], 48)
     for c in flagship_classes:
         assert by_runs[c.representative.runs] == c.invariants
     rng = random.Random(7)
     for _ in range(40):
         d = flagship_designs[rng.randrange(len(flagship_designs))]
-        orbit = orbit_of(d)
-        hits = [inv for runs, inv in rep_invariants.items() if runs in orbit]
+        hits = [c.invariants for c, hit in zip(flagship_classes, in_orbit(d, rep_keys)) if hit]
         assert len(hits) == 1
         assert by_runs[d.runs] == hits[0]
 

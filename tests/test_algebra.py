@@ -22,13 +22,11 @@ from orthofrac.algebra import (
     polynomial_from_values,
     reduce_to_standard_form,
     rref,
-    verify_theta,
     verify_theta_report,
 )
 from orthofrac.designs import (
     Design,
     all_points,
-    full_design,
     full_factorial,
     has_strength,
 )
@@ -36,6 +34,7 @@ from orthofrac.classify import act_theta, generate_group
 from orthofrac.polynomials import Polynomial, parse_polynomial
 from reference import (
     build_model_matrix,
+    full_design,
     identity,
     idempotency_system,
     mat_mul,
@@ -49,6 +48,7 @@ from reference import (
     satisfied_by,
     satisfies_idempotency,
     theta_vector,
+    verify_theta,
 )
 
 

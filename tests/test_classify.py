@@ -15,14 +15,11 @@ from orthofrac.catalog import CATALOG, catalog_designs, cross_check_classes
 from orthofrac.classify import (
     act,
     act_theta,
-    canonical_form,
     classification_report,
     classify,
     generate_group,
     in_orbit,
-    orbit_of,
     run_perm_table,
-    stabilizer_size,
     table_report,
 )
 from orthofrac.designs import (
@@ -137,12 +134,12 @@ def test_theta_action_matches_design_action():
 
 def test_orbit_of_regular_fractions():
     plus = sign_fraction(FLAGSHIP, (0, 1, 2, 3), 1)
-    orbit = orbit_of(plus)
-    assert len(orbit) == 2
-    assert sign_fraction(FLAGSHIP, (0, 1, 2, 3), -1).runs in orbit
+    minus = sign_fraction(FLAGSHIP, (0, 1, 2, 3), -1)
+    assert classify([plus])[0].orbit_size == 2
+    assert in_orbit(plus, design_keys([plus, minus], 48)).tolist() == [True, True]
 
     triple = sign_fraction(FLAGSHIP, (0, 1, 3), 1)
-    assert len(orbit_of(triple)) == 8
+    assert classify([triple])[0].orbit_size == 8
 
 
 def test_orbit_stabilizer_product():
@@ -150,7 +147,7 @@ def test_orbit_stabilizer_product():
         sign_fraction(FLAGSHIP, (0, 1, 2, 3), 1),
         sign_fraction(FLAGSHIP, (0, 1, 3), 1),
     ):
-        assert len(orbit_of(frac)) * stabilizer_size(frac) == 2304
+        assert classify([frac])[0].orbit_size * reference.stabilizer_size(frac) == 2304
 
 
 def test_classify_single_design_reports_full_orbit():
@@ -160,7 +157,7 @@ def test_classify_single_design_reports_full_orbit():
     assert classes[0].orbit_size == 2
     assert classes[0].invariants == (0, (0, 0, 0, 0), 0)
     # representative is the lexicographically least orbit member
-    assert classes[0].representative.runs == min(orbit_of(plus))
+    assert classes[0].representative.runs == reference.canonical_form(plus)
 
 
 def test_classify_partitions_group_closed_input():
@@ -169,7 +166,7 @@ def test_classify_partitions_group_closed_input():
     classes = classify(designs)
     assert len(classes) == 1
     assert classes[0].orbit_size == 2
-    assert orbit_of(classes[0].representative) == {d.runs for d in designs}
+    assert in_orbit(classes[0].representative, design_keys(designs, 8)).all()
 
 
 def test_classify_rejects_duplicates_and_mixed_ambients():
@@ -188,7 +185,7 @@ def test_invariants_constant_on_orbit():
 
     frac = sign_fraction(FLAGSHIP, (0, 1, 3), -1)
     expected = invariant_triple(frac)
-    for runs in orbit_of(frac):
+    for runs in reference.orbit_of(frac):
         assert invariant_triple(Design(FLAGSHIP, runs)) == expected
 
 
@@ -230,10 +227,6 @@ def _reference_classes(designs):
     return sorted(classes)
 
 
-def _summary(classes):
-    return [(c.representative.runs, c.orbit_size, tuple(sorted(orbit_of(c.representative)))) for c in classes]
-
-
 def _not_group_closed():
     """Some 12-run designs of the flagship ambient, a few relabelled copies among them."""
     rng = random.Random(59)
@@ -259,15 +252,17 @@ def _three_four():
 def test_classify_matches_reference_closure(designs):
     designs = designs()
     classes = classify(designs)
-    reference = _reference_classes(designs)
-    assert _summary(classes) == reference
-    order = len(generate_group(designs[0].ambient))
-    for c in classes[:3]:
-        members = orbit_of(c.representative)
-        d = Design(c.representative.ambient, max(members))
-        assert canonical_form(d) == c.representative.runs
-        assert orbit_of(d) == members
-        assert c.orbit_size * stabilizer_size(d) == order
+    expected = _reference_classes(designs)
+    assert [(c.representative.runs, c.orbit_size) for c in classes] == [(r, size) for r, size, _ in expected]
+    ambient = designs[0].ambient
+    order = len(generate_group(ambient))
+    for c, (_, _, members) in zip(classes, expected):
+        # classify's orbit size and in_orbit's membership give the act closure.
+        assert in_orbit(c.representative, design_keys(members, ambient.run_count)).all()
+    for c, (_, _, members) in zip(classes[:3], expected):
+        d = Design(ambient, max(members))
+        assert [(a.representative, a.orbit_size) for a in classify([d])] == [(c.representative, c.orbit_size)]
+        assert c.orbit_size * reference.stabilizer_size(d) == order
 
 
 def test_enumerated_3_4_is_one_class_of_72():
@@ -288,7 +283,9 @@ def test_classify_invariant_under_relabelling_and_shuffle(flagship_designs):
     assert {d.runs for d in relabelled} != {d.runs for d in designs}
     got = classify(relabelled)
     assert got == expected
-    assert [orbit_of(c.representative) for c in got] == [orbit_of(c.representative) for c in expected]
+    assert [reference.orbit_of(c.representative) for c in got] == [
+        reference.orbit_of(c.representative) for c in expected
+    ]
 
 
 def test_cross_check_accepts_any_orbit_member_as_representative(flagship_classes):
@@ -321,19 +318,20 @@ def _check_closure_against_reference(ambient, rng, n_designs):
     order = _group_order(ambient)
     for _ in range(n_designs):
         d = _random_design(ambient, rng)
-        orbit = orbit_of(d)
-        assert orbit == reference.orbit_of(d)
-        assert canonical_form(d) == reference.canonical_form(d) == min(orbit)
-        stab = stabilizer_size(d)
-        assert stab == reference.stabilizer_size(d)
-        assert len(orbit) * stab == order
-        # Classify a sample of the orbit: one class, the full orbit, its least member.
+        orbit = reference.orbit_of(d)
+        assert reference.canonical_form(d) == min(orbit)
+        assert len(orbit) * reference.stabilizer_size(d) == order
+        # The design alone and a sample of its orbit each make one class:
+        # the full orbit, its least member.
         sample = rng.sample(sorted(orbit), min(len(orbit), 20))
-        (c,) = classify([Design(ambient, runs) for runs in sample])
-        assert (c.representative.runs, c.orbit_size) == (min(orbit), len(orbit))
+        for designs in ([d], [Design(ambient, runs) for runs in sample]):
+            (c,) = classify(designs)
+            assert (c.representative.runs, c.orbit_size) == (min(orbit), len(orbit))
+        # in_orbit holds on the whole orbit and nowhere else.
         others = [_random_design(ambient, rng).runs for _ in range(5)]
-        keys = design_keys(sample + others, ambient.run_count)
-        assert in_orbit(d, keys).tolist() == [runs in orbit for runs in sample + others]
+        members = sorted(orbit) + others
+        keys = design_keys(members, ambient.run_count)
+        assert in_orbit(d, keys).tolist() == [runs in orbit for runs in members]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -390,7 +388,7 @@ def test_cross_check_passes_with_every_representative_a_random_orbit_member(flag
     rng = random.Random(73)
     classes = []
     for c in flagship_classes:
-        runs = rng.choice(sorted(orbit_of(c.representative)))
+        runs = rng.choice(sorted(reference.orbit_of(c.representative)))
         classes.append(dataclasses.replace(c, representative=Design(c.representative.ambient, runs)))
     moved = sum(a.representative != c.representative for a, c in zip(classes, flagship_classes))
     assert moved > 50

@@ -2,6 +2,7 @@ import errno
 import json
 import resource
 import signal
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from conftest import sign_fraction
 from orthofrac import cli, search
 from orthofrac.catalog import CATALOG
 from orthofrac.cli import main
-from orthofrac.designs import full_factorial, save_design_csv
+from orthofrac.designs import full_factorial
+from reference import save_design_csv
 
 
 def test_enumerate_small_to_stdout(capsys):
@@ -162,12 +164,10 @@ def test_classify_group_table_budget_exit_3(monkeypatch, capsys, tmp_path):
     # The 2^3 group has 3! * 2^3 = 48 elements, a 48 x 8 uint8 table of
     # 384 bytes.  One byte less of budget refuses it before it is built, and
     # before generate_group lists a single level permutation.
-    import importlib
-
+    from orthofrac import classify
     from orthofrac.classify import generate_group, run_perm_table
 
-    classify = importlib.import_module("orthofrac.classify")  # the package exports a function of that name
-
+    assert isinstance(classify, types.ModuleType)
     amb = full_factorial([2, 2, 2])
     for cached in (generate_group, run_perm_table):
         cached.cache_clear()
@@ -226,6 +226,47 @@ def test_classify_single_design_and_empty_file(tmp_path, capsys):
     empty.write_text("")
     assert main(["classify", "--levels", "2,2,2", "--designs", str(empty)]) == 0
     assert "0 designs in 0 classes" in capsys.readouterr().out
+
+
+def _note(read, report):
+    return (
+        f"note: {read} designs read, {report['total_designs']} in the orbits of their "
+        f"{report['class_count']} classes: the input is not closed under the symmetry group\n"
+    )
+
+
+def test_classify_notes_designs_read_against_orbit_sizes(tmp_path, capsys):
+    # The report counts whole orbits.  Fewer designs read than that adds one
+    # note on stderr; stdout and the exit code stay those of the report.
+    def run_classify(levels, path, *fmt):
+        code = main(["classify", "--levels", levels, "--designs", str(path), *fmt])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    # The 576 designs of 4^3 read as designs of 2^6, which also has 64 runs.
+    probe = tmp_path / "4x3.txt"
+    assert main(["enumerate", "--levels", "4,4,4", "--size", "16", "--strength", "2", "--out", str(probe)]) == 0
+    capsys.readouterr()
+    code, out, err = run_classify("2,2,2,2,2,2", probe, "--format", "json")
+    report = json.loads(out)
+    assert (code, report["class_count"], report["total_designs"]) == (0, 7, 3780)
+    assert err == _note(576, report)
+    code, out, err = run_classify("2,2,2,2,2,2", probe)
+    assert (code, out.splitlines()[0], err) == (0, "576 designs in 7 classes", _note(576, report))
+
+    flagship = tmp_path / "flagship.txt"
+    assert main(["enumerate", "--levels", "2,2,2,2,3", "--size", "24", "--strength", "2", "--out", str(flagship)]) == 0
+    capsys.readouterr()
+    # A hand-picked subset is legitimate input: exit 0, with the note.
+    subset = tmp_path / "subset.txt"
+    subset.write_text("".join(flagship.read_text().splitlines(keepends=True)[:-1:3520]))
+    code, out, err = run_classify("2,2,2,2,3", subset, "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and "catalog_check" not in report
+    assert err == _note(10, report)
+    # The complete file reads every design of its orbits: no note.
+    code, out, err = run_classify("2,2,2,2,3", flagship)
+    assert (code, out.splitlines()[0], err) == (0, "35200 designs in 63 classes", "")
 
 
 def test_classify_parse_error_exit_2(tmp_path, capsys):

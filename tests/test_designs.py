@@ -7,26 +7,28 @@ import numpy as np
 import pytest
 
 from conftest import RATIONAL, random_ambient, sign_fraction
-from reference import margin_counts
+from reference import (
+    NonTwoLevelFactorError,
+    full_design,
+    j_statistic,
+    margin_counts,
+    margins,
+    save_design_csv,
+)
 from orthofrac.catalog import flagship_ambient
 from orthofrac.designs import (
     Design,
     FullFactorial,
-    NonTwoLevelFactorError,
     ShapeMismatchError,
     bitset_keys,
     from_level_sets,
-    full_design,
     full_factorial,
     has_strength,
     invariant_triple,
-    j_statistic,
     load_design_csv,
     margin_cells,
-    margins,
     run_index,
     run_point,
-    save_design_csv,
 )
 
 

@@ -15,7 +15,6 @@ from orthofrac.algebra import (
     indicator_from_design,
     mode_products,
     value_checks,
-    verify_theta,
     verify_theta_report,
 )
 from orthofrac import designs
@@ -26,13 +25,11 @@ from orthofrac.designs import (
     design_keys,
     find_keys,
     from_level_sets,
-    full_design,
     full_factorial,
     has_strength,
     indexed_keys,
     invariant_triple,
     invariant_triples,
-    j_statistic,
     key_bits,
     key_capacity,
     key_designs,
@@ -41,7 +38,6 @@ from orthofrac.designs import (
     key_runs,
     key_words,
     margin_cells,
-    margins,
     octet_keys,
     run_sums,
     search_keys,
@@ -50,8 +46,11 @@ from orthofrac.designs import (
 from orthofrac.fastcheck import BatchChecker, get_checker
 from reference import (
     build_model_matrix,
+    full_design,
     idempotency_system,
+    j_statistic,
     margin_counts,
+    margins,
     mat_vec,
     membership_rows,
     model_matrix_inverse,
@@ -59,6 +58,7 @@ from reference import (
     run_keys,
     satisfies_idempotency,
     theta_vector,
+    verify_theta,
 )
 
 # Two-level factors listed as (1, -1) put the value +1 at level index 0.

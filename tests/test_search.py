@@ -10,7 +10,7 @@ import pytest
 
 import reference
 from conftest import random_ambient, sign_fraction
-from orthofrac.algebra import verify_theta, indicator_from_design
+from orthofrac.algebra import indicator_from_design
 from orthofrac.catalog import cross_check_classes
 from orthofrac.classify import act, classification_report, classify, classify_keys, generate_group
 from orthofrac import algebra, designs, search
@@ -19,7 +19,6 @@ from orthofrac.designs import (
     bitset_keys,
     default_levels,
     design_keys,
-    full_design,
     full_factorial,
     has_strength,
     key_bits,
@@ -38,7 +37,6 @@ from orthofrac.search import (
     ProblemTooLargeError,
     SearchProblem,
     brute_force_keys,
-    brute_force_oracle,
     enumerate_keys,
     enumerate_orthogonal,
     read_design_keys,
@@ -46,6 +44,7 @@ from orthofrac.search import (
     write_design_keys,
     write_designs,
 )
+from reference import brute_force_oracle, full_design, verify_theta
 
 
 def test_half_fractions_of_2cubed():
