@@ -2,7 +2,8 @@
 
 Subcommands: enumerate, classify, indicator, verify.  Exit codes:
 0 success / verification pass, 1 verification fail, 2 usage or parse
-error, 3 the problem is too large (the brute-force ceiling of 10^8
+error (a design list with no line at all, not even "# count: 0",
+included), 3 the problem is too large (the brute-force ceiling of 10^8
 subsets, the 768 MB key budget of enumerate, which charges 16W + 8 bytes
 per design of W = ceil(m/64) key words plus what the join rows and slice
 candidates of each level hold (search._MATRIX_BUDGET), the

@@ -8,17 +8,16 @@ indices, and run_index maps index vectors back to runs.  Other modules
 read those two.
 
 Below the Fraction algebra a set of runs is always a key: key_words(m) =
-ceil(m/64) uint64 words, run r at bit 63 - r % 64 of word r // 64.  Two
-encoders build keys: bitset_keys packs 0/1 membership rows, and
-indexed_keys shifts the bits out of an array of run indices (run_sums and
-design_keys feed it rows of unequal length).  Only this module knows that
-layout.  unpack_runs inverts run_sums, with the run counts as popcounts of
-the words and the runs as the positions of the set bits (key_bits),
-key_runs and key_designs read keys back, key_order, distinct_keys,
-search_keys and find_keys sort and look them up, and key_octets and
-octet_keys read them an octet at a time.  A mask is the key of a set of
-runs, stored word-major (mask_words), so popcounts counts a key's runs in
-each set.
+ceil(m/64) uint64 words, run r at bit 63 - r % 64 of word r // 64.  One
+encoder builds keys: indexed_keys shifts the bits out of an array of run
+indices (run_sums, design_keys and mask_words feed it rows of unequal
+length).  Only this module knows that layout.  unpack_runs inverts
+run_sums, with the run counts as popcounts of the words and the runs as
+the positions of the set bits (key_bits), key_runs and key_designs read
+keys back, key_order, sort_keys, distinct_keys, search_keys and find_keys
+sort and look them up, and key_octets and octet_keys read them an octet at
+a time.  A mask is the key of a set of runs, stored word-major
+(mask_words), so popcounts counts a key's runs in each set.
 
 `margin_cells` is the one integer encoding of factor-subset margins that
 the strength checks, the search, the oracle and the class invariants
@@ -201,10 +200,6 @@ class Design:
     def size(self) -> int:
         return len(self.runs)
 
-    def points(self) -> list[tuple[Fraction, ...]]:
-        pts = all_points(self.ambient)
-        return [pts[r] for r in self.runs]
-
     def membership(self) -> list[int]:
         y = [0] * self.ambient.run_count
         for r in self.runs:
@@ -248,18 +243,12 @@ def key_capacity(keys: np.ndarray) -> int:
     return 64 * keys.shape[1]
 
 
-def bitset_keys(y: np.ndarray) -> np.ndarray:
-    """The key of every 0/1 membership row: ceil(m/64) uint64 words, run r
-    at bit 63 - r % 64 of word r // 64."""
-    padded = np.zeros((len(y), 64 * key_words(y.shape[1])), dtype=bool)
-    padded[:, : y.shape[1]] = y
-    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
-
-
 def mask_words(columns: np.ndarray) -> np.ndarray:
     """The read-only W x C mask words of the 0/1 run columns of an m x C
-    array: word w of the key of every column's runs."""
-    masks = bitset_keys(columns.T).T.copy()
+    array: word w of the key (run_sums) of every column's runs."""
+    owners, runs = np.nonzero(columns.T)
+    lengths = np.bincount(owners, minlength=columns.shape[1])
+    masks = run_sums(lengths, runs, len(columns)).T.copy()
     masks.flags.writeable = False
     return masks
 
@@ -289,8 +278,8 @@ def design_keys(designs, m: int) -> np.ndarray:
 
 
 def key_bits(keys: np.ndarray) -> np.ndarray:
-    """The 0/1 uint8 membership row of every key, all 64 bits of every word:
-    the inverse of bitset_keys, padding included."""
+    """The 0/1 uint8 membership row of every key, all 64 bits of every word,
+    run r at column r: padding included."""
     return np.unpackbits(key_octets(keys), axis=1)
 
 
@@ -330,9 +319,15 @@ def key_order(keys: np.ndarray) -> np.ndarray:
     return np.lexsort(keys.T[::-1])
 
 
+def sort_keys(keys: np.ndarray) -> np.ndarray:
+    """The key rows in key_order: one np.sort of the single word, which
+    forms no index, or the rows gathered in key_order."""
+    return np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[key_order(keys)]
+
+
 def distinct_keys(keys: np.ndarray) -> np.ndarray:
     """The sorted distinct key rows; the last one is the largest."""
-    keys = np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[key_order(keys)]
+    keys = sort_keys(keys)
     return keys[np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]]
 
 

@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials over the rationals.
 
 A polynomial is a mapping from exponent tuples to nonzero Fraction
-coefficients, with exact arithmetic, evaluation and the indicator text
-format (to_text, parse_polynomial).  Its standard form on an ambient, the
-unique polynomial on the exponent lattice that agrees with it at every
-run, is algebra.reduce_to_standard_form.
+coefficients, in the indicator text format (to_text, parse_polynomial).
+Its standard form on an ambient, the unique polynomial on the exponent
+lattice that agrees with it at every run, is
+algebra.reduce_to_standard_form; its values at the runs are
+algebra.values_at_runs.  Products and evaluation at a point are the tests'
+reference (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -83,47 +85,6 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash((self.n_vars, frozenset(self._terms.items())))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.n_vars != other.n_vars:
-            raise ValueError("variable count mismatch")
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.n_vars, terms)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.n_vars, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.n_vars != other.n_vars:
-            raise ValueError("variable count mismatch")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return Polynomial(self.n_vars, terms)
-
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(self.n_vars, {e: c * v for e, v in self._terms.items()})
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.n_vars:
-            raise ValueError("point length mismatch")
-        pt = [Fraction(v) for v in point]
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for v, e in zip(pt, exps):
-                if e:
-                    term *= v**e
-            total += term
-        return total
 
     def in_lattice(self, ambient: FullFactorial) -> bool:
         """All exponents below the factor arities (standard form support)."""

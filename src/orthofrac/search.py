@@ -63,28 +63,29 @@ from . import designs
 from .algebra import _exact_dtype
 from .designs import (
     Design, FullFactorial, ProblemTooLargeError, design_keys, indexed_keys, key_capacity, key_designs, key_octets,
-    key_order, key_runs, key_words, margin_cells, octet_keys, run_sums, unpack_runs,
+    key_runs, key_words, margin_cells, octet_keys, run_sums, sort_keys, unpack_runs,
 )
 from .fastcheck import get_checker
 
 # The key budget, in bytes, of every level of the sliced enumeration.  On m
 # runs, W = ceil(m/64), each design is charged 16 W + 8 bytes: at the sort
-# in enumerate_keys its key, the key's sorted copy and the int64 index are
-# alive together (key_order's own temporaries, at most 24 bytes per key,
-# are gone by then).  A level of r slices is also charged what it holds
-# beside the designs' keys while it materialises them: 8 (2r + 3) bytes per
-# join row (r key ids, r pool sizes, three int64 offsets), 8 (r W + 2 W' + 2)
-# bytes per slice candidate of W' words (the candidate, its copy in pool
-# order, its pool id and sort index, its r embedded keys), and the
-# free-cell counts and packed word of each slice key (_held_bytes).  These
-# arrays never all live at once, so the sum bounds their peak; chunked
-# temporaries of about _CHUNK_BYTES come on top.  The join counts designs
-# and rows before anything is built.  _slice_keys is charged before it
-# runs, 4F + 65 bytes per slice candidate for F free cells: 2F + 65 while
-# np.unique runs (the int16 counts, the packed word, and unique's seven
-# int64 arrays and bool mask), up to 4F + 32 after (the distinct keys'
-# counts too).  768 MB admits 3.2 * 10^7 designs of one word or
-# 1.9 * 10^7 of two, less what their join rows and candidates take.
+# in enumerate_keys (designs.sort_keys) its key, the key's sorted copy and,
+# for W >= 2, the int64 index of key_order are alive together (key_order's
+# own temporaries, at most 24 bytes per key, are gone by then); one word
+# sorts with no index, in 16 bytes.  A level of r slices is also charged
+# what it holds beside the designs' keys while it materialises them:
+# 8 (2r + 3) bytes per join row (r key ids, r pool sizes, three int64
+# offsets), 8 (r W + 2 W' + 2) bytes per slice candidate of W' words (the
+# candidate, its copy in pool order, its pool id and sort index, its r
+# embedded keys), and the free-cell counts and packed word of each slice
+# key (_held_bytes).  These arrays never all live at once, so the sum
+# bounds their peak; chunked temporaries of about _CHUNK_BYTES come on top.
+# The join counts designs and rows before anything is built.  _slice_keys
+# is charged before it runs, 4F + 65 bytes per slice candidate for F free
+# cells: 2F + 65 while np.unique runs (the int16 counts, the packed word,
+# and unique's seven int64 arrays and bool mask), up to 4F + 32 after (the
+# distinct keys' counts too).  768 MB admits 3.2 * 10^7 designs of one
+# word or 1.9 * 10^7 of two, less what their join rows and candidates take.
 _MATRIX_BUDGET = 768 * 10**6
 
 # The most size-s subsets the brute-force oracle filters.
@@ -391,7 +392,7 @@ def enumerate_keys(problem: SearchProblem) -> np.ndarray:
     m = problem.ambient.run_count
     keys = _enumerate_keys(problem.ambient, problem.size, problem.strength)
     # All designs have one size, so descending keys sort them by run tuple.
-    keys = keys[key_order(keys)[::-1]]
+    keys = sort_keys(keys)[::-1]
     step = _chunk_rows(m)
     for start in range(0, len(keys), step):
         _cross_check(keys[start : start + step], problem)
@@ -450,10 +451,9 @@ def brute_force_keys(problem: SearchProblem) -> np.ndarray:
 # reading then faults in far fewer fresh pages than with chunks of
 # _CHUNK_BYTES characters.
 # The tracemalloc peak of _read_chunk per text byte on full chunks: 11.4 on
-# the 2^4*3 and 3^4 files, 11.6 on 2^6 and 12.7 on the three-digit 2^7 file.
-# A full chunk that holds the "# count" line is copied without it first:
-# 12.6 to 12.7 there, and 13.5 on the 2^7 file, the one chunk of a file that
-# passes the bound, by 4 %.
+# the 2^4*3 and 3^4 files, 11.6 on 2^6 and 11.2 on the three-digit 2^7 file.
+# The chunk that holds the "# count" line is copied without it first: 12.6
+# to 12.8 on the first three, 12.1 on the 2^7 file.
 _READ_PEAK_PER_CHAR = 13
 
 
@@ -463,20 +463,19 @@ def _chunk_rows(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _tokens(m: int) -> np.ndarray:
-    """The tokens of canonical lines on m runs, one zero-padded word per row:
-    "r, " for every run r, then "r]\n" for every run, then "[" and "[]\n"."""
+    """The read-only tokens of canonical lines on m runs, NUL-padded to one
+    fixed width: "r, " for every run r, then "r]\n" for every run, then "["
+    and "[]\n"."""
     texts = [f"{r}, " for r in range(m)] + [f"{r}]\n" for r in range(m)] + ["[", "[]\n"]
-    width = max(map(len, texts))
-    width = 4 if width <= 4 else -(-width // 8) * 8
-    data = b"".join(t.encode().ljust(width, b"\0") for t in texts)
-    words = np.frombuffer(data, dtype=np.uint32 if width == 4 else np.uint64)
-    return words.reshape(len(texts), -1)
+    tokens = np.array([t.encode() for t in texts])
+    tokens.flags.writeable = False
+    return tokens
 
 
 def _render(lengths: np.ndarray, runs: np.ndarray, m: int) -> bytes:
     """The canonical lines of designs with these run counts (one per line)
-    and concatenated runs, every run below m: one take of the token words,
-    then the pad bytes dropped."""
+    and concatenated runs, every run below m: one take of the tokens, then
+    the pad bytes dropped."""
     ids = np.empty(len(lengths) + len(runs), dtype=np.int64)
     starts = np.cumsum(lengths + 1) - (lengths + 1)
     is_run = np.ones(len(ids), dtype=bool)
@@ -485,7 +484,7 @@ def _render(lengths: np.ndarray, runs: np.ndarray, m: int) -> bytes:
     full = lengths > 0
     ids[(starts + lengths)[full]] += m  # the last run closes its line
     ids[starts] = np.where(full, 2 * m, 2 * m + 1)
-    return np.take(_tokens(m), ids, axis=0).tobytes().translate(None, b"\0")
+    return np.take(_tokens(m), ids).tobytes().translate(None, b"\0")
 
 
 def write_design_keys(keys: np.ndarray, fh) -> None:
@@ -594,7 +593,8 @@ def read_design_keys(fh, ambient: FullFactorial) -> np.ndarray:
     characters, each completed to the end of its line.  A chunk whose lines
     are all canonical, but for "#" lines, is read in bulk; every line of any
     other chunk goes through _parse_line, so the first bad line raises its
-    error.
+    error.  An input that holds no line at all, not even "# count: 0",
+    raises ValueError: it is what a failed writer leaves behind.
     """
     chunks = [np.zeros((0, key_words(ambient.run_count)), dtype=np.uint64)]
     lines = 0
@@ -604,6 +604,8 @@ def read_design_keys(fh, ambient: FullFactorial) -> np.ndarray:
         keys, count = _read_chunk(text, lines, ambient)
         chunks.append(keys)
         lines += count
+    if not lines:
+        raise ValueError("the design list is empty: not even a '# count' line")
     return np.concatenate(chunks)
 
 

@@ -51,10 +51,17 @@ None of these is used by the package itself:
   the CSV that designs.load_design_csv reads (production counts margins
   on keys and computes J-statistics through designs.invariant_triples);
 * brute_force_oracle, search.brute_force_keys as a Design list;
-* run_keys, the keys of the one-run designs, packed from the rows of the
-  identity (production builds keys from run indices by shifting bits,
-  designs.indexed_keys); summing them builds keys, deliberately bad ones
-  with repeated runs included;
+* bitset_keys, the key of every 0/1 membership row packed bit by bit by
+  np.packbits, an encoding of the key layout independent of the one the
+  package uses (designs.indexed_keys shifts bits out of run indices); and
+  run_keys, the keys of the one-run designs, packed from the rows of the
+  identity: summing them builds keys, deliberately bad ones with repeated
+  runs included;
+* points, a Design's runs as their Fraction level tuples (all_points);
+  evaluate, a polynomial's value at one point, term by term; add, subtract
+  and product, polynomial arithmetic term by term (production never
+  multiplies polynomials: it checks f^2 = f as X theta in {0, 1}^m, and
+  reads values at the runs through algebra.values_at_runs);
 * parse_polynomial and to_text, the text parser and renderer as they were
   before the parser built each coefficient once from the token's parts and
   the renderer formatted numerator and denominator directly: the parser
@@ -85,7 +92,7 @@ from orthofrac.algebra import (
     verify_theta_report,
 )
 from orthofrac.classify import run_perm_table
-from orthofrac.designs import Design, FactorSpec, FullFactorial, all_points, bitset_keys, key_designs, margin_cells
+from orthofrac.designs import Design, FactorSpec, FullFactorial, all_points, key_designs, key_words, margin_cells
 from orthofrac.polynomials import Polynomial
 from orthofrac.search import SearchProblem, brute_force_keys
 
@@ -352,6 +359,14 @@ def polynomial_from_theta(theta: Sequence[Fraction], ambient: FullFactorial) -> 
     return Polynomial(ambient.n_factors, dict(zip(lattice, theta)))
 
 
+def bitset_keys(y: np.ndarray) -> np.ndarray:
+    """The key of every 0/1 membership row: ceil(m/64) uint64 words, run r
+    at bit 63 - r % 64 of word r // 64."""
+    padded = np.zeros((len(y), 64 * key_words(y.shape[1])), dtype=bool)
+    padded[:, : y.shape[1]] = y
+    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
+
+
 @lru_cache(maxsize=None)
 def run_keys(m: int) -> np.ndarray:
     """The m x ceil(m/64) keys of the one-run designs (read-only), packed
@@ -380,6 +395,47 @@ def margin_counts(table, y: np.ndarray) -> np.ndarray:
     return y @ incidence
 
 
+def points(design: Design) -> list[tuple[Fraction, ...]]:
+    """The level tuple of every run of the design, in run order."""
+    pts = all_points(design.ambient)
+    return [pts[r] for r in design.runs]
+
+
+def evaluate(poly: Polynomial, point: Sequence) -> Fraction:
+    """The value of the polynomial at one point, term by term."""
+    if len(point) != poly.n_vars:
+        raise ValueError("point length mismatch")
+    pt = [Fraction(v) for v in point]
+    return sum((c * prod(v**e for v, e in zip(pt, exps)) for exps, c in poly.items()), Fraction(0))
+
+
+def add(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p + q, term by term."""
+    if p.n_vars != q.n_vars:
+        raise ValueError("variable count mismatch")
+    terms = dict(p.items())
+    for exps, c in q.items():
+        terms[exps] = terms.get(exps, Fraction(0)) + c
+    return Polynomial(p.n_vars, terms)
+
+
+def product(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p q, every pair of terms multiplied out."""
+    if p.n_vars != q.n_vars:
+        raise ValueError("variable count mismatch")
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
+    return Polynomial(p.n_vars, terms)
+
+
+def subtract(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p - q: p plus q times the constant -1."""
+    return add(p, product(Polynomial.constant(q.n_vars, -1), q))
+
+
 def full_design(ambient: FullFactorial) -> Design:
     return Design(ambient, tuple(range(ambient.run_count)))
 
@@ -405,7 +461,7 @@ def margins(design: Design, factor_subset: Sequence[int]) -> MarginTable:
     counts: dict[tuple[Fraction, ...], int] = {
         combo: 0 for combo in itertools.product(*(factors[j].levels for j in subset))
     }
-    for pt in design.points():
+    for pt in points(design):
         counts[tuple(pt[j] for j in subset)] += 1
     return MarginTable(subset, counts)
 
@@ -422,7 +478,7 @@ def j_statistic(design: Design, factor_subset: Sequence[int]) -> int:
         if set(factors[j].levels) != {Fraction(-1), Fraction(1)}:
             raise NonTwoLevelFactorError(f"factor {j} does not have levels {{-1, 1}}")
     total = 0
-    for pt in design.points():
+    for pt in points(design):
         sign = 1
         for j in subset:
             sign *= 1 if pt[j] > 0 else -1
@@ -437,7 +493,7 @@ def save_design_csv(design: Design, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{j + 1}" for j in range(n)])
-        for pt in design.points():
+        for pt in points(design):
             writer.writerow([str(v) for v in pt])
 
 

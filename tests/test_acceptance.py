@@ -26,7 +26,6 @@ from orthofrac.catalog import CATALOG
 from orthofrac.classify import act, act_theta, generate_group, in_orbit, table_report
 from orthofrac.designs import (
     Design,
-    bitset_keys,
     design_keys,
     full_factorial,
     has_strength,
@@ -38,10 +37,12 @@ from orthofrac.fastcheck import get_checker
 from orthofrac.polynomials import parse_polynomial
 from orthofrac.search import SearchProblem, enumerate_orthogonal
 from reference import (
+    bitset_keys,
     brute_force_oracle,
     margin_counts,
     membership_rows,
     orbit_of,
+    product,
     stabilizer_size,
     verify_theta,
 )
@@ -217,7 +218,7 @@ def test_criterion_9_indicator_identities(flagship, flagship_designs):
             ok = False
             detail = f"{entry.type_label}: round trip failed"
             break
-        if reduce_to_standard_form(poly * poly, flagship) != poly:
+        if reduce_to_standard_form(product(poly, poly), flagship) != poly:
             ok = False
             detail = f"{entry.type_label}: reduce(f^2) != f"
             break

@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import resource
 import signal
@@ -138,16 +139,28 @@ def test_enumerate_design_ceiling_exit_3(monkeypatch, capsys, tmp_path):
 
 def test_enumerate_strength_zero_ceiling_exit_3(monkeypatch, capsys):
     # 2^4 at strength 1 slices into strength-0 candidates of the 8-run 2^3
-    # sub-ambient: all C(8, 4) = 70 subsets, charged 24 bytes each (a
-    # one-word key, its sorted copy and an int64 sort index), one more than
-    # a budget of 69 * 24 bytes admits.  The refusal is one error line,
-    # before any join.
+    # sub-ambient: all C(8, 4) = 70 subsets, charged 16 W + 8 = 24 bytes
+    # each, one more than a budget of 69 * 24 bytes admits.  The refusal is
+    # one error line, before any join.
     monkeypatch.setattr(search, "_MATRIX_BUDGET", 69 * 24)
     code = main(["enumerate", "--levels", "2,2,2,2", "--size", "8", "--strength", "1"])
     assert code == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: C(8,4) = 70 subsets exceed the key budget of 1656 bytes for this ambient\n"
+
+
+def test_refused_enumerate_piped_into_classify_exits_2(monkeypatch, capsys):
+    # enumerate | classify, in process: a refused enumerate writes no line,
+    # and classify refuses an input of no line at all instead of reporting
+    # 0 designs in 0 classes.
+    monkeypatch.setattr(search, "_MATRIX_BUDGET", 69 * 24)
+    assert main(["enumerate", "--levels", "2,2,2,2", "--size", "8", "--strength", "1"]) == 3
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["classify", "--levels", "2,2,2,2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the design list is empty: not even a '# count' line\n"
 
 
 def test_verify_huge_level_power_exit_3(capsys):
@@ -222,10 +235,19 @@ def test_classify_single_design_and_empty_file(tmp_path, capsys):
     assert "1 designs in 1 classes" in out
     assert "orbit     2" in out
 
+    # A list of no designs still holds its count line; a file with no line
+    # at all is what a failed enumerate leaves, and is refused.
+    none = tmp_path / "none.txt"
+    none.write_text("# count: 0\n")
+    assert main(["classify", "--levels", "2,2,2", "--designs", str(none)]) == 0
+    assert "0 designs in 0 classes" in capsys.readouterr().out
+
     empty = tmp_path / "empty.txt"
     empty.write_text("")
-    assert main(["classify", "--levels", "2,2,2", "--designs", str(empty)]) == 0
-    assert "0 designs in 0 classes" in capsys.readouterr().out
+    assert main(["classify", "--levels", "2,2,2", "--designs", str(empty)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def _note(read, report):

@@ -9,10 +9,12 @@ import pytest
 from conftest import RATIONAL, random_ambient, sign_fraction
 from reference import (
     NonTwoLevelFactorError,
+    bitset_keys,
     full_design,
     j_statistic,
     margin_counts,
     margins,
+    points,
     save_design_csv,
 )
 from orthofrac.catalog import flagship_ambient
@@ -20,7 +22,6 @@ from orthofrac.designs import (
     Design,
     FullFactorial,
     ShapeMismatchError,
-    bitset_keys,
     from_level_sets,
     full_factorial,
     has_strength,
@@ -192,7 +193,7 @@ def test_j_statistic_zero_cases():
     frac = sign_fraction(amb, (0, 1, 2, 3), 1)
     # Direct summation oracle over the 24 runs.
     direct = sum(
-        int(pt[0] * pt[1] * pt[2]) for pt in frac.points()
+        int(pt[0] * pt[1] * pt[2]) for pt in points(frac)
     )
     assert direct == 0
     assert j_statistic(frac, (0, 1, 2)) == 0

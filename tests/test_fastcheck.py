@@ -21,7 +21,6 @@ from orthofrac import designs
 from orthofrac.designs import (
     Design,
     ShapeMismatchError,
-    bitset_keys,
     design_keys,
     find_keys,
     from_level_sets,
@@ -38,13 +37,16 @@ from orthofrac.designs import (
     key_runs,
     key_words,
     margin_cells,
+    mask_words,
     octet_keys,
     run_sums,
     search_keys,
+    sort_keys,
     unpack_runs,
 )
 from orthofrac.fastcheck import BatchChecker, get_checker
 from reference import (
+    bitset_keys,
     build_model_matrix,
     full_design,
     idempotency_system,
@@ -414,6 +416,38 @@ def test_indexed_keys_match_design_keys(m, dtype, monkeypatch):
             monkeypatch.setattr(designs, "_CHUNK_BYTES", 8 * size * rows)
             assert np.array_equal(indexed_keys(runs, m), expected)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129])
+def test_mask_words_match_the_packbits_reference(m):
+    # The masks come from run lists through run_sums; the reference packs
+    # the same 0/1 columns bit by bit.  Empty and full columns included.
+    rng = np.random.default_rng(m)
+    for density in (0.0, 0.05, 0.5, 1.0):
+        columns = rng.random((m, 9)) < density
+        columns[:, 0] = False
+        if m > 1:
+            columns[:, 1] = True
+        masks = mask_words(columns)
+        assert masks.dtype == np.uint64 and masks.shape == (key_words(m), 9)
+        assert not masks.flags.writeable
+        assert np.array_equal(masks, bitset_keys(columns.T).T)
+    assert mask_words(np.zeros((m, 0), dtype=bool)).shape == (key_words(m), 0)
+
+
+@pytest.mark.parametrize("words", [1, 2])
+def test_sort_keys_gathers_the_rows_in_key_order(words):
+    # One word is sorted directly, with no index; several are gathered in
+    # key_order.  Repeated rows, and rows equal in their first word, included.
+    rng = np.random.default_rng(words)
+    keys = rng.integers(0, 2**64, size=(300, words), dtype=np.uint64, endpoint=False)
+    keys[100:150] = keys[:50]
+    keys[150:200, 0] = keys[0, 0]
+    keys[200:210] = 0
+    expected = keys[key_order(keys)]
+    assert np.array_equal(sort_keys(keys), expected)
+    assert expected.tolist() == sorted(keys.tolist())
+    assert np.array_equal(sort_keys(keys[:0]), keys[:0])
 
 
 @pytest.mark.parametrize("m", [1, 12, 48, 63, 64, 65, 81, 128, 129, 130])

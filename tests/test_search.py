@@ -16,7 +16,6 @@ from orthofrac.classify import act, classification_report, classify, classify_ke
 from orthofrac import algebra, designs, search
 from orthofrac.designs import (
     Design,
-    bitset_keys,
     default_levels,
     design_keys,
     full_factorial,
@@ -44,7 +43,7 @@ from orthofrac.search import (
     write_design_keys,
     write_designs,
 )
-from reference import brute_force_oracle, full_design, verify_theta
+from reference import bitset_keys, brute_force_oracle, full_design, verify_theta
 
 
 def test_half_fractions_of_2cubed():
@@ -464,6 +463,40 @@ def test_slice_key_charge_bounds_their_traced_peak():
     assert charged / 2 < peak <= charged
 
 
+def test_read_chunk_peak_stays_within_the_per_char_bound(monkeypatch):
+    # _READ_PEAK_PER_CHAR sizes the text chunks so that each chunk's numpy
+    # temporaries stay within _CHUNK_BYTES.  On a three-digit (m = 128)
+    # file of about three chunks, every chunk's tracemalloc peak stays at
+    # or below that many bytes per text byte: the last chunk too, which
+    # holds the "# count" line and is copied without it first.
+    import tracemalloc
+
+    amb = full_factorial([2] * 7)
+    rng = random.Random(5)
+    step = designs._CHUNK_BYTES // search._READ_PEAK_PER_CHAR
+    lines = []
+    while sum(map(len, lines)) < 2.9 * step:
+        lines.append(json.dumps(sorted(rng.sample(range(128), 32))) + "\n")
+    text = "".join(lines) + f"# count: {len(lines)}\n"
+    read_design_keys(io.StringIO(lines[0]), amb)  # the cached tokens
+    real, peaks = search._read_chunk, []
+
+    def traced(chunk, first_line, ambient):
+        tracemalloc.start()
+        try:
+            out = real(chunk, first_line, ambient)
+            peaks.append((len(chunk), tracemalloc.get_traced_memory()[1], "#" in chunk))
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(search, "_read_chunk", traced)
+    assert len(read_design_keys(io.StringIO(text), amb)) == len(lines)
+    assert len(peaks) == 3 and peaks[-1][2] and not any(has_count for *_, has_count in peaks[:-1])
+    for size, peak, _ in peaks:
+        assert size > 0.8 * step and peak <= search._READ_PEAK_PER_CHAR * size
+
+
 def test_cross_check_rejects_with_the_real_checker():
     # No fake: the batch checker itself must name the failing key.  An
     # unbalanced design of the right size fails only the contrast rows.
@@ -565,9 +598,9 @@ def test_designs_file_round_trip(tmp_path):
     # On keys, write after read gives a canonical file back byte for byte:
     # size-0 designs, no designs, m = 64 (one full word), m = 81 (a second
     # word with 47 padding bits), and the token and digit boundaries: m = 100
-    # (two-digit runs, 4-byte token words), m = 101 (the first 5-byte token,
-    # so 8-byte token words), m = 128 (two full words, three-digit runs) and
-    # m = 1001 (four-digit runs).
+    # (two-digit runs, 4-byte tokens), m = 101 (the first 5-byte token),
+    # m = 128 (two full words, three-digit runs) and m = 1001 (four-digit
+    # runs, 6-byte tokens).
     rng = random.Random(41)
     for levels, size in (((2, 2, 2), 4), ((2,) * 6, 8), ((4, 5, 5), 0), ((101,), 0), ((2,) * 7, 0),
                          ((7, 11, 13), 0), ((3,) * 4, 9)):
@@ -590,7 +623,9 @@ def test_designs_file_round_trip(tmp_path):
             written = io.StringIO()
             write_design_keys(keys, written)
             assert written.getvalue() == text
-    assert read_design_keys(io.StringIO(""), amb).shape == (0, 2)
+    # No line at all, not even the count line, is refused.
+    with pytest.raises(ValueError, match="^the design list is empty: not even a '# count' line$"):
+        read_design_keys(io.StringIO(""), amb)
 
 
 def test_designs_file_rejects_garbage():
@@ -635,11 +670,17 @@ def test_read_designs_matches_per_line_reader():
     ambients += [random_ambient(rng) for _ in range(4)]
     outcomes = set()
     for amb in ambients:
-        texts = ["", "[]", "[]\n[]\n# count: 2\n"]  # an empty file and size-0 designs
+        # An empty file, a file of no designs and size-0 designs.
+        texts = ["", "# count: 0\n", "[]", "[]\n[]\n# count: 2\n"]
         for _ in range(150):
             lines = [_random_line(rng, amb) for _ in range(rng.randint(0, 12))]
             texts.append(rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n")))
         for text in texts:
+            if not text:  # no line at all: refused, unlike the reference's empty list
+                for reader in (read_designs, read_design_keys):
+                    with pytest.raises(ValueError, match="empty"):
+                        reader(io.StringIO(text), amb)
+                continue
             try:
                 expected = reference.read_designs(io.StringIO(text), amb)
             except ValueError as exc:
