@@ -212,14 +212,16 @@ def values_at_runs(poly: Polynomial, ambient: FullFactorial) -> tuple[np.ndarray
 def polynomial_from_values(values: np.ndarray, den: int, ambient: FullFactorial) -> list[Polynomial]:
     """The lattice polynomial whose values at the runs are row / den, for
     every row of a B x m array of integer numerators: X^{-1} applied to all
-    rows at once, a Fraction built only for each nonzero coefficient."""
+    rows at once, then one Fraction per distinct numerator of a row, shared
+    by every coefficient that has it."""
     theta, scale = mode_products(ambient, values, inverse=True)
     den *= scale
     lattice, n = exponent_lattice(ambient), ambient.n_factors
-    return [
-        Polynomial._trusted(n, {lattice[i]: Fraction(x, den) for i, x in enumerate(row) if x})
-        for row in theta.tolist()
-    ]
+    polys = []
+    for row in theta.tolist():
+        coeffs = {x: Fraction(x, den) for x in set(row)}
+        polys.append(Polynomial._trusted(n, {exps: coeffs[x] for exps, x in zip(lattice, row) if x}))
+    return polys
 
 
 def indicator_from_design(design: Design) -> Polynomial:

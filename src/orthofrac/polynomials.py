@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .designs import FullFactorial
@@ -108,17 +109,58 @@ class Polynomial:
             # Coefficients are nonzero, so the numerator's sign is the term's.
             sign = "-" if num < 0 else "+"
             body = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            for j, e in enumerate(exps, 1):
-                if e:
-                    body += f" x{j}^{e}" if e > 1 else f" x{j}"
-            parts.append(f"{sign} {body}")
+            parts.append(f"{sign} {body}{_factor_text(exps)}")
         first = parts[0]
         parts[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
         return " ".join(parts)
 
 
+# The text caches below are keyed by monomial: a process renders and parses
+# many polynomials over the same lattice monomials, at most m of them (48 on
+# the paper's ambient, 128 on 2^7), so a bound far above m keeps every one
+# while capping what unusual inputs can fill.
+_TEXT_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_TEXT_CACHE_SIZE)
+def _factor_text(exps: tuple[int, ...]) -> str:
+    """The factors of to_text's term for exps, each after a space: " x1 x3 x5^2"."""
+    return "".join(f" x{j}^{e}" if e > 1 else f" x{j}" for j, e in enumerate(exps, 1) if e)
+
+
 _COEFF_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+
+
+@lru_cache(maxsize=_TEXT_CACHE_SIZE)
+def _exponents(factors: str, n_vars: int) -> tuple[int, ...]:
+    """The exponent tuple of a term's whitespace-separated factor tokens
+    'x<j>', 'x<j>^<e>' and '1'; repeated variables add up.  Raises
+    ValueError on a bad token, and lru_cache keeps no entry for it."""
+    exps = [0] * n_vars
+    for tok in factors.split():
+        if tok == "1":
+            continue
+        m = _VAR_RE.match(tok)
+        if not m:
+            raise ValueError(f"bad monomial token {tok!r}")
+        j = int(m.group(1))
+        if not 1 <= j <= n_vars:
+            raise ValueError(f"variable x{j} out of range 1..{n_vars}")
+        exps[j - 1] += int(m.group(2) or 1)
+    return tuple(exps)
+
+
+def _coefficient(sign: int, token: str) -> Fraction:
+    """sign times a coefficient token 'p' or 'p/q', or ValueError."""
+    m = _COEFF_RE.match(token)
+    if not m:
+        raise ValueError(f"bad token {token!r}")
+    num, den = m.groups()
+    den = int(den or 1)
+    if not den:
+        raise ValueError(f"zero denominator in coefficient {token!r}")
+    return Fraction(sign * int(num), den)
 
 
 def parse_polynomial(text: str, n_vars: int) -> Polynomial:
@@ -126,6 +168,8 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
 
     Grammar: terms joined by ' + ' / ' - ', each an optional rational
     coefficient followed by space-separated factors 'x<j>' or 'x<j>^<e>'.
+    Each distinct signed coefficient token is read once per text, and each
+    distinct factor text once per process (_exponents).
     """
     s = text.strip()
     if not s:
@@ -143,39 +187,21 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
     for op, term in zip(chunks[1::2], chunks[2::2]):
         signed.append((1 if op == "+" else -1, term))
     terms: dict[tuple[int, ...], Fraction] = {}
-    # (index, exponent) of each distinct variable token met in this text.
-    variables: dict[str, tuple[int, int]] = {}
+    coeffs: dict[tuple[int, str], Fraction] = {}
     for sign, term in signed:
-        tokens = term.split()
+        tokens = term.split(None, 1)
         if not tokens:
             raise ValueError(f"empty term in {text!r}")
-        m = _COEFF_RE.match(tokens[0])
-        if m:
-            num, den = m.groups()
-            den = int(den or 1)
-            if not den:
-                raise ValueError(f"zero denominator in coefficient {tokens[0]!r}")
-            coeff = Fraction(sign * int(num), den)
-            del tokens[0]
-        elif not tokens[0].startswith("x"):
-            raise ValueError(f"bad token {tokens[0]!r}")
+        head = tokens[0]
+        # A coefficient token never starts with "x"; a term without one opens with a factor.
+        if head.startswith("x"):
+            coeff, factors = Fraction(sign), term
         else:
-            coeff = Fraction(sign)
-        exps = [0] * n_vars
-        for tok in tokens:
-            if tok == "1":
-                continue
-            var = variables.get(tok)
-            if var is None:
-                m = _VAR_RE.match(tok)
-                if not m:
-                    raise ValueError(f"bad monomial token {tok!r}")
-                j = int(m.group(1))
-                if not 1 <= j <= n_vars:
-                    raise ValueError(f"variable x{j} out of range 1..{n_vars}")
-                var = variables[tok] = (j - 1, int(m.group(2) or 1))
-            exps[var[0]] += var[1]
-        key = tuple(exps)
+            coeff = coeffs.get((sign, head))
+            if coeff is None:
+                coeff = coeffs[sign, head] = _coefficient(sign, head)
+            factors = tokens[1] if len(tokens) > 1 else ""
+        key = _exponents(factors, n_vars)
         prev = terms.get(key)
         terms[key] = coeff if prev is None else prev + coeff
     return Polynomial._trusted(n_vars, {e: c for e, c in terms.items() if c})

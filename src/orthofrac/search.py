@@ -593,20 +593,24 @@ def read_design_keys(fh, ambient: FullFactorial) -> np.ndarray:
     characters, each completed to the end of its line.  A chunk whose lines
     are all canonical, but for "#" lines, is read in bulk; every line of any
     other chunk goes through _parse_line, so the first bad line raises its
-    error.  An input that holds no line at all, not even "# count: 0",
-    raises ValueError: it is what a failed writer leaves behind.
+    error.  An input that holds neither a design line nor a "#" line, not
+    even "# count: 0", raises ValueError: it is what a failed writer leaves
+    behind, blank lines or not.  A "#" anywhere in an input that reads
+    without error starts a "#" line, since no design line holds one.
     """
     chunks = [np.zeros((0, key_words(ambient.run_count)), dtype=np.uint64)]
-    lines = 0
+    lines, marked = 0, False
     while text := fh.read(max(1, designs._CHUNK_BYTES // _READ_PEAK_PER_CHAR)):
         if not text.endswith("\n"):
             text += fh.readline()
         keys, count = _read_chunk(text, lines, ambient)
         chunks.append(keys)
         lines += count
-    if not lines:
+        marked = marked or "#" in text
+    keys = np.concatenate(chunks)
+    if not len(keys) and not marked:
         raise ValueError("the design list is empty: not even a '# count' line")
-    return np.concatenate(chunks)
+    return keys
 
 
 def read_designs(fh, ambient: FullFactorial) -> list[Design]:

@@ -512,3 +512,25 @@ def test_polynomials_built_without_validation_are_valid(amb):
         for p in built:
             _assert_well_formed(p, n)
         assert square == poly and not built[5] and not built[-1]
+
+
+@pytest.mark.parametrize(
+    "amb", [FLAGSHIP, full_factorial([2, 3, 4]), RATIONAL], ids=["flagship", "2x3x4", "rational"]
+)
+def test_polynomial_from_values_with_repeated_numerators(amb):
+    # Rows of few distinct values, so that coefficients repeat within a row:
+    # one Fraction per distinct numerator gives the polynomial that one
+    # Fraction per entry (the reference's X^{-1} values) gives.
+    rng = random.Random(28)
+    m = amb.run_count
+    rows = [[rng.choice((0, 1, 1, 2, -3)) for _ in range(m)] for _ in range(5)] + [[1] * m, [0] * m, [7] * m]
+    repeats = False
+    for den in (1, 6):
+        got = polynomial_from_values(np.array(rows), den, amb)
+        expected = [polynomial_from_theta(mul_model_inverse(amb, [Fraction(x, den) for x in row]), amb) for row in rows]
+        assert got == expected
+        for poly in got:
+            _assert_well_formed(poly, amb.n_factors)
+            repeats |= max(Counter(c for _, c in poly.items()).values(), default=0) > 1
+    # On the six runs of RATIONAL these rows give no repeated coefficient.
+    assert repeats or amb is RATIONAL

@@ -250,6 +250,22 @@ def test_classify_single_design_and_empty_file(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["\n\n", " \t\n  \n"])
+def test_classify_refuses_blank_stdin(monkeypatch, capsys, text):
+    # printf '\n\n' | orthofrac classify: blank lines are no design list.
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["classify", "--levels", "2,2,2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the design list is empty: not even a '# count' line\n"
+
+
+def test_classify_count_line_alone_on_stdin_is_no_designs(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n# count: 0\n"))
+    assert main(["classify", "--levels", "2,2,2"]) == 0
+    assert "0 designs in 0 classes" in capsys.readouterr().out
+
+
 def _note(read, report):
     return (
         f"note: {read} designs read, {report['total_designs']} in the orbits of their "

@@ -6,7 +6,7 @@ import pytest
 
 import reference
 from conftest import RATIONAL
-from orthofrac import algebra, designs, search
+from orthofrac import algebra, designs, polynomials, search
 from orthofrac.algebra import reduce_to_standard_form
 from orthofrac.designs import FactorSpec, ProblemTooLargeError, all_points, from_level_sets, full_factorial
 from orthofrac.polynomials import Polynomial, parse_polynomial
@@ -236,16 +236,62 @@ def _random_text(rng, n: int) -> str:
     return rng.choice(["", " ", "\n"]) + text + rng.choice(["", "  "])
 
 
+def _clear_text_caches():
+    polynomials._exponents.cache_clear()
+    polynomials._factor_text.cache_clear()
+
+
 def test_parse_and_to_text_match_the_reference():
+    # Each text once on cold caches, then again with every cache warm.
     rng = random.Random(22)
+    cases = []
     for _ in range(600):
         n = rng.randint(1, 6)
-        text = _random_text(rng, n)
-        poly, expected = parse_polynomial(text, n), reference.parse_polynomial(text, n)
-        assert poly == expected and hash(poly) == hash(expected), text
-        rendered = poly.to_text()
-        assert rendered == reference.to_text(expected), text
-        assert parse_polynomial(rendered, n) == poly
+        cases.append((_random_text(rng, n), n))
+    for warm in (False, True):
+        for text, n in cases:
+            if not warm:
+                _clear_text_caches()
+            poly, expected = parse_polynomial(text, n), reference.parse_polynomial(text, n)
+            assert poly == expected and hash(poly) == hash(expected), text
+            if not warm:
+                _clear_text_caches()
+            rendered = poly.to_text()
+            assert rendered == reference.to_text(expected), text
+            assert parse_polynomial(rendered, n) == poly
+
+
+def test_a_bad_factor_text_raises_whatever_the_cache_holds():
+    # Valid texts over x1, x2 fill the cache; a bad token among the same
+    # variables still raises, is not cached, and a valid text parses next.
+    _clear_text_caches()
+    for text in ("x1 x2", "1/2 x1 x2 + x1", "-3 x2^2 x1 - 1"):
+        assert parse_polynomial(text, 2) == reference.parse_polynomial(text, 2)
+    for bad in ("1/2 x1 x3", "x1 x2^", "x1 y2", "x1 x2 x0"):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                parse_polynomial(bad, 2)
+        assert parse_polynomial("x1 x2 - 1/2 x1", 2) == reference.parse_polynomial("x1 x2 - 1/2 x1", 2)
+    # The same factor text is in range for three variables, not for two.
+    assert parse_polynomial("1/2 x1 x3", 3) == reference.parse_polynomial("1/2 x1 x3", 3)
+    with pytest.raises(ValueError, match="out of range"):
+        parse_polynomial("1/2 x1 x3", 2)
+
+
+def test_parse_and_to_text_past_the_cache_bound():
+    # More distinct factor texts and exponent tuples than the caches hold:
+    # the evicted ones are rebuilt equal to the reference.
+    _clear_text_caches()
+    bound = polynomials._exponents.cache_info().maxsize
+    assert bound == polynomials._factor_text.cache_info().maxsize
+    texts = [f"{k}/7 x1^{k} x3 - x2^{k + 1}" for k in range(1, bound + 200)]
+    for _ in range(2):
+        for text in texts[:: len(texts) // 50] + texts:
+            poly = parse_polynomial(text, 3)
+            assert poly == reference.parse_polynomial(text, 3), text
+            assert poly.to_text() == reference.to_text(poly), text
+    assert polynomials._exponents.cache_info().currsize == bound
+    assert polynomials._factor_text.cache_info().currsize == bound
 
 
 @pytest.mark.parametrize("text", [

@@ -628,6 +628,20 @@ def test_designs_file_round_trip(tmp_path):
         read_design_keys(io.StringIO(""), amb)
 
 
+@pytest.mark.parametrize("text", ["\n", "\n\n", " \t\n   \n", "\r\n\r\n", "   "])
+def test_blank_lines_alone_are_an_empty_design_list(text):
+    # Blank or whitespace-only lines are no design line and no "#" line, so
+    # the input is refused like one with no line at all.
+    with pytest.raises(ValueError, match="^the design list is empty: not even a '# count' line$"):
+        read_design_keys(io.StringIO(text), full_factorial([2, 2, 2]))
+
+
+def test_a_count_line_alone_is_a_list_of_no_designs():
+    amb = full_factorial([2, 2, 2])
+    for text in ("# count: 0\n", "\n# count: 0\n\n", "  # count: 0"):
+        assert read_design_keys(io.StringIO(text), amb).shape == (0, 1)
+
+
 def test_designs_file_rejects_garbage():
     amb = full_factorial([2, 2])
     with pytest.raises(ValueError):
@@ -676,7 +690,7 @@ def test_read_designs_matches_per_line_reader():
             lines = [_random_line(rng, amb) for _ in range(rng.randint(0, 12))]
             texts.append(rng.choice(("\n", "\r\n")).join(lines) + rng.choice(("", "\n")))
         for text in texts:
-            if not text:  # no line at all: refused, unlike the reference's empty list
+            if not text.strip():  # no line but blank ones: refused, unlike the reference's empty list
                 for reader in (read_designs, read_design_keys):
                     with pytest.raises(ValueError, match="empty"):
                         reader(io.StringIO(text), amb)
