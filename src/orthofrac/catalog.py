@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .algebra import design_from_indicator
-from .classify import in_orbit, jset_text
+from .classify import in_orbit, type_label
 from .designs import Design, FullFactorial, design_keys, full_factorial
 from .polynomials import parse_polynomial
 
@@ -41,7 +41,7 @@ class CatalogEntry:
 
     @property
     def type_label(self) -> str:
-        return f"{self.t1},{jset_text(self.jset)}-{self.t2}"
+        return type_label(self.t1, self.jset, self.t2)
 
 
 def _entries():
@@ -413,6 +413,17 @@ def catalog_designs() -> tuple[tuple[CatalogEntry, Design], ...]:
     return tuple(
         (entry, design_from_indicator(parse_polynomial(entry.indicator_text, 5), ambient))
         for entry in CATALOG
+    )
+
+
+def is_complete_flagship(ambient: FullFactorial, classes) -> bool:
+    """Whether classes of the flagship ambient, with invariants, hold as many
+    designs as the catalog's orbits: what cross_check_classes judges."""
+    return (
+        ambient.radices == FLAGSHIP_ARITIES
+        and len(classes) > 0
+        and classes[0].invariants is not None
+        and sum(c.orbit_size for c in classes) == sum(entry.orbit_size for entry in CATALOG)
     )
 
 

@@ -14,6 +14,9 @@ largest key of an orbit is its canonical form.  The keys of all G images
 are shifted out of the gathered G x s run indices (designs.indexed_keys).
 classify_keys closes each orbit of its input keys once, from the first
 input design not yet seen, and keeps only its largest key and its size.
+
+classification_report builds a classification's report as one JSON-ready
+dict, and report_text renders that dict as the text report.
 """
 
 from __future__ import annotations
@@ -219,7 +222,8 @@ def classify_keys(ambient: FullFactorial, keys: np.ndarray) -> list[EquivalenceC
 
 
 # ---------------------------------------------------------------------------
-# Tabular summary over the invariants (2x2x2x2x3 ambient only)
+# The classification report: one JSON-ready dict, also rendered as text.
+# Its table is defined on the 2x2x2x2x3 ambient only.
 
 
 def jset_text(jset) -> str:
@@ -227,51 +231,9 @@ def jset_text(jset) -> str:
     return "{" + ",".join(str(v) for v in jset) + "}"
 
 
-@dataclass(frozen=True)
-class TableReport:
-    """Class counts per (T1, J) row and T2 column, with footnote tallies."""
-
-    row_keys: tuple[tuple[int, tuple[int, int, int, int]], ...]
-    t2_values: tuple[int, ...]
-    counts: tuple[tuple[int, ...], ...]
-    strength3_counts: tuple[tuple[int, ...], ...]
-    regular_counts: tuple[tuple[int, ...], ...]
-
-    def cell(self, t1: int, jset, t2: int) -> int:
-        key = (t1, tuple(jset))
-        if key not in self.row_keys or t2 not in self.t2_values:
-            return 0
-        return self.counts[self.row_keys.index(key)][self.t2_values.index(t2)]
-
-    def to_json_dict(self) -> dict:
-        rows = []
-        for key, row, s3, reg in zip(
-            self.row_keys, self.counts, self.strength3_counts, self.regular_counts
-        ):
-            rows.append(
-                {
-                    "t1": key[0],
-                    "jset": list(key[1]),
-                    "counts_by_t2": list(row),
-                    "strength3_by_t2": list(s3),
-                    "regular_by_t2": list(reg),
-                }
-            )
-        return {"t2_values": list(self.t2_values), "rows": rows}
-
-    def to_text(self) -> str:
-        header = "T1  J-set            " + "".join(f"{t2:>6}" for t2 in self.t2_values)
-        lines = [header, "-" * len(header)]
-        for key, row, s3, reg in zip(
-            self.row_keys, self.counts, self.strength3_counts, self.regular_counts
-        ):
-            cells = []
-            for c, a, b in zip(row, s3, reg):
-                mark = "a" if a else ("b" if b else "")
-                cells.append(f"{(str(c) + mark) if c else '':>6}")
-            lines.append(f"{key[0]:<3} {jset_text(key[1]):<16} " + "".join(cells))
-        lines.append("a: strength-3 classes; b: regular x_i x_j x_k = +-1 classes")
-        return "\n".join(lines)
+def type_label(t1: int, jset, t2: int) -> str:
+    """The report text of a class type (T1, J, T2), e.g. "1,{24,0,0,0}-0"."""
+    return f"{t1},{jset_text(jset)}-{t2}"
 
 
 def _strength3(t1: int, t2: int) -> bool:
@@ -281,36 +243,41 @@ def _strength3(t1: int, t2: int) -> bool:
     return t1 == t2 == 0
 
 
-def table_report(classes) -> TableReport:
-    """Class-count matrix over (T1, J) x T2 for flagship-shaped classifications."""
+def table_report(classes) -> dict:
+    """The report's table of a flagship-shaped classification: per (T1, J) row, by T1
+    then descending J, the counts of classes, strength-3 and regular ones per T2."""
     classes = list(classes)
     if not classes:
-        return TableReport((), (), (), (), ())
+        return {"t2_values": [], "rows": []}
     ambient = classes[0].representative.ambient
     if not supports_triple_invariant(ambient):
         raise ShapeMismatchError("table layout requires the 2x2x2x2x3 ambient")
     if any(c.invariants is None for c in classes):
         raise ShapeMismatchError("classes carry no invariants")
 
-    max_t2 = max(5, max(c.invariants[2] for c in classes))
-    t2_values = tuple(range(max_t2 + 1))
-    by_row: dict[tuple[int, tuple], dict[int, list]] = {}
-    for c in classes:
+    t2_values = list(range(max(5, max(c.invariants[2] for c in classes)) + 1))
+    rows: dict[tuple, dict] = {}
+    for c in sorted(classes, key=lambda c: (c.invariants[0], [-v for v in c.invariants[1]])):
         t1, jset, t2 = c.invariants
-        cell = by_row.setdefault((t1, jset), {}).setdefault(t2, [0, 0, 0])
-        cell[0] += 1
-        if _strength3(t1, t2):
-            cell[1] += 1
-        if 24 in jset:
-            cell[2] += 1
+        row = rows.setdefault((t1, jset), {"t1": t1, "jset": list(jset)})
+        for column, hit in ("counts_by_t2", 1), ("strength3_by_t2", _strength3(t1, t2)), ("regular_by_t2", 24 in jset):
+            row.setdefault(column, [0] * len(t2_values))[t2] += hit
+    return {"t2_values": t2_values, "rows": list(rows.values())}
 
-    row_keys = sorted(by_row, key=lambda k: (k[0], tuple(-v for v in k[1])))
-    # counts, strength-3 counts, regular counts: one (rows x T2) matrix each
-    matrices = (
-        tuple(tuple(by_row[key].get(t2, [0, 0, 0])[i] for t2 in t2_values) for key in row_keys)
-        for i in range(3)
-    )
-    return TableReport(tuple(row_keys), t2_values, *matrices)
+
+def table_text(table: dict) -> str:
+    """The text of a report's table: a count per (T1, J) row and T2 column,
+    marked a (strength 3) or b (regular), with the footnote."""
+    header = "T1  J-set            " + "".join(f"{t2:>6}" for t2 in table["t2_values"])
+    lines = [header, "-" * len(header)]
+    for row in table["rows"]:
+        cells = "".join(
+            f"{(str(c) + ('a' if a else 'b' if b else '')) if c else '':>6}"
+            for c, a, b in zip(row["counts_by_t2"], row["strength3_by_t2"], row["regular_by_t2"])
+        )
+        lines.append(f"{row['t1']:<3} {jset_text(row['jset']):<16} " + cells)
+    lines.append("a: strength-3 classes; b: regular x_i x_j x_k = +-1 classes")
+    return "\n".join(lines)
 
 
 def classification_report(classes) -> dict:
@@ -340,5 +307,22 @@ def classification_report(classes) -> dict:
         records.append(rec)
     report["classes"] = records
     if classes and classes[0].invariants is not None:
-        report["table"] = table_report(classes).to_json_dict()
+        report["table"] = table_report(classes)
     return report
+
+
+def report_text(report: dict, designs_read: int) -> str:
+    """The text of a classification report: a header line, one line per
+    class, then the table and the catalog check when the report holds them."""
+    lines = [f"{designs_read} designs in {report['class_count']} classes"]
+    for rec in report["classes"]:
+        inv = rec.get("invariants")
+        tag = f"  type {type_label(inv['t1'], inv['jset'], inv['t2'])}" if inv else ""
+        lines.append(f"orbit {rec['orbit_size']:>5}{tag}  {rec['indicator']}")
+    if "table" in report:
+        lines += ["", table_text(report["table"])]
+    if "catalog_check" in report:
+        check = report["catalog_check"]
+        lines += ["", "catalog check: " + ("pass" if check["pass"] else "FAIL")]
+        lines += ["  " + problem for problem in check["problems"]]
+    return "\n".join(lines) + "\n"

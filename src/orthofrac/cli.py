@@ -32,9 +32,9 @@ from .algebra import (
     reduce_to_standard_form,
     verify_theta_report,
 )
-from .catalog import FLAGSHIP_ARITIES, cross_check_classes
-from .classify import classification_report, classify_keys, jset_text, table_report
-from .designs import FullFactorial, full_factorial, key_runs, load_design_csv
+from .catalog import cross_check_classes, is_complete_flagship
+from .classify import classification_report, classify_keys, report_text
+from .designs import full_factorial, key_runs, load_design_csv
 from .polynomials import parse_polynomial
 from .search import (
     CrossCheckError,
@@ -144,15 +144,6 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _is_complete_flagship(ambient: FullFactorial, classes) -> bool:
-    return (
-        ambient.radices == FLAGSHIP_ARITIES
-        and len(classes) > 0
-        and classes[0].invariants is not None
-        and sum(c.orbit_size for c in classes) == 35200
-    )
-
-
 def cmd_classify(args) -> int:
     ambient = full_factorial(args.levels)
     if args.designs:
@@ -162,32 +153,14 @@ def cmd_classify(args) -> int:
         keys = read_design_keys(sys.stdin, ambient)
     classes = classify_keys(ambient, keys)
     report = classification_report(classes)
-    check_failed = False
-    if _is_complete_flagship(ambient, classes):
+    problems = []
+    if is_complete_flagship(ambient, classes):
         problems = cross_check_classes(classes)
         report["catalog_check"] = {"pass": not problems, "problems": problems}
-        check_failed = bool(problems)
     if args.format == "json":
         _emit(json.dumps(report, indent=2) + "\n", args.out)
     else:
-        lines = [f"{len(keys)} designs in {len(classes)} classes"]
-        for rec in report["classes"]:
-            inv = rec.get("invariants")
-            tag = ""
-            if inv:
-                tag = f"  type {inv['t1']},{jset_text(inv['jset'])}-{inv['t2']}"
-            lines.append(f"orbit {rec['orbit_size']:>5}{tag}  {rec['indicator']}")
-        if "table" in report:
-            lines.append("")
-            lines.append(table_report(classes).to_text())
-        if "catalog_check" in report:
-            check = report["catalog_check"]
-            lines.append("")
-            lines.append(
-                "catalog check: pass" if check["pass"] else
-                "catalog check: FAIL\n" + "\n".join("  " + p for p in check["problems"])
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(report_text(report, len(keys)), args.out)
     # The report's total counts whole orbits; a subset, or designs of another
     # ambient with as many runs, reads fewer designs than that.
     in_orbits = report.get("total_designs", 0)
@@ -197,7 +170,7 @@ def cmd_classify(args) -> int:
             "the input is not closed under the symmetry group",
             file=sys.stderr,
         )
-    return 1 if check_failed else 0
+    return 1 if problems else 0
 
 
 def cmd_indicator(args) -> int:

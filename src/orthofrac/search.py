@@ -319,9 +319,11 @@ def _materialize(
 
 def _subset_keys(m: int, size: int):
     """The keys of the size-subsets of m runs, in itertools.combinations
-    order, 65536 rows at a time."""
+    order, in chunks whose uint64 run indices take at most
+    designs._CHUNK_BYTES."""
     combos = itertools.combinations(range(m), size)
-    while chunk := list(itertools.islice(combos, 65536)):
+    step = max(1, designs._CHUNK_BYTES // (8 * size or 1))
+    while chunk := list(itertools.islice(combos, step)):
         yield indexed_keys(np.array(chunk, dtype=np.uint64).reshape(len(chunk), size), m)
 
 

@@ -44,6 +44,15 @@ def sign_fraction(ambient, factors, sign):
     return Design.from_runs(ambient, runs)
 
 
+def table_cell(table, t1, jset, t2):
+    """The class count in row (T1, J) and column T2 of a report's table, 0
+    outside the table."""
+    for row in table["rows"]:
+        if (row["t1"], tuple(row["jset"])) == (t1, tuple(jset)) and t2 in table["t2_values"]:
+            return row["counts_by_t2"][table["t2_values"].index(t2)]
+    return 0
+
+
 @pytest.fixture(scope="session")
 def flagship():
     return flagship_ambient()

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import table_cell
 from orthofrac.algebra import (
     design_from_indicator,
     indicator_from_design,
@@ -78,24 +79,25 @@ EXPECTED_TABLE = {
 
 
 def test_criterion_3_table_reproduction(flagship_classes):
-    report = table_report(flagship_classes)
+    table = table_report(flagship_classes)
+    rows = {(row["t1"], tuple(row["jset"])): row for row in table["rows"]}
     problems = []
-    if set(report.row_keys) != set(EXPECTED_TABLE):
-        problems.append(f"row keys {report.row_keys}")
+    if set(rows) != set(EXPECTED_TABLE):
+        problems.append(f"row keys {tuple(rows)}")
     for key, expected in EXPECTED_TABLE.items():
-        if key in report.row_keys:
-            got = report.counts[report.row_keys.index(key)][:6]
+        if key in rows:
+            got = rows[key]["counts_by_t2"][:6]
             if tuple(got) != expected:
                 problems.append(f"row {key}: {got} != {expected}")
     # footnote a: exactly the 3 classes at (0,{0,0,0,0},0) have strength 3
-    s3_total = sum(sum(row) for row in report.strength3_counts)
-    if report.cell(0, (0, 0, 0, 0), 0) != 3 or s3_total != 3:
+    s3_total = sum(sum(row["strength3_by_t2"]) for row in table["rows"])
+    if table_cell(table, 0, (0, 0, 0, 0), 0) != 3 or s3_total != 3:
         problems.append("strength-3 footnote")
-    if report.strength3_counts[report.row_keys.index((0, (0, 0, 0, 0)))][0] != 3:
+    if rows[(0, (0, 0, 0, 0))]["strength3_by_t2"][0] != 3:
         problems.append("strength-3 classes not in the (0,{0,0,0,0},0) cell")
     # footnote b: exactly one regular class, in the (1,{24,0,0,0},0) cell
-    reg_total = sum(sum(row) for row in report.regular_counts)
-    if reg_total != 1 or report.regular_counts[report.row_keys.index((1, (24, 0, 0, 0)))][0] != 1:
+    reg_total = sum(sum(row["regular_by_t2"]) for row in table["rows"])
+    if reg_total != 1 or rows[(1, (24, 0, 0, 0))]["regular_by_t2"][0] != 1:
         problems.append("regular footnote")
     _report(3, "class-count table matches", not problems, "; ".join(problems) or "all cells")
 

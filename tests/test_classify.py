@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reference
-from conftest import random_ambient, sign_fraction
+from conftest import random_ambient, sign_fraction, table_cell
 from orthofrac.algebra import indicator_from_design
 from orthofrac.catalog import CATALOG, catalog_designs, cross_check_classes
 from orthofrac.classify import (
@@ -21,6 +21,7 @@ from orthofrac.classify import (
     in_orbit,
     run_perm_table,
     table_report,
+    table_text,
 )
 from orthofrac.designs import (
     Design,
@@ -193,11 +194,11 @@ def test_table_report_smoke():
     plus = sign_fraction(FLAGSHIP, (0, 1, 2, 3), 1)
     triple = sign_fraction(FLAGSHIP, (0, 1, 3), 1)
     classes = classify([plus, triple])
-    report = table_report(classes)
-    assert report.cell(0, (0, 0, 0, 0), 0) == 1
-    assert report.cell(1, (24, 0, 0, 0), 0) == 1
-    assert report.cell(1, (8, 0, 0, 0), 2) == 0
-    text = report.to_text()
+    table = table_report(classes)
+    assert table_cell(table, 0, (0, 0, 0, 0), 0) == 1
+    assert table_cell(table, 1, (24, 0, 0, 0), 0) == 1
+    assert table_cell(table, 1, (8, 0, 0, 0), 2) == 0
+    text = table_text(table)
     assert "1a" in text and "1b" in text  # strength-3 flag and regular flag
     with pytest.raises(ShapeMismatchError):
         table_report(classify([Design(full_factorial([2, 2]), (0, 3))]))
@@ -211,8 +212,8 @@ def test_report_strength3_flags_match_has_strength(flagship_classes):
     report = classification_report(flagship_classes)
     assert [rec["strength3"] for rec in report["classes"]] == expected
     table = table_report(flagship_classes)
-    assert sum(map(sum, table.strength3_counts)) == 3
-    assert report["table"] == table.to_json_dict()
+    assert sum(sum(row["strength3_by_t2"]) for row in table["rows"]) == 3
+    assert report["table"] == table
 
 
 def _reference_classes(designs):

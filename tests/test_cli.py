@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import resource
@@ -12,7 +13,7 @@ from conftest import sign_fraction
 from orthofrac import cli, search
 from orthofrac.catalog import CATALOG
 from orthofrac.cli import main
-from orthofrac.designs import full_factorial
+from orthofrac.designs import design_keys, full_factorial
 from reference import save_design_csv
 
 
@@ -305,6 +306,57 @@ def test_classify_notes_designs_read_against_orbit_sizes(tmp_path, capsys):
     # The complete file reads every design of its orbits: no note.
     code, out, err = run_classify("2,2,2,2,3", flagship)
     assert (code, out.splitlines()[0], err) == (0, "35200 designs in 63 classes", "")
+
+
+@pytest.fixture
+def classify_flagship(monkeypatch, capsys, flagship_designs, flagship_classes):
+    """`orthofrac classify --levels 2,2,2,2,3 [args]` on the flagship design
+    list, whose keys and classes are those of the session's fixtures:
+    returns (exit code, stdout, stderr)."""
+    keys = design_keys(flagship_designs, 48)
+    monkeypatch.setattr(cli, "read_design_keys", lambda fh, ambient: keys)
+    monkeypatch.setattr(cli, "classify_keys", lambda ambient, read: flagship_classes)
+
+    def run(*args):
+        code = main(["classify", "--levels", "2,2,2,2,3", *args])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    return run
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_flagship_text_report_is_pinned(classify_flagship):
+    # The report of `enumerate | classify`, with the table and the catalog check.
+    code, out, err = classify_flagship()
+    assert (code, err) == (0, "")
+    assert _sha256(out) == "072aaa6176e5b46a5725176dca24874a34b32c3d4fa2ccc24c8ac50e4873a41d"
+
+
+def test_text_report_without_table_is_pinned(tmp_path, capsys):
+    # Off the flagship ambient classes carry no invariants: no table, no catalog check.
+    designs = tmp_path / "designs.txt"
+    args = ["--levels", "2,2,2,3", "--size", "12", "--strength", "2"]
+    assert main(["enumerate", *args, "--out", str(designs)]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--levels", "2,2,2,3", "--designs", str(designs)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _sha256(out) == "abf841ef49e66030aaa4cab12d820e51c9a2cbbfa9e7eb5069185ad443a3bf31"
+
+
+def test_catalog_check_failure_exits_1(classify_flagship, monkeypatch):
+    problems = ["expected 63 classes, got 62", "some classes matched no catalog entry"]
+    monkeypatch.setattr(cli, "cross_check_classes", lambda classes: list(problems))
+    code, out, err = classify_flagship()
+    assert (code, err) == (1, "")
+    assert out.endswith("\n\ncatalog check: FAIL\n" + "".join(f"  {problem}\n" for problem in problems))
+    code, out, err = classify_flagship("--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["catalog_check"] == {"pass": False, "problems": problems}
 
 
 def test_classify_parse_error_exit_2(tmp_path, capsys):

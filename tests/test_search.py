@@ -207,6 +207,23 @@ def test_strength_zero_subsets_meet_the_design_ceiling(monkeypatch):
     assert taken == []
 
 
+def test_subset_keys_chunk_by_the_budget(monkeypatch):
+    # Each chunk's uint64 run indices take at most designs._CHUNK_BYTES, one
+    # row at least; joined, the chunks are the key of every subset, in
+    # itertools.combinations order.
+    for m, size in [(5, 0), (9, 3), (70, 2), (7, 7)]:
+        combos = list(itertools.combinations(range(m), size))
+        y = np.zeros((len(combos), m), dtype=bool)
+        for row, combo in enumerate(combos):
+            y[row, list(combo)] = True
+        for budget in (1, 8 * size * 5 + 3, 1 << 20):
+            monkeypatch.setattr(designs, "_CHUNK_BYTES", budget)
+            step = max(1, budget // (8 * size or 1))
+            chunks = list(search._subset_keys(m, size))
+            assert all(len(chunk) == step for chunk in chunks[:-1]) and 0 < len(chunks[-1]) <= step
+            assert np.array_equal(np.concatenate(chunks), bitset_keys(y))
+
+
 def test_oracle_ceiling(monkeypatch):
     amb = full_factorial([2, 2, 2, 2, 3])
     with pytest.raises(ProblemTooLargeError):
