@@ -9,11 +9,12 @@ its runs, and acting on an indicator coefficient vector conjugates the run
 permutation by the model matrix.
 
 Designs are keys (designs), and among designs of one size the largest
-key is the lexicographically least design (designs.key_order), so the
+key is the lexicographically least design (designs.sort_keys), so the
 largest key of an orbit is its canonical form.  The keys of all G images
 are shifted out of the gathered G x s run indices (designs.indexed_keys).
-classify_keys closes each orbit of its input keys once, from the first
-input design not yet seen, and keeps only its largest key and its size.
+classify_keys holds its input keys once, sorted in search form, closes
+each orbit once, from the first design in key order not yet seen, and
+keeps only its largest key and its size.
 
 classification_report builds a classification's report as one JSON-ready
 dict, and report_text renders that dict as the text report.
@@ -29,11 +30,11 @@ from math import factorial, prod
 
 import numpy as np
 
-from . import search
+from . import designs
 from .algebra import polynomial_from_values, values_at_runs
 from .designs import (
-    Design, FullFactorial, ShapeMismatchError, design_keys, distinct_keys, find_keys, indexed_keys, invariant_triples,
-    key_order, key_runs, run_index, search_keys, supports_triple_invariant, unpack_runs,
+    Design, FullFactorial, ShapeMismatchError, design_keys, distinct_keys, find_keys, indexed_keys,
+    invariant_triples, key_runs, run_index, search_keys, search_rows, sort_keys, supports_triple_invariant, unpack_runs,
 )
 from .polynomials import Polynomial
 
@@ -77,8 +78,8 @@ def run_perm_table(ambient: FullFactorial) -> np.ndarray:
     G x m bytes there.  It is stored column-major, so gathering the columns
     of a design's runs copies whole contiguous columns.
 
-    Raises search.ProblemTooLargeError, before allocating, when the table
-    would take more than search._MATRIX_BUDGET bytes.
+    Raises designs.ProblemTooLargeError, before allocating, when the table
+    would take more than designs._MATRIX_BUDGET bytes.
 
     Rows run over factor permutations, then over level-permutation choices
     with the last factor fastest.  Row (f, l) is level[l, factor[f, i]]:
@@ -93,10 +94,10 @@ def run_perm_table(ambient: FullFactorial) -> np.ndarray:
     dtype = np.min_scalar_type(m - 1)
     # k factors of arity r contribute k! factor orders times r!^k level relabelings.
     order = prod(factorial(k) * factorial(r) ** k for r, k in Counter(radices).items())
-    if order * m * dtype.itemsize > search._MATRIX_BUDGET:
-        raise search.ProblemTooLargeError(
+    if order * m * dtype.itemsize > designs._MATRIX_BUDGET:
+        raise designs.ProblemTooLargeError(
             f"the symmetry group has {order} elements; its {order} x {m} {dtype.name} run-permutation "
-            f"table exceeds the {search._MATRIX_BUDGET}-byte budget"
+            f"table exceeds the {designs._MATRIX_BUDGET}-byte budget"
         )
     # ivs[j, i]: the level of factor j in run i.  Every partial sum below is
     # a run index, so the sums stay in dtype.
@@ -161,17 +162,12 @@ class EquivalenceClass:
     orbit_size: int
     invariants: tuple[int, tuple[int, int, int, int], int] | None
 
-    @property
-    def sort_key(self):
-        inv = self.invariants if self.invariants is not None else ()
-        return (inv, self.representative.runs)
-
 
 def classify(designs) -> list[EquivalenceClass]:
     """Partition pairwise-distinct designs of one ambient into group orbits.
 
-    Each orbit is closed once, from the first input design not yet seen,
-    and binary search marks the input designs it contains.  The
+    Each orbit is closed once, from the first input design in key order
+    not yet seen, and binary search marks the input designs it contains.  The
     representative is the lexicographically least design of the full
     orbit and orbit_size counts the full orbit, whether or not every orbit
     member is present in the input.  Classes are sorted by (invariants,
@@ -190,23 +186,23 @@ def classify_keys(ambient: FullFactorial, keys: np.ndarray) -> list[EquivalenceC
     """classify for the designs of keys (designs), one row each."""
     if not len(keys):
         return []
-    order = key_order(keys)
-    ordered = search_keys(keys[order])
+    # The native sorted copy is a temporary: seeds are read back from the search form.
+    ordered = search_keys(sort_keys(keys))
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("designs must be pairwise distinct")
 
-    unseen = np.ones(len(keys), dtype=bool)
+    unseen = np.ones(len(ordered), dtype=bool)
     tops, sizes = [], []
     idx = 0
-    while idx < len(keys):
-        orbit = distinct_keys(_images(ambient, unpack_runs(keys[idx : idx + 1])[1]))
+    while idx < len(ordered):
+        orbit = distinct_keys(_images(ambient, unpack_runs(search_rows(ordered[idx : idx + 1]))[1]))
         pos, found = find_keys(ordered, orbit)
-        unseen[order[pos[found]]] = False
+        unseen[pos[found]] = False
         tops.append(orbit[-1])
         sizes.append(len(orbit))
-        # Row idx lies in its own orbit, so argmax is 0 only when no row is unseen.
+        # Key idx lies in its own orbit, so argmax is 0 only when no key is unseen.
         step = int(np.argmax(unseen[idx:]))
-        idx = idx + step if step else len(keys)
+        idx = idx + step if step else len(ordered)
 
     tops = np.array(tops)
     reps = key_runs(tops)
@@ -217,7 +213,7 @@ def classify_keys(ambient: FullFactorial, keys: np.ndarray) -> list[EquivalenceC
     classes = [
         EquivalenceClass(Design(ambient, rep), size, inv) for rep, size, inv in zip(reps, sizes, invariants)
     ]
-    classes.sort(key=lambda c: c.sort_key)
+    classes.sort(key=lambda c: (c.invariants or (), c.representative.runs))
     return classes
 
 

@@ -6,7 +6,7 @@ error (a design list with no line at all, not even "# count: 0",
 included), 3 the problem is too large (the brute-force ceiling of 10^8
 subsets, the 768 MB key budget of enumerate, which charges 16W + 8 bytes
 per design of W = ceil(m/64) key words plus what the join rows and slice
-candidates of each level hold (search._MATRIX_BUDGET), the
+candidates of each level hold (designs._MATRIX_BUDGET), the
 symmetry-group table budget, or the 1 MiB budget of one level power when
 verify reduces an indicator such as x1^10000000 (algebra._power_row), is
 exceeded, or memory runs out), 4 an

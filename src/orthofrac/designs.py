@@ -14,9 +14,9 @@ indices (run_sums, design_keys and mask_words feed it rows of unequal
 length).  Only this module knows that layout.  unpack_runs inverts
 run_sums, with the run counts as popcounts of the words and the runs as
 the positions of the set bits (key_bits), key_runs and key_designs read
-keys back, key_order, sort_keys, distinct_keys, search_keys and find_keys
-sort and look them up, and key_octets and octet_keys read them an octet at
-a time.  A mask is the key of a set of runs, stored word-major
+keys back, sort_keys, distinct_keys, search_keys, search_rows and
+find_keys sort and look them up, and key_octets and octet_keys read them
+an octet at a time.  A mask is the key of a set of runs, stored word-major
 (mask_words), so popcounts counts a key's runs in each set.
 
 `margin_cells` is the one integer encoding of factor-subset margins that
@@ -306,23 +306,14 @@ def key_designs(ambient: FullFactorial, keys: np.ndarray) -> list[Design]:
     return [Design(ambient, runs) for runs in key_runs(keys)]
 
 
-def key_order(keys: np.ndarray) -> np.ndarray:
-    """The argsort of keys, lexicographic over their words: one uint64 column
-    for m <= 64, a lexsort otherwise.  Among designs of one size, descending
-    keys are ascending run tuples: the smallest run in which two designs
-    differ is in the one whose tuple sorts first, and sets its bit.
-
-    Either holds at most 24 bytes per key beside the keys: the int64 index,
-    and lexsort's copies of the words it sorts by."""
-    if keys.shape[1] == 1:
-        return np.argsort(keys[:, 0])
-    return np.lexsort(keys.T[::-1])
-
-
 def sort_keys(keys: np.ndarray) -> np.ndarray:
-    """The key rows in key_order: one np.sort of the single word, which
-    forms no index, or the rows gathered in key_order."""
-    return np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[key_order(keys)]
+    """The key rows sorted lexicographically over their words: one np.sort of
+    the single word for m <= 64, which forms no index, or the rows gathered
+    in a lexsort, which holds at most 24 bytes per key beside them (its int64
+    index and its copies of the words).  Among designs of one size, descending
+    keys are ascending run tuples: the smallest run in which two designs
+    differ is in the one whose tuple sorts first, and sets its bit."""
+    return np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[np.lexsort(keys.T[::-1])]
 
 
 def distinct_keys(keys: np.ndarray) -> np.ndarray:
@@ -337,6 +328,13 @@ def search_keys(keys: np.ndarray) -> np.ndarray:
     if keys.shape[1] == 1:
         return keys[:, 0]
     return np.ascontiguousarray(keys.astype(">u8")).view(f"V{keys.shape[1] * 8}").ravel()
+
+
+def search_rows(ordered: np.ndarray) -> np.ndarray:
+    """The key rows of a search_keys array, its inverse: the word as a
+    column, or the big-endian words as native uint64."""
+    rows = ordered[:, None]
+    return rows if rows.dtype == np.uint64 else rows.view(">u8").astype(np.uint64)
 
 
 def find_keys(ordered: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,6 +361,10 @@ def octet_keys(runs: np.ndarray, m: int) -> np.ndarray:
 
 # The most bytes that any chunk loop, here and in search.py, forms at once.
 _CHUNK_BYTES = 1 << 20
+
+# The key budget in bytes, read at call time: by every level of the sliced
+# enumeration (search.py holds its byte model) and by classify.run_perm_table.
+_MATRIX_BUDGET = 768 * 10**6
 
 
 def popcounts(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ Two routes:
   takes every fitting key at once, and one searchsorted finds the last.
   The join returns key ids and the exact design count.  It raises
   ProblemTooLargeError as soon as the designs, their join rows and the
-  slice candidates pass the key budget in bytes (see _MATRIX_BUDGET),
+  slice candidates pass the key budget in bytes (designs._MATRIX_BUDGET),
   before any design is built; the slice keys meet the same budget before
   they are formed, and at strength 0 the C(m, q) subsets before any is
   listed.  A design's key is the sum of its slices' keys, each embedded at
@@ -67,13 +67,13 @@ from .designs import (
 )
 from .fastcheck import get_checker
 
-# The key budget, in bytes, of every level of the sliced enumeration.  On m
-# runs, W = ceil(m/64), each design is charged 16 W + 8 bytes: at the sort
-# in enumerate_keys (designs.sort_keys) its key, the key's sorted copy and,
-# for W >= 2, the int64 index of key_order are alive together (key_order's
-# own temporaries, at most 24 bytes per key, are gone by then); one word
-# sorts with no index, in 16 bytes.  A level of r slices is also charged
-# what it holds beside the designs' keys while it materialises them:
+# The key budget (designs._MATRIX_BUDGET), in bytes, of every level of the
+# sliced enumeration.  On m runs, W = ceil(m/64), each design is charged
+# 16 W + 8 bytes: at the sort in enumerate_keys (designs.sort_keys) its key,
+# the key's sorted copy and, for W >= 2, the sort's int64 index are alive
+# together (the sort's copies of the words it sorts by are gone by then);
+# one word sorts with no index, in 16 bytes.  A level of r slices is also
+# charged what it holds beside the designs' keys while it materialises them:
 # 8 (2r + 3) bytes per join row (r key ids, r pool sizes, three int64
 # offsets), 8 (r W + 2 W' + 2) bytes per slice candidate of W' words (the
 # candidate, its copy in pool order, its pool id and sort index, its r
@@ -86,7 +86,6 @@ from .fastcheck import get_checker
 # and unique's seven int64 arrays and bool mask), up to 4F + 32 after (the
 # distinct keys' counts too).  768 MB admits 3.2 * 10^7 designs of one
 # word or 1.9 * 10^7 of two, less what their join rows and candidates take.
-_MATRIX_BUDGET = 768 * 10**6
 
 # The most size-s subsets the brute-force oracle filters.
 _ORACLE_CEILING = 10**8
@@ -246,7 +245,7 @@ def _join_assignments(
 
     Raises ProblemTooLargeError as soon as the designs, at design_bytes
     each, and the rows, at 8 (2 n_levels + 3) bytes each, take more than
-    `room` bytes (see _MATRIX_BUDGET).
+    `room` bytes (see the key budget).
     """
     packed = keys.packed
     # Each row's product, and their sum, is at most len(pool)^n_levels.
@@ -267,7 +266,7 @@ def _join_assignments(
         n_rows += len(rows)
         if count * design_bytes + n_rows * row_bytes > room:
             raise ProblemTooLargeError(
-                f"at least {count} designs exceed the key budget of {_MATRIX_BUDGET} bytes for this ambient"
+                f"at least {count} designs exceed the key budget of {designs._MATRIX_BUDGET} bytes for this ambient"
             )
         chunks.append(rows)
     return np.concatenate(chunks), count
@@ -275,7 +274,7 @@ def _join_assignments(
 
 def _held_bytes(candidates: np.ndarray, keys: _SliceKeys, r: int, words: int) -> int:
     """What a level of r slices holds beside its design keys and join rows
-    while it materialises them (see _MATRIX_BUDGET): the slice candidates,
+    while it materialises them (see the key budget): the slice candidates,
     their copy in pool order, pool ids and sort index, and r embedded keys
     of `words` words each; and the free-cell counts and packed word of
     every slice key."""
@@ -336,8 +335,9 @@ def _enumerate_keys(ambient: FullFactorial, size: int, strength: int) -> np.ndar
     the whole factor are balanced.  Otherwise the runs are sliced on the
     last factor of maximal arity (_default_slicing_factor); the slice
     candidates, the sub-ambient's fractions of strength one less, come from
-    this same function, and the slices are joined.  The key budget bounds
-    the strength-0 subsets, the slice keys and the join (_MATRIX_BUDGET).
+    this same function, and the slices are joined.  The key budget
+    (designs._MATRIX_BUDGET) bounds the strength-0 subsets, the slice keys
+    and the join.
     """
     m = ambient.run_count
     words = key_words(m)
@@ -345,9 +345,9 @@ def _enumerate_keys(ambient: FullFactorial, size: int, strength: int) -> np.ndar
     empty = np.zeros((0, words), dtype=np.uint64)
     if strength == 0:
         total = comb(m, size)
-        if total * design_bytes > _MATRIX_BUDGET:
+        if total * design_bytes > designs._MATRIX_BUDGET:
             raise ProblemTooLargeError(
-                f"C({m},{size}) = {total} subsets exceed the key budget of {_MATRIX_BUDGET} bytes "
+                f"C({m},{size}) = {total} subsets exceed the key budget of {designs._MATRIX_BUDGET} bytes "
                 "for this ambient"
             )
         return np.concatenate([empty, *_subset_keys(m, size)])
@@ -359,15 +359,15 @@ def _enumerate_keys(ambient: FullFactorial, size: int, strength: int) -> np.ndar
         return empty
     sub = _sub_ambient(ambient, p)
     candidates = _enumerate_keys(sub, size // r, strength - 1)
-    if len(candidates) * (4 * len(_free_cells(sub, strength)) + 65) > _MATRIX_BUDGET:
+    if len(candidates) * (4 * len(_free_cells(sub, strength)) + 65) > designs._MATRIX_BUDGET:
         raise ProblemTooLargeError(
-            f"{len(candidates)} slice candidates exceed the key budget of {_MATRIX_BUDGET} bytes "
+            f"{len(candidates)} slice candidates exceed the key budget of {designs._MATRIX_BUDGET} bytes "
             "for this ambient"
         )
     keys = _slice_keys(sub, candidates, size, strength)
     if keys is None:
         return empty
-    room = _MATRIX_BUDGET - _held_bytes(candidates, keys, r, words)
+    room = designs._MATRIX_BUDGET - _held_bytes(candidates, keys, r, words)
     ids, count = _join_assignments(keys, r, room, design_bytes)
     if not count:
         return empty

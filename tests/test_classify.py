@@ -17,6 +17,7 @@ from orthofrac.classify import (
     act_theta,
     classification_report,
     classify,
+    classify_keys,
     generate_group,
     in_orbit,
     run_perm_table,
@@ -31,8 +32,8 @@ from orthofrac.designs import (
     full_factorial,
     has_strength,
 )
-from orthofrac import search
-from orthofrac.search import SearchProblem, enumerate_orthogonal
+from orthofrac import designs, search
+from orthofrac.search import SearchProblem, enumerate_keys, enumerate_orthogonal
 
 
 FLAGSHIP = full_factorial([2, 2, 2, 2, 3])
@@ -65,7 +66,7 @@ def test_run_perm_table_rows_are_the_documented_actions(monkeypatch):
             fp, lp = g.factor_perm, g.level_perms
             assert row == [run_of[tuple(lp[j][iv[fp[j]]] for j in range(len(fp)))] for iv in ivs]
     # 288 runs take two bytes each: the budget names the dtype before allocating.
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 0)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 0)
     with pytest.raises(search.ProblemTooLargeError, match="276480 x 288 uint16"):
         run_perm_table(full_factorial([2, 2, 2, 2, 2, 3, 3]))
 
@@ -179,6 +180,32 @@ def test_classify_rejects_duplicates_and_mixed_ambients():
     with pytest.raises(ShapeMismatchError):
         classify([d, other])
     assert classify([]) == []
+
+
+@pytest.mark.parametrize("levels, size", [([2, 2, 2, 2, 3], 24), ([3, 3, 3, 3], 18)], ids=["flagship", "3^4-s18"])
+def test_classify_keys_holds_its_input_once(levels, size):
+    # Beside its input of W-word keys, classify_keys holds them once more,
+    # sorted in search form, and one unseen flag each: 8 W + 1 bytes per
+    # design.  The group table and one orbit's arrays do not grow with the
+    # input, so doubling a shuffled input raises the traced peak by at most
+    # 8 W + 4 bytes per added design.
+    import tracemalloc
+
+    ambient = full_factorial(levels)
+    keys = enumerate_keys(SearchProblem(ambient, size, 2))
+    keys = keys[np.random.default_rng(size).permutation(len(keys))]
+    half = len(keys) // 2
+    classify_keys(ambient, keys[:half])  # fills the ambient's caches untraced
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            classify_keys(ambient, rows)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(keys) - peak(keys[:half]) <= (8 * keys.shape[1] + 4) * (len(keys) - half)
 
 
 def test_invariants_constant_on_orbit():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import sign_fraction
-from orthofrac import cli, search
+from orthofrac import cli, designs, search
 from orthofrac.catalog import CATALOG
 from orthofrac.cli import main
 from orthofrac.designs import design_keys, full_factorial
@@ -129,7 +129,7 @@ def test_enumerate_design_ceiling_exit_3(monkeypatch, capsys, tmp_path):
     # level is charged 1,083,660 bytes (35,200 one-word designs at 24 bytes,
     # 3,109 join rows at 72, 222 candidates at 56, 129 slice keys at 20),
     # so one byte less refuses it.
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 1083660 - 1)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 1083660 - 1)
     path = tmp_path / "designs.txt"
     code = main(["enumerate", "--levels", "2,2,2,2,3", "--size", "24", "--strength", "2", "--out", str(path)])
     assert code == 3
@@ -143,7 +143,7 @@ def test_enumerate_strength_zero_ceiling_exit_3(monkeypatch, capsys):
     # sub-ambient: all C(8, 4) = 70 subsets, charged 16 W + 8 = 24 bytes
     # each, one more than a budget of 69 * 24 bytes admits.  The refusal is
     # one error line, before any join.
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 69 * 24)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 69 * 24)
     code = main(["enumerate", "--levels", "2,2,2,2", "--size", "8", "--strength", "1"])
     assert code == 3
     out, err = capsys.readouterr()
@@ -155,7 +155,7 @@ def test_refused_enumerate_piped_into_classify_exits_2(monkeypatch, capsys):
     # enumerate | classify, in process: a refused enumerate writes no line,
     # and classify refuses an input of no line at all instead of reporting
     # 0 designs in 0 classes.
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 69 * 24)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 69 * 24)
     assert main(["enumerate", "--levels", "2,2,2,2", "--size", "8", "--strength", "1"]) == 3
     monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
     assert main(["classify", "--levels", "2,2,2,2"]) == 2
@@ -185,20 +185,20 @@ def test_classify_group_table_budget_exit_3(monkeypatch, capsys, tmp_path):
     amb = full_factorial([2, 2, 2])
     for cached in (generate_group, run_perm_table):
         cached.cache_clear()
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 48 * 8 * 1)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 48 * 8 * 1)
     assert len(generate_group(amb)) == 48
     for cached in (generate_group, run_perm_table):
         cached.cache_clear()
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 48 * 8 * 1 - 1)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 48 * 8 * 1 - 1)
     listed = []
     real_level_perms = classify._level_perms
     monkeypatch.setattr(classify, "_level_perms", lambda ambient: listed.append(ambient) or real_level_perms(ambient))
     with pytest.raises(search.ProblemTooLargeError, match="48 x 8 uint8"):
         generate_group(amb)
     assert listed == []
-    designs = tmp_path / "one.txt"
-    designs.write_text("[0, 3, 5, 6]\n")
-    assert main(["classify", "--levels", "2,2,2", "--designs", str(designs)]) == 3
+    design_file = tmp_path / "one.txt"
+    design_file.write_text("[0, 3, 5, 6]\n")
+    assert main(["classify", "--levels", "2,2,2", "--designs", str(design_file)]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (

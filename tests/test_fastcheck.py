@@ -33,7 +33,6 @@ from orthofrac.designs import (
     key_capacity,
     key_designs,
     key_octets,
-    key_order,
     key_runs,
     key_words,
     margin_cells,
@@ -41,6 +40,7 @@ from orthofrac.designs import (
     octet_keys,
     run_sums,
     search_keys,
+    search_rows,
     sort_keys,
     unpack_runs,
 )
@@ -438,16 +438,26 @@ def test_mask_words_match_the_packbits_reference(m):
 @pytest.mark.parametrize("words", [1, 2])
 def test_sort_keys_gathers_the_rows_in_key_order(words):
     # One word is sorted directly, with no index; several are gathered in
-    # key_order.  Repeated rows, and rows equal in their first word, included.
+    # lexsort order.  Repeated rows, and rows equal in their first word, included.
     rng = np.random.default_rng(words)
     keys = rng.integers(0, 2**64, size=(300, words), dtype=np.uint64, endpoint=False)
     keys[100:150] = keys[:50]
     keys[150:200, 0] = keys[0, 0]
     keys[200:210] = 0
-    expected = keys[key_order(keys)]
-    assert np.array_equal(sort_keys(keys), expected)
-    assert expected.tolist() == sorted(keys.tolist())
+    assert sort_keys(keys).tolist() == sorted(keys.tolist())
     assert np.array_equal(sort_keys(keys[:0]), keys[:0])
+
+
+@pytest.mark.parametrize("m", [1, 64, 65, 128, 129, 192])
+def test_search_rows_inverts_search_keys(m):
+    # One, two and three words, each full and one run into the next word;
+    # the rows of a one-row slice, and of no row, come back too.
+    keys = np.random.default_rng(m).integers(0, 2**64, size=(40, key_words(m)), dtype=np.uint64)
+    ordered = search_keys(keys)
+    rows = search_rows(ordered)
+    assert rows.dtype == np.uint64 and np.array_equal(rows, keys)
+    assert np.array_equal(search_rows(ordered[7:8]), keys[7:8])
+    assert search_rows(ordered[:0]).shape == (0, key_words(m))
 
 
 @pytest.mark.parametrize("m", [1, 12, 48, 63, 64, 65, 81, 128, 129, 130])
@@ -464,10 +474,10 @@ def test_word_keys_are_sums_of_run_keys_and_sort_as_run_tuples(m):
     assert np.array_equal(keys, design_keys(runs, m))
     # Descending keys are ascending run tuples among designs of one size.
     shuffled = rng.sample(range(len(runs)), len(runs))
-    order = key_order(keys[shuffled])[::-1]
-    assert [runs[shuffled[i]] for i in order] == runs
+    assert sort_keys(keys[shuffled]).tolist() == sorted(keys.tolist())
+    assert key_runs(sort_keys(keys[shuffled])[::-1]) == runs
     # Binary search over the sorted keys finds every key, and no larger design.
-    ordered = search_keys(keys[key_order(keys)])
+    ordered = search_keys(sort_keys(keys))
     pos, found = find_keys(ordered, keys)
     assert found.all() and np.array_equal(ordered[pos], search_keys(keys))
     assert not find_keys(ordered, design_keys([tuple(range(size + 1))], m))[1].any()

@@ -198,10 +198,10 @@ def test_strength_zero_subsets_meet_the_design_ceiling(monkeypatch):
 
     monkeypatch.setattr(itertools, "combinations", counted)
     amb = full_factorial([2, 2, 2])
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 70 * 24)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 70 * 24)
     assert len(np.unique(_enumerate_keys(amb, 4, 0), axis=0)) == len(taken) == 70
     taken.clear()
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 70 * 24 - 1)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 70 * 24 - 1)
     with pytest.raises(ProblemTooLargeError, match=r"C\(8,4\) = 70 subsets exceed the key budget of 1679 bytes "):
         _enumerate_keys(amb, 4, 0)
     assert taken == []
@@ -340,9 +340,9 @@ _FLAGSHIP_KEY_BYTES = 35200 * 24 + 3109 * 72 + 222 * 56 + 129 * 20
 def test_design_ceiling(monkeypatch):
     # The budget admits exactly what it charges (see _FLAGSHIP_KEY_BYTES).
     flagship = SearchProblem(full_factorial([2, 2, 2, 2, 3]), 24, 2)
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", _FLAGSHIP_KEY_BYTES)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", _FLAGSHIP_KEY_BYTES)
     assert len(enumerate_keys(flagship)) == 35200
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", _FLAGSHIP_KEY_BYTES - 1)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", _FLAGSHIP_KEY_BYTES - 1)
     message = f"at least 35200 designs exceed the key budget of {_FLAGSHIP_KEY_BYTES - 1} bytes"
     with pytest.raises(ProblemTooLargeError, match=message):
         enumerate_keys(flagship)
@@ -351,9 +351,9 @@ def test_design_ceiling(monkeypatch):
     # and 900 slice keys of 12 int16 counts and a word, 32 bytes.
     two_words = SearchProblem(full_factorial([3, 3, 3, 3]), 18, 2)
     need = 24696 * 40 + 24696 * 72 + 900 * 80 + 900 * 32
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", need)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", need)
     assert len(enumerate_keys(two_words)) == 24696
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", need - 1)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", need - 1)
     with pytest.raises(ProblemTooLargeError, match="at least 24696 designs exceed"):
         enumerate_keys(two_words)
     # Every level meets the same budget.  At 2^3/4/2 the strength-0 level
@@ -362,12 +362,12 @@ def test_design_ceiling(monkeypatch):
     # candidates with 2 slice keys of one count:
     # 2 * 24 + 2 * 56 + 2 * 48 + 2 * 10 = 276 bytes.
     problem = SearchProblem(full_factorial([2, 2, 2]), 4, 2)
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 276)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 276)
     assert len(enumerate_keys(problem)) == 2
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 275)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 275)
     with pytest.raises(ProblemTooLargeError, match="at least 2 designs exceed the key budget of 275 bytes"):
         enumerate_keys(problem)
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", 47)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 47)
     with pytest.raises(ProblemTooLargeError, match=re.escape("C(2,1) = 2 subsets exceed the key budget of 47 bytes")):
         enumerate_keys(problem)
 
@@ -385,13 +385,13 @@ def test_key_budget_refuses_before_it_allocates(monkeypatch):
         return materialize(ids, count, *args)
 
     monkeypatch.setattr(search, "_materialize", counted)
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", _FLAGSHIP_KEY_BYTES - 1)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", _FLAGSHIP_KEY_BYTES - 1)
     with pytest.raises(ProblemTooLargeError):
         enumerate_keys(problem)
     # The lower levels fit and built their candidates; the top level did not.
     assert built and 35200 not in built
     built.clear()
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", _FLAGSHIP_KEY_BYTES)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", _FLAGSHIP_KEY_BYTES)
     enumerate_keys(problem)
     assert built[-1] == 35200
 
@@ -408,7 +408,7 @@ def test_key_budget_bounds_the_traced_peak(monkeypatch):
     problem = SearchProblem(full_factorial([2] * 7), 32, 3)
     charged = 92400 * 40 + 54881 * 56 + 65100 * 64 + 54881 * 48
     monkeypatch.setattr(designs, "_CHUNK_BYTES", 1 << 12)
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", charged)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", charged)
     tracemalloc.start()
     try:
         keys = enumerate_keys(problem)
@@ -434,7 +434,7 @@ def test_key_budget_charges_the_slice_keys(monkeypatch, capsys, tmp_path):
 
     def charged_join(keys, r, room, design_bytes):
         ids, count = join(keys, r, room, design_bytes)
-        joins.append(search._MATRIX_BUDGET - room + count * design_bytes + len(ids) * 8 * (2 * r + 3))
+        joins.append(designs._MATRIX_BUDGET - room + count * design_bytes + len(ids) * 8 * (2 * r + 3))
         return ids, count
 
     def counted_slice_keys(sub, candidates, *args):
@@ -443,11 +443,11 @@ def test_key_budget_charges_the_slice_keys(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(search, "_join_assignments", charged_join)
     monkeypatch.setattr(search, "_slice_keys", counted_slice_keys)
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", slice_bytes)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", slice_bytes)
     assert len(enumerate_keys(problem)) == 240
     assert sliced == [120, 320] and max(joins) == 30640
     sliced.clear()
-    monkeypatch.setattr(search, "_MATRIX_BUDGET", slice_bytes - 1)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", slice_bytes - 1)
     message = f"320 slice candidates exceed the key budget of {slice_bytes - 1} bytes for this ambient"
     with pytest.raises(ProblemTooLargeError, match=message):
         enumerate_keys(problem)
