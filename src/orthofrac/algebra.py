@@ -25,13 +25,15 @@ polynomial) iff v is in {0, 1}^m, because mu(theta) = X^{-1} (v o v) and
 X is invertible; the size and contrast rows [1; C] X theta are [1; C] v.
 So the check is "v is 0/1 and [1; C] v = [s; 0]".
 
-There is one verdict on [1; C] v, contrast_checks, over one set of rows,
-contrast_rows, and two ways to sum them.  verify_theta_report computes v
-for one polynomial as integer numerators over a denominator and sums the
-rows by contrast_sums, an integer product.  The batch cross-check
+There is one set of rows, contrast_rows, summed two ways.
+verify_theta_report computes v for one polynomial as integer numerators
+over a denominator, sums the rows by contrast_sums, an integer product,
+and decides them by contrast_checks.  The batch cross-check
 (fastcheck.BatchChecker) reads the designs' keys: for theta = X^{-1} y the
-values X theta are y, the key's bits, which are 0/1 by construction, and
-a row of -1, 0 and 1 sums over them to two popcounts.
+values X theta are y, the key's bits, which are 0/1 by construction; the
+rows, of -1, 0 and 1, sum over them through per-octet tables
+(designs.octet_sums), and one compare of packed words decides every
+block of contrast_checks at once.
 
 Everything derived from an ambient is cached on the (hashable) ambient.
 """

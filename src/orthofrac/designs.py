@@ -10,18 +10,18 @@ read those two.
 Below the Fraction algebra a set of runs is always a key: key_words(m) =
 ceil(m/64) uint64 words, run r at bit 63 - r % 64 of word r // 64.  One
 encoder builds keys: indexed_keys shifts the bits out of an array of run
-indices (run_sums, design_keys and mask_words feed it rows of unequal
-length).  Only this module knows that layout.  unpack_runs inverts
-run_sums, with the run counts as popcounts of the words and the runs as
-the positions of the set bits (key_bits), key_runs and key_designs read
-keys back, sort_keys, distinct_keys, search_keys, search_rows and
-find_keys sort and look them up, and key_octets and octet_keys read them
-an octet at a time.  A mask is the key of a set of runs, stored word-major
-(mask_words), so popcounts counts a key's runs in each set.
+indices (run_sums and design_keys feed it rows of unequal length).  Only
+this module knows that layout.  unpack_runs inverts run_sums, with the
+run counts as popcounts of the words and the runs as the positions of the
+set bits (key_bits), key_runs and key_designs read keys back, sort_keys,
+distinct_keys, search_keys, search_rows and find_keys sort and look them
+up, and key_octets, octet_keys and octet_sums read them an octet at a
+time, the last to sum matrix columns over their bits (octet_tables).
 
 `margin_cells` is the one integer encoding of factor-subset margins that
 the strength checks, the search, the oracle and the class invariants
-count with, as popcounts of keys on its per-cell run masks (count_keys).
+count with, as octet sums of keys over its 0/1 run-by-cell columns
+(count_keys).
 """
 
 from __future__ import annotations
@@ -221,12 +221,13 @@ class MarginCells:
     volumes: np.ndarray  # volumes[c]: the number of cells of c's subset
     starts: np.ndarray  # starts[s]: the first cell id of subsets[s]
     levels: np.ndarray  # levels[c]: the level indices of cell c on its subset's factors
-    masks: np.ndarray  # masks[w, c]: word w of the key of the runs that hit cell c
 
-    def count_keys(self, keys: np.ndarray, cells=slice(None)) -> np.ndarray:
+    def count_keys(self, keys: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
         """counts[b, k]: how many runs of the design with key row keys[b] hit
-        cell cells[k] (default: every cell), as popcounts of key & mask."""
-        return popcounts(keys, self.masks[:, cells])
+        cell cells[k] (default: every cell), summed by octet (octet_sums)
+        from the 0/1 run-by-cell columns of those cells."""
+        ids = None if cells is None else np.asarray(cells, dtype=np.int64).tobytes()
+        return column_sums(keys, _cell_tables(self, ids))
 
     def balanced(self, counts: np.ndarray, size) -> np.ndarray:
         """balanced[b, s]: every cell of subsets[s] holds size/volume runs of row b."""
@@ -241,16 +242,6 @@ def key_words(m: int) -> int:
 def key_capacity(keys: np.ndarray) -> int:
     """How many runs key rows have room for, 64 per word: more than any run of theirs."""
     return 64 * keys.shape[1]
-
-
-def mask_words(columns: np.ndarray) -> np.ndarray:
-    """The read-only W x C mask words of the 0/1 run columns of an m x C
-    array: word w of the key (run_sums) of every column's runs."""
-    owners, runs = np.nonzero(columns.T)
-    lengths = np.bincount(owners, minlength=columns.shape[1])
-    masks = run_sums(lengths, runs, len(columns)).T.copy()
-    masks.flags.writeable = False
-    return masks
 
 
 def run_sums(lengths: np.ndarray, runs: np.ndarray, m: int) -> np.ndarray:
@@ -367,21 +358,60 @@ _CHUNK_BYTES = 1 << 20
 _MATRIX_BUDGET = 768 * 10**6
 
 
-def popcounts(keys: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """counts[b, c]: the number of bits that key row b shares with column c of
-    masks, for keys of W uint64 words and a W x C array of mask words.
+def octet_tables(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-octet sum tables of an m x C matrix of -1, 0 and 1, and the
+    bias of each column, its -1 entries: tables[j, v, c] sums column c over
+    the runs set in value v of octet j (key_octets), plus the column's -1
+    entries in octet j, in lanes of the narrowest unsigned type that holds
+    m, zero-padded to whole uint64 words.  A key's lane total, one row per
+    octet added (octet_sums), lies in [0, nnz(column)] <= m: no lane
+    carries into the next, and the total less the bias is the column sum.
+    Raises ProblemTooLargeError when the tables would take more than
+    _MATRIX_BUDGET bytes, before they are allocated."""
+    m, n_columns = matrix.shape
+    assert np.isin(matrix, (-1, 0, 1)).all()  # the lane bound: every lane total in [0, m]
+    lane = next(t for t in (np.uint8, np.uint16, np.uint32) if m <= np.iinfo(t).max)
+    width = np.dtype(lane).itemsize
+    n_octets, n_lanes = -(-m // 8), -(-n_columns * width // 8) * 8 // width
+    if n_octets * 256 * n_lanes * width > _MATRIX_BUDGET:
+        raise ProblemTooLargeError(
+            f"the octet tables of {n_columns} columns on {m} runs take {n_octets * 256 * n_lanes * width} bytes, "
+            f"more than the key budget of {_MATRIX_BUDGET} bytes"
+        )
+    padded = np.zeros((8 * n_octets, n_columns), dtype=np.int64)
+    padded[:m] = matrix
+    negative = (padded == -1).reshape(n_octets, 8, n_columns).sum(axis=1)
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).astype(np.int64)
+    tables = np.zeros((n_octets, 256, n_lanes), dtype=lane)
+    for j in range(n_octets):
+        tables[j, :, :n_columns] = bits @ padded[8 * j : 8 * j + 8] + negative[j]
+    bias = negative.sum(axis=0)
+    tables.flags.writeable = bias.flags.writeable = False
+    return tables, bias
 
-    The counts accumulate word by word in the narrowest of int16, int32 and
-    int64 that holds 64 W, the most bits a key has, over chunks of key rows
-    whose B x C words take at most _CHUNK_BYTES.
-    """
-    dtype = next(t for t in (np.int16, np.int32, np.int64) if 64 * len(masks) <= np.iinfo(t).max)
-    counts = np.zeros((len(keys), masks.shape[1]), dtype=dtype)
-    step = max(1, _CHUNK_BYTES // (8 * masks.shape[1] or 1))
+
+def octet_sums(keys: np.ndarray, tables: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """For each key row, the sum of row (j, value of its octet j) of the J x
+    256 x N uint64 tables over its first J octets (key_octets), into out
+    (B x N, or new), formed a chunk of rows at a time whose words, gathers
+    and octets take at most _CHUNK_BYTES."""
+    out = np.empty((len(keys), tables.shape[2]), dtype=np.uint64) if out is None else out
+    step = max(1, _CHUNK_BYTES // (16 * tables.shape[2] + 8 * keys.shape[1] + len(tables)))
     for start in range(0, len(keys), step):
-        for word, mask in zip(keys[start : start + step].T, masks):
-            counts[start : start + step] += np.bitwise_count(word[:, None] & mask)
-    return counts
+        octets = np.ascontiguousarray(key_octets(keys[start : start + step])[:, : len(tables)].T)
+        words = out[start : start + step]
+        np.take(tables[0], octets[0], axis=0, out=words)
+        for j in range(1, len(tables)):
+            words += tables[j].take(octets[j], axis=0)
+    return out
+
+
+def column_sums(keys: np.ndarray, tables: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The B x C sums of the octet_tables' matrix columns over the bits of
+    the key rows: int16 below 2^15 runs."""
+    lanes, bias = tables
+    totals = octet_sums(keys, lanes.view(np.uint64)).view(lanes.dtype)[:, : len(bias)]
+    return np.subtract(totals, bias, dtype=np.int16 if 8 * len(lanes) < 2**15 else np.int64)
 
 
 def indexed_keys(runs: np.ndarray, m: int) -> np.ndarray:
@@ -422,15 +452,22 @@ def margin_cells(ambient: FullFactorial, k: int) -> MarginCells:
         levels.append(np.zeros((volume, k), dtype=np.int64))
         levels[-1][offset] = ivs[:, subset]
     cells = np.array(columns, dtype=np.int64).reshape(len(subsets), m).T
-    hits = np.zeros((m, len(volumes)), dtype=bool)  # hits[i, c]: run i hits cell c
-    hits[np.arange(m)[:, None], cells] = True
     table = MarginCells(
-        subsets, cells, np.array(volumes, dtype=np.int64), np.array(starts, dtype=np.int64),
-        np.concatenate(levels), mask_words(hits),
+        subsets, cells, np.array(volumes, dtype=np.int64), np.array(starts, dtype=np.int64), np.concatenate(levels)
     )
     for array in (table.cells, table.volumes, table.starts, table.levels):
         array.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=None)
+def _cell_tables(table: MarginCells, cells: bytes | None) -> tuple[np.ndarray, np.ndarray]:
+    """The octet tables of the 0/1 run-by-cell columns of the cells whose
+    ids are the int64 bytes cells, or of every cell."""
+    m = len(table.cells)
+    hits = np.zeros((m, len(table.volumes)), dtype=np.int64)  # hits[i, c]: run i hits cell c
+    hits[np.arange(m)[:, None], table.cells] = 1
+    return octet_tables(hits if cells is None else hits[:, np.frombuffer(cells, dtype=np.int64)])
 
 
 def has_strength(design: Design, t: int) -> bool:
@@ -458,16 +495,12 @@ def supports_triple_invariant(ambient: FullFactorial) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _cell_signs(ambient: FullFactorial) -> np.ndarray:
-    """The J-characteristic of every size-3 margin cell: the product over its
-    factors of +1 for a positive level value and -1 otherwise."""
-    table = margin_cells(ambient, 3)
-    signs = np.zeros(len(table.volumes), dtype=np.int64)
-    for i, point in enumerate(all_points(ambient)):
-        for s, subset in enumerate(table.subsets):
-            signs[table.cells[i, s]] = prod(1 if point[j] > 0 else -1 for j in subset)
-    signs.flags.writeable = False
-    return signs
+def _sign_tables(ambient: FullFactorial) -> tuple[np.ndarray, np.ndarray]:
+    """The octet tables of the J-characteristics of the four triples of
+    two-level factors: at each run, the product over the triple's factors
+    of +1 for a positive level value and -1 otherwise."""
+    signs = np.where(np.array(all_points(ambient)) > 0, 1, -1)
+    return octet_tables(np.stack([signs[:, list(t)].prod(axis=1) for t in itertools.combinations(range(4), 3)], axis=1))
 
 
 def invariant_triples(
@@ -481,12 +514,11 @@ def invariant_triples(
     table = margin_cells(ambient, 3)
     counts = table.count_keys(keys)
     unbalanced = ~table.balanced(counts, 24)
-    j_stats = np.abs(np.add.reduceat(counts * _cell_signs(ambient), table.starts, axis=1))
     triples = [s for s, subset in enumerate(table.subsets) if 4 not in subset]
     mixed = [s for s, subset in enumerate(table.subsets) if 4 in subset]
     t1 = unbalanced[:, triples].sum(axis=1).tolist()
     t2 = unbalanced[:, mixed].sum(axis=1).tolist()
-    jsets = (-np.sort(-j_stats[:, triples], axis=1)).tolist()
+    jsets = (-np.sort(-np.abs(column_sums(keys, _sign_tables(ambient))), axis=1)).tolist()
     return [(a, tuple(j), b) for a, j, b in zip(t1, jsets, t2)]
 
 

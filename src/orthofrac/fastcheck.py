@@ -6,15 +6,16 @@ read straight from their keys: a design with membership row y passes when
 coefficients theta = X^-1 y, idempotency plus [1; C] X theta = [s; 0],
 because X theta = y: theta is idempotent exactly when X theta is 0/1 (see
 algebra's module docstring), and the bits of a key are 0/1 by
-construction.  Each row of [1; C] (algebra.contrast_rows) has entries -1,
-0 and 1, so its sum over a design is the popcount of the key on the row's
-+1 runs minus that on its -1 runs.  The verdict on those sums is
-algebra.contrast_checks, which also decides algebra.verify_theta_report.
-It uses algebra's contrast rows, not the search's margin cells, so it
-stays independent of the search, and it never applies X or X^-1.
+construction.  The rows of [1; C] (algebra.contrast_rows) have entries
+-1, 0 and 1; per-octet tables of them pack every row's sum over a key
+into a few words (designs.octet_tables), and verify compares those words
+with the packed target [s; 0], the verdict of algebra.contrast_checks
+(which decides algebra.verify_theta_report) on every block at once.  It
+uses algebra's contrast rows, not the search's margin cells, so it stays
+independent of the search, and it never applies X or X^-1.
 
 The key layout, and every operation that reads keys back, lives in
-designs; this module only counts their bits (designs.popcounts).
+designs; this module only sums rows over their bits (designs.octet_sums).
 """
 
 from __future__ import annotations
@@ -23,17 +24,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import contrast_checks, contrast_rows
-from .designs import FullFactorial, mask_words, popcounts
+from .algebra import contrast_rows
+from .designs import FullFactorial, column_sums, octet_sums, octet_tables
 
 
 @lru_cache(maxsize=None)
-def _contrast_masks(ambient: FullFactorial, strength: int) -> tuple[np.ndarray, np.ndarray]:
-    """The runs where each row of contrast_rows(ambient, strength) is +1, and
-    where it is -1, as two read-only W x R arrays: word w of every row's
-    key, for W = ceil(m/64) words and R rows."""
-    rows = contrast_rows(ambient, strength)
-    return mask_words((rows == 1).T), mask_words((rows == -1).T)
+def _contrast_tables(ambient: FullFactorial, strength: int) -> tuple[np.ndarray, np.ndarray]:
+    """The octet tables of the rows of contrast_rows(ambient, strength)."""
+    return octet_tables(contrast_rows(ambient, strength).T)
 
 
 class BatchChecker:
@@ -47,19 +45,24 @@ class BatchChecker:
 
     def sums(self, keys: np.ndarray, strength: int) -> np.ndarray:
         """contrast_rows(ambient, strength) applied to the bits of every key:
-        a B x R array, the popcount of the key on each row's +1 runs minus
-        that on its -1 runs (designs.popcounts).  Both lie in 0 .. 64 W, so
-        the difference fits their dtype.
-        """
-        plus, minus = _contrast_masks(self.ambient, strength)
-        return popcounts(keys, plus) - popcounts(keys, minus)
+        the exact B x R sums (designs.column_sums)."""
+        return column_sums(keys, _contrast_tables(self.ambient, strength))
 
     def verify(self, keys: np.ndarray, size: int | np.ndarray, strength: int) -> np.ndarray:
         """The size and contrast rows of algebra.verify_theta_report on keys:
-        [1; C] y = [size; 0] for the bits y of every key.  A key summed from
-        a repeated run carries into another bit, or out of its word, so it
-        has fewer than size bits and fails the size row."""
-        return contrast_checks(self.ambient, self.sums(keys, strength), size, strength).all(axis=1)
+        [1; C] y = [size; 0] for the bits y of every key (size one int or one
+        per key), its octet sums against [size; 0] plus the bias.  A key
+        summed from a repeated run carries into another bit, or out of its
+        word, so it has fewer than size bits and fails the size row."""
+        lanes, bias = _contrast_tables(self.ambient, strength)
+        size = np.ravel(size)
+        fits = (0 <= size) & (size <= self.ambient.run_count)  # the size row's lane holds 0 .. m
+        target = np.zeros((len(size), lanes.shape[2]), dtype=lanes.dtype)
+        target[:, : len(bias)] = bias
+        target[:, 0] = bias[0] + np.where(fits, size, 0)
+        words, goal = octet_sums(keys, lanes.view(np.uint64)), target.view(np.uint64)
+        # Word by word: numpy reduces a long axis far faster than a short one.
+        return np.logical_and.reduce([words[:, w] == goal[:, w] for w in range(goal.shape[1])]) & fits
 
 
 @lru_cache(maxsize=None)

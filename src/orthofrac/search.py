@@ -20,8 +20,8 @@ Two routes:
   candidate by its counts on the free margin cells, those whose levels
   are all >= 1: the candidates share every lower-order margin, and given
   those the free cells fix the rest, so the key loses nothing.  The
-  counts are popcounts of the candidates' keys on the cells' run masks
-  (MarginCells.count_keys), packed mixed-radix into one int64 word, or a
+  counts are octet sums of the candidates' keys over the cells' 0/1 run
+  columns (MarginCells.count_keys), packed mixed-radix into one int64 word, or a
   Python int when the word bound is not below 2^62, and grouped by one
   np.unique.  The first r - 2 slice levels loop in Python, level r - 1
   takes every fitting key at once, and one searchsorted finds the last.
@@ -31,11 +31,11 @@ Two routes:
   before any design is built; the slice keys meet the same budget before
   they are formed, and at strength 0 the C(m, q) subsets before any is
   listed.  A design's key is the sum of its slices' keys, each embedded at
-  its level once through per-octet lookup tables (designs.key_octets and
-  designs.octet_keys), summed a chunk of designs at a time.
+  its level once through per-octet lookup tables (designs.octet_keys and
+  designs.octet_sums), summed a chunk of designs at a time.
 
 * `brute_force_keys` - plain enumeration of all size-s subsets filtered
-  by direct margin counting (popcounts of their keys), for small
+  by direct margin counting (octet sums of their keys), for small
   ambients.  Used to validate the engine.  It shares no join, slicing or
   materialising with the engine, but counts margins through the same
   MarginCells.count_keys; the tests check that count, and the oracle's
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
@@ -62,8 +63,8 @@ import numpy as np
 from . import designs
 from .algebra import _exact_dtype
 from .designs import (
-    Design, FullFactorial, ProblemTooLargeError, design_keys, indexed_keys, key_capacity, key_designs, key_octets,
-    key_runs, key_words, margin_cells, octet_keys, run_sums, sort_keys, unpack_runs,
+    Design, FullFactorial, ProblemTooLargeError, design_keys, indexed_keys, key_capacity, key_designs,
+    key_runs, key_words, margin_cells, octet_keys, octet_sums, run_sums, sort_keys, unpack_runs,
 )
 from .fastcheck import get_checker
 
@@ -81,11 +82,13 @@ from .fastcheck import get_checker
 # key (_held_bytes).  These arrays never all live at once, so the sum
 # bounds their peak; chunked temporaries of about _CHUNK_BYTES come on top.
 # The join counts designs and rows before anything is built.  _slice_keys
-# is charged before it runs, 4F + 65 bytes per slice candidate for F free
-# cells: 2F + 65 while np.unique runs (the int16 counts, the packed word,
-# and unique's seven int64 arrays and bool mask), up to 4F + 32 after (the
-# distinct keys' counts too).  768 MB admits 3.2 * 10^7 designs of one
-# word or 1.9 * 10^7 of two, less what their join rows and candidates take.
+# is charged before it runs, 2F + 65 bytes per slice candidate for F free
+# cells: the int16 counts and the packed word while it packs (2F + 24),
+# the packed word and unique's seven int64 arrays and bool mask while
+# np.unique runs (65), and at most 2F + 48 while it counts the distinct
+# keys again (their counts, candidates and ids, and every candidate's pool
+# id and word).  768 MB admits 3.2 * 10^7 designs of one word or 1.9 *
+# 10^7 of two, less what their join rows and candidates take.
 
 # The most size-s subsets the brute-force oracle filters.
 _ORACLE_CEILING = 10**8
@@ -149,14 +152,12 @@ def _byte_tables(ambient: FullFactorial, p: int) -> np.ndarray:
 
 def _embedded(candidates: np.ndarray, ambient: FullFactorial, p: int) -> np.ndarray:
     """embedded[c, i]: the ambient key of sub-ambient key candidates[i] placed
-    at level c of the slicing factor p."""
+    at level c of the slicing factor p (designs.octet_sums: the sub-keys'
+    runs are disjoint, so their sum is their union)."""
     tables = _byte_tables(ambient, p)
-    n_levels, n_bytes, _, words = tables.shape
-    octets = key_octets(candidates)[:, :n_bytes]
-    embedded = np.zeros((n_levels, len(candidates), words), dtype=np.uint64)
-    for c in range(n_levels):
-        for j in range(n_bytes):
-            embedded[c] += tables[c, j].take(octets[:, j], axis=0)
+    embedded = np.empty((len(tables), len(candidates), tables.shape[3]), dtype=np.uint64)
+    for c, level in enumerate(tables):
+        octet_sums(candidates, level, out=embedded[c])
     return embedded
 
 
@@ -211,10 +212,11 @@ def _slice_keys(sub: FullFactorial, candidates: np.ndarray, size: int, strength:
     for c in range(len(radix) - 2, -1, -1):
         weights[c] = weights[c + 1] * int(radix[c + 1])
     words = np.zeros(len(counts), dtype=dtype)
-    for column, weight in zip(counts.T, weights):
-        words += column.astype(dtype) * weight
+    for c, weight in enumerate(weights):
+        words += counts[:, c].astype(dtype) * weight
+    del counts  # gone before np.unique runs; the distinct keys are counted again (see the key budget)
     packed, first, pool = np.unique(words, return_index=True, return_inverse=True)
-    return _SliceKeys(pool, counts[first], packed, weights, target)
+    return _SliceKeys(pool, table.count_keys(candidates[first], free), packed, weights, target)
 
 
 def _fitting_prefixes(keys: _SliceKeys, depth: int, prefix: tuple, partial: np.ndarray, word):
@@ -359,7 +361,7 @@ def _enumerate_keys(ambient: FullFactorial, size: int, strength: int) -> np.ndar
         return empty
     sub = _sub_ambient(ambient, p)
     candidates = _enumerate_keys(sub, size // r, strength - 1)
-    if len(candidates) * (4 * len(_free_cells(sub, strength)) + 65) > designs._MATRIX_BUDGET:
+    if len(candidates) * (2 * len(_free_cells(sub, strength)) + 65) > designs._MATRIX_BUDGET:
         raise ProblemTooLargeError(
             f"{len(candidates)} slice candidates exceed the key budget of {designs._MATRIX_BUDGET} bytes "
             "for this ambient"
@@ -443,11 +445,13 @@ def brute_force_keys(problem: SearchProblem) -> np.ndarray:
 # of order, and one byte compare with the chunk's rendering accepts it
 # (_canonical_lines).  Otherwise every line of the chunk is read on its own
 # as JSON, in file order, so blank and "#" lines are skipped and the first
-# bad line raises its error.
+# bad line raises its error.  The count lines are checked once every line
+# has read (read_design_keys).
 
 # The writer renders and the cross-check checks chunks of B key rows whose
-# B x m bits, or B x R uint64 word counts ([1; C_1; ...; C_t] has R <= m
-# rows), take at most designs._CHUNK_BYTES.  The reader takes text chunks of
+# B x m bits, or B x R word sums ([1; C_1; ...; C_t] has R <= m rows, in
+# lanes of at most two bytes for m < 2^16), take at most
+# designs._CHUNK_BYTES.  The reader takes text chunks of
 # _CHUNK_BYTES // _READ_PEAK_PER_CHAR characters, completed to the end of
 # their line, so that a chunk's numpy temporaries stay within _CHUNK_BYTES:
 # reading then faults in far fewer fresh pages than with chunks of
@@ -567,11 +571,12 @@ def _canonical_lines(data: bytes, ends: np.ndarray, m: int):
     return lengths, value
 
 
-def _read_chunk(text: str, first_line: int, ambient: FullFactorial) -> tuple[np.ndarray, int]:
+def _read_chunk(text: str, first_line: int, ambient: FullFactorial) -> tuple[np.ndarray, int, list]:
     """The keys of the design lines of text, a whole number of lines, in
-    order, and its line count; its first line is line first_line + 1.
-    Either every line is read in bulk, or every line goes through
-    _parse_line in file order."""
+    order, its line count, and the line number, N and the design lines
+    before it in text of each "# count: N" line; its first line is line
+    first_line + 1.  Either every line is read in bulk, or every line goes
+    through _parse_line in file order."""
     m = ambient.run_count
     data = text.encode("utf-8", "surrogatepass")
     if not data.endswith(b"\n"):
@@ -579,13 +584,26 @@ def _read_chunk(text: str, first_line: int, ambient: FullFactorial) -> tuple[np.
     ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10) + 1
     bulk = _canonical_lines(data, ends, m)
     if bulk is not None:
-        return run_sums(*bulk, m), len(ends)
-    parsed = []
+        # Every line is a design line but the "#" lines, and each of those
+        # starts with the first "#" it holds: line i follows k "#" lines.
+        marks, at, k = [], data.find(b"#"), 0
+        while at >= 0:
+            i = int(np.searchsorted(ends, at, side="right"))
+            if count := _COUNT_LINE.fullmatch(data[at : ends[i]].decode("utf-8", "surrogatepass").strip()):
+                marks.append((first_line + i + 1, int(count[1]), i - k))
+            at, k = data.find(b"#", ends[i]), k + 1
+        return run_sums(*bulk, m), len(ends), marks
+    parsed, marks = [], []
     for i, line in enumerate(text.split("\n")):
         line = line.strip()
         if line and line[0] != "#":
             parsed.append(_parse_line(line, first_line + i + 1, ambient))
-    return design_keys(parsed, m), len(ends)
+        elif count := _COUNT_LINE.fullmatch(line):
+            marks.append((first_line + i + 1, int(count[1]), len(parsed)))
+    return design_keys(parsed, m), len(ends), marks
+
+
+_COUNT_LINE = re.compile(r"#\s*count:\s*(\d+)")
 
 
 def read_design_keys(fh, ambient: FullFactorial) -> np.ndarray:
@@ -598,21 +616,33 @@ def read_design_keys(fh, ambient: FullFactorial) -> np.ndarray:
     error.  An input that holds neither a design line nor a "#" line, not
     even "# count: 0", raises ValueError: it is what a failed writer leaves
     behind, blank lines or not.  A "#" anywhere in an input that reads
-    without error starts a "#" line, since no design line holds one.
+    without error starts a "#" line, since no design line holds one.  Once
+    every line has read, each "# count: N" line must follow N design lines
+    since the last count line or the start, and none may follow the last,
+    so two written files concatenated read; an input with no count line is
+    read as it is.
     """
     chunks = [np.zeros((0, key_words(ambient.run_count)), dtype=np.uint64)]
-    lines, marked = 0, False
+    lines, total, marked, marks = 0, 0, False, []
     while text := fh.read(max(1, designs._CHUNK_BYTES // _READ_PEAK_PER_CHAR)):
         if not text.endswith("\n"):
             text += fh.readline()
-        keys, count = _read_chunk(text, lines, ambient)
+        keys, count, chunk_marks = _read_chunk(text, lines, ambient)
+        marks += [(line, n, total + before) for line, n, before in chunk_marks]
         chunks.append(keys)
         lines += count
+        total += len(keys)
         marked = marked or "#" in text
-    keys = np.concatenate(chunks)
-    if not len(keys) and not marked:
+    if not total and not marked:
         raise ValueError("the design list is empty: not even a '# count' line")
-    return keys
+    counted = 0
+    for line, count, before in marks:
+        if (since := before - counted) != count:
+            raise ValueError(f"line {line}: '# count: {count}', but {since} design lines since the last count")
+        counted = before
+    if marks and (since := total - counted):
+        raise ValueError(f"line {line}: {since} design lines after the last count: the input was cut or joined")
+    return np.concatenate(chunks)
 
 
 def read_designs(fh, ambient: FullFactorial) -> list[Design]:

@@ -26,7 +26,8 @@ None of these is used by the package itself:
   Fraction rows (production builds the int64 rows of algebra._contrast_rows
   from the index vectors);
 * read_designs, the design-list reader as it was before the canonical
-  lines were parsed in bulk: every line on its own;
+  lines were parsed in bulk: every line on its own; and count_line_error,
+  the "# count: N" rule checked line by line on the whole text;
 * join_assignments, the slice join as it was before it ran on packed
   free-cell keys: a recursion over full margin-count tuples;
 * _backtrack_subsets, the slice candidates as they were found before the
@@ -523,6 +524,26 @@ def read_designs(fh, ambient: FullFactorial) -> list[Design]:
         except (IndexError, ValueError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return designs
+
+
+def count_line_error(text: str) -> str | None:
+    """The error of the first "# count: N" line of the text, line by line,
+    that does not follow N design lines since the previous count line or
+    the start, or, when none, of design lines after the last count line;
+    None when the count lines hold.  Design lines are those that are
+    neither blank nor start with "#" once stripped."""
+    since, last = 0, None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if match := re.fullmatch(r"#\s*count:\s*(\d+)", line):
+            if int(match[1]) != since:
+                return f"line {lineno}: '# count: {int(match[1])}', but {since} design lines since the last count"
+            since, last = 0, lineno
+        elif line and not line.startswith("#"):
+            since += 1
+    if last is not None and since:
+        return f"line {last}: {since} design lines after the last count: the input was cut or joined"
+    return None
 
 
 def join_assignments(keys, buckets, target, n_levels):

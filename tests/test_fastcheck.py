@@ -10,6 +10,7 @@ import pytest
 
 from conftest import RATIONAL, random_ambient
 from orthofrac.algebra import (
+    contrast_checks,
     contrast_sums,
     exponent_lattice,
     indicator_from_design,
@@ -20,6 +21,7 @@ from orthofrac.algebra import (
 from orthofrac import designs
 from orthofrac.designs import (
     Design,
+    ProblemTooLargeError,
     ShapeMismatchError,
     design_keys,
     find_keys,
@@ -36,8 +38,10 @@ from orthofrac.designs import (
     key_runs,
     key_words,
     margin_cells,
-    mask_words,
     octet_keys,
+    octet_sums,
+    octet_tables,
+    column_sums,
     run_sums,
     search_keys,
     search_rows,
@@ -215,6 +219,11 @@ def test_key_sums_match_contrast_sums(levels):
             assert np.array_equal(sums, contrast_sums(amb, bits, t))
             ok = checker.verify(keys, sizes, t)
             assert ok.tolist() == value_checks(amb, bits, 1, sizes, t).all(axis=1).tolist()
+            # The packed compare is contrast_checks on the exact sums, for
+            # per-row sizes of every kind, out of the size lane's range too.
+            for shifted in (sizes, sizes + 1, sizes - 1, sizes - m - 1, sizes + m + 1, m, 0):
+                expected = contrast_checks(amb, sums, shifted, t).all(axis=1)
+                assert checker.verify(keys, shifted, t).tolist() == expected.tolist()
             assert ok[:2].all() and not ok[plain:].any()
             assert np.all(sums[plain:, 0] < sizes[plain:])
             # The regular fractions on all n factors have strength n - 1.
@@ -418,21 +427,76 @@ def test_indexed_keys_match_design_keys(m, dtype, monkeypatch):
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("m", [1, 63, 64, 65, 128, 129])
-def test_mask_words_match_the_packbits_reference(m):
-    # The masks come from run lists through run_sums; the reference packs
-    # the same 0/1 columns bit by bit.  Empty and full columns included.
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 120, 121, 128, 129, 255, 256])
+def test_octet_sums_match_the_packbits_reference(m, monkeypatch):
+    # Differential: the column sums read from the packed lanes equal the 0/1
+    # rows times the matrix, for keys packed bit by bit (bitset_keys), on
+    # random -1/0/1 and 0/1 matrices and one of no column; the empty and
+    # the full row included.  The words octet_sums forms in chunks of 1, 4
+    # and all 12 rows are those sums plus the bias, lane by lane.
     rng = np.random.default_rng(m)
-    for density in (0.0, 0.05, 0.5, 1.0):
-        columns = rng.random((m, 9)) < density
-        columns[:, 0] = False
-        if m > 1:
-            columns[:, 1] = True
-        masks = mask_words(columns)
-        assert masks.dtype == np.uint64 and masks.shape == (key_words(m), 9)
-        assert not masks.flags.writeable
-        assert np.array_equal(masks, bitset_keys(columns.T).T)
-    assert mask_words(np.zeros((m, 0), dtype=bool)).shape == (key_words(m), 0)
+    y = (rng.random((12, m)) < rng.random((12, 1))).astype(np.int64)
+    y[0], y[1] = 0, 1
+    keys = bitset_keys(y)
+    for matrix in (rng.integers(-1, 2, (m, 11)), rng.integers(0, 2, (m, 11)), np.zeros((m, 0), dtype=np.int64)):
+        lanes, bias = octet_tables(matrix)
+        assert lanes.shape[:2] == (-(-m // 8), 256) and not lanes.flags.writeable
+        assert lanes.dtype == (np.uint8 if m <= 255 else np.uint16) and lanes.shape[2] * lanes.itemsize % 8 == 0
+        assert np.array_equal(bias, (matrix == -1).sum(axis=0))
+        sums = column_sums(keys, (lanes, bias))
+        assert sums.dtype == np.int16 and np.array_equal(sums, y @ matrix)
+        n_words = lanes.shape[2] * lanes.itemsize // 8
+        for rows in (1, 4, 12):
+            monkeypatch.setattr(designs, "_CHUNK_BYTES", rows * (16 * n_words + 8 * keys.shape[1] + len(lanes)))
+            words = octet_sums(keys, lanes.view(np.uint64))
+            assert words.dtype == np.uint64 and words.shape == (12, n_words)
+            assert np.array_equal(words.view(lanes.dtype)[:, : matrix.shape[1]], y @ matrix + bias)
+            assert not words.view(lanes.dtype)[:, matrix.shape[1] :].any()
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("m", [255, 256])
+def test_octet_lanes_hold_their_extremes(m):
+    # The all-runs key on a column of all ones sums to m, the largest lane
+    # total: uint8 lanes hold 255, and m = 256 takes uint16 lanes.  On a
+    # column of all -1 it sums to -m, a lane total of 0 beside a bias of m.
+    # Nine columns fill more than one word of uint8 lanes, and no lane
+    # carries into its neighbour, across words or within one.
+    matrix = np.array([1, -1, 1, 0, -1, 1, 1, 1, -1] * m, dtype=np.int64).reshape(m, 9)
+    y = np.array([[1] * m, [0] * m, [1] * (m - 1) + [0]], dtype=np.int64)
+    lanes, bias = octet_tables(matrix)
+    assert lanes.dtype == (np.uint8 if m == 255 else np.uint16)
+    assert bias.tolist() == [0, m, 0, 0, m, 0, 0, 0, m]
+    totals = octet_sums(bitset_keys(y), lanes.view(np.uint64)).view(lanes.dtype)[:, :9].tolist()
+    assert totals[0] == [m, 0, m, 0, 0, m, m, m, 0]
+    assert totals[1] == [0, m, 0, 0, m, 0, 0, 0, m]
+    assert totals[2] == [m - 1, 1, m - 1, 0, 1, m - 1, m - 1, m - 1, 1]
+    assert np.array_equal(column_sums(bitset_keys(y), (lanes, bias)), y @ matrix)
+
+
+def test_octet_tables_are_sized_before_they_are_built(monkeypatch, capsys):
+    # 2^8 at strength 4: 1,120 margin cells on 256 runs take 32 octets x 256
+    # rows x 1,120 uint16 lanes, about 18 MB, refused by a smaller budget
+    # before any is allocated; through the CLI, with exit 3 and one line.
+    from orthofrac.cli import main
+    from orthofrac import fastcheck
+
+    amb = full_factorial([2] * 8)
+    hits = np.zeros((256, 1120), dtype=np.int64)
+    hits[np.arange(256)[:, None], margin_cells(amb, 4).cells] = 1
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 32 * 256 * 1120 * 2 - 1)
+    message = f"the octet tables of 1120 columns on 256 runs take {32 * 256 * 1120 * 2} bytes"
+    with pytest.raises(ProblemTooLargeError, match=message):
+        octet_tables(hits)
+    # At 2^2*3/6/1 the cross-check's tables, of 5 contrast rows on 12 runs,
+    # take 2 octets x 256 rows x one word: one byte less refuses them.
+    fastcheck._contrast_tables.cache_clear()
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 2 * 256 * 8 - 1)
+    assert main(["enumerate", "--levels", "2,2,3", "--size", "6", "--strength", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "error: the octet tables of 5 columns on 12 runs take 4096 bytes, more than the key budget of 4095 bytes\n"
+    )
+    fastcheck._contrast_tables.cache_clear()
 
 
 @pytest.mark.parametrize("words", [1, 2])

@@ -420,15 +420,17 @@ def test_key_budget_bounds_the_traced_peak(monkeypatch):
 
 
 def test_key_budget_charges_the_slice_keys(monkeypatch, capsys, tmp_path):
-    # _slice_keys is charged 4F + 65 bytes per slice candidate for F free
+    # _slice_keys is charged 2F + 65 bytes per slice candidate for F free
     # cells before it runs (see _MATRIX_BUDGET).  At 2^6/8/2 the top level
-    # keys 320 one-word candidates on F = 10 free cells, 33,600 bytes, more
-    # than any level's join is charged: one byte less refuses the slice
-    # keys although every join would fit.
+    # keys 320 one-word candidates on F = 10 free cells, 27,200 bytes, more
+    # than the level below is charged for its 120 candidates or its join:
+    # one byte less refuses the top level's slice keys before they are
+    # formed, and exactly that much lets them form, so that its join, charged
+    # 30,640 bytes, is what refuses next.
     from orthofrac.cli import main
 
     problem = SearchProblem(full_factorial([2] * 6), 8, 2)
-    slice_bytes = 320 * (4 * 10 + 65)
+    slice_bytes = 320 * (2 * 10 + 65)
     join, slice_keys = search._join_assignments, search._slice_keys
     joins, sliced = [], []
 
@@ -443,9 +445,13 @@ def test_key_budget_charges_the_slice_keys(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(search, "_join_assignments", charged_join)
     monkeypatch.setattr(search, "_slice_keys", counted_slice_keys)
-    monkeypatch.setattr(designs, "_MATRIX_BUDGET", slice_bytes)
     assert len(enumerate_keys(problem)) == 240
-    assert sliced == [120, 320] and max(joins) == 30640
+    assert sliced == [120, 320] and joins == [18120, 30640]
+    sliced.clear()
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", slice_bytes)
+    with pytest.raises(ProblemTooLargeError, match=f"at least 240 designs exceed the key budget of {slice_bytes} bytes"):
+        enumerate_keys(problem)
+    assert sliced == [120, 320]
     sliced.clear()
     monkeypatch.setattr(designs, "_MATRIX_BUDGET", slice_bytes - 1)
     message = f"320 slice candidates exceed the key budget of {slice_bytes - 1} bytes for this ambient"
@@ -461,15 +467,15 @@ def test_key_budget_charges_the_slice_keys(monkeypatch, capsys, tmp_path):
 
 def test_slice_key_charge_bounds_their_traced_peak():
     # The top level of 2^7/32/3 keys 65,100 one-word candidates on F = 20
-    # free cells, charged 4F + 65 = 145 bytes each; what _slice_keys
-    # allocates, its popcount chunks included, stays within that.
+    # free cells, charged 2F + 65 = 105 bytes each; what _slice_keys
+    # allocates, its octet-sum chunks included, stays within that.
     import tracemalloc
 
     sub = full_factorial([2] * 6)
     candidates = _enumerate_keys(sub, 16, 2)
-    charged = len(candidates) * (4 * len(_free_cells(sub, 3)) + 65)
-    assert charged == 65100 * 145
-    _slice_keys(sub, candidates[:1], 32, 3)  # the cached margin cells
+    charged = len(candidates) * (2 * len(_free_cells(sub, 3)) + 65)
+    assert charged == 65100 * 105
+    _slice_keys(sub, candidates[:1], 32, 3)  # the cached margin cells and their octet tables
     tracemalloc.start()
     try:
         keys = _slice_keys(sub, candidates, 32, 3)
@@ -691,7 +697,10 @@ def _random_line(rng, amb):
 
 def test_read_designs_matches_per_line_reader():
     # Differential: the bulk reader returns the designs of the per-line
-    # reference reader, or raises its exact error, on mixed files.
+    # reference reader, or raises its exact error, on mixed files.  The
+    # "# count: 3" lines set at random positions must count the design lines
+    # before them (reference.count_line_error); once every line reads, the
+    # first that does not, or design lines after the last, is the error.
     rng = random.Random(83)
     ambients = [full_factorial([2, 2, 3]), full_factorial([2, 2, 2, 2, 3])]
     ambients += [full_factorial([2] * 6), full_factorial([3] * 4)]  # m = 64 and 81
@@ -720,12 +729,19 @@ def test_read_designs_matches_per_line_reader():
                 assert str(got.value) == str(exc)
                 outcomes.add("error")
                 continue
+            if (count_error := reference.count_line_error(text)) is not None:
+                for reader in (read_designs, read_design_keys):
+                    with pytest.raises(ValueError) as got:
+                        reader(io.StringIO(text), amb)
+                    assert str(got.value) == count_error
+                outcomes.add("count")
+                continue
             assert read_designs(io.StringIO(text), amb) == expected
             keys = read_design_keys(io.StringIO(text), amb)
             assert key_runs(keys) == [d.runs for d in expected]
             assert np.array_equal(keys, bitset_keys(reference.membership_rows(expected, amb.run_count)))
             outcomes.add("designs" if expected else "empty")
-    assert outcomes == {"error", "designs", "empty"}
+    assert outcomes == {"error", "count", "designs", "empty"}
     # Lines next to the canonical form, where a loose numeric parse could go
     # wrong: the bulk reader must give the reference's designs or error.
     for amb in ambients:
@@ -797,6 +813,46 @@ def test_one_changed_byte_sends_its_whole_chunk_to_the_json_route(monkeypatch):
     assert parsed == []
 
 
+def test_count_lines_fail_closed(monkeypatch, capsys, tmp_path):
+    # Each "# count: N" line counts the design lines since the previous one,
+    # or since the start, and no design line follows the last: two written
+    # files concatenated read, a wrong count or design lines after the last
+    # count line are refused with the count line's number, in bulk and line
+    # by line, in one chunk or across many.  A file with no count line, and
+    # a lone "# count: 0", still read: a cut at a line boundary that drops
+    # the count line is not caught here.
+    from orthofrac.cli import main
+
+    amb = full_factorial([2, 2, 2, 3])
+    keys = enumerate_keys(SearchProblem(amb, 12, 2))
+    written = io.StringIO()
+    write_design_keys(keys, written)
+    text = written.getvalue()
+    lines, n = text.splitlines(keepends=True), len(keys)
+    cases = [
+        (text * 2, np.concatenate([keys, keys])),
+        ("".join(lines[:-1]), keys),
+        ("# count: 0\n", keys[:0]),
+        ("".join(lines[:5]) + f"# count: {n}\n", f"line 6: '# count: {n}', but 5 design lines since the last count"),
+        (text + "".join(lines[:1]) + "# count: 2\n", f"line {n + 3}: '# count: 2', but 1 design lines since the last count"),
+        ("# count: 1\n", "line 1: '# count: 1', but 0 design lines since the last count"),
+        (text + "".join(lines[:3]), f"line {n + 1}: 3 design lines after the last count: the input was cut or joined"),
+    ]
+    for chunk in (designs._CHUNK_BYTES, 50 * search._READ_PEAK_PER_CHAR):
+        monkeypatch.setattr(designs, "_CHUNK_BYTES", chunk)
+        for case, expected in cases:
+            for variant in (case, case.replace("\n", "\n ")):  # the second reads line by line
+                if isinstance(expected, str):
+                    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                        read_design_keys(io.StringIO(variant), amb)
+                else:
+                    assert np.array_equal(read_design_keys(io.StringIO(variant), amb), expected)
+    path = tmp_path / "designs.txt"
+    path.write_text(cases[3][0])
+    assert main(["classify", "--levels", "2,2,2,3", "--designs", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {cases[3][1]}\n"
+
+
 @pytest.mark.parametrize("levels, size", [((2, 2, 2, 2, 3), 24), ((2,) * 6, 16), ((3,) * 4, 18)])
 def test_chunk_size_does_not_change_the_design_file(levels, size, monkeypatch):
     # The codec's chunk size: 1, 2 and 7 key rows per chunk, then text
@@ -813,11 +869,12 @@ def test_chunk_size_does_not_change_the_design_file(levels, size, monkeypatch):
     listed = io.StringIO()
     write_designs(key_designs(amb, keys), listed)
     assert listed.getvalue() == text
-    # A mixed file: lines for the per-line route among canonical ones, and a
-    # bad line close to the end, so in a later chunk than the first.
+    # A mixed file: lines for the per-line route among canonical ones, its
+    # count line counting the three added designs, and a bad line close to
+    # the end, so in a later chunk than the first.
     lines = text.splitlines(keepends=True)
     mixed = lines[:3] + [" [ 3 , 1 ] \n", "\n", "[0,1]\r\n", "# note\n"] + lines[3:-1]
-    mixed += [f"[{m - 1}, 0]\n"] + lines[-1:]
+    mixed += [f"[{m - 1}, 0]\n", f"# count: {len(keys) + 3}\n"]
     bad = "".join(mixed[:-2] + ["[2, 2]\n"] + mixed[-2:])
     mixed = "".join(mixed)
     expected_mixed = read_design_keys(io.StringIO(mixed), amb)
@@ -846,8 +903,9 @@ def test_chunk_size_does_not_change_the_design_file(levels, size, monkeypatch):
 
 
 def test_chunk_size_does_not_change_enumerate(monkeypatch):
-    # The cross-check runs over chunks of rows; the first failing row, in a
-    # later chunk, names the same design.
+    # The cross-check sums octets over chunks of rows (designs.octet_sums);
+    # the first failing row, in a later chunk, names the same design, with a
+    # checker that rejects it and with the real checker on a corrupted key.
     problem = SearchProblem(full_factorial([2, 2, 2, 3]), 12, 2)
     keys = enumerate_keys(problem)
     assert len(keys) > 7 * 2
@@ -872,6 +930,10 @@ def test_chunk_size_does_not_change_enumerate(monkeypatch):
         with pytest.raises(CrossCheckError, match=re.escape(f"design {first_bad} fails")):
             enumerate_keys(problem)
         monkeypatch.setattr(search, "get_checker", lambda ambient: real)
+        corrupted, runs = keys.copy(), key_runs(keys[-2:-1])[0][1:]  # one run dropped
+        corrupted[-2] = design_keys([runs], problem.ambient.run_count)[0]
+        with pytest.raises(CrossCheckError, match=re.escape(f"design {runs} fails")):
+            search._cross_check(corrupted, problem)
 
 
 def _old_design_file(designs) -> str:
