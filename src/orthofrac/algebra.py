@@ -6,8 +6,8 @@ Central objects, all exact:
   the m x m model matrix X of monomial evaluations at the runs, which is
   the Kronecker product of one small Vandermonde matrix V_j per factor;
   mode_products applies X or X^{-1} to a batch of integer rows as n
-  per-factor integer mode products, in int64 where an exact bound allows
-  and in Python ints otherwise, and is the only code that does;
+  per-factor integer mode products, in int64 where one exact bound per
+  call allows and in Python ints otherwise, and is the only code that does;
 * the indicator polynomial of a fraction, with coefficient vector
   theta = X^{-1} y for the 0/1 membership vector y;
 * the contrast rows [1; C] (contrast_rows, int64 -1/0/1) and the linear
@@ -142,13 +142,15 @@ def reduce_to_standard_form(poly: Polynomial, ambient: FullFactorial) -> Polynom
 
 
 @lru_cache(maxsize=None)
-def _mode_factors(ambient: FullFactorial, inverse: bool) -> tuple[tuple, int]:
-    """Per factor of the ambient (A, A64, g) from _factor_matrix, where A64
-    is A as int64, or None where g, so possibly an entry, reaches 2^63;
-    then the product of the factor scales d."""
+def _mode_factors(ambient: FullFactorial, inverse: bool) -> tuple[tuple, tuple | None, int, int]:
+    """Per factor of the ambient the Python-int A of _factor_matrix; the
+    same matrices as int64 where the growth fits int64, else None; the
+    product of the factor scales d; and the growth, the product of the
+    factors' row-abs-sums g."""
     factors = [_factor_matrix(f, inverse) for f in ambient.factors]
-    steps = tuple((a, a.astype(np.int64) if g < 2**63 else None, g) for a, _, g in factors)
-    return steps, prod(d for _, d, _ in factors)
+    mats, growth = tuple(a for a, _, _ in factors), prod(g for _, _, g in factors)
+    mats64 = tuple(a.astype(np.int64) for a in mats) if _exact_dtype(growth) is np.int64 else None
+    return mats, mats64, prod(d for _, d, _ in factors), growth
 
 
 def mode_products(
@@ -159,34 +161,28 @@ def mode_products(
 
     X = V_1 (x) ... (x) V_n, so the product is one mode product per factor:
     factor j's integer matrix acts on axis j of each row reshaped to the
-    radices, and the factor scales multiply into d.  Each step runs in int64
-    when the largest magnitude of its input times the factor's row-abs-sum (a
-    bound on every value the step forms) is below 2^62, and on Python ints
-    otherwise.  The largest magnitude is measured once and then carried as
-    the bound max|out| <= g * max|in|; it is measured again only where the
-    carried bound would leave int64, so each step picks the dtype a fresh
-    measurement would.  This is the only code that applies X or X^{-1}.
+    radices, and the factor scales multiply into d.  Every step runs in one
+    dtype, chosen once by _exact_dtype from max(1, max|v|) times the growth
+    (_mode_factors): a step multiplies max|.| by at most its g >= 1, so this
+    bounds every value any step forms, and it picks int64 only where the
+    int64 matrices exist.  This is the only code that applies X or X^{-1}.
     """
     rows = np.asarray(rows)
     m = ambient.run_count
     if rows.ndim != 2 or rows.shape[1] != m:
         raise ValueError("vector length mismatch")
     batch = len(rows)
-    steps, scale = _mode_factors(ambient, inverse)
-    bound = _max_abs(rows)
+    mats, mats64, scale, growth = _mode_factors(ambient, inverse)
+    dtype = _exact_dtype(max(1, _max_abs(rows)) * growth)
+    if dtype is np.int64:
+        mats = mats64
     # rows is rebound at each step, so a temporary input is freed after the first.
+    rows = rows.astype(dtype, copy=False)
     lead, inner = batch, m
-    for (a, a64, g), r in zip(steps, ambient.radices):
-        if bound * g >= _INT64_SAFE:
-            bound = _max_abs(rows)
-        if bound * g < _INT64_SAFE and a64 is not None:
-            a, dtype = a64, np.int64
-        else:
-            dtype = object
+    for a, r in zip(mats, ambient.radices):
         inner //= r
-        rows = a @ rows.astype(dtype, copy=False).reshape(lead, r, inner)
+        rows = a @ rows.reshape(lead, r, inner)
         lead *= r
-        bound *= g
     return rows.reshape(batch, m), scale
 
 

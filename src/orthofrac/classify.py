@@ -53,9 +53,6 @@ class GroupElement:
     level_perms: tuple[tuple[int, ...], ...]
     run_perm: tuple[int, ...]
 
-    def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.run_perm))
-
 
 def _factor_perms(ambient: FullFactorial):
     """Every factor permutation that maps each factor to one of equal arity."""

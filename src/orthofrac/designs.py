@@ -152,10 +152,6 @@ def _full_factorial(arities: tuple[int, ...]) -> FullFactorial:
     return FullFactorial(tuple(FactorSpec(default_levels(r)) for r in arities))
 
 
-def from_level_sets(level_sets: Iterable[Iterable]) -> FullFactorial:
-    return FullFactorial(tuple(FactorSpec(tuple(Fraction(v) for v in ls)) for ls in level_sets))
-
-
 def run_point(ambient: FullFactorial, run: int) -> tuple[Fraction, ...]:
     """The design point of a run index."""
     iv = ambient.decode(run)

@@ -9,10 +9,11 @@ algebra's module docstring), and the bits of a key are 0/1 by
 construction.  The rows of [1; C] (algebra.contrast_rows) have entries
 -1, 0 and 1; per-octet tables of them pack every row's sum over a key
 into a few words (designs.octet_tables), and verify compares those words
-with the packed target [s; 0], the verdict of algebra.contrast_checks
-(which decides algebra.verify_theta_report) on every block at once.  It
-uses algebra's contrast rows, not the search's margin cells, so it stays
-independent of the search, and it never applies X or X^-1.
+with one packed target [s; 0], built once per call for its one size s:
+the verdict of algebra.contrast_checks (which decides
+algebra.verify_theta_report) on every block at once.  It uses algebra's
+contrast rows, not the search's margin cells, so it stays independent of
+the search, and it never applies X or X^-1.
 
 The key layout, and every operation that reads keys back, lives in
 designs; this module only sums rows over their bits (designs.octet_sums).
@@ -25,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import contrast_rows
-from .designs import FullFactorial, column_sums, octet_sums, octet_tables
+from .designs import FullFactorial, octet_sums, octet_tables
 
 
 @lru_cache(maxsize=None)
@@ -43,26 +44,21 @@ class BatchChecker:
     def __init__(self, ambient: FullFactorial):
         self.ambient = ambient
 
-    def sums(self, keys: np.ndarray, strength: int) -> np.ndarray:
-        """contrast_rows(ambient, strength) applied to the bits of every key:
-        the exact B x R sums (designs.column_sums)."""
-        return column_sums(keys, _contrast_tables(self.ambient, strength))
-
-    def verify(self, keys: np.ndarray, size: int | np.ndarray, strength: int) -> np.ndarray:
+    def verify(self, keys: np.ndarray, size: int, strength: int) -> np.ndarray:
         """The size and contrast rows of algebra.verify_theta_report on keys:
-        [1; C] y = [size; 0] for the bits y of every key (size one int or one
-        per key), its octet sums against [size; 0] plus the bias.  A key
-        summed from a repeated run carries into another bit, or out of its
-        word, so it has fewer than size bits and fails the size row."""
+        [1; C] y = [size; 0] for the bits y of every key, its octet sums
+        against one packed target, [size; 0] plus the bias.  A key summed
+        from a repeated run carries into another bit, or out of its word, so
+        it has fewer than size bits and fails the size row."""
         lanes, bias = _contrast_tables(self.ambient, strength)
-        size = np.ravel(size)
-        fits = (0 <= size) & (size <= self.ambient.run_count)  # the size row's lane holds 0 .. m
-        target = np.zeros((len(size), lanes.shape[2]), dtype=lanes.dtype)
-        target[:, : len(bias)] = bias
-        target[:, 0] = bias[0] + np.where(fits, size, 0)
+        if not 0 <= size <= self.ambient.run_count:  # the size row's lane holds 0 .. m
+            return np.zeros(len(keys), dtype=bool)
+        target = np.zeros(lanes.shape[2], dtype=lanes.dtype)
+        target[: len(bias)] = bias
+        target[0] = bias[0] + size
         words, goal = octet_sums(keys, lanes.view(np.uint64)), target.view(np.uint64)
         # Word by word: numpy reduces a long axis far faster than a short one.
-        return np.logical_and.reduce([words[:, w] == goal[:, w] for w in range(goal.shape[1])]) & fits
+        return np.logical_and.reduce([words[:, w] == goal[w] for w in range(len(goal))])
 
 
 @lru_cache(maxsize=None)

@@ -12,8 +12,9 @@ import pytest
 
 from orthofrac.catalog import flagship_ambient
 from orthofrac.classify import classify
-from orthofrac.designs import Design, from_level_sets, full_factorial, run_point
+from orthofrac.designs import Design, full_factorial, run_point
 from orthofrac.search import SearchProblem, enumerate_orthogonal
+from reference import from_level_sets
 
 
 # Levels with nontrivial denominators force x_scale > 1.

@@ -67,7 +67,10 @@ None of these is used by the package itself:
   before the parser built each coefficient once from the token's parts and
   the renderer formatted numerator and denominator directly: the parser
   goes through Fraction(str) and the validating Polynomial constructor,
-  the renderer through abs() and comparisons of Fractions.
+  the renderer through abs() and comparisons of Fractions;
+* from_level_sets, an ambient from explicit level lists, and is_identity,
+  whether a group element fixes every run: only the tests build ambients
+  from level lists or look for the identity.
 """
 
 from __future__ import annotations
@@ -92,13 +95,21 @@ from orthofrac.algebra import (
     rref,
     verify_theta_report,
 )
-from orthofrac.classify import run_perm_table
+from orthofrac.classify import GroupElement, run_perm_table
 from orthofrac.designs import Design, FactorSpec, FullFactorial, all_points, key_designs, key_words, margin_cells
 from orthofrac.polynomials import Polynomial
 from orthofrac.search import SearchProblem, brute_force_keys
 
 
 Rows = tuple[tuple[Fraction, ...], ...]
+
+
+def from_level_sets(level_sets: Sequence[Sequence]) -> FullFactorial:
+    return FullFactorial(tuple(FactorSpec(tuple(Fraction(v) for v in ls)) for ls in level_sets))
+
+
+def is_identity(g: GroupElement) -> bool:
+    return all(p == i for i, p in enumerate(g.run_perm))
 
 
 def identity(n: int) -> tuple[tuple[int, ...], ...]:

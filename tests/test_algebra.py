@@ -30,8 +30,9 @@ from orthofrac.designs import (
     full_factorial,
     has_strength,
 )
-from orthofrac.classify import act_theta, generate_group
+from orthofrac.classify import act_theta, classification_report, classify, generate_group
 from orthofrac.polynomials import Polynomial, parse_polynomial
+from orthofrac.search import SearchProblem, enumerate_orthogonal
 from reference import (
     build_model_matrix,
     evaluate,
@@ -56,25 +57,6 @@ from reference import (
 
 
 FLAGSHIP = full_factorial([2, 2, 2, 2, 3])
-
-
-def test_mode_products_switch_to_python_ints_mid_product(monkeypatch):
-    # On 8 x 8 the first factor step of this input fits int64 and the second
-    # does not; the numerators equal a run on Python ints throughout.
-    amb = full_factorial([8, 8])
-    a, _, g = algebra._factor_matrix(amb.factors[0], False)
-    j = max(range(8), key=lambda e: max(abs(x) for x in a[:, e]))
-    k = (algebra._INT64_SAFE - 1) // g
-    rows = np.zeros((2, 64), dtype=np.int64)
-    rows[0, 8 * j] = k
-    rows[1] = np.arange(64) - 32
-    assert k * g < algebra._INT64_SAFE <= max(abs(x) for x in a[:, j]) * k * g
-    mixed, d = mode_products(amb, rows, inverse=False)
-    assert mixed.dtype == object
-    monkeypatch.setattr(algebra, "_INT64_SAFE", 0)
-    python_ints, d_python = mode_products(amb, rows.astype(object), inverse=False)
-    assert d == d_python
-    assert mixed.tolist() == python_ints.tolist()
 
 
 def test_model_matrix_single_two_level_factor():
@@ -422,30 +404,16 @@ def test_orthogonality_row_count_formula():
             assert system.n_rows == expected
 
 
-def _step_bounds(amb, row, inverse):
-    """For each mode-product step on one integer row: the measured
-    max|input| times the factor's g, and the bound carried from the row's
-    own max|.| times the same g (the carried bound is never re-measured)."""
-    rows = np.array([row], dtype=object)
-    carried, lead, inner, out = max(map(abs, row)), 1, amb.run_count, []
-    for factor, r in zip(amb.factors, amb.radices):
-        a, _, g = algebra._factor_matrix(factor, inverse)
-        out.append((max(abs(x) for x in rows.ravel()) * g, carried * g))
-        inner //= r
-        rows = a @ rows.reshape(lead, r, inner)
-        lead, carried = lead * r, carried * g
-    return out
-
-
 @pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("amb", [FLAGSHIP, RATIONAL], ids=["flagship", "rational"])
 def test_mode_products_at_the_int64_boundary(amb, inverse):
-    # Each unit row is scaled to the largest multiple whose every step fits
-    # int64 by measurement, and one past it.  The first kind includes rows
-    # whose carried bound crosses 2^62 while no measured maximum does (e_0:
-    # X e_0 is constant); the second has a measured maximum that crosses.
-    # Both must give the dense product, in the dtype a per-step measurement picks.
-    safe = algebra._INT64_SAFE
+    # One bound per call, max|v| times the growth (the product of the
+    # factors' row-abs-sums), picks the dtype of every step: each unit row
+    # scaled to the largest multiple whose bound is below 2^62 runs on
+    # int64, one multiple more on Python ints, and both give the dense product.
+    growth = 1
+    for factor in amb.factors:
+        growth *= max(sum(map(abs, row)) for row in algebra._factor_matrix(factor, inverse)[0].tolist())
     dense = model_matrix_inverse(amb) if inverse else build_model_matrix(amb)
     rng = random.Random(62)
     m = amb.run_count
@@ -456,23 +424,47 @@ def test_mode_products_at_the_int64_boundary(amb, inverse):
         [rng.choice((-1, 1)) for _ in range(m)],
         [rng.randint(-3, 3) for _ in range(m)],
     ]
-    seen = Counter()
     for unit in units:
-        steps = _step_bounds(amb, unit, inverse)
-        top = (safe - 1) // max(measured for measured, _ in steps)
-        for scale in (top, top + 1):
+        top = (algebra._INT64_SAFE - 1) // (max(map(abs, unit)) * growth)
+        for scale, dtype in ((top, np.int64), (top + 1, object)):
             row = [scale * x for x in unit]
-            measured = [scale * x for x, _ in steps]
-            carried = [scale * x for _, x in steps]
-            if max(measured) < safe <= max(carried):
-                seen["carried only"] += 1
-            if max(measured) >= safe:
-                seen["measured"] += 1
-            dtype = np.int64 if max(map(abs, row)) < 2**63 else object
-            values, d = mode_products(amb, np.array([row], dtype=dtype), inverse)
+            values, d = mode_products(amb, np.array([row], dtype=np.int64), inverse)
+            assert values.dtype == dtype
             assert [Fraction(v, d) for v in values[0].tolist()] == list(mat_vec(dense, row))
-            assert values.dtype == (np.int64 if measured[-1] < safe else object)
-    assert seen["carried only"] and seen["measured"]
+
+
+def test_real_traffic_stays_on_int64(monkeypatch, flagship_designs, flagship_classes):
+    # Every mode product of the exact route on flagship designs, of the
+    # class reports and of the linear systems of the census instances runs
+    # in int64: none of them falls back to Python ints.
+    real, dtypes = algebra.mode_products, Counter()
+
+    def recording(*args, **kwargs):
+        values, d = real(*args, **kwargs)
+        dtypes[values.dtype] += 1
+        return values, d
+
+    monkeypatch.setattr(algebra, "mode_products", recording)
+    rng = random.Random(32)
+    group = generate_group(FLAGSHIP)
+    m = FLAGSHIP.run_count
+    samples = rng.sample(flagship_designs, 20)
+    samples += [Design(FLAGSHIP, tuple(sorted(rng.sample(range(m), 24)))) for _ in range(20)]
+    for design in samples:
+        poly = indicator_from_design(design)
+        verify_theta_report(poly, FLAGSHIP, 24, 2)
+        assert design_from_indicator(act_theta(rng.choice(group), poly), FLAGSHIP).size == 24
+    census = [((3, 3, 3, 3), 18, 2), ((2,) * 7, 32, 3), ((2, 2, 4, 4), 16, 2)]
+    for levels, size, strength in [((2, 2, 2, 2, 3), 24, 2)] + census:
+        amb = full_factorial(levels)
+        if amb == FLAGSHIP:
+            classes = flagship_classes
+        else:
+            classes = classify(enumerate_orthogonal(SearchProblem(amb, size, strength)))
+        assert classification_report(classes)["class_count"] == len(classes) > 0
+        # Past the cache, which an earlier test may have filled.
+        orthogonality_system.__wrapped__(amb, size, strength)
+    assert set(dtypes) == {np.dtype(np.int64)} and dtypes[np.dtype(np.int64)] >= 5 * len(samples) + 8
 
 
 def _assert_well_formed(poly, n):

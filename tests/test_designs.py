@@ -10,6 +10,7 @@ from conftest import RATIONAL, random_ambient, sign_fraction
 from reference import (
     NonTwoLevelFactorError,
     bitset_keys,
+    from_level_sets,
     full_design,
     j_statistic,
     margin_counts,
@@ -22,7 +23,6 @@ from orthofrac.designs import (
     Design,
     FullFactorial,
     ShapeMismatchError,
-    from_level_sets,
     full_factorial,
     has_strength,
     invariant_triple,

@@ -25,7 +25,6 @@ from orthofrac.designs import (
     ShapeMismatchError,
     design_keys,
     find_keys,
-    from_level_sets,
     full_factorial,
     has_strength,
     indexed_keys,
@@ -48,10 +47,12 @@ from orthofrac.designs import (
     sort_keys,
     unpack_runs,
 )
+from orthofrac import fastcheck
 from orthofrac.fastcheck import BatchChecker, get_checker
 from reference import (
     bitset_keys,
     build_model_matrix,
+    from_level_sets,
     full_design,
     idempotency_system,
     j_statistic,
@@ -103,6 +104,17 @@ def _round_trip(amb, y):
     theta, w = mode_products(amb, y, inverse=True)
     values, x = mode_products(amb, theta, inverse=False)
     return theta, values, w, x
+
+
+def _verify_each(checker, keys, sizes, strength):
+    """checker.verify with one size per key (or one int for all): one call
+    per distinct size, on the keys that have it."""
+    sizes = np.broadcast_to(sizes, len(keys))
+    out = np.zeros(len(keys), dtype=bool)
+    for size in np.unique(sizes).tolist():
+        hit = sizes == size
+        out[hit] = checker.verify(keys[hit], size, strength)
+    return out
 
 
 def _identities_hold(amb, y):
@@ -165,7 +177,7 @@ def test_batch_checker_matches_exact_route():
                 for poly, size in zip(polys, sizes)
             ]
             assert value_checks(amb, y, 1, sizes, t).all(axis=1).tolist() == expected
-            assert checker.verify(keys, sizes[: len(keys)], t).tolist() == expected[: len(keys)]
+            assert _verify_each(checker, keys, sizes[: len(keys)], t).tolist() == expected[: len(keys)]
     assert paths == {np.dtype(np.int64), np.dtype(object)}
 
 
@@ -215,15 +227,16 @@ def test_key_sums_match_contrast_sums(levels):
         sizes = np.array([len(r) for r in runs])
         bits, checker = key_bits(keys)[:, :m], BatchChecker(amb)
         for t in range(1, n + 1):
-            sums = checker.sums(keys, t)
+            sums = column_sums(keys, fastcheck._contrast_tables(amb, t))
             assert np.array_equal(sums, contrast_sums(amb, bits, t))
-            ok = checker.verify(keys, sizes, t)
+            ok = _verify_each(checker, keys, sizes, t)
             assert ok.tolist() == value_checks(amb, bits, 1, sizes, t).all(axis=1).tolist()
             # The packed compare is contrast_checks on the exact sums, for
-            # per-row sizes of every kind, out of the size lane's range too.
-            for shifted in (sizes, sizes + 1, sizes - 1, sizes - m - 1, sizes + m + 1, m, 0):
+            # sizes of every kind, out of the size lane's range too (sizes +
+            # 256 would wrap to sizes in a byte-wide lane).
+            for shifted in (sizes, sizes + 1, sizes - 1, sizes - m - 1, sizes + m + 1, sizes + 256, m, 0, -1, m + 1):
                 expected = contrast_checks(amb, sums, shifted, t).all(axis=1)
-                assert checker.verify(keys, shifted, t).tolist() == expected.tolist()
+                assert _verify_each(checker, keys, shifted, t).tolist() == expected.tolist()
             assert ok[:2].all() and not ok[plain:].any()
             assert np.all(sums[plain:, 0] < sizes[plain:])
             # The regular fractions on all n factors have strength n - 1.
@@ -297,7 +310,7 @@ def test_idempotent_ok_agrees_with_quadratic_system():
         assert (linear & ~np.array(expected)).any()
         verdicts = [verify_theta(poly, amb, int(size), 1) for poly, size in zip(polys, sizes)]
         assert checks.all(axis=1).tolist() == verdicts
-        assert checker.verify(keys, sizes[: len(keys)], 1).tolist() == verdicts[: len(keys)]
+        assert _verify_each(checker, keys, sizes[: len(keys)], 1).tolist() == verdicts[: len(keys)]
 
 
 def test_idempotency_system_is_the_reduced_square():

@@ -8,7 +8,7 @@ import reference
 from conftest import RATIONAL
 from orthofrac import algebra, designs, polynomials, search
 from orthofrac.algebra import reduce_to_standard_form
-from orthofrac.designs import FactorSpec, ProblemTooLargeError, all_points, from_level_sets, full_factorial
+from orthofrac.designs import FactorSpec, ProblemTooLargeError, all_points, full_factorial
 from orthofrac.polynomials import Polynomial, parse_polynomial
 
 
@@ -106,7 +106,7 @@ def test_a_level_power_past_the_chunk_budget_is_refused(monkeypatch):
     # 0 and +-1 take any exponent.
     assert search.ProblemTooLargeError is ProblemTooLargeError
     algebra._power_row.cache_clear()
-    amb = from_level_sets([(-5, Fraction(1, 3), 2), (-1, 0, 1), (Fraction(1, 7), 2)])
+    amb = reference.from_level_sets([(-5, Fraction(1, 3), 2), (-1, 0, 1), (Fraction(1, 7), 2)])
     monkeypatch.setattr(designs, "_CHUNK_BYTES", 3)
     edge = Polynomial.monomial((8, 1, 8), Fraction(2, 3))
     assert reduce_to_standard_form(edge, amb) == reference.reduce_to_standard_form(edge, amb)

@@ -95,9 +95,7 @@ def test_oracle_equivalence_2x2x3():
 def test_oracle_equivalence_on_rational_levels():
     # The engine acts on index structure only; arbitrary rational level
     # sets must give the same designs as the oracle.
-    from orthofrac.designs import from_level_sets
-
-    amb = from_level_sets([(0, "1/2"), ("-1", "1/3", 2), (1, 5)])
+    amb = reference.from_level_sets([(0, "1/2"), ("-1", "1/3", 2), (1, 5)])
     for size, strength in ((6, 1), (6, 2), (4, 1)):
         engine = enumerate_orthogonal(SearchProblem(amb, size, strength))
         oracle = brute_force_oracle(SearchProblem(amb, size, strength))
