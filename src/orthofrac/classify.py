@@ -12,9 +12,10 @@ Designs are keys (designs), and among designs of one size the largest
 key is the lexicographically least design (designs.sort_keys), so the
 largest key of an orbit is its canonical form.  The keys of all G images
 are shifted out of the gathered G x s run indices (designs.indexed_keys).
-classify_keys holds its input keys once, sorted in search form, closes
-each orbit once, from the first design in key order not yet seen, and
-keeps only its largest key and its size.
+classify_keys holds its input keys once, sorted in search form
+(designs.sorted_search_keys), closes each orbit once, from the first
+design in key order not yet seen, and keeps only its largest key and its
+size.
 
 classification_report builds a classification's report as one JSON-ready
 dict, and report_text renders that dict as the text report.
@@ -34,7 +35,8 @@ from . import designs
 from .algebra import polynomial_from_values, values_at_runs
 from .designs import (
     Design, FullFactorial, ShapeMismatchError, design_keys, distinct_keys, find_keys, indexed_keys,
-    invariant_triples, key_runs, run_index, search_keys, search_rows, sort_keys, supports_triple_invariant, unpack_runs,
+    invariant_triples, key_runs, run_index, search_keys, search_rows, sorted_search_keys, supports_triple_invariant,
+    unpack_runs,
 )
 from .polynomials import Polynomial
 
@@ -183,8 +185,8 @@ def classify_keys(ambient: FullFactorial, keys: np.ndarray) -> list[EquivalenceC
     """classify for the designs of keys (designs), one row each."""
     if not len(keys):
         return []
-    # The native sorted copy is a temporary: seeds are read back from the search form.
-    ordered = search_keys(sort_keys(keys))
+    # One sorted copy, in search form: seeds are read back from it.
+    ordered = sorted_search_keys(keys)
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("designs must be pairwise distinct")
 

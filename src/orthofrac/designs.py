@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -315,6 +316,18 @@ def search_keys(keys: np.ndarray) -> np.ndarray:
     if keys.shape[1] == 1:
         return keys[:, 0]
     return np.ascontiguousarray(keys.astype(">u8")).view(f"V{keys.shape[1] * 8}").ravel()
+
+
+def sorted_search_keys(keys: np.ndarray) -> np.ndarray:
+    """search_keys(sort_keys(keys)) with no copy beside the sorted one, which
+    nothing else holds: for W >= 2 its words turn big-endian in place (on a
+    big-endian machine they already are) and are read as ">u8"."""
+    ordered = sort_keys(keys)
+    if keys.shape[1] == 1:
+        return ordered[:, 0]
+    if sys.byteorder == "little":
+        ordered.byteswap(inplace=True)
+    return ordered.view(">u8").view(f"V{keys.shape[1] * 8}").ravel()
 
 
 def search_rows(ordered: np.ndarray) -> np.ndarray:

@@ -23,16 +23,20 @@ Two routes:
   counts are octet sums of the candidates' keys over the cells' 0/1 run
   columns (MarginCells.count_keys), packed mixed-radix into one int64 word, or a
   Python int when the word bound is not below 2^62, and grouped by one
-  np.unique.  The first r - 2 slice levels loop in Python, level r - 1
-  takes every fitting key at once, and one searchsorted finds the last.
-  The join returns key ids and the exact design count.  It raises
-  ProblemTooLargeError as soon as the designs, their join rows and the
-  slice candidates pass the key budget in bytes (designs._MATRIX_BUDGET),
-  before any design is built; the slice keys meet the same budget before
-  they are formed, and at strength 0 the C(m, q) subsets before any is
-  listed.  A design's key is the sum of its slices' keys, each embedded at
-  its level once through per-octet lookup tables (designs.octet_keys and
-  designs.octet_sums), summed a chunk of designs at a time.
+  np.unique.  The first r - 3 slice levels loop in Python; under each of
+  their prefixes the fitting keys of level r - 3 go in blocks, each paired
+  with every key of level r - 2 in one compare per free cell, and one
+  searchsorted finds level r - 1 for all of a block's pairs (two slices
+  take the fitting keys and one searchsorted).  No Python loop runs per
+  key of the last three levels.  The join returns key ids and the exact
+  design count.  It raises ProblemTooLargeError as soon as the designs,
+  their join rows and the slice candidates pass the key budget in bytes
+  (designs._MATRIX_BUDGET), before any design is built; the slice keys
+  meet the same budget before they are formed, and at strength 0 the
+  C(m, q) subsets before any is listed.  A design's key is the sum of its
+  slices' keys, each embedded at its level once through per-octet lookup
+  tables (designs.octet_keys and designs.octet_sums), summed a chunk of
+  designs at a time.
 
 * `brute_force_keys` - plain enumeration of all size-s subsets filtered
   by direct margin counting (octet sums of their keys), for small
@@ -219,16 +223,61 @@ def _slice_keys(sub: FullFactorial, candidates: np.ndarray, size: int, strength:
     return _SliceKeys(pool, table.count_keys(candidates[first], free), packed, weights, target)
 
 
-def _fitting_prefixes(keys: _SliceKeys, depth: int, prefix: tuple, partial: np.ndarray, word):
+def _fitting_prefixes(keys: _SliceKeys, depth: int, prefix: tuple, left: np.ndarray, word):
     """Depth first, every `depth`-tuple of key ids that extends prefix and
-    whose free-cell counts, added to partial, stay within the target; with
-    the keys that still fit after it and its packed words added to word."""
-    fits = np.flatnonzero(np.all(keys.free <= keys.target - partial, axis=1))
+    whose free-cell counts fit within `left`; with the counts left after it
+    and its packed words added to word."""
     if len(prefix) == depth:
-        yield prefix, fits, word
+        yield prefix, left, word
         return
-    for k in fits.tolist():
-        yield from _fitting_prefixes(keys, depth, (*prefix, k), partial + keys.free[k], word + keys.packed[k])
+    for k in np.flatnonzero(np.all(keys.free <= left, axis=1)).tolist():
+        yield from _fitting_prefixes(keys, depth, (*prefix, k), left - keys.free[k], word + keys.packed[k])
+
+
+# Each (level r - 3, level r - 2) key pair that a join block compares is
+# charged the bytes of every array it has a place in, though they are never
+# all alive at once: its bool fit and the bool compare of one free cell,
+# its int64 flat index, two key ids and packed word need, the two position
+# arrays of its searchsorted and its bool hit (1 + 1 + 8 + 16 + 8 + 16 + 1).
+_PAIR_BYTES = 51
+
+
+def _join_blocks(keys: _SliceKeys, n_levels: int):
+    """(prefix, heads, need) for blocks of key assignments of every level but
+    the last that fit under the target: the ids of the first levels, shared
+    by the block; the ids of the next one or two levels, one array each; and
+    the packed word the last level must have, one per assignment.
+
+    Levels 0 .. n_levels - 4 loop in Python over the keys that still fit
+    (_fitting_prefixes; no loop at all for n_levels <= 3).  Under each such
+    prefix the keys that fit at level n_levels - 3 go in blocks, and one
+    broadcast compare per free cell pairs a block with every key that still
+    fits at level n_levels - 2.  A block's compares and per-pair arrays take
+    at most designs._CHUNK_BYTES.  Two levels are one block, of the keys
+    that fit.
+    """
+    free, packed = keys.free, keys.packed
+    goal = keys.target @ keys.weights
+    target = keys.target.astype(free.dtype)
+    if n_levels == 2:
+        fits = np.flatnonzero(np.all(free <= target, axis=1))
+        yield (), (fits,), goal - packed[fits]
+        return
+    cells = np.ascontiguousarray(free.T)
+    step = max(1, designs._CHUNK_BYTES // ((len(packed) or 1) * _PAIR_BYTES))
+    for prefix, left, word in _fitting_prefixes(keys, n_levels - 3, (), target, 0):
+        fits = np.flatnonzero(np.all(free <= left, axis=1))
+        for start in range(0, len(fits), step):
+            block = fits[start : start + step]
+            rest = left - free[block]
+            ok = np.ones((len(block), len(packed)), dtype=bool)
+            for c, column in enumerate(cells):
+                ok &= column <= rest[:, c, None]
+            a, b = np.divmod(np.flatnonzero(ok), len(packed))
+            a = block[a]
+            need = (goal - word) - packed[a]
+            need -= packed[b]
+            yield prefix, (a, b), need
 
 
 def _join_assignments(
@@ -238,12 +287,10 @@ def _join_assignments(
     one per row in no particular order, and the exact number of designs they
     make: the sum over rows of the product of the rows' pool sizes.
 
-    Levels 0 .. n_levels - 3 loop in Python over the keys that still fit
-    under the target (_fitting_prefixes).  Level n_levels - 2 takes every
-    fitting key at once, and the last level is the key whose word is the
-    target's minus the others': one searchsorted.  The counts left for the
-    last level lie in [0, target], within every digit's range, where
-    packing is injective.
+    The levels before the last come in blocks (_join_blocks), and the last
+    level is the key whose word is the target's minus the others': one
+    searchsorted per block.  The counts left for the last level lie in
+    [0, target], within every digit's range, where packing is injective.
 
     Raises ProblemTooLargeError as soon as the designs, at design_bytes
     each, and the rows, at 8 (2 n_levels + 3) bytes each, take more than
@@ -252,17 +299,16 @@ def _join_assignments(
     packed = keys.packed
     # Each row's product, and their sum, is at most len(pool)^n_levels.
     pool_sizes = np.bincount(keys.pool).astype(_exact_dtype(len(keys.pool) ** n_levels))
-    goal = keys.target @ keys.weights
     row_bytes = 8 * (2 * n_levels + 3)
     chunks = [np.zeros((0, n_levels), dtype=np.int64)]
-    count = n_rows = 0
-    for prefix, fits, word in _fitting_prefixes(keys, n_levels - 2, (), np.zeros_like(keys.target), 0):
-        need = goal - word - packed[fits]
+    count = n_rows = merged = n_merged = 0
+    for prefix, heads, need in _join_blocks(keys, n_levels):
         last = np.minimum(np.searchsorted(packed, need), len(packed) - 1)
         hit = packed[last] == need
         rows = np.empty((int(np.count_nonzero(hit)), n_levels), dtype=np.int64)
-        rows[:, :-2] = prefix
-        rows[:, -2] = fits[hit]
+        rows[:, : len(prefix)] = prefix
+        for c, head in enumerate(heads, len(prefix)):
+            rows[:, c] = head[hit]
         rows[:, -1] = last[hit]
         count += int(pool_sizes[rows].prod(axis=1).sum())
         n_rows += len(rows)
@@ -271,6 +317,12 @@ def _join_assignments(
                 f"at least {count} designs exceed the key budget of {designs._MATRIX_BUDGET} bytes for this ambient"
             )
         chunks.append(rows)
+        # The blocks' rows merge into arrays of about _CHUNK_BYTES: a few
+        # large arrays, once freed, leave no heap holes scattered between
+        # live allocations, which would stay resident through the sort.
+        if 8 * n_levels * (n_rows - n_merged) >= designs._CHUNK_BYTES:
+            chunks[merged:] = [np.concatenate(chunks[merged:])]
+            merged, n_merged = len(chunks), n_rows
     return np.concatenate(chunks), count
 
 
@@ -312,9 +364,8 @@ def _materialize(
         which = np.repeat(np.arange(first, last + 1), spans)
         local = np.arange(start, stop) - starts[which]
         for c in range(len(embedded) - 1, -1, -1):
-            n_c = sizes[which, c]
-            out[start:stop] += embedded[c].take(pool_starts[ids[which, c]] + local % n_c, axis=0)
-            local //= n_c
+            local, digit = np.divmod(local, sizes[which, c])
+            out[start:stop] += embedded[c].take(pool_starts[ids[which, c]] + digit, axis=0)
     return out
 
 

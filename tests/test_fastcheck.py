@@ -45,6 +45,7 @@ from orthofrac.designs import (
     search_keys,
     search_rows,
     sort_keys,
+    sorted_search_keys,
     unpack_runs,
 )
 from orthofrac import fastcheck
@@ -535,6 +536,40 @@ def test_search_rows_inverts_search_keys(m):
     assert rows.dtype == np.uint64 and np.array_equal(rows, keys)
     assert np.array_equal(search_rows(ordered[7:8]), keys[7:8])
     assert search_rows(ordered[:0]).shape == (0, key_words(m))
+
+
+@pytest.mark.parametrize("m", [1, 64, 65, 128, 129, 192])
+def test_sorted_search_keys_is_search_keys_of_the_sorted_keys(m):
+    # One, two and three words, with repeated rows; the input is left as it was.
+    keys = np.random.default_rng(m).integers(0, 2**64, size=(40, key_words(m)), dtype=np.uint64)
+    keys[20:30] = keys[:10]
+    before = keys.copy()
+    ordered = sorted_search_keys(keys)
+    assert ordered.dtype == search_keys(keys).dtype and np.array_equal(ordered, search_keys(sort_keys(keys)))
+    assert np.array_equal(keys, before)
+    assert np.array_equal(search_rows(ordered), sort_keys(keys))
+    assert len(sorted_search_keys(keys[:0])) == 0
+
+
+def test_sorted_search_keys_holds_one_sorted_copy():
+    # On the 24,696 shuffled two-word 3^4/18/2 keys the traced peak is the
+    # sort's own (designs.sort_keys: the 16-byte sorted copy beside the
+    # lexsort's 8-byte index) and what stays is the 16-byte search form;
+    # byte-swapping a second copy would peak at 32 bytes per design.
+    import tracemalloc
+
+    from orthofrac.search import SearchProblem, enumerate_keys
+
+    keys = enumerate_keys(SearchProblem(full_factorial([3, 3, 3, 3]), 18, 2))
+    keys = keys[np.random.default_rng(18).permutation(len(keys))]
+    tracemalloc.start()
+    try:
+        ordered = sorted_search_keys(keys)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert keys.shape == (24696, 2) and np.array_equal(ordered, search_keys(sort_keys(keys)))
+    assert held <= 16.1 * len(keys) and peak <= 25 * len(keys)
 
 
 @pytest.mark.parametrize("m", [1, 12, 48, 63, 64, 65, 81, 128, 129, 130])

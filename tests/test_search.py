@@ -328,6 +328,34 @@ def test_join_count_and_key_injectivity(levels, size, count):
     assert len(keys.packed) == len(np.unique(vectors, axis=0))
 
 
+@pytest.mark.parametrize(
+    "levels, size, r", [((2, 2, 2, 2, 3), 24, 3), ((3, 3, 3, 3), 18, 3), ((2, 2, 2, 2, 4), 16, 4)]
+)
+def test_join_blocks_do_not_change_the_keys(levels, size, r, monkeypatch):
+    # With 4 KiB chunks (designs._CHUNK_BYTES) the top level's join takes
+    # its level r - 3 keys in many small blocks; the designs are the same
+    # keys as with one block per prefix.
+    problem = SearchProblem(full_factorial(levels), size, 2)
+    expected = enumerate_keys(problem)
+    join, join_blocks = search._join_assignments, search._join_blocks
+    blocks = []
+
+    def small_chunk_join(keys, n_levels, *args):
+        with monkeypatch.context() as patched:
+            patched.setattr(designs, "_CHUNK_BYTES", 1 << 12)
+            return join(keys, n_levels, *args)
+
+    def counted_blocks(keys, n_levels):
+        for block in join_blocks(keys, n_levels):
+            blocks.append(n_levels)
+            yield block
+
+    monkeypatch.setattr(search, "_join_assignments", small_chunk_join)
+    monkeypatch.setattr(search, "_join_blocks", counted_blocks)
+    assert np.array_equal(enumerate_keys(problem), expected)
+    assert blocks.count(r) >= 100
+
+
 # The key budget of the flagship's top level: 35,200 one-word designs at
 # 16 W + 8 = 24 bytes, 3,109 join rows of r = 3 slices at 8 (2r + 3) = 72
 # bytes, 222 one-word slice candidates at 8 (r W + 2 W' + 2) = 56 bytes, and
@@ -415,6 +443,24 @@ def test_key_budget_bounds_the_traced_peak(monkeypatch):
         tracemalloc.stop()
     assert len(keys) == 92400
     assert charged / 2 < peak <= charged + designs._CHUNK_BYTES
+
+
+def test_key_budget_bounds_the_traced_peak_of_a_three_slice_join(monkeypatch):
+    # The same bound where the top level joins r = 3 slices in blocks: the
+    # flagship, charged _FLAGSHIP_KEY_BYTES, with 4 KiB chunks.
+    import tracemalloc
+
+    problem = SearchProblem(full_factorial([2, 2, 2, 2, 3]), 24, 2)
+    monkeypatch.setattr(designs, "_CHUNK_BYTES", 1 << 12)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", _FLAGSHIP_KEY_BYTES)
+    tracemalloc.start()
+    try:
+        keys = enumerate_keys(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == 35200
+    assert _FLAGSHIP_KEY_BYTES / 2 < peak <= _FLAGSHIP_KEY_BYTES + designs._CHUNK_BYTES
 
 
 def test_key_budget_charges_the_slice_keys(monkeypatch, capsys, tmp_path):
