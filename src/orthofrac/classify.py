@@ -149,8 +149,20 @@ def _images(ambient: FullFactorial, runs) -> np.ndarray:
 
 def in_orbit(design: Design, keys: np.ndarray) -> np.ndarray:
     """Which rows of keys (designs.design_keys of designs of the same
-    ambient) lie in the orbit of the design."""
-    return find_keys(search_keys(distinct_keys(_images(design.ambient, design.runs))), keys)[1]
+    ambient) lie in the orbit of the design: its images are searched in the
+    sorted keys, so the orbit itself is never sorted, and every copy of a
+    repeated row shares the mark of its first copy."""
+    if not len(keys):
+        return np.zeros(0, dtype=bool)
+    needles = search_keys(keys)
+    order = np.argsort(needles, kind="stable")
+    ordered = needles[order]
+    pos, found = find_keys(ordered, _images(design.ambient, design.runs))
+    hit = np.zeros(len(ordered), dtype=bool)
+    hit[pos[found]] = True
+    marked = np.empty(len(keys), dtype=bool)
+    marked[order] = hit[np.searchsorted(ordered, ordered)]
+    return marked
 
 
 @dataclass(frozen=True)
@@ -197,7 +209,7 @@ def classify_keys(ambient: FullFactorial, keys: np.ndarray) -> list[EquivalenceC
         orbit = distinct_keys(_images(ambient, unpack_runs(search_rows(ordered[idx : idx + 1]))[1]))
         pos, found = find_keys(ordered, orbit)
         unseen[pos[found]] = False
-        tops.append(orbit[-1])
+        tops.append(orbit[-1].copy())  # a view would keep the whole orbit alive
         sizes.append(len(orbit))
         # Key idx lies in its own orbit, so argmax is 0 only when no key is unseen.
         step = int(np.argmax(unseen[idx:]))

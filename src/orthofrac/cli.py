@@ -147,10 +147,11 @@ def cmd_enumerate(args) -> int:
 def cmd_classify(args) -> int:
     ambient = full_factorial(args.levels)
     if args.designs:
-        with open(args.designs) as fh:
+        with open(args.designs, "rb") as fh:
             keys = read_design_keys(fh, ambient)
     else:
-        keys = read_design_keys(sys.stdin, ambient)
+        # Bytes, as from the file; a replaced stdin with no buffer is read as text.
+        keys = read_design_keys(getattr(sys.stdin, "buffer", sys.stdin), ambient)
     classes = classify_keys(ambient, keys)
     report = classification_report(classes)
     problems = []

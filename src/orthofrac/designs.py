@@ -224,7 +224,7 @@ class MarginCells:
         cell cells[k] (default: every cell), summed by octet (octet_sums)
         from the 0/1 run-by-cell columns of those cells."""
         ids = None if cells is None else np.asarray(cells, dtype=np.int64).tobytes()
-        return column_sums(keys, _cell_tables(self, ids))
+        return column_sums(keys, charged_tables(_cell_tables(self, ids), len(self.cells)))
 
     def balanced(self, counts: np.ndarray, size) -> np.ndarray:
         """balanced[b, s]: every cell of subsets[s] holds size/volume runs of row b."""
@@ -382,11 +382,7 @@ def octet_tables(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lane = next(t for t in (np.uint8, np.uint16, np.uint32) if m <= np.iinfo(t).max)
     width = np.dtype(lane).itemsize
     n_octets, n_lanes = -(-m // 8), -(-n_columns * width // 8) * 8 // width
-    if n_octets * 256 * n_lanes * width > _MATRIX_BUDGET:
-        raise ProblemTooLargeError(
-            f"the octet tables of {n_columns} columns on {m} runs take {n_octets * 256 * n_lanes * width} bytes, "
-            f"more than the key budget of {_MATRIX_BUDGET} bytes"
-        )
+    _charge_tables(n_octets * 256 * n_lanes * width, n_columns, m)
     padded = np.zeros((8 * n_octets, n_columns), dtype=np.int64)
     padded[:m] = matrix
     negative = (padded == -1).reshape(n_octets, 8, n_columns).sum(axis=1)
@@ -397,6 +393,22 @@ def octet_tables(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bias = negative.sum(axis=0)
     tables.flags.writeable = bias.flags.writeable = False
     return tables, bias
+
+
+def _charge_tables(size: int, n_columns: int, m: int) -> None:
+    if size > _MATRIX_BUDGET:
+        raise ProblemTooLargeError(
+            f"the octet tables of {n_columns} columns on {m} runs take {size} bytes, "
+            f"more than the key budget of {_MATRIX_BUDGET} bytes"
+        )
+
+
+def charged_tables(tables: tuple[np.ndarray, np.ndarray], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The octet_tables of a matrix on m runs, refused as octet_tables
+    refuses them when they take more than _MATRIX_BUDGET bytes: cached
+    tables meet the key budget on every use, as on the use that built them."""
+    _charge_tables(tables[0].nbytes, len(tables[1]), m)
+    return tables
 
 
 def octet_sums(keys: np.ndarray, tables: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -527,7 +539,8 @@ def invariant_triples(
     mixed = [s for s, subset in enumerate(table.subsets) if 4 in subset]
     t1 = unbalanced[:, triples].sum(axis=1).tolist()
     t2 = unbalanced[:, mixed].sum(axis=1).tolist()
-    jsets = (-np.sort(-np.abs(column_sums(keys, _sign_tables(ambient))), axis=1)).tolist()
+    signs = column_sums(keys, charged_tables(_sign_tables(ambient), ambient.run_count))
+    jsets = (-np.sort(-np.abs(signs), axis=1)).tolist()
     return [(a, tuple(j), b) for a, j, b in zip(t1, jsets, t2)]
 
 

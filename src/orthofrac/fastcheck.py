@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import contrast_rows
-from .designs import FullFactorial, octet_sums, octet_tables
+from .designs import FullFactorial, charged_tables, octet_sums, octet_tables
 
 
 @lru_cache(maxsize=None)
@@ -50,7 +50,7 @@ class BatchChecker:
         against one packed target, [size; 0] plus the bias.  A key summed
         from a repeated run carries into another bit, or out of its word, so
         it has fewer than size bits and fails the size row."""
-        lanes, bias = _contrast_tables(self.ambient, strength)
+        lanes, bias = charged_tables(_contrast_tables(self.ambient, strength), self.ambient.run_count)
         if not 0 <= size <= self.ambient.run_count:  # the size row's lane holds 0 .. m
             return np.zeros(len(keys), dtype=bool)
         target = np.zeros(lanes.shape[2], dtype=lanes.dtype)

@@ -47,10 +47,15 @@ Two routes:
 
 Both return designs sorted by run-index sequence, and both are
 deterministic.  The CLI runs the *_keys stages; enumerate_orthogonal,
-read_designs and write_designs are shims over them on Design lists.  Keys
-are built, read, sorted and unpacked only through designs, which owns
-their layout and the chunk budget of every loop here
-(designs._CHUNK_BYTES, read at call time).
+read_designs and write_designs are shims over them on Design lists.
+
+The design file is rendered and read as bytes, through one renderer
+(_render) of B designs of s runs each.  The reader takes a chunk of
+canonical lines of one run count in bulk, as one B x s array checked by
+rendering it again; any other chunk goes line by line (write_design_keys,
+read_design_keys).  Keys are built, read, sorted and unpacked only
+through designs, which owns their layout and the chunk budget of every
+loop here (designs._CHUNK_BYTES, read at call time).
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from . import designs
 from .algebra import _exact_dtype
 from .designs import (
     Design, FullFactorial, ProblemTooLargeError, design_keys, indexed_keys, key_capacity, key_designs,
-    key_runs, key_words, margin_cells, octet_keys, octet_sums, run_sums, sort_keys, unpack_runs,
+    key_runs, key_words, margin_cells, octet_keys, octet_sums, sort_keys, unpack_runs,
 )
 from .fastcheck import get_checker
 
@@ -488,29 +493,31 @@ def brute_force_keys(problem: SearchProblem) -> np.ndarray:
 # trailing "# count: N" summary line.  A canonical line is one that equals
 # the writer's rendering of its runs (_render): in range, strictly
 # increasing, ", " separators, no leading zeros, one "\n".  Both directions
-# work in chunks.  The writer renders a chunk of key rows at a time from
-# their popcounts and set bits (designs.unpack_runs).  The reader takes
-# text chunks that end on a line boundary, each by one of two routes.  When
-# every line but those that start with "#" is canonical, the chunk is read
-# in bulk, on bytes: every number is read, none may be out of range or out
-# of order, and one byte compare with the chunk's rendering accepts it
-# (_canonical_lines).  Otherwise every line of the chunk is read on its own
-# as JSON, in file order, so blank and "#" lines are skipped and the first
-# bad line raises its error.  The count lines are checked once every line
-# has read (read_design_keys).
+# work in chunks, on bytes.  The writer renders a chunk of key rows at a
+# time from their popcounts and set bits (designs.unpack_runs), each
+# stretch of rows with equal run counts as one B x s array.  The reader
+# takes byte chunks that end on a line boundary, each by one of two routes.
+# When the lines that do not start with "#" all hold s runs and are
+# canonical, the chunk is read in bulk: its numbers are read as one B x s
+# array, none may be out of range or out of order, and one byte compare
+# with that array's rendering accepts it (_canonical_lines).  Otherwise
+# every line of the chunk is decoded and read on its own as JSON, in file
+# order, so blank and "#" lines are skipped and the first bad line raises
+# its error.  The count lines are checked once every line has read
+# (read_design_keys).
 
 # The writer renders and the cross-check checks chunks of B key rows whose
 # B x m bits, or B x R word sums ([1; C_1; ...; C_t] has R <= m rows, in
 # lanes of at most two bytes for m < 2^16), take at most
-# designs._CHUNK_BYTES.  The reader takes text chunks of
-# _CHUNK_BYTES // _READ_PEAK_PER_CHAR characters, completed to the end of
-# their line, so that a chunk's numpy temporaries stay within _CHUNK_BYTES:
-# reading then faults in far fewer fresh pages than with chunks of
-# _CHUNK_BYTES characters.
-# The tracemalloc peak of _read_chunk per text byte on full chunks: 11.4 on
-# the 2^4*3 and 3^4 files, 11.6 on 2^6 and 11.2 on the three-digit 2^7 file.
-# The chunk that holds the "# count" line is copied without it first: 12.6
-# to 12.8 on the first three, 12.1 on the 2^7 file.
+# designs._CHUNK_BYTES.  The reader takes chunks of
+# _CHUNK_BYTES // _READ_PEAK_PER_CHAR bytes, or characters from a text
+# handle, completed to the end of their line, so that a chunk's numpy
+# temporaries stay within _CHUNK_BYTES: reading then faults in far fewer
+# fresh pages than with chunks of _CHUNK_BYTES bytes.
+# The tracemalloc peak of _read_chunk per byte on full chunks: 9.5 on the
+# 2^4*3 file, 9.4 on 3^4, 9.5 on 2^6 and 9.4 on the three-digit 2^7 file.
+# The chunk that holds the "# count" line is copied without it first: 10.6,
+# 10.4, 10.3 and 10.2.
 _READ_PEAK_PER_CHAR = 13
 
 
@@ -521,26 +528,22 @@ def _chunk_rows(m: int) -> int:
 @lru_cache(maxsize=None)
 def _tokens(m: int) -> np.ndarray:
     """The read-only tokens of canonical lines on m runs, NUL-padded to one
-    fixed width: "r, " for every run r, then "r]\n" for every run, then "["
-    and "[]\n"."""
-    texts = [f"{r}, " for r in range(m)] + [f"{r}]\n" for r in range(m)] + ["[", "[]\n"]
+    fixed width: "r, " for every run r, then "r]\n" for every run, then "["."""
+    texts = [f"{r}, " for r in range(m)] + [f"{r}]\n" for r in range(m)] + ["["]
     tokens = np.array([t.encode() for t in texts])
     tokens.flags.writeable = False
     return tokens
 
 
-def _render(lengths: np.ndarray, runs: np.ndarray, m: int) -> bytes:
-    """The canonical lines of designs with these run counts (one per line)
-    and concatenated runs, every run below m: one take of the tokens, then
-    the pad bytes dropped."""
-    ids = np.empty(len(lengths) + len(runs), dtype=np.int64)
-    starts = np.cumsum(lengths + 1) - (lengths + 1)
-    is_run = np.ones(len(ids), dtype=bool)
-    is_run[starts] = False
-    ids[is_run] = runs
-    full = lengths > 0
-    ids[(starts + lengths)[full]] += m  # the last run closes its line
-    ids[starts] = np.where(full, 2 * m, 2 * m + 1)
+def _render(runs: np.ndarray, m: int) -> bytes:
+    """The canonical lines of the rows of a B x s array of runs, every run
+    below m: one take of the tokens, then the pad bytes dropped."""
+    if not runs.shape[1]:
+        return b"[]\n" * len(runs)
+    ids = np.empty((len(runs), runs.shape[1] + 1), dtype=np.intp)
+    ids[:, 0] = 2 * m
+    ids[:, 1:] = runs
+    ids[:, -1] += m  # the last run closes its line
     return np.take(_tokens(m), ids).tobytes().translate(None, b"\0")
 
 
@@ -549,7 +552,13 @@ def write_design_keys(keys: np.ndarray, fh) -> None:
     m = key_capacity(keys)
     step = _chunk_rows(m)
     for start in range(0, len(keys), step):
-        fh.write(_render(*unpack_runs(keys[start : start + step]), m).decode())
+        lengths, runs = unpack_runs(keys[start : start + step])
+        lines, at = [], 0
+        for rows in np.split(lengths, np.flatnonzero(np.diff(lengths)) + 1):
+            size = len(rows) * int(rows[0])
+            lines.append(_render(runs[at : at + size].reshape(len(rows), int(rows[0])), m))
+            at += size
+        fh.write(b"".join(lines).decode())
     fh.write(f"# count: {len(keys)}\n")
 
 
@@ -560,6 +569,14 @@ def write_designs(designs: list[Design], fh) -> None:
 
 
 _INT_TYPE = frozenset((int,))
+
+
+def _decoded(line: bytes, lineno: int) -> str:
+    """One line of a design file as text, or its UTF-8 error."""
+    try:
+        return line.decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def _parse_line(line: str, lineno: int, ambient: FullFactorial) -> tuple[int, ...]:
@@ -577,33 +594,47 @@ def _parse_line(line: str, lineno: int, ambient: FullFactorial) -> tuple[int, ..
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
-def _canonical_lines(data: bytes, ends: np.ndarray, m: int):
-    """The run counts and concatenated runs of the lines of the text data
-    when every line but those that start with "#" is canonical, else None.
-    Line i ends just before index ends[i], and data ends with a newline.
+def _hash_lines(data: bytes) -> tuple[bytes | None, list[tuple[int, int, int]]]:
+    """data without its lines that start with "#", and the index, start and
+    end of each of those lines; None and no lines when a "#" sits inside a
+    line, as in no canonical line."""
+    kept, lines, end, i = [], [], 0, 0
+    while (at := data.find(b"#", end)) >= 0:
+        if at and data[at - 1] != ord("\n"):
+            return None, []
+        i += data.count(b"\n", end, at)
+        kept.append(data[end:at])
+        end = data.index(b"\n", at) + 1
+        lines.append((i, at, end))
+        i += 1
+    return b"".join(kept) + data[end:], lines
 
-    The "#" lines and their bytes are dropped first, when data holds a "#"
-    at all.  Every maximal run of digits is then a number, read from its
-    last len(str(m-1)) digits.  When every number is in range and each
-    line's numbers strictly increase, one compare of the text with the
-    rendering of all its lines decides.  That comparison is what makes the
-    loose parse safe: a canonical line parses back to the runs it renders.
+
+def _canonical_lines(data: bytes, m: int) -> np.ndarray | None:
+    """The B x s runs of the B lines of data, which ends with a newline,
+    when every line holds s runs and is canonical, else None.
+
+    Every maximal run of digits is a number, read from its last
+    len(str(m-1)) digits.  The lines are counted by their newlines; when
+    the numbers split evenly into them, they are read as one B x s array.
+    When each row strictly increases and ends below m, one compare of data
+    with the rendering of the array decides.  That comparison is what makes
+    the loose parse safe: a canonical line parses back to the runs it
+    renders, and a chunk whose lines hold different run counts renders
+    other bytes.
     """
-    b = np.frombuffer(data, dtype=np.uint8)
-    if b"#" in data:
-        own = np.diff(ends, prepend=0)
-        kept = b[ends - own] != ord("#")
-        data = b[np.repeat(kept, own)].tobytes()
-        b = np.frombuffer(data, dtype=np.uint8)
-        ends = np.cumsum(own[kept])
+    n_lines = data.count(b"\n")
     width = len(str(m - 1))
     # Digit values, wrapping below "0", behind width - 1 non-digit pad bytes:
     # shifted[width - 1 - k :][i] is digits[i - k], or a pad byte for i < k.
-    shifted = np.full(len(b) + width - 1, 255, dtype=np.uint8)
+    shifted = np.full(len(data) + width - 1, 255, dtype=np.uint8)
     digits = shifted[width - 1 :]
-    np.subtract(b, np.uint8(48), out=digits)
+    np.subtract(np.frombuffer(data, dtype=np.uint8), np.uint8(48), out=digits)
     is_digit = digits < 10
     last = np.flatnonzero(is_digit[:-1] > is_digit[1:])  # each number's last digit
+    size, extra = divmod(len(last), n_lines or 1)
+    if extra:
+        return None
     dtype = np.int16 if 10**width <= np.iinfo(np.int16).max else np.int32  # at most 9 digits for m <= 10^9
     value = np.take(digits, last).astype(dtype)
     in_number = np.ones(len(last), dtype=bool)
@@ -611,47 +642,40 @@ def _canonical_lines(data: bytes, ends: np.ndarray, m: int):
         d = np.take(shifted[width - 1 - k :], last)
         in_number &= d < 10
         value += (d * in_number).astype(dtype) * dtype(10**k)
-    line_end = np.searchsorted(last, ends)  # the numbers up to each line's end
-    lengths = np.diff(line_end, prepend=0)
-
-    first = np.zeros(len(value) + 1, dtype=bool)  # first[i]: number i starts a line after line 0
-    first[line_end] = True
+    runs = value.reshape(n_lines, size)
     # _render takes runs below m only.
-    if np.any(value >= m) or np.any((value[1:] <= value[:-1]) & ~first[1:-1]) or _render(lengths, value, m) != data:
+    if runs.shape[1] and (np.any(runs[:, 1:] <= runs[:, :-1]) or runs[:, -1].max() >= m):
         return None
-    return lengths, value
+    return runs if _render(runs, m) == data else None
 
 
-def _read_chunk(text: str, first_line: int, ambient: FullFactorial) -> tuple[np.ndarray, int, list]:
-    """The keys of the design lines of text, a whole number of lines, in
+def _read_chunk(data: bytes, first_line: int, ambient: FullFactorial) -> tuple[np.ndarray, int, list]:
+    """The keys of the design lines of data, a whole number of lines, in
     order, its line count, and the line number, N and the design lines
-    before it in text of each "# count: N" line; its first line is line
+    before it in data of each "# count: N" line; its first line is line
     first_line + 1.  Either every line is read in bulk, or every line goes
     through _parse_line in file order."""
     m = ambient.run_count
-    data = text.encode("utf-8", "surrogatepass")
     if not data.endswith(b"\n"):
         data += b"\n"  # the file's last line; stripped away either way
-    ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == 10) + 1
-    bulk = _canonical_lines(data, ends, m)
-    if bulk is not None:
-        # Every line is a design line but the "#" lines, and each of those
-        # starts with the first "#" it holds: line i follows k "#" lines.
-        marks, at, k = [], data.find(b"#"), 0
-        while at >= 0:
-            i = int(np.searchsorted(ends, at, side="right"))
-            if count := _COUNT_LINE.fullmatch(data[at : ends[i]].decode("utf-8", "surrogatepass").strip()):
+    design_lines, hashed = _hash_lines(data)
+    runs = None if design_lines is None else _canonical_lines(design_lines, m)
+    if runs is not None:
+        # Every line but the "#" lines is a design line: line i follows k "#" lines.
+        marks = []
+        for k, (i, start, end) in enumerate(hashed):
+            if count := _COUNT_LINE.fullmatch(_decoded(data[start:end], first_line + i + 1).strip()):
                 marks.append((first_line + i + 1, int(count[1]), i - k))
-            at, k = data.find(b"#", ends[i]), k + 1
-        return run_sums(*bulk, m), len(ends), marks
+        return indexed_keys(runs.astype(np.uint64), m), len(runs) + len(hashed), marks
     parsed, marks = [], []
-    for i, line in enumerate(text.split("\n")):
-        line = line.strip()
+    lines = data.split(b"\n")[:-1]
+    for i, raw in enumerate(lines):
+        line = _decoded(raw, first_line + i + 1).strip()
         if line and line[0] != "#":
             parsed.append(_parse_line(line, first_line + i + 1, ambient))
         elif count := _COUNT_LINE.fullmatch(line):
             marks.append((first_line + i + 1, int(count[1]), len(parsed)))
-    return design_keys(parsed, m), len(ends), marks
+    return design_keys(parsed, m), len(lines), marks
 
 
 _COUNT_LINE = re.compile(r"#\s*count:\s*(\d+)")
@@ -660,30 +684,35 @@ _COUNT_LINE = re.compile(r"#\s*count:\s*(\d+)")
 def read_design_keys(fh, ambient: FullFactorial) -> np.ndarray:
     """read_designs as keys (designs): one row per design line, in file order.
 
-    Reads fh in text chunks of designs._CHUNK_BYTES // _READ_PEAK_PER_CHAR
-    characters, each completed to the end of its line.  A chunk whose lines
-    are all canonical, but for "#" lines, is read in bulk; every line of any
-    other chunk goes through _parse_line, so the first bad line raises its
-    error.  An input that holds neither a design line nor a "#" line, not
-    even "# count: 0", raises ValueError: it is what a failed writer leaves
-    behind, blank lines or not.  A "#" anywhere in an input that reads
-    without error starts a "#" line, since no design line holds one.  Once
-    every line has read, each "# count: N" line must follow N design lines
-    since the last count line or the start, and none may follow the last,
-    so two written files concatenated read; an input with no count line is
-    read as it is.
+    Reads fh, a binary or a text handle, in chunks of
+    designs._CHUNK_BYTES // _READ_PEAK_PER_CHAR bytes, or characters, each
+    completed to the end of its line; a text chunk is encoded to UTF-8
+    once, as it is read.  A chunk whose design lines all hold one run
+    count and are canonical, but for "#" lines, is read in bulk; every line
+    of any other chunk, mixed run counts included, is decoded and goes
+    through _parse_line, so the first bad line raises its error, invalid
+    UTF-8 too.  An input that holds neither a design line nor a "#" line,
+    not even "# count: 0", raises ValueError: it is what a failed writer
+    leaves behind, blank lines or not.  A "#" anywhere in an input that
+    reads without error starts a "#" line, since no design line holds one.
+    Once every line has read, each "# count: N" line must follow N design
+    lines since the last count line or the start, and none may follow the
+    last, so two written files concatenated read; an input with no count
+    line is read as it is.
     """
     chunks = [np.zeros((0, key_words(ambient.run_count)), dtype=np.uint64)]
     lines, total, marked, marks = 0, 0, False, []
-    while text := fh.read(max(1, designs._CHUNK_BYTES // _READ_PEAK_PER_CHAR)):
-        if not text.endswith("\n"):
-            text += fh.readline()
-        keys, count, chunk_marks = _read_chunk(text, lines, ambient)
+    while chunk := fh.read(max(1, designs._CHUNK_BYTES // _READ_PEAK_PER_CHAR)):
+        if isinstance(chunk, str):
+            chunk = (chunk if chunk.endswith("\n") else chunk + fh.readline()).encode()
+        elif not chunk.endswith(b"\n"):
+            chunk += fh.readline()
+        keys, count, chunk_marks = _read_chunk(chunk, lines, ambient)
         marks += [(line, n, total + before) for line, n, before in chunk_marks]
         chunks.append(keys)
         lines += count
         total += len(keys)
-        marked = marked or "#" in text
+        marked = marked or b"#" in chunk
     if not total and not marked:
         raise ValueError("the design list is empty: not even a '# count' line")
     counted = 0

@@ -267,6 +267,31 @@ def test_classify_count_line_alone_on_stdin_is_no_designs(monkeypatch, capsys):
     assert "0 designs in 0 classes" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("route", ["file", "stdin"])
+def test_classify_names_the_line_of_invalid_utf8(route, monkeypatch, capsys, tmp_path):
+    # The design file is read as bytes, from a file or from stdin, and a
+    # byte that is not UTF-8 is refused with its line number (exit 2): in a
+    # design line, which sends its chunk line by line, and in a "#" line of
+    # a chunk that is otherwise canonical and read in bulk.
+    cases = [
+        (b"[0, 3, 5, 6]\n[1, 2, \xff4, 7]\n# count: 2\n", "byte 0xff in position 7: invalid start byte"),
+        (b"[0, 3, 5, 6]\n# \xe9t\xe9\n[1, 2, 4, 7]\n# count: 2\n",
+         "byte 0xe9 in position 2: invalid continuation byte"),
+    ]
+    for data, message in cases:
+        argv = ["classify", "--levels", "2,2,2"]
+        if route == "file":
+            path = tmp_path / "designs.txt"
+            path.write_bytes(data)
+            argv += ["--designs", str(path)]
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: line 2: 'utf-8' codec can't decode {message}\n"
+
+
 def _note(read, report):
     return (
         f"note: {read} designs read, {report['total_designs']} in the orbits of their "

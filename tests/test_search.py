@@ -13,7 +13,7 @@ from conftest import random_ambient, sign_fraction
 from orthofrac.algebra import indicator_from_design
 from orthofrac.catalog import cross_check_classes
 from orthofrac.classify import act, classification_report, classify, classify_keys, generate_group
-from orthofrac import algebra, designs, search
+from orthofrac import algebra, designs, fastcheck, search
 from orthofrac.designs import (
     Design,
     default_levels,
@@ -382,17 +382,25 @@ def test_design_ceiling(monkeypatch):
     monkeypatch.setattr(designs, "_MATRIX_BUDGET", need - 1)
     with pytest.raises(ProblemTooLargeError, match="at least 24696 designs exceed"):
         enumerate_keys(two_words)
-    # Every level meets the same budget.  At 2^3/4/2 the strength-0 level
-    # lists the 2 one-run subsets of a 2-run factor (48 bytes), and the
-    # levels above it each join 2 designs in 2 rows of 2 slices from 2
-    # candidates with 2 slice keys of one count:
-    # 2 * 24 + 2 * 56 + 2 * 48 + 2 * 10 = 276 bytes.
+    # Every level meets the same budget, and so does every octet table,
+    # built by this call or cached.  At 2^3/4/2 the strength-0 level lists
+    # the 2 one-run subsets of a 2-run factor (48 bytes), and the levels
+    # above it each join 2 designs in 2 rows of 2 slices from 2 candidates
+    # with 2 slice keys of one count: 2 * 24 + 2 * 56 + 2 * 48 + 2 * 10 =
+    # 276 bytes.  The tables take more: 256 rows of one word each for the
+    # slice keys' cell of 2 runs, and for the 7 contrast rows of 8 runs.
     problem = SearchProblem(full_factorial([2, 2, 2]), 4, 2)
-    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 276)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 2048)
     assert len(enumerate_keys(problem)) == 2
-    monkeypatch.setattr(designs, "_MATRIX_BUDGET", 275)
-    with pytest.raises(ProblemTooLargeError, match="at least 2 designs exceed the key budget of 275 bytes"):
-        enumerate_keys(problem)
+    tables = "the octet tables of 1 columns on 2 runs take 2048 bytes, more than the key budget of {} bytes"
+    for budget in (2047, 276):
+        monkeypatch.setattr(designs, "_MATRIX_BUDGET", budget)
+        for cold in (False, True):
+            if cold:
+                designs._cell_tables.cache_clear()
+                fastcheck._contrast_tables.cache_clear()
+            with pytest.raises(ProblemTooLargeError, match=f"^{tables.format(budget)}$"):
+                enumerate_keys(problem)
     monkeypatch.setattr(designs, "_MATRIX_BUDGET", 47)
     with pytest.raises(ProblemTooLargeError, match=re.escape("C(2,1) = 2 subsets exceed the key budget of 47 bytes")):
         enumerate_keys(problem)
@@ -552,7 +560,7 @@ def test_read_chunk_peak_stays_within_the_per_char_bound(monkeypatch):
         tracemalloc.start()
         try:
             out = real(chunk, first_line, ambient)
-            peaks.append((len(chunk), tracemalloc.get_traced_memory()[1], "#" in chunk))
+            peaks.append((len(chunk), tracemalloc.get_traced_memory()[1], b"#" in chunk))
         finally:
             tracemalloc.stop()
         return out
@@ -855,6 +863,37 @@ def test_one_changed_byte_sends_its_whole_chunk_to_the_json_route(monkeypatch):
     assert len(twice) < designs._CHUNK_BYTES // search._READ_PEAK_PER_CHAR
     assert np.array_equal(read_design_keys(io.StringIO(twice), amb), np.concatenate([keys, keys]))
     assert parsed == []
+
+
+def test_a_chunk_of_one_run_count_is_read_in_bulk_and_mixed_counts_line_by_line(monkeypatch):
+    # The bulk route reads a chunk's numbers as one B x s array.  Canonical
+    # lines of two run counts take the per-line route, also when their
+    # numbers split evenly into the lines (the array then renders other
+    # bytes); "[]" lines alone, and "#" lines among lines of one count, stay
+    # in bulk.  A binary handle and a text handle read the same keys.
+    amb = full_factorial([2, 2, 2, 2, 3])
+    parsed = []
+    real_parse = search._parse_line
+
+    def recording_parse(line, lineno, ambient):
+        parsed.append(lineno)
+        return real_parse(line, lineno, ambient)
+
+    monkeypatch.setattr(search, "_parse_line", recording_parse)
+    cases = [
+        ("[0, 1, 2]\n# note\n[3, 4, 47]\n# count: 2\n", []),
+        ("[]\n[]\n# count: 2\n", []),
+        ("[0, 1, 2, 3]\n[4, 5]\n", [1, 2]),  # 6 numbers in 2 lines, not 3 and 3
+        ("[0, 1]\n[2, 3, 4]\n[5]\n", [1, 2, 3]),
+        ("[0]\n[1, 2]\n# count: 2\n", [1, 2]),
+        ("[0, 1]\n[]\n", [1, 2]),
+    ]
+    for text, per_line in cases:
+        expected = key_runs(design_keys(reference.read_designs(io.StringIO(text), amb), 48))
+        for handle in (io.StringIO(text), io.BytesIO(text.encode())):
+            parsed.clear()
+            assert key_runs(read_design_keys(handle, amb)) == expected
+            assert parsed == per_line
 
 
 def test_count_lines_fail_closed(monkeypatch, capsys, tmp_path):
