@@ -4,8 +4,10 @@ The 24-run strength-2 fractions of the 2x2x2x2x3 factorial form 63
 symmetry classes.  This module ships one published representative
 indicator polynomial per class, together with the class invariants
 (T1, J, T2) and the orbit size, and a cross-check that a freshly computed
-classification agrees with the catalog.  Reports and the acceptance suite
-use it as an independent yardstick.
+classification agrees with the catalog: each catalog design's images
+(classify.images) are looked up in the class representatives' sorted
+search keys (designs.find_keys).  Reports and the acceptance suite use it
+as an independent yardstick.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+import numpy as np
+
 from .algebra import design_from_indicator
-from .classify import in_orbit, type_label
-from .designs import Design, FullFactorial, design_keys, full_factorial
+from .classify import images, type_label
+from .designs import Design, FullFactorial, design_keys, find_keys, full_factorial, search_keys, sorted_search_keys
 from .polynomials import parse_polynomial
 
 FLAGSHIP_ARITIES = (2, 2, 2, 2, 3)
@@ -416,12 +420,12 @@ def catalog_designs() -> tuple[tuple[CatalogEntry, Design], ...]:
     )
 
 
-def is_complete_flagship(ambient: FullFactorial, classes) -> bool:
-    """Whether classes of the flagship ambient, with invariants, hold as many
-    designs as the catalog's orbits: what cross_check_classes judges."""
+def is_complete_flagship(classes) -> bool:
+    """Whether classes with invariants, which classify_keys gives on the
+    flagship ambient alone, hold as many designs as the catalog's orbits:
+    what cross_check_classes judges."""
     return (
-        ambient.radices == FLAGSHIP_ARITIES
-        and len(classes) > 0
+        len(classes) > 0
         and classes[0].invariants is not None
         and sum(c.orbit_size for c in classes) == sum(entry.orbit_size for entry in CATALOG)
     )
@@ -441,12 +445,18 @@ def cross_check_classes(classes) -> list[str]:
     classes = list(classes)
     if len(classes) != len(CATALOG):
         problems.append(f"expected {len(CATALOG)} classes, got {len(classes)}")
-    m = flagship_ambient().run_count
-    reps = design_keys([c.representative for c in classes], m)
+    reps = design_keys([c.representative for c in classes], flagship_ambient().run_count)
+    ordered = sorted_search_keys(reps)
+    # Each class's slot in the sorted keys: copies of a key share one.
+    slots = np.searchsorted(ordered, search_keys(reps))
 
     hits: dict[int, int] = {}
     for entry, design in catalog_designs():
-        found = in_orbit(design, reps).nonzero()[0]
+        in_orbit = np.zeros(len(ordered), dtype=bool)
+        if len(ordered):
+            pos, found = find_keys(ordered, search_keys(images(design.ambient, design.runs)))
+            in_orbit[pos[found]] = True
+        found = in_orbit[slots].nonzero()[0]
         if not len(found):
             problems.append(f"catalog type {entry.type_label} not found in any class")
             continue

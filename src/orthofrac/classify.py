@@ -11,11 +11,12 @@ permutation by the model matrix.
 Designs are keys (designs), and among designs of one size the largest
 key is the lexicographically least design (designs.sort_keys), so the
 largest key of an orbit is its canonical form.  The keys of all G images
-are shifted out of the gathered G x s run indices (designs.indexed_keys).
-classify_keys holds its input keys once, sorted in search form
-(designs.sorted_search_keys), closes each orbit once, from the first
-design in key order not yet seen, and keeps only its largest key and its
-size.
+are shifted out of the gathered G x s run indices (images).  Orbit
+membership is tested one way: the images, in search form, are looked up
+(designs.find_keys) in sorted search keys (designs.sorted_search_keys).
+classify_keys holds its input keys once in that form, closes each orbit
+once, from the first design in key order not yet seen, as its sorted
+distinct images, and keeps only its largest key and its size.
 
 classification_report builds a classification's report as one JSON-ready
 dict, and report_text renders that dict as the text report.
@@ -34,9 +35,8 @@ import numpy as np
 from . import designs
 from .algebra import polynomial_from_values, values_at_runs
 from .designs import (
-    Design, FullFactorial, ShapeMismatchError, design_keys, distinct_keys, find_keys, indexed_keys,
-    invariant_triples, key_runs, run_index, search_keys, search_rows, sorted_search_keys, supports_triple_invariant,
-    unpack_runs,
+    Design, FullFactorial, ShapeMismatchError, design_keys, find_keys, indexed_keys, invariant_triples, key_runs,
+    run_index, search_rows, sorted_search_keys, supports_triple_invariant, unpack_runs,
 )
 from .polynomials import Polynomial
 
@@ -142,27 +142,9 @@ def act_theta(g: GroupElement, poly: Polynomial) -> Polynomial:
     return polynomial_from_values(permuted, den, g.ambient)[0]
 
 
-def _images(ambient: FullFactorial, runs) -> np.ndarray:
+def images(ambient: FullFactorial, runs) -> np.ndarray:
     """The key of the design with these runs under every group element, in table order."""
     return indexed_keys(run_perm_table(ambient)[:, np.asarray(runs, dtype=np.intp)], ambient.run_count)
-
-
-def in_orbit(design: Design, keys: np.ndarray) -> np.ndarray:
-    """Which rows of keys (designs.design_keys of designs of the same
-    ambient) lie in the orbit of the design: its images are searched in the
-    sorted keys, so the orbit itself is never sorted, and every copy of a
-    repeated row shares the mark of its first copy."""
-    if not len(keys):
-        return np.zeros(0, dtype=bool)
-    needles = search_keys(keys)
-    order = np.argsort(needles, kind="stable")
-    ordered = needles[order]
-    pos, found = find_keys(ordered, _images(design.ambient, design.runs))
-    hit = np.zeros(len(ordered), dtype=bool)
-    hit[pos[found]] = True
-    marked = np.empty(len(keys), dtype=bool)
-    marked[order] = hit[np.searchsorted(ordered, ordered)]
-    return marked
 
 
 @dataclass(frozen=True)
@@ -200,22 +182,26 @@ def classify_keys(ambient: FullFactorial, keys: np.ndarray) -> list[EquivalenceC
     # One sorted copy, in search form: seeds are read back from it.
     ordered = sorted_search_keys(keys)
     if np.any(ordered[1:] == ordered[:-1]):
-        raise ValueError("designs must be pairwise distinct")
+        first = np.argmax(ordered[1:] == ordered[:-1])
+        (runs,) = key_runs(search_rows(ordered[first : first + 1]))
+        raise ValueError(f"designs must be pairwise distinct: {list(runs)} appears more than once")
 
     unseen = np.ones(len(ordered), dtype=bool)
     tops, sizes = [], []
     idx = 0
     while idx < len(ordered):
-        orbit = distinct_keys(_images(ambient, unpack_runs(search_rows(ordered[idx : idx + 1]))[1]))
+        orbit = sorted_search_keys(images(ambient, unpack_runs(search_rows(ordered[idx : idx + 1]))[1]))
+        orbit = orbit[np.r_[True, orbit[1:] != orbit[:-1]]]
         pos, found = find_keys(ordered, orbit)
         unseen[pos[found]] = False
-        tops.append(orbit[-1].copy())  # a view would keep the whole orbit alive
+        tops.append(orbit[-1:].copy())  # a view would keep the whole orbit alive
         sizes.append(len(orbit))
+        del orbit, pos, found  # freed before the next orbit's images form
         # Key idx lies in its own orbit, so argmax is 0 only when no key is unseen.
         step = int(np.argmax(unseen[idx:]))
         idx = idx + step if step else len(ordered)
 
-    tops = np.array(tops)
+    tops = search_rows(np.concatenate(tops))
     reps = key_runs(tops)
     invariants = [None] * len(reps)
     # Every input design shares its size with the representative of its orbit.
@@ -251,14 +237,12 @@ def _strength3(t1: int, t2: int) -> bool:
 
 
 def table_report(classes) -> dict:
-    """The report's table of a flagship-shaped classification: per (T1, J) row, by T1
-    then descending J, the counts of classes, strength-3 and regular ones per T2."""
+    """The report's table of classes with invariants, which classify_keys gives on the
+    2x2x2x2x3 ambient alone: per (T1, J) row, by T1 then descending J, the counts of
+    classes, strength-3 and regular ones per T2."""
     classes = list(classes)
     if not classes:
         return {"t2_values": [], "rows": []}
-    ambient = classes[0].representative.ambient
-    if not supports_triple_invariant(ambient):
-        raise ShapeMismatchError("table layout requires the 2x2x2x2x3 ambient")
     if any(c.invariants is None for c in classes):
         raise ShapeMismatchError("classes carry no invariants")
 

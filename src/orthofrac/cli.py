@@ -155,7 +155,7 @@ def cmd_classify(args) -> int:
     classes = classify_keys(ambient, keys)
     report = classification_report(classes)
     problems = []
-    if is_complete_flagship(ambient, classes):
+    if is_complete_flagship(classes):
         problems = cross_check_classes(classes)
         report["catalog_check"] = {"pass": not problems, "problems": problems}
     if args.format == "json":

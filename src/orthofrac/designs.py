@@ -13,8 +13,9 @@ encoder builds keys: indexed_keys shifts the bits out of an array of run
 indices (run_sums and design_keys feed it rows of unequal length).  Only
 this module knows that layout.  unpack_runs inverts run_sums, with the
 run counts as popcounts of the words and the runs as the positions of the
-set bits (key_bits), key_runs and key_designs read keys back, sort_keys,
-distinct_keys, search_keys, search_rows and find_keys sort and look them
+set bits (key_bits), key_runs and key_designs read keys back, sort_keys
+sorts them, search_keys and sorted_search_keys give the search form that
+every membership test reads, which search_rows inverts and find_keys looks
 up, and key_octets, octet_keys and octet_sums read them an octet at a
 time, the last to sum matrix columns over their bits (octet_tables).
 
@@ -304,12 +305,6 @@ def sort_keys(keys: np.ndarray) -> np.ndarray:
     return np.sort(keys, axis=0) if keys.shape[1] == 1 else keys[np.lexsort(keys.T[::-1])]
 
 
-def distinct_keys(keys: np.ndarray) -> np.ndarray:
-    """The sorted distinct key rows; the last one is the largest."""
-    keys = sort_keys(keys)
-    return keys[np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)]]
-
-
 def search_keys(keys: np.ndarray) -> np.ndarray:
     """A 1-D array whose order and equality are those of the key rows, for
     np.searchsorted: the word itself, or the rows' big-endian bytes."""
@@ -337,10 +332,9 @@ def search_rows(ordered: np.ndarray) -> np.ndarray:
     return rows if rows.dtype == np.uint64 else rows.view(">u8").astype(np.uint64)
 
 
-def find_keys(ordered: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each key row, its position in a sorted, non-empty search_keys array
-    and whether the key is there."""
-    needles = search_keys(keys)
+def find_keys(ordered: np.ndarray, needles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each needle of a search_keys array, its position in a sorted,
+    non-empty search_keys array of the same key width and whether it is there."""
     pos = np.minimum(np.searchsorted(ordered, needles), len(ordered) - 1)
     return pos, ordered[pos] == needles
 

@@ -37,8 +37,8 @@ None of these is used by the package itself:
   were summed from one-run uint64 words: a bool scatter of every image
   into a G x m array, packed into one big-endian void key per image, and
   the canonical form, orbit and stabilizer read from them (production
-  reads the canonical form and orbit size from classify.classify_keys and
-  orbit membership from classify.in_orbit);
+  reads the canonical form and orbit size from classify.classify_keys, and
+  tests orbit membership only by designs.find_keys in sorted search keys);
 * theta_vector and polynomial_from_theta, a standard-form polynomial as
   its coefficients in lattice order and back, read coefficient by
   coefficient (production goes through the values at the runs,

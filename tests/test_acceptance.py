@@ -24,7 +24,7 @@ from orthofrac.algebra import (
     value_checks,
 )
 from orthofrac.catalog import CATALOG
-from orthofrac.classify import act, act_theta, generate_group, in_orbit, table_report
+from orthofrac.classify import act, act_theta, generate_group, table_report
 from orthofrac.designs import (
     Design,
     design_keys,
@@ -112,7 +112,6 @@ def test_criterion_4_orbit_size_ledger(flagship_classes):
 
 def test_criterion_5_representative_cross_check(flagship, flagship_designs, flagship_classes):
     enumerated = {d.runs for d in flagship_designs}
-    rep_keys = design_keys([c.representative for c in flagship_classes], 48)
     orbits = []  # class index per catalog entry
     problems = []
     for entry in CATALOG:
@@ -127,7 +126,8 @@ def test_criterion_5_representative_cross_check(flagship, flagship_designs, flag
         if invariant_triple(design) != (entry.t1, entry.jset, entry.t2):
             problems.append(f"{entry.type_label}: invariants mismatch")
         # locate its class: the one whose representative lies in its orbit
-        hits = in_orbit(design, rep_keys).nonzero()[0].tolist()
+        orbit = orbit_of(design)
+        hits = [k for k, c in enumerate(flagship_classes) if c.representative.runs in orbit]
         if len(hits) != 1:
             problems.append(f"{entry.type_label}: found {len(hits)} classes")
             continue
@@ -135,7 +135,7 @@ def test_criterion_5_representative_cross_check(flagship, flagship_designs, flag
         orbits.append(k)
         if flagship_classes[k].orbit_size != entry.orbit_size:
             problems.append(f"{entry.type_label}: orbit size mismatch")
-        if len(orbit_of(design)) != entry.orbit_size:
+        if len(orbit) != entry.orbit_size:
             problems.append(f"{entry.type_label}: direct orbit size mismatch")
     if len(set(orbits)) != 63:
         problems.append(f"only {len(set(orbits))} distinct classes hit")
@@ -272,13 +272,13 @@ def test_invariants_constant_on_every_orbit(flagship, flagship_designs, flagship
     for t1, jset, _ in triples:
         # T1 equals the number of nonzero triple J-statistics.
         assert t1 == sum(1 for j in jset if j)
-    rep_keys = design_keys([c.representative for c in flagship_classes], 48)
     for c in flagship_classes:
         assert by_runs[c.representative.runs] == c.invariants
     rng = random.Random(7)
     for _ in range(40):
         d = flagship_designs[rng.randrange(len(flagship_designs))]
-        hits = [c.invariants for c, hit in zip(flagship_classes, in_orbit(d, rep_keys)) if hit]
+        orbit = orbit_of(d)
+        hits = [c.invariants for c in flagship_classes if c.representative.runs in orbit]
         assert len(hits) == 1
         assert by_runs[d.runs] == hits[0]
 

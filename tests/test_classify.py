@@ -19,7 +19,6 @@ from orthofrac.classify import (
     classify,
     classify_keys,
     generate_group,
-    in_orbit,
     run_perm_table,
     table_report,
     table_text,
@@ -30,7 +29,6 @@ from orthofrac.designs import (
     design_keys,
     full_factorial,
     has_strength,
-    key_runs,
 )
 from orthofrac import designs, search
 from orthofrac.search import SearchProblem, enumerate_keys, enumerate_orthogonal
@@ -138,7 +136,7 @@ def test_orbit_of_regular_fractions():
     plus = sign_fraction(FLAGSHIP, (0, 1, 2, 3), 1)
     minus = sign_fraction(FLAGSHIP, (0, 1, 2, 3), -1)
     assert classify([plus])[0].orbit_size == 2
-    assert in_orbit(plus, design_keys([plus, minus], 48)).tolist() == [True, True]
+    assert reference.orbit_of(plus) == {plus.runs, minus.runs}
 
     triple = sign_fraction(FLAGSHIP, (0, 1, 3), 1)
     assert classify([triple])[0].orbit_size == 8
@@ -168,14 +166,19 @@ def test_classify_partitions_group_closed_input():
     classes = classify(designs)
     assert len(classes) == 1
     assert classes[0].orbit_size == 2
-    assert in_orbit(classes[0].representative, design_keys(designs, 8)).all()
+    assert reference.orbit_of(classes[0].representative) == {d.runs for d in designs}
 
 
 def test_classify_rejects_duplicates_and_mixed_ambients():
     amb = full_factorial([2, 2])
     d = Design(amb, (0, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^designs must be pairwise distinct: \[0, 3\] appears more than once$"):
         classify([d, d])
+    # The design named is the repeated one of least key, on two-word keys too.
+    amb = full_factorial([3, 3, 3, 3])
+    rows = [(0, 80), (1, 2), (0, 80), (1, 2), (5, 70)]
+    with pytest.raises(ValueError, match=r": \[1, 2\] appears more than once$"):
+        classify_keys(amb, design_keys(rows, 81))
     other = Design(full_factorial([2, 3]), (0, 1))
     with pytest.raises(ShapeMismatchError):
         classify([d, other])
@@ -208,17 +211,22 @@ def test_classify_keys_holds_its_input_once(levels, size):
     assert peak(keys) - peak(keys[:half]) <= (8 * keys.shape[1] + 4) * (len(keys) - half)
 
 
-def test_classify_keys_frees_each_orbit_as_the_next_forms():
-    # classify_keys keeps a copy of each orbit's top key: a row view would
-    # hold that orbit's whole array of distinct images until the loop ends.
-    # On shuffled 3^4/18/2 keys (7 orbits, each closed from 31,104 images)
-    # the traced peak is 118.3 bytes per design with the copies, and was
-    # 129.2 with the views.
+@pytest.mark.parametrize(
+    "levels, size, bound", [([2] * 6, 16, 46), ([3, 3, 3, 3], 18, 114)], ids=["2^6-s16", "3^4-s18"]
+)
+def test_classify_keys_frees_each_orbit_as_the_next_forms(levels, size, bound):
+    # classify_keys keeps a copy of each orbit's top key and drops the
+    # orbit before the next one's images form: a view of the top, a
+    # one-word slice as much as a two-word one, would hold that orbit's
+    # whole array of distinct images until the loop ends.  On shuffled keys
+    # the traced peak is 43.2 bytes per design at 2^6/16/2 (one-word keys)
+    # and 110.4 at 3^4/18/2 (two-word keys) with the copies, and 51.2 and
+    # 126.3 with the views.
     import tracemalloc
 
-    ambient = full_factorial([3, 3, 3, 3])
-    keys = enumerate_keys(SearchProblem(ambient, 18, 2))
-    keys = keys[np.random.default_rng(18).permutation(len(keys))]
+    ambient = full_factorial(levels)
+    keys = enumerate_keys(SearchProblem(ambient, size, 2))
+    keys = keys[np.random.default_rng(size).permutation(len(keys))]
     classify_keys(ambient, keys[:1])  # fills the ambient's caches untraced
     tracemalloc.start()
     try:
@@ -226,26 +234,7 @@ def test_classify_keys_frees_each_orbit_as_the_next_forms():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 122 * len(keys)
-
-
-def test_in_orbit_marks_every_copy_of_a_repeated_row():
-    # in_orbit searches the design's images in the sorted rows: every copy
-    # of a row in the orbit is marked, wherever the copies sit, on one-word
-    # (flagship) and two-word (3^4) keys; no rows give no marks.
-    for levels, size in (([2, 2, 2, 2, 3], 24), ([3, 3, 3, 3], 18)):
-        ambient = full_factorial(levels)
-        m = ambient.run_count
-        keys = enumerate_keys(SearchProblem(ambient, size, 2))
-        classes = classify_keys(ambient, keys)
-        reps = design_keys([c.representative for c in classes], m)
-        rows = np.concatenate([reps[1:2], reps, reps[1:2], keys[::97]])
-        for c in classes[:3]:
-            expected = reference.orbit_of(c.representative)
-            marked = in_orbit(c.representative, rows)
-            assert marked.tolist() == [runs in expected for runs in key_runs(rows)]
-        assert in_orbit(classes[1].representative, rows)[[0, 2, len(reps) + 1]].all()
-        assert in_orbit(classes[0].representative, rows[:0]).shape == (0,)
+    assert peak <= bound * len(keys)
 
 
 def test_invariants_constant_on_orbit():
@@ -324,9 +313,6 @@ def test_classify_matches_reference_closure(designs):
     assert [(c.representative.runs, c.orbit_size) for c in classes] == [(r, size) for r, size, _ in expected]
     ambient = designs[0].ambient
     order = len(generate_group(ambient))
-    for c, (_, _, members) in zip(classes, expected):
-        # classify's orbit size and in_orbit's membership give the act closure.
-        assert in_orbit(c.representative, design_keys(members, ambient.run_count)).all()
     for c, (_, _, members) in zip(classes[:3], expected):
         d = Design(ambient, max(members))
         assert [(a.representative, a.orbit_size) for a in classify([d])] == [(c.representative, c.orbit_size)]
@@ -395,11 +381,13 @@ def _check_closure_against_reference(ambient, rng, n_designs):
         for designs in ([d], [Design(ambient, runs) for runs in sample]):
             (c,) = classify(designs)
             assert (c.representative.runs, c.orbit_size) == (min(orbit), len(orbit))
-        # in_orbit holds on the whole orbit and nowhere else.
-        others = [_random_design(ambient, rng).runs for _ in range(5)]
-        members = sorted(orbit) + others
-        keys = design_keys(members, ambient.run_count)
-        assert in_orbit(d, keys).tolist() == [runs in orbit for runs in members]
+        # Each orbit closed marks its members seen and nothing else: the
+        # sample with other designs makes one class per distinct orbit, the
+        # classes that each design makes alone.
+        others = [Design(ambient, runs) for runs in {_random_design(ambient, rng).runs for _ in range(5)} - orbit]
+        expected = {min(orbit)} | {classify([o])[0].representative.runs for o in others}
+        designs = sorted([Design(ambient, runs) for runs in sample] + others, key=lambda o: o.runs)
+        assert sorted(c.representative.runs for c in classify(designs)) == sorted(expected)
 
 
 @pytest.mark.parametrize("seed", range(8))

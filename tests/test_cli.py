@@ -261,6 +261,13 @@ def test_classify_refuses_blank_stdin(monkeypatch, capsys, text):
     assert err == "error: the design list is empty: not even a '# count' line\n"
 
 
+def test_classify_names_a_repeated_design(monkeypatch, capsys):
+    # Fractions are sets: a design read twice is refused with its runs (exit 2).
+    monkeypatch.setattr("sys.stdin", io.StringIO("[0, 1]\n[0, 1]\n"))
+    assert main(["classify", "--levels", "2,2"]) == 2
+    assert capsys.readouterr() == ("", "error: designs must be pairwise distinct: [0, 1] appears more than once\n")
+
+
 def test_classify_count_line_alone_on_stdin_is_no_designs(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("\n# count: 0\n"))
     assert main(["classify", "--levels", "2,2,2"]) == 0

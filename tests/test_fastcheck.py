@@ -590,9 +590,9 @@ def test_word_keys_are_sums_of_run_keys_and_sort_as_run_tuples(m):
     assert key_runs(sort_keys(keys[shuffled])[::-1]) == runs
     # Binary search over the sorted keys finds every key, and no larger design.
     ordered = search_keys(sort_keys(keys))
-    pos, found = find_keys(ordered, keys)
+    pos, found = find_keys(ordered, search_keys(keys))
     assert found.all() and np.array_equal(ordered[pos], search_keys(keys))
-    assert not find_keys(ordered, design_keys([tuple(range(size + 1))], m))[1].any()
+    assert not find_keys(ordered, search_keys(design_keys([tuple(range(size + 1))], m)))[1].any()
     # Unpacking is the inverse of run_sums, and octet v of a key stands for
     # the sum of the run keys of its set bits, also on empty and full rows.
     runs += [(), tuple(range(m))]
