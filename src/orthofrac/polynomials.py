@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from .designs import FullFactorial
@@ -102,41 +103,60 @@ class Polynomial:
         terms = self._terms
         if not terms:
             return "0"
-        parts: list[str] = []
-        for exps in sorted(terms):
-            coeff = terms[exps]
-            num, den = coeff.numerator, coeff.denominator
-            # Coefficients are nonzero, so the numerator's sign is the term's.
-            sign = "-" if num < 0 else "+"
-            body = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            parts.append(f"{sign} {body}{_factor_text(exps)}")
+        parts = [_term_text(exps, c.numerator, c.denominator) for exps, c in sorted(terms.items())]
         first = parts[0]
         parts[0] = first[2:] if first[0] == "+" else f"-{first[2:]}"
         return " ".join(parts)
 
 
-# The text caches below are keyed by monomial: a process renders and parses
-# many polynomials over the same lattice monomials, at most m of them (48 on
-# the paper's ambient, 128 on 2^7), so a bound far above m keeps every one
-# while capping what unusual inputs can fill.
+# The text caches below are keyed by term, one per direction: a process
+# renders and parses many polynomials over the same few hundred terms (400
+# random indicators on the paper's ambient hold about 850 distinct ones), so a
+# bound well above that keeps every one while capping what unusual inputs
+# can fill.
 _TEXT_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_TEXT_CACHE_SIZE)
-def _factor_text(exps: tuple[int, ...]) -> str:
-    """The factors of to_text's term for exps, each after a space: " x1 x3 x5^2"."""
-    return "".join(f" x{j}^{e}" if e > 1 else f" x{j}" for j, e in enumerate(exps, 1) if e)
+def _term_text(exps: tuple[int, ...], num: int, den: int) -> str:
+    """to_text's term for the nonzero coefficient num/den (in lowest terms)
+    times the monomial exps, with its sign and a space ahead: "- 3/8 x1 x3^2"."""
+    # The coefficient is nonzero, so the numerator's sign is the term's.
+    sign = "-" if num < 0 else "+"
+    body = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+    factors = "".join(f" x{j}^{e}" if e > 1 else f" x{j}" for j, e in enumerate(exps, 1) if e)
+    return f"{sign} {body}{factors}"
 
 
+_SPLIT_RE = re.compile(r"\s+([+-])\s+")
 _COEFF_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 _VAR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
 @lru_cache(maxsize=_TEXT_CACHE_SIZE)
-def _exponents(factors: str, n_vars: int) -> tuple[int, ...]:
-    """The exponent tuple of a term's whitespace-separated factor tokens
-    'x<j>', 'x<j>^<e>' and '1'; repeated variables add up.  Raises
-    ValueError on a bad token, and lru_cache keeps no entry for it."""
+def _parse_term(sign: str, term: str, n_vars: int) -> tuple[tuple[int, ...], Fraction]:
+    """The exponent tuple and signed coefficient of a nonempty term: an
+    optional coefficient token 'p' or 'p/q', then whitespace-separated
+    factor tokens 'x<j>', 'x<j>^<e>' and '1', repeated variables adding up;
+    sign is "+" or "-".  Raises ValueError on a bad coefficient before a bad
+    factor, and lru_cache keeps no entry for it."""
+    negate = sign == "-"
+    tokens = term.split(None, 1)
+    head = tokens[0]
+    # A coefficient token never starts with "x"; a term without one opens with a factor.
+    if head.startswith("x"):
+        coeff, factors = Fraction(-1 if negate else 1), term
+    else:
+        m = _COEFF_RE.match(head)
+        if not m:
+            raise ValueError(f"bad token {head!r}")
+        num, den = m.groups()
+        den = int(den or 1)
+        if not den:
+            raise ValueError(f"zero denominator in coefficient {head!r}")
+        num = int(num)
+        coeff = Fraction(-num if negate else num, den)
+        factors = tokens[1] if len(tokens) > 1 else ""
     exps = [0] * n_vars
     for tok in factors.split():
         if tok == "1":
@@ -148,19 +168,7 @@ def _exponents(factors: str, n_vars: int) -> tuple[int, ...]:
         if not 1 <= j <= n_vars:
             raise ValueError(f"variable x{j} out of range 1..{n_vars}")
         exps[j - 1] += int(m.group(2) or 1)
-    return tuple(exps)
-
-
-def _coefficient(sign: int, token: str) -> Fraction:
-    """sign times a coefficient token 'p' or 'p/q', or ValueError."""
-    m = _COEFF_RE.match(token)
-    if not m:
-        raise ValueError(f"bad token {token!r}")
-    num, den = m.groups()
-    den = int(den or 1)
-    if not den:
-        raise ValueError(f"zero denominator in coefficient {token!r}")
-    return Fraction(sign * int(num), den)
+    return tuple(exps), coeff
 
 
 def parse_polynomial(text: str, n_vars: int) -> Polynomial:
@@ -168,40 +176,23 @@ def parse_polynomial(text: str, n_vars: int) -> Polynomial:
 
     Grammar: terms joined by ' + ' / ' - ', each an optional rational
     coefficient followed by space-separated factors 'x<j>' or 'x<j>^<e>'.
-    Each distinct signed coefficient token is read once per text, and each
-    distinct factor text once per process (_exponents).
+    Each distinct signed term is read once per process (_parse_term).
     """
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
     if s == "0":
         return Polynomial.zero(n_vars)
-    # Normalize a leading sign into the first term.
-    chunks = re.split(r"\s+([+-])\s+", s)
-    signed: list[tuple[int, str]] = []
-    first = chunks[0]
-    if first.startswith("-"):
-        signed.append((-1, first[1:].strip()))
-    else:
-        signed.append((1, first))
-    for op, term in zip(chunks[1::2], chunks[2::2]):
-        signed.append((1 if op == "+" else -1, term))
-    terms: dict[tuple[int, ...], Fraction] = {}
-    coeffs: dict[tuple[int, str], Fraction] = {}
-    for sign, term in signed:
-        tokens = term.split(None, 1)
-        if not tokens:
+    chunks = _SPLIT_RE.split(s)
+    # A leading sign belongs to the first term.  Only that term can be
+    # empty: every other one opens where a split ends, at a non-space.
+    sign = "+"
+    if chunks[0].startswith("-"):
+        sign, chunks[0] = "-", chunks[0][1:].strip()
+        if not chunks[0]:
             raise ValueError(f"empty term in {text!r}")
-        head = tokens[0]
-        # A coefficient token never starts with "x"; a term without one opens with a factor.
-        if head.startswith("x"):
-            coeff, factors = Fraction(sign), term
-        else:
-            coeff = coeffs.get((sign, head))
-            if coeff is None:
-                coeff = coeffs[sign, head] = _coefficient(sign, head)
-            factors = tokens[1] if len(tokens) > 1 else ""
-        key = _exponents(factors, n_vars)
-        prev = terms.get(key)
-        terms[key] = coeff if prev is None else prev + coeff
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for exps, coeff in map(_parse_term, [sign, *chunks[1::2]], chunks[::2], repeat(n_vars)):
+        prev = terms.get(exps)
+        terms[exps] = coeff if prev is None else prev + coeff
     return Polynomial._trusted(n_vars, {e: c for e, c in terms.items() if c})

@@ -623,13 +623,14 @@ def _canonical_lines(data: bytes, m: int) -> np.ndarray | None:
     renders, and a chunk whose lines hold different run counts renders
     other bytes.
     """
-    n_lines = data.count(b"\n")
+    view = np.frombuffer(data, dtype=np.uint8)
+    n_lines = int(np.count_nonzero(view == ord("\n")))
     width = len(str(m - 1))
     # Digit values, wrapping below "0", behind width - 1 non-digit pad bytes:
     # shifted[width - 1 - k :][i] is digits[i - k], or a pad byte for i < k.
     shifted = np.full(len(data) + width - 1, 255, dtype=np.uint8)
     digits = shifted[width - 1 :]
-    np.subtract(np.frombuffer(data, dtype=np.uint8), np.uint8(48), out=digits)
+    np.subtract(view, np.uint8(48), out=digits)
     is_digit = digits < 10
     last = np.flatnonzero(is_digit[:-1] > is_digit[1:])  # each number's last digit
     size, extra = divmod(len(last), n_lines or 1)

@@ -237,8 +237,8 @@ def _random_text(rng, n: int) -> str:
 
 
 def _clear_text_caches():
-    polynomials._exponents.cache_clear()
-    polynomials._factor_text.cache_clear()
+    polynomials._parse_term.cache_clear()
+    polynomials._term_text.cache_clear()
 
 
 def test_parse_and_to_text_match_the_reference():
@@ -263,35 +263,135 @@ def test_parse_and_to_text_match_the_reference():
 
 def test_a_bad_factor_text_raises_whatever_the_cache_holds():
     # Valid texts over x1, x2 fill the cache; a bad token among the same
-    # variables still raises, is not cached, and a valid text parses next.
+    # terms still raises, is not cached, and a valid text parses next.
     _clear_text_caches()
     for text in ("x1 x2", "1/2 x1 x2 + x1", "-3 x2^2 x1 - 1"):
         assert parse_polynomial(text, 2) == reference.parse_polynomial(text, 2)
-    for bad in ("1/2 x1 x3", "x1 x2^", "x1 y2", "x1 x2 x0"):
+    for bad in ("1/2 x1 x3", "x1 x2^", "x1 y2", "x1 x2 x0", "1/2 x1 x2 - 3 x1 x0"):
         for _ in range(2):
             with pytest.raises(ValueError):
                 parse_polynomial(bad, 2)
         assert parse_polynomial("x1 x2 - 1/2 x1", 2) == reference.parse_polynomial("x1 x2 - 1/2 x1", 2)
-    # The same factor text is in range for three variables, not for two.
+    # The same term is in range for three variables, not for two.
     assert parse_polynomial("1/2 x1 x3", 3) == reference.parse_polynomial("1/2 x1 x3", 3)
     with pytest.raises(ValueError, match="out of range"):
         parse_polynomial("1/2 x1 x3", 2)
+    # The seven valid signed terms, and none of the bad ones.
+    assert polynomials._parse_term.cache_info().currsize == 7
+
+
+def _term_tokens(rng, exps, coeff: Fraction) -> list[str]:
+    """One term of coeff times the monomial exps: a coefficient token, at
+    times non-reduced, or none for a coefficient of 1 before a factor; the
+    factors x<j>^<e>, x<j> or repeated x<j>, in a random order."""
+    factors = []
+    for j, e in enumerate(exps, 1):
+        if e > 1 and rng.random() < 0.3:
+            factors += [f"x{j}"] * e
+        elif e:
+            factors.append(f"x{j}^{e}" if e > 1 else f"x{j}")
+    rng.shuffle(factors)
+    if coeff == 1 and factors and rng.random() < 0.5:
+        return factors
+    k = rng.choice([1, 1, 2, 3])
+    num, den = coeff.numerator * k, coeff.denominator * k
+    return [str(num) if den == 1 and rng.random() < 0.7 else f"{num}/{den}"] + factors
+
+
+def _shuffled_text(rng, poly: Polynomial) -> str:
+    """A text of poly with its terms shuffled, some of them split into two
+    repeated terms that add up, and random whitespace around the signs."""
+    signed = []
+    for exps, coeff in poly.items():
+        parts = [coeff]
+        if rng.random() < 0.25:
+            part = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            parts = [part, coeff - part]
+        for part in parts:
+            if part:
+                signed.append(("-" if part < 0 else "+", _term_tokens(rng, exps, abs(part))))
+    rng.shuffle(signed)
+    space = lambda: rng.choice([" ", " ", "  ", "\t", " \n "])
+    (sign, tokens), rest = signed[0], signed[1:]
+    text = ("-" + rng.choice(["", " "]) if sign == "-" else "") + space().join(tokens)
+    for sign, tokens in rest:
+        text += space() + sign + space() + space().join(tokens)
+    return rng.choice(["", " "]) + text + rng.choice(["", "\n"])
+
+
+def _error(text: str, n: int, parse) -> str:
+    with pytest.raises(ValueError) as info:
+        parse(text, n)
+    return str(info.value)
+
+
+def test_shuffled_term_texts_match_the_reference_on_cold_and_warm_caches():
+    rng = random.Random(36)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        terms = {}
+        for _ in range(rng.randint(1, 8)):
+            exps = tuple(rng.randint(0, 3) for _ in range(n))
+            terms[exps] = Fraction(rng.choice([1, 1, -1, rng.randint(-9, 9)]), rng.randint(1, 8))
+        poly = Polynomial(n, terms)
+        if poly:
+            cases.append((poly, [_shuffled_text(rng, poly) for _ in range(3)]))
+    # A bad token replaces one token of a text: a coefficient, a factor, or
+    # both of one term, where the coefficient's error comes first.
+    bad_coeffs = ["1//2", "/2", "1.5", "2-", "+", "y1"]
+    bad_factors = ["x0", "x9", "x1^", "y1", "x1*x2", "x1^-1"]
+    bad = []
+    for poly, texts in cases[:100]:
+        n, text = poly.n_vars, texts[0]
+        tokens = text.split(" ")
+        i = rng.randrange(len(tokens))
+        while tokens[i] in ("+", "-", ""):
+            i = rng.randrange(len(tokens))
+        head = i == 0 or tokens[i - 1] in ("+", "-")
+        tokens[i] = rng.choice(bad_coeffs if head and not tokens[i].startswith("x") else bad_factors)
+        if head and rng.random() < 0.3:
+            tokens[i] = rng.choice(bad_coeffs) + " " + rng.choice(bad_factors)
+        bad.append((" ".join(tokens), n, texts))
+    bad += [("-", 2, ["x1"]), ("- + x1", 2, ["x1", "-x1"]), ("1/2 x1 + -", 2, ["1/2 x1"])]
+    for warm in (False, True):
+        for poly, texts in cases:
+            for text in texts:
+                if not warm:
+                    _clear_text_caches()
+                expected = reference.parse_polynomial(text, poly.n_vars)
+                assert expected == poly, text
+                parsed = parse_polynomial(text, poly.n_vars)
+                assert parsed == expected and hash(parsed) == hash(expected), text
+                if not warm:
+                    _clear_text_caches()
+                assert parsed.to_text() == reference.to_text(expected), text
+        # The same error, and the reference's, before and after the valid
+        # texts the bad one was made from are cached.
+        for text, n, neighbours in bad:
+            if not warm:
+                _clear_text_caches()
+            before = _error(text, n, parse_polynomial)
+            assert before == _error(text, n, reference.parse_polynomial), text
+            for neighbour in neighbours:
+                parse_polynomial(neighbour, n)
+            assert _error(text, n, parse_polynomial) == before, text
 
 
 def test_parse_and_to_text_past_the_cache_bound():
-    # More distinct factor texts and exponent tuples than the caches hold:
-    # the evicted ones are rebuilt equal to the reference.
+    # More distinct terms than the caches hold: the evicted ones are rebuilt
+    # equal to the reference.
     _clear_text_caches()
-    bound = polynomials._exponents.cache_info().maxsize
-    assert bound == polynomials._factor_text.cache_info().maxsize
-    texts = [f"{k}/7 x1^{k} x3 - x2^{k + 1}" for k in range(1, bound + 200)]
+    bound = polynomials._parse_term.cache_info().maxsize
+    assert bound == polynomials._term_text.cache_info().maxsize == polynomials._TEXT_CACHE_SIZE
+    texts = [f"{k}/7 x1^{k} x3 - x2^{k + 1}" for k in range(1, bound // 2 + 200)]
     for _ in range(2):
         for text in texts[:: len(texts) // 50] + texts:
             poly = parse_polynomial(text, 3)
             assert poly == reference.parse_polynomial(text, 3), text
             assert poly.to_text() == reference.to_text(poly), text
-    assert polynomials._exponents.cache_info().currsize == bound
-    assert polynomials._factor_text.cache_info().currsize == bound
+    assert polynomials._parse_term.cache_info().currsize == bound
+    assert polynomials._term_text.cache_info().currsize == bound
 
 
 @pytest.mark.parametrize("text", [
