@@ -4,18 +4,16 @@ The 24-run strength-2 fractions of the 2x2x2x2x3 factorial form 63
 symmetry classes.  This module ships one published representative
 indicator polynomial per class, together with the class invariants
 (T1, J, T2) and the orbit size, and a cross-check that a freshly computed
-classification agrees with the catalog: each catalog design's images
-(classify.images) are looked up in the class representatives' sorted
-search keys (designs.find_keys).  Reports and the acceptance suite use it
-as an independent yardstick.
+classification agrees with the catalog: the class representatives'
+search keys are looked up (designs.find_keys) in each catalog design's
+images (classify.images), sorted as designs.sorted_search_keys.  Reports
+and the acceptance suite use it as an independent yardstick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-
-import numpy as np
 
 from .algebra import design_from_indicator
 from .classify import images, type_label
@@ -436,27 +434,20 @@ def cross_check_classes(classes) -> list[str]:
 
     Every catalog representative must land in exactly one computed class
     whose invariants and orbit size match its entry, and every class must
-    be hit exactly once.  The orbit of each catalog design is closed once,
-    and a class is hit when its representative lies in that orbit, so any
-    orbit member may represent a class.  Returns a list of discrepancies
-    (empty = pass).
+    be hit exactly once.  The orbit of each catalog design is closed once
+    and sorted, and a class is hit when its representative is found in that
+    orbit, so any orbit member may represent a class.  Returns a list of
+    discrepancies (empty = pass).
     """
     problems: list[str] = []
     classes = list(classes)
     if len(classes) != len(CATALOG):
         problems.append(f"expected {len(CATALOG)} classes, got {len(classes)}")
-    reps = design_keys([c.representative for c in classes], flagship_ambient().run_count)
-    ordered = sorted_search_keys(reps)
-    # Each class's slot in the sorted keys: copies of a key share one.
-    slots = np.searchsorted(ordered, search_keys(reps))
+    reps = search_keys(design_keys([c.representative for c in classes], flagship_ambient().run_count))
 
     hits: dict[int, int] = {}
     for entry, design in catalog_designs():
-        in_orbit = np.zeros(len(ordered), dtype=bool)
-        if len(ordered):
-            pos, found = find_keys(ordered, search_keys(images(design.ambient, design.runs)))
-            in_orbit[pos[found]] = True
-        found = in_orbit[slots].nonzero()[0]
+        found = find_keys(sorted_search_keys(images(design.ambient, design.runs)), reps)[1].nonzero()[0]
         if not len(found):
             problems.append(f"catalog type {entry.type_label} not found in any class")
             continue

@@ -22,7 +22,8 @@ time, the last to sum matrix columns over their bits (octet_tables).
 `margin_cells` is the one integer encoding of factor-subset margins that
 the strength checks, the search, the oracle and the class invariants
 count with, as octet sums of keys over its 0/1 run-by-cell columns
-(count_keys).
+(count_keys).  invariant_triples reads T1, T2 and every J from one set of
+size-3 margin counts.
 """
 
 from __future__ import annotations
@@ -509,15 +510,6 @@ def supports_triple_invariant(ambient: FullFactorial) -> bool:
     return ambient.factors[4].arity == 3
 
 
-@lru_cache(maxsize=None)
-def _sign_tables(ambient: FullFactorial) -> tuple[np.ndarray, np.ndarray]:
-    """The octet tables of the J-characteristics of the four triples of
-    two-level factors: at each run, the product over the triple's factors
-    of +1 for a positive level value and -1 otherwise."""
-    signs = np.where(np.array(all_points(ambient)) > 0, 1, -1)
-    return octet_tables(np.stack([signs[:, list(t)].prod(axis=1) for t in itertools.combinations(range(4), 3)], axis=1))
-
-
 def invariant_triples(
     ambient: FullFactorial, keys: np.ndarray
 ) -> list[tuple[int, tuple[int, int, int, int], int]]:
@@ -533,8 +525,12 @@ def invariant_triples(
     mixed = [s for s, subset in enumerate(table.subsets) if 4 in subset]
     t1 = unbalanced[:, triples].sum(axis=1).tolist()
     t2 = unbalanced[:, mixed].sum(axis=1).tolist()
-    signs = column_sums(keys, charged_tables(_sign_tables(ambient), ambient.run_count))
-    jsets = (-np.sort(-np.abs(signs), axis=1)).tolist()
+    # A triple's J sums its 8 cell counts, each times the product over its
+    # factors of 1 - 2 x level index: the signs of the level values, up to one
+    # flip of J per factor whose levels run (1, -1), which |J| drops.
+    cells = np.add.outer(table.starts[triples], np.arange(8))
+    signs = (1 - 2 * table.levels[cells]).prod(axis=2)
+    jsets = (-np.sort(-np.abs((counts[:, cells] * signs).sum(axis=2)), axis=1)).tolist()
     return [(a, tuple(j), b) for a, j, b in zip(t1, jsets, t2)]
 
 

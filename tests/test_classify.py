@@ -477,6 +477,10 @@ def test_cross_check_problem_strings(flagship_classes):
     assert cross_check_classes(classes[:3] + [wrong] + classes[4:]) == [
         "type 0,{0,0,0,0}-1: orbit size 73 != 72"
     ]
+    wrong = dataclasses.replace(classes[3], invariants=(1, (8, 0, 0, 0), 1))
+    assert cross_check_classes(classes[:3] + [wrong] + classes[4:]) == [
+        "type 0,{0,0,0,0}-1: invariants (1, (8, 0, 0, 0), 1) do not match"
+    ]
     swapped = dataclasses.replace(classes[0], representative=classes[1].representative)
     assert cross_check_classes([swapped] + classes[1:]) == [
         "catalog type 0,{0,0,0,0}-0 not found in any class",

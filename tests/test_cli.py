@@ -368,6 +368,13 @@ def test_flagship_text_report_is_pinned(classify_flagship):
     assert _sha256(out) == "072aaa6176e5b46a5725176dca24874a34b32c3d4fa2ccc24c8ac50e4873a41d"
 
 
+def test_flagship_json_report_is_pinned(classify_flagship):
+    # Only the JSON carries every class's invariants, strength3 and catalog_check.
+    code, out, err = classify_flagship("--format", "json")
+    assert (code, err) == (0, "")
+    assert _sha256(out) == "544866c7770022601371fca5485939548692354312ccbcf61907ab4be6460f63"
+
+
 def test_text_report_without_table_is_pinned(tmp_path, capsys):
     # Off the flagship ambient classes carry no invariants: no table, no catalog check.
     designs = tmp_path / "designs.txt"

@@ -142,8 +142,26 @@ GUARDS = [
         (
             "classify_keys closes each orbit as designs.sorted_search_keys of its images, drops "
             "repeats by one neighbour compare and looks them up with designs.find_keys, which takes"
-            " needles already in search form; catalog.cross_check_classes sorts the class keys once"
-            " and finds each catalog design's images the same way"
+            " needles already in search form; catalog.cross_check_classes sorts each catalog "
+            "design's images the same way and finds the class representatives in them"
+        ),
+    ),
+    Guard(
+        "The catalog check finds class representatives only through find_keys",
+        [("src/orthofrac/catalog.py", r"searchsorted")],
+        (
+            "catalog.cross_check_classes looks the representatives' search keys up in each sorted "
+            "catalog orbit with designs.find_keys; no slot array or bool scatter maps hits back to "
+            "classes"
+        ),
+    ),
+    Guard(
+        "One invariant route, the size-3 margin counts",
+        [("src/**/*.py", r"_sign_tables")],
+        (
+            "designs.invariant_triples takes T1, T2 and each two-level triple's J from the same "
+            "MarginCells.count_keys counts, J as the sum of the triple's 8 cell counts signed by "
+            "their levels; no octet-table family of sign columns counts J apart"
         ),
     ),
     Guard(
