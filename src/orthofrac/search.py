@@ -23,12 +23,11 @@ Two routes:
   counts are octet sums of the candidates' keys over the cells' 0/1 run
   columns (MarginCells.count_keys), packed mixed-radix into one int64 word, or a
   Python int when the word bound is not below 2^62, and grouped by one
-  np.unique.  The first r - 3 slice levels loop in Python; under each of
-  their prefixes the fitting keys of level r - 3 go in blocks, each paired
-  with every key of level r - 2 in one compare per free cell, and one
-  searchsorted finds level r - 1 for all of a block's pairs (two slices
-  take the fitting keys and one searchsorted).  No Python loop runs per
-  key of the last three levels.  The join returns key ids and the exact
+  np.unique.  One pairing step forms every slice level but the last, depth
+  first from the empty assignment: a block of the assignments so far is
+  paired with every key that still fits, in one compare per free cell, and
+  one searchsorted finds the last level for all of a block's pairs.  No
+  Python loop runs per key.  The join returns key ids and the exact
   design count.  It raises ProblemTooLargeError as soon as the designs,
   their join rows and the slice candidates pass the key budget in bytes
   (designs._MATRIX_BUDGET), before any design is built; the slice keys
@@ -228,93 +227,78 @@ def _slice_keys(sub: FullFactorial, candidates: np.ndarray, size: int, strength:
     return _SliceKeys(pool, table.count_keys(candidates[first], free), packed, weights, target)
 
 
-def _fitting_prefixes(keys: _SliceKeys, depth: int, prefix: tuple, left: np.ndarray, word):
-    """Depth first, every `depth`-tuple of key ids that extends prefix and
-    whose free-cell counts fit within `left`; with the counts left after it
-    and its packed words added to word."""
-    if len(prefix) == depth:
-        yield prefix, left, word
-        return
-    for k in np.flatnonzero(np.all(keys.free <= left, axis=1)).tolist():
-        yield from _fitting_prefixes(keys, depth, (*prefix, k), left - keys.free[k], word + keys.packed[k])
-
-
-# Each (level r - 3, level r - 2) key pair that a join block compares is
-# charged the bytes of every array it has a place in, though they are never
-# all alive at once: its bool fit and the bool compare of one free cell,
-# its int64 flat index, two key ids and packed word need, the two position
-# arrays of its searchsorted and its bool hit (1 + 1 + 8 + 16 + 8 + 16 + 1).
-_PAIR_BYTES = 51
+# Each key assignment that a join block pairs with a key is charged the
+# bytes of every array it has a place in, though they are never all alive
+# at once: its bool fit and the bool compare of one free cell, its int64
+# flat index and packed word, the two position arrays of its searchsorted
+# and its bool hit (1 + 1 + 8 + 8 + 16 + 1); 8 bytes per key id of its row;
+# and its free-cell counts left, while a level follows.
+_PAIR_BYTES = 35
 
 
 def _join_blocks(keys: _SliceKeys, n_levels: int):
-    """(prefix, heads, need) for blocks of key assignments of every level but
-    the last that fit under the target: the ids of the first levels, shared
-    by the block; the ids of the next one or two levels, one array each; and
-    the packed word the last level must have, one per assignment.
+    """Blocks of join rows: the n_levels-tuples of key ids whose free-cell
+    counts sum to the target, one per row.
 
-    Levels 0 .. n_levels - 4 loop in Python over the keys that still fit
-    (_fitting_prefixes; no loop at all for n_levels <= 3).  Under each such
-    prefix the keys that fit at level n_levels - 3 go in blocks, and one
+    One pairing step forms every level but the last, depth first from the
+    empty assignment: the assignments so far go in blocks, and one
     broadcast compare per free cell pairs a block with every key that still
-    fits at level n_levels - 2.  A block's compares and per-pair arrays take
-    at most designs._CHUNK_BYTES.  Two levels are one block, of the keys
-    that fit.
+    fits.  A block's compares and per-pair arrays take at most
+    designs._CHUNK_BYTES (_PAIR_BYTES), and one block of assignments waits
+    per level.  The last level is the key whose word is the target's minus
+    the others': one searchsorted per block.  The counts left for it lie in
+    [0, target], within every digit's range, where packing is injective, so
+    only their word is formed.
     """
     free, packed = keys.free, keys.packed
     goal = keys.target @ keys.weights
-    target = keys.target.astype(free.dtype)
-    if n_levels == 2:
-        fits = np.flatnonzero(np.all(free <= target, axis=1))
-        yield (), (fits,), goal - packed[fits]
-        return
     cells = np.ascontiguousarray(free.T)
-    step = max(1, designs._CHUNK_BYTES // ((len(packed) or 1) * _PAIR_BYTES))
-    for prefix, left, word in _fitting_prefixes(keys, n_levels - 3, (), target, 0):
-        fits = np.flatnonzero(np.all(free <= left, axis=1))
-        for start in range(0, len(fits), step):
-            block = fits[start : start + step]
-            rest = left - free[block]
-            ok = np.ones((len(block), len(packed)), dtype=bool)
-            for c, column in enumerate(cells):
-                ok &= column <= rest[:, c, None]
-            a, b = np.divmod(np.flatnonzero(ok), len(packed))
-            a = block[a]
-            need = (goal - word) - packed[a]
-            need -= packed[b]
-            yield prefix, (a, b), need
+    stack = [([], keys.target.astype(free.dtype)[None], np.zeros(1, dtype=packed.dtype))]
+    while stack:
+        heads, left, word = stack.pop()
+        last = len(heads) == n_levels - 2
+        pair_bytes = _PAIR_BYTES + 8 * (len(heads) + 1) + (0 if last else free.itemsize * free.shape[1])
+        step = max(1, designs._CHUNK_BYTES // ((len(packed) or 1) * pair_bytes))
+        if len(word) > step:
+            stack.append(([head[step:] for head in heads], left[step:], word[step:]))
+            heads, left, word = [head[:step] for head in heads], left[:step], word[:step]
+        ok = np.ones((len(word), len(packed)), dtype=bool)
+        for c, column in enumerate(cells):
+            ok &= column <= left[:, c, None]
+        a, b = np.divmod(np.flatnonzero(ok), len(packed))
+        if not last:
+            stack.append(([head[a] for head in heads] + [b], left[a] - free[b], word[a] + packed[b]))
+            continue
+        need = goal - word[a]
+        need -= packed[b]
+        k = np.minimum(np.searchsorted(packed, need), len(packed) - 1)
+        hit = packed[k] == need
+        a = a[hit]
+        rows = np.empty((len(a), n_levels), dtype=np.int64)
+        for c, head in enumerate(heads):
+            rows[:, c] = head[a]
+        rows[:, -2] = b[hit]
+        rows[:, -1] = k[hit]
+        yield rows
 
 
 def _join_assignments(
     keys: _SliceKeys, n_levels: int, room: int, design_bytes: int
 ) -> tuple[np.ndarray, int]:
     """Every n_levels-tuple of key ids whose free-cell counts sum to the target,
-    one per row in no particular order, and the exact number of designs they
-    make: the sum over rows of the product of the rows' pool sizes.
-
-    The levels before the last come in blocks (_join_blocks), and the last
-    level is the key whose word is the target's minus the others': one
-    searchsorted per block.  The counts left for the last level lie in
-    [0, target], within every digit's range, where packing is injective.
+    one per row (_join_blocks), and the exact number of designs they make:
+    the sum over rows of the product of the rows' pool sizes.
 
     Raises ProblemTooLargeError as soon as the designs, at design_bytes
     each, and the rows, at 8 (2 n_levels + 3) bytes each, take more than
     `room` bytes (see the key budget).
     """
-    packed = keys.packed
     # Each row's product, and their sum, is at most len(pool)^n_levels.
     pool_sizes = np.bincount(keys.pool).astype(_exact_dtype(len(keys.pool) ** n_levels))
     row_bytes = 8 * (2 * n_levels + 3)
     chunks = [np.zeros((0, n_levels), dtype=np.int64)]
     count = n_rows = merged = n_merged = 0
-    for prefix, heads, need in _join_blocks(keys, n_levels):
-        last = np.minimum(np.searchsorted(packed, need), len(packed) - 1)
-        hit = packed[last] == need
-        rows = np.empty((int(np.count_nonzero(hit)), n_levels), dtype=np.int64)
-        rows[:, : len(prefix)] = prefix
-        for c, head in enumerate(heads, len(prefix)):
-            rows[:, c] = head[hit]
-        rows[:, -1] = last[hit]
+    for rows in _join_blocks(keys, n_levels):
         count += int(pool_sizes[rows].prod(axis=1).sum())
         n_rows += len(rows)
         if count * design_bytes + n_rows * row_bytes > room:

@@ -165,13 +165,14 @@ GUARDS = [
         ),
     ),
     Guard(
-        "The join takes its last slice levels in blocks, and materialise divides once per level",
-        [("src/orthofrac/search.py", r"local //= n_c|local % n_c|_fitting_prefixes\(keys, n_levels - 2")],
+        "One pairing step joins every slice level, and materialise divides once per level",
+        [("src/orthofrac/search.py", r"local //= n_c|local % n_c|_fitting_prefixes|n_levels == 2")],
         (
-            "search._join_blocks recurses in Python only over levels 0 .. r - 4 and pairs blocks of"
-            " level r - 3 keys with every level r - 2 key in per-cell broadcast compares, one "
-            "searchsorted finding level r - 1; search._materialize takes each level's candidate "
-            "with one np.divmod"
+            "search._join_blocks forms every level but the last by one pairing step, depth first "
+            "from the empty assignment: a block of the assignments so far against every key in "
+            "per-cell broadcast compares, one searchsorted finding the last level; no per-key "
+            "recursion over the first levels and no two-slice branch; search._materialize takes "
+            "each level's candidate with one np.divmod"
         ),
     ),
     Guard(

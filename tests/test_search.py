@@ -329,12 +329,23 @@ def test_join_count_and_key_injectivity(levels, size, count):
 
 
 @pytest.mark.parametrize(
-    "levels, size, r", [((2, 2, 2, 2, 3), 24, 3), ((3, 3, 3, 3), 18, 3), ((2, 2, 2, 2, 4), 16, 4)]
+    "levels, size, r",
+    [
+        ((2, 2, 2, 2, 3), 24, 3),
+        ((3, 3, 3, 3), 18, 3),
+        ((2, 2, 2, 2, 4), 16, 4),
+        ((2, 2, 2, 2, 2, 2), 16, 2),
+        ((2, 2, 2, 5), 20, 5),
+    ],
 )
 def test_join_blocks_do_not_change_the_keys(levels, size, r, monkeypatch):
-    # With 4 KiB chunks (designs._CHUNK_BYTES) the top level's join takes
-    # its level r - 3 keys in many small blocks; the designs are the same
-    # keys as with one block per prefix.
+    # With 4 KiB chunks (designs._CHUNK_BYTES) the top level's join pairs
+    # its assignments of every depth in many small blocks; the designs are
+    # the same keys as with 1 MiB blocks.  Two slices are one block at any
+    # chunk size, the empty assignment paired with every key, as when
+    # 2^6/16/2 joins 11,761 keys into 65,100 designs.  At (2,2,2,5)/20/2
+    # the top level's 7 keys leave assignments of 2 and 3 levels in blocks
+    # of 9 and 8, 44 blocks for 1,412 designs.
     problem = SearchProblem(full_factorial(levels), size, 2)
     expected = enumerate_keys(problem)
     join, join_blocks = search._join_assignments, search._join_blocks
@@ -353,7 +364,7 @@ def test_join_blocks_do_not_change_the_keys(levels, size, r, monkeypatch):
     monkeypatch.setattr(search, "_join_assignments", small_chunk_join)
     monkeypatch.setattr(search, "_join_blocks", counted_blocks)
     assert np.array_equal(enumerate_keys(problem), expected)
-    assert blocks.count(r) >= 100
+    assert blocks.count(r) >= {2: 1, 5: 40}.get(r, 100)
 
 
 # The key budget of the flagship's top level: 35,200 one-word designs at
@@ -469,6 +480,28 @@ def test_key_budget_bounds_the_traced_peak_of_a_three_slice_join(monkeypatch):
         tracemalloc.stop()
     assert len(keys) == 35200
     assert _FLAGSHIP_KEY_BYTES / 2 < peak <= _FLAGSHIP_KEY_BYTES + designs._CHUNK_BYTES
+
+
+def test_key_budget_bounds_the_traced_peak_of_a_four_slice_join(monkeypatch):
+    # The same bound where the top level joins r = 4 slices, so that one
+    # block of assignments waits at each of two depths: 2^4*4/16/2 has
+    # 17,292 one-word designs at 24 bytes in 4,776 rows of 4 slices at
+    # 8 (2r + 3) = 88 bytes, from 52 one-word candidates at 8 (4 + 2 + 2) =
+    # 64 bytes with 40 slice keys of 6 int16 counts and a word, 20 bytes.
+    import tracemalloc
+
+    problem = SearchProblem(full_factorial([2, 2, 2, 2, 4]), 16, 2)
+    charged = 17292 * 24 + 4776 * 88 + 52 * 64 + 40 * 20
+    monkeypatch.setattr(designs, "_CHUNK_BYTES", 1 << 12)
+    monkeypatch.setattr(designs, "_MATRIX_BUDGET", charged)
+    tracemalloc.start()
+    try:
+        keys = enumerate_keys(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == 17292
+    assert charged / 2 < peak <= charged + designs._CHUNK_BYTES
 
 
 def test_key_budget_charges_the_slice_keys(monkeypatch, capsys, tmp_path):
